@@ -21,6 +21,10 @@ class SignSGDCompressor(Compressor):
     def compress(self, vector: np.ndarray) -> CompressedPayload:
         vector = self._validate(vector)
         scale = float(np.mean(np.abs(vector)))
+        if scale == 0.0 and vector.any():
+            # The mean of subnormal magnitudes underflows to 0, which would
+            # flatten every transmitted sign; keep the scale representable.
+            scale = float(np.finfo(vector.dtype).smallest_subnormal)
         signs = np.sign(vector).astype(np.int8)
         # Zero entries keep sign 0; they transmit as zeros.
         compressed_bytes = vector.size / 8.0 + WIRE_DTYPE_BYTES

@@ -6,6 +6,13 @@ per-worker flat updates collapse further into a handful of ``(N, D)``
 matrix operations: the velocity buffers of all workers are rows of one
 matrix, exactly like the parameter and gradient buffers.
 
+The SGD updater owns one preallocated ``(N, D)`` scratch matrix and writes
+its intermediate products into it through ``out=`` — the same operations in
+the same order as the plain expressions (so results are bit-identical),
+without allocating fresh ``(N, D)`` temporaries on every step.  The Adam
+updater keeps the plain expressions: no ledger workload runs it, so a
+rewrite there could not be measured.
+
 Per-worker optimizers stay fully functional — their state is *re-bound*
 onto the fused rows, so mixing fused steps (the trainers' hot path) with
 individual ``optimizer.step()`` calls (SSP's sequential path, tests) keeps
@@ -14,7 +21,7 @@ one consistent state.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +45,7 @@ class FusedSGDUpdate:
                 opt.rebind_velocity(row)
         else:
             self.velocity = None
+        self._scratch = np.empty_like(matrix.params)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -88,19 +96,25 @@ class FusedSGDUpdate:
             grad_rows: np.ndarray = self._matrix.grads
         else:
             grad_rows = np.asarray(grads, dtype=self._matrix.dtype).reshape(1, -1)
+        scratch = self._scratch
         if self.weight_decay:
-            grad_rows = grad_rows + self.weight_decay * params
+            np.multiply(self.weight_decay, params, out=scratch)
+            grad_rows = np.add(grad_rows, scratch, out=scratch)
         if self.momentum:
             buf = self.velocity
             buf *= self.momentum
             buf += grad_rows
             if self.nesterov:
-                step_dir: Union[np.ndarray, float] = grad_rows + self.momentum * buf
+                # The one temporary left: grad_rows may live in the scratch.
+                step_dir = self.momentum * buf
+                np.add(grad_rows, step_dir, out=step_dir)
             else:
                 step_dir = buf
         else:
             step_dir = grad_rows
-        params -= lr_value * step_dir
+        # One aggregated gradient without decay or momentum stays a (1, D)
+        # row that the subtraction broadcasts; everything else is (N, D).
+        params -= np.multiply(lr_value, step_dir, out=scratch[: step_dir.shape[0]])
 
         for opt in optimizers:
             opt._step_count += 1

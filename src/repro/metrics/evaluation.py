@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from repro.metrics.accuracy import accuracy, top_k_accuracy
-from repro.nn.losses import cross_entropy_with_logits, perplexity_from_loss
+from repro.nn.losses import cross_entropy_loss, perplexity_from_loss
 from repro.nn.module import Module
 
 
@@ -38,7 +38,9 @@ def evaluate_model(
 
     ``task`` is ``"classification"`` (accuracy, or top-k accuracy when
     ``top_k`` is set) or ``"language_modeling"`` (perplexity).  Evaluation
-    runs in ``eval()`` mode and restores the previous training flag.
+    runs in ``eval()`` mode inside ``model.inference()`` — forward only, no
+    layer keeps a backward cache and no loss gradient is built — and restores
+    the previous training and inference flags.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -54,19 +56,20 @@ def evaluate_model(
     if max_batches is not None:
         num_batches = min(num_batches, max_batches)
     try:
-        for b in range(num_batches):
-            idx = np.arange(b * batch_size, min((b + 1) * batch_size, n))
-            inputs, targets = dataset[idx]
-            logits = model.forward(inputs)
-            loss, _ = cross_entropy_with_logits(logits, targets)
-            count = idx.size
-            total_loss += loss * count
-            if task == "classification":
-                if top_k is not None and top_k > 1:
-                    total_correct += top_k_accuracy(logits, targets, k=top_k) * count
-                else:
-                    total_correct += accuracy(logits, targets) * count
-            total_samples += count
+        with model.inference():
+            for b in range(num_batches):
+                idx = np.arange(b * batch_size, min((b + 1) * batch_size, n))
+                inputs, targets = dataset[idx]
+                logits = model.forward(inputs)
+                loss = cross_entropy_loss(logits, targets)
+                count = idx.size
+                total_loss += loss * count
+                if task == "classification":
+                    if top_k is not None and top_k > 1:
+                        total_correct += top_k_accuracy(logits, targets, k=top_k) * count
+                    else:
+                        total_correct += accuracy(logits, targets) * count
+                total_samples += count
     finally:
         if was_training:
             model.train()

@@ -35,6 +35,7 @@ from repro.nn.losses import (
     MSELoss,
     softmax,
     log_softmax,
+    cross_entropy_loss,
     cross_entropy_with_logits,
 )
 from repro.nn import init
@@ -75,6 +76,7 @@ __all__ = [
     "MSELoss",
     "softmax",
     "log_softmax",
+    "cross_entropy_loss",
     "cross_entropy_with_logits",
     "init",
     "MLP",

@@ -107,7 +107,7 @@ class MultiHeadSelfAttention(Module):
         context = np.matmul(attn, v)
         merged = self._merge_heads(context)
         out = self.out_proj.forward(merged)
-        self._cache = (q, k, v, attn, scale)
+        self._cache = None if self._inference else (q, k, v, attn, scale)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

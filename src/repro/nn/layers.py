@@ -50,7 +50,7 @@ class Linear(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_float(x, self.weight.data.dtype)
-        self._cache_x = x
+        self._cache_x = None if self._inference else x
         # Collapse leading dimensions into one GEMM (a no-op view for 2-D
         # inputs); (batch, seq, features) sequences hit a single BLAS call
         # instead of one per batch row.
@@ -92,8 +92,9 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = None if self._inference else mask
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -107,8 +108,9 @@ class Tanh(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = None if self._inference else out
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -122,8 +124,9 @@ class Sigmoid(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-x))
-        return self._out
+        out = 1.0 / (1.0 + np.exp(-x))
+        self._out = None if self._inference else out
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -141,8 +144,8 @@ class GELU(Module):
         self._x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = _as_float(x)
-        x = self._x
+        x = _as_float(x)
+        self._x = None if self._inference else x
         inner = self._C * (x + 0.044715 * x**3)
         return 0.5 * x * (1.0 + np.tanh(inner))
 
@@ -176,6 +179,9 @@ class Dropout(Module):
         self.p = float(p)
         self._rng = rng or np.random.default_rng()
         self._mask: Optional[np.ndarray] = None
+        # A None mask means identity here, so "forward kept nothing" (an
+        # inference forward) needs its own flag for backward to refuse.
+        self._no_backward = False
         self._shared_stream = None
         self._stream_layer_id = 0
         self._stream_slot = 0
@@ -187,6 +193,7 @@ class Dropout(Module):
         self._stream_slot = int(worker_slot)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        self._no_backward = self._inference
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
@@ -199,12 +206,14 @@ class Dropout(Module):
             # the default path's arithmetic bit-identical.
             if mask.dtype != x.dtype and np.issubdtype(x.dtype, np.floating):
                 mask = mask.astype(x.dtype)
-            self._mask = mask
         else:
-            self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+            mask = (self._rng.random(x.shape) < keep) / keep
+        self._mask = None if self._inference else mask
+        return x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        if self._no_backward:
+            raise RuntimeError("Dropout.backward called before forward")
         if self._mask is None:
             return grad_output
         return grad_output * self._mask
@@ -218,7 +227,7 @@ class Flatten(Module):
         self._shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = None if self._inference else x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -260,7 +269,7 @@ class BatchNorm1d(Module):
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
         x_hat = (x - mean) / np.sqrt(var + self.eps)
-        self._cache = (x_hat, var)
+        self._cache = None if self._inference else (x_hat, var)
         return self.gamma.data * x_hat + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -299,7 +308,7 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std)
+        self._cache = None if self._inference else (x_hat, inv_std)
         return self.gamma.data * x_hat + self.beta.data
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -344,7 +353,7 @@ class Embedding(Module):
             raise TypeError("Embedding expects integer token ids")
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.num_embeddings:
             raise IndexError("token id out of range for Embedding")
-        self._ids = token_ids
+        self._ids = None if self._inference else token_ids
         return self.weight.data[token_ids]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -447,7 +456,7 @@ class Conv2d(Module):
         out = cols @ w_flat.T  # (B, out_h, out_w, out_channels)
         if self.use_bias:
             out = out + self.bias.data
-        self._cache = (x.shape, cols)
+        self._cache = None if self._inference else (x.shape, cols)
         return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -494,7 +503,7 @@ class MaxPool2d(Module):
         windows = windows.reshape(b, c, out_h, out_w, k * k)
         idx = windows.argmax(axis=-1)
         out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
+        self._cache = None if self._inference else (x.shape, idx)
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -525,7 +534,7 @@ class GlobalAvgPool2d(Module):
         self._shape: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._shape = None if self._inference else x.shape
         return x.mean(axis=(2, 3))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -25,16 +25,14 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def cross_entropy_with_logits(
-    logits: np.ndarray, targets: np.ndarray, label_smoothing: float = 0.0
-) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient w.r.t. logits.
+def _flat_logits_and_targets(
+    logits: np.ndarray, targets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validated ``(n, classes)`` logits and ``(n,)`` integer targets.
 
-    ``logits`` may be (batch, classes) or (batch, seq, classes); ``targets``
-    holds integer class ids with the matching leading shape.
+    Logits stay in the dtype they arrive in (the engine's compute dtype);
+    non-float inputs are promoted to float64.
     """
-    # Compute in the dtype the logits arrive in (the engine's compute dtype);
-    # non-float inputs are promoted to float64.
     logits = np.asarray(logits)
     if not np.issubdtype(logits.dtype, np.floating):
         logits = logits.astype(np.float64)
@@ -50,7 +48,31 @@ def cross_entropy_with_logits(
         )
     if flat_targets.min(initial=0) < 0 or flat_targets.max(initial=0) >= num_classes:
         raise IndexError("target class id out of range")
-    n = flat_logits.shape[0]
+    return flat_logits, flat_targets
+
+
+def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Mean cross-entropy without its gradient (evaluation).
+
+    Exactly the loss value of :func:`cross_entropy_with_logits` (same
+    ``log_softmax``, same reduction) without building the probabilities and
+    the logits gradient.
+    """
+    flat_logits, flat_targets = _flat_logits_and_targets(logits, targets)
+    logp = log_softmax(flat_logits, axis=-1)
+    return float(-logp[np.arange(flat_logits.shape[0]), flat_targets].mean())
+
+
+def cross_entropy_with_logits(
+    logits: np.ndarray, targets: np.ndarray, label_smoothing: float = 0.0
+) -> Tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its gradient w.r.t. logits.
+
+    ``logits`` may be (batch, classes) or (batch, seq, classes); ``targets``
+    holds integer class ids with the matching leading shape.
+    """
+    flat_logits, flat_targets = _flat_logits_and_targets(logits, targets)
+    n, num_classes = flat_logits.shape
     logp = log_softmax(flat_logits, axis=-1)
     probs = np.exp(logp)
     rows = np.arange(n)
@@ -66,7 +88,7 @@ def cross_entropy_with_logits(
         grad = probs
         grad[rows, flat_targets] -= 1.0
         grad /= n
-    return float(loss), grad.reshape(logits.shape)
+    return float(loss), grad.reshape(np.shape(logits))
 
 
 class CrossEntropyLoss:

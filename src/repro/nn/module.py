@@ -3,7 +3,8 @@
 Every layer implements ``forward(x)`` and ``backward(grad_output)``;
 ``backward`` must be called after ``forward`` (layers cache whatever they
 need) and returns the gradient with respect to the layer input while
-accumulating parameter gradients into ``Parameter.grad``.
+accumulating parameter gradients into ``Parameter.grad``.  Inside
+``Module.inference()`` (evaluation) forwards cache nothing.
 
 The state-dict / gradient-dict interfaces are what the distributed layer
 (:mod:`repro.cluster`) uses to push and pull model replicas, mirroring how
@@ -13,6 +14,7 @@ the original system ships flat tensors over PyTorch RPC.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -51,6 +53,8 @@ class Module:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
         self.training: bool = True
+        # Forward-only switch, set on the whole tree by inference().
+        self._inference: bool = False
         # Flat-buffer engine state, populated by flatten_parameters().
         self._flat_params = None
         self._flat_grads = None
@@ -250,6 +254,33 @@ class Module:
         for module in self._modules.values():
             module.eval()
         return self
+
+    @contextmanager
+    def inference(self) -> Iterator["Module"]:
+        """Forward-only scope for this module tree.
+
+        Inside the scope every layer's ``forward`` computes exactly what it
+        computes outside it but keeps nothing for ``backward`` — no cached
+        inputs, masks, normalized activations or attention maps — and drops
+        whatever an earlier training forward left behind.  ``backward`` after
+        an inference forward therefore raises the layer's "called before
+        forward" error.
+
+        The switch is independent of :meth:`train` / :meth:`eval`: those
+        choose *what* is computed (dropout, batch statistics), this chooses
+        whether the backward cache is retained, so an ``eval()``-mode forward
+        outside the scope still supports ``backward`` (gradient checks).
+        The flag is cleared on the whole tree on exit, also when the body
+        raises; scopes do not nest.
+        """
+        modules = [module for _, module in self.named_modules()]
+        for module in modules:
+            module._inference = True
+        try:
+            yield self
+        finally:
+            for module in modules:
+                module._inference = False
 
     def zero_grad(self) -> None:
         if self._flat_grads is not None:

@@ -6,7 +6,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
+
+#: Samples per evaluation block: the ``grid × samples`` kernel matrix is built
+#: one ``grid × _KDE_BLOCK`` slab at a time (1.6 MB at the default 200-point
+#: grid) however many gradient entries are passed in.
+_KDE_BLOCK = 1024
 
 
 def gaussian_kde_density(
@@ -16,7 +20,8 @@ def gaussian_kde_density(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Gaussian kernel density estimate of a 1-D sample.
 
-    Returns ``(grid, density)``.  Degenerate samples (all identical) fall
+    Returns ``(grid, density)`` with Scott's bandwidth
+    ``std(ddof=1) * n ** (-1/5)``.  Degenerate samples (all identical) fall
     back to a narrow Gaussian bump centred on the value so figures never
     divide by a zero bandwidth.
     """
@@ -37,20 +42,19 @@ def gaussian_kde_density(
         width = max(abs(center) * 1e-3, 1e-8)
         density = np.exp(-0.5 * ((grid - center) / width) ** 2) / (width * np.sqrt(2 * np.pi))
         return grid, density
-    try:
-        kde = scipy_stats.gaussian_kde(samples)
-        return grid, kde(grid)
-    except (ValueError, np.linalg.LinAlgError):
-        # Near-degenerate samples (e.g. gradients that have collapsed to a
-        # handful of identical values late in training) make the bandwidth
-        # estimate singular; fall back to a manual Gaussian KDE with a floor
-        # on the bandwidth.
-        bandwidth = max(samples.std() * samples.size ** (-0.2), 1e-12)
-        diffs = (grid[:, None] - samples[None, :]) / bandwidth
-        density = np.exp(-0.5 * diffs**2).sum(axis=1) / (
-            samples.size * bandwidth * np.sqrt(2 * np.pi)
-        )
-        return grid, density
+    # The floor keeps near-degenerate samples (gradients that have collapsed
+    # to a handful of almost identical values late in training) away from a
+    # zero bandwidth.
+    bandwidth = max(samples.std(ddof=1) * samples.size ** (-0.2), 1e-12)
+    density = np.zeros(grid.shape[0], dtype=np.float64)
+    for start in range(0, samples.size, _KDE_BLOCK):
+        z = (grid[:, None] - samples[None, start : start + _KDE_BLOCK]) / bandwidth
+        np.square(z, out=z)
+        z *= -0.5
+        np.exp(z, out=z)
+        density += z.sum(axis=1)
+    density /= samples.size * bandwidth * np.sqrt(2 * np.pi)
+    return grid, density
 
 
 def histogram_density(

@@ -98,6 +98,80 @@ class TestEvaluateModel:
             evaluate_model(model, test, task="detection")
 
 
+def _eval_cases():
+    """(model, test dataset, task) for every model family the ledger evaluates."""
+    from repro.data.datasets import make_image_splits, make_sequence_splits
+    from repro.nn.models import ConvNet, ResNetLike, TransformerLM
+
+    rng = np.random.default_rng(0)
+    _, flat = make_classification_splits(64, 70, 4, 8, seed=0)
+    _, images = make_image_splits(32, 40, 3, in_channels=1, image_size=6, seed=0)
+    _, tokens = make_sequence_splits(600, 600, 12, bptt=6, seed=0)
+    return {
+        "mlp": (MLP((8, 16, 4), rng=rng), flat, "classification"),
+        "resnet": (ResNetLike(input_dim=8, num_classes=4, width=12, depth=2, rng=rng),
+                   flat, "classification"),
+        "convnet": (ConvNet(in_channels=1, num_classes=3, image_size=6, channels=(2, 3),
+                            rng=rng), images, "classification"),
+        "transformer": (TransformerLM(vocab_size=12, d_model=8, num_heads=2, num_layers=1,
+                                      dim_feedforward=16, rng=rng),
+                        tokens, "language_modeling"),
+    }
+
+
+#: Every attribute a layer stashes for ``backward``.
+_CACHE_ATTRS = ("_cache", "_cache_x", "_mask", "_out", "_x", "_ids", "_shape")
+
+
+def _held_caches(model):
+    return [
+        f"{name}.{attr}"
+        for name, module in model.named_modules()
+        for attr in _CACHE_ATTRS
+        if getattr(module, attr, None) is not None
+    ]
+
+
+class TestInferenceEvaluation:
+    @pytest.mark.parametrize("family", ["mlp", "resnet", "convnet", "transformer"])
+    def test_matches_training_forward_and_keeps_no_cache(self, family):
+        """Bit-identical to the caching forward + full cross-entropy it replaced."""
+        from repro.nn.losses import cross_entropy_with_logits, perplexity_from_loss
+
+        model, dataset, task = _eval_cases()[family]
+        batch_size = 16  # does not divide either dataset: the last batch is short
+        total_loss, total_correct, n = 0.0, 0.0, len(dataset)
+        model.eval()
+        for start in range(0, n, batch_size):
+            idx = np.arange(start, min(start + batch_size, n))
+            inputs, targets = dataset[idx]
+            logits = model.forward(inputs)
+            loss, _ = cross_entropy_with_logits(logits, targets)
+            total_loss += loss * idx.size
+            total_correct += accuracy(logits, targets) * idx.size
+        model.train()
+        assert _held_caches(model)  # the training-path forward does cache
+
+        result = evaluate_model(model, dataset, task=task, batch_size=batch_size)
+        assert result.loss == total_loss / n
+        if task == "language_modeling":
+            assert result.metric == perplexity_from_loss(total_loss / n)
+        else:
+            assert result.metric == total_correct / n
+        assert _held_caches(model) == []
+        assert model.training
+        assert not any(module._inference for _, module in model.named_modules())
+
+    def test_flags_restored_when_evaluation_raises(self):
+        model, dataset, _ = _eval_cases()["mlp"]
+        _, wrong_width = make_classification_splits(64, 64, 4, 5, seed=0)
+        model.train()
+        with pytest.raises(ValueError):
+            evaluate_model(model, wrong_width)
+        assert model.training
+        assert not any(module._inference for _, module in model.named_modules())
+
+
 class TestLSSR:
     def test_eqn4(self):
         assert lssr(90, 10) == pytest.approx(0.9)

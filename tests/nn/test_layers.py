@@ -271,3 +271,54 @@ class TestResidualBlock:
         out = block.forward(x)
         grad = block.backward(np.ones_like(out))
         assert grad.shape == x.shape
+
+
+def _inference_cases():
+    """(layer, input) for every layer that stashes something for backward."""
+    from repro.nn.attention import MultiHeadSelfAttention
+
+    rng = np.random.default_rng(0)
+    flat = rng.standard_normal((5, 6))
+    image = rng.standard_normal((2, 3, 6, 6))
+    return {
+        "linear": (Linear(6, 4, rng=rng), flat),
+        "relu": (ReLU(), flat),
+        "tanh": (Tanh(), flat),
+        "sigmoid": (Sigmoid(), flat),
+        "gelu": (GELU(), flat),
+        "dropout": (Dropout(0.5, rng=rng), flat),
+        "flatten": (Flatten(), image),
+        "batchnorm": (BatchNorm1d(6), flat),
+        "layernorm": (LayerNorm(6), flat),
+        "embedding": (Embedding(9, 4, rng=rng), rng.integers(0, 9, size=(3, 5))),
+        "conv": (Conv2d(3, 2, kernel_size=3, padding=1, rng=rng), image),
+        "maxpool": (MaxPool2d(2), image),
+        "avgpool": (GlobalAvgPool2d(), image),
+        "residual": (ResidualMLPBlock(6, rng=rng), flat),
+        "attention": (MultiHeadSelfAttention(6, 2, rng=rng), rng.standard_normal((2, 4, 6))),
+    }
+
+
+class TestInferenceScope:
+    @pytest.mark.parametrize("name", sorted(_inference_cases()))
+    def test_same_output_and_backward_raises(self, name):
+        layer, x = _inference_cases()[name]
+        layer.eval()  # batch statistics would move BatchNorm's buffers between calls
+        expected = layer.forward(x)
+        layer.backward(np.ones_like(expected))  # an eval-mode forward keeps its cache
+        with layer.inference():
+            out = layer.forward(x)
+            with pytest.raises(RuntimeError, match="called before forward"):
+                layer.backward(np.ones_like(out))
+        np.testing.assert_array_equal(out, expected)
+        assert not layer.training  # the scope leaves train()/eval() alone
+        layer.backward(np.ones_like(layer.forward(x)))  # caching again outside the scope
+
+    def test_flag_cleared_on_exception(self):
+        block = ResidualMLPBlock(6, rng=np.random.default_rng(0))
+        modules = [module for _, module in block.named_modules()]
+        with pytest.raises(ValueError):
+            with block.inference():
+                assert all(module._inference for module in modules)
+                raise ValueError("boom")
+        assert not any(module._inference for module in modules)

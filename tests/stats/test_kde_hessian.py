@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.models import MLP
+from repro.stats import kde
 from repro.stats.hessian import hessian_top_eigenvalue, hessian_vector_product
 from repro.stats.kde import distribution_summary, gaussian_kde_density, histogram_density
 
@@ -36,6 +37,43 @@ class TestKDE:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             gaussian_kde_density(np.array([]))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.random.default_rng(0).standard_normal(500),
+            np.concatenate(
+                [
+                    np.random.default_rng(1).normal(-2.0, 0.3, 700),
+                    np.random.default_rng(2).normal(1.5, 0.8, 600),
+                ]
+            ),
+            # late-training gradients: a handful of tiny, repeated values
+            np.repeat(1e-9 * np.random.default_rng(3).standard_normal(8), 8),
+            # not a multiple of the evaluation block, and more than two blocks
+            np.random.default_rng(4).laplace(scale=1e-3, size=2 * kde._KDE_BLOCK + 37),
+            np.array([0.25, 0.75]),
+        ],
+        ids=["unimodal", "bimodal", "near-degenerate", "ragged-blocks", "two-samples"],
+    )
+    def test_matches_scipy_reference(self, samples):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        grid, density = gaussian_kde_density(samples, grid_points=120)
+        np.testing.assert_allclose(
+            density, scipy_stats.gaussian_kde(samples)(grid), rtol=1e-9, atol=0.0
+        )
+
+    def test_bandwidth_floor_keeps_tiny_spreads_finite(self):
+        grid, density = gaussian_kde_density(np.array([0.0, 1e-14, 2e-14]))
+        assert np.all(np.isfinite(density))
+        assert 0 < density.max() <= 1.0 / (1e-12 * np.sqrt(2 * np.pi))
+
+    def test_blocks_do_not_change_the_estimate(self, monkeypatch):
+        samples = np.random.default_rng(5).standard_normal(300)
+        grid, one_block = gaussian_kde_density(samples)
+        monkeypatch.setattr(kde, "_KDE_BLOCK", 7)
+        _, many_blocks = gaussian_kde_density(samples, grid=grid)
+        np.testing.assert_allclose(many_blocks, one_block, rtol=1e-12)
 
     def test_histogram_density(self):
         centers, density = histogram_density(
