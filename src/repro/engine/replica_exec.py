@@ -43,6 +43,20 @@ from repro import telemetry
 from repro.engine.worker_matrix import WorkerMatrix
 
 
+def _take_cache(layer):
+    """Hand ``layer``'s backward cache to the ``backward`` that consumes it.
+
+    The cache is dropped here, so nothing activation-sized outlives the step;
+    a second ``backward`` (or one without a ``forward``) fails like its
+    ``repro.nn`` twin instead of unpacking ``None``.
+    """
+    cache = layer._cache
+    if cache is None:
+        raise RuntimeError(f"{type(layer).__name__}.backward called before forward")
+    layer._cache = None
+    return cache
+
+
 class _BatchedLinear:
     """All workers' copies of one Linear layer as (N, out, in) views.
 
@@ -65,60 +79,63 @@ class _BatchedLinear:
         self.weight_grad = weight_grad
         self.bias = bias              # (N, out) view or None
         self.bias_grad = bias_grad
-        self._x: Optional[np.ndarray] = None
-        self._seq_shape: Optional[Tuple[int, ...]] = None
+        self._cache: Optional[Tuple[np.ndarray, Optional[Tuple[int, ...]]]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        seq_shape = None
         if x.ndim == 4:
-            self._seq_shape = x.shape[:3]
+            seq_shape = x.shape[:3]
             x = np.ascontiguousarray(x).reshape(x.shape[0], -1, x.shape[-1])
-        else:
-            self._seq_shape = None
-        self._x = x
+        self._cache = (x, seq_shape)
         out = np.matmul(x, self.weight.transpose(0, 2, 1))
         if self.bias is not None:
             out += self.bias[:, None, :]
-        if self._seq_shape is not None:
-            return out.reshape(self._seq_shape + (out.shape[-1],))
+        if seq_shape is not None:
+            return out.reshape(seq_shape + (out.shape[-1],))
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        x, seq_shape = _take_cache(self)
         if grad_out.ndim == 4:
             grad_out = np.ascontiguousarray(grad_out).reshape(
                 grad_out.shape[0], -1, grad_out.shape[-1]
             )
         # Accumulate-from-zero semantics: one batched write per tensor.
-        np.matmul(grad_out.transpose(0, 2, 1), self._x, out=self.weight_grad)
+        np.matmul(grad_out.transpose(0, 2, 1), x, out=self.weight_grad)
         if self.bias_grad is not None:
             self.bias_grad[...] = grad_out.sum(axis=1)
         grad_in = np.matmul(grad_out, self.weight)
-        if self._seq_shape is not None:
-            return grad_in.reshape(self._seq_shape + (grad_in.shape[-1],))
+        if seq_shape is not None:
+            return grad_in.reshape(seq_shape + (grad_in.shape[-1],))
         return grad_in
 
 
 class _BatchedReLU:
     def __init__(self) -> None:
-        self._mask: Optional[np.ndarray] = None
+        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, x.dtype.type(0))
+        mask = x > 0
+        self._cache = mask
+        # np.where on purpose: fill + copyto measured 2.4x slower, and
+        # ``x * mask`` turns -0.0 into +0.0.
+        return np.where(mask, x, x.dtype.type(0))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_out, grad_out.dtype.type(0))
+        return np.where(_take_cache(self), grad_out, grad_out.dtype.type(0))
 
 
 class _BatchedTanh:
     def __init__(self) -> None:
-        self._out: Optional[np.ndarray] = None
+        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._cache = out
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * (1.0 - self._out**2)
+        return grad_out * (1.0 - _take_cache(self) ** 2)
 
 
 class _BatchedConv2d:
@@ -148,9 +165,7 @@ class _BatchedConv2d:
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self._cols: Optional[np.ndarray] = None
-        self._x_shape: Optional[Tuple[int, ...]] = None
-        self._out_hw: Optional[Tuple[int, int]] = None
+        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], Tuple[int, int]]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         from repro.nn.layers import _im2col
@@ -159,10 +174,9 @@ class _BatchedConv2d:
         k = self.kernel_size
         flat = np.ascontiguousarray(x).reshape((n * b,) + x.shape[2:])
         cols, out_h, out_w = _im2col(flat, k, k, self.stride, self.padding)
-        self._cols = cols.reshape(n, b * out_h * out_w, -1)
-        self._x_shape = x.shape
-        self._out_hw = (out_h, out_w)
-        out = np.matmul(self._cols, self.w_flat.transpose(0, 2, 1))
+        cols = cols.reshape(n, b * out_h * out_w, -1)
+        self._cache = (cols, x.shape, (out_h, out_w))
+        out = np.matmul(cols, self.w_flat.transpose(0, 2, 1))
         if self.bias is not None:
             out += self.bias[:, None, :]
         out_c = self.w_flat.shape[1]
@@ -171,14 +185,13 @@ class _BatchedConv2d:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         from repro.nn.layers import _col2im
 
-        n, b, c, h, w = self._x_shape
-        out_h, out_w = self._out_hw
+        cols, (n, b, c, h, w), (out_h, out_w) = _take_cache(self)
         out_c = self.w_flat.shape[1]
         g = np.ascontiguousarray(grad_out.transpose(0, 1, 3, 4, 2)).reshape(
             n, b * out_h * out_w, out_c
         )
         # Accumulate-from-zero semantics: one batched write per tensor.
-        np.matmul(g.transpose(0, 2, 1), self._cols, out=self.w_flat_grad)
+        np.matmul(g.transpose(0, 2, 1), cols, out=self.w_flat_grad)
         if self.bias_grad is not None:
             self.bias_grad[...] = g.sum(axis=1)
         dcols = np.matmul(g, self.w_flat)
@@ -200,8 +213,7 @@ class _BatchedMaxPool2d:
     def __init__(self, kernel_size: int, stride: int) -> None:
         self.kernel_size = kernel_size
         self.stride = stride
-        self._x_shape: Optional[Tuple[int, ...]] = None
-        self._idx: Optional[np.ndarray] = None
+        self._cache: Optional[Tuple[Tuple[int, ...], np.ndarray]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, b, c, h, w = x.shape
@@ -222,14 +234,12 @@ class _BatchedMaxPool2d:
         windows = windows.reshape(n * b, c, out_h, out_w, k * k)
         idx = windows.argmax(axis=-1)
         out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._x_shape = x.shape
-        self._idx = idx
+        self._cache = (x.shape, idx)
         return out.reshape(n, b, c, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        n, b, c, h, w = self._x_shape
+        (n, b, c, h, w), idx = _take_cache(self)
         k, s = self.kernel_size, self.stride
-        idx = self._idx
         out_h, out_w = idx.shape[2], idx.shape[3]
         grad_flat = np.ascontiguousarray(grad_out).reshape(n * b, c, out_h, out_w)
         grad_input = np.zeros((n * b, c, h, w), dtype=grad_flat.dtype)
@@ -248,17 +258,16 @@ class _BatchedGlobalAvgPool2d:
     """Spatial mean over (N, B, C, H, W) -> (N, B, C)."""
 
     def __init__(self) -> None:
-        self._x_shape: Optional[Tuple[int, ...]] = None
+        self._cache: Optional[Tuple[int, ...]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self._cache = x.shape
         return x.mean(axis=(3, 4))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        n, b, c, h, w = self._x_shape
-        return np.broadcast_to(
-            grad_out[:, :, :, None, None] / (h * w), self._x_shape
-        ).copy()
+        x_shape = _take_cache(self)
+        h, w = x_shape[3:]
+        return np.broadcast_to(grad_out[:, :, :, None, None] / (h * w), x_shape).copy()
 
 
 class _BatchedDropout:
@@ -275,7 +284,7 @@ class _BatchedDropout:
         self.layer_id = int(layer_id)
         self.p = float(p)
         self.row_offset = int(row_offset)
-        self._mask: Optional[np.ndarray] = None
+        self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         mask = self.stream.mask_block(
@@ -284,11 +293,11 @@ class _BatchedDropout:
         )
         if mask.dtype != x.dtype:
             mask = mask.astype(x.dtype)
-        self._mask = mask
+        self._cache = mask
         return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._mask
+        return grad_out * _take_cache(self)
 
 
 class _BatchedEmbedding:
@@ -297,24 +306,22 @@ class _BatchedEmbedding:
     def __init__(self, weight: np.ndarray, weight_grad: np.ndarray) -> None:
         self.weight = weight            # (N, vocab, dim) view into params matrix
         self.weight_grad = weight_grad
-        self._ids: Optional[np.ndarray] = None
-        self._rows: Optional[np.ndarray] = None
+        self._rows = np.arange(weight.shape[0])[:, None, None]
+        self._cache: Optional[np.ndarray] = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        n = self.weight.shape[0]
-        if self._rows is None or self._rows.shape[0] != n:
-            self._rows = np.arange(n)[:, None, None]
-        self._ids = ids                  # (N, B, T) integer token ids
+        self._cache = ids                # (N, B, T) integer token ids
         return self.weight[self._rows, ids]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> None:
+        ids = _take_cache(self)
         # Scatter-add per replica; the embedding rows are the only gradient
         # entries not produced by an overwriting matmul, so zero them first
         # (accumulate-from-zero semantics, matching Module.zero_grad()).
         self.weight_grad[...] = 0.0
-        np.add.at(self.weight_grad, (self._rows, self._ids), grad_out)
+        np.add.at(self.weight_grad, (self._rows, ids), grad_out)
         # Token ids carry no gradient.
-        return np.zeros(self._ids.shape, dtype=grad_out.dtype)
+        return None
 
 
 class _BatchedPositionalEncoding:
@@ -362,28 +369,38 @@ class _BatchedLayerNorm:
         self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        d = x.shape[-1]
+        # Centre once: ``x - mean`` feeds both the variance and x_hat.  These
+        # are the reductions and divides ``x.var`` runs internally, minus its
+        # second mean / subtract pass.
+        x_hat = x - x.mean(axis=-1, keepdims=True)
+        out = x_hat * x_hat        # the squares now, the output block below
+        var = out.sum(axis=-1, keepdims=True) / d
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         self._cache = (x_hat, inv_std)
-        return self.gamma[:, None, None, :] * x_hat + self.beta[:, None, None, :]
+        np.multiply(self.gamma[:, None, None, :], x_hat, out=out)
+        out += self.beta[:, None, None, :]
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_hat, inv_std = self._cache
+        x_hat, inv_std = _take_cache(self)
         d = x_hat.shape[-1]
-        self.gamma_grad[...] = (grad_out * x_hat).sum(axis=(1, 2))
+        tmp = grad_out * x_hat
+        self.gamma_grad[...] = tmp.sum(axis=(1, 2))
         self.beta_grad[...] = grad_out.sum(axis=(1, 2))
         dxhat = grad_out * self.gamma[:, None, None, :]
-        return (
-            inv_std
-            / d
-            * (
-                d * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - x_hat * (dxhat * x_hat).sum(axis=-1, keepdims=True)
-            )
-        )
+        # inv_std / d * (d*dxhat - sum(dxhat) - x_hat * sum(dxhat*x_hat)),
+        # folded into dxhat; x_hat is consumed as the last term's buffer.
+        sum_dxhat = dxhat.sum(axis=-1, keepdims=True)
+        np.multiply(dxhat, x_hat, out=tmp)
+        x_hat *= tmp.sum(axis=-1, keepdims=True)
+        dxhat *= d
+        dxhat -= sum_dxhat
+        dxhat -= x_hat
+        inv_std /= d
+        dxhat *= inv_std
+        return dxhat
 
 
 class _BatchedSelfAttention:
@@ -412,6 +429,7 @@ class _BatchedSelfAttention:
         self.num_heads = num_heads
         self.d_head = d_head
         self.causal = causal
+        self._causal_mask: Optional[np.ndarray] = None   # (T, T) bool, built once per T
         self._cache = None
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
@@ -430,36 +448,41 @@ class _BatchedSelfAttention:
         # Stacked GEMMs over (N, B, H) slices: identical per-slice shapes to
         # the per-worker attention's matmuls, so float64 results are
         # bit-identical to the fallback loop.
-        scores = np.matmul(q, k.swapaxes(-1, -2)) * scale
+        # Scale, mask and softmax all happen in the scores buffer.
+        attn = np.matmul(q, k.swapaxes(-1, -2))
+        attn *= scale
         if self.causal:
             t = x.shape[2]
-            mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-            scores = np.where(mask, -1e30, scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=-1, keepdims=True)
+            if self._causal_mask is None or self._causal_mask.shape[0] != t:
+                self._causal_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+            np.copyto(attn, -1e30, where=self._causal_mask)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         context = np.matmul(attn, v)
         out = self.out_proj.forward(self._merge_heads(context))
         self._cache = (q, k, v, attn, scale)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        q, k, v, attn, scale = self._cache
+        q, k, v, attn, scale = _take_cache(self)
         d_merged = self.out_proj.backward(grad_out)
         n, b, t, _ = d_merged.shape
         d_context = d_merged.reshape(n, b, t, self.num_heads, self.d_head).transpose(
             0, 1, 3, 2, 4
         )
-        d_attn = np.matmul(d_context, v.swapaxes(-1, -2))
+        d_scores = np.matmul(d_context, v.swapaxes(-1, -2))   # d_attn so far
         d_v = np.matmul(attn.swapaxes(-1, -2), d_context)
-        # Softmax backward over the last axis, for all replicas at once.
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-        d_scores = d_scores * scale
+        # Softmax backward over the last axis, for all replicas at once:
+        # attn * (d_attn - sum(d_attn * attn)) * scale, folded into d_attn.
+        d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+        d_scores *= attn
+        d_scores *= scale
         d_q = np.matmul(d_scores, k)
         d_k = np.matmul(d_scores.swapaxes(-1, -2), q)
         dx = self.q_proj.backward(self._merge_heads(d_q))
-        dx = dx + self.k_proj.backward(self._merge_heads(d_k))
-        dx = dx + self.v_proj.backward(self._merge_heads(d_v))
+        dx += self.k_proj.backward(self._merge_heads(d_k))
+        dx += self.v_proj.backward(self._merge_heads(d_v))
         return dx
 
 
@@ -540,15 +563,16 @@ def _batched_cross_entropy(
     Same arithmetic as :func:`repro.nn.losses.cross_entropy_with_logits`
     (stable log-softmax, mean over the local batch), evaluated for all
     replicas in one pass over the ``(N, B, C)`` logits block and in the
-    logits' own dtype.
+    logits' own dtype.  ``logits`` is consumed: it must be the head's fresh
+    output block, and it holds the log-probabilities on return.
     """
     n_workers, batch, _ = logits.shape
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
-    probs = np.exp(logp)
+    logits -= logits.max(axis=2, keepdims=True)
+    grad = np.exp(logits)
+    logits -= np.log(grad.sum(axis=2, keepdims=True))
     rows, cols = _index_grids(n_workers, batch)
-    losses = -logp[rows, cols, targets].mean(axis=1)
-    grad = probs
+    losses = -logits[rows, cols, targets].mean(axis=1)
+    np.exp(logits, out=grad)
     grad[rows, cols, targets] -= 1.0
     grad /= batch
     return losses, grad
@@ -682,7 +706,9 @@ class BatchedReplicaExecutor:
                 layers.append(_BatchedTanh())
             else:
                 return None
-        if not layers:
+        # The loss works in the last layer's output block, so that block must
+        # be a fresh array no layer caches: a Linear head, not an activation.
+        if not layers or not isinstance(layers[-1], _BatchedLinear):
             return None
         # Every parameter in the layout must belong to the chain we walk;
         # anything left over would silently never receive gradients.

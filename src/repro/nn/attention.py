@@ -16,12 +16,6 @@ from repro.nn.layers import Dropout, LayerNorm, Linear, ReLU
 from repro.nn.module import Module
 
 
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class PositionalEncoding(Module):
     """Sinusoidal positional encoding added to token embeddings."""
 
@@ -77,6 +71,7 @@ class MultiHeadSelfAttention(Module):
         self.k_proj = Linear(d_model, d_model, rng=rng)
         self.v_proj = Linear(d_model, d_model, rng=rng)
         self.out_proj = Linear(d_model, d_model, rng=rng)
+        self._causal_mask: Optional[np.ndarray] = None   # (T, T) bool, built once per T
         self._cache = None
 
     def _split_heads(self, x: np.ndarray) -> np.ndarray:
@@ -97,13 +92,18 @@ class MultiHeadSelfAttention(Module):
         v = self._split_heads(self.v_proj.forward(x))
         scale = 1.0 / np.sqrt(self.d_head)
         # Stacked GEMMs (BLAS) instead of einsum: same contractions, one
-        # matmul per (batch, head) slice.
-        scores = np.matmul(q, k.swapaxes(-1, -2)) * scale
+        # matmul per (batch, head) slice.  Scale, mask and softmax all happen
+        # in the scores buffer.
+        attn = np.matmul(q, k.swapaxes(-1, -2))
+        attn *= scale
         if self.causal:
             t = x.shape[1]
-            mask = np.triu(np.ones((t, t), dtype=bool), k=1)
-            scores = np.where(mask, -1e30, scores)
-        attn = _softmax_last(scores)
+            if self._causal_mask is None or self._causal_mask.shape[0] != t:
+                self._causal_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+            np.copyto(attn, -1e30, where=self._causal_mask)
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
         context = np.matmul(attn, v)
         merged = self._merge_heads(context)
         out = self.out_proj.forward(merged)

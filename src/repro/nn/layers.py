@@ -57,7 +57,7 @@ class Linear(Module):
         x2 = x.reshape(-1, self.in_features)
         out = x2 @ self.weight.data.T
         if self.use_bias:
-            out = out + self.bias.data
+            out += self.bias.data
         return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -304,12 +304,18 @@ class LayerNorm(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _as_float(x, self.gamma.data.dtype)
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
+        # Centre once: ``x - mean`` feeds both the variance and x_hat.  These
+        # are the reductions and divides ``x.var`` runs internally, minus its
+        # second mean / subtract pass.
+        x_hat = x - x.mean(axis=-1, keepdims=True)
+        out = x_hat * x_hat        # the squares now, the output block below
+        var = out.sum(axis=-1, keepdims=True) / x.shape[-1]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         self._cache = None if self._inference else (x_hat, inv_std)
-        return self.gamma.data * x_hat + self.beta.data
+        np.multiply(self.gamma.data, x_hat, out=out)
+        out += self.beta.data
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

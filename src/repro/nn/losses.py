@@ -12,6 +12,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 
+#: Rows per evaluation slab of :func:`cross_entropy_loss`: the log-softmax
+#: temporaries are ``_LOSS_BLOCK × classes`` (1.6 MB at 200 classes) however
+#: many rows the logits block has.
+_LOSS_BLOCK = 1024
+
+
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
     shifted = logits - logits.max(axis=axis, keepdims=True)
@@ -55,12 +61,22 @@ def cross_entropy_loss(logits: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy without its gradient (evaluation).
 
     Exactly the loss value of :func:`cross_entropy_with_logits` (same
-    ``log_softmax``, same reduction) without building the probabilities and
-    the logits gradient.
+    ``log_softmax`` arithmetic, same reduction) without building the
+    probabilities and the logits gradient.  The log-softmax is row-wise, so
+    it runs one ``_LOSS_BLOCK``-row slab at a time and keeps only each row's
+    target log-probability; ``logits`` is left untouched.
     """
     flat_logits, flat_targets = _flat_logits_and_targets(logits, targets)
-    logp = log_softmax(flat_logits, axis=-1)
-    return float(-logp[np.arange(flat_logits.shape[0]), flat_targets].mean())
+    n = flat_logits.shape[0]
+    picked = np.empty(n, dtype=flat_logits.dtype)
+    for start in range(0, n, _LOSS_BLOCK):
+        stop = min(start + _LOSS_BLOCK, n)
+        block = flat_logits[start:stop]
+        shifted = block - block.max(axis=-1, keepdims=True)
+        picked[start:stop] = shifted[np.arange(stop - start), flat_targets[start:stop]]
+        np.exp(shifted, out=shifted)
+        picked[start:stop] -= np.log(shifted.sum(axis=-1))
+    return float(-picked.mean())
 
 
 def cross_entropy_with_logits(

@@ -65,6 +65,15 @@ class TestMultiHeadSelfAttention:
         out2 = attn.forward(x2)
         assert not np.allclose(base[0, 0], out2[0, 0])
 
+    def test_causal_mask_follows_the_sequence_length(self):
+        # The mask is cached per T; a layer reused on another T rebuilds it.
+        reused = MultiHeadSelfAttention(8, 2, causal=True, rng=np.random.default_rng(0))
+        for t in (6, 3, 6):
+            x = np.random.default_rng(t).standard_normal((2, t, 8))
+            fresh = MultiHeadSelfAttention(8, 2, causal=True, rng=np.random.default_rng(0))
+            np.testing.assert_array_equal(reused.forward(x), fresh.forward(x))
+            assert reused._causal_mask.shape == (t, t)
+
     def test_backward_before_forward_raises(self):
         attn = MultiHeadSelfAttention(8, 2)
         with pytest.raises(RuntimeError):

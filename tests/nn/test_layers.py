@@ -172,6 +172,22 @@ class TestLayerNorm:
         out = ln.forward(np.random.default_rng(0).standard_normal((2, 3, 5)))
         assert out.shape == (2, 3, 5)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_centring_once_is_bit_equal_to_mean_and_var(self, dtype):
+        ln = LayerNorm(32)
+        ln.flatten_parameters(dtype=dtype)
+        rng = np.random.default_rng(0)
+        ln.gamma.data[...] = rng.standard_normal(32)
+        ln.beta.data[...] = rng.standard_normal(32)
+        x = (rng.standard_normal((5, 7, 32)) * 3 + 1).astype(dtype)
+        untouched = x.copy()
+        x_hat = (x - x.mean(axis=-1, keepdims=True)) * (
+            1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + ln.eps)
+        )
+        np.testing.assert_array_equal(ln.forward(x), ln.gamma.data * x_hat + ln.beta.data)
+        np.testing.assert_array_equal(ln._cache[0], x_hat)
+        np.testing.assert_array_equal(x, untouched)
+
     def test_gamma_beta_affect_output(self):
         ln = LayerNorm(4)
         ln.gamma.data[...] = 2.0

@@ -6,6 +6,7 @@ import pytest
 from repro.nn.losses import (
     CrossEntropyLoss,
     MSELoss,
+    cross_entropy_loss,
     cross_entropy_with_logits,
     log_softmax,
     perplexity_from_loss,
@@ -87,6 +88,29 @@ class TestCrossEntropy:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             cross_entropy_with_logits(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+
+class TestForwardOnlyCrossEntropy:
+    """``cross_entropy_loss`` runs in row slabs; slab edges must not show."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 7488])
+    def test_bit_equal_to_one_shot_expression(self, n, dtype):
+        rng = np.random.default_rng(n)
+        logits = (rng.standard_normal((n, 200)) * 5).astype(dtype)
+        targets = rng.integers(0, 200, size=n)
+        untouched = logits.copy()
+        one_shot = float(-log_softmax(logits, axis=-1)[np.arange(n), targets].mean())
+        assert cross_entropy_loss(logits, targets) == one_shot
+        assert cross_entropy_loss(logits, targets) == cross_entropy_with_logits(logits, targets)[0]
+        # accuracy() reads the caller's logits after the loss.
+        np.testing.assert_array_equal(logits, untouched)
+
+    def test_sequence_logits_fold_like_the_training_loss(self):
+        rng = np.random.default_rng(0)
+        logits = rng.standard_normal((70, 16, 20))      # 1120 rows: two slabs
+        targets = rng.integers(0, 20, size=(70, 16))
+        assert cross_entropy_loss(logits, targets) == cross_entropy_with_logits(logits, targets)[0]
 
 
 class TestLossClasses:
