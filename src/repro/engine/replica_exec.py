@@ -35,12 +35,23 @@ RNG streams still falls back.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.engine.worker_matrix import WorkerMatrix
+from repro.engine import threads
+from repro.engine.worker_matrix import WorkerMatrix, group_bounds
+from repro.utils.logging import get_logger
+
+_log = get_logger(__name__)
+
+#: Activation elements a row shard must carry — shard rows × positions per
+#: replica (batch, × sequence or image positions) × the width entering the
+#: head — before another thread pays for its GIL hand-offs.  Measured, see
+#: ARCHITECTURE.md "Replica shards": every point at or above wins in all
+#: three families, every point from 21 k down loses or ties.
+MIN_SHARD_ELEMENTS = 24576
 
 
 def _take_cache(layer):
@@ -578,8 +589,49 @@ def _batched_cross_entropy(
     return losses, grad
 
 
+def _drop_caches(layers: Iterable[object]) -> None:
+    """Forget every backward cache under ``layers`` (a step that did not finish)."""
+    for layer in layers:
+        if type(layer).__name__.startswith("_Batched"):
+            if hasattr(layer, "_cache"):
+                layer._cache = None
+            _drop_caches(vars(layer).values())
+
+
+def _forward_shard(shard: Tuple[List[object], np.ndarray]) -> np.ndarray:
+    chain, x = shard
+    for layer in chain:
+        x = layer.forward(x)
+    return x
+
+
+def _backward_shard(shard: Tuple[List[object], np.ndarray, np.ndarray]) -> np.ndarray:
+    chain, logits, targets = shard
+    if logits.ndim == 4:
+        # Language-model logits (N, B, T, V): fold time into the batch
+        # axis, exactly as the per-worker cross-entropy flattens it.
+        n, b, t, v = logits.shape
+        losses, grad = _batched_cross_entropy(
+            logits.reshape(n, b * t, v), targets.reshape(n, b * t)
+        )
+        grad = grad.reshape(n, b, t, v)
+    else:
+        losses, grad = _batched_cross_entropy(logits, targets)
+    for layer in reversed(chain):
+        grad = layer.backward(grad)
+    return losses
+
+
 class BatchedReplicaExecutor:
-    """Fused forward/backward for every replica of a worker matrix at once."""
+    """Fused forward/backward for every replica of a worker matrix at once.
+
+    The layer chain runs as K contiguous **row shards** of the matrix, one
+    thread each (:func:`repro.engine.threads.run_shards`).  No arithmetic
+    crosses the replica axis — batched ``matmul`` is one GEMM per replica,
+    every reduction is over non-replica axes, dropout masks are functions of
+    the global row — so any K gives the same bits.  K is worked out per step
+    (:meth:`_shard_count`); K = 1 is the same loop over a one-element list.
+    """
 
     def __init__(
         self,
@@ -590,6 +642,12 @@ class BatchedReplicaExecutor:
     ) -> None:
         self._layers = list(layers)
         self._matrix = matrix
+        # Shard chains by shard count; more than one shard needs the model to
+        # build sub-matrix chains from, which :meth:`build` records.
+        self._chains: Dict[int, List[Tuple[int, int, List[object]]]] = {
+            1: [(0, matrix.num_workers, self._layers)]
+        }
+        self._shard_source: Optional[Tuple[object, int]] = None
         # Expected stacked-input rank: 3 for (N, B, F) MLP batches and
         # (N, B, T) token batches, 5 for (N, B, C, H, W) conv batches.
         self._input_ndim = int(input_ndim)
@@ -621,13 +679,19 @@ class BatchedReplicaExecutor:
         from repro.nn.models.mlp import MLP
         from repro.nn.models.transformer import TransformerLM
 
+        executor = None
         if type(module) is MLP:
-            return cls._build_mlp(matrix, module)
-        if type(module) is ConvNet:
-            return cls._build_convnet(matrix, module)
-        if type(module) is TransformerLM:
-            return cls._build_transformer(matrix, module, row_offset)
-        return None
+            executor = cls._build_mlp(matrix, module)
+        elif type(module) is ConvNet:
+            executor = cls._build_convnet(matrix, module)
+        elif type(module) is TransformerLM:
+            executor = cls._build_transformer(matrix, module, row_offset)
+        # Donated rows are already one unit of a wider plan (a pool child's
+        # group, a stacked-sweep slab, a shard of another executor): only an
+        # executor over a matrix that owns its storage splits further.
+        if executor is not None and matrix.owns_storage:
+            executor._shard_source = (module, row_offset)
+        return executor
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -936,25 +1000,78 @@ class BatchedReplicaExecutor:
             x = np.asarray(x, dtype=self._matrix.dtype)
         if x.ndim != self._input_ndim or not np.issubdtype(targets.dtype, np.integer):
             return None
-        with telemetry.span("engine.forward"):
-            for layer in self._layers:
-                x = layer.forward(x)
-        if targets.shape != x.shape[:-1]:
-            return None
-        with telemetry.span("engine.backward"):
-            if x.ndim == 4:
-                # Language-model logits (N, B, T, V): fold time into the batch
-                # axis, exactly as the per-worker cross-entropy flattens it.
-                n, b, t, v = x.shape
-                losses, grad = _batched_cross_entropy(
-                    x.reshape(n, b * t, v), targets.reshape(n, b * t)
+        shards = self._shards(x)
+        losses = None
+        try:
+            with telemetry.span("engine.forward"):
+                logits = threads.run_shards(
+                    _forward_shard, [(chain, x[lo:hi]) for lo, hi, chain in shards]
                 )
-                grad = grad.reshape(n, b, t, v)
-            else:
-                losses, grad = _batched_cross_entropy(x, targets)
-            for layer in reversed(self._layers):
-                grad = layer.backward(grad)
-        return losses
+            if targets.shape == x.shape[:1] + logits[0].shape[1:-1]:
+                with telemetry.span("engine.backward"):
+                    losses = threads.run_shards(
+                        _backward_shard,
+                        [
+                            (chain, out, targets[lo:hi])
+                            for (lo, hi, chain), out in zip(shards, logits)
+                        ],
+                    )
+        finally:
+            if losses is None:
+                # Rejected targets, or a shard raised: backward never took
+                # these caches, so drop them here.
+                for _, _, chain in shards:
+                    _drop_caches(chain)
+        return None if losses is None else np.concatenate(losses)
+
+    # ------------------------------------------------------------------ #
+    # row shards
+    # ------------------------------------------------------------------ #
+    def _shard_count(self, x: np.ndarray) -> int:
+        """How many row shards this step runs as — computed, never set.
+
+        As many as there are usable cores and rows, but no more than leave
+        every shard :data:`MIN_SHARD_ELEMENTS` activation elements, and one
+        unless the BLAS has been pinned to a single thread (its idle workers
+        would otherwise spin on the cores the shard threads need).
+        """
+        if self._shard_source is None:
+            return 1
+        # The size rule first: it is plain arithmetic, and the small steps it
+        # turns away are the ones that cannot afford a syscall per step.
+        # Axis 2 is the feature axis of both float layouts, (N, B, F) and
+        # (N, B, C, H, W); a token block (N, B, T) is all positions.
+        positions = x.size if self._token_input else x.size // x.shape[2]
+        elements = positions * self._layers[-1].weight.shape[2]
+        k = min(self._matrix.num_workers, elements // MIN_SHARD_ELEMENTS)
+        if k < 2:
+            return 1
+        k = min(k, threads.usable_cores())
+        if k < 2 or threads.pin_blas() is None:
+            return 1
+        return k
+
+    def _shards(self, x: np.ndarray) -> List[Tuple[int, int, List[object]]]:
+        """``(lo, hi, layer chain)`` per row shard of this step."""
+        k = self._shard_count(x)
+        chains = self._chains.get(k)
+        if chains is None:
+            # Built on the first step that qualifies, so clusters that never
+            # shard (small models, one core) never pay for sub-matrix chains.
+            module, row_offset = self._shard_source
+            matrix = self._matrix
+            chains = []
+            for lo, hi in group_bounds(matrix.num_workers, k):
+                sub = WorkerMatrix(
+                    hi - lo, matrix.spec, params=matrix.params[lo:hi], grads=matrix.grads[lo:hi]
+                )
+                chains.append((lo, hi, type(self).build(sub, module, row_offset + lo)._layers))
+            self._chains[k] = chains
+            _log.info(
+                "replica shards: %d rows in %d shards on %d cores, BLAS threads %d -> 1",
+                matrix.num_workers, k, threads.usable_cores(), threads.pin_blas(),
+            )
+        return chains
 
     def grad_norms(self) -> np.ndarray:
         """Per-replica gradient L2 norms in one pass over the gradient matrix."""

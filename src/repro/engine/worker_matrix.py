@@ -17,11 +17,30 @@ row in place.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.flat_buffer import ParamSpec
+
+
+def group_bounds(num_workers: int, num_groups: int) -> List[Tuple[int, int]]:
+    """Split ``num_workers`` rows into ``num_groups`` contiguous near-even groups.
+
+    The one row split of the engine: a replica-pool child's group and a row
+    shard of the batched executor are both one of these ``(lo, hi)`` ranges.
+    """
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    num_groups = max(1, min(int(num_groups), num_workers))
+    base, extra = divmod(num_workers, num_groups)
+    bounds = []
+    lo = 0
+    for g in range(num_groups):
+        hi = lo + base + (1 if g < extra else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 class WorkerMatrix:

@@ -38,6 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import telemetry
+from repro.engine.worker_matrix import group_bounds
 from repro.parallel.shm import SharedMatrixHandle, SharedMatrixStorage
 
 #: Start methods the pool accepts (resolved against the host's support).
@@ -61,21 +62,6 @@ def resolve_start_method(start_method: Optional[str]) -> str:
             f"(available: {available})"
         )
     return start_method
-
-
-def group_bounds(num_workers: int, num_groups: int) -> List[Tuple[int, int]]:
-    """Split ``num_workers`` rows into ``num_groups`` contiguous near-even groups."""
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    num_groups = max(1, min(int(num_groups), num_workers))
-    base, extra = divmod(num_workers, num_groups)
-    bounds = []
-    lo = 0
-    for g in range(num_groups):
-        hi = lo + base + (1 if g < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 @dataclass

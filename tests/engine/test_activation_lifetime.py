@@ -9,6 +9,7 @@ here are deterministic — no RSS sampling.
 from __future__ import annotations
 
 import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.engine import BatchedReplicaExecutor, WorkerMatrix
 from repro.engine import replica_exec as rx
+from repro.engine import threads
 from repro.engine.dropout_stream import SharedDropoutStream
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
 from repro.nn.losses import cross_entropy_with_logits
@@ -35,8 +37,17 @@ CONSTANTS = {
 
 
 def _batched_layers(obj):
-    """Every ``_Batched*`` object reachable from ``obj`` (an executor or layer)."""
-    children = obj._layers if isinstance(obj, BatchedReplicaExecutor) else vars(obj).values()
+    """Every ``_Batched*`` object reachable from ``obj`` (an executor or layer).
+
+    For an executor that is every shard chain it has built, not only the
+    full-matrix one.
+    """
+    if isinstance(obj, BatchedReplicaExecutor):
+        children = [
+            layer for shards in obj._chains.values() for _, _, chain in shards for layer in chain
+        ]
+    else:
+        children = vars(obj).values()
     for child in children:
         if type(child).__name__.startswith("_Batched"):
             yield child
@@ -86,6 +97,63 @@ class TestNothingSurvivesAStep:
         assert exe is not None
         assert _retained_by_one_step(exe, convnet_batches()) < MIB
         _assert_holds_no_activation(exe, matrix)
+
+
+class TestAFailedStepLeavesNothingBehind:
+    """A shard that raises is joined with the others, re-raised on the
+    caller's thread, and no chain keeps a cache; the next step works."""
+
+    @pytest.fixture
+    def sharded(self, monkeypatch):
+        if threads.pin_blas() is None:
+            pytest.skip("no OpenBLAS this process can pin to one thread")
+        monkeypatch.setattr(rx, "MIN_SHARD_ELEMENTS", 1)
+        monkeypatch.setattr(threads, "usable_cores", lambda: 2)
+        cluster = build_cluster(build_workload("transformer"), num_workers=5, seed=7)
+        batches = cluster.next_batches()
+        exe = cluster.replica_exec
+        reference = exe.step(batches).copy(), cluster.matrix.grads.copy()
+        assert sorted(exe._chains) == [1, 2]
+        yield exe, cluster, batches, reference
+        cluster.close()
+
+    @pytest.mark.parametrize("phase", ["forward", "backward"])
+    @pytest.mark.parametrize("shard", [0, 1])
+    def test_one_shard_raising(self, sharded, shard, phase):
+        exe, cluster, batches, (losses, grads) = sharded
+        encoder = exe._chains[2][shard][2][3]      # second encoder block of that shard
+        caller = threading.get_ident()
+        seen = []
+
+        def boom(*_):
+            seen.append(threading.get_ident())
+            raise FloatingPointError("shard failed")
+
+        setattr(encoder, phase, boom)               # shadows the method on this one layer
+        try:
+            with pytest.raises(FloatingPointError, match="shard failed"):
+                exe.step(batches)
+        finally:
+            delattr(encoder, phase)
+        assert (seen == [caller]) == (shard == 0)   # shard 0 runs on the caller, 1 on the pool
+        _assert_holds_no_activation(exe, cluster.matrix)
+        np.testing.assert_array_equal(exe.step(batches), losses)
+        np.testing.assert_array_equal(cluster.matrix.grads, grads)
+
+    def test_every_shard_raising(self, sharded):
+        exe, cluster, batches, (losses, grads) = sharded
+        too_long = [(np.tile(x, (1, 40)), np.tile(y, (1, 40))) for x, y in batches]
+        with pytest.raises(ValueError, match="exceeds positional table"):
+            exe.step(too_long)                      # after each shard's embedding cached its ids
+        _assert_holds_no_activation(exe, cluster.matrix)
+        np.testing.assert_array_equal(exe.step(batches), losses)
+        np.testing.assert_array_equal(cluster.matrix.grads, grads)
+
+    def test_rejected_targets_leave_no_cache(self, sharded):
+        exe, cluster, batches, _ = sharded
+        x = np.stack([b[0] for b in batches])
+        assert exe.step_stacked(x, np.stack([b[1] for b in batches])[:, :, :-1]) is None
+        _assert_holds_no_activation(exe, cluster.matrix)
 
 
 class TestEvaluationPeak:

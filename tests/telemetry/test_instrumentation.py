@@ -56,6 +56,40 @@ class TestTraceCoverage:
         )
         assert covered >= 0.9 * wall, f"covered {covered:.3f}s of {wall:.3f}s"
 
+    def test_coverage_holds_with_replica_shards(self, tmp_path, monkeypatch):
+        # The preset transformer at N=8 runs as two row shards wherever two
+        # cores and a pinnable BLAS exist (forced here for one-core hosts).
+        # The shard threads open no spans: engine.forward / engine.backward
+        # stay one span per step on the calling thread, under its step span.
+        from repro.engine import threads
+
+        if threads.pin_blas() is None:
+            pytest.skip("no OpenBLAS this process can pin to one thread")
+        monkeypatch.setattr(threads, "usable_cores", lambda: 2)
+        path = str(tmp_path / "run.jsonl")
+        start = time.perf_counter()
+        run_experiment(
+            "transformer", "selsync", num_workers=8, iterations=20, eval_every=10,
+            seed=0, delta=0.25, telemetry_file=path,
+        )
+        wall = time.perf_counter() - start
+        assert threads._pool is not None            # the steps did shard
+        telemetry.flush()
+        with open(path, encoding="utf-8") as handle:
+            spans = [json.loads(line) for line in handle]
+        assert len({span["thread"] for span in spans}) == 1
+        by_id = {span["span_id"]: span for span in spans}
+        for name in ("engine.forward", "engine.backward"):
+            engine = [span for span in spans if span["name"] == name]
+            assert len(engine) == 20
+            assert {by_id[span["parent_id"]]["name"] for span in engine} == {"cluster.gradients"}
+        phases = summarize_trace(path)["phases"]
+        covered = sum(
+            phases[name]["total_seconds"]
+            for name in ("run.setup", "trainer.step", "trainer.eval")
+        )
+        assert covered >= 0.9 * wall, f"covered {covered:.3f}s of {wall:.3f}s"
+
     def test_cluster_config_telemetry_validation(self):
         from repro.cluster.cluster import ClusterConfig
 
