@@ -26,14 +26,6 @@ and the nightly workflow runs ``--run-scale``:
 
     PYTHONPATH=src python -m pytest benchmarks/perf_smoke.py --run-scale -q -s
 
-``--run-pool`` merges a ``pool`` section: the multiprocessing replica pool
-vs the single-process engine on the per-worker-fallback ConvNet loop at
-N=64 (the models-too-heavy-to-batch scenario the pool targets), gated at
->= 1.5x with ``pool_workers=4`` when the host has enough cores.  A
-bit-identical parity check always runs.  Nightly CI owns this section:
-
-    PYTHONPATH=src python -m pytest benchmarks/perf_smoke.py --run-pool -q -s
-
 ``--run-telemetry`` merges a ``telemetry`` section: the deep-narrow BSP loop
 measured with the telemetry helpers monkeypatched out (baseline), with the
 shipped disabled no-op path, and with tracing + metrics fully enabled, gated
@@ -45,13 +37,9 @@ per-PR perf job:
 ``--run-scenarios`` runs the paper-scale δ-sweep suite from the declarative
 scenario registry (``benchmarks/scenario_suite.py``), recording sweep
 outputs in ``BENCH_scenarios.json`` next to this file's
-``BENCH_engine.json``.  ``--stacked`` additionally runs the suite's
-stacked-vs-sequential contrast (the fused ``(S·N, D)`` sweep executor
-against S sequential runs, with exact-parity gating), merging a
-``stacked_sweep`` section into ``BENCH_scenarios.json``.  Standalone
-invocation accepts the same flags:
+``BENCH_engine.json``.  Standalone invocation accepts the same flags:
 
-    PYTHONPATH=src python -m benchmarks.perf_smoke --run-scenarios --stacked
+    PYTHONPATH=src python -m benchmarks.perf_smoke --run-scenarios
 """
 
 from __future__ import annotations
@@ -103,19 +91,6 @@ SCALE_LM_BPTT = 8
 SCALE_STEPS = {8: 40, 64: 16, 128: 10, 256: 6}
 SCALE_WARMUP = {8: 6, 64: 3, 128: 2, 256: 2}
 SCALE_REPEATS = 2
-
-#: Replica-pool benchmark configuration.  ConvNet at N=64 with the batched
-#: executor disabled everywhere: per-replica convolution cost dominates the
-#: step, which is exactly the workload the process pool exists to shard.
-POOL_WORKERS = 4
-POOL_N = 64
-POOL_BATCH = 8
-POOL_IMAGE = 8
-POOL_CHANNELS = (4, 8)
-POOL_CLASSES = 4
-POOL_STEPS = 12
-POOL_WARMUP = 2
-POOL_REPEATS = 2
 
 #: Telemetry-overhead configuration: the deep-narrow N=8 BSP MLP loop run in
 #: three modes, interleaved within each repeat so machine drift hits every
@@ -327,99 +302,6 @@ def run_scale_sweep() -> dict:
     }
 
 
-def build_pool_cluster(num_workers: int = POOL_N, pool_workers: int = 0, seed: int = 0):
-    from repro.cluster.cluster import ClusterConfig, SimulatedCluster
-    from repro.data.datasets import make_image_splits
-    from repro.data.partition import SelSyncPartitioner
-    from repro.nn.models import ConvNet
-    from repro.optim.sgd import SGD
-
-    samples = max(2 * num_workers * POOL_BATCH, 2048)
-    train, test = make_image_splits(
-        samples, 256, POOL_CLASSES, in_channels=1, image_size=POOL_IMAGE, seed=seed
-    )
-    config = ClusterConfig(
-        num_workers=num_workers, batch_size=POOL_BATCH, seed=seed, pool_workers=pool_workers
-    )
-    cluster = SimulatedCluster(
-        model_factory=lambda rng: ConvNet(
-            in_channels=1,
-            num_classes=POOL_CLASSES,
-            image_size=POOL_IMAGE,
-            channels=POOL_CHANNELS,
-            rng=rng,
-        ),
-        optimizer_factory=lambda m: SGD(m, lr=0.05, momentum=0.9),
-        train_dataset=train,
-        test_dataset=test,
-        config=config,
-        partitioner=SelSyncPartitioner(seed=seed),
-    )
-    # Per-worker-fallback contrast: both sides run the per-replica loop (the
-    # models-too-heavy-to-batch regime), in-process vs sharded over the pool.
-    cluster.replica_exec = None
-    if cluster.pool is not None:
-        cluster.pool.set_use_executor(False)
-    return cluster
-
-
-def measure_pool_point(pool_workers: int) -> float:
-    """Best-of-``POOL_REPEATS`` BSP steps/sec for one pool configuration."""
-    best = 0.0
-    for _ in range(POOL_REPEATS):
-        cluster = build_pool_cluster(pool_workers=pool_workers)
-        try:
-            trainer = _make_trainer("bsp", cluster)
-            best = max(best, _time_trainer(cluster, trainer, POOL_STEPS, POOL_WARMUP))
-        finally:
-            cluster.close()
-    return best
-
-
-def check_pool_parity(steps: int = 3) -> bool:
-    """Bit-identical float64 parity of the pooled vs single-process loop."""
-    import numpy as np
-
-    matrices = []
-    for pool_workers in (0, POOL_WORKERS):
-        cluster = build_pool_cluster(pool_workers=pool_workers, seed=1)
-        try:
-            trainer = _make_trainer("bsp", cluster)
-            for _ in range(steps):
-                trainer.train_step()
-                trainer.global_step += 1
-                cluster.global_step = trainer.global_step
-            matrices.append(cluster.matrix.params.copy())
-        finally:
-            cluster.close()
-    return bool(np.array_equal(matrices[0], matrices[1]))
-
-
-def run_pool_benchmark() -> dict:
-    import os
-
-    single = measure_pool_point(0)
-    pooled = measure_pool_point(POOL_WORKERS)
-    return {
-        "config": {
-            "num_workers": POOL_N,
-            "pool_workers": POOL_WORKERS,
-            "batch_size": POOL_BATCH,
-            "image_size": POOL_IMAGE,
-            "channels": list(POOL_CHANNELS),
-            "steps": POOL_STEPS,
-            "repeats": POOL_REPEATS,
-            "cpu_count": os.cpu_count(),
-        },
-        "steps_per_sec": {
-            "convnet_fallback_single_process": single,
-            f"convnet_fallback_pool_{POOL_WORKERS}": pooled,
-        },
-        "pool_speedup": pooled / single,
-        "parity_bit_identical": check_pool_parity(),
-    }
-
-
 def run_telemetry_benchmark() -> dict:
     """Baseline / disabled / enabled telemetry steps/sec on the BSP loop."""
     from repro import telemetry
@@ -569,38 +451,6 @@ def test_telemetry_overhead(request):
 
 
 @pytest.mark.perf
-@pytest.mark.pool
-def test_pool_throughput(request):
-    if not request.config.getoption("--run-pool"):
-        pytest.skip("pool benchmark runs only with --run-pool")
-    import os
-
-    report = run_pool_benchmark()
-    _merge_into_result_file({"pool": report})
-    sps = report["steps_per_sec"]
-    single = sps["convnet_fallback_single_process"]
-    pooled = sps[f"convnet_fallback_pool_{POOL_WORKERS}"]
-    print(
-        f"\nConvNet N={POOL_N} per-worker fallback: single-process "
-        f"{single:.1f} steps/s vs pool_workers={POOL_WORKERS} {pooled:.1f} steps/s "
-        f"({report['pool_speedup']:.2f}x, {report['config']['cpu_count']} cores)"
-        f"\n[merged into {RESULT_PATH}]"
-    )
-    # The parity contract always holds, regardless of core count.
-    assert report["parity_bit_identical"]
-    # The pool milestone's acceptance gate: >= 1.5x the single-process
-    # fallback loop with 4 pool processes.  Physically impossible without
-    # parallel hardware, so the gate only arms on multi-core hosts (CI
-    # nightly runners have >= 4 vCPUs); the measured numbers are recorded
-    # either way.  os.cpu_count() may return None (unknown host): skip too.
-    cores = os.cpu_count() or 0
-    if cores >= POOL_WORKERS:
-        assert report["pool_speedup"] >= 1.5
-    else:
-        print(f"pool speedup gate skipped: {cores} cores < {POOL_WORKERS} pool workers")
-
-
-@pytest.mark.perf
 def test_scale_sweep(request):
     if not request.config.getoption("--run-scale"):
         pytest.skip("scale sweep runs only with --run-scale")
@@ -638,7 +488,6 @@ def _standalone_main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="benchmarks.perf_smoke", description=__doc__)
     parser.add_argument("--run-perf", action="store_true", help="engine perf smoke sections")
     parser.add_argument("--run-scale", action="store_true", help="large-N scale sweep")
-    parser.add_argument("--run-pool", action="store_true", help="replica-pool benchmark")
     parser.add_argument(
         "--run-telemetry",
         action="store_true",
@@ -646,14 +495,6 @@ def _standalone_main(argv=None) -> int:
     )
     parser.add_argument(
         "--run-scenarios", action="store_true", help="paper-scale scenario sweeps"
-    )
-    parser.add_argument(
-        "--stacked",
-        action="store_true",
-        help=(
-            "with --run-scenarios: also run the stacked-vs-sequential contrast "
-            "(merges stacked_sweep into BENCH_scenarios.json)"
-        ),
     )
     parser.add_argument(
         "--write-results",
@@ -664,7 +505,6 @@ def _standalone_main(argv=None) -> int:
     run_all = not (
         args.run_perf
         or args.run_scale
-        or args.run_pool
         or args.run_telemetry
         or args.run_scenarios
     )
@@ -674,8 +514,6 @@ def _standalone_main(argv=None) -> int:
         report.update(run_benchmark())
     if args.run_scale or run_all:
         report["scale_sweep"] = run_scale_sweep()
-    if args.run_pool or run_all:
-        report["pool"] = run_pool_benchmark()
     if args.run_telemetry or run_all:
         report["telemetry"] = run_telemetry_benchmark()
     if report:
@@ -683,7 +521,7 @@ def _standalone_main(argv=None) -> int:
     if args.run_scenarios:
         from benchmarks.scenario_suite import main as run_scenario_suite
 
-        run_scenario_suite(write_results=args.write_results, stacked=args.stacked)
+        run_scenario_suite(write_results=args.write_results)
     return 0
 
 

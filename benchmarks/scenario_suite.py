@@ -1,9 +1,9 @@
 """The paper-scale scenario sweep suite (δ-sweeps at N = 64–256).
 
 Runs every ``paper-scale``-tagged scenario from the declarative registry —
-the deep-MLP and transformer δ-sweeps at N ∈ {64, 128, 256} plus the pooled
-variant — through the single scenario runner, and records the outputs next
-to ``BENCH_engine.json``:
+the deep-MLP and transformer δ-sweeps at N ∈ {64, 128, 256} — through the
+single scenario runner, and records the outputs next to
+``BENCH_engine.json``:
 
 * ``BENCH_scenarios.json`` (repo root) — every scenario's per-run records
   and endpoint-parity verdicts, the artifact nightly CI uploads so the
@@ -19,18 +19,6 @@ The suite is heavier than tier-1, so it is gated behind ``--run-scenarios``:
 
     PYTHONPATH=src python -m pytest benchmarks/scenario_suite.py --run-scenarios -q -s
 
-``--stacked`` additionally runs the *stacked contrast*: every stackable
-paper-scale sweep executed twice — through the sequential runner and through
-the fused ``(S·N, D)`` stacked executor (:func:`repro.harness.sweep.
-run_sweep_stacked`) — recording wall-clock, steps/sec and the
-stacked-vs-sequential speedup as a ``stacked_sweep`` section of
-``BENCH_scenarios.json``.  Exact float64 record parity between the two modes
-is always asserted; the speedup gate arms only on multi-core hosts (see
-``STACKED_GATE_MIN_CORES``), because on a single core the engine is
-memory-bandwidth-bound and fusing has no per-layer overhead left to
-amortize — the measured numbers are recorded honestly either way, and the
-CI regression gate (``compare_bench.py``) tracks them over time.
-
 The suite also runs the *fault-replay smoke*: every ``faults``-tagged
 scenario from :mod:`repro.faults` (crash / straggler-burst / rejoin
 schedules with deterministic-replay and loss-continuity gates), recorded as
@@ -39,7 +27,7 @@ deliberately omit wall-clock, so they are tracked but never feed the
 steps/sec regression gate.
 
 Standalone (also reachable via ``python -m benchmarks.perf_smoke
---run-scenarios [--stacked]``):
+--run-scenarios``):
 
     PYTHONPATH=src python -m benchmarks.scenario_suite
 """
@@ -47,10 +35,8 @@ Standalone (also reachable via ``python -m benchmarks.perf_smoke
 from __future__ import annotations
 
 import json
-import os
-import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import pytest
 
@@ -64,30 +50,6 @@ SUITE_TAG = "paper-scale"
 
 #: Registry tag selecting the fault-replay smoke scenarios (repro.faults).
 FAULT_TAG = "faults"
-
-#: The stacked speedup gate arms only on hosts with at least this many
-#: cores.  Fusing S slices into one (S·N, D) pass amortizes per-layer
-#: framework overhead and feeds BLAS larger matrices, but on a single
-#: memory-bandwidth-bound core the per-row compute already dominates, so
-#: there is nothing left to amortize (measured: ~0.7-0.9x there).  Mirrors
-#: the replica-pool benchmark's conditional gate.
-STACKED_GATE_MIN_CORES = 4
-
-#: The armed gate's threshold: fused execution of the whole δ-grid must be
-#: at least this much faster than S sequential runs.
-STACKED_GATE_SPEEDUP = 3.0
-
-
-def _sweep_names(pool: bool) -> List[str]:
-    """Paper-scale scenario names, split by whether they need the pool."""
-    from repro.scenarios import get_scenario, scenario_names
-
-    names = []
-    for name in scenario_names(tag=SUITE_TAG):
-        uses_pool = "pool" in get_scenario(name).tags
-        if uses_pool == pool:
-            names.append(name)
-    return names
 
 
 def run_suite(names: List[str], write_results: bool = False) -> Dict[str, dict]:
@@ -116,127 +78,6 @@ def merge_into_result_file(summaries: Dict[str, dict]) -> None:
             report = {}
     report.update(summaries)
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-
-
-def _stacked_names() -> List[str]:
-    """Paper-scale sweep scenarios the stacked executor can run."""
-    from repro.harness.sweep import STACKED_ALGORITHMS, STACKED_WORKLOADS
-    from repro.scenarios import get_scenario, scenario_names
-
-    names = []
-    for name in scenario_names(tag=SUITE_TAG):
-        scenario = get_scenario(name)
-        if (
-            scenario.kind == "sweep"
-            and not scenario.pool_workers
-            and scenario.algorithm in STACKED_ALGORITHMS
-            and scenario.workload in STACKED_WORKLOADS
-        ):
-            names.append(name)
-    return names
-
-
-def _records_identical(seq: dict, stk: dict) -> bool:
-    """Exact float64 parity of two scenario reports' per-run records.
-
-    Compares every record's params and metrics (``wall_seconds`` excluded —
-    it measures the runner, not the training trajectory) plus the endpoint
-    parity verdicts.
-    """
-
-    def strip(report: dict):
-        return [
-            (
-                record["params"],
-                {k: v for k, v in record["metrics"].items() if k != "wall_seconds"},
-            )
-            for record in report["records"]
-        ]
-
-    if strip(seq) != strip(stk):
-        return False
-    seq_anchors = seq.get("endpoints", {})
-    stk_anchors = stk.get("endpoints", {})
-    if set(seq_anchors) != set(stk_anchors):
-        return False
-    return all(
-        stk_anchors[name]["matches_sweep_endpoint"]
-        and seq_anchors[name]["matches_sweep_endpoint"]
-        for name in seq_anchors
-    )
-
-
-def run_stacked_contrast(names: Optional[List[str]] = None) -> dict:
-    """Time every stackable sweep sequentially and stacked; check parity.
-
-    Returns the ``stacked_sweep`` section merged into
-    ``BENCH_scenarios.json``: per-scenario wall-clock for both modes,
-    steps/sec (total trainer steps across the grid over the sweep's
-    wall-clock, endpoint anchors excluded), the stacked-vs-sequential
-    speedup, and the exact-parity verdict.
-    """
-    from repro.scenarios import get_scenario, run_scenario
-
-    names = _stacked_names() if names is None else names
-    scenarios: Dict[str, dict] = {}
-    for name in names:
-        scenario = get_scenario(name)
-        grid_points = 1
-        for values in scenario.grid.values():
-            grid_points *= len(values)
-        total_steps = scenario.iterations * grid_points
-
-        start = time.perf_counter()
-        sequential = run_scenario(name)
-        sequential_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        stacked = run_scenario(name, stacked=True)
-        stacked_seconds = time.perf_counter() - start
-
-        scenarios[name] = {
-            "num_workers": scenario.num_workers,
-            "iterations": scenario.iterations,
-            "grid_points": grid_points,
-            "sequential_seconds": sequential_seconds,
-            "stacked_seconds": stacked_seconds,
-            "steps_per_sec": {
-                "sequential": total_steps / sequential.meta["sweep_wall_seconds"],
-                "stacked": total_steps / stacked.meta["sweep_wall_seconds"],
-            },
-            "speedup": sequential_seconds / stacked_seconds,
-            "exact_parity": _records_identical(sequential.to_dict(), stacked.to_dict()),
-        }
-    return {
-        "config": {
-            "cpu_count": os.cpu_count(),
-            "gate_min_cores": STACKED_GATE_MIN_CORES,
-            "gate_speedup": STACKED_GATE_SPEEDUP,
-            "scenarios": names,
-        },
-        "scenarios": scenarios,
-    }
-
-
-def check_stacked_contrast(section: dict) -> None:
-    """Assert the stacked contrast's gates.
-
-    Exact float64 parity between the sequential and stacked runs of every
-    scenario always holds.  The speedup gate arms only on hosts with
-    ``STACKED_GATE_MIN_CORES`` cores or more — single-core hosts are
-    memory-bandwidth-bound, so their honest numbers are recorded without
-    gating (the CI baseline comparison still flags regressions there).
-    """
-    for name, row in section["scenarios"].items():
-        assert row["exact_parity"], (
-            f"{name}: stacked run diverged from the sequential runner"
-        )
-    cores = os.cpu_count() or 0
-    if cores >= STACKED_GATE_MIN_CORES:
-        for name, row in section["scenarios"].items():
-            assert row["speedup"] >= STACKED_GATE_SPEEDUP, (
-                f"{name}: stacked speedup {row['speedup']:.2f}x below the "
-                f"{STACKED_GATE_SPEEDUP}x gate on a {cores}-core host"
-            )
 
 
 def run_fault_replay_smoke(write_results: bool = False) -> dict:
@@ -312,33 +153,15 @@ def check_sweep_contract(summary: dict) -> None:
 def test_scenario_sweep_suite(request):
     if not request.config.getoption("--run-scenarios"):
         pytest.skip("scenario sweeps run only with --run-scenarios")
+    from repro.scenarios import scenario_names
+
     write = request.config.getoption("--write-results")
-    summaries = run_suite(_sweep_names(pool=False), write_results=write)
+    summaries = run_suite(scenario_names(tag=SUITE_TAG), write_results=write)
     merge_into_result_file(summaries)
     print(f"\n[{len(summaries)} scenario reports merged into {RESULT_PATH}]")
     assert summaries, "no paper-scale scenarios registered"
     for summary in summaries.values():
         check_sweep_contract(summary)
-
-
-@pytest.mark.perf
-def test_stacked_sweep_contrast(request):
-    if not request.config.getoption("--run-scenarios"):
-        pytest.skip("scenario sweeps run only with --run-scenarios")
-    if not request.config.getoption("--stacked"):
-        pytest.skip("stacked contrast runs only with --run-scenarios --stacked")
-    section = run_stacked_contrast()
-    merge_into_result_file({"stacked_sweep": section})
-    lines = []
-    for name, row in section["scenarios"].items():
-        lines.append(
-            f"{name}: sequential {row['sequential_seconds']:.2f}s vs stacked "
-            f"{row['stacked_seconds']:.2f}s ({row['speedup']:.2f}x, "
-            f"parity={'exact' if row['exact_parity'] else 'BROKEN'})"
-        )
-    print("\n" + "\n".join(lines) + f"\n[stacked_sweep merged into {RESULT_PATH}]")
-    assert section["scenarios"], "no stackable paper-scale scenarios registered"
-    check_stacked_contrast(section)
 
 
 @pytest.mark.perf
@@ -356,27 +179,11 @@ def test_fault_replay_smoke(request):
     check_fault_replay(section)
 
 
-@pytest.mark.perf
-@pytest.mark.pool
-def test_scenario_sweep_suite_pooled(request):
-    if not request.config.getoption("--run-scenarios"):
-        pytest.skip("scenario sweeps run only with --run-scenarios")
-    write = request.config.getoption("--write-results")
-    summaries = run_suite(_sweep_names(pool=True), write_results=write)
-    merge_into_result_file(summaries)
-    assert summaries, "no pooled paper-scale scenarios registered"
-    for summary in summaries.values():
-        check_sweep_contract(summary)
+def main(write_results: bool = True) -> Dict[str, dict]:
+    """Standalone entry: run every paper-scale sweep and persist everything."""
+    from repro.scenarios import scenario_names
 
-
-def main(write_results: bool = True, stacked: bool = False) -> Dict[str, dict]:
-    """Standalone entry: run every paper-scale sweep and persist everything.
-
-    ``stacked=True`` additionally runs the stacked contrast and merges its
-    ``stacked_sweep`` section into ``BENCH_scenarios.json``.
-    """
-    names = _sweep_names(pool=False) + _sweep_names(pool=True)
-    summaries = run_suite(names, write_results=write_results)
+    summaries = run_suite(scenario_names(tag=SUITE_TAG), write_results=write_results)
     merge_into_result_file(summaries)
     for summary in summaries.values():
         check_sweep_contract(summary)
@@ -388,15 +195,6 @@ def main(write_results: bool = True, stacked: bool = False) -> Dict[str, dict]:
         f"[{len(fault_section['scenarios'])} fault-replay rows merged into "
         f"{RESULT_PATH}]"
     )
-    if stacked:
-        section = run_stacked_contrast()
-        merge_into_result_file({"stacked_sweep": section})
-        for name, row in section["scenarios"].items():
-            print(
-                f"{name}: sequential {row['sequential_seconds']:.2f}s vs stacked "
-                f"{row['stacked_seconds']:.2f}s ({row['speedup']:.2f}x)"
-            )
-        check_stacked_contrast(section)
     return summaries
 
 

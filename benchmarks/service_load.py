@@ -16,9 +16,8 @@ Recorded into ``BENCH_service.json`` at the repo root:
   i.e. queueing + execution + persistence;
 * ``jobs_per_sec`` — sustained completed-job throughput over the run.
 
-CI gates on the latency percentiles through ``compare_bench.py
---service-baseline/--service-current`` (>25% p99 growth fails, like the
-engine/scenario benches).  Gated behind ``--run-service`` for pytest runs;
+CI gates on the latency percentiles through ``repro bench compare service``
+(>25% p99 growth fails, like the engine/scenario benches).  Gated behind ``--run-service`` for pytest runs;
 standalone invocation::
 
     PYTHONPATH=src python -m benchmarks.service_load            # full run

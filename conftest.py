@@ -11,13 +11,6 @@ from any invocation directory:
   transformer analogs); merges a ``scale_sweep`` section into
   ``BENCH_engine.json``.  Slower than the perf smoke, so it runs in the
   nightly workflow rather than per-PR CI.
-* ``pool`` marker — tests exercising the multiprocessing replica pool
-  (``tests/parallel/``); they run in tier-1 but are markable out with
-  ``-m "not pool"`` on machines where process spawning is restricted.
-* ``--run-pool`` — the replica-pool throughput benchmark (pool vs
-  single-process ConvNet at N = 64); merges a ``pool`` section into
-  ``BENCH_engine.json``.  Runs in the nightly workflow (the speedup gate
-  needs real cores).
 * ``--run-telemetry`` — the telemetry overhead benchmark (baseline vs
   disabled vs enabled tracing on the BSP MLP loop); merges a ``telemetry``
   section into ``BENCH_engine.json``, gated at disabled <= 2% / enabled
@@ -28,18 +21,12 @@ from any invocation directory:
   ``BENCH_scenarios.json`` at the repo root and, under ``--write-results``,
   the per-scenario reports in ``benchmarks/results/scenarios/``.  Runs in
   the nightly workflow.
-* ``--stacked`` — with ``--run-scenarios``: also run the stacked contrast
-  (every stackable paper-scale sweep through both the sequential runner and
-  the fused ``(S·N, D)`` stacked executor), merging a ``stacked_sweep``
-  section (wall-clock, steps/sec, speedup, exact-parity verdicts) into
-  ``BENCH_scenarios.json``.  Runs in the nightly workflow and the per-PR
-  perf job.
 * ``--run-service`` — the experiment-service load benchmark
   (``benchmarks/service_load.py``: sustained concurrent submissions against
   a live :mod:`repro.service` instance over HTTP); writes
   ``BENCH_service.json`` (submit/e2e latency p50/p99) at the repo root.
   Runs in the per-PR perf job as a smoke and is compared by
-  ``compare_bench.py --service-baseline/--service-current``.
+  ``repro bench compare service``.
 * ``--write-results`` — opt-in persistence of the figure benchmarks'
   ``benchmarks/results/*.txt`` reports.  Plain test runs never touch the
   working tree; CI and result-regeneration runs pass the flag.
@@ -62,12 +49,6 @@ def pytest_addoption(parser):
         help="run the large-N scale sweep (merges scale_sweep into BENCH_engine.json)",
     )
     parser.addoption(
-        "--run-pool",
-        action="store_true",
-        default=False,
-        help="run the replica-pool benchmark (merges pool into BENCH_engine.json)",
-    )
-    parser.addoption(
         "--run-telemetry",
         action="store_true",
         default=False,
@@ -81,15 +62,6 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="run the paper-scale scenario sweeps (writes BENCH_scenarios.json)",
-    )
-    parser.addoption(
-        "--stacked",
-        action="store_true",
-        default=False,
-        help=(
-            "with --run-scenarios: also run the stacked-vs-sequential sweep "
-            "contrast (merges stacked_sweep into BENCH_scenarios.json)"
-        ),
     )
     parser.addoption(
         "--run-service",
@@ -111,9 +83,6 @@ def pytest_addoption(parser):
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "perf: engine perf-tracking benchmarks, gated behind --run-perf"
-    )
-    config.addinivalue_line(
-        "markers", "pool: multiprocessing replica-pool tests and benchmarks"
     )
     config.addinivalue_line(
         "markers",

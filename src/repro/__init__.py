@@ -13,7 +13,6 @@ subpackages for the full API:
 * :mod:`repro.comm`        — simulated PS / collectives / cost models
 * :mod:`repro.cluster`     — simulated workers, clocks, compute models
 * :mod:`repro.engine`      — flat-buffer execution engine (FlatBuffer, WorkerMatrix)
-* :mod:`repro.parallel`    — shared-memory multiprocessing replica pool
 * :mod:`repro.stats`       — EWMA, KDE, Hessian eigenvalue estimation
 * :mod:`repro.metrics`     — accuracy/perplexity, LSSR, throughput, convergence
 * :mod:`repro.harness`     — workload presets, experiment runner, reporting

@@ -205,10 +205,9 @@ class BaseTrainer:
         ``StopIteration.value``).
 
         :meth:`run` simply drains this generator, so the two are identical
-        run for run.  The stepwise form exists so a driver can interleave
-        several trainers one global step at a time — the stacked sweep
-        executor (:mod:`repro.engine.sweep_exec`) advances S trainers in
-        lockstep over one fused ``(S·N, D)`` gradient computation.
+        run for run.  The stepwise form exists so a driver can advance a
+        trainer one global step at a time — the perf ledger
+        (``benchmarks/ledger``) times each step as one operation.
 
         Note the usual generator caveat: argument validation only fires on
         the first ``next()``, not at call time.

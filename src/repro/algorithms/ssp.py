@@ -84,10 +84,8 @@ class SSPTrainer(BaseTrainer):
                     cluster.clock.advance_worker(worker.worker_id, wait, bucket="other")
 
             reference = self._last_pulled[worker.worker_id]
-            # Routed through the cluster so a replica pool can run the
-            # forward/backward in the worker's own process (the shared
-            # parameter row is already current; the gradient row receives
-            # the result).  Batch sampling stays here, on the loader.
+            # Routed through the cluster so the shared dropout stream
+            # advances one tick per gradient computation.
             loss = cluster.compute_gradients_worker(worker)
             worker.apply_update(lr=lr)
             delta = worker.state_delta_vector(reference)

@@ -2,8 +2,7 @@
 
 The harness historically grew three divergent entry points — single runs
 through :func:`repro.harness.experiment.run_experiment`, parameter sweeps
-through :func:`repro.harness.sweep.grid_sweep` /
-:func:`repro.harness.sweep.run_sweep_stacked`, and registered scenarios
+through :func:`repro.harness.sweep.grid_sweep`, and registered scenarios
 through :func:`repro.scenarios.runner.run_scenario` — each with its own
 argument spellings (``workers`` vs ``num_workers``, ``fixed`` vs algorithm
 kwargs).  This module unifies them behind one request/response shape:
@@ -154,11 +153,8 @@ class RunRequest:
     num_workers / iterations / seed / eval_every / batch_size:
         Run sizing; ``None`` means the kind's default (or, for the
         ``scenario`` kind, the registered scenario's own values).
-    dtype / transport_dtype / pool_workers / pool_start_method:
+    dtype / transport_dtype:
         Engine knobs (training kinds only).
-    stacked / max_stacked_rows:
-        Fused ``(S·N, D)`` sweep execution (``sweep`` and ``scenario``
-        kinds).
     fault_seed / failure_rate / straggler_fraction / mttr:
         Fault injection (:mod:`repro.faults`).  The ``experiment`` kind
         accepts all four (a positive rate arms a seeded crash/straggler
@@ -182,10 +178,6 @@ class RunRequest:
     batch_size: Optional[int] = None
     dtype: Optional[str] = None
     transport_dtype: Optional[str] = None
-    pool_workers: int = 0
-    pool_start_method: Optional[str] = None
-    stacked: Optional[bool] = None
-    max_stacked_rows: Optional[int] = None
     fault_seed: Optional[int] = None
     failure_rate: Optional[float] = None
     straggler_fraction: Optional[float] = None
@@ -232,7 +224,7 @@ class RunRequest:
 
     def _check_experiment(self) -> None:
         self._require("workload", "algorithm")
-        self._forbid("scenario", "grid", "options", "stacked", "max_stacked_rows")
+        self._forbid("scenario", "grid", "options")
 
     def _check_sweep(self) -> None:
         # algorithm defaults to "selsync", matching the SweepScenario dataclass
@@ -242,7 +234,6 @@ class RunRequest:
 
     def _check_comparison(self) -> None:
         self._forbid("scenario", "workload", "algorithm", "grid", "params")
-        self._forbid("stacked", "max_stacked_rows")
         self._forbid("fault_seed", "failure_rate", "straggler_fraction", "mttr")
         if "methods" not in self.options:
             raise ApiError("comparison request requires options['methods']")
@@ -251,12 +242,9 @@ class RunRequest:
         self._forbid(
             "scenario", "workload", "algorithm", "grid", "params",
             "num_workers", "iterations", "seed", "eval_every", "batch_size",
-            "dtype", "transport_dtype", "pool_start_method",
-            "stacked", "max_stacked_rows",
+            "dtype", "transport_dtype",
             "fault_seed", "failure_rate", "straggler_fraction", "mttr",
         )
-        if self.pool_workers:
-            raise ApiError("throughput request does not accept 'pool_workers'")
         if "workloads" not in self.options:
             raise ApiError("throughput request requires options['workloads']")
 
@@ -265,15 +253,9 @@ class RunRequest:
         self._forbid(
             "workload", "algorithm", "grid", "params", "options",
             "eval_every", "batch_size", "dtype", "transport_dtype",
-            "pool_start_method",
         )
         # fault_seed stays allowed: it overrides registered fault scenarios.
         self._forbid("failure_rate", "straggler_fraction", "mttr")
-        if self.pool_workers:
-            raise ApiError(
-                "scenario request does not accept 'pool_workers'; the "
-                "registered scenario owns its engine knobs"
-            )
 
     # -- construction ------------------------------------------------------ #
     @classmethod
@@ -295,7 +277,7 @@ class RunRequest:
             if f.name == "kind":
                 continue
             value = getattr(self, f.name)
-            if value in (None, {}, ()) or (f.name == "pool_workers" and not value):
+            if value in (None, {}, ()):
                 continue
             out[f.name] = value
         return out
@@ -305,7 +287,7 @@ class RunRequest:
         """Run the full (scenario-dataclass) validation without executing.
 
         The service controller calls this at submission time so an invalid
-        grid, unknown workload or unstackable configuration is a 400
+        grid or unknown workload is a 400
         response, not a FAILED job hours later.  Raises :class:`ApiError` or
         :class:`~repro.scenarios.spec.ScenarioError`; returns ``self``.
         """
@@ -313,11 +295,6 @@ class RunRequest:
             self._check_experiment_targets()
         elif self.kind == "scenario":
             scenario = get_scenario(self.scenario)
-            if self.stacked is not None and not isinstance(scenario, SweepScenario):
-                raise ApiError(
-                    f"scenario {self.scenario!r} is a {scenario.kind} scenario; "
-                    "the 'stacked' override applies to sweep scenarios only"
-                )
             if isinstance(scenario, ThroughputScenario) and (
                 self.iterations is not None
                 or self.num_workers is not None
@@ -375,10 +352,6 @@ class RunRequest:
                 batch_size=self.batch_size,
                 dtype=self.dtype or "float64",
                 transport_dtype=self.transport_dtype,
-                pool_workers=self.pool_workers,
-                pool_start_method=self.pool_start_method,
-                stacked=bool(self.stacked),
-                max_stacked_rows=self.max_stacked_rows,
                 **self.options,
             )
         if self.kind == "comparison":
@@ -401,8 +374,6 @@ class RunRequest:
                 eval_every=self.eval_every,
                 dtype=self.dtype or "float64",
                 transport_dtype=self.transport_dtype,
-                pool_workers=self.pool_workers,
-                pool_start_method=self.pool_start_method,
                 **options,
             )
         if self.kind == "throughput":
@@ -527,8 +498,6 @@ def _run_experiment_kind(
         batch_size=request.batch_size,
         dtype=request.dtype or "float64",
         transport_dtype=request.transport_dtype,
-        pool_workers=request.pool_workers,
-        pool_start_method=request.pool_start_method,
         **fault_kwargs,
         **request.params,
     )
@@ -552,7 +521,6 @@ def _run_experiment_kind(
         "params": dict(request.params),
         "dtype": request.dtype or "float64",
         "transport_dtype": request.transport_dtype,
-        "pool_workers": request.pool_workers,
     }
     if fault_kwargs:
         meta["faults"] = dict(fault_kwargs)
@@ -646,8 +614,6 @@ def run(
             iterations=request.iterations,
             num_workers=request.num_workers,
             seed=request.seed,
-            stacked=request.stacked,
-            max_stacked_rows=request.max_stacked_rows,
             fault_seed=request.fault_seed,
             cancel_check=cancel_check,
         )

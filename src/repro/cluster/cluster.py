@@ -61,15 +61,6 @@ class ClusterConfig:
     double-precision wire.  Only byte accounting changes — the replicas
     still train in the compute dtype.
 
-    ``pool_workers`` enables the shared-memory multiprocessing replica pool
-    (:mod:`repro.parallel`): the worker matrix is backed by shared memory
-    and forward/backward is sharded over ``pool_workers`` OS processes (one
-    per replica group), bit-identically in float64 to the single-process
-    engine.  ``0`` (the default) keeps everything in-process.
-    ``pool_start_method`` picks the multiprocessing start method
-    (``"fork"`` / ``"spawn"`` / ``"forkserver"``; ``None`` = platform
-    default, preferring fork).
-
     ``telemetry`` names a JSONL trace-sink path: building the cluster turns
     span tracing on (:mod:`repro.telemetry`) with finished spans appended
     to that file, and ``close()`` flushes it.  ``None`` (the default) keeps
@@ -85,8 +76,6 @@ class ClusterConfig:
     topology: str = "ps"
     dtype: str = "float64"
     transport_dtype: Optional[str] = None
-    pool_workers: int = 0
-    pool_start_method: Optional[str] = None
     eval_batch_size: int = 512
     eval_max_batches: Optional[int] = 8
     top_k: Optional[int] = None
@@ -112,13 +101,6 @@ class ClusterConfig:
         resolve_dtype(self.dtype)
         # Raises on unsupported transport dtypes (None -> float32 wire).
         resolve_transport_dtype(self.transport_dtype)
-        if self.pool_workers < 0:
-            raise ValueError(f"pool_workers must be >= 0, got {self.pool_workers}")
-        if self.pool_workers or self.pool_start_method is not None:
-            # Raises on unknown / unavailable start methods.
-            from repro.parallel.pool import resolve_start_method
-
-            resolve_start_method(self.pool_start_method)
 
 
 class SimulatedCluster:
@@ -159,9 +141,7 @@ class SimulatedCluster:
         # All worker replicas live as rows of one (N, D) matrix: parameters
         # and gradients are zero-copy views into it, so aggregation,
         # broadcast and Δ(gᵢ) tracking are single vectorized operations.
-        spec = reference_model.flat_spec
-        self._shared_storage = None
-        self.matrix = self._build_matrix(spec)
+        self.matrix = WorkerMatrix(n, reference_model.flat_spec)
 
         self.workers: List[Worker] = []
         for worker_id in range(n):
@@ -186,8 +166,7 @@ class SimulatedCluster:
             dtype=self.dtype,
             transport_dtype=config.transport_dtype,
         )
-        # Shared per-step dropout stream: batches TransformerLM with p > 0
-        # (and keeps replica-pool children mask-identical without IPC).
+        # Shared per-step dropout stream: batches TransformerLM with p > 0.
         # Private per-layer dropout RNGs stay the default for every other
         # model family, preserving their seed trajectories.
         from repro.engine import (
@@ -219,23 +198,6 @@ class SimulatedCluster:
         # same SGD or Adam configuration (None otherwise; apply_local_updates
         # then loops over the per-worker optimizers).
         self.fused_update = build_fused_update(self.workers, self.matrix)
-        # Multiprocessing replica pool: one process per replica group shards
-        # forward/backward over the shared matrix; aggregation, tracking and
-        # optimizer stepping stay on this (parent) process.
-        self.pool = None
-        if config.pool_workers:
-            from repro.parallel.pool import ReplicaPool
-
-            self.pool = ReplicaPool(
-                self._shared_storage,
-                [worker.model for worker in self.workers],
-                num_groups=config.pool_workers,
-                start_method=config.pool_start_method,
-                use_executor=self.replica_exec is not None,
-                dropout_seed=(
-                    self.dropout_stream.seed if self.dropout_stream is not None else None
-                ),
-            )
         self.backend = InProcessBackend(
             world_size=n, transport_dtype=config.transport_dtype
         )
@@ -255,29 +217,6 @@ class SimulatedCluster:
         # is a strict no-op then.
         self.active_mask = np.ones(n, dtype=bool)
         self.fault_speed_scale = np.ones(n, dtype=np.float64)
-
-    # ------------------------------------------------------------------ #
-    # matrix construction (extension point)
-    # ------------------------------------------------------------------ #
-    def _build_matrix(self, spec) -> WorkerMatrix:
-        """Build the cluster's ``(N, D)`` worker matrix for ``spec``.
-
-        The flat layout is only known once the reference model has been
-        built, so this runs mid-``__init__`` — it is the extension point for
-        alternative storage owners: with ``pool_workers`` the rows live in
-        parent-owned shared memory (replica-pool children map the same
-        segments zero-copy), and :class:`StackedSliceCluster` overrides this
-        to adopt donated row slices of a sweep-wide stacked matrix.
-        """
-        n = self.config.num_workers
-        if self.config.pool_workers:
-            from repro.parallel.shm import SharedMatrixStorage
-
-            self._shared_storage = SharedMatrixStorage(n, spec.total_size, spec.dtype)
-            return WorkerMatrix(
-                n, spec, params=self._shared_storage.params, grads=self._shared_storage.grads
-            )
-        return WorkerMatrix(n, spec)
 
     # ------------------------------------------------------------------ #
     # properties
@@ -341,11 +280,6 @@ class SimulatedCluster:
         :meth:`reactivate_worker`.
         """
         self._check_worker_id(worker_id)
-        if self.pool is not None:
-            raise RuntimeError(
-                "the replica pool does not support elastic worker masks; "
-                "run fault scenarios in-process (pool_workers=0)"
-            )
         if not self.active_mask[worker_id]:
             raise ValueError(f"worker {worker_id} is already inactive")
         if self.num_active == 1:
@@ -402,33 +336,24 @@ class SimulatedCluster:
     # ------------------------------------------------------------------ #
     # gradient computation
     # ------------------------------------------------------------------ #
-    def _next_dropout_tick(self) -> int:
+    def _next_dropout_tick(self) -> None:
         """Advance the shared dropout stream by one gradient computation."""
         self._dropout_tick += 1
         if self.dropout_stream is not None:
             self.dropout_stream.set_step(self._dropout_tick)
-        return self._dropout_tick
 
     def compute_gradients_all(self, batches) -> List[float]:
         """Forward + backward for every worker; returns per-worker losses.
 
-        With a replica pool the pass is sharded across the pool's processes
-        (gradients land in the shared matrix rows).  In-process, it uses the
-        engine's fused batched-replica executor when available (one set of
-        batched matmuls for the whole cluster, gradients written straight
-        into the matrix rows), otherwise the per-worker loop.  ``batches``
-        holds one ``(inputs, targets)`` pair per worker.
+        Uses the engine's fused batched-replica executor when available (one
+        set of batched matmuls for the whole cluster, gradients written
+        straight into the matrix rows), otherwise the per-worker loop.
+        ``batches`` holds one ``(inputs, targets)`` pair per worker.
         """
-        tick = self._next_dropout_tick()
+        self._next_dropout_tick()
         if not self.active_mask.all():
             return self._compute_gradients_masked(batches)
         with telemetry.span("cluster.gradients"):
-            if self.pool is not None:
-                losses, norms = self.pool.compute_all(batches, tick=tick)
-                for worker, loss, norm in zip(self.workers, losses, norms):
-                    worker.last_loss = float(loss)
-                    worker.last_grad_norm = float(norm)
-                return [float(l) for l in losses]
             if self.replica_exec is not None:
                 losses = self.replica_exec.step(batches)
                 if losses is not None:
@@ -452,11 +377,6 @@ class SimulatedCluster:
         afterwards and their losses dropped, so nothing from a crashed row
         ever reaches an aggregation.
         """
-        if self.pool is not None:
-            raise RuntimeError(
-                "the replica pool does not support elastic worker masks; "
-                "run fault scenarios in-process (pool_workers=0)"
-            )
         mask = self.active_mask
         active = np.flatnonzero(mask)
         with telemetry.span("cluster.gradients"):
@@ -480,21 +400,10 @@ class SimulatedCluster:
             ]
 
     def compute_gradients_worker(self, worker: Worker, batch=None) -> float:
-        """Forward + backward for a single worker (SSP's round-robin path).
-
-        The batch is always sampled on the parent (loader state lives here),
-        then computed remotely when a replica pool is active — the worker's
-        shared parameter row is already current, and its gradient row
-        receives the result.
-        """
+        """Forward + backward for a single worker (SSP's round-robin path)."""
         if batch is None:
             batch = worker.next_batch()
-        tick = self._next_dropout_tick()
-        if self.pool is not None:
-            loss, norm = self.pool.compute_one(worker.worker_id, batch, tick=tick)
-            worker.last_loss = loss
-            worker.last_grad_norm = norm
-            return loss
+        self._next_dropout_tick()
         return worker.compute_gradients_flat(batch)[0]
 
     def apply_local_updates(
@@ -687,95 +596,10 @@ class SimulatedCluster:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down the replica pool and release shared-memory segments.
+        """Flush the cluster's telemetry trace sink, if it configured one.
 
-        Idempotent and safe to skip: the pool and the storage both carry GC
-        finalizers, so abandoned clusters clean up after themselves — but
-        explicit closing releases OS resources deterministically (the
-        harness closes every cluster it builds).
+        Idempotent and safe to skip; the harness closes every cluster it
+        builds.
         """
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
         if self.config.telemetry is not None:
             telemetry.flush()
-        if self._shared_storage is not None:
-            # Unlinks the segment names; the parent's own views (the matrix,
-            # every model and optimizer buffer) stay valid until GC.
-            self._shared_storage.close()
-            self._shared_storage = None
-
-    def __enter__(self) -> "SimulatedCluster":
-        """Context-manager entry; pairs pool/shm ownership with a scope."""
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: always :meth:`close` (idempotent)."""
-        self.close()
-
-
-class StackedSliceCluster(SimulatedCluster):
-    """One grid point of a stacked sweep, living as an N-row slice of a
-    sweep-wide ``(S·N, D)`` matrix.
-
-    Built by :func:`repro.harness.sweep.run_sweep_stacked`: each of the S
-    grid points gets a full :class:`SimulatedCluster` — its own workers,
-    loaders, parameter server, backend and clock — but parameter/gradient
-    storage is donated by a
-    :class:`~repro.engine.sweep_exec.StackedSweepMatrix`, and gradient
-    computation defers to the coordinator's fused pass over all S·N rows.
-    Everything a sync policy touches (aggregation, Δ(gᵢ) statistics, fused
-    optimizer state, PS pushes) operates on this slice's rows only, so the
-    slice evolves exactly as its sequential run would.
-    """
-
-    def __init__(self, *args, stacked_matrix=None, slice_index: int = 0, **kwargs) -> None:
-        if stacked_matrix is None:
-            raise ValueError("StackedSliceCluster requires a stacked_matrix")
-        # Set before super().__init__: _build_matrix runs mid-construction.
-        self._stacked_matrix = stacked_matrix
-        self._slice_index = int(slice_index)
-        super().__init__(*args, **kwargs)
-
-    def _build_matrix(self, spec) -> WorkerMatrix:
-        if self.config.pool_workers:
-            raise ValueError(
-                "stacked sweep execution is incompatible with the replica pool "
-                "(pool_workers must be 0); sharding the stacked matrix across "
-                "pool processes is a planned follow-on"
-            )
-        params, grads = self._stacked_matrix.slice_storage(self._slice_index, spec)
-        return WorkerMatrix(self.config.num_workers, spec, params=params, grads=grads)
-
-    def compute_gradients_all(self, batches) -> List[float]:
-        """Per-worker losses for this slice, served by the fused stacked pass.
-
-        The first slice to request a given global step triggers one fused
-        forward/backward over all S·N rows; later slices read their cached
-        row ranges.  The shared dropout stream still advances one tick per
-        gradient computation, keeping tick parity with the sequential path.
-        """
-        self._next_dropout_tick()
-        if not self.active_mask.all():
-            # Elastic fault mask: crashed rows are zeroed by the stacked
-            # matrix and only active losses are returned, matching the
-            # in-process masked path.
-            self._stacked_matrix.set_slice_mask(self._slice_index, self.active_mask)
-            losses, norms = self._stacked_matrix.gradients_for_slice(
-                self._slice_index, batches
-            )
-            out: List[float] = []
-            for worker_id in np.flatnonzero(self.active_mask):
-                worker = self.workers[worker_id]
-                worker.last_loss = float(losses[worker_id])
-                worker.last_grad_norm = float(norms[worker_id])
-                out.append(float(losses[worker_id]))
-            return out
-        self._stacked_matrix.set_slice_mask(self._slice_index, None)
-        losses, norms = self._stacked_matrix.gradients_for_slice(
-            self._slice_index, batches
-        )
-        for worker, loss, norm in zip(self.workers, losses, norms):
-            worker.last_loss = float(loss)
-            worker.last_grad_norm = float(norm)
-        return [float(l) for l in losses]

@@ -71,8 +71,7 @@ class ImageClassificationDataset:
     """In-memory image classification dataset: ``inputs`` (n, c, h, w), ``targets`` (n,).
 
     The spatial analog of :class:`ClassificationDataset`, used by the
-    conv-family workloads (``ConvNet``) — e.g. the replica-pool benchmarks,
-    where per-replica convolution cost is what the process pool parallelizes.
+    conv-family workloads (``ConvNet``).
     """
 
     def __init__(

@@ -30,7 +30,6 @@ from repro.engine.dropout_stream import (
 from repro.engine.flat_buffer import FlatBuffer, ParamSpec
 from repro.engine.fused_optim import FusedAdamUpdate, FusedSGDUpdate, build_fused_update
 from repro.engine.replica_exec import BatchedReplicaExecutor
-from repro.engine.sweep_exec import StackedSweepMatrix
 from repro.engine.worker_matrix import WorkerMatrix
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "ParamSpec",
     "SUPPORTED_DTYPES",
     "SharedDropoutStream",
-    "StackedSweepMatrix",
     "TRANSPORT_DTYPES",
     "WIRE_DTYPE_BYTES",
     "WorkerMatrix",

@@ -1,19 +1,15 @@
-"""Shared per-step dropout RNG stream for batched / multi-process execution.
+"""Shared per-step dropout RNG stream for batched execution.
 
 Per-layer ``Dropout`` modules normally draw masks from private per-worker
 generators, which makes their trajectories impossible to reproduce from the
 batched :class:`~repro.engine.replica_exec.BatchedReplicaExecutor` (one
-``(N, ...)`` mask block per layer) or from a replica-pool child process (its
-own address space).  :class:`SharedDropoutStream` removes the private state:
-every replica-row mask is a pure function of ``(stream seed, step tick,
-layer id, worker row)``, so
-
-* the batched executor stacks the rows it covers (all of them, or a pool
-  child's group slice) while per-worker layers draw exactly their own row —
-  bit-identical paths, and a per-worker consumer (SSP's round-robin
-  stepping) never pays for the whole cluster's masks;
-* a pool child reconstructs the stream from the seed alone and derives the
-  exact masks the parent (or any other child) would, with zero IPC.
+``(N, ...)`` mask block per layer).  :class:`SharedDropoutStream` removes the
+private state: every replica-row mask is a pure function of ``(stream seed,
+step tick, layer id, worker row)``, so the batched executor stacks the rows
+it covers (all of them, or one row shard's ``[lo, hi)`` range) while
+per-worker layers draw exactly their own row — bit-identical paths, and a
+per-worker consumer (SSP's round-robin stepping) never pays for the whole
+cluster's masks.
 
 The cluster advances the stream once per gradient computation
 (``SimulatedCluster._next_dropout_tick``); draws are cached per step.
@@ -88,8 +84,8 @@ class SharedDropoutStream:
         """Stacked per-row masks for replica rows ``[lo, hi)``.
 
         Row ``i`` of the result equals ``worker_mask(..., worker_slot=lo+i)``
-        exactly, which is what keeps the batched executor (full block or a
-        pool child's group slice) bit-identical to the per-worker path.
+        exactly, which is what keeps the batched executor (full block or one
+        row shard) bit-identical to the per-worker path.
         Defaults to all ``num_workers`` rows; cached until the next
         :meth:`set_step`.
         """
@@ -109,9 +105,9 @@ def attach_shared_dropout(module, stream: SharedDropoutStream, worker_slot: int)
     """Route every ``Dropout`` in ``module`` through ``stream``.
 
     Layers are numbered in ``named_modules()`` traversal order, which is
-    identical for every replica of one architecture — the numbering is the
-    cross-process contract that lets a pool child rebuild the same stream
-    wiring from nothing but the seed.  Returns the number of attached layers.
+    identical for every replica of one architecture, so every replica draws
+    its rows of the same per-layer blocks.  Returns the number of attached
+    layers.
     """
     from repro.nn.layers import Dropout
 

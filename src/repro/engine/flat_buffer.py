@@ -251,15 +251,15 @@ class FlatBuffer:
         """Detached copy of the flat vector (a cold-path snapshot)."""
         return self.vector.copy()
 
-    def rebind(self, vector: np.ndarray, preserve: bool = True) -> None:
+    def rebind(self, vector: np.ndarray) -> None:
         """Move this buffer onto new storage (e.g. a worker-matrix row).
 
-        With ``preserve=True`` the current contents are copied into the new
-        storage first.  Existing external views of the *old* storage become
-        stale; callers owning such views must re-request them.
+        The current contents are copied into the new storage first.
+        Existing external views of the *old* storage become stale; callers
+        owning such views must re-request them.
         """
         vector = self.spec._check_vector(vector)
-        if preserve and vector is not self.vector:
+        if vector is not self.vector:
             vector[:] = self.vector
         self.vector = vector
         self.views = self.spec.views(vector)

@@ -286,8 +286,8 @@ class _BatchedDropout:
 
     The stream derives one deterministic mask per (step, layer, replica row);
     this class stacks rows ``[row_offset, row_offset + N)``, so a full-matrix
-    executor and a pool child's group executor (and the per-worker fallback,
-    which draws single rows) all see the exact same masks.
+    executor and each of its row shards (and the per-worker fallback, which
+    draws single rows) all see the exact same masks.
     """
 
     def __init__(self, stream, layer_id: int, p: float, row_offset: int) -> None:
@@ -648,7 +648,7 @@ class BatchedReplicaExecutor:
             1: [(0, matrix.num_workers, self._layers)]
         }
         self._shard_source: Optional[Tuple[object, int]] = None
-        # Expected stacked-input rank: 3 for (N, B, F) MLP batches and
+        # Expected input-block rank: 3 for (N, B, F) MLP batches and
         # (N, B, T) token batches, 5 for (N, B, C, H, W) conv batches.
         self._input_ndim = int(input_ndim)
         # Token inputs stay integer (embedding lookup) instead of being cast
@@ -669,9 +669,9 @@ class BatchedReplicaExecutor:
         silently ignore — such models must use the fallback loop.
 
         ``row_offset`` is the matrix's first row's *global* replica index —
-        nonzero when ``matrix`` is a replica-pool child's group sub-matrix —
-        and only affects shared-stream dropout, whose mask blocks span the
-        full cluster.
+        nonzero when ``matrix`` is one row shard's sub-matrix — and only
+        affects shared-stream dropout, whose mask blocks span the full
+        cluster.
         """
         # Imported here: the engine stays importable without the nn layer
         # stack, and nn itself only lazily imports the engine.
@@ -686,8 +686,7 @@ class BatchedReplicaExecutor:
             executor = cls._build_convnet(matrix, module)
         elif type(module) is TransformerLM:
             executor = cls._build_transformer(matrix, module, row_offset)
-        # Donated rows are already one unit of a wider plan (a pool child's
-        # group, a stacked-sweep slab, a shard of another executor): only an
+        # Donated rows are already a shard of another executor: only an
         # executor over a matrix that owns its storage splits further.
         if executor is not None and matrix.owns_storage:
             executor._shard_source = (module, row_offset)
@@ -976,28 +975,6 @@ class BatchedReplicaExecutor:
         else:
             x = np.stack([np.asarray(b[0], dtype=self._matrix.dtype) for b in batches])
         targets = np.stack([b[1] for b in batches])
-        return self.step_stacked(x, targets)
-
-    def step_stacked(
-        self, x: np.ndarray, targets: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """One fused gradient computation from pre-stacked input blocks.
-
-        ``x`` / ``targets`` carry the replica axis already stacked —
-        ``(N, batch, ...)`` — so callers that assemble the block themselves
-        (:meth:`step`, and the stacked sweep executor which tiles one
-        N-worker batch block across S grid slices) skip the per-row
-        ``np.stack``.  Same contract as :meth:`step` otherwise: gradients
-        land in the matrix rows, per-replica mean losses are returned,
-        ``None`` flags an unsupported shape/dtype combination.
-        """
-        if x.shape[0] != self._matrix.num_workers:
-            return None
-        if self._token_input:
-            if not np.issubdtype(x.dtype, np.integer):
-                return None
-        else:
-            x = np.asarray(x, dtype=self._matrix.dtype)
         if x.ndim != self._input_ndim or not np.issubdtype(targets.dtype, np.integer):
             return None
         shards = self._shards(x)

@@ -27,8 +27,7 @@ from repro.engine.flat_buffer import ParamSpec
 def group_bounds(num_workers: int, num_groups: int) -> List[Tuple[int, int]]:
     """Split ``num_workers`` rows into ``num_groups`` contiguous near-even groups.
 
-    The one row split of the engine: a replica-pool child's group and a row
-    shard of the batched executor are both one of these ``(lo, hi)`` ranges.
+    A row shard of the batched executor is one of these ``(lo, hi)`` ranges.
     """
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -49,11 +48,9 @@ class WorkerMatrix:
     Storage dtype follows the spec's compute dtype (float64 default, float32
     in the reduced-precision engine mode).
 
-    ``params`` / ``grads`` may donate the backing arrays — e.g. views into a
-    :class:`~repro.parallel.shm.SharedMatrixStorage` segment, which is how the
-    multiprocessing replica pool makes one ``(N, D)`` matrix visible to every
-    worker process, or row-slices of a larger matrix (a pool child's group
-    sub-matrix).  Donated storage must be C-contiguous ``(num_workers, D)``
+    ``params`` / ``grads`` may donate the backing arrays — row slices of a
+    larger matrix, which is how the batched executor builds one row shard's
+    sub-matrix.  Donated storage must be C-contiguous ``(num_workers, D)``
     arrays of the spec's dtype; the matrix never copies or frees it.
     """
 
@@ -68,9 +65,8 @@ class WorkerMatrix:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(num_workers)
         self.spec = spec
-        # Donated storage (shared memory, stacked-sweep slices) is owned by
-        # someone else: the matrix must never reallocate or free it, which
-        # is what rules out resize() below.
+        # Donated storage (a row shard of another matrix) is owned by
+        # someone else and is never split again.
         self.owns_storage = params is None and grads is None
         self.params = self._check_storage(params, "params")
         self.grads = self._check_storage(grads, "grads")
@@ -120,39 +116,6 @@ class WorkerMatrix:
         """Zero-copy view of worker ``worker_id``'s flat gradients."""
         self._check_worker(worker_id)
         return self.grads[worker_id]
-
-    # ------------------------------------------------------------------ #
-    # elastic resize
-    # ------------------------------------------------------------------ #
-    def resize(self, new_num_workers: int) -> None:
-        """Grow or shrink the matrix to ``new_num_workers`` rows in place.
-
-        Overlapping rows are copied into freshly allocated storage (grown
-        rows start at zero; shrinking drops the tail rows).  Existing row
-        *views* — adopted modules, rebound optimizer state — keep aliasing
-        the old storage, so callers must re-adopt workers afterwards; the
-        elastic cluster layer in :mod:`repro.faults` prefers row *masking*
-        for exactly this reason and reserves resize for between-run
-        reshaping.  Donated storage (shared memory, stacked-sweep slices)
-        cannot be resized.
-        """
-        if new_num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {new_num_workers}")
-        if not self.owns_storage:
-            raise ValueError(
-                "cannot resize a WorkerMatrix over donated storage "
-                "(shared memory or stacked-sweep slices own the buffers)"
-            )
-        if new_num_workers == self.num_workers:
-            return
-        keep = min(self.num_workers, new_num_workers)
-        new_params = np.zeros((new_num_workers, self.spec.total_size), dtype=self.spec.dtype)
-        new_grads = np.zeros_like(new_params)
-        new_params[:keep] = self.params[:keep]
-        new_grads[:keep] = self.grads[:keep]
-        self.num_workers = int(new_num_workers)
-        self.params = new_params
-        self.grads = new_grads
 
     # ------------------------------------------------------------------ #
     # vectorized collectives

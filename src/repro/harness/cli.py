@@ -23,12 +23,6 @@ Run a registered scenario from the declarative registry (see
     python -m repro.harness.cli scenario fig6-delta-sweep --iterations 80 \
         --json /tmp/fig6.json
 
-Run a δ-sweep scenario through the fused stacked executor (one (S·N, D)
-batched pass per step instead of S sequential runs; bit-identical in
-float64)::
-
-    python -m repro.harness.cli scenario deep-mlp-delta-n64 --stacked
-
 Inject a seeded crash/straggler fault process (see :mod:`repro.faults`)::
 
     python -m repro.harness.cli run --workload deep_mlp --algorithm selsync \
@@ -49,7 +43,7 @@ Record runs to the persistent history and inspect their trends (see
     python -m repro.harness.cli scenario history quickstart --metrics lssr
 
 Compare benchmark artifacts — two-point or against the rolling stored
-baseline (the one engine behind the old ``benchmarks/compare_bench.py``)::
+baseline::
 
     python -m repro.harness.cli bench compare engine baseline.json current.json
     python -m repro.harness.cli bench compare engine current.json \
@@ -92,20 +86,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         choices=["float16", "float32", "float64"],
         help="simulated wire format for model payloads (default: float32 wire)",
     )
-    parser.add_argument(
-        "--pool-workers",
-        type=int,
-        default=0,
-        help="shard forward/backward over this many OS processes via the "
-        "shared-memory replica pool (0 = in-process)",
-    )
-    parser.add_argument(
-        "--pool-start-method",
-        default=None,
-        choices=["fork", "spawn", "forkserver"],
-        help="multiprocessing start method for the replica pool "
-        "(default: platform default, preferring fork)",
-    )
 
 
 def _algorithm_kwargs(args: argparse.Namespace) -> Dict[str, object]:
@@ -144,8 +124,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         eval_every=args.eval_every or max(args.iterations // 8, 1),
         dtype=args.dtype,
         transport_dtype=args.transport_dtype,
-        pool_workers=args.pool_workers,
-        pool_start_method=args.pool_start_method,
         fault_seed=args.fault_seed if faulty else None,
         failure_rate=args.failure_rate if faulty else None,
         straggler_fraction=args.straggler_fraction if faulty else None,
@@ -178,7 +156,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             args.workload, algorithm, num_workers=args.workers,
             iterations=args.iterations, seed=args.seed, eval_every=eval_every,
             dtype=args.dtype, transport_dtype=args.transport_dtype,
-            pool_workers=args.pool_workers, pool_start_method=args.pool_start_method,
             **kwargs,
         )
         results[label] = out.result
@@ -292,8 +269,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             num_workers=args.workers,
             seed=args.seed,
-            stacked=True if args.stacked else None,
-            max_stacked_rows=args.max_stacked_rows,
             fault_seed=args.fault_seed,
         ), record_to=args.record)
     except (ApiError, ScenarioError) as exc:
@@ -608,18 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_parser.add_argument(
         "--seed", type=int, default=None, help="override the scenario's seed"
-    )
-    scenario_parser.add_argument(
-        "--stacked",
-        action="store_true",
-        help="run a sweep scenario through the fused (S*N, D) stacked executor",
-    )
-    scenario_parser.add_argument(
-        "--max-stacked-rows",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="cap rows per fused slab in stacked mode (bit-identical chunking)",
     )
     scenario_parser.add_argument(
         "--fault-seed", type=int, default=None, metavar="SEED",

@@ -176,18 +176,11 @@ def build_cluster(
     topology: str = "ps",
     dtype: str = "float64",
     transport_dtype: Optional[str] = None,
-    pool_workers: int = 0,
-    pool_start_method: Optional[str] = None,
     eval_max_batches: Optional[int] = 4,
-    cluster_factory: Optional[Callable[..., SimulatedCluster]] = None,
     telemetry: Optional[str] = None,
 ) -> SimulatedCluster:
     """Construct the simulated cluster for a workload preset.
 
-    ``cluster_factory`` substitutes an alternative cluster constructor
-    called with the exact :class:`SimulatedCluster` keyword arguments — the
-    stacked sweep executor uses this to build
-    :class:`~repro.cluster.cluster.StackedSliceCluster` slices.
     ``telemetry`` names a JSONL trace-sink path: span tracing turns on for
     the process and the cluster flushes the file on ``close()``.
     """
@@ -201,14 +194,11 @@ def build_cluster(
         topology=topology,
         dtype=dtype,
         transport_dtype=transport_dtype,
-        pool_workers=pool_workers,
-        pool_start_method=pool_start_method,
         top_k=preset.top_k,
         eval_max_batches=eval_max_batches,
         telemetry=telemetry,
     )
-    factory = cluster_factory or SimulatedCluster
-    return factory(
+    return SimulatedCluster(
         model_factory=preset.model_factory,
         optimizer_factory=preset.optimizer_factory,
         train_dataset=bundle.train,
@@ -235,8 +225,19 @@ def make_trainer(
     ``staleness=100``, ``sync_period=8``, ``compressor=TopKCompressor()``).
     For SelSync every :class:`~repro.core.config.SelSyncConfig` field is
     accepted (``aggregation``, ``statistic``, ``sync_on_first_step``, …), or
-    pass a fully built ``config=SelSyncConfig(...)``.
+    pass a fully built ``config=SelSyncConfig(...)``.  A keyword the chosen
+    trainer does not take is a ``TypeError``, never silently dropped.
     """
+    trainer = _make_trainer(algorithm, cluster, preset, total_iterations, eval_every, kwargs)
+    if kwargs:
+        raise TypeError(
+            f"{algorithm!r} trainer got unexpected keyword arguments {sorted(kwargs)}"
+        )
+    return trainer
+
+
+def _make_trainer(algorithm, cluster, preset, total_iterations, eval_every, kwargs):
+    """:func:`make_trainer`'s dispatch; pops every keyword it consumes from ``kwargs``."""
     schedule = preset.lr_schedule_factory(total_iterations)
     key = algorithm.lower()
     if key == "bsp":
@@ -253,9 +254,11 @@ def make_trainer(
                 injection_alpha=kwargs.pop("injection_alpha", None),
                 injection_beta=kwargs.pop("injection_beta", None),
             )
-        return SelSyncTrainer(
+        trainer = SelSyncTrainer(
             cluster, config=config, lr_schedule=schedule, eval_every=eval_every, **kwargs
         )
+        kwargs.clear()   # the constructor took the rest or raised
+        return trainer
     if key == "fedavg":
         return FedAvgTrainer(
             cluster,
@@ -310,8 +313,6 @@ def run_experiment(
     batch_size: Optional[int] = None,
     dtype: str = "float64",
     transport_dtype: Optional[str] = None,
-    pool_workers: int = 0,
-    pool_start_method: Optional[str] = None,
     injection: Optional[Dict[str, float]] = None,
     telemetry_file: Optional[str] = None,
     fault_schedule=None,
@@ -329,13 +330,11 @@ def run_experiment(
     ``"float32"`` for the reduced-precision mode); ``transport_dtype``
     prices an alternative wire format on the simulated clock (``"float16"``
     halves every sync transfer without touching the arithmetic).
-    ``pool_workers`` shards forward/backward over that many OS processes via
-    the shared-memory replica pool (``0`` = in-process;
-    ``pool_start_method`` picks fork/spawn).  ``injection`` activates the
-    non-IID data-injection path: a dict with keys ``alpha``, ``beta`` (and
-    optionally ``delta``) sets the SelSync (α, β, δ) tuple and adjusts the
-    per-worker batch size to b′ per Eqn. (3).  ``telemetry_file`` enables
-    span tracing with a JSONL sink at that path (see :mod:`repro.telemetry`).
+    ``injection`` activates the non-IID data-injection path: a dict with
+    keys ``alpha``, ``beta`` (and optionally ``delta``) sets the SelSync
+    (α, β, δ) tuple and adjusts the per-worker batch size to b′ per Eqn. (3).
+    ``telemetry_file`` enables span tracing with a JSONL sink at that path
+    (see :mod:`repro.telemetry`).
 
     Fault injection (:mod:`repro.faults`): pass an explicit
     ``fault_schedule`` (a :class:`~repro.faults.schedule.FaultSchedule`),
@@ -345,7 +344,7 @@ def run_experiment(
     latest cluster checkpoint (cadence ``fault_checkpoint_every``; the
     step-0 snapshot always exists) and re-sync their parameters through the
     simulated wire.  Supported for lockstep trainers (``bsp``, ``selsync``,
-    ``local_sgd``) running in-process (``pool_workers=0``).
+    ``local_sgd``).
     """
     preset = build_workload(workload)
     faults_armed = (
@@ -356,11 +355,6 @@ def run_experiment(
             raise ValueError(
                 f"fault injection supports lockstep algorithms "
                 f"(bsp, selsync, local_sgd), got {algorithm!r}"
-            )
-        if pool_workers:
-            raise ValueError(
-                "fault injection and the replica pool are mutually exclusive "
-                "(set pool_workers=0): elastic worker masks are in-process only"
             )
         if fault_schedule is None:
             from repro.faults import FaultSchedule
@@ -402,8 +396,6 @@ def run_experiment(
             batch_size=effective_batch,
             dtype=dtype,
             transport_dtype=transport_dtype,
-            pool_workers=pool_workers,
-            pool_start_method=pool_start_method,
             telemetry=telemetry_file,
         )
         try:
@@ -429,8 +421,6 @@ def run_experiment(
     try:
         result = trainer.run(iterations, convergence=convergence)
     finally:
-        # Releases the replica pool's processes and shared-memory segments
-        # deterministically; a no-op for in-process clusters.
         cluster.close()
     if controller is not None:
         result.extras["fault_crashes"] = float(controller.crash_count)

@@ -168,8 +168,8 @@ class Dropout(Module):
     :class:`~repro.engine.dropout_stream.SharedDropoutStream` is attached
     (:meth:`use_shared_stream`), the layer instead takes its worker's row of
     the stream's deterministic per-(step, layer) mask block — the mode the
-    batched replica executor and the multiprocessing replica pool rely on
-    for exact cross-path / cross-process parity.
+    batched replica executor and its row shards rely on for exact parity
+    with the per-worker path.
     """
 
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:

@@ -131,7 +131,6 @@ class Module:
         param_vector: Optional[np.ndarray] = None,
         grad_vector: Optional[np.ndarray] = None,
         dtype=None,
-        preserve: bool = True,
     ) -> None:
         """Consolidate every parameter and gradient into contiguous buffers.
 
@@ -151,12 +150,6 @@ class Module:
         contents are preserved; the storage dtype must match).  Only flatten
         the root of a module tree: flattening a submodule afterwards would
         re-bind its parameters away from the root's buffer.
-
-        ``preserve=False`` re-binds onto donated storage *without* copying the
-        module's current values into it — the storage's contents win.  The
-        multiprocessing replica pool uses this to adopt a shared-memory
-        worker-matrix row in a child process without clobbering whatever
-        state the parent has already written there.
         """
         from repro.engine.dtypes import resolve_dtype
         from repro.engine.flat_buffer import FlatBuffer, ParamSpec
@@ -173,9 +166,9 @@ class Module:
                     f"{resolve_dtype(dtype).name} is not supported"
                 )
             if param_vector is not None:
-                self._flat_params.rebind(param_vector, preserve=preserve)
+                self._flat_params.rebind(param_vector)
             if grad_vector is not None:
-                self._flat_grads.rebind(grad_vector, preserve=preserve)
+                self._flat_grads.rebind(grad_vector)
         else:
             if dtype is None and param_vector is not None:
                 dtype = param_vector.dtype

@@ -1,9 +1,8 @@
 """Benchmark-file comparison: one engine for two-point diffs and history.
 
-This module owns what ``benchmarks/compare_bench.py`` accreted over PRs 3–7
-(that script is now a thin :class:`DeprecationWarning` shim): flattening the
+This module is the engine behind ``repro bench compare``: flattening the
 three benchmark artifacts into comparable metric rows, the two-point delta
-table, and — new — the store-backed rolling comparison behind
+table, and the store-backed rolling comparison behind
 ``repro bench compare --store``.
 
 The three artifact kinds share one uniform interface (:data:`BENCH_KINDS`):
@@ -12,7 +11,7 @@ The three artifact kinds share one uniform interface (:data:`BENCH_KINDS`):
     ``BENCH_engine.json`` — every numeric leaf under a ``steps_per_sec``
     key, higher is better.
 ``scenarios``
-    ``BENCH_scenarios.json`` — the ``stacked_sweep`` steps/sec rows plus a
+    ``BENCH_scenarios.json`` — any ``steps_per_sec`` rows plus a
     synthesized per-scenario sweep rate, higher is better.
 ``service``
     ``BENCH_service.json`` — submit/e2e latency percentiles, *lower* is
@@ -51,7 +50,6 @@ __all__ = [
     "load_service_metrics",
     "record_bench_file",
     "service_throughput_line",
-    "stacked_speedup_table",
 ]
 
 
@@ -86,8 +84,7 @@ def _scenario_sweep_rate(summary: dict) -> Optional[float]:
 def load_scenario_metrics(path: Path) -> Dict[str, float]:
     """Flatten a BENCH_scenarios.json file into comparable steps/sec rows.
 
-    Includes every ``steps_per_sec`` leaf (the ``stacked_sweep`` section's
-    sequential / stacked rates) plus one synthesized
+    Includes every ``steps_per_sec`` leaf plus one synthesized
     ``<scenario>.sweep_steps_per_sec`` row per scenario report.
     """
     report = json.loads(Path(path).read_text())
@@ -99,37 +96,6 @@ def load_scenario_metrics(path: Path) -> Dict[str, float]:
         if rate is not None:
             metrics[f"{name}.sweep_steps_per_sec"] = rate
     return metrics
-
-
-def stacked_speedup_table(path: Path) -> str:
-    """Markdown table of the current stacked-vs-sequential speedups.
-
-    Speedups are dimensionless, so unlike raw steps/sec they transfer
-    between hosts; an empty string is returned when the file has no
-    ``stacked_sweep`` section.
-    """
-    report = json.loads(Path(path).read_text())
-    section = report.get("stacked_sweep") or {}
-    scenarios = section.get("scenarios") or {}
-    if not scenarios:
-        return ""
-    lines = [
-        "### Stacked sweep executor: fused vs sequential",
-        "",
-        "| scenario | sequential (s) | stacked (s) | speedup | exact parity |",
-        "| --- | ---: | ---: | ---: | :--- |",
-    ]
-    for name in sorted(scenarios):
-        row = scenarios[name]
-        lines.append(
-            f"| {name} | {row['sequential_seconds']:.2f} | "
-            f"{row['stacked_seconds']:.2f} | {row['speedup']:.2f}x | "
-            f"{'yes' if row.get('exact_parity') else 'NO'} |"
-        )
-    cores = (section.get("config") or {}).get("cpu_count")
-    lines.append("")
-    lines.append(f"Measured on a host with {cores} cores.")
-    return "\n".join(lines)
 
 
 def load_service_metrics(path: Path) -> Dict[str, float]:
@@ -170,8 +136,8 @@ class BenchKind:
     load: Callable[[Path], Dict[str, float]]
     lower_is_better: bool
     title: str
-    #: Optional extra markdown rendered from the current file (speedup
-    #: tables, throughput lines).
+    #: Optional extra markdown rendered from the current file (throughput
+    #: lines).
     extras: Callable[[Path], List[str]] = lambda path: []
 
 
@@ -187,7 +153,6 @@ BENCH_KINDS: Dict[str, BenchKind] = {
         load=load_scenario_metrics,
         lower_is_better=False,
         title="### Scenario sweeps: baseline vs current (steps/sec)",
-        extras=lambda path: [t for t in [stacked_speedup_table(path)] if t],
     ),
     "service": BenchKind(
         name="service",

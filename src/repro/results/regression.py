@@ -1,7 +1,7 @@
 """History-aware regression detection against a rolling baseline.
 
-``compare_bench.py`` could only diff two points, so it could not tell a
-noisy blip from a real trend.  This module replaces the single checked-in
+A two-point diff against one checked-in baseline cannot tell a noisy blip
+from a real trend.  This module replaces the single checked-in
 baseline with a *rolling* one, in the spirit of the incremental
 changing-clusters-over-time analyses in PAPERS.md: membership of the
 "regressed" set is computed against a window of recent history, not one

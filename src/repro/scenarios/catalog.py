@@ -16,8 +16,6 @@ Tag conventions
     The large-N (64–256) sweeps that only became affordable with the
     batched engine; the nightly ``--run-scenarios`` job runs and archives
     these (see ``benchmarks/scenario_suite.py``).
-``pool``
-    Runs through the multiprocessing replica pool.
 ``faults``
     Fault-injection reliability scenarios (worker crashes, checkpoint
     rejoins, straggler bursts) with deterministic-replay and
@@ -224,26 +222,6 @@ for _n in PAPER_SCALE_WORKERS:
             tags=("paper-scale", "delta-sweep", "nightly", "transformer"),
         )
     )
-
-# The pooled variant rides the shared-memory replica pool: bit-identical
-# float64 trajectories mean the exact-endpoint contract must survive the
-# process boundary too.
-register_scenario(
-    SweepScenario(
-        name="deep-mlp-delta-n64-pooled",
-        title="δ sweep — deep-MLP analog, N=64, replica pool (2 processes)",
-        workload="deep_mlp",
-        algorithm="selsync",
-        grid={"delta": (0.0, 1.0, 1e9)},
-        fixed=dict(EXACT_ENDPOINT_FIXED),
-        num_workers=64,
-        iterations=12,
-        batch_size=4,
-        pool_workers=2,
-        verify_endpoints=True,
-        tags=("paper-scale", "delta-sweep", "pool"),
-    )
-)
 
 
 # --------------------------------------------------------------------------- #

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro import telemetry
 from repro.algorithms.base import TrainingResult
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
-from repro.harness.sweep import grid_sweep, run_sweep_stacked
+from repro.harness.sweep import grid_sweep
 from repro.metrics.convergence import ConvergenceDetector
 from repro.scenarios.registry import Scenario, get_scenario
 from repro.scenarios.spec import (
@@ -251,8 +251,6 @@ def _run_sweep(
         batch_size=scenario.batch_size,
         dtype=scenario.dtype,
         transport_dtype=scenario.transport_dtype,
-        pool_workers=scenario.pool_workers,
-        pool_start_method=scenario.pool_start_method,
     )
     report = ScenarioReport(
         name=scenario.name,
@@ -269,9 +267,6 @@ def _run_sweep(
             "fixed": dict(scenario.fixed),
             "dtype": scenario.dtype,
             "transport_dtype": scenario.transport_dtype,
-            "pool_workers": scenario.pool_workers,
-            "stacked": scenario.stacked,
-            "max_stacked_rows": scenario.max_stacked_rows,
             "tags": list(scenario.tags),
         },
     )
@@ -280,48 +275,23 @@ def _run_sweep(
     run_phases: List[Optional[Dict[str, float]]] = []
     sweep_phase_start = telemetry.phase_snapshot()
     sweep_start = time.perf_counter()
-    if scenario.stacked:
-        # One fused computation has no between-run checkpoint; check once.
+
+    def one_run(**params):
         _check_cancelled(cancel_check)
-        sweep = run_sweep_stacked(
+        start = time.perf_counter()
+        phase_start = telemetry.phase_snapshot()
+        out = run_experiment(
             scenario.workload,
             scenario.algorithm,
-            scenario.grid,
-            scenario.fixed,
-            num_workers=num_workers,
-            iterations=iterations,
-            seed=seed,
-            eval_every=eval_every,
-            batch_size=scenario.batch_size,
-            dtype=scenario.dtype,
-            transport_dtype=scenario.transport_dtype,
-            max_stacked_rows=scenario.max_stacked_rows,
+            **common,
+            **scenario.fixed,
+            **params,
         )
-        # One fused computation covered every grid point; attribute an equal
-        # share of the sweep's wall-clock to each run's record.  Phase time
-        # is likewise shared, so it lives in meta["phases"] only.
-        run_walls = [(time.perf_counter() - sweep_start) / len(sweep.runs)] * len(
-            sweep.runs
-        )
-        run_phases = [None] * len(sweep.runs)
-    else:
+        run_phases.append(telemetry.phase_delta(phase_start) or None)
+        run_walls.append(time.perf_counter() - start)
+        return out
 
-        def one_run(**params):
-            _check_cancelled(cancel_check)
-            start = time.perf_counter()
-            phase_start = telemetry.phase_snapshot()
-            out = run_experiment(
-                scenario.workload,
-                scenario.algorithm,
-                **common,
-                **scenario.fixed,
-                **params,
-            )
-            run_phases.append(telemetry.phase_delta(phase_start) or None)
-            run_walls.append(time.perf_counter() - start)
-            return out
-
-        sweep = grid_sweep(one_run, scenario.grid)
+    sweep = grid_sweep(one_run, scenario.grid)
     report.meta["sweep_wall_seconds"] = time.perf_counter() - sweep_start
     sweep_phases = telemetry.phase_delta(sweep_phase_start)
     if sweep_phases:
@@ -447,8 +417,6 @@ def _run_comparison(
                 convergence=convergence,
                 dtype=scenario.dtype,
                 transport_dtype=scenario.transport_dtype,
-                pool_workers=scenario.pool_workers,
-                pool_start_method=scenario.pool_start_method,
                 **kwargs,
             )
             report.results[f"{workload}/{label}"] = out.result
@@ -617,8 +585,6 @@ def run_scenario(
     iterations: Optional[int] = None,
     num_workers: Optional[int] = None,
     seed: Optional[int] = None,
-    stacked: Optional[bool] = None,
-    max_stacked_rows: Optional[int] = None,
     fault_seed: Optional[int] = None,
     cancel_check=None,
     record_to=None,
@@ -628,13 +594,8 @@ def run_scenario(
     ``iterations`` / ``num_workers`` / ``seed`` override the scenario's
     defaults without mutating it — the benchmark suite uses this to scale
     the same registered scenario between smoke and full-scale runs.
-    ``stacked`` / ``max_stacked_rows`` likewise switch a sweep scenario
-    between the sequential runner and the fused ``(S·N, D)`` executor (see
-    :func:`repro.harness.sweep.run_sweep_stacked`); the override re-runs the
-    scenario's own validation, so an unstackable scenario is rejected with a
-    :class:`ScenarioError` before any training starts.  Overrides are
-    rejected for analytic throughput scenarios, which have no training loop
-    to resize, and ``stacked`` overrides for non-sweep kinds.
+    Overrides are rejected for analytic throughput scenarios, which have no
+    training loop to resize.
 
     ``fault_seed`` re-seeds a fault scenario's generated schedule (rejected
     for other kinds); explicit-event schedules ignore it by construction.
@@ -657,19 +618,6 @@ def run_scenario(
                 f"scenario {scenario.name!r} is analytic; iterations/num_workers/"
                 "seed overrides do not apply"
             )
-    if stacked is not None or max_stacked_rows is not None:
-        if not isinstance(scenario, SweepScenario):
-            raise ScenarioError(
-                f"scenario {scenario.name!r} is a {scenario.kind} scenario; "
-                "stacked execution applies to sweep scenarios only"
-            )
-        overrides: Dict[str, Any] = {}
-        if stacked is not None:
-            overrides["stacked"] = bool(stacked)
-        if max_stacked_rows is not None:
-            overrides["max_stacked_rows"] = int(max_stacked_rows)
-        # replace() re-runs __post_init__, i.e. the stackability validation.
-        scenario = dataclasses.replace(scenario, **overrides)
     if fault_seed is not None:
         if not isinstance(scenario, FaultScenario):
             raise ScenarioError(

@@ -2,7 +2,7 @@
 
 A scenario captures *what* to run — workload preset, cluster size, trainer
 family, the parameter grid (δ / staleness / compression / …) and the engine
-knobs (compute dtype, transport dtype, replica pool) — without any run loop
+knobs (compute dtype, transport dtype) — without any run loop
 of its own.  :func:`repro.scenarios.runner.run_scenario` is the single
 executor for every kind; the benchmarks, examples and the CLI all look
 scenarios up in the :mod:`~repro.scenarios.registry` instead of hand-rolling
@@ -71,8 +71,6 @@ RESERVED_PARAMETERS = frozenset(
         "batch_size",
         "dtype",
         "transport_dtype",
-        "pool_workers",
-        "pool_start_method",
         "injection",
         "fault_schedule",
         "fault_seed",
@@ -154,20 +152,8 @@ class SweepScenario:
         Cluster and run-loop sizing.  ``eval_every=None`` defaults to
         ``max(iterations // 4, 1)`` at run time so iteration overrides keep
         a proportional evaluation cadence.
-    dtype / transport_dtype / pool_workers / pool_start_method:
+    dtype / transport_dtype:
         Engine knobs, forwarded verbatim to ``run_experiment``.
-    stacked:
-        Execute the whole grid as one fused ``(S·N, D)`` run through
-        :func:`repro.harness.sweep.run_sweep_stacked` instead of S
-        sequential ``run_experiment`` calls.  Bit-identical in float64.
-        Requires a lockstep algorithm (:data:`repro.harness.sweep.
-        STACKED_ALGORITHMS`), policy-only grid keys (:data:`repro.harness.
-        sweep.STACKABLE_GRID_KEYS`), a batchable workload (:data:`repro.
-        harness.sweep.STACKED_WORKLOADS`) and ``pool_workers=0``.
-    max_stacked_rows:
-        Optional cap on the rows per fused slab in stacked mode (chunked
-        execution is bit-identical to unchunked; this bounds the working
-        set of one fused pass).  Ignored unless ``stacked=True``.
     verify_endpoints:
         For δ-sweeps (requires ``algorithm="selsync"`` and a ``delta`` grid
         entry): additionally run the existing :class:`~repro.algorithms.bsp.
@@ -195,10 +181,6 @@ class SweepScenario:
     batch_size: Optional[int] = None
     dtype: str = "float64"
     transport_dtype: Optional[str] = None
-    pool_workers: int = 0
-    pool_start_method: Optional[str] = None
-    stacked: bool = False
-    max_stacked_rows: Optional[int] = None
     verify_endpoints: bool = False
     tags: Tuple[str, ...] = ()
 
@@ -229,13 +211,6 @@ class SweepScenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: eval_every must be >= 1, got {self.eval_every}"
             )
-        if self.max_stacked_rows is not None and self.max_stacked_rows < 1:
-            raise ScenarioError(
-                f"scenario {self.name!r}: max_stacked_rows must be >= 1 or None, "
-                f"got {self.max_stacked_rows}"
-            )
-        if self.stacked:
-            self._check_stackable(grid)
         if self.verify_endpoints:
             if self.algorithm != "selsync" or set(grid) != {"delta"}:
                 raise ScenarioError(
@@ -260,45 +235,6 @@ class SweepScenario:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "fixed", dict(self.fixed))
         object.__setattr__(self, "tags", tuple(self.tags))
-
-    def _check_stackable(self, grid: Mapping[str, Tuple[Any, ...]]) -> None:
-        """Reject stacked configurations run_sweep_stacked would refuse.
-
-        Mirrors :func:`repro.harness.sweep.run_sweep_stacked`'s up-front
-        restrictions (single source of truth: its module-level frozensets),
-        so an unstackable scenario fails at registration time instead of
-        hours into a nightly sweep.
-        """
-        from repro.harness.sweep import (
-            STACKABLE_GRID_KEYS,
-            STACKED_ALGORITHMS,
-            STACKED_WORKLOADS,
-        )
-
-        if self.algorithm not in STACKED_ALGORITHMS:
-            raise ScenarioError(
-                f"scenario {self.name!r}: stacked execution supports lockstep "
-                f"algorithms only ({sorted(STACKED_ALGORITHMS)}), "
-                f"got {self.algorithm!r}"
-            )
-        unstackable = set(grid) - STACKABLE_GRID_KEYS
-        if unstackable:
-            raise ScenarioError(
-                f"scenario {self.name!r}: grid keys {sorted(unstackable)} cannot "
-                f"vary across stacked slices (policy-only keys: "
-                f"{sorted(STACKABLE_GRID_KEYS)})"
-            )
-        if self.workload not in STACKED_WORKLOADS:
-            raise ScenarioError(
-                f"scenario {self.name!r}: workload {self.workload!r} is not "
-                f"supported by the batched replica executor (stackable "
-                f"workloads: {sorted(STACKED_WORKLOADS)})"
-            )
-        if self.pool_workers:
-            raise ScenarioError(
-                f"scenario {self.name!r}: stacked execution and the replica "
-                "pool are mutually exclusive (set pool_workers=0)"
-            )
 
     @property
     def kind(self) -> str:
@@ -336,8 +272,6 @@ class ComparisonScenario:
     convergence_min_delta: float = 1e-3
     dtype: str = "float64"
     transport_dtype: Optional[str] = None
-    pool_workers: int = 0
-    pool_start_method: Optional[str] = None
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

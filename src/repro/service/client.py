@@ -52,6 +52,26 @@ class ServiceClient:
         self.timeout = timeout
 
     # -- transport ----------------------------------------------------------- #
+    def _send(self, request: urllib.request.Request) -> str:
+        """Send ``request`` and return the decoded body of a 2xx response.
+
+        A non-2xx response raises :class:`ServiceClientError`.  Its body is
+        read and the response closed here: the ``HTTPError`` is chained as
+        ``__cause__``, so an open one would hold its socket for as long as
+        the raised error lives.
+        """
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                return response.read().decode("utf-8")
+        except urllib.error.HTTPError as exc:
+            try:
+                payload = json.loads(exc.read().decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                payload = {}
+            finally:
+                exc.close()
+            raise ServiceClientError(exc.code, payload) from exc
+
     def _request(
         self,
         method: str,
@@ -72,15 +92,7 @@ class ServiceClient:
             method=method,
             headers={"Content-Type": "application/json", "X-Tenant": self.tenant},
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                payload = {}
-            raise ServiceClientError(exc.code, payload) from exc
+        return json.loads(self._send(request))
 
     # -- endpoints ------------------------------------------------------------ #
     def describe(self) -> Dict[str, Any]:
@@ -96,15 +108,7 @@ class ServiceClient:
             method="GET",
             headers={"X-Tenant": self.tenant},
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                payload = {}
-            raise ServiceClientError(exc.code, payload) from exc
+        return self._send(request)
 
     def submit(self, action: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """Submit ``{action: payload}``; returns the queued job view."""

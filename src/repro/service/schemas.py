@@ -69,7 +69,7 @@ def _json_type(py_type: Any) -> Tuple[str, bool]:
 
 
 #: Dataclass fields never accepted from a payload: the service names ad-hoc
-#: scenarios itself, and pool start methods stay a server-side decision.
+#: scenarios itself.
 _DROPPED_FIELDS = frozenset({"name"})
 
 #: scenario-dataclass spelling → façade spelling.
@@ -118,7 +118,7 @@ def _build_schemas() -> Dict[str, Dict[str, Any]]:
     experiment_props = {
         key: dict(value)
         for key, value in request_props.items()
-        if key not in ("kind", "scenario", "grid", "options", "stacked", "max_stacked_rows")
+        if key not in ("kind", "scenario", "grid", "options")
     }
     for key in ("workload", "algorithm"):
         experiment_props[key].update(required=True, nullable=False)
@@ -137,8 +137,6 @@ def _build_schemas() -> Dict[str, Dict[str, Any]]:
             "iterations": {"type": "integer", "nullable": True, "required": False},
             "num_workers": {"type": "integer", "nullable": True, "required": False},
             "seed": {"type": "integer", "nullable": True, "required": False},
-            "stacked": {"type": "boolean", "nullable": True, "required": False},
-            "max_stacked_rows": {"type": "integer", "nullable": True, "required": False},
             "fault_seed": {"type": "integer", "nullable": True, "required": False},
         },
         "required": ["name"],
@@ -184,7 +182,7 @@ def validate_payload(action: str, payload: Mapping[str, Any]) -> None:
     """Structurally validate ``payload`` against :data:`SCHEMAS[action]`.
 
     Checks unknown keys, required keys, and JSON types; deep semantic
-    validation (grids, workload names, stackability) is
+    validation (grids, workload names) is
     :meth:`repro.api.RunRequest.validate`'s job.  Raises
     :class:`BadRequest` with a field-level message.
     """

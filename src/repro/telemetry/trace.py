@@ -1,4 +1,4 @@
-"""Span tracer: nested, thread- and process-aware timing spans.
+"""Span tracer: nested, thread-aware timing spans.
 
 A :class:`Span` records a name, ``trace_id``/``span_id``/``parent_id``
 lineage, a wall-clock ``start`` (``time.time``), a monotonic ``duration``
@@ -8,10 +8,8 @@ attributes.  Spans nest through a per-thread stack kept by the
 automatically parent to it — including across :class:`TaskManager` worker
 threads, which each get their own stack.
 
-Process-awareness comes in two parts: span ids embed the pid (so ids stay
-unique across ``ReplicaPool`` children), and :meth:`Tracer.adopt` grafts
-serialized child-process spans into the parent trace, reparenting child
-roots under the pipe round-trip span that produced them.
+Span and trace ids embed the pid, so traces written by several processes
+into one sink never collide.
 
 The disabled fast path is :data:`NULL_SPAN` — a slotted singleton whose
 ``__enter__``/``__exit__``/``set`` do nothing and allocate nothing, so hot
@@ -25,7 +23,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["NULL_SPAN", "Span", "Tracer", "summarize_trace"]
 
@@ -141,15 +139,14 @@ class Tracer:
     def __init__(self, sink_path: Optional[str] = None):
         self._local = threading.local()
         self._lock = threading.Lock()
-        # Mixed Span objects (hot path defers dict building) and adopted dicts.
-        self._buffer: List[Any] = []
+        # Finished Span objects: the hot path defers building their dicts.
+        self._buffer: List[Span] = []
         self._phase_totals: Dict[str, float] = {}
         self._sink_path = sink_path
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         # Per-process/per-tracer constants so the hot path never re-queries
-        # them: a pool child builds its own Tracer after fork/spawn, so the
-        # cached pid is always the reporting process's pid.
+        # them.
         self._pid = os.getpid()
         self._id_prefix = "%x-" % self._pid
         self._trace_prefix = "t%x-" % self._pid
@@ -185,30 +182,6 @@ class Tracer:
         if overflow:
             self.flush()
 
-    # -- cross-process merge ------------------------------------------------- #
-    def adopt(
-        self, spans: Iterable[Dict[str, Any]], parent: Optional[Span] = None
-    ) -> None:
-        """Graft serialized child-process spans into this trace.
-
-        Every adopted span joins ``parent``'s trace; child *roots* (spans
-        whose parent is not among the adopted batch) are reparented under
-        ``parent`` itself, so a pool child's step timings hang off the pipe
-        round-trip span that requested them.
-        """
-        spans = [dict(span) for span in spans]
-        local_ids = {span["span_id"] for span in spans}
-        with self._lock:
-            for span in spans:
-                if parent is not None:
-                    span["trace_id"] = parent.trace_id
-                    if span.get("parent_id") not in local_ids:
-                        span["parent_id"] = parent.span_id
-                self._buffer.append(span)
-                self._phase_totals[span["name"]] = self._phase_totals.get(
-                    span["name"], 0.0
-                ) + span.get("duration", 0.0)
-
     # -- inspection ---------------------------------------------------------- #
     def phase_totals(self) -> Dict[str, float]:
         """Cumulative seconds per span name (cheap snapshot for records)."""
@@ -216,10 +189,10 @@ class Tracer:
             return dict(self._phase_totals)
 
     def drain(self) -> List[Dict[str, Any]]:
-        """Return and clear the in-memory buffer (child→parent transport)."""
+        """Return and clear the in-memory buffer as span dicts."""
         with self._lock:
             spans, self._buffer = self._buffer, []
-        return [s.to_dict() if isinstance(s, Span) else s for s in spans]
+        return [s.to_dict() for s in spans]
 
     # -- sink ---------------------------------------------------------------- #
     def set_sink(self, path: Optional[str]) -> None:
@@ -243,8 +216,7 @@ class Tracer:
             return 0
         with open(self._sink_path, "a", encoding="utf-8") as sink:
             for span in spans:
-                record = span.to_dict() if isinstance(span, Span) else span
-                sink.write(json.dumps(record) + "\n")
+                sink.write(json.dumps(span.to_dict()) + "\n")
         return len(spans)
 
 

@@ -15,6 +15,34 @@ from repro.harness.experiment import run_experiment
 from repro.scenarios import ScenarioError, run_scenario
 
 
+#: ``config_hash`` of each catalog scenario's default request, as computed
+#: before the stacked-sweep and replica-pool knobs were removed.  Stored runs
+#: are keyed by this hash, so it must not move.
+CATALOG_REQUEST_HASHES = {
+    "deep-mlp-delta-n128": "0858806586d3e8fb",
+    "deep-mlp-delta-n256": "6c2c69337510dffa",
+    "deep-mlp-delta-n64": "a1bd82954f0d2385",
+    "delta-sweep-alexnet": "b1a013b85d134352",
+    "delta-sweep-deep_mlp": "1e597e3de98ead66",
+    "delta-sweep-resnet101": "fc7d08044673a9ec",
+    "delta-sweep-transformer": "2c1c4b54b3c13de8",
+    "delta-sweep-vgg11": "80fb25a439ed019a",
+    "fault-random-deep-mlp-bsp": "5d8cf1ba6b825442",
+    "fault-replay-deep-mlp": "a350f8fbed5c76be",
+    "fault-replay-transformer": "41aa19815c6ec37d",
+    "fig1a-throughput": "6dffdefd25564447",
+    "fig6-delta-sweep": "c1645286bb0ecaf0",
+    "fig6-transformer-delta-sweep": "dafe2aac1c136558",
+    "quickstart": "b0c8a5a49a4851a1",
+    "table1-comparison": "a70bfbdea68b09e7",
+    "table1-comparison-full": "0094823a7ed42f30",
+    "table1-transformer": "9a0a81e92e2e6a18",
+    "transformer-delta-n128": "cb96f1031d2434b2",
+    "transformer-delta-n256": "37767ae6ef9b75b0",
+    "transformer-delta-n64": "4915f7323fa90365",
+}
+
+
 class TestRunRequest:
     def test_kind_is_validated(self):
         with pytest.raises(ApiError, match="unknown request kind"):
@@ -66,9 +94,6 @@ class TestRunRequest:
                              grid={"seed": [1, 2]})  # reserved run setting
         with pytest.raises((ApiError, ScenarioError)):
             request.validate()
-        with pytest.raises((ApiError, ScenarioError), match="stacked"):
-            RunRequest(kind="scenario", scenario="table1-comparison",
-                       stacked=True).validate()
         with pytest.raises((ApiError, ScenarioError), match="analytic"):
             RunRequest(kind="scenario", scenario="fig1a-throughput",
                        iterations=5).validate()
@@ -198,3 +223,55 @@ class TestRunExecution:
         json.dumps(payload)  # must not raise
         assert payload["kind"] == "throughput"
         assert payload["records"] == out.records
+
+
+#: One valid payload per request kind.
+VALID_PAYLOADS = {
+    "experiment": {"workload": "deep_mlp", "algorithm": "bsp"},
+    "sweep": {"workload": "deep_mlp", "grid": {"delta": [0.1]}},
+    "comparison": {"options": {"methods": {"bsp": ["bsp", {}]}}},
+    "throughput": {"options": {"workloads": ["resnet101"]}},
+    "scenario": {"scenario": "quickstart"},
+}
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("kind", sorted(VALID_PAYLOADS))
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("pool_workers", 2), ("pool_start_method", "fork"),
+         ("stacked", True), ("max_stacked_rows", 8)],
+    )
+    def test_from_dict_rejects_them_as_unknown_fields(self, knob, value, kind):
+        payload = {"kind": kind, **VALID_PAYLOADS[kind]}
+        RunRequest.from_dict(payload).validate()
+        with pytest.raises(ApiError, match=rf"unknown request fields \['{knob}'\]"):
+            RunRequest.from_dict({**payload, knob: value})
+
+
+class TestStoredRunIdentity:
+    def test_every_catalog_scenario_has_a_pinned_hash(self):
+        from repro.scenarios import scenario_names
+
+        assert sorted(scenario_names()) == sorted(CATALOG_REQUEST_HASHES)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_REQUEST_HASHES))
+    def test_catalog_request_hash_is_unchanged(self, name):
+        from repro.results.provenance import config_hash
+
+        request = RunRequest(kind="scenario", scenario=name)
+        assert config_hash(request.to_dict()) == CATALOG_REQUEST_HASHES[name]
+
+    def test_ledger_request_hashes_are_unchanged(self):
+        from repro.results.provenance import config_hash
+
+        sweep = RunRequest(kind="sweep", workload="deep_mlp", algorithm="selsync",
+                           grid={"delta": [0.0, 0.1, 0.3, 0.5]}, num_workers=16,
+                           iterations=60, seed=7)
+        experiment = request_from_action(
+            "experiment",
+            {"workload": "deep_mlp", "algorithm": "selsync", "num_workers": 8,
+             "iterations": 150, "seed": 7, "params": {"delta": 0.25}},
+        )
+        assert config_hash(sweep.to_dict()) == "f45d2e68b88c4639"
+        assert config_hash(experiment.to_dict()) == "f62f8822aa3aa263"

@@ -138,6 +138,13 @@ class TestClusterConstruction:
         with pytest.raises(ValueError):
             ClusterConfig(workload="bert")
 
+    @pytest.mark.parametrize("knob, value", [("pool_workers", 2), ("pool_start_method", "fork")])
+    def test_removed_pool_knobs_are_type_errors(self, knob, value):
+        # The process pool is gone; a config naming it must not build an
+        # in-process cluster as if the knob had been honoured.
+        with pytest.raises(TypeError, match=knob):
+            ClusterConfig(**{knob: value})
+
 
 class TestClusterTimeCharging:
     def test_compute_step_advances_clock(self, dataset, test_dataset):

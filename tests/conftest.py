@@ -128,5 +128,5 @@ def make_small_cluster(
 
 
 @pytest.fixture
-def small_cluster_factory():
+def small_cluster_builder():
     return make_small_cluster

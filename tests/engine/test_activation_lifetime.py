@@ -151,8 +151,7 @@ class TestAFailedStepLeavesNothingBehind:
 
     def test_rejected_targets_leave_no_cache(self, sharded):
         exe, cluster, batches, _ = sharded
-        x = np.stack([b[0] for b in batches])
-        assert exe.step_stacked(x, np.stack([b[1] for b in batches])[:, :, :-1]) is None
+        assert exe.step([(x, y[:, :-1]) for x, y in batches]) is None
         _assert_holds_no_activation(exe, cluster.matrix)
 
 

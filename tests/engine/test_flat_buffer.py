@@ -141,6 +141,32 @@ class TestModuleFlattening:
         view["w"][0, 0] = 11.0
         assert m.w.data[0, 0] == 11.0
 
+    def test_reflattening_moves_parameter_values_onto_the_new_storage(self):
+        m = _Tiny()
+        m.flatten_parameters()
+        before = m.param_vector.copy()
+        old = m.param_vector
+        storage = np.full(m.flat_spec.total_size, -5.0)
+        m.flatten_parameters(param_vector=storage)
+        np.testing.assert_array_equal(storage, before)
+        m.w.data[0, 0] = 8.0
+        assert storage[0] == 8.0 and old[0] == before[0]
+
+    def test_reflattening_moves_gradients_onto_the_new_storage(self):
+        m = _Tiny()
+        m.flatten_parameters()
+        m.w.grad += 3.0
+        storage = np.zeros(m.flat_spec.total_size)
+        m.flatten_parameters(grad_vector=storage)
+        assert np.all(storage[:4] == 3.0) and np.all(storage[4:] == 0.0)
+        m.zero_grad()
+        assert not storage.any()
+
+    def test_rebinding_onto_its_own_vector_keeps_the_values(self):
+        buf = FlatBuffer.from_tree({"w": np.arange(3.0)})
+        buf.rebind(buf.vector)
+        np.testing.assert_array_equal(buf["w"], np.arange(3.0))
+
 
 class TestWorkerMatrix:
     def _adopted(self, n=3):

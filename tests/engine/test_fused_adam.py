@@ -36,8 +36,8 @@ class TestBuild:
         cluster = make_adam_cluster()
         assert isinstance(cluster.fused_update, FusedAdamUpdate)
 
-    def test_sgd_cluster_still_gets_fused_sgd(self, small_cluster_factory):
-        cluster = small_cluster_factory(momentum=0.9)
+    def test_sgd_cluster_still_gets_fused_sgd(self, small_cluster_builder):
+        cluster = small_cluster_builder(momentum=0.9)
         assert isinstance(cluster.fused_update, FusedSGDUpdate)
 
     def test_non_uniform_hyperparams_fall_back(self):

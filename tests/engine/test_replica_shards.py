@@ -12,18 +12,56 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.core.config import SelSyncConfig
 from repro.core.selsync import SelSyncTrainer
+from repro.data.datasets import make_image_splits, make_sequence_splits
+from repro.data.partition import SelSyncPartitioner
 from repro.engine import replica_exec as rx
 from repro.engine import threads
-from repro.harness.experiment import build_cluster, build_workload
-from tests.parallel.test_pool_trainers import make_conv_cluster, make_lm_cluster
+from repro.harness.experiment import build_cluster, build_workload, make_trainer
+from repro.nn.models import ConvNet, TransformerLM
+from repro.optim.sgd import SGD
 
 STEPS = 3
+
+
+def make_conv_cluster(num_workers=4, seed=0, **config_kwargs):
+    train, test = make_image_splits(256, 64, 4, in_channels=1, image_size=8, seed=seed)
+    return SimulatedCluster(
+        model_factory=lambda rng: ConvNet(
+            in_channels=1, num_classes=4, image_size=8, channels=(3, 5), rng=rng
+        ),
+        optimizer_factory=lambda m: SGD(m, lr=0.05, momentum=0.9),
+        train_dataset=train,
+        test_dataset=test,
+        config=ClusterConfig(num_workers=num_workers, batch_size=8, seed=seed, **config_kwargs),
+        partitioner=SelSyncPartitioner(seed=seed),
+    )
+
+
+def make_lm_cluster(num_workers=4, seed=0, dropout=0.3, **config_kwargs):
+    train, test = make_sequence_splits(4096, 512, 32, bptt=8, seed=seed)
+    config = ClusterConfig(
+        num_workers=num_workers, batch_size=4, seed=seed, task="language_modeling",
+        workload="transformer", **config_kwargs,
+    )
+    return SimulatedCluster(
+        model_factory=lambda rng: TransformerLM(
+            vocab_size=32, d_model=16, num_heads=2, num_layers=2,
+            dim_feedforward=32, dropout=dropout, rng=rng,
+        ),
+        optimizer_factory=lambda m: SGD(m, lr=0.1),
+        train_dataset=train,
+        test_dataset=test,
+        config=config,
+        partitioner=SelSyncPartitioner(seed=seed),
+    )
 
 
 @pytest.fixture
@@ -125,6 +163,67 @@ class TestShardCountNeverChangesTheBits:
             cluster.close()
 
 
+#: Every trainer whose step goes through the batched executor.
+BATCHED_TRAINERS = {
+    "bsp": {},
+    "selsync": {"delta": 0.05},
+    "local_sgd": {"sync_period": 2},
+    "fedavg": {"participation": 0.5},
+    "compressed_bsp": {},
+}
+
+
+class TestShardsUnderEveryTrainer:
+    def _run(self, algorithm, dtype):
+        from repro.compression import TopKCompressor
+
+        kwargs = dict(BATCHED_TRAINERS[algorithm])
+        if algorithm == "compressed_bsp":
+            kwargs["compressor"] = TopKCompressor(ratio=0.1)
+        preset = build_workload("deep_mlp")
+        cluster = build_cluster(preset, num_workers=5, seed=3, dtype=dtype)
+        try:
+            trainer = make_trainer(algorithm, cluster, preset, total_iterations=6,
+                                   eval_every=3, **kwargs)
+            result = trainer.run(6)
+            return result, cluster.matrix.params.copy(), sorted(cluster.replica_exec._chains)
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("algorithm", sorted(BATCHED_TRAINERS))
+    def test_run_equal_for_one_and_two_shards(self, cores, algorithm, dtype):
+        # Sync decisions, evaluations and the simulated clock all come out of
+        # the gradients, so the whole result must match, not only the params.
+        cores(1)
+        reference = self._run(algorithm, dtype)
+        cores(2)
+        sharded = self._run(algorithm, dtype)
+        assert reference[2] == [1] and sharded[2] == [1, 2]
+        assert sharded[0] == reference[0]
+        np.testing.assert_array_equal(sharded[1], reference[1])
+
+
+class TestShardsUnderTracing:
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_forward_and_one_backward_span_per_step(self, cores, count):
+        from repro import telemetry
+
+        cores(count)
+        cluster = make_lm_cluster(num_workers=4, dropout=0.0)
+        telemetry.configure(tracing=True)
+        try:
+            for _ in range(2):
+                assert cluster.replica_exec.step(cluster.next_batches()) is not None
+            spans = [s for s in telemetry.get_tracer().drain() if s["name"].startswith("engine.")]
+        finally:
+            telemetry.reset()
+            cluster.close()
+        assert [s["name"] for s in spans] == ["engine.forward", "engine.backward"] * 2
+        # The shard threads open no spans of their own.
+        assert {s["thread"] for s in spans} == {threading.current_thread().name}
+
+
 class TestTheSizeRule:
     def _no_pool(self, monkeypatch):
         def boom():
@@ -168,8 +267,7 @@ class TestTheSizeRule:
             cluster.close()
 
     def test_donated_rows_keep_one_shard(self, monkeypatch):
-        # A stacked-sweep slab, a pool child's group and a shard's own
-        # sub-matrix are units of a wider plan already.
+        # A shard's own sub-matrix is a unit of a wider plan already.
         monkeypatch.setattr(threads, "usable_cores", lambda: 2)
         self_owned = _deep_mlp_cluster(4, "float64")
         try:
@@ -205,29 +303,10 @@ def test_one_usable_core_never_pins_blas_or_starts_the_pool():
     }
 
 
-@pytest.mark.pool
 # Python >= 3.12 warns on any fork of a multi-threaded process; forking one is
 # the point here.
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 class TestForkAfterShards:
-    def test_fork_pool_cluster_steps_after_the_parent_sharded(self, cores):
-        cores(2)
-        parent = make_lm_cluster(num_workers=4, dropout=0.1)
-        try:
-            assert parent.replica_exec.step(parent.next_batches()) is not None
-            assert threads._pool is not None      # the parent now has a shard thread
-        finally:
-            parent.close()
-        reference = _trajectory(make_lm_cluster(num_workers=4, dropout=0.1))
-        # Children fork from a process with a live shard thread and a pinned
-        # BLAS; their group executors keep one shard and must not wait on a
-        # pool whose threads stayed behind in the parent.
-        pooled = make_lm_cluster(
-            num_workers=4, dropout=0.1, pool_workers=2, pool_start_method="fork"
-        )
-        pooled.pool.step_timeout = 60.0
-        _assert_same(reference, _trajectory(pooled))
-
     def test_a_forked_child_starts_without_the_parents_threads(self, cores):
         cores(2)
         cluster = make_lm_cluster(num_workers=4, dropout=0.0)

@@ -95,21 +95,21 @@ def test_roundtrip_matches_uninterrupted_run(algorithm, workload):
 
 
 class TestCheckpointMechanics:
-    def test_checkpoint_holds_copies_not_views(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_checkpoint_holds_copies_not_views(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         ckpt = snapshot_cluster(cluster)
         before = ckpt.params.copy()
         cluster.matrix.params += 3.0
         np.testing.assert_array_equal(ckpt.params, before)
 
-    def test_restore_rejects_mismatched_worker_count(self, small_cluster_factory):
-        small = small_cluster_factory(num_workers=2)
-        big = small_cluster_factory(num_workers=3)
+    def test_restore_rejects_mismatched_worker_count(self, small_cluster_builder):
+        small = small_cluster_builder(num_workers=2)
+        big = small_cluster_builder(num_workers=3)
         with pytest.raises(ValueError, match="workers"):
             restore_cluster(big, snapshot_cluster(small))
 
-    def test_cluster_checkpoint_api_roundtrip(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_cluster_checkpoint_api_roundtrip(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         batches = cluster.next_batches()
         cluster.compute_gradients_all(batches)
         cluster.apply_local_updates()
@@ -127,8 +127,8 @@ class TestCheckpointMechanics:
         assert cluster.clock.elapsed == elapsed
         assert cluster.active_mask.all()
 
-    def test_restore_resumes_identical_data_stream(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_restore_resumes_identical_data_stream(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         ckpt = cluster.checkpoint()
         expected = cluster.next_batches()
         cluster.next_batches()  # advance further before restoring

@@ -5,17 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.sweep_exec import StackedSweepMatrix
-from repro.engine.worker_matrix import WorkerMatrix
-from repro.nn.models import MLP
-from tests.conftest import make_small_cluster
-
 pytestmark = pytest.mark.faults
 
 
 class TestActiveSet:
-    def test_deactivate_and_reactivate_roundtrip(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=4)
+    def test_deactivate_and_reactivate_roundtrip(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=4)
         cluster.deactivate_worker(2)
         assert cluster.num_active == 3
         assert list(cluster.active_indices) == [0, 1, 3]
@@ -23,9 +18,9 @@ class TestActiveSet:
         assert cluster.active_mask.all()
 
     def test_double_deactivate_and_double_reactivate_rejected(
-        self, small_cluster_factory
+        self, small_cluster_builder
     ):
-        cluster = small_cluster_factory(num_workers=3)
+        cluster = small_cluster_builder(num_workers=3)
         cluster.deactivate_worker(1)
         with pytest.raises(ValueError, match="already inactive"):
             cluster.deactivate_worker(1)
@@ -33,44 +28,35 @@ class TestActiveSet:
         with pytest.raises(ValueError, match="already active"):
             cluster.reactivate_worker(1)
 
-    def test_last_active_worker_protected(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_last_active_worker_protected(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         cluster.deactivate_worker(0)
         with pytest.raises(ValueError, match="last active worker"):
             cluster.deactivate_worker(1)
 
-    def test_out_of_range_worker_rejected(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_out_of_range_worker_rejected(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         with pytest.raises(ValueError, match="worker_id"):
             cluster.deactivate_worker(5)
 
-    def test_primary_worker_skips_crashed_worker_zero(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_primary_worker_skips_crashed_worker_zero(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         assert cluster.primary_worker.worker_id == 0
         cluster.deactivate_worker(0)
         assert cluster.primary_worker.worker_id == 1
 
-    @pytest.mark.pool
-    def test_pool_cluster_rejects_elastic_masks(self):
-        cluster = make_small_cluster(num_workers=2, pool_workers=2)
-        try:
-            with pytest.raises(RuntimeError, match="replica pool"):
-                cluster.deactivate_worker(0)
-        finally:
-            cluster.close()
-
 
 class TestMaskedBatchesAndCompute:
-    def test_next_batches_returns_none_at_crashed_slots(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_next_batches_returns_none_at_crashed_slots(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         cluster.deactivate_worker(1)
         batches = cluster.next_batches()
         assert batches[1] is None
         assert batches[0] is not None and batches[2] is not None
 
-    def test_crashed_loader_does_not_advance(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
-        reference = small_cluster_factory(num_workers=2)
+    def test_crashed_loader_does_not_advance(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
+        reference = small_cluster_builder(num_workers=2)
         cluster.deactivate_worker(1)
         cluster.next_batches()
         cluster.reactivate_worker(1)
@@ -81,9 +67,9 @@ class TestMaskedBatchesAndCompute:
         np.testing.assert_array_equal(resumed[0], expected[0])
         np.testing.assert_array_equal(resumed[1], expected[1])
 
-    def test_masked_compute_matches_unmasked_active_rows(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=4, seed=3)
-        reference = small_cluster_factory(num_workers=4, seed=3)
+    def test_masked_compute_matches_unmasked_active_rows(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=4, seed=3)
+        reference = small_cluster_builder(num_workers=4, seed=3)
         ref_batches = reference.next_batches()
         ref_losses = reference.compute_gradients_all(ref_batches)
 
@@ -100,8 +86,8 @@ class TestMaskedBatchesAndCompute:
             )
         assert not cluster.matrix.grads[1].any()
 
-    def test_masked_update_freezes_crashed_rows(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3, seed=1)
+    def test_masked_update_freezes_crashed_rows(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3, seed=1)
         cluster.deactivate_worker(2)
         frozen = cluster.matrix.params[2].copy()
         batches = cluster.next_batches()
@@ -112,8 +98,8 @@ class TestMaskedBatchesAndCompute:
             cluster.matrix.params[0], frozen
         )  # live rows did step
 
-    def test_masked_aggregation_ignores_crashed_rows(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_masked_aggregation_ignores_crashed_rows(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         cluster.matrix.params[0] = 1.0
         cluster.matrix.params[1] = 5.0
         cluster.matrix.params[2] = 3.0
@@ -123,8 +109,8 @@ class TestMaskedBatchesAndCompute:
         flat = np.concatenate([v.ravel() for v in mean_state.values()])
         np.testing.assert_allclose(flat, 2.0)
 
-    def test_broadcast_skips_crashed_rows(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_broadcast_skips_crashed_rows(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         cluster.deactivate_worker(1)
         stale = cluster.matrix.params[1].copy()
         cluster.broadcast_state(
@@ -135,126 +121,118 @@ class TestMaskedBatchesAndCompute:
         np.testing.assert_allclose(cluster.matrix.params[2], 9.0)
 
 
+def _conv_cluster(num_workers=4, seed=3):
+    from repro.cluster.cluster import ClusterConfig, SimulatedCluster
+    from repro.data.datasets import make_image_splits
+    from repro.data.partition import SelSyncPartitioner
+    from repro.nn.models import ConvNet
+    from repro.optim.sgd import SGD
+
+    train, test = make_image_splits(256, 64, 4, in_channels=1, image_size=8, seed=seed)
+    return SimulatedCluster(
+        model_factory=lambda rng: ConvNet(
+            in_channels=1, num_classes=4, image_size=8, channels=(3, 5), rng=rng
+        ),
+        optimizer_factory=lambda m: SGD(m, lr=0.05),
+        train_dataset=train,
+        test_dataset=test,
+        config=ClusterConfig(num_workers=num_workers, batch_size=8, seed=seed),
+        partitioner=SelSyncPartitioner(seed=seed),
+    )
+
+
+def _dropout_lm_cluster(num_workers=4, seed=3):
+    # Active dropout drawn from the shared stream: the batched path, with
+    # masks that depend on the global row.
+    from repro.cluster.cluster import ClusterConfig, SimulatedCluster
+    from repro.data.datasets import make_sequence_splits
+    from repro.data.partition import SelSyncPartitioner
+    from repro.nn.models import TransformerLM
+    from repro.optim.sgd import SGD
+
+    train, test = make_sequence_splits(2048, 256, 32, bptt=8, seed=seed)
+    return SimulatedCluster(
+        model_factory=lambda rng: TransformerLM(
+            vocab_size=32, d_model=16, num_heads=2, num_layers=1,
+            dim_feedforward=32, dropout=0.2, rng=rng,
+        ),
+        optimizer_factory=lambda m: SGD(m, lr=0.1),
+        train_dataset=train,
+        test_dataset=test,
+        config=ClusterConfig(num_workers=num_workers, batch_size=4, seed=seed,
+                             task="language_modeling", workload="transformer"),
+        partitioner=SelSyncPartitioner(seed=seed),
+    )
+
+
+FAMILIES = ["convnet", "mlp", "transformer-dropout"]
+
+
+@pytest.fixture
+def family_cluster(small_cluster_builder):
+    """``family_cluster(name)``: a fresh 4-worker cluster of a batched family."""
+    builders = {
+        "mlp": lambda: small_cluster_builder(num_workers=4, seed=3),
+        "convnet": _conv_cluster,
+        "transformer-dropout": _dropout_lm_cluster,
+    }
+    return lambda family: builders[family]()
+
+
+class TestMaskedBatchedFamilies:
+    # The MLP case is TestMaskedBatchesAndCompute's.
+    @pytest.mark.parametrize("family", ["convnet", "transformer-dropout"])
+    def test_masked_step_matches_the_unmasked_active_rows(self, family_cluster, family):
+        cluster, reference = family_cluster(family), family_cluster(family)
+        assert cluster.replica_exec is not None
+        ref_batches = reference.next_batches()
+        ref_losses = reference.compute_gradients_all(ref_batches)
+        cluster.deactivate_worker(2)
+        batches = list(ref_batches)
+        batches[2] = None
+        losses = cluster.compute_gradients_all(batches)
+        assert losses == [ref_losses[0], ref_losses[1], ref_losses[3]]
+        for row in (0, 1, 3):
+            np.testing.assert_array_equal(cluster.matrix.grads[row], reference.matrix.grads[row])
+        assert not cluster.matrix.grads[2].any()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_reactivating_restores_the_full_step(self, family_cluster, family):
+        cluster = family_cluster(family)
+        cluster.deactivate_worker(1)
+        cluster.compute_gradients_all(cluster.next_batches())
+        assert not cluster.matrix.grads[1].any()
+        cluster.reactivate_worker(1)
+        losses = cluster.compute_gradients_all(cluster.next_batches())
+        assert len(losses) == 4 and all(loss > 0.0 for loss in losses)
+        assert all(cluster.matrix.grads[row].any() for row in range(4))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_placeholder_row_leaves_the_crashed_worker_untouched(self, family_cluster, family):
+        # A crashed slot computes against a stand-in batch to keep the fused
+        # shapes; none of that may show up on the crashed worker.
+        cluster = family_cluster(family)
+        crashed = cluster.workers[3]
+        crashed.last_loss, crashed.last_grad_norm = -1.0, -1.0
+        cluster.deactivate_worker(3)
+        cluster.compute_gradients_all(cluster.next_batches())
+        assert (crashed.last_loss, crashed.last_grad_norm) == (-1.0, -1.0)
+        assert all(cluster.workers[i].last_loss > 0.0 for i in range(3))
+
+
 class TestFaultClockCharging:
-    def test_crashed_workers_charge_no_compute_time(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_crashed_workers_charge_no_compute_time(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         cluster.deactivate_worker(1)
         durations = cluster.charge_compute_step()
         assert durations[1] == 0.0
         assert durations[0] > 0.0 and durations[2] > 0.0
         assert cluster.clock.worker_elapsed(1) == 0.0
 
-    def test_fault_speed_scale_slows_compute(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_fault_speed_scale_slows_compute(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         baseline = cluster.charge_compute_step()
         cluster.fault_speed_scale[1] = 1.0 / 3.0
         slowed = cluster.charge_compute_step()
         assert slowed[0] == pytest.approx(baseline[0])
         assert slowed[1] == pytest.approx(3.0 * baseline[1])
-
-
-class TestWorkerMatrixResize:
-    def _spec(self):
-        model = MLP((6, 8, 3), rng=np.random.default_rng(0))
-        model.flatten_parameters()
-        return model.flat_spec
-
-    def test_grow_preserves_rows_and_zeroes_new_ones(self):
-        matrix = WorkerMatrix(2, self._spec())
-        matrix.params[:] = 7.0
-        matrix.resize(4)
-        assert matrix.params.shape[0] == 4
-        np.testing.assert_allclose(matrix.params[:2], 7.0)
-        np.testing.assert_allclose(matrix.params[2:], 0.0)
-
-    def test_shrink_drops_tail_rows(self):
-        matrix = WorkerMatrix(4, self._spec())
-        matrix.params[:] = np.arange(4)[:, None]
-        matrix.resize(2)
-        np.testing.assert_allclose(matrix.params[:, 0], [0.0, 1.0])
-
-    def test_donated_storage_cannot_resize(self):
-        spec = self._spec()
-        params = np.zeros((2, spec.total_size))
-        grads = np.zeros_like(params)
-        matrix = WorkerMatrix(2, spec, params=params, grads=grads)
-        assert not matrix.owns_storage
-        with pytest.raises(ValueError, match="donated storage"):
-            matrix.resize(3)
-
-    def test_invalid_size_rejected(self):
-        matrix = WorkerMatrix(2, self._spec())
-        with pytest.raises(ValueError, match="num_workers"):
-            matrix.resize(0)
-
-
-class TestStackedSliceMasks:
-    IN_DIM, NUM_CLASSES, BATCH = 6, 3, 4
-
-    def _make(self, num_slices=2, num_workers=3):
-        model = MLP((self.IN_DIM, 8, self.NUM_CLASSES), rng=np.random.default_rng(0))
-        stacked = StackedSweepMatrix(num_slices, num_workers)
-        for index in range(num_slices):
-            stacked.slice_storage(index, model.flat_spec)
-        stacked.params[:] = np.random.default_rng(11).standard_normal(
-            stacked.params.shape
-        )
-        stacked.build_executors(model)
-        return stacked
-
-    def _batches(self, num_workers, seed=5):
-        rng = np.random.default_rng(seed)
-        return [
-            (
-                rng.standard_normal((self.BATCH, self.IN_DIM)),
-                rng.integers(0, self.NUM_CLASSES, size=self.BATCH),
-            )
-            for _ in range(num_workers)
-        ]
-
-    def test_masked_slice_zeroes_its_crashed_rows_only(self):
-        stacked = self._make()
-        reference = self._make()
-        batches = self._batches(3)
-        mask = np.array([True, False, True])
-        stacked.set_slice_mask(1, mask)
-        masked_batches = list(batches)
-        masked_batches[1] = None
-
-        losses0, norms0 = stacked.gradients_for_slice(0, batches)
-        losses1, norms1 = stacked.gradients_for_slice(1, masked_batches)
-        ref0 = reference.gradients_for_slice(0, batches)
-        ref1 = reference.gradients_for_slice(1, batches)
-
-        # Slice 0 (unmasked) is untouched by slice 1's mask.
-        np.testing.assert_array_equal(losses0, ref0[0])
-        np.testing.assert_array_equal(norms0, ref0[1])
-        # Slice 1's crashed row is zeroed, its live rows bit-equal.
-        assert losses1[1] == 0.0 and norms1[1] == 0.0
-        assert not stacked.grads[4].any()  # slice 1, worker 1 → row 4
-        for worker in (0, 2):
-            assert losses1[worker] == ref1[0][worker]
-            np.testing.assert_array_equal(
-                stacked.grads[3 + worker], reference.grads[3 + worker]
-            )
-
-    def test_all_false_mask_rejected(self):
-        stacked = self._make()
-        with pytest.raises(ValueError, match="every worker"):
-            stacked.set_slice_mask(0, np.zeros(3, dtype=bool))
-
-    def test_wrong_shape_and_bad_index_rejected(self):
-        stacked = self._make()
-        with pytest.raises(ValueError):
-            stacked.set_slice_mask(0, np.ones(5, dtype=bool))
-        with pytest.raises(ValueError):
-            stacked.set_slice_mask(9, np.ones(3, dtype=bool))
-
-    def test_clearing_the_mask_restores_full_compute(self):
-        stacked = self._make()
-        batches = self._batches(3)
-        stacked.set_slice_mask(1, np.array([True, False, True]))
-        stacked.set_slice_mask(1, None)
-        stacked.gradients_for_slice(0, batches)
-        losses1, norms1 = stacked.gradients_for_slice(1, batches)
-        assert np.all(np.asarray(losses1) > 0.0) and np.all(np.asarray(norms1) > 0.0)

@@ -18,20 +18,20 @@ def controller_for(cluster, events, **kwargs):
 
 
 class TestController:
-    def test_invalid_checkpoint_interval_rejected(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_invalid_checkpoint_interval_rejected(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         with pytest.raises(ValueError, match="checkpoint_every"):
             controller_for(cluster, [], checkpoint_every=0)
 
-    def test_schedule_validated_against_cluster_size(self, small_cluster_factory):
+    def test_schedule_validated_against_cluster_size(self, small_cluster_builder):
         from repro.faults.schedule import FaultError
 
-        cluster = small_cluster_factory(num_workers=2)
+        cluster = small_cluster_builder(num_workers=2)
         with pytest.raises(FaultError, match="has 2 workers"):
             controller_for(cluster, [crash(5, 0)])
 
-    def test_crash_deactivates_and_snapshots(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_crash_deactivates_and_snapshots(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         controller = controller_for(cluster, [crash(1, 2)])
         step0_ckpt = controller.latest_checkpoint
         controller.before_step(0)
@@ -47,8 +47,8 @@ class TestController:
         )
         assert controller.event_log == [{"step": 2, "kind": "crash", "worker": 1}]
 
-    def test_rejoin_restores_syncs_and_charges_resync(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=3)
+    def test_rejoin_restores_syncs_and_charges_resync(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=3)
         controller = controller_for(cluster, [crash(1, 1), rejoin(1, 4)])
         controller.before_step(1)
         # The survivors make progress while worker 1 is down.
@@ -64,8 +64,8 @@ class TestController:
         # The rejoined row carries the parameter server's current state.
         np.testing.assert_allclose(cluster.matrix.params[1], 2.5)
 
-    def test_straggler_burst_scales_and_expires(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_straggler_burst_scales_and_expires(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         controller = controller_for(
             cluster, [straggler_burst(1, 2, duration=3, slowdown=4.0)]
         )
@@ -77,8 +77,8 @@ class TestController:
         controller.before_step(5)  # burst over
         assert cluster.fault_speed_scale[1] == 1.0
 
-    def test_periodic_checkpoint_refreshes_restore_point(self, small_cluster_factory):
-        cluster = small_cluster_factory(num_workers=2)
+    def test_periodic_checkpoint_refreshes_restore_point(self, small_cluster_builder):
+        cluster = small_cluster_builder(num_workers=2)
         controller = controller_for(cluster, [], checkpoint_every=2)
         first = controller.latest_checkpoint
         controller.before_step(1)
@@ -92,12 +92,6 @@ class TestRunExperimentFaults:
         with pytest.raises(ValueError, match="fault injection"):
             run_experiment(
                 "deep_mlp", "ssp", iterations=4, failure_rate=0.1, staleness=10
-            )
-
-    def test_pool_runs_rejected(self):
-        with pytest.raises(ValueError, match="pool"):
-            run_experiment(
-                "deep_mlp", "bsp", iterations=4, failure_rate=0.1, pool_workers=2
             )
 
     def test_explicit_schedule_counts_land_in_extras(self):

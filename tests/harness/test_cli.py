@@ -44,22 +44,6 @@ class TestRunCommand:
         assert code == 0
         assert "bsp" in capsys.readouterr().out
 
-    @pytest.mark.pool
-    def test_run_with_pool_workers(self, capsys):
-        # ResNet has no batched executor, so the pool children run the
-        # per-worker fallback — the models-too-heavy-to-batch scenario.
-        code = main([
-            "run", "--workload", "resnet101", "--algorithm", "bsp",
-            "--workers", "2", "--iterations", "4", "--pool-workers", "2",
-        ])
-        assert code == 0
-        assert "bsp" in capsys.readouterr().out
-
-    def test_pool_start_method_choices_enforced(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "--pool-start-method", "threads"])
-
     def test_compare_outputs_table1_columns(self, capsys):
         code = main([
             "compare", "--workload", "resnet101", "--workers", "2",
@@ -109,6 +93,26 @@ class TestScenarioCommand:
     def test_unknown_scenario_exits_cleanly(self, capsys):
         assert main(["scenario", "not-a-scenario"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["scenario", "deep-mlp-delta-n64"], ["--stacked"]),
+            (["scenario", "deep-mlp-delta-n64"], ["--max-stacked-rows", "8"]),
+            (["run", "--workload", "deep_mlp"], ["--pool-workers", "2"]),
+            (["run", "--workload", "deep_mlp"], ["--pool-start-method", "fork"]),
+            (["compare", "--workload", "deep_mlp"], ["--pool-workers", "2"]),
+            (["compare", "--workload", "deep_mlp"], ["--pool-start-method", "fork"]),
+        ],
+        ids=lambda part: " ".join(part[:1]),
+    )
+    def test_removed_flag_is_a_usage_error(self, capsys, command, flag):
+        # The stacked sweep executor and the replica pool are gone; their
+        # flags must not be accepted and silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--iterations", "2", "--workers", "2"] + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_invalid_override_exits_cleanly(self, capsys):
         # Analytic throughput scenarios reject training overrides.

@@ -74,19 +74,28 @@ class TestBuildCluster:
         cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
         assert cluster.batch_size == 8
 
+    @pytest.mark.parametrize("knob, value", [("pool_workers", 2), ("pool_start_method", "fork")])
+    def test_removed_pool_knobs_are_type_errors(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            build_cluster(build_workload("deep_mlp"), num_workers=2, **{knob: value})
+
+    def test_cluster_factory_is_gone(self):
+        with pytest.raises(TypeError, match="cluster_factory"):
+            build_cluster(build_workload("deep_mlp"), num_workers=2, cluster_factory=object)
+
+
+TRAINER_OPTIONS = [
+    ("bsp", {}),
+    ("selsync", {"delta": 0.3}),
+    ("fedavg", {"participation": 0.5, "sync_factor": 0.25}),
+    ("ssp", {"staleness": 50}),
+    ("local_sgd", {"sync_period": 4}),
+    ("compressed_bsp", {"compressor": TopKCompressor(ratio=0.1)}),
+]
+
 
 class TestMakeTrainer:
-    @pytest.mark.parametrize(
-        "algorithm,kwargs",
-        [
-            ("bsp", {}),
-            ("selsync", {"delta": 0.3}),
-            ("fedavg", {"participation": 0.5, "sync_factor": 0.25}),
-            ("ssp", {"staleness": 50}),
-            ("local_sgd", {"sync_period": 4}),
-            ("compressed_bsp", {"compressor": TopKCompressor(ratio=0.1)}),
-        ],
-    )
+    @pytest.mark.parametrize("algorithm,kwargs", TRAINER_OPTIONS)
     def test_all_algorithms_constructible(self, algorithm, kwargs):
         preset = build_workload("resnet101")
         cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
@@ -116,6 +125,26 @@ class TestMakeTrainer:
         assert trainer.config.statistic == "norm"
         assert trainer.config.sync_on_first_step is False
 
+    @pytest.mark.parametrize("algorithm,kwargs", TRAINER_OPTIONS)
+    def test_a_keyword_no_trainer_takes_is_a_type_error(self, algorithm, kwargs):
+        # The removed process-pool knob must not be swallowed as an option.
+        preset = build_workload("resnet101")
+        cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
+        with pytest.raises(TypeError, match="pool_workers"):
+            make_trainer(algorithm, cluster, preset, total_iterations=10,
+                         pool_workers=2, **kwargs)
+
+    @pytest.mark.parametrize(
+        "algorithm, foreign",
+        [("bsp", "delta"), ("fedavg", "staleness"), ("ssp", "sync_period"),
+         ("local_sgd", "participation")],
+    )
+    def test_another_trainers_option_is_a_type_error(self, algorithm, foreign):
+        preset = build_workload("resnet101")
+        cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
+        with pytest.raises(TypeError, match=rf"{algorithm}.*\['{foreign}'\]"):
+            make_trainer(algorithm, cluster, preset, total_iterations=10, **{foreign: 1})
+
 
 class TestRunExperiment:
     def test_selsync_end_to_end(self):
@@ -124,17 +153,6 @@ class TestRunExperiment:
         assert out.workload == "resnet101"
         assert out.result.iterations == 12
         assert "δ=0.3" in out.algorithm
-
-    @pytest.mark.pool
-    def test_pool_workers_matches_in_process_run(self):
-        # run_experiment builds/tears down the pool and the trajectories
-        # match the in-process run exactly (same seed, same algorithm).
-        single = run_experiment("resnet101", "bsp", num_workers=2, iterations=6,
-                                eval_every=6, seed=1)
-        pooled = run_experiment("resnet101", "bsp", num_workers=2, iterations=6,
-                                eval_every=6, seed=1, pool_workers=2)
-        assert pooled.result.final_metric == single.result.final_metric
-        assert pooled.result.final_loss == single.result.final_loss
 
     def test_default_partitioning_flag(self):
         out = run_experiment("resnet101", "bsp", num_workers=2, iterations=6,
@@ -147,6 +165,12 @@ class TestRunExperiment:
             injection={"alpha": 0.5, "beta": 0.5, "delta": 0.3},
         )
         assert out.result.extras["delta"] == 0.3
+
+    @pytest.mark.parametrize("knob, value", [("pool_workers", 2), ("pool_start_method", "fork")])
+    def test_removed_pool_knobs_fail_instead_of_running_in_process(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            run_experiment("deep_mlp", "bsp", num_workers=2, iterations=2, eval_every=2,
+                           **{knob: value})
 
 
 class TestSweep:

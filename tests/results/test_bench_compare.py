@@ -101,6 +101,28 @@ class TestBenchCli:
         assert cli_main(["bench", "compare", "engine", str(base), str(bad)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_service_two_point_compare_gates_latency(self, tmp_path, capsys):
+        base = service_file(tmp_path, "base.json", 10.0)
+        assert cli_main(["bench", "compare", "service", str(base), str(base)]) == 0
+        out = capsys.readouterr().out
+        assert "Service load" in out and "5.0 jobs/s" in out
+        slow = service_file(tmp_path, "slow.json", 50.0)
+        assert cli_main(["bench", "compare", "service", str(base), str(slow)]) == 1
+
+    @pytest.mark.parametrize("kind", ["engine", "scenarios", "service"])
+    def test_missing_current_file_fails_the_job(self, tmp_path, capsys, kind):
+        # A benchmark step that wrote nothing must not pass as "no regression".
+        base = service_file(tmp_path, "base.json", 10.0)
+        missing = tmp_path / "missing.json"
+        assert cli_main(["bench", "compare", kind, str(base), str(missing)]) == 1
+        assert "current results missing" in capsys.readouterr().out
+
+    def test_missing_baseline_is_reported_not_failed(self, tmp_path, capsys):
+        current = service_file(tmp_path, "cur.json", 10.0)
+        missing = tmp_path / "none.json"
+        assert cli_main(["bench", "compare", "service", str(missing), str(current)]) == 0
+        assert "no baseline" in capsys.readouterr().out
+
     def test_store_only_compare_single_positional_is_current(self, tmp_path, capsys):
         db = str(tmp_path / "bench.sqlite3")
         for value in (100.0, 100.0, 100.0):
@@ -140,18 +162,3 @@ class TestBenchCli:
         assert "recorded engine rows" in capsys.readouterr().out
         runs, _ = ResultsStore(db).runs(scenario="bench-engine", tag="ci")
         assert len(runs) == 1
-
-
-class TestDeprecatedShim:
-    def test_shim_reexports_and_forwards(self, tmp_path, capsys):
-        from benchmarks import compare_bench
-
-        for name in ("compare", "load_metrics", "load_scenario_metrics",
-                     "stacked_speedup_table", "load_service_metrics",
-                     "service_throughput_line"):
-            assert getattr(compare_bench, name) is not None
-        base = engine_file(tmp_path, "base.json", 100.0)
-        with pytest.warns(DeprecationWarning, match="repro bench compare"):
-            rc = compare_bench.main([str(base), str(base)])
-        assert rc == 0
-        assert "baseline vs current" in capsys.readouterr().out

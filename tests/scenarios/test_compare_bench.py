@@ -1,39 +1,23 @@
-"""Tests for the benchmark comparison script's scenario-file support.
+"""The scenario-file rows of :mod:`repro.results.compare`.
 
-The engine-file comparison path is exercised implicitly by CI on every PR;
-these tests pin the BENCH_scenarios.json additions: the synthesized
-per-scenario sweep rate, the ``stacked_sweep`` steps/sec rows, and the
-stacked-speedup markdown rendering.
+The engine-file comparison path is exercised by ``tests/results``; these
+tests pin the BENCH_scenarios.json specifics: the synthesized per-scenario
+sweep rate and a regression detected across two files.
 """
 
 import json
 
-from benchmarks.compare_bench import (
-    compare,
-    load_scenario_metrics,
-    stacked_speedup_table,
-)
+from repro.results.compare import compare, load_scenario_metrics
 
 
-def scenario_file(tmp_path, name="BENCH_scenarios.json", sequential=10.0, stacked=30.0):
+def scenario_file(tmp_path, name="BENCH_scenarios.json", sweep_wall_seconds=2.0):
     payload = {
         "deep-mlp-delta-n64": {
             "name": "deep-mlp-delta-n64",
-            "meta": {"iterations": 24, "sweep_wall_seconds": 2.0},
+            "meta": {"iterations": 24, "sweep_wall_seconds": sweep_wall_seconds},
             "records": [{"params": {"delta": d}, "metrics": {}} for d in (0.0, 1e9)],
         },
-        "stacked_sweep": {
-            "config": {"cpu_count": 8},
-            "scenarios": {
-                "deep-mlp-delta-n64": {
-                    "sequential_seconds": 4.8,
-                    "stacked_seconds": 1.6,
-                    "steps_per_sec": {"sequential": sequential, "stacked": stacked},
-                    "speedup": 3.0,
-                    "exact_parity": True,
-                }
-            },
-        },
+        "fault_replay": {"scenarios": {"fault-replay-deep-mlp": {"metrics": {}}}},
     }
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -41,33 +25,18 @@ def scenario_file(tmp_path, name="BENCH_scenarios.json", sequential=10.0, stacke
 
 
 class TestScenarioMetrics:
-    def test_collects_stacked_sweep_rates_and_synthesized_sweep_rate(self, tmp_path):
+    def test_synthesizes_one_sweep_rate_per_scenario(self, tmp_path):
         metrics = load_scenario_metrics(scenario_file(tmp_path))
-        key = "stacked_sweep.scenarios.deep-mlp-delta-n64.steps_per_sec"
-        assert metrics[f"{key}.sequential"] == 10.0
-        assert metrics[f"{key}.stacked"] == 30.0
-        # 24 iterations × 2 grid points over 2.0s of sweep wall-clock.
-        assert metrics["deep-mlp-delta-n64.sweep_steps_per_sec"] == 24.0
+        # 24 iterations × 2 grid points over 2.0s of sweep wall-clock; the
+        # fault-replay section carries no wall-clock, so it adds no row.
+        assert metrics == {"deep-mlp-delta-n64.sweep_steps_per_sec": 24.0}
 
     def test_regression_detected_across_files(self, tmp_path):
         baseline = load_scenario_metrics(scenario_file(tmp_path, "base.json"))
         current = load_scenario_metrics(
-            scenario_file(tmp_path, "cur.json", stacked=10.0)
+            scenario_file(tmp_path, "cur.json", sweep_wall_seconds=6.0)
         )
         _, failed = compare(baseline, current, max_regression=0.25)
         assert failed
-        _, ok = compare(baseline, baseline, max_regression=0.25)
-        assert not ok
-
-
-class TestSpeedupTable:
-    def test_renders_speedup_rows(self, tmp_path):
-        table = stacked_speedup_table(scenario_file(tmp_path))
-        assert "3.00x" in table
-        assert "deep-mlp-delta-n64" in table
-        assert "8 cores" in table
-
-    def test_empty_without_stacked_section(self, tmp_path):
-        path = tmp_path / "plain.json"
-        path.write_text(json.dumps({"some-scenario": {"records": []}}))
-        assert stacked_speedup_table(path) == ""
+        _, failed = compare(baseline, baseline, max_regression=0.25)
+        assert not failed

@@ -87,11 +87,6 @@ class TestCatalog:
         for workload in WORKLOAD_PRESETS:
             assert f"delta-sweep-{workload}" in names
 
-    def test_pooled_scenario_uses_pool(self):
-        scenario = get_scenario("deep-mlp-delta-n64-pooled")
-        assert scenario.pool_workers > 0
-        assert "pool" in scenario.tags
-
     def test_global_registry_is_catalog_backed(self):
         assert "fig6-delta-sweep" in scenario_names()
         assert "fig6-delta-sweep" in REGISTRY

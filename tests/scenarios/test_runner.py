@@ -107,6 +107,66 @@ class TestEndpointVerification:
         assert [p.metric for p in sweep0.history] == [p.metric for p in bsp.history]
 
 
+SWEEPS_RUN_ALONE = {
+    "selsync-delta": dict(grid={"delta": (0.0, 0.5, 1e9)}),
+    "local-sgd-sync-period": dict(algorithm="local_sgd", grid={"sync_period": (1, 2, 4)}),
+    "transformer-delta": dict(workload="transformer", num_workers=2, iterations=4,
+                              batch_size=2),
+    "float32-delta": dict(dtype="float32", grid={"delta": (0.0, 0.5, 1e9)}),
+}
+
+
+class TestSweepPointsRunAlone:
+    """A sweep runs its points one after another in one process; nothing of an
+    earlier point (executor caches, dropout stream, thread pool) may leak into
+    a later one."""
+
+    @pytest.mark.parametrize("case", sorted(SWEEPS_RUN_ALONE))
+    def test_every_point_equals_its_standalone_run(self, case):
+        from repro.harness.experiment import run_experiment
+
+        scenario = tiny_sweep(**{"workload": "deep_mlp", "num_workers": 4, "batch_size": 4,
+                                 **SWEEPS_RUN_ALONE[case]})
+        report = run_scenario(scenario)
+        for record in report.records:
+            key = "/".join(f"{k}={v}" for k, v in record.params.items())
+            alone = run_experiment(
+                scenario.workload, scenario.algorithm,
+                num_workers=scenario.num_workers, iterations=scenario.iterations,
+                seed=scenario.seed,
+                eval_every=scenario.resolved_eval_every(scenario.iterations),
+                batch_size=scenario.batch_size, dtype=scenario.dtype,
+                **scenario.fixed, **record.params,
+            )
+            assert report.results[key] == alone.result
+
+    def test_records_and_meta_carry_wall_seconds(self):
+        scenario = tiny_sweep(
+            workload="deep_mlp", num_workers=4, batch_size=4,
+            fixed={"aggregation": "grad", "sync_on_first_step": False},
+            verify_endpoints=True,
+        )
+        report = run_scenario(scenario)
+        assert report.meta["sweep_wall_seconds"] > 0
+        for record in report.records:
+            assert record.metrics["wall_seconds"] > 0
+        for anchor in report.endpoints.values():
+            assert anchor["record"]["metrics"]["wall_seconds"] > 0
+
+    def test_meta_is_the_run_description_and_nothing_else(self):
+        report = run_scenario(tiny_sweep())
+        assert set(report.meta) == {
+            "workload", "algorithm", "num_workers", "iterations", "seed",
+            "eval_every", "grid", "fixed", "dtype", "transport_dtype", "tags",
+            "sweep_wall_seconds",
+        }
+
+    @pytest.mark.parametrize("knob, value", [("stacked", True), ("max_stacked_rows", 8)])
+    def test_removed_stacked_overrides_are_type_errors(self, knob, value):
+        with pytest.raises(TypeError, match=knob):
+            run_scenario(tiny_sweep(), **{knob: value})
+
+
 class TestComparisonRunner:
     def test_records_per_workload_and_method(self):
         scenario = ComparisonScenario(
@@ -154,23 +214,3 @@ class TestThroughputRunner:
         assert "workers" in report.table()
         with pytest.raises(ScenarioError, match="analytic"):
             run_scenario(scenario, iterations=10)
-
-
-@pytest.mark.pool
-class TestPooledScenario:
-    def test_pooled_sweep_matches_endpoints(self):
-        scenario = SweepScenario(
-            name="tiny-pooled",
-            title="tiny pooled sweep",
-            workload="deep_mlp",
-            grid={"delta": (0.0, 1e9)},
-            fixed={"aggregation": "grad", "sync_on_first_step": False},
-            num_workers=4,
-            iterations=4,
-            batch_size=4,
-            pool_workers=2,
-            verify_endpoints=True,
-        )
-        report = run_scenario(scenario)
-        assert report.endpoints["bsp"]["matches_sweep_endpoint"] is True
-        assert report.endpoints["local_sgd"]["matches_sweep_endpoint"] is True

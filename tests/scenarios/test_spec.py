@@ -108,6 +108,14 @@ class TestSweepScenario:
         assert scenario.resolved_eval_every(8) == 2
         assert sweep(eval_every=7).resolved_eval_every(1000) == 7
 
+    @pytest.mark.parametrize("field,value", [
+        ("stacked", True), ("max_stacked_rows", 8),
+        ("pool_workers", 2), ("pool_start_method", "fork"),
+    ])
+    def test_removed_execution_fields_are_type_errors(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            sweep(**{field: value})
+
 
 class TestComparisonScenario:
     def comparison(self, **overrides) -> ComparisonScenario:
@@ -151,6 +159,11 @@ class TestComparisonScenario:
     def test_empty_workloads(self):
         with pytest.raises(ScenarioError, match="workloads"):
             self.comparison(workloads=())
+
+    @pytest.mark.parametrize("field,value", [("pool_workers", 2), ("pool_start_method", "fork")])
+    def test_removed_pool_fields_are_type_errors(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            self.comparison(**{field: value})
 
 
 class TestThroughputScenario:

@@ -45,74 +45,7 @@ class TestSweepContract:
             scenario_suite.check_sweep_contract(summary([0.0, 0.5, 1.0], local_ok=False))
 
 
-def contrast_section(speedup=4.0, parity=True, cpu_count=8):
-    return {
-        "config": {"cpu_count": cpu_count},
-        "scenarios": {
-            "s": {
-                "sequential_seconds": speedup,
-                "stacked_seconds": 1.0,
-                "speedup": speedup,
-                "exact_parity": parity,
-            }
-        },
-    }
-
-
-class TestStackedContrastGates:
-    def test_passing_contrast(self):
-        scenario_suite.check_stacked_contrast(contrast_section())
-
-    def test_parity_always_gated(self):
-        with pytest.raises(AssertionError, match="diverged"):
-            scenario_suite.check_stacked_contrast(contrast_section(parity=False))
-
-    def test_speedup_gate_arms_on_multicore(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: scenario_suite.STACKED_GATE_MIN_CORES)
-        with pytest.raises(AssertionError, match="below the"):
-            scenario_suite.check_stacked_contrast(contrast_section(speedup=0.8))
-
-    def test_speedup_gate_disarmed_on_single_core(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        scenario_suite.check_stacked_contrast(contrast_section(speedup=0.8))
-
-    def test_records_identical_ignores_wall_seconds(self):
-        seq = summary([0.0, 0.5, 1.0])
-        stk = json.loads(json.dumps(seq))
-        for record in stk["records"]:
-            record["metrics"]["wall_seconds"] = 123.0
-        assert scenario_suite._records_identical(seq, stk)
-
-    def test_records_identical_detects_metric_drift(self):
-        seq = summary([0.0, 0.5, 1.0])
-        stk = summary([0.0, 0.6, 1.0])
-        assert not scenario_suite._records_identical(seq, stk)
-
-    def test_records_identical_requires_anchor_parity(self):
-        seq = summary([0.0, 0.5, 1.0])
-        stk = summary([0.0, 0.5, 1.0], local_ok=False)
-        assert not scenario_suite._records_identical(seq, stk)
-
-
 class TestSuiteWiring:
-    def test_sweep_names_split_by_pool_tag(self):
-        plain = scenario_suite._sweep_names(pool=False)
-        pooled = scenario_suite._sweep_names(pool=True)
-        assert "deep-mlp-delta-n64" in plain
-        assert "deep-mlp-delta-n64-pooled" in pooled
-        assert not set(plain) & set(pooled)
-
-    def test_stacked_names_cover_both_workload_families(self):
-        names = scenario_suite._stacked_names()
-        assert "deep-mlp-delta-n64" in names
-        assert "transformer-delta-n64" in names
-        # The pooled variant cannot stack (pool and stacking are exclusive).
-        assert "deep-mlp-delta-n64-pooled" not in names
-
     def test_merge_keeps_other_sections(self, tmp_path, monkeypatch):
         path = tmp_path / "BENCH_scenarios.json"
         path.write_text(json.dumps({"existing": {"records": []}}))

@@ -122,6 +122,38 @@ class TestSubmission:
         assert shown["num_records"] == 5
 
 
+#: One valid submission body per action.
+VALID_BODIES = {
+    "experiment": {"workload": "resnet101", "algorithm": "bsp"},
+    "sweep": {"workload": "deep_mlp", "grid": {"delta": [0.1]}},
+    "comparison": {"methods": {"bsp": ["bsp", {}]}},
+    "throughput": {"workloads": ["resnet101"]},
+    "scenario": {"name": "quickstart"},
+}
+
+REMOVED_KNOBS = [
+    ("pool_workers", 2), ("pool_start_method", "fork"),
+    ("stacked", True), ("max_stacked_rows", 8),
+]
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("action", sorted(VALID_BODIES))
+    def test_no_schema_offers_them(self, action):
+        names = {name for name, _ in REMOVED_KNOBS}
+        assert not names & set(SCHEMAS[action]["properties"])
+
+    @pytest.mark.parametrize("action", sorted(VALID_BODIES))
+    @pytest.mark.parametrize("knob, value", REMOVED_KNOBS)
+    def test_submit_is_a_structured_400_and_queues_nothing(self, knob, value, action):
+        controller, store, _ = make_controller()
+        controller.submit("t1", {action: VALID_BODIES[action]})
+        with pytest.raises(BadRequest) as excinfo:
+            controller.submit("t1", {action: {**VALID_BODIES[action], knob: value}})
+        assert excinfo.value.details == {"unknown": [knob]}
+        assert len(store.list_jobs()[0]) == 1   # only the valid submission
+
+
 class TestTenantIsolation:
     def test_show_and_records_are_tenant_scoped(self):
         controller, _, tm = make_controller()

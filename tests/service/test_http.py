@@ -128,6 +128,54 @@ class TestHttpErrors:
         with pytest.raises(ServiceClientError) as excinfo:
             client.job("deadbeef")
         assert excinfo.value.status == 404
+        # The error response was read and closed by the client, so the
+        # chained HTTPError does not hold the connection's socket open.
+        assert excinfo.value.__cause__.fp.closed
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("stacked", True), ("max_stacked_rows", 8),
+         ("pool_workers", 2), ("pool_start_method", "fork")],
+    )
+    def test_removed_sweep_knob_is_a_400_and_queues_nothing(self, service, knob, value):
+        client = ServiceClient(service.url, tenant="knobs")
+        body = {"workload": "deep_mlp", "grid": {"delta": [0.1]}, knob: value}
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit("sweep", body)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad_request"
+        assert excinfo.value.body["error"]["details"] == {"unknown": [knob]}
+        assert client.jobs()["jobs"] == []
+
+    def test_removed_scenario_override_is_a_400(self, service):
+        client = ServiceClient(service.url, tenant="knobs")
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.submit("scenario", {"name": "deep-mlp-delta-n64", "stacked": True})
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["error"]["details"] == {"unknown": ["stacked"]}
+        assert client.jobs()["jobs"] == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.describe(),
+            lambda c: c.health(),
+            lambda c: c.metrics(),
+            lambda c: c.jobs(),
+            lambda c: c.records("deadbeef"),
+            lambda c: c.history_scenarios(),
+            lambda c: c.submit("scenario", {"name": "quickstart"}),
+        ],
+        ids=["describe", "health", "metrics", "jobs", "records", "history", "submit"],
+    )
+    def test_every_endpoint_closes_its_error_response(self, service, call):
+        # Under a wrong prefix every route is a 404; each client method must
+        # hand back an error whose chained HTTPError no longer holds a socket.
+        client = ServiceClient(service.url + "/nowhere")
+        with pytest.raises(ServiceClientError) as excinfo:
+            call(client)
+        assert excinfo.value.status == 404
+        assert excinfo.value.__cause__.fp.closed
 
     def test_unknown_route_is_404_and_bad_method_405(self, service):
         import urllib.error
@@ -135,12 +183,14 @@ class TestHttpErrors:
 
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(service.url + "/v2/everything")
+        excinfo.value.close()
         assert excinfo.value.code == 404
         request = urllib.request.Request(
             service.url + "/v1/jobs/abc", data=b"{}", method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
+        excinfo.value.close()
         assert excinfo.value.code == 405
 
     def test_rate_limit_maps_to_429(self):

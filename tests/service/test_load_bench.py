@@ -1,14 +1,9 @@
-"""Tests for the service load benchmark and its compare_bench integration."""
+"""Tests for the service load benchmark and its comparison rows."""
 
 import json
 
-from benchmarks.compare_bench import (
-    compare,
-    load_service_metrics,
-    main as compare_main,
-    service_throughput_line,
-)
 from benchmarks.service_load import _percentiles, run_load
+from repro.results.compare import compare, load_service_metrics, service_throughput_line
 
 
 def service_file(tmp_path, name="BENCH_service.json", p99_submit=12.0, p99_e2e=80.0):
@@ -70,44 +65,6 @@ class TestLowerIsBetterComparison:
         table, failed = compare(baseline, current, 0.25, lower_is_better=True)
         assert not failed
         assert "ok (within limit)" in table
-
-
-class TestCompareMain:
-    def test_service_flags_end_to_end(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        engine = tmp_path / "engine.json"
-        engine.write_text(json.dumps({"current_steps_per_sec": {"bsp": 100.0}}))
-        base = service_file(tmp_path, "service_base.json")
-        cur = service_file(tmp_path, "service_cur.json")
-        code = compare_main([
-            str(engine), str(engine),
-            "--service-baseline", str(base), "--service-current", str(cur),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "Service load" in out and "jobs/s" in out
-
-    def test_regressed_service_run_fails_the_job(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        engine = tmp_path / "engine.json"
-        engine.write_text(json.dumps({"current_steps_per_sec": {"bsp": 100.0}}))
-        base = service_file(tmp_path, "service_base.json")
-        cur = service_file(tmp_path, "service_cur.json", p99_e2e=999.0)
-        code = compare_main([
-            str(engine), str(engine),
-            "--service-baseline", str(base), "--service-current", str(cur),
-        ])
-        assert code == 1
-
-    def test_missing_current_service_file_fails(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-        engine = tmp_path / "engine.json"
-        engine.write_text(json.dumps({"current_steps_per_sec": {"bsp": 100.0}}))
-        code = compare_main([
-            str(engine), str(engine),
-            "--service-current", str(tmp_path / "missing.json"),
-        ])
-        assert code == 1
 
 
 class TestPercentiles:

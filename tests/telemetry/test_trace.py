@@ -7,7 +7,7 @@ import time
 import tracemalloc
 
 from repro import telemetry
-from repro.telemetry import NULL_SPAN, Tracer, summarize_trace
+from repro.telemetry import NULL_SPAN, summarize_trace
 
 
 class TestDisabledFastPath:
@@ -182,34 +182,3 @@ class TestSinkAndSummarize:
         assert telemetry.tracing_enabled()
         assert telemetry.metrics_enabled()
         assert telemetry.get_tracer().sink_path == path
-
-
-class TestAdoption:
-    def test_adopt_reparents_child_roots_under_roundtrip(self):
-        telemetry.configure(tracing=True)
-        child = Tracer()
-        with child.span("child.root"):
-            with child.span("child.leaf"):
-                pass
-        batch = child.drain()
-        with telemetry.span("parent.roundtrip") as roundtrip:
-            telemetry.get_tracer().adopt(batch, parent=roundtrip)
-        spans = {span["name"]: span for span in telemetry.get_tracer().drain()}
-        # Child root grafts under the round-trip span and joins its trace.
-        assert spans["child.root"]["parent_id"] == roundtrip.span_id
-        assert spans["child.root"]["trace_id"] == roundtrip.trace_id
-        # The leaf keeps its real parent, only its trace id is rebased.
-        assert spans["child.leaf"]["parent_id"] == spans["child.root"]["span_id"]
-        assert spans["child.leaf"]["trace_id"] == roundtrip.trace_id
-
-    def test_adopt_updates_phase_totals(self):
-        telemetry.configure(tracing=True)
-        child = Tracer()
-        with child.span("pool.child.step"):
-            time.sleep(0.001)
-        before = telemetry.phase_snapshot()
-        with telemetry.span("pool.roundtrip") as roundtrip:
-            telemetry.get_tracer().adopt(child.drain(), parent=roundtrip)
-        delta = telemetry.phase_delta(before)
-        assert delta["pool.child.step"] >= 0.001
-        assert "pool.roundtrip" in delta
