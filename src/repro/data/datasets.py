@@ -13,6 +13,7 @@ Transformer to learn and perplexity decreases smoothly during training.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -135,19 +136,23 @@ class SequenceDataset:
         self.vocab_size = int(vocab_size)
         self.name = name
         # Non-overlapping windows, like sequential bptt batching in the paper.
-        self._num_windows = (self.tokens.size - 1) // self.bptt
+        self._starts = np.arange((self.tokens.size - 1) // self.bptt) * self.bptt
+        self._span = np.arange(self.bptt + 1)
 
     def __len__(self) -> int:
-        return self._num_windows
+        return self._starts.size
+
+    def _windows(self, idx) -> np.ndarray:
+        """``(..., bptt + 1)`` token windows in one gather.
+
+        Window ids follow NumPy's indexing rules: negative ids wrap, ids past
+        the end raise ``IndexError``.
+        """
+        return self.tokens[self._starts[idx][..., None] + self._span]
 
     def __getitem__(self, idx) -> Tuple[np.ndarray, np.ndarray]:
-        idx_arr = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        starts = idx_arr * self.bptt
-        x = np.stack([self.tokens[s : s + self.bptt] for s in starts])
-        y = np.stack([self.tokens[s + 1 : s + self.bptt + 1] for s in starts])
-        if np.isscalar(idx) or (isinstance(idx, np.ndarray) and idx.ndim == 0):
-            return x[0], y[0]
-        return x, y
+        windows = self._windows(idx)
+        return windows[..., :-1].copy(), windows[..., 1:].copy()
 
     @property
     def input_dim(self) -> int:
@@ -164,15 +169,11 @@ class SequenceDataset:
     @property
     def targets(self) -> np.ndarray:
         """Per-window pseudo-label (first target token), used only by partitioners."""
-        starts = np.arange(self._num_windows) * self.bptt
-        return self.tokens[starts + 1]
+        return self.tokens[self._starts + 1]
 
     def subset(self, indices: np.ndarray) -> "SequenceDataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        pieces = []
-        for s in indices * self.bptt:
-            pieces.append(self.tokens[s : s + self.bptt + 1])
-        stream = np.concatenate(pieces) if pieces else self.tokens[:0]
+        """Dataset over the concatenated ``bptt + 1``-token windows ``indices``."""
+        stream = self._windows(np.asarray(indices, dtype=np.int64)).ravel()
         return SequenceDataset(stream, self.bptt, self.vocab_size, name=self.name)
 
 
@@ -353,17 +354,24 @@ def _markov_transition_matrix(
 def _sample_markov_stream(
     num_tokens: int, probs: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    vocab_size = probs.shape[0]
-    # Sample via the inverse CDF so each step is one searchsorted, not a
-    # full rng.choice dispatch (keeps long streams cheap to generate).
-    cdf = np.cumsum(probs, axis=1)
-    stream = np.empty(num_tokens, dtype=np.int64)
-    stream[0] = rng.integers(0, vocab_size)
-    uniforms = rng.random(num_tokens)
-    for t in range(1, num_tokens):
-        stream[t] = np.searchsorted(cdf[stream[t - 1]], uniforms[t])
-    np.clip(stream, 0, vocab_size - 1, out=stream)
-    return stream
+    if num_tokens < 1:
+        raise ValueError(f"num_tokens must be >= 1, got {num_tokens}")
+    last = probs.shape[0] - 1
+    # Inverse-CDF walk over plain Python floats: ``bisect_left`` compares the
+    # same float64 values under the same left-side rule as np.searchsorted,
+    # without a NumPy dispatch per token.  A draw past a row's last CDF entry
+    # (an unnormalised row, or a cumsum that rounds below 1) takes the last
+    # token, so the walk never leaves the vocabulary.
+    cdf = np.cumsum(probs, axis=1).tolist()
+    token = int(rng.integers(0, last + 1))
+    stream = [token]
+    append = stream.append
+    for u in rng.random(num_tokens).tolist()[1:]:
+        token = bisect_left(cdf[token], u)
+        if token > last:
+            token = last
+        append(token)
+    return np.array(stream, dtype=np.int64)
 
 
 def make_sequence_splits(

@@ -1011,15 +1011,21 @@ class BatchedReplicaExecutor:
         every shard :data:`MIN_SHARD_ELEMENTS` activation elements, and one
         unless the BLAS has been pinned to a single thread (its idle workers
         would otherwise spin on the cores the shard threads need).
+
+        A step whose activation block reaches glibc's default mmap threshold
+        also holds the allocator's thresholds (on any core count), so its
+        blocks stay on the heap instead of being mapped afresh every step.
         """
-        if self._shard_source is None:
-            return 1
-        # The size rule first: it is plain arithmetic, and the small steps it
-        # turns away are the ones that cannot afford a syscall per step.
-        # Axis 2 is the feature axis of both float layouts, (N, B, F) and
-        # (N, B, C, H, W); a token block (N, B, T) is all positions.
+        # Plain arithmetic first; the small steps the size rules turn away
+        # are the ones that cannot afford a syscall per step.  Axis 2 is the
+        # feature axis of both float layouts, (N, B, F) and (N, B, C, H, W);
+        # a token block (N, B, T) is all positions.
         positions = x.size if self._token_input else x.size // x.shape[2]
         elements = positions * self._layers[-1].weight.shape[2]
+        if elements * self._matrix.dtype.itemsize >= threads.MMAP_THRESHOLD_DEFAULT:
+            threads.hold_malloc_thresholds()
+        if self._shard_source is None:
+            return 1
         k = min(self._matrix.num_workers, elements // MIN_SHARD_ELEMENTS)
         if k < 2:
             return 1

@@ -7,7 +7,10 @@ way: OpenBLAS's own worker threads spin-wait on the very core a shard thread
 needs, so :func:`pin_blas` sets every OpenBLAS mapped into the process to one
 thread, and sharding stays off unless that worked.  The pin goes through the
 library's C API because an environment variable is read when NumPy is
-imported, which is usually before anything here runs.
+imported, which is usually before anything here runs.  The same goes for the
+two glibc allocator settings made here through ``mallopt``: one shared arena
+for the shard threads (:func:`_share_malloc_arena`) and mmap / trim
+thresholds held from the first large step (:func:`hold_malloc_thresholds`).
 
 Everything is created on first use; importing this module starts nothing.
 """
@@ -23,6 +26,11 @@ _lock = threading.Lock()
 _pool = None                          # concurrent.futures.ThreadPoolExecutor
 _UNKNOWN = object()
 _blas_before: Any = _UNKNOWN          # pin_blas()'s remembered answer
+_thresholds_held = False              # hold_malloc_thresholds() has run
+
+#: glibc's default ``M_MMAP_THRESHOLD``: a block this large or larger is
+#: mmapped on its own until the threshold moves.
+MMAP_THRESHOLD_DEFAULT = 128 * 1024
 
 
 def usable_cores() -> int:
@@ -85,6 +93,16 @@ def pin_blas() -> Optional[int]:
     return _blas_before
 
 
+def _mallopt() -> Optional[Callable[[int, int], int]]:
+    """glibc's ``mallopt`` through ctypes, or None where libc has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt
+
+
 def _share_malloc_arena() -> None:
     """Keep the shard threads out of malloc arenas of their own (glibc only).
 
@@ -93,12 +111,36 @@ def _share_malloc_arena() -> None:
     +5 MiB RSS on the 8-replica transformer).  Allocation happens under the
     GIL, so one shared arena costs no lock contention.
     """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def hold_malloc_thresholds() -> None:
+    """Hold glibc's mmap and trim thresholds where its dynamic rule ends up.
+
+    glibc maps a block of :data:`MMAP_THRESHOLD_DEFAULT` or more on its own
+    and gives the heap top back to the kernel once more than the trim
+    threshold is free there.  It raises both thresholds only as larger mapped
+    blocks are freed, so until one is larger than about half of what a step
+    frees, every step faults its activations in afresh (≈5,000 minor page
+    faults per ``transformer`` N=8 step, until the first evaluation frees its
+    11.4 MiB logits block).  Setting ``M_MMAP_THRESHOLD`` to 32 MiB (the
+    dynamic rule's 64-bit ceiling) and ``M_TRIM_THRESHOLD`` to twice that
+    keeps those pages from the first step.  Once per process; a forked child
+    inherits the settings, so the flag survives the fork.  A no-op where libc
+    has no ``mallopt``.
+    """
+    global _thresholds_held
+    if _thresholds_held:
         return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(-8, 1)  # M_ARENA_MAX
+    with _lock:
+        if not _thresholds_held:
+            mallopt = _mallopt()
+            if mallopt is not None:
+                mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+                mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+            _thresholds_held = True
 
 
 def _shard_pool():
@@ -134,7 +176,9 @@ def run_shards(fn: Callable[[Any], Any], shards: Sequence[Any]) -> List[Any]:
 def _forget_threads_after_fork() -> None:
     # Only the forking thread exists in the child: the pool's workers are
     # gone (a submit would never be picked up) and OpenBLAS re-initialises
-    # its own threads, so the child looks again before it shards.
+    # its own threads, so the child looks again before it shards.  The held
+    # malloc thresholds are process memory the child inherits, so that flag
+    # stays.
     global _lock, _pool, _blas_before
     _lock = threading.Lock()
     _pool = None
