@@ -10,6 +10,7 @@ REST surface onto it::
     POST   /v1/jobs                       submit {action: payload}   → 202
     GET    /v1/jobs?marker=&limit=&state= list jobs (marker-paginated)
     GET    /v1/jobs/<id>                  job status
+    GET    /v1/jobs/<id>?wait=S           job status once terminal, or after S s
     GET    /v1/jobs/<id>/records?offset=&limit=  result records
     POST   /v1/jobs/<id>/action           e.g. {"cancel": {}}
     GET    /v1/history                    scenarios with recorded history
@@ -140,7 +141,7 @@ def make_wsgi_app(controller: ServiceController) -> Callable[..., Iterable[bytes
             job_id = parts[2]
             if len(parts) == 3:
                 if method == "GET":
-                    return 200, controller.show(tenant, job_id)
+                    return 200, controller.show(tenant, job_id, wait=query.get("wait"))
                 raise _method_not_allowed(method, path)
             if len(parts) == 4 and parts[3] == "records" and method == "GET":
                 return 200, controller.records(
@@ -314,21 +315,12 @@ def serve(
         workers=workers,
         quotas=quotas,
         results_db=results_db,
-    )
-    service.taskmanager.start()
-    server = make_server(
-        host, port, service.app, server_class=_ThreadingWSGIServer, handler_class=_QuietHandler
-    )
-    service._server = server
-    print(f"repro service listening on http://{host}:{server.server_address[1]} "
+    ).start()
+    print(f"repro service listening on {service.url} "
           f"(db={db_path}, results_db={results_db}, workers={workers})")
     try:
-        server.serve_forever()
+        service._thread.join()
     except KeyboardInterrupt:
         pass
     finally:
-        server.server_close()
-        service.taskmanager.stop()
-        service.store.close()
-        if service.results is not None:
-            service.results.close()
+        service.stop()

@@ -114,8 +114,13 @@ class ServiceClient:
         """Submit ``{action: payload}``; returns the queued job view."""
         return self._request("POST", "/v1/jobs", body={action: dict(payload)})["job"]
 
-    def job(self, job_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/v1/jobs/{job_id}")["job"]
+    def job(self, job_id: str, *, wait: Optional[float] = None) -> Dict[str, Any]:
+        """One job's status view.
+
+        With ``wait`` the server holds the answer until the job is terminal
+        or ``wait`` seconds pass (the server caps the hold).
+        """
+        return self._request("GET", f"/v1/jobs/{job_id}", params={"wait": wait})["job"]
 
     def jobs(
         self,
@@ -190,14 +195,24 @@ class ServiceClient:
     def wait(
         self, job_id: str, *, timeout: float = 300.0, poll_interval: float = 0.1
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state (or raise TimeoutError)."""
+        """Long-poll until the job reaches a terminal state (or raise TimeoutError).
+
+        Each status request asks the server to hold it for up to
+        ``poll_interval`` seconds, so ``poll_interval`` is the longest one
+        request is held and the answer arrives as soon as the job ends.  An
+        early non-terminal answer (a server that does not hold) is followed
+        by a sleep, so there is never more than one request per
+        ``poll_interval``.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            job = self.job(job_id)
+            asked = time.monotonic()
+            job = self.job(job_id, wait=max(min(poll_interval, deadline - asked), 0.0))
             if job["state"] in TERMINAL_STATES:
                 return job
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} still {job['state']} after {timeout:.0f}s"
                 )
-            time.sleep(poll_interval)
+            time.sleep(max(min(asked + poll_interval, deadline) - now, 0.0))

@@ -26,6 +26,7 @@ Job actions mirror submissions — the body holds exactly one action key
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Any, Dict, Mapping, Optional
 
@@ -40,9 +41,13 @@ from repro.service.schemas import SCHEMAS, get_action, validate_payload
 from repro.service.store import JobStore
 from repro.service.taskmanager import TaskManager
 
-__all__ = ["ServiceController"]
+__all__ = ["MAX_WAIT_S", "ServiceController"]
 
 _MAX_PAGE = 200
+
+#: Longest hold of one ``GET /v1/jobs/<id>?wait=S``, kept below the
+#: client's default 30 s socket timeout so a held read never times it out.
+MAX_WAIT_S = 20.0
 
 
 def _clamp_limit(raw: Optional[Any], default: int) -> int:
@@ -55,6 +60,16 @@ def _clamp_limit(raw: Optional[Any], default: int) -> int:
     if value < 1:
         raise BadRequest(f"limit must be >= 1, got {value}")
     return min(value, _MAX_PAGE)
+
+
+def _wait_seconds(raw: Any) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise BadRequest(f"wait must be a number of seconds, got {raw!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise BadRequest(f"wait must be a finite number >= 0, got {raw!r}")
+    return min(value, MAX_WAIT_S)
 
 
 class ServiceController:
@@ -96,9 +111,18 @@ class ServiceController:
         return {"job": job.to_dict()}
 
     # -- reads --------------------------------------------------------------- #
-    def show(self, tenant: str, job_id: str) -> Dict[str, Any]:
-        """One job's full status view (tenant-scoped)."""
-        return {"job": self.store.get(job_id, tenant=tenant).to_dict()}
+    def show(self, tenant: str, job_id: str, *, wait: Optional[Any] = None) -> Dict[str, Any]:
+        """One job's full status view (tenant-scoped).
+
+        With ``wait`` (seconds, capped at :data:`MAX_WAIT_S`) the answer is
+        held until the job is terminal or the wait expires, whichever comes
+        first.  Another tenant's job is a :class:`NotFound` before any hold.
+        """
+        if wait is None:
+            job = self.store.get(job_id, tenant=tenant)
+        else:
+            job = self.store.wait_terminal(job_id, tenant=tenant, timeout=_wait_seconds(wait))
+        return {"job": job.to_dict()}
 
     def index(
         self,

@@ -22,7 +22,11 @@ work instead of stranding jobs (exercised by the restart-persistence tests).
 
 Thread-safety: one shared connection guarded by an :class:`threading.RLock`
 (`check_same_thread=False`), with ``BEGIN IMMEDIATE`` around the
-claim-next-job read-modify-write.
+claim-next-job read-modify-write.  A :class:`threading.Condition` over the
+same lock is notified on every successful transition and on ``close``, so
+:meth:`JobStore.wait_terminal` (the long-poll status read) wakes the moment
+a job ends.  Only transitions made through this store object notify: a job
+finished by another process is seen when the waiter's timeout expires.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from repro.service.jobs import (
     CANCELLED,
     QUEUED,
     RUNNING,
+    TERMINAL_STATES,
     Job,
     validate_transition,
 )
@@ -103,6 +108,8 @@ class JobStore:
         self.path = path
         self._clock = clock
         self._lock = threading.RLock()
+        self._changed = threading.Condition(self._lock)
+        self._closed = False
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -128,7 +135,10 @@ class JobStore:
                 )
 
     def close(self) -> None:
+        """Close the connection and release every :meth:`wait_terminal` caller."""
         with self._lock:
+            self._closed = True
+            self._changed.notify_all()
             self._conn.close()
 
     def recover(self) -> int:
@@ -175,6 +185,28 @@ class JobStore:
         if row is None or (tenant is not None and row["tenant"] != tenant):
             raise NotFound(f"no such job {job_id!r}")
         return Job.from_row(row)
+
+    def wait_terminal(
+        self, job_id: str, *, tenant: Optional[str] = None, timeout: float
+    ) -> Job:
+        """Fetch one job once it is terminal, or as it is after ``timeout`` s.
+
+        The first read runs before any wait, so an unknown id or another
+        tenant's job raises :class:`NotFound` at once.  The row is re-read
+        after every transition this store makes; :meth:`close` returns the
+        last read at once.
+        """
+        deadline = time.monotonic() + timeout
+        with self._changed:
+            job = self.get(job_id, tenant=tenant)
+            while job.state not in TERMINAL_STATES and not self._closed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+                if not self._closed:
+                    job = self.get(job_id, tenant=tenant)
+        return job
 
     def list_jobs(
         self,
@@ -263,6 +295,8 @@ class JobStore:
                     f"job {job_id} is {current.state}, not {old}; "
                     f"cannot transition to {new}"
                 )
+            # Waiters re-read only after this block commits and releases the lock.
+            self._changed.notify_all()
         return self.get(job_id)
 
     def claim_next(self) -> Optional[Job]:

@@ -10,8 +10,9 @@ job's flag, and drive the remaining lifecycle transitions:
 
 * normal completion → persist records, ``RUNNING → DONE``;
 * :class:`~repro.scenarios.runner.RunCancelled` → ``RUNNING → CANCELLED``;
-* any other exception → ``RUNNING → FAILED`` with the traceback's final
-  line stored as the job ``error``.
+* any other exception, from the run or from persisting its result →
+  ``RUNNING → FAILED`` with the traceback's final line stored as the job
+  ``error``; the worker lives on to claim the next job.
 
 Workers park on a :class:`threading.Condition` when the queue is empty and
 are woken by :meth:`notify` on each submission, so an idle service costs
@@ -159,6 +160,15 @@ class TaskManager:
             with telemetry.span("taskmanager.job") as job_span:
                 job_span.set("action", job.action)
                 result = self.runner(request, cancel_check=cancel_check, **extra)
+            # Inside the try: a result that fails to serialize or persist
+            # must fail the job, not kill the worker and strand it RUNNING.
+            payload = result.to_dict()
+            self.store.save_result(
+                job.id,
+                records=payload["records"],
+                meta=payload["meta"],
+                endpoints=payload.get("endpoints"),
+            )
         except RunCancelled:
             return self._finish(job, CANCELLED, run_t0)
         except IllegalTransition:
@@ -168,13 +178,6 @@ class TaskManager:
                 traceback.format_exception_only(type(exc), exc)
             ).strip()
             return self._finish(job, FAILED, run_t0, error=error)
-        payload = result.to_dict()
-        self.store.save_result(
-            job.id,
-            records=payload["records"],
-            meta=payload["meta"],
-            endpoints=payload.get("endpoints"),
-        )
         # DONE wins any cancel race: only this worker moves the job out of
         # RUNNING, so a cancel_requested flag set after the last poll is a
         # no-op on state.

@@ -6,13 +6,22 @@ the HTTP API must be byte-identical (as canonical JSON) to a direct
 """
 
 import json
+import signal
+import sqlite3
 import threading
+import time
 
 import pytest
 
 from repro.api import RunResult
 from repro.scenarios import run_scenario
-from repro.service import ExperimentService, QuotaManager, ServiceClient, ServiceClientError
+from repro.service import (
+    ExperimentService,
+    QuotaManager,
+    ServiceClient,
+    ServiceClientError,
+    serve,
+)
 
 
 @pytest.fixture()
@@ -112,6 +121,62 @@ class TestEndToEnd:
                 assert exc.status == 409
                 outcomes.add("terminal")
         assert outcomes <= {"CANCELLED", "RUNNING", "terminal"}
+
+
+class TestServe:
+    def test_serve_runs_jobs_until_ctrl_c_then_stops(self, tmp_path, monkeypatch, capsys):
+        """``serve()`` blocks serving jobs; Ctrl-C stops it and closes both stores."""
+        services = []
+        real_start = ExperimentService.start
+
+        def recording_start(self):
+            services.append(real_start(self))
+            return self
+
+        monkeypatch.setattr(ExperimentService, "start", recording_start)
+        outcome = {}
+
+        def drive():
+            try:
+                deadline = time.monotonic() + 10
+                while not services and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                outcome["url"] = services[0].url
+                client = ServiceClient(outcome["url"], tenant="cli")
+                job = client.submit(
+                    "throughput", {"workloads": ["resnet101"], "worker_counts": [1, 2]}
+                )
+                outcome["done"] = client.wait(job["id"], timeout=30)
+                outcome["records"] = list(client.iter_records(job["id"]))
+            finally:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        # A runner started in the background may inherit SIGINT ignored.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        client_thread = threading.Thread(target=drive)
+        try:
+            client_thread.start()
+            serve(
+                port=0,
+                db_path=str(tmp_path / "jobs.sqlite3"),
+                workers=1,
+                results_db=str(tmp_path / "results.sqlite3"),
+            )
+        finally:
+            client_thread.join(10)
+            signal.signal(signal.SIGINT, previous)
+        assert not client_thread.is_alive()
+        service = services[0]
+        assert f"listening on {outcome['url']} " in capsys.readouterr().out
+        assert outcome["done"]["state"] == "DONE"
+        assert [r["params"]["workers"] for r in outcome["records"]] == [1, 2]
+        # Ctrl-C stopped the HTTP server and closed both stores.
+        assert not service.taskmanager.running
+        with pytest.raises(RuntimeError, match="not started"):
+            service.url
+        for store in (service.store, service.results):
+            with pytest.raises(sqlite3.ProgrammingError):
+                store._conn.execute("SELECT 1")
 
 
 class TestHttpErrors:

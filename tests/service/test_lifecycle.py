@@ -1,6 +1,7 @@
 """Job lifecycle state machine: transitions, races, failure capture, restarts."""
 
 import itertools
+import sqlite3
 import threading
 
 import pytest
@@ -234,6 +235,32 @@ class TestFailureCapture:
         tm.run_pending_once()
         job = store.list_jobs()[0][0]
         assert job.state == FAILED and "unknown request kind" in job.error
+
+    def test_failed_save_fails_the_job_and_keeps_the_worker(self):
+        class FlakyStore(JobStore):
+            broken = True
+
+            def save_result(self, job_id, **kwargs):
+                if self.broken:
+                    self.broken = False
+                    raise sqlite3.OperationalError("disk I/O error")
+                super().save_result(job_id, **kwargs)
+
+        store = FlakyStore()
+        first = store.create("t", "scenario", REQUEST)
+        second = store.create("t", "scenario", REQUEST)
+        tm = TaskManager(store, runner=ok_runner, workers=1)
+        tm.start()
+        try:
+            final = store.wait_terminal(second.id, timeout=5)
+            assert tm.running  # the worker survived the first job
+        finally:
+            tm.stop()
+        assert final.state == DONE and final.num_records == 1
+        failed = store.get(first.id)
+        assert failed.state == FAILED
+        assert failed.error == "sqlite3.OperationalError: disk I/O error"
+        assert store.get_records(first.id) == ([], 0)
 
     def test_successful_job_persists_records_then_completes(self):
         store = make_store()
