@@ -329,10 +329,6 @@ class SimulatedCluster:
 
         restore_cluster(self, ckpt)
 
-    def steps_per_epoch(self) -> int:
-        """Global steps per pass over the full training set (BSP semantics)."""
-        return max(len(self.train_dataset) // (self.batch_size * self.num_workers), 1)
-
     # ------------------------------------------------------------------ #
     # gradient computation
     # ------------------------------------------------------------------ #
@@ -511,19 +507,6 @@ class SimulatedCluster:
             model.load_param_vector(backup)
         return result
 
-    def evaluate_worker_average(self) -> EvalResult:
-        """Evaluate the average of all current worker replicas.
-
-        This is the model a semi-synchronous method would obtain if it
-        synchronized right now; it is the checkpoint metric used in the
-        convergence curves (Figs. 9, 10, 12).
-        """
-        return self.evaluate_state(self.average_worker_vector())
-
-    def evaluate_global(self) -> EvalResult:
-        """Evaluate the parameter-server state."""
-        return self.evaluate_state(self.ps.pull())
-
     # ------------------------------------------------------------------ #
     # misc helpers
     # ------------------------------------------------------------------ #
@@ -557,40 +540,9 @@ class SimulatedCluster:
         mean = self.matrix.params[self.active_mask].mean(axis=0)
         return self.matrix.spec.unflatten(mean)
 
-    def average_worker_vector(self) -> np.ndarray:
-        """Flat replica average — the engine-level form of PA aggregation."""
-        if self.active_mask.all():
-            return self.matrix.mean_params()
-        return self.matrix.params[self.active_mask].mean(axis=0)
-
     def replica_divergence(self) -> float:
         """Mean L2 distance of worker replicas from their average (drift diagnostic)."""
         return self.matrix.divergence()
-
-    # ------------------------------------------------------------------ #
-    # batched per-layer statistics (repro.stats over matrix slices)
-    # ------------------------------------------------------------------ #
-    def layer_gradient_norms(self) -> Dict[str, np.ndarray]:
-        """Per-layer gradient L2 norms for every worker: ``{name: (N,)}``.
-
-        Computed from ``ParamSpec`` column slices of the gradient matrix in
-        one fused reduction per layer — no per-worker unflatten.
-        """
-        from repro.stats.layer_stats import matrix_layer_norms
-
-        return matrix_layer_norms(self.matrix.grads, self.matrix.spec)
-
-    def layer_parameter_norms(self) -> Dict[str, np.ndarray]:
-        """Per-layer parameter L2 norms for every worker: ``{name: (N,)}``."""
-        from repro.stats.layer_stats import matrix_layer_norms
-
-        return matrix_layer_norms(self.matrix.params, self.matrix.spec)
-
-    def layer_gradient_sample(self, name: str, max_samples: Optional[int] = None):
-        """Pooled gradient entries of one layer across all workers (KDE input)."""
-        from repro.stats.layer_stats import layer_sample
-
-        return layer_sample(self.matrix.grads, self.matrix.spec, name, max_samples=max_samples)
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -124,12 +124,3 @@ class ComputeCostModel:
         if np.any(speed_factors <= 0):
             raise ValueError("speed factors must be positive")
         return self.step_seconds(batch_size, 1.0) / speed_factors
-
-    def throughput_samples_per_second(
-        self, batch_size: int, speed_factor: float = 1.0
-    ) -> float:
-        """Samples processed per second by one worker at this batch size."""
-        return batch_size / self.step_seconds(batch_size, speed_factor)
-
-    def memory_gigabytes(self, batch_size: int) -> float:
-        return memory_gigabytes(self.spec, batch_size)

@@ -128,11 +128,6 @@ class Worker:
         else:
             self.model.load_state_dict(state)
 
-    def state_delta(self, reference: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Difference between the local replica and a reference state (SSP pushes)."""
-        current = self.model.state_dict()
-        return {name: current[name] - np.asarray(reference[name]) for name in current}
-
     def state_delta_vector(self, reference: np.ndarray) -> np.ndarray:
         """Flat difference between the local replica and a reference vector."""
         params = self.model.param_vector

@@ -3,7 +3,7 @@
 The original system runs over PyTorch RPC between docker containers on a
 5 Gbps NIC.  Here communication is simulated in-process: the
 :class:`InProcessBackend` implements the collective semantics (all-reduce,
-all-gather, broadcast, reduce, point-to-point) over NumPy arrays, the
+the flags all-gather, broadcast, gather) over NumPy arrays, the
 :class:`ParameterServer` implements push/pull parameter and gradient
 aggregation, and the cost models translate message volumes into simulated
 wall-clock seconds for parameter-server, ring-allreduce and tree topologies.

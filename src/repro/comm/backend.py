@@ -2,8 +2,7 @@
 
 Implements the semantics of the MPI-style collectives the paper's algorithm
 relies on (all-gather of synchronization flags, all-reduce of updates,
-broadcast of the initial model, point-to-point sends for data injection)
-over plain NumPy arrays held by the lockstep simulator.  Every call records
+broadcast of the initial model) over plain NumPy arrays held by the lockstep simulator.  Every call records
 the bytes that *would* have crossed the wire, which the cost models turn
 into simulated seconds and the benchmarks report as communication volume.
 """
@@ -11,12 +10,11 @@ into simulated seconds and the benchmarks report as communication volume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.dtypes import WIRE_DTYPE_BYTES, transport_dtype_bytes
-from repro.utils.flatten import flatten_arrays, unflatten_vector
 
 
 def _as_float_array(value: np.ndarray) -> np.ndarray:
@@ -60,9 +58,6 @@ class InProcessBackend:
         # None resolves to the canonical float32 wire (== DTYPE_BYTES).
         self.dtype_bytes = transport_dtype_bytes(transport_dtype)
         self.record = CommunicationRecord()
-        self._mailboxes: Dict[int, List[Tuple[int, object]]] = {
-            rank: [] for rank in range(world_size)
-        }
 
     # ------------------------------------------------------------------ #
     # collectives over flat arrays
@@ -97,14 +92,6 @@ class InProcessBackend:
         self.record.record("allreduce", 2.0 * per_element * self.world_size)
         return [reduced.copy() for _ in range(self.world_size)]
 
-    def allgather(self, per_rank: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Every rank receives the concatenation of all ranks' arrays."""
-        arrays = self._check_inputs(per_rank)
-        gathered = np.stack(arrays)
-        payload = gathered.size * self.dtype_bytes
-        self.record.record("allgather", float(payload) * self.world_size)
-        return [gathered.copy() for _ in range(self.world_size)]
-
     def allgather_bits(self, per_rank_flags: Sequence[int]) -> np.ndarray:
         """The SelSync flags exchange: one status bit per worker (Alg. 1, line 12)."""
         if len(per_rank_flags) != self.world_size:
@@ -126,18 +113,6 @@ class InProcessBackend:
         )
         return [value.copy() for _ in range(self.world_size)]
 
-    def reduce(self, per_rank: Sequence[np.ndarray], root: int = 0, op: str = "mean") -> np.ndarray:
-        """Reduce to a single root rank."""
-        if not 0 <= root < self.world_size:
-            raise ValueError(f"root {root} out of range for world size {self.world_size}")
-        arrays = self._check_inputs(per_rank)
-        stacked = np.stack(arrays)
-        reduced = stacked.mean(axis=0) if op == "mean" else stacked.sum(axis=0)
-        self.record.record(
-            "reduce", float(arrays[0].size * self.dtype_bytes * (self.world_size - 1))
-        )
-        return reduced
-
     def gather(self, per_rank: Sequence[np.ndarray], root: int = 0) -> List[np.ndarray]:
         if not 0 <= root < self.world_size:
             raise ValueError(f"root {root} out of range for world size {self.world_size}")
@@ -150,7 +125,7 @@ class InProcessBackend:
     def allreduce_matrix(self, matrix: np.ndarray, op: str = "mean") -> np.ndarray:
         """All-reduce the rows of a ``(K, D)`` worker matrix in one pass.
 
-        The engine-level form of :meth:`allreduce_tree`: row ``i`` is one
+        The engine-level form of :meth:`allreduce`: row ``i`` is one
         participating rank's flat buffer, so the reduction is one fused NumPy
         call and no per-rank copies are made.  ``K`` is normally the full
         world size, but an elastic cluster may reduce over any non-empty
@@ -175,50 +150,3 @@ class InProcessBackend:
         # Ring all-reduce moves ~2x the payload per participating rank.
         self.record.record("allreduce", 2.0 * per_element * matrix.shape[0])
         return reduced
-
-    # ------------------------------------------------------------------ #
-    # collectives over parameter trees (named state dicts)
-    # ------------------------------------------------------------------ #
-    def allreduce_tree(
-        self, per_rank_trees: Sequence[Mapping[str, np.ndarray]], op: str = "mean"
-    ) -> List[Dict[str, np.ndarray]]:
-        """All-reduce each named array across ranks (used for GA and PA)."""
-        if len(per_rank_trees) != self.world_size:
-            raise ValueError(
-                f"expected {self.world_size} trees, got {len(per_rank_trees)}"
-            )
-        flats = []
-        spec = None
-        for tree in per_rank_trees:
-            flat, this_spec = flatten_arrays(tree)
-            if spec is None:
-                spec = this_spec
-            elif this_spec != spec:
-                raise ValueError("parameter trees have mismatched structure across ranks")
-            flats.append(flat)
-        reduced = self.allreduce(flats, op=op)
-        return [unflatten_vector(vec, spec) for vec in reduced]
-
-    # ------------------------------------------------------------------ #
-    # point-to-point (used by data injection)
-    # ------------------------------------------------------------------ #
-    def send(self, src: int, dst: int, payload: object, num_bytes: float = 0.0) -> None:
-        if not 0 <= src < self.world_size or not 0 <= dst < self.world_size:
-            raise ValueError(f"invalid ranks src={src}, dst={dst}")
-        self._mailboxes[dst].append((src, payload))
-        self.record.record("p2p", float(num_bytes))
-
-    def recv(self, dst: int, src: Optional[int] = None) -> Tuple[int, object]:
-        """Pop the oldest message for ``dst`` (optionally filtered by sender)."""
-        box = self._mailboxes[dst]
-        if not box:
-            raise LookupError(f"no pending messages for rank {dst}")
-        if src is None:
-            return box.pop(0)
-        for i, (sender, payload) in enumerate(box):
-            if sender == src:
-                return box.pop(i)
-        raise LookupError(f"no pending message from rank {src} for rank {dst}")
-
-    def pending(self, dst: int) -> int:
-        return len(self._mailboxes[dst])

@@ -26,36 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.comm.network import NetworkModel
-from repro.engine.dtypes import (
-    WIRE_DTYPE_BYTES,
-    transport_dtype_bytes,
-    transport_scale,
-    wire_dtype_bytes,
-)
-
-
-def wire_bytes(
-    num_elements: int,
-    dtype_bytes: int = WIRE_DTYPE_BYTES,
-    dtype=None,
-    transport_dtype=None,
-) -> float:
-    """On-wire size of ``num_elements`` tensor entries.
-
-    All ``model_bytes`` arguments below are expected in wire bytes computed
-    through :mod:`repro.engine.dtypes` — the single owner of the dtype ->
-    wire-bytes mapping shared with the flatten utilities, the backend and
-    the compression layer — so the float16/quantized transport modes change
-    the clock consistently everywhere.  Pass ``dtype`` to charge a specific
-    compute dtype's wire width instead of ``dtype_bytes``, or
-    ``transport_dtype`` to price an explicit wire format (``"float16"``
-    charges 2 bytes/element regardless of the compute dtype).
-    """
-    if transport_dtype is not None:
-        dtype_bytes = transport_dtype_bytes(transport_dtype)
-    elif dtype is not None:
-        dtype_bytes = wire_dtype_bytes(dtype)
-    return float(num_elements) * float(dtype_bytes)
+from repro.engine.dtypes import transport_scale
 
 
 def ps_sync_seconds(
@@ -163,8 +134,8 @@ class CommunicationCostModel:
 
         ``scale_transport=False`` skips the transport-dtype scale: callers
         whose byte count already reflects the true wire format (the
-        compression layer prices its own payloads, e.g. FP16's 2
-        bytes/element) must not be discounted a second time.
+        compression layer prices its own payloads) must not be discounted
+        a second time.
         """
         if scale_transport:
             model_bytes = model_bytes * self._wire_scale

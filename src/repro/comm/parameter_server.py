@@ -216,9 +216,6 @@ class ParameterServer:
             raise ValueError(f"worker_id {worker_id} out of range")
         return int(self.worker_clocks[worker_id] - self.worker_clocks.min())
 
-    def min_clock(self) -> int:
-        return int(self.worker_clocks.min())
-
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #

@@ -5,20 +5,15 @@ is communicated on every step.  They are implemented so the compression
 ablation bench can compare communication volume and accuracy against
 SelSync's selective synchronization:
 
-* sparsification — :class:`TopKCompressor`, :class:`RandomKCompressor`
-  (DGC / Top-k style),
-* quantization — :class:`SignSGDCompressor`, :class:`TernGradCompressor`,
-  :class:`FP16Compressor`,
+* sparsification — :class:`TopKCompressor` (DGC / Top-k style),
+* quantization — :class:`SignSGDCompressor`,
 * low-rank — :class:`PowerSGDCompressor`.
 """
 
 from repro.compression.base import Compressor, CompressedPayload, compression_error
 from repro.compression.topk import TopKCompressor
-from repro.compression.randomk import RandomKCompressor
 from repro.compression.signsgd import SignSGDCompressor
-from repro.compression.terngrad import TernGradCompressor
 from repro.compression.powersgd import PowerSGDCompressor
-from repro.compression.quantize import FP16Compressor
 from repro.compression.trainer import CompressedBSPTrainer
 
 __all__ = [
@@ -26,10 +21,7 @@ __all__ = [
     "CompressedPayload",
     "compression_error",
     "TopKCompressor",
-    "RandomKCompressor",
     "SignSGDCompressor",
-    "TernGradCompressor",
     "PowerSGDCompressor",
-    "FP16Compressor",
     "CompressedBSPTrainer",
 ]

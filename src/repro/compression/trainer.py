@@ -73,8 +73,9 @@ class CompressedBSPTrainer(BaseTrainer):
 
         # Charge a full sync scaled down by the achieved compression ratio.
         # The compressor's payload bytes already reflect the true wire
-        # format (FP16 ships 2 bytes/element, sign bits 1/8, ...), so the
-        # cost model's transport-dtype scale must not discount them again.
+        # format (sign bits ship 1/8 byte per element, top-k its values and
+        # indices, ...), so the cost model's transport-dtype scale must not
+        # discount them again.
         seconds = cluster.comm_model.sync_seconds(
             cluster.workload_spec.model_bytes / max(mean_ratio, 1.0),
             cluster.num_workers,

@@ -9,8 +9,6 @@
   including the flags all-gather protocol, SelDP partitioning and the
   non-IID data-injection path.
 * aggregation helpers for parameter vs gradient aggregation (§III-C).
-* :class:`AdaptiveSelSyncTrainer` — an extension beyond the paper that tunes
-  δ online to hit a target communication budget (target LSSR).
 """
 
 from repro.core.gradient_tracker import GradientChangeTracker, TrackerOverheadProbe
@@ -21,11 +19,8 @@ from repro.core.aggregation import (
     AggregationMode,
 )
 from repro.core.selsync import SelSyncTrainer
-from repro.core.adaptive import AdaptiveDeltaController, AdaptiveSelSyncTrainer
 
 __all__ = [
-    "AdaptiveDeltaController",
-    "AdaptiveSelSyncTrainer",
     "GradientChangeTracker",
     "TrackerOverheadProbe",
     "SelSyncConfig",

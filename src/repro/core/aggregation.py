@@ -60,44 +60,3 @@ def aggregate_gradients(
         name: np.mean([np.asarray(g[name], dtype=np.float64) for g in grads], axis=0)
         for name in names
     }
-
-
-def aggregate_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Average flat worker rows of an ``(N, D)`` matrix in one fused reduction.
-
-    This is the engine-level form of both PA and GA: the cluster stacks all
-    worker buffers, so averaging replicas (or their gradients) is a single
-    ``mean(axis=0)`` instead of a per-name, per-worker Python loop.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (N, D) matrix, got shape {matrix.shape}")
-    return matrix.mean(axis=0)
-
-
-def replica_consistency_error(states) -> float:
-    """Maximum L2 distance of any replica from the replica average.
-
-    Zero after a PA synchronization step; generally non-zero under GA, which
-    is exactly the divergence §III-C warns about.  ``states`` may be a
-    sequence of named state dicts or an ``(N, D)`` matrix of flat replica
-    rows (the vectorized engine path).
-    """
-    if isinstance(states, np.ndarray):
-        matrix = np.asarray(states, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] < 1:
-            raise ValueError(
-                f"expected a non-empty (N, D) matrix, got shape {matrix.shape}"
-            )
-        centered = matrix - matrix.mean(axis=0)
-        return float(np.sqrt((centered**2).sum(axis=1).max()))
-    _validate_trees(states)
-    mean_state = aggregate_parameters(states)
-    worst = 0.0
-    for state in states:
-        sq = 0.0
-        for name, value in mean_state.items():
-            diff = np.asarray(state[name], dtype=np.float64) - value
-            sq += float(np.sum(diff**2))
-        worst = max(worst, float(np.sqrt(sq)))
-    return worst

@@ -121,13 +121,6 @@ class GradientChangeTracker:
         return delta
 
     @property
-    def last_delta(self) -> float:
-        """Most recent Δ(gᵢ); raises if no gradient has been seen yet."""
-        if not self.history:
-            raise RuntimeError("tracker has not seen any gradients yet")
-        return self.history[-1]
-
-    @property
     def max_delta(self) -> float:
         """The extremum M = max(Δ(gᵢ)) observed so far (§III-B)."""
         if not self.history:

@@ -3,8 +3,7 @@
 The paper trains on CIFAR-10/100, ImageNet-1K and WikiText-103.  Those are
 replaced by synthetic datasets with the same *structural* properties the
 experiments rely on (class labels for IID / non-IID splits, a token stream
-for the language-model workload); see DESIGN.md §2 for the substitution
-rationale.
+for the language-model workload).
 
 The partitioning schemes — DefDP (default disjoint chunks) and SelDP (the
 paper's circular-queue rotation, Fig. 7) — and the randomized data-injection
@@ -13,51 +12,42 @@ mechanism for non-IID data (§III-E) live here as well.
 
 from repro.data.datasets import (
     ClassificationDataset,
-    ImageClassificationDataset,
     SequenceDataset,
     make_classification_dataset,
     make_classification_splits,
-    make_image_dataset,
-    make_image_splits,
     make_sequence_dataset,
     make_sequence_splits,
     DATASET_REGISTRY,
     build_dataset,
     DatasetBundle,
 )
-from repro.data.loader import DataLoader, BatchIterator
+from repro.data.loader import DataLoader
 from repro.data.partition import (
     Partitioner,
     DefaultPartitioner,
     SelSyncPartitioner,
     partition_layout,
 )
-from repro.data.noniid import LabelSkewPartitioner, dirichlet_partition, label_distribution
-from repro.data.injection import DataInjection, adjusted_batch_size, injection_bytes_per_step
+from repro.data.noniid import LabelSkewPartitioner, label_distribution
+from repro.data.injection import DataInjection, adjusted_batch_size
 
 __all__ = [
     "ClassificationDataset",
-    "ImageClassificationDataset",
     "SequenceDataset",
     "make_classification_dataset",
     "make_classification_splits",
-    "make_image_dataset",
-    "make_image_splits",
     "make_sequence_dataset",
     "make_sequence_splits",
     "DATASET_REGISTRY",
     "build_dataset",
     "DatasetBundle",
     "DataLoader",
-    "BatchIterator",
     "Partitioner",
     "DefaultPartitioner",
     "SelSyncPartitioner",
     "partition_layout",
     "LabelSkewPartitioner",
-    "dirichlet_partition",
     "label_distribution",
     "DataInjection",
     "adjusted_batch_size",
-    "injection_bytes_per_step",
 ]

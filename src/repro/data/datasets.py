@@ -68,56 +68,6 @@ class ClassificationDataset:
         )
 
 
-class ImageClassificationDataset:
-    """In-memory image classification dataset: ``inputs`` (n, c, h, w), ``targets`` (n,).
-
-    The spatial analog of :class:`ClassificationDataset`, used by the
-    conv-family workloads (``ConvNet``).
-    """
-
-    def __init__(
-        self, inputs: np.ndarray, targets: np.ndarray, num_classes: int, name: str = ""
-    ) -> None:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets)
-        if inputs.ndim != 4:
-            raise ValueError(f"inputs must be 4-D (n, c, h, w), got shape {inputs.shape}")
-        if targets.ndim != 1 or targets.shape[0] != inputs.shape[0]:
-            raise ValueError(
-                f"targets must be 1-D with length {inputs.shape[0]}, got {targets.shape}"
-            )
-        if not np.issubdtype(targets.dtype, np.integer):
-            raise TypeError("targets must be integer class ids")
-        if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
-            raise ValueError("target labels out of range for num_classes")
-        self.inputs = inputs
-        self.targets = targets.astype(np.int64)
-        self.num_classes = int(num_classes)
-        self.name = name
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-    def __getitem__(self, idx) -> Tuple[np.ndarray, np.ndarray]:
-        return self.inputs[idx], self.targets[idx]
-
-    @property
-    def input_dim(self) -> int:
-        """Flattened feature count (c * h * w), for cost-model consumers."""
-        return int(np.prod(self.inputs.shape[1:]))
-
-    @property
-    def sample_bytes(self) -> int:
-        """Size of one training sample in bytes (float32 transport)."""
-        return self.input_dim * 4 + 8
-
-    def subset(self, indices: np.ndarray) -> "ImageClassificationDataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        return ImageClassificationDataset(
-            self.inputs[indices], self.targets[indices], self.num_classes, name=self.name
-        )
-
-
 class SequenceDataset:
     """Next-token-prediction dataset of fixed-length windows over a token stream."""
 
@@ -251,70 +201,6 @@ def make_classification_splits(
     test = make_classification_dataset(
         num_test, num_classes, input_dim, class_sep=class_sep, noise=noise,
         seed=None if seed is None else seed + 2, name=f"{name}-test", centers=centers,
-    )
-    return train, test
-
-
-def make_image_dataset(
-    num_samples: int,
-    num_classes: int,
-    in_channels: int = 1,
-    image_size: int = 8,
-    class_sep: float = 2.0,
-    noise: float = 0.8,
-    seed: Optional[int] = 0,
-    name: str = "synthetic-images",
-    prototypes: Optional[np.ndarray] = None,
-) -> ImageClassificationDataset:
-    """Prototype-plus-noise image data: one spatial pattern per class.
-
-    ``prototypes`` can be passed explicitly so multiple datasets (train/test
-    splits) are drawn from the *same* class patterns.
-    """
-    if num_samples < num_classes:
-        raise ValueError("need at least one sample per class")
-    rng = new_rng(seed)
-    shape = (num_classes, in_channels, image_size, image_size)
-    if prototypes is None:
-        prototypes = class_sep * rng.standard_normal(shape)
-    else:
-        prototypes = np.asarray(prototypes, dtype=np.float64)
-        if prototypes.shape != shape:
-            raise ValueError(f"prototypes must have shape {shape}, got {prototypes.shape}")
-    labels = rng.integers(0, num_classes, size=num_samples)
-    labels[:num_classes] = np.arange(num_classes)
-    rng.shuffle(labels)
-    samples = prototypes[labels] + noise * rng.standard_normal(
-        (num_samples, in_channels, image_size, image_size)
-    )
-    return ImageClassificationDataset(samples, labels, num_classes, name=name)
-
-
-def make_image_splits(
-    num_train: int,
-    num_test: int,
-    num_classes: int,
-    in_channels: int = 1,
-    image_size: int = 8,
-    class_sep: float = 2.0,
-    noise: float = 0.8,
-    seed: Optional[int] = 0,
-    name: str = "synthetic-images",
-) -> Tuple[ImageClassificationDataset, ImageClassificationDataset]:
-    """Train/test image datasets sampled from the *same* class prototypes."""
-    rng = new_rng(seed)
-    prototypes = class_sep * rng.standard_normal(
-        (num_classes, in_channels, image_size, image_size)
-    )
-    train = make_image_dataset(
-        num_train, num_classes, in_channels, image_size, class_sep=class_sep,
-        noise=noise, seed=None if seed is None else seed + 1, name=f"{name}-train",
-        prototypes=prototypes,
-    )
-    test = make_image_dataset(
-        num_test, num_classes, in_channels, image_size, class_sep=class_sep,
-        noise=noise, seed=None if seed is None else seed + 2, name=f"{name}-test",
-        prototypes=prototypes,
     )
     return train, test
 

@@ -33,15 +33,6 @@ def adjusted_batch_size(batch_size: int, alpha: float, beta: float, num_workers:
     return max(b_prime, 1)
 
 
-def injection_bytes_per_step(
-    alpha: float, beta: float, num_workers: int, b_prime: int, sample_bytes: int
-) -> float:
-    """Extra communication per step: (alpha*beta*N*b') samples of ``sample_bytes``."""
-    if sample_bytes < 0:
-        raise ValueError(f"sample_bytes must be non-negative, got {sample_bytes}")
-    return float(alpha * beta * num_workers * b_prime * sample_bytes)
-
-
 @dataclass
 class InjectionReport:
     """Bookkeeping for one injection round."""

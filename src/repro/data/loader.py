@@ -17,33 +17,6 @@ import numpy as np
 from repro.utils.rng import new_rng
 
 
-class BatchIterator:
-    """Finite single-pass iterator over a dataset in a fixed index order."""
-
-    def __init__(
-        self, dataset, indices: np.ndarray, batch_size: int, drop_last: bool = True
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.dataset = dataset
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.batch_size = int(batch_size)
-        self.drop_last = bool(drop_last)
-
-    def __len__(self) -> int:
-        n = self.indices.size
-        if self.drop_last:
-            return n // self.batch_size
-        return int(np.ceil(n / self.batch_size))
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n = self.indices.size
-        limit = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, limit, self.batch_size):
-            batch_idx = self.indices[start : start + self.batch_size]
-            yield self.dataset[batch_idx]
-
-
 class DataLoader:
     """Infinite mini-batch source over an index order into a dataset.
 
@@ -93,11 +66,6 @@ class DataLoader:
     @property
     def steps_per_epoch(self) -> int:
         return self.indices.size // self.batch_size
-
-    @property
-    def epoch(self) -> int:
-        """Number of completed passes over this loader's index order."""
-        return self._epoch
 
     @property
     def epoch_progress(self) -> float:

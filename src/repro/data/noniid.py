@@ -86,43 +86,6 @@ class LabelSkewPartitioner(Partitioner):
         return PartitionResult(worker_indices, chunk_assignment, elapsed)
 
 
-def dirichlet_partition(
-    targets: np.ndarray,
-    num_workers: int,
-    alpha: float = 0.5,
-    seed: Optional[int] = 0,
-) -> List[np.ndarray]:
-    """Dirichlet(alpha) label-proportion split: smaller alpha = more skew."""
-    targets = np.asarray(targets).astype(np.int64)
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    rng = new_rng(seed)
-    classes = np.unique(targets)
-    per_worker: List[List[np.ndarray]] = [[] for _ in range(num_workers)]
-    for c in classes:
-        samples = rng.permutation(np.flatnonzero(targets == c))
-        proportions = rng.dirichlet(np.full(num_workers, alpha))
-        counts = (proportions * samples.size).astype(np.int64)
-        # Fix rounding so every sample lands somewhere.
-        counts[-1] = samples.size - counts[:-1].sum()
-        cursor = 0
-        for worker, count in enumerate(counts):
-            per_worker[worker].append(samples[cursor : cursor + count])
-            cursor += count
-    out = []
-    for worker in range(num_workers):
-        idx = (
-            np.concatenate(per_worker[worker])
-            if per_worker[worker]
-            else np.zeros(0, dtype=np.int64)
-        )
-        rng.shuffle(idx)
-        out.append(idx.astype(np.int64))
-    return out
-
-
 def label_distribution(targets: np.ndarray, indices: np.ndarray, num_classes: int) -> np.ndarray:
     """Normalized label histogram of a worker's partition (skew diagnostics)."""
     targets = np.asarray(targets).astype(np.int64)

@@ -15,7 +15,6 @@ from repro.engine.dtypes import (
     SUPPORTED_DTYPES,
     TRANSPORT_DTYPES,
     WIRE_DTYPE_BYTES,
-    dtype_name,
     resolve_dtype,
     resolve_transport_dtype,
     transport_dtype_bytes,
@@ -48,7 +47,6 @@ __all__ = [
     "attach_shared_dropout",
     "build_fused_update",
     "module_has_active_dropout",
-    "dtype_name",
     "resolve_dtype",
     "resolve_transport_dtype",
     "transport_dtype_bytes",

@@ -10,7 +10,7 @@ matches the numerical regime of the clusters the paper actually measures
 This module is the **single owner** of the dtype → wire-bytes mapping.  The
 communication cost models, the in-process backend, the parameter server and
 the compression layer all charge bytes through :func:`wire_dtype_bytes`, so a
-new transport mode (float16, quantized) only needs a new entry here for the
+new transport mode only needs a new entry here for the
 simulated clock to stay consistent with the buffers everywhere.
 
 Transport convention: distributed frameworks ship tensors as float32 on the
@@ -20,8 +20,8 @@ their native width (the wire is never wider than the compute dtype).
 
 Separately from the *compute* dtype, a **transport dtype** can override what
 the wire actually carries: ``float16`` models mixed-precision communication
-(GradientFlow-style half-precision payloads, the same 2-byte elements the
-FP16 compressor ships), ``float32`` is the canonical default, and
+(GradientFlow-style half-precision payloads, 2-byte elements),
+``float32`` is the canonical default, and
 ``float64`` prices an uncompressed double-precision wire.  The transport
 dtype only affects byte accounting — the simulated clock and the backend's
 communication records — never the arithmetic, so wire-time experiments can
@@ -56,8 +56,8 @@ SUPPORTED_DTYPES = tuple(sorted(_WIRE_BYTES, key=lambda d: d.itemsize))
 DEFAULT_TRANSPORT_DTYPE = np.dtype(np.float32)
 
 #: Transport dtype -> bytes per element actually carried on the wire.
-#: ``float16`` is the half-precision payload the compression layer's FP16
-#: format models; it is a *transport* mode only and stays rejected as a
+#: ``float16`` is the half-precision payload of mixed-precision
+#: communication; it is a *transport* mode only and stays rejected as a
 #: compute dtype.
 _TRANSPORT_BYTES = {
     np.dtype(np.float16): 2,
@@ -122,35 +122,3 @@ def transport_scale(dtype: DTypeLike = None) -> float:
     transport switch re-prices every collective consistently.
     """
     return transport_dtype_bytes(dtype) / float(WIRE_DTYPE_BYTES)
-
-
-def dtype_name(dtype: DTypeLike = None) -> str:
-    """Canonical short name (``"float32"`` / ``"float64"``) for reports."""
-    return resolve_dtype(dtype).name
-
-
-def as_compute_array(value, dtype: DTypeLike = None) -> np.ndarray:
-    """Coerce ``value`` to an array of the given compute dtype (no-copy when possible)."""
-    return np.asarray(value, dtype=resolve_dtype(dtype))
-
-
-def machine_epsilon(dtype: DTypeLike = None) -> float:
-    """``np.finfo`` epsilon of the compute dtype (used by tolerance docs/tests)."""
-    return float(np.finfo(resolve_dtype(dtype)).eps)
-
-
-__all__ = [
-    "DEFAULT_DTYPE",
-    "DEFAULT_TRANSPORT_DTYPE",
-    "SUPPORTED_DTYPES",
-    "TRANSPORT_DTYPES",
-    "WIRE_DTYPE_BYTES",
-    "as_compute_array",
-    "dtype_name",
-    "machine_epsilon",
-    "resolve_dtype",
-    "resolve_transport_dtype",
-    "transport_dtype_bytes",
-    "transport_scale",
-    "wire_dtype_bytes",
-]

@@ -11,8 +11,7 @@ the underlying vector, so mutating a view mutates the vector and vice versa
 
 :class:`ParamSpec` is the layout descriptor (name, shape, offset, size per
 entry) plus the storage dtype.  It is deliberately independent of
-:mod:`repro.nn` so the engine can describe any ordered tree of arrays;
-``from_module`` only relies on the ``named_parameters()`` duck type.
+:mod:`repro.nn` so the engine can describe any ordered tree of arrays.
 """
 
 from __future__ import annotations
@@ -55,29 +54,10 @@ class ParamSpec:
     # construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_module(cls, module, dtype: DTypeLike = None) -> "ParamSpec":
-        """Layout matching ``module.named_parameters()`` order."""
-        return cls(
-            [(name, p.data.shape) for name, p in module.named_parameters().items()],
-            dtype=dtype,
-        )
-
-    @classmethod
     def from_tree(cls, tree: Mapping[str, np.ndarray], dtype: DTypeLike = None) -> "ParamSpec":
         return cls(
             [(name, np.asarray(arr).shape) for name, arr in tree.items()], dtype=dtype
         )
-
-    def with_dtype(self, dtype: DTypeLike) -> "ParamSpec":
-        """Same layout on a different storage dtype (used by dtype conversion)."""
-        resolved = resolve_dtype(dtype)
-        if resolved == self.dtype:
-            return self
-        return ParamSpec([(name, shape) for name, shape, _, _ in self.entries], dtype=resolved)
-
-    def to_flatten_spec(self) -> List[Tuple[str, Tuple[int, ...]]]:
-        """The ``[(name, shape), ...]`` format used by :mod:`repro.utils.flatten`."""
-        return [(name, shape) for name, shape, _, _ in self.entries]
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -87,10 +67,6 @@ class ParamSpec:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
-
-    def names(self) -> List[str]:
-        """Tensor names in layout order."""
-        return [name for name, _, _, _ in self.entries]
 
     def shape_of(self, name: str) -> Tuple[int, ...]:
         """Original tensor shape of ``name``."""

@@ -8,14 +8,10 @@ cluster as batched NumPy calls — one fused call per layer instead of one
 Python call per layer *per worker* — writing gradients straight into the
 gradient matrix rows.
 
-Three model families are supported:
+Two model families are supported:
 
 * the **MLP family** (chains of Linear / ReLU / Tanh on a classification
-  head), which covers the simulator's hot benchmarks,
-* the **conv family** (:class:`~repro.nn.models.convnet.ConvNet`: Conv2d /
-  ReLU / MaxPool2d / GlobalAvgPool2d features plus a Linear head), the
-  non-MLP workload used to measure dtype-mode speedups on spatially
-  structured inputs, and
+  head), which covers the simulator's hot benchmarks, and
 * the **transformer family**
   (:class:`~repro.nn.models.transformer.TransformerLM`: embedding +
   positional encoding, pre-norm encoder blocks with multi-head causal
@@ -47,10 +43,10 @@ from repro.utils.logging import get_logger
 _log = get_logger(__name__)
 
 #: Activation elements a row shard must carry — shard rows × positions per
-#: replica (batch, × sequence or image positions) × the width entering the
-#: head — before another thread pays for its GIL hand-offs.  Measured, see
-#: ARCHITECTURE.md "Replica shards": every point at or above wins in all
-#: three families, every point from 21 k down loses or ties.
+#: replica (batch, × sequence positions) × the width entering the head —
+#: before another thread pays for its GIL hand-offs.  Measured, see
+#: ARCHITECTURE.md "Replica shards": every point at or above wins, every
+#: point from 21 k down loses or ties.
 MIN_SHARD_ELEMENTS = 24576
 
 
@@ -71,7 +67,7 @@ def _take_cache(layer):
 class _BatchedLinear:
     """All workers' copies of one Linear layer as (N, out, in) views.
 
-    Accepts ``(N, batch, in)`` blocks (the MLP / conv-head case) and
+    Accepts ``(N, batch, in)`` blocks (the MLP case) and
     ``(N, batch, seq, in)`` sequence blocks (the transformer case).  The
     4-D path folds the sequence axis into the batch axis — one
     ``(batch*seq, in) @ (in, out)`` GEMM per replica, exactly the collapsed
@@ -147,138 +143,6 @@ class _BatchedTanh:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out * (1.0 - _take_cache(self) ** 2)
-
-
-class _BatchedConv2d:
-    """All workers' copies of one Conv2d layer batched over the replica axis.
-
-    Inputs flow as ``(N, B, C, H, W)`` blocks.  The im2col patches of all
-    replicas are extracted in one pass over the collapsed ``(N*B, ...)``
-    volume (the patch geometry is weight independent), then the per-replica
-    convolutions reduce to one batched matmul against the ``(N, out_c, ckk)``
-    weight views — exactly the _BatchedLinear trick lifted to patches.
-    """
-
-    def __init__(
-        self,
-        w_flat: np.ndarray,
-        w_flat_grad: np.ndarray,
-        bias: Optional[np.ndarray],
-        bias_grad: Optional[np.ndarray],
-        kernel_size: int,
-        stride: int,
-        padding: int,
-    ) -> None:
-        self.w_flat = w_flat            # (N, out_c, C*k*k) view into params matrix
-        self.w_flat_grad = w_flat_grad
-        self.bias = bias                # (N, out_c) view or None
-        self.bias_grad = bias_grad
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...], Tuple[int, int]]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        from repro.nn.layers import _im2col
-
-        n, b = x.shape[:2]
-        k = self.kernel_size
-        flat = np.ascontiguousarray(x).reshape((n * b,) + x.shape[2:])
-        cols, out_h, out_w = _im2col(flat, k, k, self.stride, self.padding)
-        cols = cols.reshape(n, b * out_h * out_w, -1)
-        self._cache = (cols, x.shape, (out_h, out_w))
-        out = np.matmul(cols, self.w_flat.transpose(0, 2, 1))
-        if self.bias is not None:
-            out += self.bias[:, None, :]
-        out_c = self.w_flat.shape[1]
-        return out.reshape(n, b, out_h, out_w, out_c).transpose(0, 1, 4, 2, 3)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        from repro.nn.layers import _col2im
-
-        cols, (n, b, c, h, w), (out_h, out_w) = _take_cache(self)
-        out_c = self.w_flat.shape[1]
-        g = np.ascontiguousarray(grad_out.transpose(0, 1, 3, 4, 2)).reshape(
-            n, b * out_h * out_w, out_c
-        )
-        # Accumulate-from-zero semantics: one batched write per tensor.
-        np.matmul(g.transpose(0, 2, 1), cols, out=self.w_flat_grad)
-        if self.bias_grad is not None:
-            self.bias_grad[...] = g.sum(axis=1)
-        dcols = np.matmul(g, self.w_flat)
-        k = self.kernel_size
-        dx = _col2im(
-            dcols.reshape(n * b, out_h, out_w, -1),
-            (n * b, c, h, w),
-            k,
-            k,
-            self.stride,
-            self.padding,
-        )
-        return dx.reshape(n, b, c, h, w)
-
-
-class _BatchedMaxPool2d:
-    """Max pooling over (N, B, C, H, W): worker-independent, one fused pass."""
-
-    def __init__(self, kernel_size: int, stride: int) -> None:
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self._cache: Optional[Tuple[Tuple[int, ...], np.ndarray]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, b, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = (h - k) // s + 1
-        out_w = (w - k) // s + 1
-        flat = np.ascontiguousarray(x).reshape(n * b, c, h, w)
-        shape = (n * b, c, out_h, out_w, k, k)
-        strides = (
-            flat.strides[0],
-            flat.strides[1],
-            flat.strides[2] * s,
-            flat.strides[3] * s,
-            flat.strides[2],
-            flat.strides[3],
-        )
-        windows = np.lib.stride_tricks.as_strided(flat, shape=shape, strides=strides)
-        windows = windows.reshape(n * b, c, out_h, out_w, k * k)
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, idx)
-        return out.reshape(n, b, c, out_h, out_w)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (n, b, c, h, w), idx = _take_cache(self)
-        k, s = self.kernel_size, self.stride
-        out_h, out_w = idx.shape[2], idx.shape[3]
-        grad_flat = np.ascontiguousarray(grad_out).reshape(n * b, c, out_h, out_w)
-        grad_input = np.zeros((n * b, c, h, w), dtype=grad_flat.dtype)
-        rows = idx // k
-        cols = idx % k
-        bb, ch = np.meshgrid(np.arange(n * b), np.arange(c), indexing="ij")
-        for i in range(out_h):
-            for j in range(out_w):
-                r = i * s + rows[:, :, i, j]
-                cc = j * s + cols[:, :, i, j]
-                grad_input[bb, ch, r, cc] += grad_flat[:, :, i, j]
-        return grad_input.reshape(n, b, c, h, w)
-
-
-class _BatchedGlobalAvgPool2d:
-    """Spatial mean over (N, B, C, H, W) -> (N, B, C)."""
-
-    def __init__(self) -> None:
-        self._cache: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
-        return x.mean(axis=(3, 4))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape = _take_cache(self)
-        h, w = x_shape[3:]
-        return np.broadcast_to(grad_out[:, :, :, None, None] / (h * w), x_shape).copy()
 
 
 class _BatchedDropout:
@@ -637,7 +501,6 @@ class BatchedReplicaExecutor:
         self,
         layers: Sequence[object],
         matrix: WorkerMatrix,
-        input_ndim: int = 3,
         token_input: bool = False,
     ) -> None:
         self._layers = list(layers)
@@ -648,9 +511,6 @@ class BatchedReplicaExecutor:
             1: [(0, matrix.num_workers, self._layers)]
         }
         self._shard_source: Optional[Tuple[object, int]] = None
-        # Expected input-block rank: 3 for (N, B, F) MLP batches and
-        # (N, B, T) token batches, 5 for (N, B, C, H, W) conv batches.
-        self._input_ndim = int(input_ndim)
         # Token inputs stay integer (embedding lookup) instead of being cast
         # to the compute dtype.
         self._token_input = bool(token_input)
@@ -675,15 +535,12 @@ class BatchedReplicaExecutor:
         """
         # Imported here: the engine stays importable without the nn layer
         # stack, and nn itself only lazily imports the engine.
-        from repro.nn.models.convnet import ConvNet
         from repro.nn.models.mlp import MLP
         from repro.nn.models.transformer import TransformerLM
 
         executor = None
         if type(module) is MLP:
             executor = cls._build_mlp(matrix, module)
-        elif type(module) is ConvNet:
-            executor = cls._build_convnet(matrix, module)
         elif type(module) is TransformerLM:
             executor = cls._build_transformer(matrix, module, row_offset)
         # Donated rows are already a shard of another executor: only an
@@ -717,38 +574,6 @@ class BatchedReplicaExecutor:
         return _BatchedLinear(weight, weight_grad, bias, bias_grad), covered
 
     @classmethod
-    def _batched_conv(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
-        """(layer, covered_entries) for one Conv2d, or None if layout-mismatched."""
-        n = matrix.num_workers
-        w_name = prefix + "weight"
-        if w_name not in spec:
-            return None
-        out_c, in_c, kh, kw = spec.shape_of(w_name)
-        w_sl = spec.slice_of(w_name)
-        w_flat = matrix.params[:, w_sl].reshape(n, out_c, in_c * kh * kw)
-        w_flat_grad = matrix.grads[:, w_sl].reshape(n, out_c, in_c * kh * kw)
-        covered = w_sl.stop - w_sl.start
-        bias = bias_grad = None
-        if layer.use_bias:
-            b_name = prefix + "bias"
-            if b_name not in spec:
-                return None
-            b_sl = spec.slice_of(b_name)
-            bias = matrix.params[:, b_sl]
-            bias_grad = matrix.grads[:, b_sl]
-            covered += b_sl.stop - b_sl.start
-        batched = _BatchedConv2d(
-            w_flat,
-            w_flat_grad,
-            bias,
-            bias_grad,
-            kernel_size=layer.kernel_size,
-            stride=layer.stride,
-            padding=layer.padding,
-        )
-        return batched, covered
-
-    @classmethod
     def _build_mlp(cls, matrix: WorkerMatrix, module) -> Optional["BatchedReplicaExecutor"]:
         from repro.nn.layers import Linear, ReLU, Tanh
 
@@ -777,43 +602,7 @@ class BatchedReplicaExecutor:
         # anything left over would silently never receive gradients.
         if covered != spec.total_size:
             return None
-        return cls(layers, matrix, input_ndim=3)
-
-    @classmethod
-    def _build_convnet(
-        cls, matrix: WorkerMatrix, module
-    ) -> Optional["BatchedReplicaExecutor"]:
-        from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, MaxPool2d, ReLU
-
-        spec = matrix.spec
-        covered = 0
-        layers: List[object] = []
-        for idx, layer in enumerate(module.features):
-            prefix = f"features.{idx}."
-            if isinstance(layer, Conv2d):
-                built = cls._batched_conv(matrix, spec, prefix, layer)
-                if built is None:
-                    return None
-                layers.append(built[0])
-                covered += built[1]
-            elif isinstance(layer, ReLU):
-                layers.append(_BatchedReLU())
-            elif isinstance(layer, MaxPool2d):
-                layers.append(_BatchedMaxPool2d(layer.kernel_size, layer.stride))
-            elif isinstance(layer, GlobalAvgPool2d):
-                layers.append(_BatchedGlobalAvgPool2d())
-            else:
-                return None
-        if not isinstance(module.head, Linear):
-            return None
-        built = cls._batched_linear(matrix, spec, "head.", module.head)
-        if built is None:
-            return None
-        layers.append(built[0])
-        covered += built[1]
-        if covered != spec.total_size:
-            return None
-        return cls(layers, matrix, input_ndim=5)
+        return cls(layers, matrix)
 
     @classmethod
     def _batched_layernorm(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
@@ -947,7 +736,7 @@ class BatchedReplicaExecutor:
         layers.append(head)
         if covered != spec.total_size:
             return None
-        return cls(layers, matrix, input_ndim=3, token_input=True)
+        return cls(layers, matrix, token_input=True)
 
     # ------------------------------------------------------------------ #
     def step(
@@ -975,7 +764,8 @@ class BatchedReplicaExecutor:
         else:
             x = np.stack([np.asarray(b[0], dtype=self._matrix.dtype) for b in batches])
         targets = np.stack([b[1] for b in batches])
-        if x.ndim != self._input_ndim or not np.issubdtype(targets.dtype, np.integer):
+        # Both families feed 3-D blocks: (N, B, F) features or (N, B, T) tokens.
+        if x.ndim != 3 or not np.issubdtype(targets.dtype, np.integer):
             return None
         shards = self._shards(x)
         losses = None
@@ -1018,8 +808,8 @@ class BatchedReplicaExecutor:
         """
         # Plain arithmetic first; the small steps the size rules turn away
         # are the ones that cannot afford a syscall per step.  Axis 2 is the
-        # feature axis of both float layouts, (N, B, F) and (N, B, C, H, W);
-        # a token block (N, B, T) is all positions.
+        # feature axis of an (N, B, F) block; a token block (N, B, T) is all
+        # positions.
         positions = x.size if self._token_input else x.size // x.shape[2]
         elements = positions * self._layers[-1].weight.shape[2]
         if elements * self._matrix.dtype.itemsize >= threads.MMAP_THRESHOLD_DEFAULT:
@@ -1060,8 +850,3 @@ class BatchedReplicaExecutor:
         """Per-replica gradient L2 norms in one pass over the gradient matrix."""
         g = self._matrix.grads
         return np.sqrt(np.einsum("ij,ij->i", g, g))
-
-    @property
-    def token_input(self) -> bool:
-        """Whether inputs are integer token blocks (stay uncast) or features."""
-        return self._token_input

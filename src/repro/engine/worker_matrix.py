@@ -107,26 +107,12 @@ class WorkerMatrix:
             param_vector=self.params[worker_id], grad_vector=self.grads[worker_id]
         )
 
-    def param_row(self, worker_id: int) -> np.ndarray:
-        """Zero-copy view of worker ``worker_id``'s flat parameters."""
-        self._check_worker(worker_id)
-        return self.params[worker_id]
-
-    def grad_row(self, worker_id: int) -> np.ndarray:
-        """Zero-copy view of worker ``worker_id``'s flat gradients."""
-        self._check_worker(worker_id)
-        return self.grads[worker_id]
-
     # ------------------------------------------------------------------ #
     # vectorized collectives
     # ------------------------------------------------------------------ #
     def mean_params(self) -> np.ndarray:
         """PA averaging across all replicas in one fused reduction."""
         return self.params.mean(axis=0)
-
-    def mean_grads(self) -> np.ndarray:
-        """GA averaging across all replicas in one fused reduction."""
-        return self.grads.mean(axis=0)
 
     def broadcast(self, vector: np.ndarray) -> None:
         """Load one global flat state into every replica by row assignment."""
@@ -136,11 +122,6 @@ class WorkerMatrix:
                 f"broadcast vector has length {vector.size}, expected {self.spec.total_size}"
             )
         self.params[:] = vector
-
-    def consistency_error(self) -> float:
-        """Maximum L2 distance of any replica from the replica average."""
-        centered = self.params - self.params.mean(axis=0)
-        return float(np.sqrt((centered**2).sum(axis=1).max()))
 
     def divergence(self) -> float:
         """Mean L2 distance of replicas from their average (drift diagnostic)."""

@@ -18,7 +18,7 @@ from repro.harness.experiment import (
     ExperimentResult,
 )
 from repro.harness.sweep import grid_sweep, SweepResult
-from repro.harness.reporting import format_table, format_series, results_to_rows
+from repro.harness.reporting import format_table, results_to_rows
 
 __all__ = [
     "WorkloadPreset",
@@ -31,6 +31,5 @@ __all__ = [
     "grid_sweep",
     "SweepResult",
     "format_table",
-    "format_series",
     "results_to_rows",
 ]

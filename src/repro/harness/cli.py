@@ -202,7 +202,8 @@ def _cmd_scenario_history(args: argparse.Namespace) -> int:
     from repro.harness.reporting import trend_table
     from repro.results import history_payload, open_store
 
-    if args.extra is None and not os.path.exists(args.store):
+    # Both forms only read: opening a missing path would create an empty store.
+    if not os.path.exists(args.store):
         print(f"error: no results store at {args.store!r} "
               "(record runs with --record or repro serve first)", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
@@ -499,8 +500,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the ``repro`` argument parser (``list`` / ``run`` / ``compare`` /
-    ``scenario`` subcommands)."""
+    """Build the ``repro`` argument parser: the ``list``, ``run``, ``compare``,
+    ``scenario``, ``serve``, ``bench``, ``trace`` and ``submit`` subcommands."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

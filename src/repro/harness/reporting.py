@@ -45,13 +45,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], title: s
     return "\n".join(lines)
 
 
-def format_series(
-    series: Mapping[Any, Any], x_label: str = "x", y_label: str = "y", title: str = ""
-) -> str:
-    """Render a single (x -> y) series as a two-column table."""
-    return format_table([x_label, y_label], [(k, v) for k, v in series.items()], title=title)
-
-
 def results_to_rows(
     results: Mapping[str, TrainingResult],
     baseline_key: str = "bsp",
@@ -134,17 +127,3 @@ def trend_table(metric: str, points: Sequence[Mapping[str, Any]], title: str = "
         rows,
         title=title or f"history: {metric}",
     )
-
-
-def summarize_history(result: TrainingResult, max_points: int = 12) -> str:
-    """Compact rendering of a run's evaluation history (convergence curve)."""
-    points = result.history
-    if len(points) > max_points:
-        stride = max(len(points) // max_points, 1)
-        points = points[::stride]
-    rows = [
-        (p.step, round(p.epoch, 2), round(p.sim_time, 1), round(p.metric, 4))
-        for p in points
-    ]
-    return format_table(["step", "epoch", "sim_time_s", "metric"], rows,
-                        title=f"history: {result.algorithm}")

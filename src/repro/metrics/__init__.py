@@ -12,7 +12,7 @@
 from repro.metrics.accuracy import accuracy, top_k_accuracy
 from repro.metrics.evaluation import evaluate_model, EvalResult
 from repro.metrics.lssr import LSSRTracker, lssr, communication_reduction
-from repro.metrics.throughput import relative_throughput, scaling_efficiency
+from repro.metrics.throughput import relative_throughput
 from repro.metrics.convergence import ConvergenceDetector, better_than
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "lssr",
     "communication_reduction",
     "relative_throughput",
-    "scaling_efficiency",
     "ConvergenceDetector",
     "better_than",
 ]

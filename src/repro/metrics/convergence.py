@@ -59,10 +59,3 @@ class ConvergenceDetector:
         ):
             return True
         return self.stale_evals >= self.patience
-
-    @property
-    def converged_metric(self) -> float:
-        """Best metric seen so far (raises if update was never called)."""
-        if self.best is None:
-            raise RuntimeError("ConvergenceDetector.update was never called")
-        return self.best

@@ -47,16 +47,6 @@ class LSSRTracker:
         self.sync_steps += count
 
     @property
-    def total_steps(self) -> int:
-        """All recorded steps, local and synchronous."""
-        return self.local_steps + self.sync_steps
-
-    @property
     def value(self) -> float:
         """The LSSR score so far (0 before any step is recorded)."""
         return lssr(self.local_steps, self.sync_steps)
-
-    @property
-    def reduction_factor(self) -> float:
-        """Communication reduction vs BSP, ``1 / (1 - LSSR)`` (∞ at 1)."""
-        return communication_reduction(self.value)

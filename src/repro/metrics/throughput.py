@@ -32,18 +32,6 @@ def relative_throughput(
     return cluster / single
 
 
-def scaling_efficiency(
-    spec: WorkloadSpec,
-    num_workers: int,
-    batch_size: int,
-    comm: CommunicationCostModel,
-) -> float:
-    """Relative throughput divided by the ideal (linear) speedup."""
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    return relative_throughput(spec, num_workers, batch_size, comm) / num_workers
-
-
 def throughput_curve(
     spec: WorkloadSpec,
     worker_counts: Sequence[int],

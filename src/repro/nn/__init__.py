@@ -15,25 +15,14 @@ from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.layers import (
     Linear,
     ReLU,
-    GELU,
     Tanh,
-    Sigmoid,
     Dropout,
-    Flatten,
-    Identity,
-    BatchNorm1d,
     LayerNorm,
     Embedding,
-    Conv2d,
-    MaxPool2d,
-    GlobalAvgPool2d,
     ResidualMLPBlock,
 )
 from repro.nn.attention import MultiHeadSelfAttention, PositionalEncoding, TransformerEncoderLayer
 from repro.nn.losses import (
-    CrossEntropyLoss,
-    MSELoss,
-    softmax,
     log_softmax,
     cross_entropy_loss,
     cross_entropy_with_logits,
@@ -45,9 +34,6 @@ from repro.nn.models import (
     VGGLike,
     AlexNetLike,
     TransformerLM,
-    ConvNet,
-    build_model,
-    MODEL_REGISTRY,
 )
 
 __all__ = [
@@ -56,25 +42,14 @@ __all__ = [
     "Sequential",
     "Linear",
     "ReLU",
-    "GELU",
     "Tanh",
-    "Sigmoid",
     "Dropout",
-    "Flatten",
-    "Identity",
-    "BatchNorm1d",
     "LayerNorm",
     "Embedding",
-    "Conv2d",
-    "MaxPool2d",
-    "GlobalAvgPool2d",
     "ResidualMLPBlock",
     "MultiHeadSelfAttention",
     "PositionalEncoding",
     "TransformerEncoderLayer",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "softmax",
     "log_softmax",
     "cross_entropy_loss",
     "cross_entropy_with_logits",
@@ -84,7 +59,4 @@ __all__ = [
     "VGGLike",
     "AlexNetLike",
     "TransformerLM",
-    "ConvNet",
-    "build_model",
-    "MODEL_REGISTRY",
 ]

@@ -11,6 +11,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+__all__ = [
+    "zeros",
+    "ones",
+    "uniform",
+    "normal",
+    "xavier_uniform",
+    "xavier_normal",
+    "kaiming_uniform",
+    "kaiming_normal",
+]
+
 
 def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     if len(shape) == 1:
@@ -18,7 +29,7 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
     if len(shape) == 2:
         fan_in, fan_out = shape[1], shape[0]
         return fan_in, fan_out
-    # Conv kernels (out_channels, in_channels, kh, kw)
+    # Higher-rank kernels: (out, in, *receptive field).
     receptive = int(np.prod(shape[2:]))
     fan_in = shape[1] * receptive
     fan_out = shape[0] * receptive

@@ -6,27 +6,12 @@ differences in ``tests/nn/test_gradcheck.py``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-
-
-def _as_float(x: np.ndarray, dtype=None) -> np.ndarray:
-    """Coerce to the given float dtype; without one, promote non-float input.
-
-    Layers with parameters pass their weight dtype so the whole forward /
-    backward chain runs in the engine's compute dtype (float32 or float64);
-    parameter-free layers preserve whatever float dtype flows through them.
-    """
-    if dtype is not None:
-        return np.asarray(x, dtype=dtype)
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        return x.astype(np.float64)
-    return x
 
 
 class Linear(Module):
@@ -49,7 +34,7 @@ class Linear(Module):
         self._cache_x: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x, self.weight.data.dtype)
+        x = np.asarray(x, dtype=self.weight.data.dtype)
         self._cache_x = None if self._inference else x
         # Collapse leading dimensions into one GEMM (a no-op view for 2-D
         # inputs); (batch, seq, features) sequences hit a single BLAS call
@@ -64,7 +49,7 @@ class Linear(Module):
         if self._cache_x is None:
             raise RuntimeError("Linear.backward called before forward")
         x = self._cache_x
-        grad_output = _as_float(grad_output, self.weight.data.dtype)
+        grad_output = np.asarray(grad_output, dtype=self.weight.data.dtype)
         # Collapse leading dimensions so the same code path handles both
         # (batch, features) and (batch, seq, features) inputs.
         x2 = x.reshape(-1, self.in_features)
@@ -74,16 +59,6 @@ class Linear(Module):
             self.bias.grad += g2.sum(axis=0)
         grad_input = g2 @ self.weight.data
         return grad_input.reshape(x.shape)
-
-
-class Identity(Module):
-    """Pass-through layer (useful in ablations that remove a block)."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        return grad_output
 
 
 class ReLU(Module):
@@ -116,49 +91,6 @@ class Tanh(Module):
         if self._out is None:
             raise RuntimeError("Tanh.backward called before forward")
         return grad_output * (1.0 - self._out**2)
-
-
-class Sigmoid(Module):
-    def __init__(self) -> None:
-        super().__init__()
-        self._out: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-x))
-        self._out = None if self._inference else out
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("Sigmoid.backward called before forward")
-        return grad_output * self._out * (1.0 - self._out)
-
-
-class GELU(Module):
-    """Gaussian error linear unit using the tanh approximation."""
-
-    _C = np.sqrt(2.0 / np.pi)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._x: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x)
-        self._x = None if self._inference else x
-        inner = self._C * (x + 0.044715 * x**3)
-        return 0.5 * x * (1.0 + np.tanh(inner))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("GELU.backward called before forward")
-        x = self._x
-        inner = self._C * (x + 0.044715 * x**3)
-        tanh_inner = np.tanh(inner)
-        sech2 = 1.0 - tanh_inner**2
-        d_inner = self._C * (1.0 + 3 * 0.044715 * x**2)
-        grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-        return grad_output * grad
 
 
 class Dropout(Module):
@@ -219,78 +151,6 @@ class Dropout(Module):
         return grad_output * self._mask
 
 
-class Flatten(Module):
-    """Flatten all dimensions after the batch dimension."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = None if self._inference else x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("Flatten.backward called before forward")
-        return grad_output.reshape(self._shape)
-
-
-class BatchNorm1d(Module):
-    """Batch normalization over the feature dimension of (batch, features)."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = int(num_features)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-        self.gamma = Parameter(init.ones((num_features,)))
-        self.beta = Parameter(init.zeros((num_features,)))
-        # Running statistics are buffers, not parameters: they follow the
-        # local replica and are not synchronized (matching DDP defaults).
-        self.running_mean = np.zeros(num_features, dtype=np.float64)
-        self.running_var = np.ones(num_features, dtype=np.float64)
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x, self.gamma.data.dtype)
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm1d expects (batch, {self.num_features}), got {x.shape}"
-            )
-        if self.training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            # Running statistics stay float64 for numerically stable EWMAs
-            # regardless of the compute dtype.
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean = self.running_mean.astype(x.dtype)
-            var = self.running_var.astype(x.dtype)
-        x_hat = (x - mean) / np.sqrt(var + self.eps)
-        self._cache = None if self._inference else (x_hat, var)
-        return self.gamma.data * x_hat + self.beta.data
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("BatchNorm1d.backward called before forward")
-        x_hat, var = self._cache
-        n = x_hat.shape[0]
-        self.gamma.grad += (grad_output * x_hat).sum(axis=0)
-        self.beta.grad += grad_output.sum(axis=0)
-        if not self.training:
-            return grad_output * self.gamma.data / np.sqrt(var + self.eps)
-        dxhat = grad_output * self.gamma.data
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        grad_input = (
-            inv_std
-            / n
-            * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
-        )
-        return grad_input
-
-
 class LayerNorm(Module):
     """Layer normalization over the last dimension."""
 
@@ -303,7 +163,7 @@ class LayerNorm(Module):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x, self.gamma.data.dtype)
+        x = np.asarray(x, dtype=self.gamma.data.dtype)
         # Centre once: ``x - mean`` feeds both the variance and x_hat.  These
         # are the reductions and divides ``x.var`` runs internally, minus its
         # second mean / subtract pass.
@@ -371,185 +231,6 @@ class Embedding(Module):
         # Token ids carry no gradient; return zeros with the input's shape so
         # callers composing embeddings with other inputs stay shape-correct.
         return np.zeros(self._ids.shape, dtype=np.float64)
-
-
-# --------------------------------------------------------------------------- #
-# Convolutional layers (im2col based)
-# --------------------------------------------------------------------------- #
-def _im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
-) -> Tuple[np.ndarray, int, int]:
-    """Convert (B, C, H, W) into (B, out_h, out_w, C*kh*kw) patches."""
-    b, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_h = (x.shape[2] - kh) // stride + 1
-    out_w = (x.shape[3] - kw) // stride + 1
-    shape = (b, c, out_h, out_w, kh, kw)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-        x.strides[2],
-        x.strides[3],
-    )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(b, out_h, out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
-
-
-def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Inverse of :func:`_im2col`, scattering patch gradients back to the image."""
-    b, c, h, w = x_shape
-    h_p, w_p = h + 2 * padding, w + 2 * padding
-    out_h = (h_p - kh) // stride + 1
-    out_w = (w_p - kw) // stride + 1
-    x_grad = np.zeros((b, c, h_p, w_p), dtype=cols.dtype)
-    cols = cols.reshape(b, out_h, out_w, c, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            x_grad[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += (
-                cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    if padding:
-        return x_grad[:, :, padding:-padding, padding:-padding]
-    return x_grad
-
-
-class Conv2d(Module):
-    """2-D convolution over (batch, channels, height, width) inputs."""
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        kernel_size: int,
-        stride: int = 1,
-        padding: int = 0,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        self.weight = Parameter(init.kaiming_uniform(shape, rng=rng))
-        self.use_bias = bool(bias)
-        if bias:
-            self.bias = Parameter(init.zeros((out_channels,)))
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x, self.weight.data.dtype)
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expects (batch, {self.in_channels}, H, W), got {x.shape}"
-            )
-        k = self.kernel_size
-        cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
-        w_flat = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ w_flat.T  # (B, out_h, out_w, out_channels)
-        if self.use_bias:
-            out = out + self.bias.data
-        self._cache = None if self._inference else (x.shape, cols)
-        return out.transpose(0, 3, 1, 2)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("Conv2d.backward called before forward")
-        x_shape, cols = self._cache
-        k = self.kernel_size
-        g = grad_output.transpose(0, 2, 3, 1)  # (B, out_h, out_w, out_c)
-        g2 = g.reshape(-1, self.out_channels)
-        cols2 = cols.reshape(-1, cols.shape[-1])
-        self.weight.grad += (g2.T @ cols2).reshape(self.weight.data.shape)
-        if self.use_bias:
-            self.bias.grad += g2.sum(axis=0)
-        w_flat = self.weight.data.reshape(self.out_channels, -1)
-        dcols = g @ w_flat  # (B, out_h, out_w, C*k*k)
-        return _col2im(dcols, x_shape, k, k, self.stride, self.padding)
-
-
-class MaxPool2d(Module):
-    """Max pooling with square window and equal stride."""
-
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else int(kernel_size)
-        self._cache = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = _as_float(x)
-        b, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        out_h = (h - k) // s + 1
-        out_w = (w - k) // s + 1
-        shape = (b, c, out_h, out_w, k, k)
-        strides = (
-            x.strides[0],
-            x.strides[1],
-            x.strides[2] * s,
-            x.strides[3] * s,
-            x.strides[2],
-            x.strides[3],
-        )
-        windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-        windows = windows.reshape(b, c, out_h, out_w, k * k)
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = None if self._inference else (x.shape, idx)
-        return out
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("MaxPool2d.backward called before forward")
-        x_shape, idx = self._cache
-        b, c, h, w = x_shape
-        k, s = self.kernel_size, self.stride
-        out_h, out_w = idx.shape[2], idx.shape[3]
-        grad_input = np.zeros(x_shape, dtype=np.asarray(grad_output).dtype)
-        # Scatter each output gradient back to its argmax location.
-        rows = idx // k
-        cols = idx % k
-        for i in range(out_h):
-            for j in range(out_w):
-                r = i * s + rows[:, :, i, j]
-                cc = j * s + cols[:, :, i, j]
-                bb, ch = np.meshgrid(np.arange(b), np.arange(c), indexing="ij")
-                grad_input[bb, ch, r, cc] += grad_output[:, :, i, j]
-        return grad_input
-
-
-class GlobalAvgPool2d(Module):
-    """Average over spatial dimensions: (B, C, H, W) -> (B, C)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: Optional[Tuple[int, ...]] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = None if self._inference else x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("GlobalAvgPool2d.backward called before forward")
-        b, c, h, w = self._shape
-        return np.broadcast_to(
-            grad_output[:, :, None, None] / (h * w), self._shape
-        ).copy()
 
 
 class ResidualMLPBlock(Module):

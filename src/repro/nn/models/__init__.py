@@ -1,13 +1,12 @@
 """Workload models mirroring the four DNNs evaluated in the paper.
 
-Each model is a down-scaled structural analog (see DESIGN.md §2):
+Each model is a down-scaled structural analog:
 
 * :class:`ResNetLike`  — deep residual MLP (skip connections, like ResNet101)
 * :class:`VGGLike`     — plain deep stack with a large dense head (like VGG11)
 * :class:`AlexNetLike` — shallow network with dropout (like AlexNet)
 * :class:`TransformerLM` — 2-layer, 2-head encoder language model
-* :class:`ConvNet`     — small true-convolutional classifier (used in tests
-  and as an optional image workload)
+* :class:`MLP`         — plain multi-layer perceptron (the ``deep_mlp`` preset)
 """
 
 from repro.nn.models.mlp import MLP
@@ -15,8 +14,6 @@ from repro.nn.models.resnet import ResNetLike
 from repro.nn.models.vgg import VGGLike
 from repro.nn.models.alexnet import AlexNetLike
 from repro.nn.models.transformer import TransformerLM
-from repro.nn.models.convnet import ConvNet
-from repro.nn.models.registry import MODEL_REGISTRY, build_model, register_model
 
 __all__ = [
     "MLP",
@@ -24,8 +21,4 @@ __all__ = [
     "VGGLike",
     "AlexNetLike",
     "TransformerLM",
-    "ConvNet",
-    "MODEL_REGISTRY",
-    "build_model",
-    "register_model",
 ]

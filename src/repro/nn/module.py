@@ -62,13 +62,6 @@ class Module:
     # ------------------------------------------------------------------ #
     # registration
     # ------------------------------------------------------------------ #
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        if name in self._parameters:
-            raise KeyError(f"parameter {name!r} already registered")
-        param.name = name
-        self._parameters[name] = param
-        return param
-
     def register_module(self, name: str, module: "Module") -> "Module":
         if name in self._modules:
             raise KeyError(f"module {name!r} already registered")
@@ -186,10 +179,6 @@ class Module:
             param.grad = self._flat_grads[name]
 
     @property
-    def is_flat(self) -> bool:
-        return self._flat_params is not None
-
-    @property
     def dtype(self) -> np.dtype:
         """Compute dtype of the flat buffers (flattens on first access)."""
         return self.flat_spec.dtype
@@ -220,18 +209,6 @@ class Module:
         if self._flat_params is None:
             self.flatten_parameters()
         self._flat_params.load_vector(vector)
-
-    def state_view(self) -> Dict[str, np.ndarray]:
-        """Zero-copy named views of the parameters (aliases the flat buffer)."""
-        if self._flat_params is None:
-            self.flatten_parameters()
-        return self._flat_params.as_dict(copy=False)
-
-    def grad_view(self) -> Dict[str, np.ndarray]:
-        """Zero-copy named views of the gradients (aliases the flat buffer)."""
-        if self._flat_params is None:
-            self.flatten_parameters()
-        return self._flat_grads.as_dict(copy=False)
 
     # ------------------------------------------------------------------ #
     # train / eval, gradients
@@ -325,19 +302,6 @@ class Module:
         if self._flat_grads is not None:
             return self._flat_grads.as_dict(copy=True)
         return {name: p.grad.copy() for name, p in self.named_parameters().items()}
-
-    def load_gradient_dict(self, grads: Mapping[str, np.ndarray]) -> None:
-        params = self.named_parameters()
-        for name, param in params.items():
-            if name not in grads:
-                raise KeyError(f"gradient for parameter {name!r} missing")
-            value = np.asarray(grads[name], dtype=param.grad.dtype)
-            if value.shape != param.grad.shape:
-                raise ValueError(
-                    f"gradient shape mismatch for {name!r}: expected "
-                    f"{param.grad.shape}, got {value.shape}"
-                )
-            param.grad[...] = value
 
     # ------------------------------------------------------------------ #
     # forward / backward

@@ -70,10 +70,6 @@ class ScenarioRegistry:
             name for name, scenario in self._scenarios.items() if tag in scenario.tags
         )
 
-    def by_tag(self, tag: str) -> List[Scenario]:
-        """All scenarios carrying ``tag``, in name order."""
-        return [self._scenarios[name] for name in self.names(tag)]
-
     def __contains__(self, name: object) -> bool:
         return name in self._scenarios
 

@@ -2,46 +2,30 @@
 
 * :class:`EWMA` — exponentially weighted moving average smoothing used by the
   relative-gradient-change tracker (§III-A),
-* running variance / gradient-noise statistics,
+* gradient-noise statistics (the batch statistic behind Δ(g), variance and
+  second moment),
 * Gaussian kernel density estimation for the gradient and weight
   distribution figures (Figs. 3 and 11),
-* batched per-layer norms / KDE inputs straight from ``ParamSpec`` column
-  slices of the ``(N, D)`` worker matrix (no per-worker unflatten),
 * Hessian top-eigenvalue estimation by power iteration on finite-difference
   Hessian-vector products (Fig. 4).
 """
 
 from repro.stats.ewma import EWMA, ewma_smooth
-from repro.stats.layer_stats import (
-    layer_sample,
-    layer_view,
-    matrix_layer_norms,
-    mean_layer_norms,
-)
 from repro.stats.variance import (
-    RunningVariance,
     batch_gradient_statistic,
     gradient_variance,
     gradient_second_moment,
-    per_layer_norms,
 )
-from repro.stats.kde import gaussian_kde_density, histogram_density, distribution_summary
+from repro.stats.kde import gaussian_kde_density, distribution_summary
 from repro.stats.hessian import hessian_top_eigenvalue, hessian_vector_product
 
 __all__ = [
     "EWMA",
     "ewma_smooth",
-    "RunningVariance",
     "batch_gradient_statistic",
     "gradient_variance",
     "gradient_second_moment",
-    "per_layer_norms",
-    "layer_sample",
-    "layer_view",
-    "matrix_layer_norms",
-    "mean_layer_norms",
     "gaussian_kde_density",
-    "histogram_density",
     "distribution_summary",
     "hessian_top_eigenvalue",
     "hessian_vector_product",

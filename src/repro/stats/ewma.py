@@ -56,11 +56,6 @@ class EWMA:
         return self._smoothed
 
     @property
-    def ready(self) -> bool:
-        """Whether at least one observation has been recorded."""
-        return self._smoothed is not None
-
-    @property
     def window_full(self) -> bool:
         return len(self._values) == self.window
 

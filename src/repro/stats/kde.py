@@ -57,18 +57,6 @@ def gaussian_kde_density(
     return grid, density
 
 
-def histogram_density(
-    samples: np.ndarray, bins: int = 50
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalized histogram (bin centers, density) — a cheaper KDE stand-in."""
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    if samples.size == 0:
-        raise ValueError("cannot histogram zero samples")
-    density, edges = np.histogram(samples, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, density
-
-
 @dataclass
 class DistributionSummary:
     """Compact description of a weight/gradient distribution."""

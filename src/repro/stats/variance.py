@@ -8,39 +8,7 @@ iterations (Eqn. 2).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
-
 import numpy as np
-
-
-class RunningVariance:
-    """Welford online mean/variance over scalar observations."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
 
 
 def _as_flat(grads) -> np.ndarray:
@@ -100,8 +68,3 @@ def batch_gradient_statistic(matrix: np.ndarray, statistic: str) -> np.ndarray:
     if statistic == "norm":
         return np.sqrt(np.sum(matrix**2, axis=1))
     raise ValueError(f"unknown statistic {statistic!r}")
-
-
-def per_layer_norms(grads: Mapping[str, np.ndarray]) -> Dict[str, float]:
-    """Per-parameter-tensor L2 norms (layer-wise diagnostics)."""
-    return {name: float(np.linalg.norm(np.asarray(g).ravel())) for name, g in grads.items()}

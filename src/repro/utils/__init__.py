@@ -1,40 +1,22 @@
-"""Shared utilities: seeded RNG management, parameter flattening, timers.
+"""Shared utilities: seeded RNG management, parameter flattening, logging.
 
 These helpers are deliberately dependency-free (NumPy only) so every other
 subpackage can import them without cycles.
 """
 
-from repro.utils.rng import SeedSequenceFactory, new_rng, spawn_rngs
+from repro.utils.rng import new_rng, spawn_rngs
 from repro.utils.flatten import (
     WIRE_DTYPE_BYTES,
     flatten_arrays,
     unflatten_vector,
-    tree_map,
-    tree_zip_map,
 )
-from repro.utils.timers import Timer, StepTimer
 from repro.utils.logging import get_logger
-from repro.utils.serialization import (
-    save_checkpoint,
-    load_checkpoint,
-    save_model,
-    load_model,
-)
 
 __all__ = [
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_model",
-    "load_model",
-    "SeedSequenceFactory",
     "new_rng",
     "spawn_rngs",
     "WIRE_DTYPE_BYTES",
     "flatten_arrays",
     "unflatten_vector",
-    "tree_map",
-    "tree_zip_map",
-    "Timer",
-    "StepTimer",
     "get_logger",
 ]

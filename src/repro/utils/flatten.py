@@ -8,7 +8,7 @@ between an ordered ``dict`` of named NumPy arrays and that flat vector.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -66,23 +66,6 @@ def unflatten_vector(
             f"vector length {vector.size} does not match spec total {offset}"
         )
     return out
-
-
-def tree_map(fn: Callable[[np.ndarray], np.ndarray], tree: ArrayTree) -> Dict[str, np.ndarray]:
-    """Apply ``fn`` to every leaf array, preserving key order."""
-    return {name: fn(arr) for name, arr in tree.items()}
-
-
-def tree_zip_map(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    left: ArrayTree,
-    right: ArrayTree,
-) -> Dict[str, np.ndarray]:
-    """Apply a binary ``fn`` leaf-wise to two mappings with identical keys."""
-    if set(left.keys()) != set(right.keys()):
-        missing = set(left.keys()) ^ set(right.keys())
-        raise KeyError(f"mismatched parameter trees, differing keys: {sorted(missing)}")
-    return {name: fn(left[name], right[name]) for name in left.keys()}
 
 
 def total_size(tree: ArrayTree) -> int:

@@ -9,7 +9,7 @@ the number of workers or the order in which components are constructed.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -25,8 +25,6 @@ def new_rng(seed: SeedLike = None) -> np.random.Generator:
         ``None`` (non-deterministic), an integer, or an existing
         ``SeedSequence``.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(seed)
 
 
@@ -42,59 +40,3 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     else:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(n)]
-
-
-class SeedSequenceFactory:
-    """Hands out child seeds/generators from a root seed, in a stable order.
-
-    The factory records how many children have been spawned so that
-    components constructed later in a program receive different streams, yet
-    re-running the same program yields identical streams again.
-    """
-
-    def __init__(self, root_seed: SeedLike = 0) -> None:
-        if isinstance(root_seed, np.random.SeedSequence):
-            self._root = root_seed
-        else:
-            self._root = np.random.SeedSequence(root_seed)
-        self._spawned = 0
-
-    @property
-    def spawned(self) -> int:
-        """Number of child sequences handed out so far."""
-        return self._spawned
-
-    def child_sequence(self) -> np.random.SeedSequence:
-        """Return the next child ``SeedSequence``."""
-        child = self._root.spawn(1)[0]
-        # SeedSequence.spawn mutates spawn_key bookkeeping on the parent, so
-        # consecutive calls already return distinct children.
-        self._spawned += 1
-        return child
-
-    def generator(self) -> np.random.Generator:
-        """Return a generator built from the next child sequence."""
-        return np.random.default_rng(self.child_sequence())
-
-    def generators(self, n: int) -> List[np.random.Generator]:
-        """Return ``n`` generators, one per child sequence."""
-        return [self.generator() for _ in range(n)]
-
-
-def derive_worker_seed(base_seed: int, worker_id: int) -> int:
-    """Derive a per-worker integer seed that is stable across runs."""
-    if worker_id < 0:
-        raise ValueError(f"worker_id must be non-negative, got {worker_id}")
-    mixed = np.random.SeedSequence([int(base_seed), int(worker_id)])
-    return int(mixed.generate_state(1, dtype=np.uint64)[0] % np.iinfo(np.int64).max)
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, population: Sequence[int], k: int
-) -> np.ndarray:
-    """Sample ``k`` distinct items from ``population`` using ``rng``."""
-    if k > len(population):
-        raise ValueError(
-            f"cannot sample {k} items from population of size {len(population)}"
-        )
-    return rng.choice(np.asarray(population), size=k, replace=False)

@@ -39,8 +39,8 @@ class TestComputeCostModel:
 
     def test_throughput_positive_and_sublinear(self):
         model = ComputeCostModel(PAPER_WORKLOADS["transformer"])
-        small = model.throughput_samples_per_second(32)
-        large = model.throughput_samples_per_second(1024)
+        small = 32 / model.step_seconds(32)
+        large = 1024 / model.step_seconds(1024)
         assert small > 0 and large > 0
 
     def test_validation(self):

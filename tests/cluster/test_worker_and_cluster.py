@@ -74,15 +74,12 @@ class TestWorker:
             last = worker.train_step()
         assert last < first
 
-    def test_state_delta(self, dataset):
+    def test_state_delta_vector(self, dataset):
         worker = _make_worker(dataset)
-        reference = worker.get_state()
+        reference = worker.param_vector.copy()
         worker.train_step()
-        delta = worker.state_delta(reference)
-        for name in reference:
-            np.testing.assert_allclose(
-                reference[name] + delta[name], worker.get_state()[name]
-            )
+        delta = worker.state_delta_vector(reference)
+        np.testing.assert_allclose(reference + delta, worker.param_vector)
 
     def test_steps_taken_counter(self, dataset):
         worker = _make_worker(dataset)
@@ -163,10 +160,6 @@ class TestClusterTimeCharging:
         cluster = _make_cluster(dataset, test_dataset)
         assert cluster.charge_p2p(1e6) > 0
 
-    def test_steps_per_epoch(self, dataset, test_dataset):
-        cluster = _make_cluster(dataset, test_dataset)
-        assert cluster.steps_per_epoch() == len(dataset) // (16 * 4)
-
 
 class TestClusterEvaluation:
     def test_evaluate_state_restores_replica(self, dataset, test_dataset):
@@ -181,7 +174,7 @@ class TestClusterEvaluation:
 
     def test_evaluate_returns_accuracy_in_range(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset)
-        result = cluster.evaluate_global()
+        result = cluster.evaluate_state(cluster.ps.pull())
         assert 0.0 <= result.metric <= 1.0
         assert result.metric_name == "accuracy"
 

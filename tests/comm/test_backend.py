@@ -50,11 +50,14 @@ class TestAllreduce:
 
 
 class TestAllgather:
-    def test_gathers_all_ranks(self):
+    def test_gather_copies_every_rank_to_the_root(self):
         backend = InProcessBackend(3)
-        out = backend.allgather([np.full(2, i) for i in range(3)])
-        assert out[0].shape == (3, 2)
-        np.testing.assert_array_equal(out[0][2], 2.0)
+        per_rank = [np.full(2, float(i)) for i in range(3)]
+        out = backend.gather(per_rank, root=1)
+        assert len(out) == 3
+        np.testing.assert_array_equal(out[2], 2.0)
+        assert not np.shares_memory(out[2], per_rank[2])
+        assert backend.record.bytes_by_op["gather"] == 2 * 2 * 4
 
     def test_allgather_bits_flags_semantics(self):
         """Alg. 1 line 12: every worker learns every other worker's sync bit."""
@@ -92,9 +95,9 @@ class TestBroadcastReduceGather:
         with pytest.raises(ValueError):
             backend.broadcast(np.zeros(2), root=5)
 
-    def test_reduce_to_root(self):
+    def test_allreduce_mean_to_every_rank(self):
         backend = InProcessBackend(2)
-        result = backend.reduce([np.array([2.0]), np.array([4.0])], op="mean")
+        result = backend.allreduce([np.array([2.0]), np.array([4.0])], op="mean")
         np.testing.assert_allclose(result, 3.0)
 
     def test_gather_returns_all(self):
@@ -103,51 +106,22 @@ class TestBroadcastReduceGather:
         assert len(out) == 2
 
 
-class TestAllreduceTree:
-    def test_tree_mean_matches_manual(self):
-        backend = InProcessBackend(2)
-        trees = [
-            {"w": np.array([1.0, 3.0]), "b": np.array([0.0])},
-            {"w": np.array([3.0, 5.0]), "b": np.array([2.0])},
-        ]
-        out = backend.allreduce_tree(trees)
-        np.testing.assert_allclose(out[0]["w"], [2.0, 4.0])
-        np.testing.assert_allclose(out[1]["b"], [1.0])
+class TestAllreduceMatrixAgainstPerRank:
+    def test_matrix_mean_matches_the_per_rank_allreduce(self):
+        rows = np.random.default_rng(0).standard_normal((2, 5))
+        matrix_backend, rank_backend = InProcessBackend(2), InProcessBackend(2)
+        reduced = matrix_backend.allreduce_matrix(rows)
+        per_rank = rank_backend.allreduce(list(rows))
+        np.testing.assert_array_equal(reduced, per_rank[0])
+        assert matrix_backend.record.total_bytes == rank_backend.record.total_bytes
 
-    def test_tree_structure_mismatch_rejected(self):
+    def test_more_rows_than_ranks_rejected(self):
         backend = InProcessBackend(2)
         with pytest.raises(ValueError):
-            backend.allreduce_tree([
-                {"w": np.zeros(2)},
-                {"w": np.zeros(3)},
-            ])
+            backend.allreduce_matrix(np.zeros((3, 2)))
 
 
-class TestPointToPoint:
-    def test_send_recv_roundtrip(self):
-        backend = InProcessBackend(3)
-        backend.send(0, 2, {"payload": 42}, num_bytes=10)
-        sender, payload = backend.recv(2)
-        assert sender == 0 and payload["payload"] == 42
-
-    def test_recv_filters_by_source(self):
-        backend = InProcessBackend(3)
-        backend.send(0, 2, "from0")
-        backend.send(1, 2, "from1")
-        sender, payload = backend.recv(2, src=1)
-        assert sender == 1 and payload == "from1"
-        assert backend.pending(2) == 1
-
-    def test_recv_empty_mailbox_raises(self):
-        backend = InProcessBackend(2)
-        with pytest.raises(LookupError):
-            backend.recv(0)
-
-    def test_send_invalid_ranks(self):
-        backend = InProcessBackend(2)
-        with pytest.raises(ValueError):
-            backend.send(0, 5, "x")
-
+class TestConstruction:
     def test_world_size_validation(self):
         with pytest.raises(ValueError):
             InProcessBackend(0)

@@ -164,13 +164,9 @@ class TestTransportDtype:
             1e8, 8
         )
 
-    def test_wire_bytes_helper_prices_compute_and_transport_dtypes(self):
-        from repro.comm.cost_model import wire_bytes
-
-        assert wire_bytes(100) == 400.0
-        assert wire_bytes(100, dtype_bytes=2) == 200.0
-        # Compute dtypes ship on the canonical float32 wire...
-        assert wire_bytes(100, dtype="float64") == 400.0
-        # ...while an explicit transport dtype prices its native width.
-        assert wire_bytes(100, transport_dtype="float16") == 200.0
-        assert wire_bytes(100, transport_dtype="float64") == 800.0
+    def test_wire_scale_follows_the_transport_registry(self):
+        # Compute dtypes ship on the canonical float32 wire, while an
+        # explicit transport dtype prices its native width.
+        assert CommunicationCostModel().wire_scale == 1.0
+        assert CommunicationCostModel(transport_dtype="float16").wire_scale == 0.5
+        assert CommunicationCostModel(transport_dtype="float64").wire_scale == 2.0

@@ -82,7 +82,7 @@ class TestAsyncSSPPath:
             ps.async_apply_delta(0, delta)
         assert ps.staleness(0) == 3
         assert ps.staleness(1) == 0
-        assert ps.min_clock() == 0
+        assert int(ps.worker_clocks.min()) == 0
 
     def test_updates_compose_across_workers(self, ps):
         delta = {"w": np.ones((2, 2)), "b": np.zeros(3)}

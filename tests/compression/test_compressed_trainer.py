@@ -30,15 +30,12 @@ class TestCompressedBSP:
         assert compressed.clock.elapsed < plain.clock.elapsed
 
     def test_compressed_sync_not_discounted_again_by_transport_dtype(self):
-        # The FP16 compressor already prices the half-precision wire; a
-        # float16 transport dtype on the same cluster must not halve the
-        # simulated sync time a second time.
-        from repro.compression import FP16Compressor
-
+        # A compressor prices its own payload; a float16 transport dtype on
+        # the same cluster must not halve the simulated sync time again.
         default_wire = make_small_cluster(seed=2)
         fp16_wire = make_small_cluster(seed=2, transport_dtype="float16")
-        CompressedBSPTrainer(default_wire, FP16Compressor(), eval_every=100).run(5)
-        CompressedBSPTrainer(fp16_wire, FP16Compressor(), eval_every=100).run(5)
+        CompressedBSPTrainer(default_wire, TopKCompressor(ratio=0.1), eval_every=100).run(5)
+        CompressedBSPTrainer(fp16_wire, TopKCompressor(ratio=0.1), eval_every=100).run(5)
         assert fp16_wire.clock.elapsed == pytest.approx(default_wire.clock.elapsed)
 
     def test_still_learns_with_error_feedback(self):

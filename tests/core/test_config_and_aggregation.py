@@ -7,7 +7,6 @@ from repro.core.aggregation import (
     AggregationMode,
     aggregate_gradients,
     aggregate_parameters,
-    replica_consistency_error,
 )
 from repro.core.config import SelSyncConfig
 
@@ -92,38 +91,38 @@ class TestAggregation:
         with pytest.raises(ValueError):
             aggregate_parameters([{"w": np.zeros(2)}, {"w": np.zeros(3)}])
 
-    def test_consistency_error_zero_for_identical(self):
-        state = self._states()[0]
-        assert replica_consistency_error([state, state]) == pytest.approx(0.0, abs=1e-12)
+    def _matrix(self, states):
+        from repro.engine import ParamSpec, WorkerMatrix
 
-    def test_consistency_error_positive_for_diverged(self):
-        assert replica_consistency_error(self._states()) > 0.0
+        spec = ParamSpec.from_tree(states[0])
+        matrix = WorkerMatrix(len(states), spec)
+        matrix.params[:] = np.stack([spec.flatten_tree(s) for s in states])
+        return matrix
+
+    def test_matrix_divergence_zero_for_identical(self):
+        state = self._states()[0]
+        assert self._matrix([state, state]).divergence() == pytest.approx(0.0, abs=1e-12)
+
+    def test_matrix_divergence_positive_for_diverged(self):
+        assert self._matrix(self._states()).divergence() > 0.0
 
     def test_mode_enum_round_trip(self):
         assert AggregationMode("param") is AggregationMode.PARAMETER
         assert AggregationMode("grad") is AggregationMode.GRADIENT
 
-    def test_aggregate_matrix_matches_dict_form(self):
-        from repro.engine import ParamSpec
-        from repro.core.aggregation import aggregate_matrix
-
+    def test_matrix_mean_matches_dict_form(self):
+        """PA on the worker matrix is the named-tree average, bit for bit."""
         states = self._states()
-        spec = ParamSpec.from_tree(states[0])
-        matrix = np.stack([spec.flatten_tree(s) for s in states])
-        mean_vec = aggregate_matrix(matrix)
-        mean_dict = aggregate_parameters(states)
-        np.testing.assert_array_equal(mean_vec, spec.flatten_tree(mean_dict))
-        with pytest.raises(ValueError):
-            aggregate_matrix(np.zeros(3))
+        mean = self._matrix(states).mean_state_dict()
+        for name, value in aggregate_parameters(states).items():
+            np.testing.assert_array_equal(mean[name], value)
 
-    def test_consistency_error_matrix_form_matches_dict_form(self):
-        from repro.engine import ParamSpec
-
+    def test_matrix_divergence_matches_dict_form(self):
         states = self._states()
-        spec = ParamSpec.from_tree(states[0])
-        matrix = np.stack([spec.flatten_tree(s) for s in states])
+        avg = aggregate_parameters(states)
+        distances = [
+            np.sqrt(sum(np.sum((s[name] - avg[name]) ** 2) for name in avg)) for s in states
+        ]
         np.testing.assert_allclose(
-            replica_consistency_error(matrix),
-            replica_consistency_error(states),
-            rtol=1e-12,
+            self._matrix(states).divergence(), np.mean(distances), rtol=1e-12
         )

@@ -81,10 +81,6 @@ class TestDelta:
         with pytest.raises(ValueError):
             GradientChangeTracker(statistic="median")
 
-    def test_last_delta_before_update_raises(self):
-        with pytest.raises(RuntimeError):
-            GradientChangeTracker().last_delta
-
     def test_reset_clears_history(self):
         tracker = GradientChangeTracker()
         tracker.update(_grads(1.0))

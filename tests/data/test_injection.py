@@ -6,7 +6,6 @@ import pytest
 from repro.data.injection import (
     DataInjection,
     adjusted_batch_size,
-    injection_bytes_per_step,
 )
 
 
@@ -48,17 +47,6 @@ class TestAdjustedBatchSize:
             adjusted_batch_size(32, 1.5, 0.5, 4)
         with pytest.raises(ValueError):
             adjusted_batch_size(32, 0.5, 0.5, 0)
-
-
-class TestInjectionBytes:
-    def test_scales_with_all_factors(self):
-        base = injection_bytes_per_step(0.5, 0.5, 16, 11, 3000)
-        double_workers = injection_bytes_per_step(0.5, 0.5, 32, 11, 3000)
-        assert double_workers == 2 * base
-
-    def test_rejects_negative_sample_bytes(self):
-        with pytest.raises(ValueError):
-            injection_bytes_per_step(0.5, 0.5, 4, 8, -1)
 
 
 class TestDataInjection:

@@ -1,34 +1,15 @@
-"""Tests for DataLoader and BatchIterator."""
+"""Tests for DataLoader."""
 
 import numpy as np
 import pytest
 
 from repro.data.datasets import make_classification_dataset
-from repro.data.loader import BatchIterator, DataLoader
+from repro.data.loader import DataLoader
 
 
 @pytest.fixture
 def dataset():
     return make_classification_dataset(100, 4, 8, seed=0)
-
-
-class TestBatchIterator:
-    def test_drop_last_counts(self, dataset):
-        it = BatchIterator(dataset, np.arange(100), batch_size=32, drop_last=True)
-        assert len(it) == 3
-
-    def test_keep_last_counts(self, dataset):
-        it = BatchIterator(dataset, np.arange(100), batch_size=32, drop_last=False)
-        assert len(it) == 4
-
-    def test_batches_cover_requested_indices(self, dataset):
-        it = BatchIterator(dataset, np.arange(64), batch_size=16)
-        total = sum(x.shape[0] for x, _ in it)
-        assert total == 64
-
-    def test_invalid_batch_size(self, dataset):
-        with pytest.raises(ValueError):
-            BatchIterator(dataset, np.arange(10), batch_size=0)
 
 
 class TestDataLoader:
@@ -46,7 +27,7 @@ class TestDataLoader:
         loader = DataLoader(dataset, batch_size=32, seed=0)
         for _ in range(4):
             loader.next_batch()
-        assert loader.epoch == 1
+        assert int(loader.epoch_progress) == 1
 
     def test_epoch_progress_monotone(self, dataset):
         loader = DataLoader(dataset, batch_size=32, seed=0)

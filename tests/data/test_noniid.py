@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.datasets import make_classification_dataset
-from repro.data.noniid import LabelSkewPartitioner, dirichlet_partition, label_distribution
+from repro.data.noniid import LabelSkewPartitioner, label_distribution
 
 
 @pytest.fixture
@@ -57,32 +57,6 @@ class TestLabelSkew:
             LabelSkewPartitioner(cifar10_like.targets, labels_per_worker=0)
         with pytest.raises(ValueError):
             LabelSkewPartitioner(np.zeros((3, 3), dtype=np.int64), labels_per_worker=1)
-
-
-class TestDirichlet:
-    def test_all_samples_assigned(self, cifar10_like):
-        parts = dirichlet_partition(cifar10_like.targets, num_workers=5, alpha=0.5, seed=0)
-        total = sum(len(p) for p in parts)
-        assert total == len(cifar10_like)
-
-    def test_small_alpha_is_more_skewed(self, cifar10_like):
-        def mean_skew(alpha):
-            parts = dirichlet_partition(cifar10_like.targets, 5, alpha=alpha, seed=0)
-            skews = []
-            for idx in parts:
-                if len(idx) == 0:
-                    continue
-                dist = label_distribution(cifar10_like.targets, idx, 10)
-                skews.append(dist.max())
-            return np.mean(skews)
-
-        assert mean_skew(0.05) > mean_skew(10.0)
-
-    def test_invalid_args(self, cifar10_like):
-        with pytest.raises(ValueError):
-            dirichlet_partition(cifar10_like.targets, 0)
-        with pytest.raises(ValueError):
-            dirichlet_partition(cifar10_like.targets, 4, alpha=0.0)
 
 
 class TestLabelDistribution:

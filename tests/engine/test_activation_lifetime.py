@@ -21,8 +21,7 @@ from repro.engine import threads
 from repro.engine.dropout_stream import SharedDropoutStream
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
 from repro.nn.losses import cross_entropy_with_logits
-from tests.engine.test_conv_exec import make_batches as convnet_batches
-from tests.engine.test_conv_exec import make_matrix as convnet_matrix
+from tests.engine.test_replica_shards import make_tanh_cluster
 
 MIB = 2**20
 
@@ -91,12 +90,15 @@ class TestNothingSurvivesAStep:
         assert retained < MIB, f"{retained / MIB:.2f} MiB retained by one step"
         _assert_holds_no_activation(exe, cluster.matrix)
 
-    def test_convnet_step_retains_no_activation(self):
-        matrix, models = convnet_matrix("float64")
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
-        assert exe is not None
-        assert _retained_by_one_step(exe, convnet_batches()) < MIB
-        _assert_holds_no_activation(exe, matrix)
+    def test_tanh_mlp_step_retains_no_activation(self):
+        cluster = make_tanh_cluster()
+        try:
+            exe = cluster.replica_exec
+            assert exe is not None
+            assert _retained_by_one_step(exe, cluster.next_batches()) < MIB
+            _assert_holds_no_activation(exe, cluster.matrix)
+        finally:
+            cluster.close()
 
 
 class TestAFailedStepLeavesNothingBehind:
@@ -211,16 +213,12 @@ def _layer_cases():
     rng = np.random.default_rng(0)
     n, b, t, d = 2, 3, 4, 6
     seq = rng.standard_normal((n, b, t, d))
-    img = rng.standard_normal((n, b, 2, 6, 6))
     ids = rng.integers(0, 9, size=(n, b, t))
     stream = SharedDropoutStream(seed=0, num_workers=n)
     stream.set_step(0)
 
     def norm():
         return rx._BatchedLayerNorm(*_views(rng, n, d), *_views(rng, n, d), eps=1e-5)
-
-    def conv():
-        return rx._BatchedConv2d(*_views(rng, n, 3, 2 * 9), *_views(rng, n, 3), 3, 1, 1)
 
     def encoder():
         # Delegates to its sub-layers, so its error names the inner layer.
@@ -233,9 +231,6 @@ def _layer_cases():
         "Linear": (lambda: _linear(rng, n, 5, d), seq),
         "ReLU": (rx._BatchedReLU, seq),
         "Tanh": (rx._BatchedTanh, seq),
-        "Conv2d": (conv, img),
-        "MaxPool2d": (lambda: rx._BatchedMaxPool2d(2, 2), img),
-        "GlobalAvgPool2d": (rx._BatchedGlobalAvgPool2d, img),
         "Dropout": (lambda: rx._BatchedDropout(stream, 0, 0.5, 0), seq),
         "Embedding": (lambda: rx._BatchedEmbedding(*_views(rng, n, 9, d)), ids),
         "LayerNorm": (norm, seq),

@@ -12,7 +12,6 @@ from repro.engine.dtypes import (
     SUPPORTED_DTYPES,
     TRANSPORT_DTYPES,
     WIRE_DTYPE_BYTES,
-    dtype_name,
     resolve_dtype,
     resolve_transport_dtype,
     transport_dtype_bytes,
@@ -54,8 +53,8 @@ class TestDtypeRegistry:
         assert legacy == WIRE_DTYPE_BYTES
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_dtype_name(self, dtype):
-        assert dtype_name(dtype) == dtype
+    def test_resolved_name_round_trips(self, dtype):
+        assert resolve_dtype(dtype).name == dtype
 
 
 class TestTransportRegistry:
@@ -91,19 +90,21 @@ class TestTransportRegistry:
         assert np.dtype(np.float16) not in SUPPORTED_DTYPES
 
     @pytest.mark.parametrize("dtype", DTYPES)
-    def test_fp16_compressor_prices_the_float16_transport_entry(self, dtype):
-        # The compression layer's FP16 wire format and the transport mapping
-        # must agree: 2 bytes/element shipped, float32-wire original bytes.
-        from repro.compression.quantize import FP16Compressor
+    def test_backend_records_the_float16_transport_entry(self, dtype):
+        # The backend's byte records and the transport mapping must agree:
+        # a float16 wire records half the float32 wire's bytes, and the
+        # arrays themselves are never cast.
+        from repro.comm.backend import InProcessBackend
 
-        vector = np.linspace(-1.0, 1.0, 33, dtype=dtype)
-        payload = FP16Compressor().compress(vector)
-        assert payload.compressed_bytes == vector.size * transport_dtype_bytes("float16")
-        assert payload.original_bytes == vector.size * wire_dtype_bytes(dtype)
-        assert payload.compression_ratio == pytest.approx(2.0)
-        restored = FP16Compressor().decompress(payload)
-        assert restored.dtype == np.dtype(dtype)
-        np.testing.assert_allclose(restored, vector, atol=1e-3)
+        matrix = np.linspace(-1.0, 1.0, 3 * 33, dtype=dtype).reshape(3, 33)
+        half = InProcessBackend(3, transport_dtype="float16")
+        full = InProcessBackend(3)
+        mean = half.allreduce_matrix(matrix)
+        full.allreduce_matrix(matrix)
+        assert mean.dtype == np.dtype(dtype)
+        assert half.dtype_bytes == transport_dtype_bytes("float16")
+        assert half.record.total_bytes * 2 == full.record.total_bytes
+        assert full.record.total_bytes == 2 * 3 * 33 * wire_dtype_bytes(dtype)
 
 
 class TestSpecAndBufferDtype:
@@ -125,12 +126,11 @@ class TestSpecAndBufferDtype:
         assert ParamSpec(shapes, dtype="float32") != ParamSpec(shapes, dtype="float64")
         assert ParamSpec(shapes, dtype="float64") == ParamSpec(shapes)
 
-    def test_with_dtype_preserves_layout(self):
-        spec = ParamSpec([("w", (3, 2)), ("b", (2,))], dtype="float64")
-        spec32 = spec.with_dtype("float32")
+    def test_layout_does_not_depend_on_dtype(self):
+        shapes = [("w", (3, 2)), ("b", (2,))]
+        spec32 = ParamSpec(shapes, dtype="float32")
         assert spec32.dtype == np.dtype(np.float32)
-        assert spec32.to_flatten_spec() == spec.to_flatten_spec()
-        assert spec.with_dtype("float64") is spec
+        assert spec32.entries == ParamSpec(shapes, dtype="float64").entries
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_flat_buffer_roundtrip(self, dtype):
@@ -233,7 +233,7 @@ class TestClusterDtypeConsistency:
         cluster.compute_gradients_all(batches)
         cluster.apply_local_updates(lr=0.05)
         assert cluster.matrix.grads.dtype == expected
-        assert cluster.average_worker_vector().dtype == expected
+        assert cluster.matrix.mean_params().dtype == expected
 
     def test_invalid_cluster_dtype_rejected(self):
         from repro.cluster.cluster import ClusterConfig

@@ -110,7 +110,7 @@ class TestFusedSGDEquivalence:
         for cluster in (fused, loop):
             batches = [w.next_batch() for w in cluster.workers]
             cluster.compute_gradients_all(batches)
-            averaged = cluster.matrix.mean_grads()
+            averaged = cluster.matrix.grads.mean(axis=0)
             cluster.apply_local_updates(lr=0.1, grads=averaged)
         np.testing.assert_allclose(fused.matrix.params, loop.matrix.params, atol=1e-12)
 

@@ -20,23 +20,22 @@ import pytest
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
 from repro.core.config import SelSyncConfig
 from repro.core.selsync import SelSyncTrainer
-from repro.data.datasets import make_image_splits, make_sequence_splits
+from repro.data.datasets import make_classification_splits, make_sequence_splits
 from repro.data.partition import SelSyncPartitioner
 from repro.engine import replica_exec as rx
 from repro.engine import threads
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
-from repro.nn.models import ConvNet, TransformerLM
+from repro.nn.models import MLP, TransformerLM
 from repro.optim.sgd import SGD
 
 STEPS = 3
 
 
-def make_conv_cluster(num_workers=4, seed=0, **config_kwargs):
-    train, test = make_image_splits(256, 64, 4, in_channels=1, image_size=8, seed=seed)
+def make_tanh_cluster(num_workers=4, seed=0, **config_kwargs):
+    """An MLP on Tanh activations: the MLP family's other activation kernel."""
+    train, test = make_classification_splits(256, 64, 4, 12, seed=seed)
     return SimulatedCluster(
-        model_factory=lambda rng: ConvNet(
-            in_channels=1, num_classes=4, image_size=8, channels=(3, 5), rng=rng
-        ),
+        model_factory=lambda rng: MLP([12, 16, 16, 4], activation="tanh", rng=rng),
         optimizer_factory=lambda m: SGD(m, lr=0.05, momentum=0.9),
         train_dataset=train,
         test_dataset=test,
@@ -80,7 +79,7 @@ FAMILIES = {
     # cluster-wide block, so a wrong row offset shows up here.
     "transformer": lambda n, dtype: make_lm_cluster(num_workers=n, dropout=0.1, dtype=dtype),
     "deep_mlp": _deep_mlp_cluster,
-    "convnet": lambda n, dtype: make_conv_cluster(num_workers=n, dtype=dtype),
+    "tanh_mlp": lambda n, dtype: make_tanh_cluster(num_workers=n, dtype=dtype),
 }
 
 

@@ -13,10 +13,8 @@ from repro.harness.experiment import (
     run_experiment,
 )
 from repro.harness.reporting import (
-    format_series,
     format_table,
     results_to_rows,
-    summarize_history,
     table1_headers,
 )
 from repro.harness.sweep import grid_sweep
@@ -238,8 +236,9 @@ class TestReporting:
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
 
-    def test_format_series(self):
-        text = format_series({1: 2.0, 4: 8.0}, x_label="workers", y_label="throughput")
+    def test_format_table_title_and_columns(self):
+        text = format_table(["workers", "throughput"], [[1, 2.0], [4, 8.0]], title="scaling")
+        assert text.splitlines()[0].strip() == "scaling"
         assert "workers" in text and "8" in text
 
     def test_results_to_rows_table1_shape(self):
@@ -260,13 +259,3 @@ class TestReporting:
     def test_results_to_rows_missing_baseline(self):
         with pytest.raises(KeyError):
             results_to_rows({"selsync": self._result("selsync", 0.9, 1.0)})
-
-    def test_summarize_history(self):
-        from repro.algorithms.base import EvalPoint
-
-        result = self._result("bsp", 0.9, 10.0)
-        result.history = [EvalPoint(step=i, sim_time=i * 1.0, metric=0.1 * i, loss=1.0, epoch=0.1)
-                          for i in range(1, 30)]
-        text = summarize_history(result, max_points=5)
-        assert "history: bsp" in text
-        assert len(text.splitlines()) < 15

@@ -12,20 +12,14 @@ from tests.conftest import assert_gradients_close
 
 from repro.nn.attention import MultiHeadSelfAttention, TransformerEncoderLayer
 from repro.nn.layers import (
-    BatchNorm1d,
-    Conv2d,
     Embedding,
-    Flatten,
-    GELU,
-    GlobalAvgPool2d,
     LayerNorm,
     Linear,
     ReLU,
     ResidualMLPBlock,
-    Sigmoid,
     Tanh,
 )
-from repro.nn.models import AlexNetLike, ConvNet, MLP, ResNetLike, TransformerLM, VGGLike
+from repro.nn.models import AlexNetLike, MLP, ResNetLike, TransformerLM, VGGLike
 from repro.nn.module import Module, Sequential
 
 
@@ -36,21 +30,6 @@ def _classification_batch(input_dim, num_classes, batch=4, seed=0):
     return x, y
 
 
-class _WrappedHead(Module):
-    """Wrap a feature extractor with a linear head so cross-entropy applies."""
-
-    def __init__(self, body, feature_dim, num_classes, rng):
-        super().__init__()
-        self.body = body
-        self.head = Linear(feature_dim, num_classes, rng=rng)
-
-    def forward(self, x):
-        return self.head.forward(self.body.forward(x))
-
-    def backward(self, g):
-        return self.body.backward(self.head.backward(g))
-
-
 class TestLayerGradients:
     def test_linear(self):
         rng = np.random.default_rng(0)
@@ -58,7 +37,7 @@ class TestLayerGradients:
         x, y = _classification_batch(6, 3)
         assert_gradients_close(model, x, y)
 
-    @pytest.mark.parametrize("act", [ReLU, Tanh, Sigmoid, GELU])
+    @pytest.mark.parametrize("act", [ReLU, Tanh])
     def test_activations(self, act):
         rng = np.random.default_rng(0)
         model = Sequential(Linear(6, 8, rng=rng), act(), Linear(8, 3, rng=rng))
@@ -71,12 +50,6 @@ class TestLayerGradients:
         x, y = _classification_batch(5, 3, seed=3)
         assert_gradients_close(model, x, y)
 
-    def test_batchnorm_training_mode(self):
-        rng = np.random.default_rng(0)
-        model = Sequential(Linear(5, 6, rng=rng), BatchNorm1d(6), Linear(6, 3, rng=rng))
-        x, y = _classification_batch(5, 3, batch=8, seed=4)
-        assert_gradients_close(model, x, y, rtol=1e-3, atol=1e-5)
-
     def test_residual_block(self):
         rng = np.random.default_rng(0)
         model = Sequential(
@@ -86,24 +59,6 @@ class TestLayerGradients:
         )
         x, y = _classification_batch(5, 3, seed=5)
         assert_gradients_close(model, x, y)
-
-    def test_conv2d(self):
-        rng = np.random.default_rng(0)
-        body = Sequential(
-            Conv2d(1, 2, kernel_size=3, padding=1, rng=rng), ReLU(), GlobalAvgPool2d()
-        )
-        model = _WrappedHead(body, 2, 3, rng)
-        x = rng.standard_normal((3, 1, 5, 5))
-        y = rng.integers(0, 3, size=3)
-        assert_gradients_close(model, x, y, rtol=1e-3, atol=1e-6)
-
-    def test_conv2d_with_flatten(self):
-        rng = np.random.default_rng(0)
-        body = Sequential(Conv2d(1, 2, kernel_size=2, stride=2, rng=rng), Flatten())
-        model = _WrappedHead(body, 2 * 2 * 2, 3, rng)
-        x = rng.standard_normal((2, 1, 4, 4))
-        y = rng.integers(0, 3, size=2)
-        assert_gradients_close(model, x, y, rtol=1e-3, atol=1e-6)
 
     def test_attention(self):
         rng = np.random.default_rng(0)
@@ -177,13 +132,10 @@ class TestModelGradients:
         x, y = _classification_batch(6, 3, seed=9)
         assert_gradients_close(model, x, y, rtol=1e-3, atol=1e-6)
 
-    def test_convnet(self):
-        model = ConvNet(in_channels=1, num_classes=3, image_size=6, channels=(2, 3),
-                        rng=np.random.default_rng(0))
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 1, 6, 6))
-        y = rng.integers(0, 3, size=2)
-        assert_gradients_close(model, x, y, rtol=1e-3, atol=1e-6)
+    def test_mlp_tanh(self):
+        model = MLP((6, 10, 8, 4), activation="tanh", rng=np.random.default_rng(0))
+        x, y = _classification_batch(6, 4, seed=10)
+        assert_gradients_close(model, x, y)
 
     def test_transformer_lm(self):
         model = TransformerLM(

@@ -1,19 +1,15 @@
-"""Tests for the workload model analogs and the model registry."""
+"""Tests for the workload model analogs."""
 
 import numpy as np
 import pytest
 
 from repro.nn.models import (
-    MODEL_REGISTRY,
     AlexNetLike,
-    ConvNet,
     MLP,
     ResNetLike,
     TransformerLM,
     VGGLike,
-    build_model,
 )
-from repro.nn.models.registry import register_model
 
 
 class TestMLP:
@@ -121,39 +117,25 @@ class TestTransformerLM:
         assert two.num_parameters() > one.num_parameters()
 
 
-class TestConvNet:
-    def test_forward_shape(self):
-        model = ConvNet(in_channels=1, num_classes=4, image_size=8, channels=(2, 3),
-                        rng=np.random.default_rng(0))
-        assert model.forward(np.zeros((2, 1, 8, 8))).shape == (2, 4)
+class TestPresetModels:
+    def test_paper_names_have_presets(self):
+        from repro.harness.experiment import WORKLOAD_PRESETS
 
-    def test_rejects_wrong_channels(self):
-        model = ConvNet(in_channels=3)
-        with pytest.raises(ValueError):
-            model.forward(np.zeros((1, 1, 8, 8)))
-
-
-class TestRegistry:
-    def test_paper_names_registered(self):
         for name in ("resnet101", "vgg11", "alexnet", "transformer"):
-            assert name in MODEL_REGISTRY
+            assert name in WORKLOAD_PRESETS
 
-    def test_build_model_applies_overrides(self):
-        model = build_model("resnet101", rng=np.random.default_rng(0), depth=2, width=16)
+    def test_preset_model_matches_its_family(self):
+        from repro.harness.experiment import build_workload
+
+        model = build_workload("resnet101").model_factory(np.random.default_rng(0))
         assert isinstance(model, ResNetLike)
-        assert model.depth == 2
-
-    def test_build_unknown_model(self):
-        with pytest.raises(KeyError):
-            build_model("lenet")
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(KeyError):
-            register_model("resnet101", lambda rng=None, **kw: None)
 
     def test_models_are_deterministic_given_seed(self):
-        a = build_model("vgg11", rng=np.random.default_rng(5))
-        b = build_model("vgg11", rng=np.random.default_rng(5))
+        from repro.harness.experiment import build_workload
+
+        factory = build_workload("vgg11").model_factory
+        a = factory(np.random.default_rng(5))
+        b = factory(np.random.default_rng(5))
         for (na, pa), (nb, pb) in zip(a.named_parameters().items(), b.named_parameters().items()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)

@@ -58,12 +58,6 @@ class TestModuleRegistration:
         model = _TwoLayer()
         assert model.parameter_bytes() == model.num_parameters() * 4
 
-    def test_duplicate_parameter_registration_rejected(self):
-        m = Module()
-        m.register_parameter("w", Parameter(np.zeros(2)))
-        with pytest.raises(KeyError):
-            m.register_parameter("w", Parameter(np.zeros(2)))
-
     def test_duplicate_module_registration_rejected(self):
         m = Module()
         m.register_module("sub", Module())
@@ -123,21 +117,15 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
-    def test_gradient_dict_roundtrip(self):
+    def test_gradient_dict_is_a_copy(self):
         model = _TwoLayer()
         x = np.random.default_rng(0).standard_normal((5, 4))
         out = model.forward(x)
         model.backward(np.ones_like(out))
         grads = model.gradient_dict()
-        other = _TwoLayer()
-        other.load_gradient_dict(grads)
-        for name, param in other.named_parameters().items():
+        for name, param in model.named_parameters().items():
             np.testing.assert_array_equal(param.grad, grads[name])
-
-    def test_load_gradient_dict_missing_key(self):
-        model = _TwoLayer()
-        with pytest.raises(KeyError):
-            model.load_gradient_dict({"fc1.weight": np.zeros((8, 4))})
+            assert not np.shares_memory(param.grad, grads[name])
 
 
 class TestSequential:

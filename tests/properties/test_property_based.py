@@ -4,11 +4,11 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compression import FP16Compressor, SignSGDCompressor, TernGradCompressor, TopKCompressor
+from repro.compression import SignSGDCompressor, TopKCompressor
 from repro.data.injection import adjusted_batch_size
 from repro.data.partition import DefaultPartitioner, SelSyncPartitioner
 from repro.metrics.lssr import communication_reduction, lssr
-from repro.nn.losses import cross_entropy_with_logits, softmax
+from repro.nn.losses import cross_entropy_with_logits, log_softmax
 from repro.stats.ewma import EWMA
 from repro.utils.flatten import flatten_arrays, unflatten_vector
 
@@ -113,7 +113,7 @@ class TestSoftmaxProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_softmax_is_a_distribution(self, logits):
-        probs = softmax(logits)
+        probs = np.exp(log_softmax(logits))
         assert np.all(probs >= 0)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -165,27 +165,3 @@ class TestCompressorProperties:
         assert np.linalg.norm(vector - out) <= np.linalg.norm(vector) + 1e-9
         # Top-k keeps actual entries, so reconstruction magnitudes never exceed originals.
         assert np.all(np.abs(out) <= np.abs(vector) + 1e-12)
-
-    @given(
-        vector=hnp.arrays(
-            dtype=np.float64,
-            shape=st.integers(4, 200),
-            elements=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_terngrad_bounded_by_max_magnitude(self, vector):
-        out = TernGradCompressor(seed=0).roundtrip(vector)
-        assert np.all(np.abs(out) <= np.max(np.abs(vector)) + 1e-9)
-
-    @given(
-        vector=hnp.arrays(
-            dtype=np.float64,
-            shape=st.integers(4, 200),
-            elements=st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_fp16_relative_error_small(self, vector):
-        out = FP16Compressor().roundtrip(vector)
-        np.testing.assert_allclose(out, vector, rtol=2e-3, atol=1e-6)

@@ -120,3 +120,13 @@ class TestHistoryErrors:
                        "--store", str(tmp_path / "absent.sqlite3")])
         assert rc == 2
         assert "no results store" in capsys.readouterr().err
+
+    def test_cli_scenario_history_missing_store_exits_2_and_creates_nothing(
+        self, tmp_path, capsys
+    ):
+        store = tmp_path / "absent.sqlite3"
+        rc = cli_main(["scenario", "history", "fig6", "--store", str(store)])
+        assert rc == 2
+        assert "no results store" in capsys.readouterr().err
+        assert not store.exists()
+        assert list(tmp_path.iterdir()) == []

@@ -50,7 +50,6 @@ class TestScenarioRegistry:
         assert registry.names() == ["a-first", "b-second"]
         assert registry.names(tag="custom-tag") == ["a-first", "b-second"]
         assert registry.names(tag="missing") == []
-        assert [s.name for s in registry.by_tag("custom-tag")] == ["a-first", "b-second"]
 
     def test_iteration_in_name_order(self):
         registry = ScenarioRegistry()

@@ -5,11 +5,10 @@ import pytest
 
 from repro.stats.ewma import EWMA, ewma_smooth
 from repro.stats.variance import (
-    RunningVariance,
+    batch_gradient_statistic,
     gradient_norm,
     gradient_second_moment,
     gradient_variance,
-    per_layer_norms,
 )
 
 
@@ -59,7 +58,6 @@ class TestEWMA:
         ewma = EWMA()
         ewma.update(1.0)
         ewma.reset()
-        assert not ewma.ready
         with pytest.raises(RuntimeError):
             _ = ewma.value
 
@@ -81,22 +79,24 @@ class TestEWMA:
         assert out[0] == 1.0
 
 
-class TestRunningVariance:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        values = rng.standard_normal(500)
-        rv = RunningVariance()
-        for v in values:
-            rv.update(v)
-        np.testing.assert_allclose(rv.mean, values.mean(), atol=1e-10)
-        np.testing.assert_allclose(rv.variance, values.var(ddof=1), atol=1e-10)
+class TestBatchGradientStatistic:
+    def test_rows_match_the_per_worker_statistics(self):
+        matrix = np.random.default_rng(0).standard_normal((4, 50))
+        for statistic, per_row in (
+            ("variance", gradient_variance),
+            ("second_moment", gradient_second_moment),
+            ("norm", gradient_norm),
+        ):
+            expected = [per_row(row) for row in matrix]
+            np.testing.assert_allclose(
+                batch_gradient_statistic(matrix, statistic), expected, rtol=1e-12
+            )
 
-    def test_fewer_than_two_samples(self):
-        rv = RunningVariance()
-        assert rv.variance == 0.0
-        rv.update(3.0)
-        assert rv.variance == 0.0
-        assert rv.std == 0.0
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            batch_gradient_statistic(np.zeros(3), "variance")
+        with pytest.raises(ValueError):
+            batch_gradient_statistic(np.zeros((2, 3)), "kurtosis")
 
 
 class TestGradientStatistics:
@@ -120,7 +120,7 @@ class TestGradientStatistics:
         assert gradient_second_moment({}) == 0.0
         assert gradient_norm({}) == 0.0
 
-    def test_per_layer_norms(self):
-        norms = per_layer_norms(self._grads())
-        assert set(norms) == {"a", "b"}
-        assert norms["b"] == pytest.approx(3.0)
+    def test_flat_vector_matches_named_tree(self):
+        flat = np.concatenate([g.ravel() for g in self._grads().values()])
+        assert gradient_norm(flat) == gradient_norm(self._grads())
+        assert gradient_variance(flat) == gradient_variance(self._grads())

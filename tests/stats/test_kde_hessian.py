@@ -6,7 +6,7 @@ import pytest
 from repro.nn.models import MLP
 from repro.stats import kde
 from repro.stats.hessian import hessian_top_eigenvalue, hessian_vector_product
-from repro.stats.kde import distribution_summary, gaussian_kde_density, histogram_density
+from repro.stats.kde import distribution_summary, gaussian_kde_density
 
 
 class TestKDE:
@@ -75,12 +75,11 @@ class TestKDE:
         _, many_blocks = gaussian_kde_density(samples, grid=grid)
         np.testing.assert_allclose(many_blocks, one_block, rtol=1e-12)
 
-    def test_histogram_density(self):
-        centers, density = histogram_density(
-            np.random.default_rng(0).standard_normal(1000), bins=20
-        )
-        assert centers.shape == (20,)
-        assert np.all(density >= 0)
+    def test_symmetric_samples_give_a_symmetric_density(self):
+        half = np.random.default_rng(0).standard_normal(200)
+        grid = np.linspace(-3.0, 3.0, 61)
+        _, density = gaussian_kde_density(np.concatenate([half, -half]), grid=grid)
+        np.testing.assert_allclose(density, density[::-1], rtol=1e-10)
 
 
 class TestDistributionSummary:

@@ -8,8 +8,6 @@ from repro.utils.flatten import (
     flatten_arrays,
     total_bytes,
     total_size,
-    tree_map,
-    tree_zip_map,
     unflatten_vector,
 )
 
@@ -83,21 +81,6 @@ class TestFlattenUnflatten:
 
 
 class TestTreeOps:
-    def test_tree_map(self):
-        tree = {"a": np.ones(2), "b": np.ones(3)}
-        doubled = tree_map(lambda x: 2 * x, tree)
-        np.testing.assert_array_equal(doubled["a"], 2.0)
-
-    def test_tree_zip_map(self):
-        left = {"a": np.ones(2)}
-        right = {"a": np.full(2, 3.0)}
-        summed = tree_zip_map(np.add, left, right)
-        np.testing.assert_array_equal(summed["a"], 4.0)
-
-    def test_tree_zip_map_key_mismatch(self):
-        with pytest.raises(KeyError):
-            tree_zip_map(np.add, {"a": np.ones(1)}, {"b": np.ones(1)})
-
     def test_total_size_and_bytes(self):
         tree = {"a": np.zeros((2, 3)), "b": np.zeros(4)}
         assert total_size(tree) == 10

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    SeedSequenceFactory,
-    choice_without_replacement,
-    derive_worker_seed,
-    new_rng,
-    spawn_rngs,
-)
+from repro.utils.rng import new_rng, spawn_rngs
 
 
 class TestNewRng:
@@ -44,36 +38,3 @@ class TestSpawnRngs:
 
     def test_zero_count_ok(self):
         assert spawn_rngs(0, 0) == []
-
-
-class TestSeedSequenceFactory:
-    def test_children_are_distinct(self):
-        factory = SeedSequenceFactory(0)
-        g1, g2 = factory.generator(), factory.generator()
-        assert not np.allclose(g1.standard_normal(4), g2.standard_normal(4))
-
-    def test_spawn_counter(self):
-        factory = SeedSequenceFactory(0)
-        factory.generators(5)
-        assert factory.spawned == 5
-
-
-class TestHelpers:
-    def test_derive_worker_seed_stable(self):
-        assert derive_worker_seed(42, 3) == derive_worker_seed(42, 3)
-
-    def test_derive_worker_seed_differs_by_worker(self):
-        assert derive_worker_seed(42, 0) != derive_worker_seed(42, 1)
-
-    def test_derive_worker_seed_rejects_negative(self):
-        with pytest.raises(ValueError):
-            derive_worker_seed(42, -1)
-
-    def test_choice_without_replacement_unique(self):
-        rng = new_rng(0)
-        picked = choice_without_replacement(rng, list(range(10)), 5)
-        assert len(set(picked.tolist())) == 5
-
-    def test_choice_without_replacement_too_many(self):
-        with pytest.raises(ValueError):
-            choice_without_replacement(new_rng(0), [1, 2], 3)
