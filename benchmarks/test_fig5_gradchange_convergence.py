@@ -16,12 +16,13 @@ from benchmarks._helpers import full_scale, save_report
 
 from repro.algorithms.bsp import BSPTrainer
 from repro.cluster.cluster import ClusterConfig, SimulatedCluster
-from repro.core.gradient_tracker import GradientChangeTracker
+from repro.core.gradient_tracker import TrackerBank
 from repro.data.datasets import make_classification_splits
 from repro.data.partition import SelSyncPartitioner
 from repro.harness.reporting import format_table
 from repro.nn.models import ResNetLike
 from repro.optim.sgd import SGD
+from repro.stats.variance import gradient_variance
 
 
 class _TrackedBSP(BSPTrainer):
@@ -29,11 +30,13 @@ class _TrackedBSP(BSPTrainer):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.tracker = GradientChangeTracker(window=25, alpha=0.16)
+        self.bank = TrackerBank(1, alpha=0.16)
+        self.deltas = []
 
     def train_step(self):
         info = super().train_step()
-        self.tracker.update(self.cluster.workers[0].model.gradient_dict())
+        raw = gradient_variance(self.cluster.workers[0].model.gradient_dict())
+        self.deltas.append(float(self.bank.update([raw], [True])[0]))
         return info
 
 
@@ -53,7 +56,7 @@ def _experiment():
     )
     trainer = _TrackedBSP(cluster, eval_every=max(iterations // 10, 1))
     result = trainer.run(iterations)
-    return result, np.array(trainer.tracker.history)
+    return result, np.array(trainer.deltas)
 
 
 @pytest.mark.benchmark(group="fig5")

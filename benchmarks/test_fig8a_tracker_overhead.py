@@ -1,54 +1,74 @@
-"""Fig. 8a — per-step overhead of computing Δ(gᵢ) for different EWMA windows.
+"""Fig. 8a — per-step overhead of computing Δ(gᵢ), against model size.
 
-Paper: the overhead grows with the smoothing window (17→26 ms on ResNet101
-between w=25 and w=200) but stays well below typical compute/communication
-times; w = 25 suffices in practice.
+Paper: the overhead grows with the EWMA smoothing window (17→26 ms on
+ResNet101 between w=25 and w=200) but stays well below typical
+compute/communication times.
+
+The reproduction has no window axis: its EWMA is the plain recursion
+s ← α·x + (1 − α)·s, which reads no window, so an overhead measured against
+w is flat by construction (an earlier version of this figure read
+0.69–0.73 ms on the resnet101 analog from w = 25 to w = 200).  What does
+vary is model size: one step reduces the (N, D) gradient matrix to N
+statistics (``batch_gradient_statistic``) and advances the tracker bank,
+timed here at N = 16 as in the paper's cluster.
 """
 
+import time
+
+import numpy as np
 import pytest
 
 from benchmarks._helpers import full_scale, save_report
 
-from repro.core.gradient_tracker import TrackerOverheadProbe
+from repro.core.gradient_tracker import TrackerBank
 from repro.harness.reporting import format_table
+from repro.stats.variance import batch_gradient_statistic
 
-WINDOWS = [25, 50, 100, 200]
+NUM_WORKERS = 16
 
-# Analog parameter counts: large enough to make the reduction cost visible,
-# ordered like the paper's models by size.
+# Flat parameter counts of the workload presets' analog models.
 MODEL_PARAMETER_COUNTS = {
-    "resnet101": 400_000,
-    "vgg11": 1_200_000,
-    "alexnet": 550_000,
-    "transformer": 120_000,
+    "resnet101": 120_106,
+    "vgg11": 112_196,
+    "alexnet": 94_280,
+    "transformer": 30_152,
 }
+
+
+def _step_ms(parameter_count: int, steps: int) -> float:
+    """Mean milliseconds per step of statistic + bank update over N rows."""
+    grads = np.random.default_rng(0).standard_normal((NUM_WORKERS, parameter_count))
+    bank = TrackerBank(NUM_WORKERS, alpha=NUM_WORKERS / 100.0)
+    active = np.ones(NUM_WORKERS, dtype=bool)
+    bank.update(batch_gradient_statistic(grads, "variance"), active)  # warm-up, untimed
+    start = time.perf_counter()
+    for _ in range(steps):
+        bank.update(batch_gradient_statistic(grads, "variance"), active)
+    return (time.perf_counter() - start) / steps * 1000.0
 
 
 def _experiment():
     steps = 60 if full_scale() else 25
-    overheads = {}
-    for name, count in MODEL_PARAMETER_COUNTS.items():
-        probe = TrackerOverheadProbe(parameter_count=count, seed=0)
-        overheads[name] = {w: probe.measure_ms(window=w, steps=steps) for w in WINDOWS}
-    return overheads
+    return {name: _step_ms(count, steps) for name, count in MODEL_PARAMETER_COUNTS.items()}
 
 
 @pytest.mark.benchmark(group="fig8a")
-def test_fig8a_tracker_overhead_vs_window(benchmark):
+def test_fig8a_tracker_overhead_vs_model_size(benchmark):
     overheads = benchmark.pedantic(_experiment, rounds=1, iterations=1)
 
-    rows = [[w] + [round(overheads[m][w], 3) for m in MODEL_PARAMETER_COUNTS] for w in WINDOWS]
+    rows = [
+        [name, count, round(overheads[name], 3)]
+        for name, count in MODEL_PARAMETER_COUNTS.items()
+    ]
     report = format_table(
-        ["window"] + list(MODEL_PARAMETER_COUNTS), rows,
-        title="Fig. 8a — Δ(gᵢ) computation overhead (ms per step) vs EWMA window",
+        ["model", "parameters", f"ms per step (N={NUM_WORKERS})"], rows,
+        title="Fig. 8a — Δ(gᵢ) computation overhead (statistic + tracker bank) vs model size",
     )
     save_report("fig8a_tracker_overhead", report)
 
     for name in MODEL_PARAMETER_COUNTS:
         # Overhead is a few milliseconds at most — negligible next to the
         # 100-250 ms compute times of Fig. 2a.
-        assert overheads[name][25] < 50.0
-        # The w=25 default is no slower than the largest window by more than noise.
-        assert overheads[name][25] <= overheads[name][200] * 3.0
+        assert overheads[name] < 50.0
     # Bigger models pay more for the reduction (vgg11 analog > transformer analog).
-    assert overheads["vgg11"][25] > overheads["transformer"][25]
+    assert overheads["vgg11"] > overheads["transformer"]

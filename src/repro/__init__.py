@@ -13,13 +13,13 @@ subpackages for the full API:
 * :mod:`repro.comm`        — simulated PS / collectives / cost models
 * :mod:`repro.cluster`     — simulated workers, clocks, compute models
 * :mod:`repro.engine`      — flat-buffer execution engine (FlatBuffer, WorkerMatrix)
-* :mod:`repro.stats`       — EWMA, KDE, Hessian eigenvalue estimation
+* :mod:`repro.stats`       — gradient statistics, KDE, Hessian eigenvalue estimation
 * :mod:`repro.metrics`     — accuracy/perplexity, LSSR, throughput, convergence
 * :mod:`repro.harness`     — workload presets, experiment runner, reporting
 * :mod:`repro.scenarios`   — declarative scenario registry and runner
 """
 
-from repro.core import SelSyncConfig, SelSyncTrainer, GradientChangeTracker
+from repro.core import SelSyncConfig, SelSyncTrainer
 from repro.engine import FlatBuffer, ParamSpec, WorkerMatrix
 from repro.algorithms import (
     BSPTrainer,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SelSyncConfig",
     "SelSyncTrainer",
-    "GradientChangeTracker",
     "FlatBuffer",
     "ParamSpec",
     "WorkerMatrix",

@@ -1,7 +1,7 @@
 """SelSync core: the paper's primary contribution.
 
-* :class:`GradientChangeTracker` — low-overhead per-iteration tracking of the
-  relative gradient change Δ(gᵢ) with EWMA smoothing (§III-A, Eqn. 2).
+* :class:`TrackerBank` — the N workers' EWMA-smoothed relative gradient
+  change Δ(gᵢ) as (N,) array arithmetic (§III-A, Eqn. 2).
 * :class:`SelSyncConfig` — the (δ, aggregation-mode, EWMA, data-injection)
   knobs of Alg. 1.
 * :class:`SelSyncTrainer` — the selective-synchronization training loop that
@@ -11,7 +11,7 @@
 * aggregation helpers for parameter vs gradient aggregation (§III-C).
 """
 
-from repro.core.gradient_tracker import GradientChangeTracker, TrackerOverheadProbe
+from repro.core.gradient_tracker import TrackerBank
 from repro.core.config import SelSyncConfig
 from repro.core.aggregation import (
     aggregate_parameters,
@@ -21,8 +21,7 @@ from repro.core.aggregation import (
 from repro.core.selsync import SelSyncTrainer
 
 __all__ = [
-    "GradientChangeTracker",
-    "TrackerOverheadProbe",
+    "TrackerBank",
     "SelSyncConfig",
     "aggregate_parameters",
     "aggregate_gradients",

@@ -5,6 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+#: Gradient statistics Δ(gᵢ) can track (see ``batch_gradient_statistic``).
+STATISTICS = ("variance", "second_moment", "norm")
+
 
 @dataclass
 class SelSyncConfig:
@@ -19,8 +22,6 @@ class SelSyncConfig:
     aggregation:
         ``"param"`` for parameter aggregation (the paper's recommended mode)
         or ``"grad"`` for gradient aggregation (the Fig. 10 baseline).
-    ewma_window:
-        Window size for the Δ(gᵢ) EWMA (paper default 25).
     ewma_alpha:
         Smoothing factor; ``None`` uses the paper's rule num_workers / 100.
     statistic:
@@ -36,7 +37,6 @@ class SelSyncConfig:
 
     delta: float = 0.25
     aggregation: str = "param"
-    ewma_window: int = 25
     ewma_alpha: Optional[float] = None
     statistic: str = "variance"
     sync_on_first_step: bool = True
@@ -50,8 +50,10 @@ class SelSyncConfig:
             raise ValueError(
                 f"aggregation must be 'param' or 'grad', got {self.aggregation!r}"
             )
-        if self.ewma_window < 1:
-            raise ValueError(f"ewma_window must be >= 1, got {self.ewma_window}")
+        if self.statistic not in STATISTICS:
+            raise ValueError(
+                f"unknown statistic {self.statistic!r}; choose from {STATISTICS}"
+            )
         if self.ewma_alpha is not None and not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
         both_none = self.injection_alpha is None and self.injection_beta is None

@@ -4,8 +4,8 @@ Every global iteration:
 
 1. every worker samples a local mini-batch (optionally mixed by data
    injection in non-IID mode) and computes its gradients,
-2. every worker updates its Δ(gᵢ) tracker and sets its synchronization flag
-   to 1 if Δ(gᵢ) ≥ δ,
+2. every worker's row of the Δ(gᵢ) tracker bank advances and its
+   synchronization flag is set to 1 if Δ(gᵢ) ≥ δ,
 3. the flags are exchanged with an (N−1)-bit all-gather,
 4. if **any** flag is set the step is synchronous — under parameter
    aggregation every worker first applies its local update and then all
@@ -21,6 +21,7 @@ simulated speedups reported in Table I.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from repro.algorithms.base import BaseTrainer
 from repro.cluster.cluster import SimulatedCluster
 from repro.core.aggregation import AggregationMode
 from repro.core.config import SelSyncConfig
-from repro.core.gradient_tracker import GradientChangeTracker
+from repro.core.gradient_tracker import TrackerBank
 from repro.data.injection import DataInjection
 from repro.optim.schedules import LRSchedule
 from repro.stats.variance import batch_gradient_statistic
@@ -60,20 +61,13 @@ class SelSyncTrainer(BaseTrainer):
                 seed=cluster.config.seed + 17,
             )
         self.injection = injection
-        alpha = self.config.resolved_alpha(cluster.num_workers)
-        self.trackers: List[GradientChangeTracker] = [
-            GradientChangeTracker(
-                window=self.config.ewma_window,
-                alpha=alpha,
-                statistic=self.config.statistic,
-            )
-            for _ in range(cluster.num_workers)
-        ]
+        self.bank = TrackerBank(
+            cluster.num_workers, alpha=self.config.resolved_alpha(cluster.num_workers)
+        )
         self.aggregation = AggregationMode(self.config.aggregation)
         self.sync_steps = 0
         self.local_steps = 0
         self.sync_step_indices: List[int] = []
-        self.delta_history: List[float] = []
         self._last_step_synced = False
 
     # ------------------------------------------------------------------ #
@@ -86,50 +80,31 @@ class SelSyncTrainer(BaseTrainer):
             "delta": self.config.delta,
             "sync_steps": float(self.sync_steps),
             "local_steps": float(self.local_steps),
-            "max_delta_observed": float(
-                max((t.max_delta for t in self.trackers), default=0.0)
-            ),
+            "max_delta_observed": float(self.bank.max_delta.max()),
         }
 
     # ------------------------------------------------------------------ #
     def trainer_state(self) -> Dict:
-        """Extends the base snapshot with Δ(gᵢ)-tracker and sync-counter state.
+        """Extends the base snapshot with tracker-bank and sync-counter state.
 
-        The EWMA deques are what make a restored run bit-identical: the next
-        ``update_scalar`` after a restore must see exactly the window (and
-        smoothed value) the original run would have.
+        The bank's (N,) arrays are what make a restored run bit-identical:
+        the next ``update`` after a restore must see exactly the smoothed
+        statistics the original run would have.
         """
         state = super().trainer_state()
-        state["trackers"] = [
-            {
-                "ewma_values": list(t._ewma._values),
-                "ewma_smoothed": t._ewma._smoothed,
-                "previous_smoothed": t._previous_smoothed,
-                "history": list(t.history),
-                "raw_history": list(t.raw_history),
-            }
-            for t in self.trackers
-        ]
+        state["tracker"] = copy.deepcopy(self.bank)
         state["sync_steps"] = self.sync_steps
         state["local_steps"] = self.local_steps
         state["sync_step_indices"] = list(self.sync_step_indices)
-        state["delta_history"] = list(self.delta_history)
         state["last_step_synced"] = self._last_step_synced
         return state
 
     def load_trainer_state(self, state: Dict) -> None:
         super().load_trainer_state(state)
-        for tracker, saved in zip(self.trackers, state["trackers"]):
-            tracker._ewma._values.clear()
-            tracker._ewma._values.extend(saved["ewma_values"])
-            tracker._ewma._smoothed = saved["ewma_smoothed"]
-            tracker._previous_smoothed = saved["previous_smoothed"]
-            tracker.history = list(saved["history"])
-            tracker.raw_history = list(saved["raw_history"])
+        self.bank = copy.deepcopy(state["tracker"])
         self.sync_steps = state["sync_steps"]
         self.local_steps = state["local_steps"]
         self.sync_step_indices = list(state["sync_step_indices"])
-        self.delta_history = list(state["delta_history"])
         self._last_step_synced = state["last_step_synced"]
 
     # ------------------------------------------------------------------ #
@@ -156,26 +131,16 @@ class SelSyncTrainer(BaseTrainer):
         losses = cluster.compute_gradients_all(batches)
 
         # 2. Δ(gᵢ) for all workers in one vectorized pass over the gradient
-        #    matrix; per-tracker work is scalar EWMA bookkeeping only
-        #    (Alg. 1 lines 10-11).
+        #    matrix and the tracker bank (Alg. 1 lines 10-11).  Crashed
+        #    workers keep their rows frozen and never raise a flag.
         with telemetry.span("selsync.tracker"):
             raw_stats = batch_gradient_statistic(
                 cluster.matrix.grads, self.config.statistic
             )
             active = cluster.active_mask
-            flags: List[int] = []
-            max_delta = 0.0
-            for worker_id, (tracker, raw) in enumerate(zip(self.trackers, raw_stats)):
-                # Crashed workers keep their tracker frozen and never raise
-                # a flag; their (zeroed) gradient rows are skipped.
-                if not active[worker_id]:
-                    flags.append(0)
-                    continue
-                delta = tracker.update_scalar(raw)
-                flags.append(1 if delta >= self.config.delta else 0)
-                if delta > max_delta:
-                    max_delta = delta
-            self.delta_history.append(max_delta)
+            deltas = self.bank.update(raw_stats, active)
+            flags = active & (deltas >= self.config.delta)
+            max_delta = float(deltas.max())
         ref_batch = next((b for b in batches if b is not None), None)
         cluster.charge_compute_step(
             ref_batch[1].shape[0] if ref_batch is not None else None

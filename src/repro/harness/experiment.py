@@ -11,7 +11,7 @@ learning rates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -224,7 +224,7 @@ def make_trainer(
     passed as keyword arguments (e.g. ``delta=0.3``, ``participation=0.5``,
     ``staleness=100``, ``sync_period=8``, ``compressor=TopKCompressor()``).
     For SelSync every :class:`~repro.core.config.SelSyncConfig` field is
-    accepted (``aggregation``, ``statistic``, ``sync_on_first_step``, …), or
+    accepted (``aggregation``, ``ewma_alpha``, ``statistic``, …), or
     pass a fully built ``config=SelSyncConfig(...)``.  A keyword the chosen
     trainer does not take is a ``TypeError``, never silently dropped.
     """
@@ -245,15 +245,9 @@ def _make_trainer(algorithm, cluster, preset, total_iterations, eval_every, kwar
     if key == "selsync":
         config = kwargs.pop("config", None)
         if config is None:
-            config = SelSyncConfig(
-                delta=kwargs.pop("delta", 0.25),
-                aggregation=kwargs.pop("aggregation", "param"),
-                ewma_window=kwargs.pop("ewma_window", 25),
-                statistic=kwargs.pop("statistic", "variance"),
-                sync_on_first_step=kwargs.pop("sync_on_first_step", True),
-                injection_alpha=kwargs.pop("injection_alpha", None),
-                injection_beta=kwargs.pop("injection_beta", None),
-            )
+            config = SelSyncConfig(**{
+                f.name: kwargs.pop(f.name) for f in fields(SelSyncConfig) if f.name in kwargs
+            })
         trainer = SelSyncTrainer(
             cluster, config=config, lr_schedule=schedule, eval_every=eval_every, **kwargs
         )

@@ -1,7 +1,5 @@
 """Statistical instrumentation used by SelSync and the analysis figures.
 
-* :class:`EWMA` — exponentially weighted moving average smoothing used by the
-  relative-gradient-change tracker (§III-A),
 * gradient-noise statistics (the batch statistic behind Δ(g), variance and
   second moment),
 * Gaussian kernel density estimation for the gradient and weight
@@ -10,7 +8,6 @@
   Hessian-vector products (Fig. 4).
 """
 
-from repro.stats.ewma import EWMA, ewma_smooth
 from repro.stats.variance import (
     batch_gradient_statistic,
     gradient_variance,
@@ -20,8 +17,6 @@ from repro.stats.kde import gaussian_kde_density, distribution_summary
 from repro.stats.hessian import hessian_top_eigenvalue, hessian_vector_product
 
 __all__ = [
-    "EWMA",
-    "ewma_smooth",
     "batch_gradient_statistic",
     "gradient_variance",
     "gradient_second_moment",

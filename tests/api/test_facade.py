@@ -169,6 +169,31 @@ class TestRunExecution:
         assert out.results["run"].final_loss == direct.result.final_loss
         assert out.meta["eval_every"] == 2 and out.meta["seed"] == 3
 
+    def test_experiment_kind_accepts_ewma_alpha(self):
+        settings = dict(num_workers=2, iterations=6, seed=0, eval_every=3)
+        out = run(kind="experiment", workload="deep_mlp", algorithm="selsync",
+                  params={"ewma_alpha": 0.5}, **settings)
+        direct = run_experiment("deep_mlp", "selsync", ewma_alpha=0.5, **settings)
+        default = run_experiment("deep_mlp", "selsync", **settings)
+        metrics = out.records[0]["metrics"]
+        assert metrics["max_delta_observed"] == direct.result.extras["max_delta_observed"]
+        assert metrics["max_delta_observed"] != default.result.extras["max_delta_observed"]
+
+    def test_sweep_grid_over_ewma_alpha(self):
+        out = run(kind="sweep", workload="deep_mlp", algorithm="selsync",
+                  grid={"ewma_alpha": [0.1, 0.5]}, num_workers=2, iterations=6,
+                  batch_size=8)
+        assert [r["params"]["ewma_alpha"] for r in out.records] == [0.1, 0.5]
+        maxima = [r["metrics"]["max_delta_observed"] for r in out.records]
+        assert maxima[0] != maxima[1]
+
+    @pytest.mark.parametrize("kind, field", [("experiment", "params"), ("sweep", "grid")])
+    def test_ewma_window_is_a_type_error(self, kind, field):
+        value = {"ewma_window": [25]} if field == "grid" else {"ewma_window": 25}
+        with pytest.raises(TypeError, match="ewma_window"):
+            run(kind=kind, workload="deep_mlp", algorithm="selsync", num_workers=2,
+                iterations=2, **{field: value})
+
     def test_scenario_kind_matches_run_scenario(self):
         out = run(RunRequest(kind="scenario", scenario="fig1a-throughput"))
         direct = run_scenario("fig1a-throughput").to_dict()

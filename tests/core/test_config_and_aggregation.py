@@ -1,5 +1,7 @@
 """Tests for SelSyncConfig and parameter/gradient aggregation helpers."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.aggregation import (
     aggregate_gradients,
     aggregate_parameters,
 )
-from repro.core.config import SelSyncConfig
+from repro.core.config import STATISTICS, SelSyncConfig
 
 
 class TestSelSyncConfig:
@@ -16,8 +18,21 @@ class TestSelSyncConfig:
         config = SelSyncConfig()
         assert config.delta == 0.25
         assert config.aggregation == "param"
-        assert config.ewma_window == 25
+        assert config.ewma_alpha is None
+        assert config.statistic == "variance"
         assert not config.uses_injection
+
+    def test_has_no_window_field(self):
+        """The EWMA recursion reads no window, so the config offers none."""
+        assert len(fields(SelSyncConfig)) == 7
+        with pytest.raises(TypeError, match="ewma_window"):
+            SelSyncConfig(ewma_window=25)
+
+    def test_statistic_validated(self):
+        for statistic in STATISTICS:
+            assert SelSyncConfig(statistic=statistic).statistic == statistic
+        with pytest.raises(ValueError, match="median"):
+            SelSyncConfig(statistic="median")
 
     def test_resolved_alpha_uses_paper_rule(self):
         """EWMA smoothing factor defaults to num_workers / 100 (0.16 for 16)."""
@@ -49,8 +64,6 @@ class TestSelSyncConfig:
             SelSyncConfig(delta=-1.0)
         with pytest.raises(ValueError):
             SelSyncConfig(aggregation="hybrid")
-        with pytest.raises(ValueError):
-            SelSyncConfig(ewma_window=0)
         with pytest.raises(ValueError):
             SelSyncConfig(ewma_alpha=2.0)
         with pytest.raises(ValueError):

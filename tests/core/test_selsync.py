@@ -156,16 +156,18 @@ class TestMechanics:
         trainer.run(5)
         assert trainer.sync_step_indices == [0, 1, 2, 3, 4]
 
-    def test_delta_history_length(self):
-        cluster = make_small_cluster()
-        trainer = SelSyncTrainer(cluster, SelSyncConfig(delta=0.3), eval_every=100)
-        trainer.run(8)
-        assert len(trainer.delta_history) == 8
-
-    def test_one_tracker_per_worker(self):
+    def test_one_bank_row_per_worker(self):
         cluster = make_small_cluster(num_workers=5)
         trainer = SelSyncTrainer(cluster, eval_every=100)
-        assert len(trainer.trackers) == 5
+        assert trainer.bank.smoothed.shape == (5,)
+        assert trainer.bank.alpha == pytest.approx(0.05)
+
+    def test_step_max_delta_and_extremum(self):
+        cluster = make_small_cluster()
+        trainer = SelSyncTrainer(cluster, SelSyncConfig(delta=0.3), eval_every=100)
+        step_maxima = [trainer.train_step()["max_delta"] for _ in range(8)]
+        assert step_maxima[0] == 0.0
+        assert max(step_maxima) == trainer.result_extras()["max_delta_observed"] > 0.0
 
     def test_simulated_time_lower_than_bsp_when_local(self):
         """Skipping synchronization must reduce simulated wall-clock per step."""

@@ -9,9 +9,14 @@ families (MLP and transformer analogs).
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.config import SelSyncConfig
+from repro.core.selsync import SelSyncTrainer
+from repro.faults import FaultController, FaultSchedule, crash, rejoin
 from repro.faults.checkpoint import restore_cluster, snapshot_cluster
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
 from tests.conftest import make_small_cluster
@@ -28,7 +33,7 @@ ALGORITHM_KWARGS = {
 }
 
 
-def build_trainer(algorithm: str, workload: str):
+def build_trainer(algorithm: str, workload: str, **overrides):
     preset = build_workload(workload)
     cluster = build_cluster(preset, num_workers=4, seed=0, batch_size=4)
     return make_trainer(
@@ -37,7 +42,7 @@ def build_trainer(algorithm: str, workload: str):
         preset,
         ITERATIONS,
         eval_every=4,
-        **ALGORITHM_KWARGS[algorithm],
+        **{**ALGORITHM_KWARGS[algorithm], **overrides},
     )
 
 
@@ -92,6 +97,50 @@ def test_roundtrip_matches_uninterrupted_run(algorithm, workload):
     np.testing.assert_array_equal(
         trainer.cluster.matrix.params, baseline_trainer.cluster.matrix.params
     )
+
+
+class TestSelSyncTrackerState:
+    def test_tracker_state_does_not_grow_with_steps(self):
+        sizes = []
+        for steps in (10, 200):
+            trainer = SelSyncTrainer(
+                make_small_cluster(), SelSyncConfig(delta=0.3), eval_every=1000
+            )
+            trainer.run(steps)
+            sizes.append(len(pickle.dumps(trainer.trainer_state()["tracker"])))
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("aggregation", ["param", "grad"])
+    def test_restore_under_crash_rejoin_matches_uninterrupted_run(self, aggregation):
+        # Worker 1 is down across the checkpoint, so its frozen bank row
+        # must survive the round trip; worker 2 crashes after it.
+        schedule = FaultSchedule([crash(1, 3), crash(2, 6), rejoin(1, 8), rejoin(2, 10)])
+
+        def build():
+            trainer = build_trainer("selsync", "deep_mlp", aggregation=aggregation)
+            trainer.attach_fault_controller(FaultController(trainer.cluster, schedule))
+            return trainer
+
+        baseline = build()
+        baseline.run(ITERATIONS, eval_every=4)
+
+        trainer = build()
+        stepper = trainer.run_stepwise(ITERATIONS, eval_every=4)
+        assert drive(stepper, steps=CHECKPOINT_AT) is None
+        ckpt = trainer.checkpoint()
+        scramble(trainer)
+        trainer.bank.update(np.full(4, 5.0), np.ones(4, dtype=bool))
+        trainer.sync_step_indices.append(99)
+        trainer.restore(ckpt)
+        drive(stepper)
+
+        assert trainer.cluster.matrix.params.tobytes() == (
+            baseline.cluster.matrix.params.tobytes()
+        )
+        assert trainer.sync_step_indices == baseline.sync_step_indices
+        assert 0 < len(baseline.sync_step_indices) < ITERATIONS
+        extras, expected = trainer.result_extras(), baseline.result_extras()
+        assert extras["max_delta_observed"] == expected["max_delta_observed"] > 0.0
 
 
 class TestCheckpointMechanics:

@@ -123,6 +123,19 @@ class TestMakeTrainer:
         assert trainer.config.statistic == "norm"
         assert trainer.config.sync_on_first_step is False
 
+    def test_selsync_ewma_alpha_reaches_the_bank(self):
+        preset = build_workload("resnet101")
+        cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
+        trainer = make_trainer("selsync", cluster, preset, total_iterations=10, ewma_alpha=0.5)
+        assert trainer.config.ewma_alpha == 0.5
+        assert trainer.bank.alpha == 0.5
+
+    def test_selsync_ewma_window_is_a_type_error(self):
+        preset = build_workload("resnet101")
+        cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
+        with pytest.raises(TypeError, match="ewma_window"):
+            make_trainer("selsync", cluster, preset, total_iterations=10, ewma_window=25)
+
     @pytest.mark.parametrize("algorithm,kwargs", TRAINER_OPTIONS)
     def test_a_keyword_no_trainer_takes_is_a_type_error(self, algorithm, kwargs):
         # The removed process-pool knob must not be swallowed as an option.

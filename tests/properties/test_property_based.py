@@ -5,11 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression import SignSGDCompressor, TopKCompressor
+from repro.core.gradient_tracker import TrackerBank
 from repro.data.injection import adjusted_batch_size
 from repro.data.partition import DefaultPartitioner, SelSyncPartitioner
 from repro.metrics.lssr import communication_reduction, lssr
 from repro.nn.losses import cross_entropy_with_logits, log_softmax
-from repro.stats.ewma import EWMA
 from repro.utils.flatten import flatten_arrays, unflatten_vector
 
 
@@ -34,19 +34,59 @@ class TestFlattenProperties:
             np.testing.assert_array_equal(rebuilt[name], tree[name])
 
 
-class TestEWMAProperties:
-    @given(
-        values=st.lists(
-            st.floats(min_value=0.0, max_value=1e4, allow_nan=False), min_size=1, max_size=100
-        ),
-        alpha=st.floats(min_value=0.01, max_value=1.0),
-    )
+class _ScalarTracker:
+    """Per-worker reference: the scalar EWMA / Δ(gᵢ) recursion, one Python float at a time."""
+
+    def __init__(self, alpha, eps=1e-12):
+        self.alpha, self.eps = alpha, eps
+        self.smoothed = None
+        self.max_delta = 0.0
+
+    def update(self, raw):
+        if self.smoothed is None:
+            smoothed, delta = raw, 0.0
+        else:
+            smoothed = self.alpha * raw + (1.0 - self.alpha) * self.smoothed
+            delta = abs(smoothed - self.smoothed) / max(abs(self.smoothed), self.eps)
+        self.smoothed = smoothed
+        self.max_delta = max(self.max_delta, delta)
+        return delta
+
+
+class TestTrackerBankProperties:
+    @given(data=st.data(), num_workers=st.integers(1, 16), steps=st.integers(1, 30),
+           alpha=st.floats(min_value=0.01, max_value=1.0),
+           threshold=st.floats(min_value=0.0, max_value=2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bank_equals_scalar_recursion(self, data, num_workers, steps, alpha, threshold):
+        """Δ, flags and running max are bit-equal to N scalar trackers under crash/rejoin."""
+        raws = data.draw(hnp.arrays(
+            np.float64, (steps, num_workers),
+            elements=st.floats(min_value=1e-6, max_value=1e6),
+        ))
+        masks = data.draw(hnp.arrays(np.bool_, (steps, num_workers)))
+        bank = TrackerBank(num_workers, alpha=alpha)
+        reference = [_ScalarTracker(alpha) for _ in range(num_workers)]
+        for raw, active in zip(raws, masks):
+            deltas = bank.update(raw, active)
+            expected = [
+                ref.update(float(x)) if live else 0.0
+                for ref, x, live in zip(reference, raw, active)
+            ]
+            assert deltas.tolist() == expected
+            flags = active & (deltas >= threshold)
+            assert flags.tolist() == [live and d >= threshold for d, live in zip(expected, active)]
+        assert bank.max_delta.tolist() == [ref.max_delta for ref in reference]
+        assert bank.seen.tolist() == [ref.smoothed is not None for ref in reference]
+
+    @given(values=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=100),
+           alpha=st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_smoothed_value_bounded_by_observations(self, values, alpha):
-        ewma = EWMA(alpha=alpha, window=25)
+        bank = TrackerBank(1, alpha=alpha)
         for v in values:
-            ewma.update(v)
-            assert min(values) - 1e-9 <= ewma.value <= max(values) + 1e-9
+            bank.update([v], [True])
+            assert min(values) - 1e-9 <= bank.smoothed[0] <= max(values) + 1e-9
 
 
 class TestPartitionProperties:

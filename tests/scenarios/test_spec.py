@@ -80,7 +80,7 @@ class TestSweepScenario:
 
     def test_verify_endpoints_requires_delta_only_grid(self):
         with pytest.raises(ScenarioError, match="exactly 'delta'"):
-            sweep(grid={"delta": (0.0, 1.0), "ewma_window": (5, 25)},
+            sweep(grid={"delta": (0.0, 1.0), "ewma_alpha": (0.1, 0.5)},
                   fixed={"aggregation": "grad", "sync_on_first_step": False},
                   verify_endpoints=True)
 

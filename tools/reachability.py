@@ -58,8 +58,6 @@ PACKAGE = os.path.join(SRC, "repro")
 
 _CALIBRATION = "the known-optimum item calibrates the transformer's warm-up / LR schedule"
 _INIT = "the known-optimum item calibrates the transformer's init scale"
-_WINDOW = "the TrackerBank item decides whether the paper's EWMA window w becomes real"
-_TRACKER = "per-worker tracker state; the TrackerBank item replaces the N trackers with one bank"
 _CHECKPOINT = (
     "checkpoint / restore API: no entry point resumes a run yet; the golden-corpus item "
     "adds checkpoint -> restore cases"
@@ -93,18 +91,8 @@ KEEP: Dict[str, str] = {
     "repro.nn.init.xavier_uniform": _INIT,
     "repro.nn.init.xavier_normal": _INIT,
     "repro.nn.init.kaiming_normal": _INIT,
-    "repro.stats.ewma.EWMA.window_mean": _WINDOW,
-    "repro.stats.ewma.EWMA.window_full": _WINDOW,
-    "repro.stats.ewma.ewma_smooth": _WINDOW,
-    "repro.stats.ewma.EWMA.count": _TRACKER,
-    "repro.stats.ewma.EWMA.reset": _TRACKER,
-    "repro.stats.ewma.EWMA.value": _TRACKER,
-    "repro.core.gradient_tracker.GradientChangeTracker.alpha": _TRACKER,
-    "repro.core.gradient_tracker.GradientChangeTracker.window": _TRACKER,
-    "repro.core.gradient_tracker.GradientChangeTracker.reset": _TRACKER,
     "repro.stats.variance.gradient_second_moment": (
-        "GradientChangeTracker(statistic='second_moment'), which no preset selects; also the "
-        "per-worker oracle of batch_gradient_statistic"
+        "per-worker oracle that the batch_gradient_statistic tests compare each row against"
     ),
     "repro.algorithms.base.BaseTrainer.checkpoint": _CHECKPOINT,
     "repro.algorithms.base.BaseTrainer.restore": _CHECKPOINT,
