@@ -28,7 +28,7 @@ from repro.algorithms import (
     LocalSGDTrainer,
     TrainingResult,
 )
-from repro.harness import build_workload, build_cluster, make_trainer, run_experiment
+from repro.harness import RunConfig, build_workload, build_cluster, make_trainer, run_experiment
 from repro.scenarios import get_scenario, run_scenario, scenario_names
 
 __version__ = "0.1.0"
@@ -44,6 +44,7 @@ __all__ = [
     "SSPTrainer",
     "LocalSGDTrainer",
     "TrainingResult",
+    "RunConfig",
     "build_workload",
     "build_cluster",
     "make_trainer",

@@ -9,8 +9,12 @@ paper's tables and figures contain.
 """
 
 from repro.harness.experiment import (
+    ConfigError,
+    RunConfig,
+    TRAINERS,
     WorkloadPreset,
     WORKLOAD_PRESETS,
+    algorithm_params,
     build_workload,
     build_cluster,
     make_trainer,
@@ -21,8 +25,12 @@ from repro.harness.sweep import grid_sweep, SweepResult
 from repro.harness.reporting import format_table, results_to_rows
 
 __all__ = [
+    "ConfigError",
+    "RunConfig",
+    "TRAINERS",
     "WorkloadPreset",
     "WORKLOAD_PRESETS",
+    "algorithm_params",
     "build_workload",
     "build_cluster",
     "make_trainer",

@@ -5,7 +5,11 @@ Examples
 Run SelSync on the ResNet analog with 8 simulated workers::
 
     python -m repro.harness.cli run --workload resnet101 --algorithm selsync \
-        --workers 8 --iterations 200 --delta 0.3
+        --num-workers 8 --iterations 200 --param delta=0.3
+
+Every :class:`~repro.harness.experiment.RunConfig` field is a flag (the
+field name with dashes); algorithm params go through the repeatable
+``--param KEY=VALUE`` (VALUE parsed as JSON, else kept as a string).
 
 Compare against BSP and print a Table-I style row::
 
@@ -58,49 +62,55 @@ Summarize a telemetry span trace recorded via ``REPRO_TRACE_FILE`` or
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 from typing import Dict, Optional, Sequence
 
-from repro.harness.experiment import WORKLOAD_PRESETS, run_experiment
+from repro.harness.experiment import WORKLOAD_PRESETS, ConfigError, RunConfig
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
 
 ALGORITHMS = ("bsp", "selsync", "fedavg", "ssp", "local_sgd")
 
-
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workload", default="resnet101", choices=sorted(WORKLOAD_PRESETS))
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--iterations", type=int, default=150)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eval-every", type=int, default=None)
-    parser.add_argument(
-        "--dtype",
-        default="float64",
-        choices=["float32", "float64"],
-        help="engine compute dtype (float32 = reduced-precision mode)",
-    )
-    parser.add_argument(
-        "--transport-dtype",
-        default=None,
-        choices=["float16", "float32", "float64"],
-        help="simulated wire format for model payloads (default: float32 wire)",
-    )
+#: ``repro compare``'s methods; ``--param`` pairs update the SelSync entry.
+COMPARE_METHODS = {
+    "bsp": ("bsp", {}),
+    "fedavg": ("fedavg", {"participation": 1.0, "sync_factor": 0.25}),
+    "ssp": ("ssp", {"staleness": 100}),
+    "selsync": ("selsync", {"delta": 0.3}),
+}
 
 
-def _algorithm_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    kwargs: Dict[str, object] = {}
-    if args.algorithm == "selsync":
-        kwargs["delta"] = args.delta
-        kwargs["aggregation"] = args.aggregation
-    elif args.algorithm == "fedavg":
-        kwargs["participation"] = args.participation
-        kwargs["sync_factor"] = args.sync_factor
-    elif args.algorithm == "ssp":
-        kwargs["staleness"] = args.staleness
-    elif args.algorithm == "local_sgd":
-        kwargs["sync_period"] = args.sync_period
-    return kwargs
+def _add_config_flags(parser: argparse.ArgumentParser, source: type, names: Sequence[str],
+                      help_format: str = "default: {default}") -> None:
+    """One ``--field-name`` flag per field in ``names`` of the dataclass ``source``.
+
+    The flag's type comes from the field's annotation.  An absent flag is
+    absent from the namespace, so the field keeps the dataclass default.
+    """
+    hints = typing.get_type_hints(source)
+    defaults = {f.name: f.default for f in dataclasses.fields(source)}
+    for name in names:
+        kind = next((a for a in typing.get_args(hints[name]) if a is not type(None)),
+                    hints[name])
+        required = defaults[name] is dataclasses.MISSING
+        options = dict(default=argparse.SUPPRESS, required=required,
+                       help=None if required else help_format.format(default=defaults[name]))
+        if kind is bool:
+            options["action"] = argparse.BooleanOptionalAction
+        else:
+            options["type"] = kind
+        parser.add_argument("--" + name.replace("_", "-"), **options)
+
+
+def _config_fields(args: argparse.Namespace, names: Sequence[str]) -> Dict[str, object]:
+    """The :class:`RunConfig` fields among ``names`` given on the command line."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+#: The ``repro run`` flags: every RunConfig field but ``params`` (see ``--param``).
+RUN_FLAGS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "params")
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -112,23 +122,17 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import RunRequest, run as api_run
 
-    faulty = args.failure_rate > 0.0 or args.straggler_fraction > 0.0
-    out = api_run(RunRequest(
-        kind="experiment",
-        workload=args.workload,
-        algorithm=args.algorithm,
-        params=_algorithm_kwargs(args),
-        num_workers=args.workers,
-        iterations=args.iterations,
-        seed=args.seed,
-        eval_every=args.eval_every or max(args.iterations // 8, 1),
-        dtype=args.dtype,
-        transport_dtype=args.transport_dtype,
-        fault_seed=args.fault_seed if faulty else None,
-        failure_rate=args.failure_rate if faulty else None,
-        straggler_fraction=args.straggler_fraction if faulty else None,
-        mttr=args.mttr if faulty else None,
-    ))
+    try:
+        request = RunRequest(
+            kind="experiment",
+            params=_parse_pairs(args.param, "--param"),
+            **_config_fields(args, RUN_FLAGS),
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
+    config = request.target
+    out = api_run(request)
     result = out.results["run"]
     rows = [[
         out.label, result.iterations, round(result.lssr, 3),
@@ -136,32 +140,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ]]
     print(format_table(
         ["method", "iterations", "LSSR", f"best {result.metric_name}", "simulated time (s)"],
-        rows, title=f"{args.workload} on {args.workers} simulated workers",
+        rows, title=f"{config.workload} on {config.num_workers} simulated workers",
     ))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    eval_every = args.eval_every or max(args.iterations // 8, 1)
-    results = {}
-    grid = {
-        "bsp": ("bsp", {}),
-        "fedavg": ("fedavg", {"participation": 1.0, "sync_factor": 0.25}),
-        "ssp": ("ssp", {"staleness": 100}),
-        "selsync": ("selsync", {"delta": args.delta}),
-    }
-    for label, (algorithm, kwargs) in grid.items():
-        print(f"running {label} ...", file=sys.stderr)
-        out = run_experiment(
-            args.workload, algorithm, num_workers=args.workers,
-            iterations=args.iterations, seed=args.seed, eval_every=eval_every,
-            dtype=args.dtype, transport_dtype=args.transport_dtype,
-            **kwargs,
+    from repro.api import RunRequest, run as api_run
+
+    fields = _config_fields(args, RUN_FLAGS)
+    workload = fields.pop("workload")
+    methods = dict(COMPARE_METHODS)
+    algorithm, params = methods["selsync"]
+    methods["selsync"] = (algorithm, {**params, **_parse_pairs(args.param, "--param")})
+    try:
+        request = RunRequest(
+            kind="comparison", methods=methods, workloads=[workload], baseline="bsp",
+            use_convergence=False, **fields,
         )
-        results[label] = out.result
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO_ERROR
+    print(f"running {', '.join(methods)} ...", file=sys.stderr)
+    out = api_run(request)
+    results = {label: out.results[f"{workload}/{label}"] for label in methods}
     rows = results_to_rows(results, baseline_key="bsp")
-    print(format_table(table1_headers(), rows,
-                       title=f"Comparison — {args.workload}, {args.workers} workers"))
+    print(format_table(table1_headers(), rows, title=f"Comparison — {workload}, "
+                       f"{request.target.num_workers} workers"))
     return 0
 
 
@@ -179,20 +184,19 @@ def _emit_json_error(path: Optional[str], *, code: str, message: str, **extra: o
     print(f"[error report written to {path}]", file=sys.stderr)
 
 
-def _parse_where(pairs: Optional[Sequence[str]]) -> Optional[Dict[str, object]]:
-    """Parse repeated ``--where key=value`` filters (values parsed as JSON)."""
-    if not pairs:
-        return None
-    where: Dict[str, object] = {}
-    for pair in pairs:
+def _parse_pairs(pairs: Optional[Sequence[str]], flag: str) -> Dict[str, object]:
+    """Parse repeated ``KEY=VALUE`` flags (VALUE as JSON, else as a string)."""
+    parsed: Dict[str, object] = {}
+    for pair in pairs or ():
         key, sep, raw = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"error: --where expects key=value, got {pair!r}")
+            print(f"error: {flag} expects key=value, got {pair!r}", file=sys.stderr)
+            raise SystemExit(EXIT_SCENARIO_ERROR)
         try:
-            where[key] = json.loads(raw)
+            parsed[key] = json.loads(raw)
         except json.JSONDecodeError:
-            where[key] = raw
-    return where
+            parsed[key] = raw
+    return parsed
 
 
 def _cmd_scenario_history(args: argparse.Namespace) -> int:
@@ -221,7 +225,7 @@ def _cmd_scenario_history(args: argparse.Namespace) -> int:
             args.extra,
             metrics=[m.strip() for m in args.metrics.split(",") if m.strip()]
             if args.metrics else None,
-            where=_parse_where(args.where),
+            where=_parse_pairs(args.where, "--where") or None,
             last=args.last,
         )
         if not payload["series"]:
@@ -247,8 +251,8 @@ def _cmd_scenario_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.api import ApiError, RunRequest, run as api_run
-    from repro.scenarios import ScenarioError, get_scenario, scenario_names
+    from repro.api import SCENARIO_OVERRIDES, RunRequest, run as api_run
+    from repro.scenarios import get_scenario, scenario_names
 
     # "history" is a reserved subcommand-style name: the optional second
     # positional is the scenario whose stored trends to show.
@@ -265,14 +269,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     print(f"running scenario {args.name!r} ...", file=sys.stderr)
     try:
         out = api_run(RunRequest(
-            kind="scenario",
-            scenario=args.name,
-            iterations=args.iterations,
-            num_workers=args.workers,
-            seed=args.seed,
-            fault_seed=args.fault_seed,
+            kind="scenario", scenario=args.name, **_config_fields(args, SCENARIO_OVERRIDES),
         ), record_to=args.record)
-    except (ApiError, ScenarioError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit_json_error(args.json, code="scenario_error", message=str(exc),
                          scenario=args.name)
@@ -502,6 +501,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro`` argument parser: the ``list``, ``run``, ``compare``,
     ``scenario``, ``serve``, ``bench``, ``trace`` and ``submit`` subcommands."""
+    from repro.api import SCENARIO_OVERRIDES
+    from repro.scenarios import ComparisonScenario
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -509,37 +511,20 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser = sub.add_parser("list", help="list workloads and algorithms")
     list_parser.set_defaults(func=_cmd_list)
 
+    param_help = ("algorithm param KEY=VALUE, VALUE as JSON (repeatable; "
+                  "e.g. delta=0.3, aggregation=grad)")
     run_parser = sub.add_parser("run", help="run one algorithm on one workload")
-    _add_common_arguments(run_parser)
-    run_parser.add_argument("--algorithm", default="selsync", choices=ALGORITHMS)
-    run_parser.add_argument("--delta", type=float, default=0.3)
-    run_parser.add_argument("--aggregation", default="param", choices=["param", "grad"])
-    run_parser.add_argument("--participation", type=float, default=1.0)
-    run_parser.add_argument("--sync-factor", type=float, default=0.25)
-    run_parser.add_argument("--staleness", type=int, default=100)
-    run_parser.add_argument("--sync-period", type=int, default=10)
-    run_parser.add_argument(
-        "--fault-seed", type=int, default=0, metavar="SEED",
-        help="seed for the generated fault schedule (with --failure-rate / "
-        "--straggler-fraction)",
-    )
-    run_parser.add_argument(
-        "--failure-rate", type=float, default=0.0, metavar="P",
-        help="per-worker per-step crash probability (0 disables fault injection)",
-    )
-    run_parser.add_argument(
-        "--straggler-fraction", type=float, default=0.0, metavar="F",
-        help="expected fraction of workers inside a straggler burst",
-    )
-    run_parser.add_argument(
-        "--mttr", type=int, default=5, metavar="STEPS",
-        help="mean steps to rejoin after a generated crash",
-    )
+    _add_config_flags(run_parser, RunConfig, RUN_FLAGS)
+    run_parser.add_argument("--param", action="append", metavar="KEY=VALUE", help=param_help)
     run_parser.set_defaults(func=_cmd_run)
 
     compare_parser = sub.add_parser("compare", help="compare SelSync against the baselines")
-    _add_common_arguments(compare_parser)
-    compare_parser.add_argument("--delta", type=float, default=0.3)
+    _add_config_flags(compare_parser, RunConfig, ["workload"])
+    _add_config_flags(compare_parser, ComparisonScenario, [
+        f.name for f in dataclasses.fields(ComparisonScenario) if f.name in RUN_FLAGS
+    ])
+    compare_parser.add_argument("--param", action="append", metavar="KEY=VALUE",
+                                help="SelSync " + param_help)
     compare_parser.set_defaults(func=_cmd_compare)
 
     scenario_parser = sub.add_parser(
@@ -576,19 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with 'history': restrict sweep records to one grid point "
         "(repeatable)",
     )
-    scenario_parser.add_argument(
-        "--iterations", type=int, default=None, help="override the scenario's iterations"
-    )
-    scenario_parser.add_argument(
-        "--workers", type=int, default=None, help="override the scenario's cluster size"
-    )
-    scenario_parser.add_argument(
-        "--seed", type=int, default=None, help="override the scenario's seed"
-    )
-    scenario_parser.add_argument(
-        "--fault-seed", type=int, default=None, metavar="SEED",
-        help="override a fault scenario's schedule seed (fault scenarios only)",
-    )
+    _add_config_flags(scenario_parser, RunConfig, SCENARIO_OVERRIDES,
+                      help_format="override the registered scenario's value")
     scenario_parser.add_argument(
         "--json", default=None, metavar="PATH", help="write the report as JSON to PATH"
     )

@@ -11,8 +11,11 @@ learning rates).
 
 from __future__ import annotations
 
+import functools
+import inspect
+import typing
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -28,13 +31,13 @@ from repro.core.selsync import SelSyncTrainer
 from repro.data.datasets import DatasetBundle, build_dataset
 from repro.data.injection import adjusted_batch_size
 from repro.data.partition import DefaultPartitioner, Partitioner, SelSyncPartitioner
+from repro.engine.dtypes import resolve_dtype, resolve_transport_dtype
 from repro.nn.models import MLP, AlexNetLike, ResNetLike, TransformerLM, VGGLike
 from repro.nn.module import Module
 from repro.optim.adam import Adam
 from repro.optim.sgd import SGD
 from repro.optim.optimizer import Optimizer
 from repro.optim.schedules import ConstantLR, IntervalDecay, LRSchedule, MultiStepDecay
-from repro.compression.base import Compressor
 from repro.compression.trainer import CompressedBSPTrainer
 
 
@@ -209,6 +212,50 @@ def build_cluster(
     )
 
 
+#: Algorithm name -> trainer class.  Each constructor's keywords (for
+#: SelSync also every :class:`~repro.core.config.SelSyncConfig` field) are
+#: the ``params`` that algorithm takes; nothing else lists them.
+TRAINERS: Dict[str, type] = {
+    "bsp": BSPTrainer,
+    "selsync": SelSyncTrainer,
+    "fedavg": FedAvgTrainer,
+    "ssp": SSPTrainer,
+    "local_sgd": LocalSGDTrainer,
+    "compressed_bsp": CompressedBSPTrainer,
+}
+
+#: Algorithms that support fault injection (elastic worker masks): lockstep
+#: trainers whose aggregation paths honor ``cluster.active_mask``.
+FAULT_ALGORITHMS = ("bsp", "selsync", "local_sgd")
+
+#: Trainer constructor arguments the harness supplies itself.
+_HARNESS_ARGS = frozenset({"self", "cluster", "lr_schedule", "eval_every"})
+
+
+@functools.lru_cache(maxsize=None)
+def _constructor(algorithm: str) -> Tuple[inspect.Signature, Dict[str, Any]]:
+    """The trainer constructor's signature and resolved annotations."""
+    trainer = TRAINERS[algorithm]
+    return inspect.signature(trainer), typing.get_type_hints(trainer.__init__)
+
+
+def algorithm_params(algorithm: str) -> Tuple[str, ...]:
+    """The ``params`` names ``algorithm`` takes, read from its constructor."""
+    names = tuple(n for n in _constructor(algorithm)[0].parameters if n not in _HARNESS_ARGS)
+    if algorithm == "selsync":
+        names += tuple(f.name for f in fields(SelSyncConfig))
+    return names
+
+
+def _trainer_kwargs(algorithm: str, params: Mapping[str, Any]) -> Dict[str, Any]:
+    """``params`` as constructor keywords: SelSync's config fields fold into one config."""
+    kwargs = dict(params)
+    if algorithm == "selsync" and "config" not in kwargs:
+        names = {f.name for f in fields(SelSyncConfig)}
+        kwargs["config"] = SelSyncConfig(**{n: kwargs.pop(n) for n in list(kwargs) if n in names})
+    return kwargs
+
+
 def make_trainer(
     algorithm: str,
     cluster: SimulatedCluster,
@@ -217,72 +264,141 @@ def make_trainer(
     eval_every: int = 50,
     **kwargs,
 ) -> BaseTrainer:
-    """Instantiate a trainer by name.
+    """Instantiate the :data:`TRAINERS` entry for ``algorithm``.
 
-    ``algorithm`` is one of ``"bsp"``, ``"selsync"``, ``"fedavg"``, ``"ssp"``,
-    ``"local_sgd"`` or ``"compressed_bsp"``; algorithm-specific options are
-    passed as keyword arguments (e.g. ``delta=0.3``, ``participation=0.5``,
-    ``staleness=100``, ``sync_period=8``, ``compressor=TopKCompressor()``).
-    For SelSync every :class:`~repro.core.config.SelSyncConfig` field is
-    accepted (``aggregation``, ``ewma_alpha``, ``statistic``, …), or
-    pass a fully built ``config=SelSyncConfig(...)``.  A keyword the chosen
-    trainer does not take is a ``TypeError``, never silently dropped.
+    Keyword arguments are the algorithm's params (e.g. ``delta=0.3``,
+    ``participation=0.5``, ``staleness=100``, ``sync_period=8``,
+    ``compressor=TopKCompressor()``); SelSync takes every
+    :class:`~repro.core.config.SelSyncConfig` field or a built ``config=``.
+    A keyword the trainer does not take is a ``TypeError``.
     """
-    trainer = _make_trainer(algorithm, cluster, preset, total_iterations, eval_every, kwargs)
-    if kwargs:
-        raise TypeError(
-            f"{algorithm!r} trainer got unexpected keyword arguments {sorted(kwargs)}"
-        )
-    return trainer
+    return TRAINERS[algorithm](
+        cluster,
+        lr_schedule=preset.lr_schedule_factory(total_iterations),
+        eval_every=eval_every,
+        **_trainer_kwargs(algorithm, kwargs),
+    )
 
 
-def _make_trainer(algorithm, cluster, preset, total_iterations, eval_every, kwargs):
-    """:func:`make_trainer`'s dispatch; pops every keyword it consumes from ``kwargs``."""
-    schedule = preset.lr_schedule_factory(total_iterations)
-    key = algorithm.lower()
-    if key == "bsp":
-        return BSPTrainer(cluster, lr_schedule=schedule, eval_every=eval_every)
-    if key == "selsync":
-        config = kwargs.pop("config", None)
-        if config is None:
-            config = SelSyncConfig(**{
-                f.name: kwargs.pop(f.name) for f in fields(SelSyncConfig) if f.name in kwargs
-            })
-        trainer = SelSyncTrainer(
-            cluster, config=config, lr_schedule=schedule, eval_every=eval_every, **kwargs
+class ConfigError(ValueError):
+    """A :class:`RunConfig` (or a request or scenario built from one) is invalid."""
+
+
+def _check_fault_algorithm(algorithm: str) -> None:
+    if algorithm not in FAULT_ALGORITHMS:
+        raise ConfigError(
+            "fault injection (failure_rate / straggler_fraction / fault_schedule) supports "
+            f"lockstep algorithms {FAULT_ALGORITHMS}, got {algorithm!r}"
         )
-        kwargs.clear()   # the constructor took the rest or raised
-        return trainer
-    if key == "fedavg":
-        return FedAvgTrainer(
-            cluster,
-            participation=kwargs.pop("participation", 1.0),
-            sync_factor=kwargs.pop("sync_factor", 0.25),
-            lr_schedule=schedule,
-            eval_every=eval_every,
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything that decides one training run, validated at construction.
+
+    ``params`` are the algorithm's own keywords (see :func:`algorithm_params`);
+    they are checked against the trainer's constructor here, so an unknown
+    name or an invalid SelSync value fails before any cluster is built.
+    ``eval_every=None`` evaluates every ``max(iterations // 8, 1)`` steps.
+    ``dtype`` is the engine compute dtype, ``transport_dtype`` the simulated
+    wire format (``None`` = float32 wire).  A positive ``failure_rate`` or
+    ``straggler_fraction`` arms a seeded fault process (``fault_seed``,
+    ``mttr``; see :mod:`repro.faults`); crashed workers rejoin from the
+    latest checkpoint, taken every ``fault_checkpoint_every`` steps (the
+    step-0 snapshot always exists).  SelSync ``params`` with
+    ``injection_alpha`` / ``injection_beta`` shrink the per-worker batch to
+    b′ of Eqn. (3).
+    """
+
+    workload: str
+    algorithm: str = "selsync"
+    params: Mapping[str, Any] = field(default_factory=dict)
+    num_workers: int = 4
+    iterations: int = 100
+    seed: int = 0
+    eval_every: Optional[int] = None
+    batch_size: Optional[int] = None
+    use_default_partitioning: bool = False
+    dtype: str = "float64"
+    transport_dtype: Optional[str] = None
+    fault_seed: int = 0
+    failure_rate: float = 0.0
+    straggler_fraction: float = 0.0
+    mttr: int = 5
+    fault_checkpoint_every: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", dict(self.params))
+        if self.workload not in WORKLOAD_PRESETS:
+            raise ConfigError(
+                f"unknown workload {self.workload!r}; available: {sorted(WORKLOAD_PRESETS)}"
+            )
+        if self.algorithm not in TRAINERS:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}; available: {sorted(TRAINERS)}"
+            )
+        for name, low in (("num_workers", 1), ("iterations", 1), ("seed", 0),
+                          ("fault_seed", 0), ("mttr", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("eval_every", "batch_size", "fault_checkpoint_every"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1 or None, got {value}")
+        for name in ("failure_rate", "straggler_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.faults_armed:
+            _check_fault_algorithm(self.algorithm)
+        names = algorithm_params(self.algorithm)
+        unknown = sorted(set(self.params) - set(names))
+        if unknown:
+            raise ConfigError(
+                f"unknown {self.algorithm} params {unknown}; available: {sorted(names)}"
+            )
+        signature, hints = _constructor(self.algorithm)
+        try:
+            resolve_dtype(self.dtype)
+            resolve_transport_dtype(self.transport_dtype)
+            kwargs = _trainer_kwargs(self.algorithm, self.params)
+            signature.bind(None, **kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        for name, value in kwargs.items():
+            hint = hints.get(name, object)
+            kinds = tuple(k for k in typing.get_args(hint) or (hint,) if isinstance(k, type))
+            if not isinstance(value, kinds + ((int,) if float in kinds else ())):
+                raise ConfigError(
+                    f"{self.algorithm} param {name!r} must be "
+                    f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}"
+                )
+
+    @property
+    def resolved_eval_every(self) -> int:
+        """The evaluation cadence in steps."""
+        if self.eval_every is not None:
+            return self.eval_every
+        return max(self.iterations // 8, 1)
+
+    @property
+    def faults_armed(self) -> bool:
+        """Whether a positive rate arms the seeded fault process."""
+        return self.failure_rate > 0.0 or self.straggler_fraction > 0.0
+
+    def fault_schedule(self):
+        """The seeded fault process's schedule, or ``None`` when no rate is set."""
+        if not self.faults_armed:
+            return None
+        from repro.faults import FaultSchedule
+
+        return FaultSchedule.generate(
+            self.num_workers,
+            self.iterations,
+            seed=self.fault_seed,
+            failure_rate=self.failure_rate,
+            straggler_fraction=self.straggler_fraction,
+            mttr=self.mttr,
         )
-    if key == "ssp":
-        return SSPTrainer(
-            cluster,
-            staleness=kwargs.pop("staleness", 100),
-            lr_schedule=schedule,
-            eval_every=eval_every,
-        )
-    if key in ("local_sgd", "localsgd"):
-        return LocalSGDTrainer(
-            cluster,
-            sync_period=kwargs.pop("sync_period", 10),
-            lr_schedule=schedule,
-            eval_every=eval_every,
-        )
-    if key == "compressed_bsp":
-        compressor = kwargs.pop("compressor", None)
-        if not isinstance(compressor, Compressor):
-            raise ValueError("compressed_bsp requires a `compressor` keyword argument")
-        return CompressedBSPTrainer(
-            cluster, compressor=compressor, lr_schedule=schedule, eval_every=eval_every
-        )
-    raise KeyError(f"unknown algorithm {algorithm!r}")
 
 
 @dataclass
@@ -295,87 +411,30 @@ class ExperimentResult:
 
 
 def run_experiment(
-    workload: str,
-    algorithm: str,
-    num_workers: int = 4,
-    iterations: int = 200,
-    seed: int = 0,
-    eval_every: int = 50,
-    partitioner: Optional[Partitioner] = None,
-    use_default_partitioning: bool = False,
+    config: RunConfig,
+    *,
     convergence=None,
-    batch_size: Optional[int] = None,
-    dtype: str = "float64",
-    transport_dtype: Optional[str] = None,
-    injection: Optional[Dict[str, float]] = None,
-    telemetry_file: Optional[str] = None,
     fault_schedule=None,
-    fault_seed: Optional[int] = None,
-    failure_rate: float = 0.0,
-    straggler_fraction: float = 0.0,
-    mttr: int = 5,
-    fault_slowdown: float = 3.0,
-    fault_checkpoint_every: Optional[int] = None,
-    **algorithm_kwargs,
+    telemetry_file: Optional[str] = None,
 ) -> ExperimentResult:
-    """Build a cluster and run one algorithm on one workload end to end.
+    """Build a cluster and run one configured training run end to end.
 
-    ``dtype`` selects the engine compute dtype (``"float64"`` default,
-    ``"float32"`` for the reduced-precision mode); ``transport_dtype``
-    prices an alternative wire format on the simulated clock (``"float16"``
-    halves every sync transfer without touching the arithmetic).
-    ``injection`` activates the non-IID data-injection path: a dict with
-    keys ``alpha``, ``beta`` (and optionally ``delta``) sets the SelSync
-    (α, β, δ) tuple and adjusts the per-worker batch size to b′ per Eqn. (3).
-    ``telemetry_file`` enables span tracing with a JSONL sink at that path
-    (see :mod:`repro.telemetry`).
-
-    Fault injection (:mod:`repro.faults`): pass an explicit
-    ``fault_schedule`` (a :class:`~repro.faults.schedule.FaultSchedule`),
-    or a seeded fault process via ``fault_seed`` / ``failure_rate`` /
-    ``straggler_fraction`` / ``mttr`` / ``fault_slowdown``.  Crashed workers
-    drop out of the fused compute and every aggregation, rejoin from the
-    latest cluster checkpoint (cadence ``fault_checkpoint_every``; the
-    step-0 snapshot always exists) and re-sync their parameters through the
-    simulated wire.  Supported for lockstep trainers (``bsp``, ``selsync``,
-    ``local_sgd``).
+    Runtime objects stay out of the config: ``convergence`` is a stopping
+    rule (:class:`~repro.metrics.convergence.ConvergenceDetector`),
+    ``fault_schedule`` an explicit :class:`~repro.faults.schedule.FaultSchedule`
+    that replaces the config's seeded fault process, and ``telemetry_file``
+    a JSONL span-trace sink path (see :mod:`repro.telemetry`).
     """
-    preset = build_workload(workload)
-    faults_armed = (
-        fault_schedule is not None or failure_rate > 0.0 or straggler_fraction > 0.0
-    )
-    if faults_armed:
-        if algorithm.lower() not in ("bsp", "selsync", "local_sgd", "localsgd"):
-            raise ValueError(
-                f"fault injection supports lockstep algorithms "
-                f"(bsp, selsync, local_sgd), got {algorithm!r}"
-            )
-        if fault_schedule is None:
-            from repro.faults import FaultSchedule
-
-            fault_schedule = FaultSchedule.generate(
-                num_workers,
-                iterations,
-                seed=fault_seed if fault_seed is not None else 0,
-                failure_rate=failure_rate,
-                straggler_fraction=straggler_fraction,
-                mttr=mttr,
-                slowdown=fault_slowdown,
-            )
-    if use_default_partitioning and partitioner is None:
-        partitioner = DefaultPartitioner(seed=seed)
-
-    effective_batch = batch_size or preset.batch_size
-    if injection is not None:
-        alpha = injection["alpha"]
-        beta = injection["beta"]
-        effective_batch = adjusted_batch_size(
-            batch_size or preset.batch_size, alpha, beta, num_workers
-        )
-        algorithm_kwargs.setdefault("injection_alpha", alpha)
-        algorithm_kwargs.setdefault("injection_beta", beta)
-        if "delta" in injection:
-            algorithm_kwargs.setdefault("delta", injection["delta"])
+    preset = build_workload(config.workload)
+    if fault_schedule is None:
+        fault_schedule = config.fault_schedule()
+    else:
+        _check_fault_algorithm(config.algorithm)
+    batch_size = config.batch_size or preset.batch_size
+    alpha = config.params.get("injection_alpha")
+    beta = config.params.get("injection_beta")
+    if alpha is not None and beta is not None:
+        batch_size = adjusted_batch_size(batch_size, alpha, beta, config.num_workers)
 
     if telemetry_file is not None:
         # Turn tracing on before the setup span so cluster construction is
@@ -384,36 +443,34 @@ def run_experiment(
     with telemetry.span("run.setup"):
         cluster = build_cluster(
             preset,
-            num_workers=num_workers,
-            seed=seed,
-            partitioner=partitioner,
-            batch_size=effective_batch,
-            dtype=dtype,
-            transport_dtype=transport_dtype,
+            num_workers=config.num_workers,
+            seed=config.seed,
+            partitioner=(
+                DefaultPartitioner(seed=config.seed) if config.use_default_partitioning else None
+            ),
+            batch_size=batch_size,
+            dtype=config.dtype,
+            transport_dtype=config.transport_dtype,
             telemetry=telemetry_file,
         )
+        controller = None
         try:
             trainer = make_trainer(
-                algorithm, cluster, preset, total_iterations=iterations,
-                eval_every=eval_every, **algorithm_kwargs,
+                config.algorithm, cluster, preset, total_iterations=config.iterations,
+                eval_every=config.resolved_eval_every, **config.params,
             )
+            if fault_schedule is not None:
+                from repro.faults import FaultController
+
+                controller = FaultController(
+                    cluster, fault_schedule, checkpoint_every=config.fault_checkpoint_every
+                )
+                trainer.attach_fault_controller(controller)
         except BaseException:
             cluster.close()
             raise
-        controller = None
-        if faults_armed:
-            from repro.faults import FaultController
-
-            try:
-                controller = FaultController(
-                    cluster, fault_schedule, checkpoint_every=fault_checkpoint_every
-                )
-            except BaseException:
-                cluster.close()
-                raise
-            trainer.attach_fault_controller(controller)
     try:
-        result = trainer.run(iterations, convergence=convergence)
+        result = trainer.run(config.iterations, convergence=convergence)
     finally:
         cluster.close()
     if controller is not None:

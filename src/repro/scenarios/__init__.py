@@ -25,11 +25,10 @@ from repro.scenarios.spec import (
     ComparisonScenario,
     FAULT_ALGORITHMS,
     FaultScenario,
-    KNOWN_ALGORITHMS,
-    RESERVED_PARAMETERS,
     ScenarioError,
     SweepScenario,
     ThroughputScenario,
+    with_overrides,
 )
 from repro.scenarios.registry import (
     REGISTRY,
@@ -56,9 +55,7 @@ __all__ = [
     "ComparisonScenario",
     "FAULT_ALGORITHMS",
     "FaultScenario",
-    "KNOWN_ALGORITHMS",
     "REGISTRY",
-    "RESERVED_PARAMETERS",
     "RunCancelled",
     "Scenario",
     "ScenarioError",
@@ -72,4 +69,5 @@ __all__ = [
     "result_metrics",
     "run_scenario",
     "scenario_names",
+    "with_overrides",
 ]

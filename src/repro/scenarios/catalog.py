@@ -52,7 +52,7 @@ PAPER_SCALE_WORKERS = (64, 128, 256)
 #: Exact-endpoint configuration: gradient aggregation without a forced
 #: first sync is the regime where SelSync δ=0 reproduces BSPTrainer and
 #: δ→∞ reproduces a never-syncing LocalSGDTrainer bit-for-bit.
-EXACT_ENDPOINT_FIXED = {"aggregation": "grad", "sync_on_first_step": False}
+EXACT_ENDPOINT_PARAMS = {"aggregation": "grad", "sync_on_first_step": False}
 
 
 def _table1_methods(full: bool = False):
@@ -199,7 +199,7 @@ for _n in PAPER_SCALE_WORKERS:
             workload="deep_mlp",
             algorithm="selsync",
             grid={"delta": DEEP_MLP_DELTAS},
-            fixed=dict(EXACT_ENDPOINT_FIXED),
+            params=dict(EXACT_ENDPOINT_PARAMS),
             num_workers=_n,
             iterations=24,
             batch_size=4,
@@ -214,7 +214,7 @@ for _n in PAPER_SCALE_WORKERS:
             workload="transformer",
             algorithm="selsync",
             grid={"delta": TRANSFORMER_DELTAS},
-            fixed=dict(EXACT_ENDPOINT_FIXED),
+            params=dict(EXACT_ENDPOINT_PARAMS),
             num_workers=_n,
             iterations=12,
             batch_size=2,

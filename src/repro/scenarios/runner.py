@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Union
 from repro import telemetry
 from repro.algorithms.base import TrainingResult
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
-from repro.harness.sweep import grid_sweep
 from repro.metrics.convergence import ConvergenceDetector
 from repro.scenarios.registry import Scenario, get_scenario
 from repro.scenarios.spec import (
@@ -34,6 +33,7 @@ from repro.scenarios.spec import (
     ScenarioError,
     SweepScenario,
     ThroughputScenario,
+    with_overrides,
 )
 
 __all__ = [
@@ -233,25 +233,10 @@ def _exact_match(result: TrainingResult, anchor: TrainingResult) -> bool:
     )
 
 
-def _run_sweep(
-    scenario: SweepScenario,
-    iterations: int,
-    num_workers: int,
-    seed: int,
-    cancel_check=None,
-) -> ScenarioReport:
+def _run_sweep(scenario: SweepScenario, cancel_check=None) -> ScenarioReport:
     from repro.harness.experiment import run_experiment
 
-    eval_every = scenario.resolved_eval_every(iterations)
-    common = dict(
-        num_workers=num_workers,
-        iterations=iterations,
-        seed=seed,
-        eval_every=eval_every,
-        batch_size=scenario.batch_size,
-        dtype=scenario.dtype,
-        transport_dtype=scenario.transport_dtype,
-    )
+    first = scenario.runs[0][1]
     report = ScenarioReport(
         name=scenario.name,
         title=scenario.title,
@@ -259,68 +244,46 @@ def _run_sweep(
         meta={
             "workload": scenario.workload,
             "algorithm": scenario.algorithm,
-            "num_workers": num_workers,
-            "iterations": iterations,
-            "seed": seed,
-            "eval_every": eval_every,
+            "num_workers": scenario.num_workers,
+            "iterations": scenario.iterations,
+            "seed": scenario.seed,
+            "eval_every": first.eval_every,
             "grid": {key: list(values) for key, values in scenario.grid.items()},
-            "fixed": dict(scenario.fixed),
+            "params": dict(scenario.params),
             "dtype": scenario.dtype,
             "transport_dtype": scenario.transport_dtype,
             "tags": list(scenario.tags),
         },
     )
-
-    run_walls: List[float] = []
-    run_phases: List[Optional[Dict[str, float]]] = []
     sweep_phase_start = telemetry.phase_snapshot()
     sweep_start = time.perf_counter()
-
-    def one_run(**params):
+    for params, config in scenario.runs:
         _check_cancelled(cancel_check)
         start = time.perf_counter()
         phase_start = telemetry.phase_snapshot()
-        out = run_experiment(
-            scenario.workload,
-            scenario.algorithm,
-            **common,
-            **scenario.fixed,
-            **params,
+        out = run_experiment(config)
+        phases = telemetry.phase_delta(phase_start) or None
+        metrics = result_metrics(out.result)
+        metrics["wall_seconds"] = time.perf_counter() - start
+        report.results["/".join(f"{k}={v}" for k, v in params.items())] = out.result
+        report.records.append(
+            ScenarioRecord(params=dict(params), label=out.algorithm, metrics=metrics,
+                           phases=phases)
         )
-        run_phases.append(telemetry.phase_delta(phase_start) or None)
-        run_walls.append(time.perf_counter() - start)
-        return out
-
-    sweep = grid_sweep(one_run, scenario.grid)
     report.meta["sweep_wall_seconds"] = time.perf_counter() - sweep_start
     sweep_phases = telemetry.phase_delta(sweep_phase_start)
     if sweep_phases:
         report.meta["phases"] = sweep_phases
 
-    for run, wall, phases in zip(sweep.runs, run_walls, run_phases):
-        out = run["output"]
-        key = "/".join(f"{k}={v}" for k, v in run["params"].items())
-        report.results[key] = out.result
-        metrics = result_metrics(out.result)
-        metrics["wall_seconds"] = wall
-        report.records.append(
-            ScenarioRecord(
-                params=dict(run["params"]),
-                label=out.algorithm,
-                metrics=metrics,
-                phases=phases,
-            )
-        )
-
     if scenario.verify_endpoints:
-        report.endpoints = _verify_delta_endpoints(scenario, report, common, cancel_check)
+        report.endpoints = _verify_delta_endpoints(scenario, report, first, cancel_check)
     return report
 
 
 def _verify_delta_endpoints(
     scenario: SweepScenario,
     report: ScenarioReport,
-    common: Dict[str, Any],
+    config,
     cancel_check=None,
 ) -> Dict[str, Any]:
     """Anchor the δ-sweep's extremes on the existing BSP / local-SGD trainers."""
@@ -328,58 +291,32 @@ def _verify_delta_endpoints(
 
     deltas = list(scenario.grid["delta"])
     lo, hi = min(deltas), max(deltas)
-    _check_cancelled(cancel_check)
-    bsp_start = time.perf_counter()
-    bsp = run_experiment(scenario.workload, "bsp", **common)
-    bsp_wall = time.perf_counter() - bsp_start
-    _check_cancelled(cancel_check)
-    local_start = time.perf_counter()
-    local = run_experiment(
-        scenario.workload,
-        "local_sgd",
-        sync_period=common["iterations"] + 1,
-        **common,
-    )
-    local_wall = time.perf_counter() - local_start
-    delta_lo = report.results[f"delta={lo}"]
-    delta_hi = report.results[f"delta={hi}"]
-    bsp_metrics = result_metrics(bsp.result)
-    bsp_metrics["wall_seconds"] = bsp_wall
-    local_metrics = result_metrics(local.result)
-    local_metrics["wall_seconds"] = local_wall
-    endpoints = {
-        "bsp": {
-            "delta": lo,
+    endpoints: Dict[str, Any] = {}
+    for anchor, delta, params in (
+        ("bsp", lo, {}),
+        ("local_sgd", hi, {"sync_period": config.iterations + 1}),
+    ):
+        _check_cancelled(cancel_check)
+        start = time.perf_counter()
+        out = run_experiment(dataclasses.replace(config, algorithm=anchor, params=params))
+        metrics = result_metrics(out.result)
+        metrics["wall_seconds"] = time.perf_counter() - start
+        endpoints[anchor] = {
+            "delta": delta,
             "record": ScenarioRecord(
-                params={"anchor": "bsp"}, label=bsp.algorithm,
-                metrics=bsp_metrics,
+                params={"anchor": anchor}, label=out.algorithm, metrics=metrics,
             ).to_dict(),
-            "matches_sweep_endpoint": _exact_match(delta_lo, bsp.result),
-        },
-        "local_sgd": {
-            "delta": hi,
-            "record": ScenarioRecord(
-                params={"anchor": "local_sgd"}, label=local.algorithm,
-                metrics=local_metrics,
-            ).to_dict(),
-            "matches_sweep_endpoint": _exact_match(delta_hi, local.result),
-        },
-    }
-    report.results["anchor/bsp"] = bsp.result
-    report.results["anchor/local_sgd"] = local.result
+            "matches_sweep_endpoint": _exact_match(
+                report.results[f"delta={delta}"], out.result
+            ),
+        }
+        report.results[f"anchor/{anchor}"] = out.result
     return endpoints
 
 
-def _run_comparison(
-    scenario: ComparisonScenario,
-    iterations: int,
-    num_workers: int,
-    seed: int,
-    cancel_check=None,
-) -> ScenarioReport:
+def _run_comparison(scenario: ComparisonScenario, cancel_check=None) -> ScenarioReport:
     from repro.harness.experiment import build_workload, run_experiment
 
-    eval_every = scenario.resolved_eval_every(iterations)
     report = ScenarioReport(
         name=scenario.name,
         title=scenario.title,
@@ -388,56 +325,37 @@ def _run_comparison(
             "workloads": list(scenario.workloads),
             "methods": list(scenario.methods),
             "baseline": scenario.baseline,
-            "num_workers": num_workers,
-            "iterations": iterations,
-            "seed": seed,
-            "eval_every": eval_every,
+            "num_workers": scenario.num_workers,
+            "iterations": scenario.iterations,
+            "seed": scenario.seed,
+            "eval_every": scenario.runs[0][1].eval_every,
             "tags": list(scenario.tags),
         },
     )
-    for workload in scenario.workloads:
-        higher_is_better = build_workload(workload).task != "language_modeling"
-        for label, (algorithm, kwargs) in scenario.methods.items():
-            _check_cancelled(cancel_check)
-            convergence = None
-            if scenario.use_convergence:
-                convergence = ConvergenceDetector(
-                    higher_is_better=higher_is_better,
-                    patience=scenario.convergence_patience,
-                    min_delta=scenario.convergence_min_delta,
-                )
-            phase_start = telemetry.phase_snapshot()
-            out = run_experiment(
-                workload,
-                algorithm,
-                num_workers=num_workers,
-                iterations=iterations,
-                seed=seed,
-                eval_every=eval_every,
-                convergence=convergence,
-                dtype=scenario.dtype,
-                transport_dtype=scenario.transport_dtype,
-                **kwargs,
+    for params, config in scenario.runs:
+        _check_cancelled(cancel_check)
+        convergence = None
+        if scenario.use_convergence:
+            convergence = ConvergenceDetector(
+                higher_is_better=build_workload(config.workload).task != "language_modeling",
+                patience=scenario.convergence_patience,
+                min_delta=scenario.convergence_min_delta,
             )
-            report.results[f"{workload}/{label}"] = out.result
-            report.records.append(
-                ScenarioRecord(
-                    params={"workload": workload, "method": label},
-                    label=out.algorithm,
-                    metrics=result_metrics(out.result),
-                    phases=telemetry.phase_delta(phase_start) or None,
-                )
+        phase_start = telemetry.phase_snapshot()
+        out = run_experiment(config, convergence=convergence)
+        report.results[f"{params['workload']}/{params['method']}"] = out.result
+        report.records.append(
+            ScenarioRecord(
+                params=dict(params),
+                label=out.algorithm,
+                metrics=result_metrics(out.result),
+                phases=telemetry.phase_delta(phase_start) or None,
             )
+        )
     return report
 
 
-def _run_fault(
-    scenario: FaultScenario,
-    iterations: int,
-    num_workers: int,
-    seed: int,
-    cancel_check=None,
-) -> ScenarioReport:
+def _run_fault(scenario: FaultScenario, cancel_check=None) -> ScenarioReport:
     """Execute a fault scenario twice and enforce its reliability gates.
 
     Records deliberately omit wall-clock timings — the deterministic-replay
@@ -447,8 +365,7 @@ def _run_fault(
     """
     from repro.harness.experiment import run_experiment
 
-    eval_every = scenario.resolved_eval_every(iterations)
-    schedule = scenario.build_schedule(num_workers, iterations)
+    schedule = scenario.schedule
     report = ScenarioReport(
         name=scenario.name,
         title=scenario.title,
@@ -456,15 +373,14 @@ def _run_fault(
         meta={
             "workload": scenario.workload,
             "algorithm": scenario.algorithm,
-            "num_workers": num_workers,
-            "iterations": iterations,
-            "seed": seed,
-            "eval_every": eval_every,
+            "num_workers": scenario.num_workers,
+            "iterations": scenario.iterations,
+            "seed": scenario.seed,
+            "eval_every": scenario.runs[0][1].resolved_eval_every,
             "fault_seed": scenario.fault_seed,
             "failure_rate": scenario.failure_rate,
             "straggler_fraction": scenario.straggler_fraction,
             "mttr": scenario.mttr,
-            "slowdown": scenario.slowdown,
             "checkpoint_every": scenario.checkpoint_every,
             "continuity_factor": scenario.continuity_factor,
             "fault_events": schedule.to_dicts(),
@@ -472,28 +388,13 @@ def _run_fault(
         },
     )
 
-    results: List[TrainingResult] = []
-    for attempt in ("run", "replay"):
+    for params, config in scenario.runs:
         _check_cancelled(cancel_check)
-        out = run_experiment(
-            scenario.workload,
-            scenario.algorithm,
-            num_workers=num_workers,
-            iterations=iterations,
-            seed=seed,
-            eval_every=eval_every,
-            batch_size=scenario.batch_size,
-            dtype=scenario.dtype,
-            transport_dtype=scenario.transport_dtype,
-            fault_schedule=schedule,
-            fault_checkpoint_every=scenario.checkpoint_every,
-            **scenario.fixed,
-        )
-        results.append(out.result)
-        report.results[attempt] = out.result
+        out = run_experiment(config, fault_schedule=schedule)
+        report.results[params["attempt"]] = out.result
         report.records.append(
             ScenarioRecord(
-                params={"attempt": attempt},
+                params=dict(params),
                 label=out.algorithm,
                 metrics=result_metrics(out.result),
             )
@@ -503,7 +404,7 @@ def _run_fault(
         report.records[1].to_dict()["metrics"]
     )
     continuity, continuity_detail = _check_loss_continuity(
-        results[0], schedule, scenario.continuity_factor
+        report.results["run"], schedule, scenario.continuity_factor
     )
     report.meta["gates"] = {
         "deterministic_replay": deterministic,
@@ -591,14 +492,13 @@ def run_scenario(
 ) -> ScenarioReport:
     """Execute a scenario (by object or registry name) and return its report.
 
-    ``iterations`` / ``num_workers`` / ``seed`` override the scenario's
-    defaults without mutating it — the benchmark suite uses this to scale
-    the same registered scenario between smoke and full-scale runs.
-    Overrides are rejected for analytic throughput scenarios, which have no
-    training loop to resize.
-
-    ``fault_seed`` re-seeds a fault scenario's generated schedule (rejected
-    for other kinds); explicit-event schedules ignore it by construction.
+    ``iterations`` / ``num_workers`` / ``seed`` / ``fault_seed`` override
+    the scenario's own fields through :func:`~repro.scenarios.spec.with_overrides`
+    (a :func:`dataclasses.replace`, so every run is validated again) without
+    mutating it — the benchmark suite uses this to scale the same registered
+    scenario between smoke and full-scale runs.  A field the scenario's kind
+    does not have (a size for an analytic throughput scenario, a fault seed
+    for a sweep) is a :class:`~repro.scenarios.spec.ScenarioError`.
 
     ``cancel_check`` is an optional zero-argument callable polled between
     runs (each grid point, comparison method and endpoint anchor); when it
@@ -612,40 +512,21 @@ def run_scenario(
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    if isinstance(scenario, ThroughputScenario):
-        if iterations is not None or num_workers is not None or seed is not None:
-            raise ScenarioError(
-                f"scenario {scenario.name!r} is analytic; iterations/num_workers/"
-                "seed overrides do not apply"
-            )
-    if fault_seed is not None:
-        if not isinstance(scenario, FaultScenario):
-            raise ScenarioError(
-                f"scenario {scenario.name!r} is a {scenario.kind} scenario; "
-                "fault_seed overrides apply to fault scenarios only"
-            )
-        # replace() re-runs __post_init__, i.e. the schedule validation.
-        scenario = dataclasses.replace(scenario, fault_seed=int(fault_seed))
+    overrides = dict(iterations=iterations, num_workers=num_workers, seed=seed,
+                     fault_seed=fault_seed)
+    scenario = with_overrides(
+        scenario, **{k: v for k, v in overrides.items() if v is not None}
+    )
     if isinstance(scenario, ThroughputScenario):
         report = _run_throughput(scenario)
+    elif isinstance(scenario, SweepScenario):
+        report = _run_sweep(scenario, cancel_check)
+    elif isinstance(scenario, ComparisonScenario):
+        report = _run_comparison(scenario, cancel_check)
+    elif isinstance(scenario, FaultScenario):
+        report = _run_fault(scenario, cancel_check)
     else:
-        iterations = scenario.iterations if iterations is None else int(iterations)
-        num_workers = scenario.num_workers if num_workers is None else int(num_workers)
-        seed = scenario.seed if seed is None else int(seed)
-        if iterations < 1:
-            raise ScenarioError(f"iterations override must be >= 1, got {iterations}")
-        if num_workers < 1:
-            raise ScenarioError(f"num_workers override must be >= 1, got {num_workers}")
-        if seed < 0:
-            raise ScenarioError(f"seed override must be >= 0, got {seed}")
-        if isinstance(scenario, SweepScenario):
-            report = _run_sweep(scenario, iterations, num_workers, seed, cancel_check)
-        elif isinstance(scenario, ComparisonScenario):
-            report = _run_comparison(scenario, iterations, num_workers, seed, cancel_check)
-        elif isinstance(scenario, FaultScenario):
-            report = _run_fault(scenario, iterations, num_workers, seed, cancel_check)
-        else:
-            raise ScenarioError(f"unsupported scenario type {type(scenario).__name__}")
+        raise ScenarioError(f"unsupported scenario type {type(scenario).__name__}")
     if record_to is not None:
         from repro.results import record_report
 

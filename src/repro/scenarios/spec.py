@@ -27,8 +27,12 @@ definition fails at registration time, not hours into a nightly sweep.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+
+from repro.harness.experiment import FAULT_ALGORITHMS, ConfigError, RunConfig
+from repro.harness.sweep import grid_sweep
 
 __all__ = [
     "ScenarioError",
@@ -36,51 +40,17 @@ __all__ = [
     "ComparisonScenario",
     "ThroughputScenario",
     "FaultScenario",
-    "KNOWN_ALGORITHMS",
     "FAULT_ALGORITHMS",
-    "RESERVED_PARAMETERS",
+    "with_overrides",
 ]
 
 
-class ScenarioError(ValueError):
+class ScenarioError(ConfigError):
     """A scenario definition is invalid (unknown workload, bad grid, …)."""
 
 
-#: Algorithms :func:`repro.harness.experiment.make_trainer` can build.
-KNOWN_ALGORITHMS = ("bsp", "selsync", "fedavg", "ssp", "local_sgd", "compressed_bsp")
-
-#: Algorithms that support fault injection (elastic worker masks): lockstep
-#: trainers whose aggregation paths honor ``cluster.active_mask``.
-FAULT_ALGORITHMS = ("bsp", "selsync", "local_sgd")
-
-#: Keyword names owned by :func:`repro.harness.experiment.run_experiment`
-#: itself.  Grid and ``fixed`` entries configure the *algorithm*, so these
-#: must be expressed as scenario fields instead — a grid over e.g.
-#: ``num_workers`` would silently shadow the scenario's cluster size.
-RESERVED_PARAMETERS = frozenset(
-    {
-        "workload",
-        "algorithm",
-        "num_workers",
-        "iterations",
-        "seed",
-        "eval_every",
-        "partitioner",
-        "use_default_partitioning",
-        "convergence",
-        "batch_size",
-        "dtype",
-        "transport_dtype",
-        "injection",
-        "fault_schedule",
-        "fault_seed",
-        "failure_rate",
-        "straggler_fraction",
-        "mttr",
-        "fault_slowdown",
-        "fault_checkpoint_every",
-    }
-)
+#: One expanded run of a scenario: the record's ``params`` and its config.
+Run = Tuple[Dict[str, Any], RunConfig]
 
 
 def _check_name(name: str) -> None:
@@ -90,40 +60,25 @@ def _check_name(name: str) -> None:
         raise ScenarioError(f"scenario name {name!r} must not contain whitespace")
 
 
-def _check_workload(workload: str) -> None:
-    from repro.harness.experiment import WORKLOAD_PRESETS
+def _expand(scenario, build) -> None:
+    """Store ``build()``'s runs on ``scenario``; any invalid config is a :class:`ScenarioError`."""
+    try:
+        runs = tuple(build())
+    except ValueError as exc:
+        raise ScenarioError(f"scenario {scenario.name!r}: {exc}") from None
+    object.__setattr__(scenario, "runs", runs)
 
-    if workload not in WORKLOAD_PRESETS:
+
+def with_overrides(scenario, **overrides: Any):
+    """``scenario`` with some fields replaced and every run validated again."""
+    allowed = {f.name for f in dataclasses.fields(scenario) if f.init} - {"name"}
+    unknown = sorted(set(overrides) - allowed)
+    if unknown:
         raise ScenarioError(
-            f"unknown workload {workload!r}; available: {sorted(WORKLOAD_PRESETS)}"
+            f"scenario {scenario.name!r} is a {scenario.kind} scenario; it has no "
+            f"{unknown} to override"
         )
-
-
-def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in KNOWN_ALGORITHMS:
-        raise ScenarioError(
-            f"unknown algorithm {algorithm!r}; available: {sorted(KNOWN_ALGORITHMS)}"
-        )
-
-
-def _check_run_settings(num_workers: int, iterations: int, seed: int) -> None:
-    if num_workers < 1:
-        raise ScenarioError(f"num_workers must be >= 1, got {num_workers}")
-    if iterations < 1:
-        raise ScenarioError(f"iterations must be >= 1, got {iterations}")
-    if seed < 0:
-        raise ScenarioError(f"seed must be >= 0, got {seed}")
-
-
-def _check_parameter_names(names, where: str) -> None:
-    for key in names:
-        if not isinstance(key, str) or not key:
-            raise ScenarioError(f"{where} keys must be non-empty strings, got {key!r}")
-        if key in RESERVED_PARAMETERS:
-            raise ScenarioError(
-                f"{where} key {key!r} is reserved by run_experiment; "
-                "set it as a scenario field instead"
-            )
+    return dataclasses.replace(scenario, **overrides) if overrides else scenario
 
 
 @dataclass(frozen=True)
@@ -136,24 +91,20 @@ class SweepScenario:
         Registry key (no whitespace).
     title:
         Human-readable description used as report titles.
-    workload:
-        A :data:`repro.harness.experiment.WORKLOAD_PRESETS` key.
-    algorithm:
-        A :func:`repro.harness.experiment.make_trainer` algorithm name.
+    workload / algorithm:
+        A :data:`repro.harness.experiment.WORKLOAD_PRESETS` key and a
+        :data:`repro.harness.experiment.TRAINERS` name.
     grid:
-        ``{parameter: sequence of values}`` — the Cartesian product is run
-        through :func:`repro.harness.sweep.grid_sweep`.  Keys must be
-        algorithm keywords (``delta``, ``staleness``, ``sync_period``, …),
-        never :data:`RESERVED_PARAMETERS`.
-    fixed:
-        Algorithm keywords passed unchanged to every run (e.g.
+        ``{param: sequence of values}``; the Cartesian product (through
+        :func:`repro.harness.sweep.grid_sweep`) gives one run per point.
+        Keys are algorithm params (``delta``, ``staleness``, …).
+    params:
+        Algorithm params passed unchanged to every run (e.g.
         ``{"aggregation": "grad"}``).
-    num_workers / iterations / seed / eval_every / batch_size:
-        Cluster and run-loop sizing.  ``eval_every=None`` defaults to
-        ``max(iterations // 4, 1)`` at run time so iteration overrides keep
-        a proportional evaluation cadence.
-    dtype / transport_dtype:
-        Engine knobs, forwarded verbatim to ``run_experiment``.
+    num_workers / iterations / seed / eval_every / batch_size / dtype / transport_dtype:
+        The :class:`~repro.harness.experiment.RunConfig` fields of every
+        run; ``eval_every=None`` evaluates every ``max(iterations // 4, 1)``
+        steps.
     verify_endpoints:
         For δ-sweeps (requires ``algorithm="selsync"`` and a ``delta`` grid
         entry): additionally run the existing :class:`~repro.algorithms.bsp.
@@ -161,19 +112,21 @@ class SweepScenario:
         LocalSGDTrainer` as anchors and record whether the δ=0 / δ=max runs
         reproduce them **exactly** (final loss, final metric and the full
         evaluation history).  Exactness needs gradient aggregation without a
-        forced first sync, so ``fixed`` must pin
+        forced first sync, so ``params`` must pin
         ``aggregation="grad"`` and ``sync_on_first_step=False``.
     tags:
         Free-form labels for registry filtering (``"nightly"``,
         ``"delta-sweep"``, ``"paper-scale"``, …).
+    runs:
+        Set at construction: one ``(grid point, RunConfig)`` per run.
     """
 
     name: str
     title: str
     workload: str
+    grid: Mapping[str, Sequence[Any]]
     algorithm: str = "selsync"
-    grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    fixed: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     num_workers: int = 4
     iterations: int = 80
     seed: int = 0
@@ -183,79 +136,63 @@ class SweepScenario:
     transport_dtype: Optional[str] = None
     verify_endpoints: bool = False
     tags: Tuple[str, ...] = ()
+    runs: Tuple[Run, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
-        _check_workload(self.workload)
-        _check_algorithm(self.algorithm)
-        _check_run_settings(self.num_workers, self.iterations, self.seed)
-        if not self.grid:
-            raise ScenarioError(f"scenario {self.name!r}: grid must not be empty")
-        grid: Dict[str, Tuple[Any, ...]] = {}
-        _check_parameter_names(self.grid.keys(), f"scenario {self.name!r} grid")
-        for key, values in self.grid.items():
-            values = tuple(values)
-            if not values:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: grid entry {key!r} has no values"
-                )
-            grid[key] = values
-        _check_parameter_names(self.fixed.keys(), f"scenario {self.name!r} fixed")
-        collisions = set(grid) & set(self.fixed)
-        if collisions:
-            raise ScenarioError(
-                f"scenario {self.name!r}: {sorted(collisions)} appear in both "
-                "grid and fixed"
-            )
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ScenarioError(
-                f"scenario {self.name!r}: eval_every must be >= 1, got {self.eval_every}"
-            )
+        # Freeze the normalized copies (tuples survive dataclasses.replace).
+        object.__setattr__(self, "grid", {k: tuple(v) for k, v in dict(self.grid).items()})
+        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "tags", tuple(self.tags))
         if self.verify_endpoints:
-            if self.algorithm != "selsync" or set(grid) != {"delta"}:
+            if self.algorithm != "selsync" or set(self.grid) != {"delta"}:
                 raise ScenarioError(
                     f"scenario {self.name!r}: verify_endpoints requires "
                     "algorithm='selsync' with a grid over exactly 'delta'"
                 )
-            if len(grid["delta"]) < 2 or min(grid["delta"]) != 0.0:
+            if len(self.grid["delta"]) < 2 or min(self.grid["delta"]) != 0.0:
                 raise ScenarioError(
                     f"scenario {self.name!r}: verify_endpoints needs a delta grid "
                     "spanning from 0.0 (the BSP endpoint) to a local-SGD extreme"
                 )
             if (
-                self.fixed.get("aggregation") != "grad"
-                or self.fixed.get("sync_on_first_step") is not False
+                self.params.get("aggregation") != "grad"
+                or self.params.get("sync_on_first_step") is not False
             ):
                 raise ScenarioError(
-                    f"scenario {self.name!r}: verify_endpoints requires fixed "
+                    f"scenario {self.name!r}: verify_endpoints requires params "
                     "aggregation='grad' and sync_on_first_step=False (exact "
                     "BSP / local-SGD endpoint parity holds only there)"
                 )
-        # Freeze the normalized copies (tuples survive dataclasses.replace).
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "fixed", dict(self.fixed))
-        object.__setattr__(self, "tags", tuple(self.tags))
+        eval_every = max(self.iterations // 4, 1) if self.eval_every is None else self.eval_every
+
+        def config(**params: Any) -> RunConfig:
+            return RunConfig(
+                self.workload, self.algorithm, params, self.num_workers, self.iterations,
+                self.seed, eval_every, self.batch_size, dtype=self.dtype,
+                transport_dtype=self.transport_dtype,
+            )
+
+        _expand(self, lambda: (
+            (run["params"], run["output"])
+            for run in grid_sweep(config, self.grid, self.params).runs
+        ))
 
     @property
     def kind(self) -> str:
         """Scenario kind discriminator: ``"sweep"``."""
         return "sweep"
 
-    def resolved_eval_every(self, iterations: Optional[int] = None) -> int:
-        """Evaluation cadence for a run of ``iterations`` steps."""
-        if self.eval_every is not None:
-            return self.eval_every
-        return max((iterations or self.iterations) // 4, 1)
-
 
 @dataclass(frozen=True)
 class ComparisonScenario:
     """A labelled method grid run across one or more workloads (Table I).
 
-    ``methods`` maps a display label to ``(algorithm, kwargs)``; every method
+    ``methods`` maps a display label to ``(algorithm, params)``; every method
     runs on every workload with a shared iteration budget and (optionally)
     the Table-I convergence stopping rule.  ``baseline`` names the method
-    other rows are compared against in reports.
+    other rows are compared against in reports (default: the first one).
+    ``eval_every=None`` evaluates every ``max(iterations // 8, 1)`` steps.
     """
 
     name: str
@@ -266,21 +203,19 @@ class ComparisonScenario:
     iterations: int = 160
     seed: int = 0
     eval_every: Optional[int] = None
-    baseline: str = "bsp"
+    baseline: Optional[str] = None
     use_convergence: bool = True
     convergence_patience: int = 4
     convergence_min_delta: float = 1e-3
     dtype: str = "float64"
     transport_dtype: Optional[str] = None
     tags: Tuple[str, ...] = ()
+    runs: Tuple[Run, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_name(self.name)
         if not self.workloads:
             raise ScenarioError(f"scenario {self.name!r}: workloads must not be empty")
-        for workload in self.workloads:
-            _check_workload(workload)
-        _check_run_settings(self.num_workers, self.iterations, self.seed)
         if not self.methods:
             raise ScenarioError(f"scenario {self.name!r}: methods must not be empty")
         methods: Dict[str, Tuple[str, Dict[str, Any]]] = {}
@@ -290,20 +225,17 @@ class ComparisonScenario:
                     f"scenario {self.name!r}: method labels must be non-empty strings"
                 )
             try:
-                algorithm, kwargs = entry
+                algorithm, params = entry
             except (TypeError, ValueError):
                 raise ScenarioError(
                     f"scenario {self.name!r}: method {label!r} must be an "
-                    "(algorithm, kwargs) pair"
+                    "(algorithm, params) pair"
                 ) from None
-            _check_algorithm(algorithm)
-            _check_parameter_names(
-                kwargs.keys(), f"scenario {self.name!r} method {label!r}"
-            )
-            methods[label] = (algorithm, dict(kwargs))
-        if self.baseline not in methods:
+            methods[label] = (algorithm, dict(params))
+        baseline = next(iter(methods)) if self.baseline is None else self.baseline
+        if baseline not in methods:
             raise ScenarioError(
-                f"scenario {self.name!r}: baseline {self.baseline!r} is not one of "
+                f"scenario {self.name!r}: baseline {baseline!r} is not one of "
                 f"the methods {sorted(methods)}"
             )
         if self.convergence_patience < 1:
@@ -311,19 +243,23 @@ class ComparisonScenario:
                 f"scenario {self.name!r}: convergence_patience must be >= 1"
             )
         object.__setattr__(self, "methods", methods)
+        object.__setattr__(self, "baseline", baseline)
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "tags", tuple(self.tags))
+        eval_every = max(self.iterations // 8, 1) if self.eval_every is None else self.eval_every
+        _expand(self, lambda: (
+            ({"workload": workload, "method": label}, RunConfig(
+                workload, algorithm, params, self.num_workers, self.iterations, self.seed,
+                eval_every, dtype=self.dtype, transport_dtype=self.transport_dtype,
+            ))
+            for workload in self.workloads
+            for label, (algorithm, params) in methods.items()
+        ))
 
     @property
     def kind(self) -> str:
         """Scenario kind discriminator: ``"comparison"``."""
         return "comparison"
-
-    def resolved_eval_every(self, iterations: Optional[int] = None) -> int:
-        """Evaluation cadence for a run of ``iterations`` steps."""
-        if self.eval_every is not None:
-            return self.eval_every
-        return max((iterations or self.iterations) // 8, 1)
 
 
 @dataclass(frozen=True)
@@ -343,9 +279,10 @@ class FaultScenario:
       gracefully, not destroy it).
 
     ``events`` pins an explicit event list; when empty, the schedule is
-    generated from ``(fault_seed, failure_rate, straggler_fraction, mttr,
-    slowdown)``.  ``checkpoint_every`` controls the rejoin-from-checkpoint
-    cadence (the step-0 snapshot always exists).
+    generated from ``(fault_seed, failure_rate, straggler_fraction, mttr)``.
+    ``checkpoint_every`` controls the rejoin-from-checkpoint cadence (the
+    step-0 snapshot always exists).  ``schedule`` and ``runs`` (the run and
+    its replay) are set at construction.
     """
 
     name: str
@@ -356,11 +293,10 @@ class FaultScenario:
     failure_rate: float = 0.0
     straggler_fraction: float = 0.0
     mttr: int = 5
-    slowdown: float = 3.0
     events: Tuple[Any, ...] = ()
     checkpoint_every: Optional[int] = 10
     continuity_factor: float = 3.0
-    fixed: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
     num_workers: int = 4
     iterations: int = 80
     seed: int = 0
@@ -369,53 +305,22 @@ class FaultScenario:
     dtype: str = "float64"
     transport_dtype: Optional[str] = None
     tags: Tuple[str, ...] = ()
+    schedule: Any = field(init=False, repr=False, compare=False)
+    runs: Tuple[Run, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        from repro.faults.schedule import FaultError, FaultEvent
+        from repro.faults.schedule import FaultError, FaultEvent, FaultSchedule
 
         _check_name(self.name)
-        _check_workload(self.workload)
         if self.algorithm not in FAULT_ALGORITHMS:
             raise ScenarioError(
                 f"scenario {self.name!r}: fault injection supports "
                 f"{sorted(FAULT_ALGORITHMS)}, got {self.algorithm!r}"
             )
-        _check_run_settings(self.num_workers, self.iterations, self.seed)
-        if self.fault_seed < 0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: fault_seed must be >= 0, got {self.fault_seed}"
-            )
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: failure_rate must be in [0, 1], "
-                f"got {self.failure_rate}"
-            )
-        if not 0.0 <= self.straggler_fraction <= 1.0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: straggler_fraction must be in [0, 1], "
-                f"got {self.straggler_fraction}"
-            )
-        if self.mttr < 1:
-            raise ScenarioError(
-                f"scenario {self.name!r}: mttr must be >= 1, got {self.mttr}"
-            )
-        if self.slowdown < 1.0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: slowdown must be >= 1, got {self.slowdown}"
-            )
         if self.continuity_factor <= 0.0:
             raise ScenarioError(
                 f"scenario {self.name!r}: continuity_factor must be > 0, "
                 f"got {self.continuity_factor}"
-            )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ScenarioError(
-                f"scenario {self.name!r}: checkpoint_every must be >= 1 or None, "
-                f"got {self.checkpoint_every}"
-            )
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ScenarioError(
-                f"scenario {self.name!r}: eval_every must be >= 1, got {self.eval_every}"
             )
         events = tuple(self.events)
         for event in events:
@@ -429,49 +334,35 @@ class FaultScenario:
                 f"scenario {self.name!r}: no fault source — provide explicit "
                 "events or a positive failure_rate / straggler_fraction"
             )
-        _check_parameter_names(self.fixed.keys(), f"scenario {self.name!r} fixed")
-        # Validate the schedule at registration time, not hours into a run.
-        try:
-            self.build_schedule(self.num_workers, self.iterations)
-        except FaultError as exc:
-            raise ScenarioError(f"scenario {self.name!r}: {exc}") from exc
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "fixed", dict(self.fixed))
+        object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "tags", tuple(self.tags))
 
-    def build_schedule(self, num_workers: int, iterations: int):
-        """The concrete :class:`~repro.faults.schedule.FaultSchedule` to run.
+        def config() -> RunConfig:
+            return RunConfig(
+                self.workload, self.algorithm, self.params, self.num_workers, self.iterations,
+                self.seed, self.eval_every, self.batch_size, dtype=self.dtype,
+                transport_dtype=self.transport_dtype, fault_seed=self.fault_seed,
+                failure_rate=self.failure_rate, straggler_fraction=self.straggler_fraction,
+                mttr=self.mttr, fault_checkpoint_every=self.checkpoint_every,
+            )
 
-        Explicit ``events`` win; otherwise the schedule is generated from
-        the scenario's seeded fault process.  Always validated against the
-        actual (possibly overridden) cluster size and iteration budget.
-        """
-        from repro.faults.schedule import FaultSchedule
-
-        if self.events:
-            schedule = FaultSchedule(list(self.events))
-            schedule.validate(num_workers, iterations)
-            return schedule
-        return FaultSchedule.generate(
-            num_workers,
-            iterations,
-            seed=self.fault_seed,
-            failure_rate=self.failure_rate,
-            straggler_fraction=self.straggler_fraction,
-            mttr=self.mttr,
-            slowdown=self.slowdown,
-        )
+        _expand(self, lambda: [({"attempt": a}, config()) for a in ("run", "replay")])
+        # Validate the schedule at registration time, not hours into a run.
+        try:
+            if events:
+                schedule = FaultSchedule(list(events))
+                schedule.validate(self.num_workers, self.iterations)
+            else:
+                schedule = self.runs[0][1].fault_schedule()
+        except FaultError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from exc
+        object.__setattr__(self, "schedule", schedule)
 
     @property
     def kind(self) -> str:
         """Scenario kind discriminator: ``"fault"``."""
         return "fault"
-
-    def resolved_eval_every(self, iterations: Optional[int] = None) -> int:
-        """Evaluation cadence for a run of ``iterations`` steps."""
-        if self.eval_every is not None:
-            return self.eval_every
-        return max((iterations or self.iterations) // 8, 1)
 
 
 @dataclass(frozen=True)

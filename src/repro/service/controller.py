@@ -11,14 +11,13 @@ controller-level coverage.
 Submission pipeline (``submit``):
 
 1. :func:`~repro.service.schemas.get_action` — exactly one action key;
-2. :func:`repro.api.apply_aliases` — deprecated spellings canonicalized;
-3. :func:`~repro.service.schemas.validate_payload` — structural schema check
+2. :func:`~repro.service.schemas.validate_payload` — structural schema check
    (unknown fields, required fields, JSON types);
-4. :func:`repro.api.request_from_action` + deep
-   :meth:`~repro.api.RunRequest.validate` — full scenario-dataclass
-   validation, so a bad grid is a 400 at submit time, not a FAILED job;
-5. quota + rate-limit admission (:class:`~repro.service.quotas.QuotaManager`);
-6. persist ``QUEUED``, wake a worker.
+3. :func:`repro.api.request_from_action` — builds the
+   :class:`~repro.harness.experiment.RunConfig` or scenario dataclass, so a
+   bad grid or param is a 400 at submit time, not a FAILED job;
+4. quota + rate-limit admission (:class:`~repro.service.quotas.QuotaManager`);
+5. persist ``QUEUED``, wake a worker.
 
 Job actions mirror submissions — the body holds exactly one action key
 (``{"cancel": {}}``) dispatched to a ``_action_<name>`` method.
@@ -27,13 +26,12 @@ Job actions mirror submissions — the body holds exactly one action key
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Any, Dict, Mapping, Optional
 
 from repro import telemetry
-from repro.api import ApiError, apply_aliases, request_from_action
+from repro.api import request_from_action
+from repro.harness.experiment import ConfigError
 from repro.scenarios.registry import scenario_names
-from repro.scenarios.spec import ScenarioError
 from repro.service.exceptions import BadRequest, NotFound
 from repro.service.jobs import JOB_STATES
 from repro.service.quotas import QuotaManager
@@ -94,16 +92,10 @@ class ServiceController:
     def submit(self, tenant: str, body: Mapping[str, Any]) -> Dict[str, Any]:
         """Validate and enqueue one submission; returns the queued job view."""
         action, payload = get_action(body)
-        try:
-            payload = apply_aliases(payload)
-        except ApiError as exc:
-            raise BadRequest(str(exc)) from exc
         validate_payload(action, payload)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                request = request_from_action(action, payload).validate()
-        except (ApiError, ScenarioError) as exc:
+            request = request_from_action(action, payload)
+        except ConfigError as exc:
             raise BadRequest(str(exc)) from exc
         self.quotas.check_submit(tenant, self.store.count_active(tenant))
         job = self.store.create(tenant, action, request.to_dict())

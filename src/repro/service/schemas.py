@@ -1,4 +1,4 @@
-"""Per-action request schemas, derived from the frozen scenario dataclasses.
+"""Per-action request schemas, derived from the dataclass each action builds.
 
 The service accepts submission bodies with exactly one top-level action key
 (the Trove convention)::
@@ -6,27 +6,22 @@ The service accepts submission bodies with exactly one top-level action key
     {"sweep": {"workload": "deep_mlp", "algorithm": "selsync",
                "grid": {"delta": [0.1, 0.3]}}}
 
-Instead of hand-maintaining a schema per action (which would drift the
-moment a scenario dataclass gains a field), :data:`SCHEMAS` is built at
-import time by reflecting over :class:`~repro.scenarios.spec.SweepScenario`,
-:class:`~repro.scenarios.spec.ComparisonScenario` and
-:class:`~repro.scenarios.spec.ThroughputScenario` with
-:func:`typing.get_type_hints` — each dataclass field becomes a JSON-schema
-property with its Python type mapped to a JSON type (``fixed`` is renamed to
-the façade's canonical ``params`` spelling, ``name`` is service-assigned and
-dropped).  Structural validation (:func:`validate_payload`) runs before the
-deep :meth:`repro.api.RunRequest.validate` pass, so unknown keys and
-type mismatches fail fast with a field-level message.
+:data:`SCHEMAS` is built at import time from :func:`repro.api.request_fields`
+— the fields of :class:`~repro.harness.experiment.RunConfig` and of the
+scenario dataclasses — with each annotation mapped to a JSON type by
+:func:`typing.get_origin` / :func:`typing.get_args`.  The ``scenario``
+action names its registered scenario with ``name``.  Structural validation
+(:func:`validate_payload`) runs before :class:`repro.api.RunRequest` builds
+the dataclass, so unknown keys and type mismatches fail fast with a
+field-level message.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.api import KINDS, RunRequest
-from repro.scenarios.spec import ComparisonScenario, SweepScenario, ThroughputScenario
+from repro.api import KINDS, request_fields
 from repro.service.exceptions import BadRequest
 
 __all__ = ["SCHEMAS", "get_action", "validate_payload"]
@@ -68,86 +63,23 @@ def _json_type(py_type: Any) -> Tuple[str, bool]:
     return "object", False
 
 
-#: Dataclass fields never accepted from a payload: the service names ad-hoc
-#: scenarios itself.
-_DROPPED_FIELDS = frozenset({"name"})
-
-#: scenario-dataclass spelling → façade spelling.
-_RENAMES = {"fixed": "params"}
-
-
-def _properties_from(dataclass_type: type) -> Dict[str, Dict[str, Any]]:
-    hints = typing.get_type_hints(dataclass_type)
+def _schema(action: str) -> Dict[str, Any]:
     props: Dict[str, Dict[str, Any]] = {}
-    for field in dataclasses.fields(dataclass_type):
-        if field.name in _DROPPED_FIELDS:
-            continue
-        json_type, nullable = _json_type(hints[field.name])
-        required = (
-            field.default is dataclasses.MISSING
-            and field.default_factory is dataclasses.MISSING
-        )
-        props[_RENAMES.get(field.name, field.name)] = {
-            "type": json_type,
-            "nullable": nullable or not required,
-            "required": required,
-        }
-    return props
-
-
-def _build_schemas() -> Dict[str, Dict[str, Any]]:
-    schemas: Dict[str, Dict[str, Any]] = {}
-    for action, source in (
-        ("sweep", SweepScenario),
-        ("comparison", ComparisonScenario),
-        ("throughput", ThroughputScenario),
-    ):
-        props = _properties_from(source)
-        # ``title`` has no default on the dataclasses but the façade titles
-        # ad-hoc scenarios itself.
-        props["title"].update(required=False, nullable=True)
-        schemas[action] = {
-            "type": "object",
-            "properties": props,
-            "required": sorted(k for k, v in props.items() if v["required"]),
-            "additionalProperties": False,
-        }
-    # The experiment action is the RunRequest's own shape (one training run,
-    # no scenario dataclass behind it).
-    request_props = _properties_from(RunRequest)
-    experiment_props = {
-        key: dict(value)
-        for key, value in request_props.items()
-        if key not in ("kind", "scenario", "grid", "options")
-    }
-    for key in ("workload", "algorithm"):
-        experiment_props[key].update(required=True, nullable=False)
-    schemas["experiment"] = {
+    for name, (annotation, required) in request_fields(action).items():
+        json_type, nullable = _json_type(annotation)
+        key = "name" if action == "scenario" and name == "scenario" else name
+        props[key] = {"type": json_type, "nullable": nullable or not required,
+                      "required": required}
+    return {
         "type": "object",
-        "properties": experiment_props,
-        "required": ["algorithm", "workload"],
+        "properties": props,
+        "required": sorted(k for k, v in props.items() if v["required"]),
         "additionalProperties": False,
     }
-    # The scenario action runs a *registered* scenario with run-time
-    # overrides only.
-    schemas["scenario"] = {
-        "type": "object",
-        "properties": {
-            "name": {"type": "string", "nullable": False, "required": True},
-            "iterations": {"type": "integer", "nullable": True, "required": False},
-            "num_workers": {"type": "integer", "nullable": True, "required": False},
-            "seed": {"type": "integer", "nullable": True, "required": False},
-            "fault_seed": {"type": "integer", "nullable": True, "required": False},
-        },
-        "required": ["name"],
-        "additionalProperties": False,
-    }
-    assert set(schemas) == set(KINDS)
-    return schemas
 
 
 #: action name → JSON-schema-style description of its payload.
-SCHEMAS: Dict[str, Dict[str, Any]] = _build_schemas()
+SCHEMAS: Dict[str, Dict[str, Any]] = {action: _schema(action) for action in KINDS}
 
 
 def get_action(body: Mapping[str, Any]) -> Tuple[str, Dict[str, Any]]:
@@ -181,9 +113,9 @@ def _type_ok(value: Any, json_type: str) -> bool:
 def validate_payload(action: str, payload: Mapping[str, Any]) -> None:
     """Structurally validate ``payload`` against :data:`SCHEMAS[action]`.
 
-    Checks unknown keys, required keys, and JSON types; deep semantic
-    validation (grids, workload names) is
-    :meth:`repro.api.RunRequest.validate`'s job.  Raises
+    Checks unknown keys, required keys, and JSON types; semantic
+    validation (grids, workload names, params) happens when
+    :class:`repro.api.RunRequest` builds the dataclass.  Raises
     :class:`BadRequest` with a field-level message.
     """
     schema = SCHEMAS[action]

@@ -1,4 +1,4 @@
-"""Tests for the unified repro.api façade: requests, aliases, execution."""
+"""Tests for the unified repro.api façade: requests, validation, execution."""
 
 import pytest
 
@@ -7,11 +7,10 @@ from repro.api import (
     KINDS,
     RunCancelled,
     RunRequest,
-    apply_aliases,
     request_from_action,
     run,
 )
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import RunConfig, run_experiment
 from repro.scenarios import ScenarioError, run_scenario
 
 
@@ -50,26 +49,25 @@ class TestRunRequest:
         assert set(KINDS) == {"experiment", "sweep", "comparison", "throughput", "scenario"}
 
     def test_per_kind_required_fields(self):
-        with pytest.raises(ApiError, match="requires 'workload'"):
+        with pytest.raises(ApiError, match=r"requires \['workload'\]"):
             RunRequest(kind="experiment", algorithm="bsp")
-        with pytest.raises(ApiError, match="requires 'grid'"):
+        with pytest.raises(ApiError, match=r"requires \['grid'\]"):
             RunRequest(kind="sweep", workload="deep_mlp", algorithm="selsync")
         with pytest.raises(ApiError, match="methods"):
             RunRequest(kind="comparison")
         with pytest.raises(ApiError, match="workloads"):
             RunRequest(kind="throughput")
-        with pytest.raises(ApiError, match="requires 'scenario'"):
+        with pytest.raises(ApiError, match=r"requires \['scenario'\]"):
             RunRequest(kind="scenario")
 
     def test_kinds_reject_foreign_fields(self):
-        with pytest.raises(ApiError, match="does not accept"):
+        with pytest.raises(ApiError, match=r"unknown request fields \['grid'\]"):
             RunRequest(kind="experiment", workload="resnet101", algorithm="bsp",
                        grid={"delta": [0.1]})
-        with pytest.raises(ApiError, match="does not accept"):
+        with pytest.raises(ApiError, match=r"unknown request fields \['workload'\]"):
             RunRequest(kind="scenario", scenario="quickstart", workload="resnet101")
-        with pytest.raises(ApiError, match="does not accept"):
-            RunRequest(kind="throughput", options={"workloads": ["resnet101"]},
-                       iterations=5)
+        with pytest.raises(ApiError, match=r"unknown request fields \['iterations'\]"):
+            RunRequest(kind="throughput", workloads=["resnet101"], iterations=5)
 
     def test_run_settings_bounds(self):
         with pytest.raises(ApiError, match="num_workers"):
@@ -89,61 +87,39 @@ class TestRunRequest:
         clone = RunRequest.from_dict(request.to_dict())
         assert clone == request
 
-    def test_deep_validation_catches_scenario_level_errors(self):
-        request = RunRequest(kind="sweep", workload="deep_mlp", algorithm="selsync",
-                             grid={"seed": [1, 2]})  # reserved run setting
-        with pytest.raises((ApiError, ScenarioError)):
-            request.validate()
-        with pytest.raises((ApiError, ScenarioError), match="analytic"):
-            RunRequest(kind="scenario", scenario="fig1a-throughput",
-                       iterations=5).validate()
+    def test_construction_builds_the_kinds_dataclass(self):
+        request = RunRequest(kind="experiment", workload="deep_mlp", num_workers=2)
+        assert request.target == RunConfig("deep_mlp", num_workers=2)
+        sweep = RunRequest(kind="sweep", workload="deep_mlp", grid={"delta": [0.1]})
+        assert sweep.target.name == "adhoc-sweep" and len(sweep.target.runs) == 1
 
-
-class TestDeprecatedAliases:
-    def test_aliases_warn_and_canonicalize(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            out = apply_aliases({"workers": 4})
-        assert out == {"num_workers": 4}
-        with pytest.warns(DeprecationWarning, match="algo"):
-            assert apply_aliases({"algo": "bsp"}) == {"algorithm": "bsp"}
-        with pytest.warns(DeprecationWarning, match="fixed"):
-            assert apply_aliases({"fixed": {"delta": 0.1}}) == {"params": {"delta": 0.1}}
-
-    def test_alias_plus_canonical_is_ambiguous(self):
-        with pytest.raises(ApiError, match="use 'num_workers' only"):
-            apply_aliases({"workers": 4, "num_workers": 2})
-
-    def test_run_kwargs_accept_aliases(self):
-        with pytest.warns(DeprecationWarning):
-            request = RunRequest.from_dict({
-                "kind": "experiment", "workload": "resnet101", "algo": "bsp",
-                "workers": 2, "iterations": 4,
-            })
-        assert request.algorithm == "bsp" and request.num_workers == 2
+    def test_scenario_level_errors_fail_at_construction(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            RunRequest(kind="sweep", workload="deep_mlp", algorithm="selsync",
+                       grid={"seed": [1, 2]})  # a run setting, not a param
+        with pytest.raises(ScenarioError, match=r"no \['iterations'\] to override"):
+            RunRequest(kind="scenario", scenario="fig1a-throughput", iterations=5)
 
 
 class TestRequestFromAction:
     def test_scenario_action_maps_name(self):
         request = request_from_action("scenario", {"name": "quickstart", "iterations": 9})
         assert request.kind == "scenario"
-        assert request.scenario == "quickstart"
-        assert request.iterations == 9
+        assert request.fields == {"scenario": "quickstart", "iterations": 9}
+        assert request.target.iterations == 9
 
     def test_scenario_action_requires_name(self):
-        with pytest.raises(ApiError, match="name"):
+        with pytest.raises(ApiError, match="scenario"):
             request_from_action("scenario", {"iterations": 9})
 
-    def test_extra_keys_fold_into_options(self):
+    def test_comparison_fields_are_flat(self):
         request = request_from_action("comparison", {
             "methods": {"a": ["bsp", {}]}, "workloads": ["resnet101"],
             "iterations": 6, "use_convergence": False,
         })
-        assert request.iterations == 6
-        assert request.options == {
-            "methods": {"a": ["bsp", {}]},
-            "workloads": ["resnet101"],
-            "use_convergence": False,
-        }
+        assert request.target.iterations == 6
+        assert request.target.methods == {"a": ("bsp", {})}
+        assert request.target.use_convergence is False
 
     def test_unknown_action_rejected(self):
         with pytest.raises(ApiError, match="unknown action"):
@@ -156,8 +132,8 @@ class TestRunExecution:
                              params={"delta": 0.3}, num_workers=2, iterations=6,
                              seed=3, eval_every=2)
         out = run(request)
-        direct = run_experiment("resnet101", "selsync", num_workers=2, iterations=6,
-                                seed=3, eval_every=2, delta=0.3)
+        direct = run_experiment(RunConfig("resnet101", "selsync", {"delta": 0.3},
+                                          num_workers=2, iterations=6, seed=3, eval_every=2))
         assert out.kind == "experiment"
         assert out.label == direct.algorithm
         assert len(out.records) == 1
@@ -173,8 +149,8 @@ class TestRunExecution:
         settings = dict(num_workers=2, iterations=6, seed=0, eval_every=3)
         out = run(kind="experiment", workload="deep_mlp", algorithm="selsync",
                   params={"ewma_alpha": 0.5}, **settings)
-        direct = run_experiment("deep_mlp", "selsync", ewma_alpha=0.5, **settings)
-        default = run_experiment("deep_mlp", "selsync", **settings)
+        direct = run_experiment(RunConfig("deep_mlp", "selsync", {"ewma_alpha": 0.5}, **settings))
+        default = run_experiment(RunConfig("deep_mlp", "selsync", **settings))
         metrics = out.records[0]["metrics"]
         assert metrics["max_delta_observed"] == direct.result.extras["max_delta_observed"]
         assert metrics["max_delta_observed"] != default.result.extras["max_delta_observed"]
@@ -188,9 +164,9 @@ class TestRunExecution:
         assert maxima[0] != maxima[1]
 
     @pytest.mark.parametrize("kind, field", [("experiment", "params"), ("sweep", "grid")])
-    def test_ewma_window_is_a_type_error(self, kind, field):
+    def test_ewma_window_is_an_unknown_param(self, kind, field):
         value = {"ewma_window": [25]} if field == "grid" else {"ewma_window": 25}
-        with pytest.raises(TypeError, match="ewma_window"):
+        with pytest.raises((ApiError, ScenarioError), match="ewma_window"):
             run(kind=kind, workload="deep_mlp", algorithm="selsync", num_workers=2,
                 iterations=2, **{field: value})
 
@@ -210,18 +186,14 @@ class TestRunExecution:
 
     def test_comparison_kind_defaults_baseline_to_first_method(self):
         out = run(RunRequest(kind="comparison", num_workers=2, iterations=6,
-                             options={
-                                 "methods": {"mine": ["selsync", {"delta": 0.3}],
-                                             "bsp-ref": ["bsp", {}]},
-                                 "workloads": ["resnet101"],
-                                 "use_convergence": False,
-                             }))
+                             methods={"mine": ["selsync", {"delta": 0.3}],
+                                      "bsp-ref": ["bsp", {}]},
+                             workloads=["resnet101"], use_convergence=False))
         assert len(out.records) == 2
         assert out.meta["baseline"] == "mine"
 
     def test_run_kwargs_shorthand(self):
-        out = run(kind="throughput", options={"workloads": ["resnet101"],
-                                              "worker_counts": [1, 2]})
+        out = run(kind="throughput", workloads=["resnet101"], worker_counts=[1, 2])
         assert [r["params"]["workers"] for r in out.records] == [1, 2]
 
     def test_request_plus_kwargs_is_an_error(self):
@@ -243,7 +215,7 @@ class TestRunExecution:
     def test_result_to_dict_is_json_ready(self):
         import json
 
-        out = run(kind="throughput", options={"workloads": ["resnet101"]})
+        out = run(kind="throughput", workloads=["resnet101"])
         payload = out.to_dict()
         json.dumps(payload)  # must not raise
         assert payload["kind"] == "throughput"
@@ -254,24 +226,52 @@ class TestRunExecution:
 VALID_PAYLOADS = {
     "experiment": {"workload": "deep_mlp", "algorithm": "bsp"},
     "sweep": {"workload": "deep_mlp", "grid": {"delta": [0.1]}},
-    "comparison": {"options": {"methods": {"bsp": ["bsp", {}]}}},
-    "throughput": {"options": {"workloads": ["resnet101"]}},
+    "comparison": {"methods": {"bsp": ["bsp", {}]}},
+    "throughput": {"workloads": ["resnet101"]},
     "scenario": {"scenario": "quickstart"},
 }
+
+#: Knobs that no surface takes any more: the replica pool and stacked sweep
+#: executor, the ``workers`` / ``algo`` / ``fixed`` aliases, the ``options``
+#: bag, and the ``injection`` / ``partitioner`` / ``fault_slowdown``
+#: run_experiment keywords.
+REMOVED_KNOBS = [
+    ("pool_workers", 2), ("pool_start_method", "fork"), ("stacked", True),
+    ("max_stacked_rows", 8), ("workers", 2), ("algo", "bsp"), ("fixed", {"delta": 0.1}),
+    ("options", {"baseline": "bsp"}), ("injection", {"alpha": 0.5, "beta": 0.5}),
+    ("partitioner", "default"), ("fault_slowdown", 3.0),
+]
 
 
 class TestRemovedKnobs:
     @pytest.mark.parametrize("kind", sorted(VALID_PAYLOADS))
-    @pytest.mark.parametrize(
-        "knob, value",
-        [("pool_workers", 2), ("pool_start_method", "fork"),
-         ("stacked", True), ("max_stacked_rows", 8)],
-    )
+    @pytest.mark.parametrize("knob, value", REMOVED_KNOBS)
     def test_from_dict_rejects_them_as_unknown_fields(self, knob, value, kind):
         payload = {"kind": kind, **VALID_PAYLOADS[kind]}
-        RunRequest.from_dict(payload).validate()
+        RunRequest.from_dict(payload)
         with pytest.raises(ApiError, match=rf"unknown request fields \['{knob}'\]"):
             RunRequest.from_dict({**payload, knob: value})
+
+    @pytest.mark.parametrize("kind", sorted(VALID_PAYLOADS))
+    @pytest.mark.parametrize("knob, value", REMOVED_KNOBS)
+    def test_http_rejects_them_as_unknown_fields(self, knob, value, kind):
+        from repro.service.exceptions import BadRequest
+        from repro.service.schemas import validate_payload
+
+        payload = dict(VALID_PAYLOADS[kind])
+        if kind == "scenario":
+            payload = {"name": payload.pop("scenario")}
+        validate_payload(kind, payload)
+        with pytest.raises(BadRequest, match=rf"unknown fields \['{knob}'\]"):
+            validate_payload(kind, {**payload, knob: value})
+
+    @pytest.mark.parametrize("knob, value", REMOVED_KNOBS)
+    def test_run_experiment_and_run_config_reject_them(self, knob, value):
+        config = RunConfig("deep_mlp", "bsp", num_workers=2, iterations=2)
+        with pytest.raises(TypeError, match=knob):
+            run_experiment(config, **{knob: value})
+        with pytest.raises(TypeError, match=knob):
+            RunConfig("deep_mlp", "bsp", **{knob: value})
 
 
 class TestStoredRunIdentity:

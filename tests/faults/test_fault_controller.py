@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults import FaultController, FaultSchedule
 from repro.faults.schedule import crash, rejoin, straggler_burst
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import ConfigError, RunConfig, run_experiment
 from tests.conftest import make_small_cluster
 
 pytestmark = pytest.mark.faults
@@ -89,18 +89,18 @@ class TestController:
 
 class TestRunExperimentFaults:
     def test_unsupported_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="fault injection"):
-            run_experiment(
-                "deep_mlp", "ssp", iterations=4, failure_rate=0.1, staleness=10
-            )
+        with pytest.raises(ConfigError, match="fault injection"):
+            RunConfig("deep_mlp", "ssp", {"staleness": 10}, iterations=4, failure_rate=0.1)
+        with pytest.raises(ConfigError, match="fault injection"):
+            run_experiment(RunConfig("deep_mlp", "ssp", iterations=4),
+                           fault_schedule=FaultSchedule([crash(1, 2)]))
 
     def test_explicit_schedule_counts_land_in_extras(self):
         schedule = FaultSchedule(
             [crash(1, 2), straggler_burst(0, 3, duration=2), rejoin(1, 6)]
         )
-        out = run_experiment(
-            "deep_mlp", "selsync", iterations=10, fault_schedule=schedule
-        )
+        out = run_experiment(RunConfig("deep_mlp", "selsync", iterations=10),
+                             fault_schedule=schedule)
         assert out.result.extras["fault_crashes"] == 1.0
         assert out.result.extras["fault_rejoins"] == 1.0
         assert out.result.extras["fault_stragglers"] == 1.0
@@ -115,18 +115,18 @@ class TestRunExperimentFaults:
             mttr=4,
             fault_checkpoint_every=4,
         )
-        a = run_experiment("deep_mlp", "bsp", **kwargs).result
-        b = run_experiment("deep_mlp", "bsp", **kwargs).result
+        a = run_experiment(RunConfig("deep_mlp", "bsp", **kwargs)).result
+        b = run_experiment(RunConfig("deep_mlp", "bsp", **kwargs)).result
         assert a.final_metric == b.final_metric
         assert a.final_loss == b.final_loss
         assert a.sim_time_seconds == b.sim_time_seconds
         assert a.communication_bytes == b.communication_bytes
 
     def test_unarmed_run_untouched_by_fault_defaults(self):
-        plain = run_experiment("deep_mlp", "bsp", iterations=8).result
-        explicit = run_experiment(
+        plain = run_experiment(RunConfig("deep_mlp", "bsp", iterations=8)).result
+        explicit = run_experiment(RunConfig(
             "deep_mlp", "bsp", iterations=8, failure_rate=0.0, straggler_fraction=0.0
-        ).result
+        )).result
         assert "fault_crashes" not in plain.extras
         assert "fault_crashes" not in explicit.extras
         assert plain.final_loss == explicit.final_loss

@@ -31,8 +31,8 @@ class TestFaultScenarioSpec:
     def test_kind_and_eval_cadence(self):
         scenario = tiny_fault_scenario()
         assert scenario.kind == "fault"
-        assert scenario.resolved_eval_every() == 2
-        assert scenario.resolved_eval_every(40) == 5
+        assert [config.resolved_eval_every for _, config in scenario.runs] == [2, 2]
+        assert tiny_fault_scenario(iterations=40).runs[0][1].resolved_eval_every == 5
 
     def test_unsupported_algorithm_rejected(self):
         with pytest.raises(ScenarioError, match="fault injection supports"):
@@ -49,7 +49,6 @@ class TestFaultScenarioSpec:
             dict(failure_rate=1.5),
             dict(straggler_fraction=-0.2),
             dict(mttr=0),
-            dict(slowdown=0.5),
             dict(continuity_factor=0.0),
             dict(checkpoint_every=0),
         ],
@@ -62,22 +61,25 @@ class TestFaultScenarioSpec:
         with pytest.raises(ScenarioError):
             tiny_fault_scenario(events=(rejoin(0, 2),))
 
-    def test_reserved_fixed_parameters_rejected(self):
-        with pytest.raises(ScenarioError, match="reserved"):
-            tiny_fault_scenario(fixed={"failure_rate": 0.5})
+    def test_run_settings_are_not_params(self):
+        with pytest.raises(ScenarioError, match=r"unknown selsync params \['failure_rate'\]"):
+            tiny_fault_scenario(params={"failure_rate": 0.5})
 
-    def test_build_schedule_prefers_explicit_events(self):
+    def test_slowdown_is_no_field(self):
+        with pytest.raises(TypeError, match="slowdown"):
+            tiny_fault_scenario(slowdown=3.0)
+
+    def test_schedule_prefers_explicit_events(self):
         scenario = tiny_fault_scenario()
-        schedule = scenario.build_schedule(3, 16)
-        assert [e.kind for e in schedule] == ["crash", "rejoin"]
+        assert [e.kind for e in scenario.schedule] == ["crash", "rejoin"]
 
-    def test_build_schedule_generates_from_rates(self):
+    def test_schedule_generates_from_rates(self):
         scenario = tiny_fault_scenario(
             events=(), fault_seed=3, failure_rate=0.2, mttr=3
         )
-        a = scenario.build_schedule(3, 16)
-        b = scenario.build_schedule(3, 16)
-        assert a == b and len(a) > 0
+        again = tiny_fault_scenario(events=(), fault_seed=3, failure_rate=0.2, mttr=3)
+        assert scenario.schedule == again.schedule and len(scenario.schedule) > 0
+        assert scenario.schedule == scenario.runs[0][1].fault_schedule()
 
 
 class TestFaultRunner:
@@ -121,7 +123,7 @@ class TestRunRequestFaultFields:
             failure_rate=0.1,
             mttr=3,
         ))
-        assert out.meta["faults"]["failure_rate"] == 0.1
+        assert out.meta["failure_rate"] == 0.1 and out.meta["fault_seed"] == 2
         assert "fault_crashes" in out.results["run"].extras
 
     @pytest.mark.parametrize("kind", ["sweep", "comparison", "throughput"])
@@ -129,11 +131,10 @@ class TestRunRequestFaultFields:
         kwargs = {
             "sweep": dict(workload="deep_mlp", algorithm="selsync",
                           grid={"delta": [0.0, 1.0]}),
-            "comparison": dict(options={"methods": {"bsp": ("bsp", {})}}),
-            "throughput": dict(options={"workloads": ("deep_mlp",),
-                                        "worker_counts": (1, 2)}),
+            "comparison": dict(methods={"bsp": ("bsp", {})}),
+            "throughput": dict(workloads=("resnet101",), worker_counts=(1, 2)),
         }[kind]
-        with pytest.raises(ApiError, match="failure_rate"):
+        with pytest.raises(ApiError, match=r"unknown request fields \['failure_rate'\]"):
             RunRequest(kind=kind, failure_rate=0.1, **kwargs)
 
     def test_invalid_fault_values_rejected(self):
@@ -148,9 +149,8 @@ class TestRunRequestFaultFields:
                        mttr=0)
 
     def test_scenario_kind_fault_seed_needs_fault_scenario(self):
-        request = RunRequest(kind="scenario", scenario="quickstart", fault_seed=1)
-        with pytest.raises(ApiError, match="fault"):
-            request.validate()
+        with pytest.raises(ScenarioError, match="fault_seed"):
+            RunRequest(kind="scenario", scenario="quickstart", fault_seed=1)
 
 
 class TestServiceSchemas:

@@ -11,15 +11,18 @@ class TestParser:
         out = capsys.readouterr().out
         assert "resnet101" in out and "selsync" in out
 
-    def test_run_requires_known_algorithm(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "--algorithm", "gossip"])
+    def test_run_requires_known_algorithm(self, capsys):
+        assert main(["run", "--workload", "deep_mlp", "--algorithm", "gossip"]) == 2
+        assert "error: experiment request: unknown algorithm 'gossip'" in capsys.readouterr().err
 
-    def test_run_requires_known_workload(self):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "--workload", "bert"])
+    def test_run_requires_known_workload(self, capsys):
+        assert main(["run", "--workload", "bert"]) == 2
+        assert "unknown workload 'bert'" in capsys.readouterr().err
+
+    def test_run_requires_a_workload(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run"])
+        assert exc.value.code == 2
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -30,7 +33,7 @@ class TestRunCommand:
     def test_run_selsync_prints_table(self, capsys):
         code = main([
             "run", "--workload", "resnet101", "--algorithm", "selsync",
-            "--workers", "2", "--iterations", "8", "--delta", "0.3",
+            "--num-workers", "2", "--iterations", "8", "--param", "delta=0.3",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -39,15 +42,15 @@ class TestRunCommand:
     def test_run_bsp(self, capsys):
         code = main([
             "run", "--workload", "resnet101", "--algorithm", "bsp",
-            "--workers", "2", "--iterations", "6",
+            "--num-workers", "2", "--iterations", "6",
         ])
         assert code == 0
         assert "bsp" in capsys.readouterr().out
 
     def test_compare_outputs_table1_columns(self, capsys):
         code = main([
-            "compare", "--workload", "resnet101", "--workers", "2",
-            "--iterations", "8", "--delta", "0.3",
+            "compare", "--workload", "resnet101", "--num-workers", "2",
+            "--iterations", "8", "--param", "delta=0.3",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -74,7 +77,7 @@ class TestScenarioCommand:
         path = tmp_path / "report.json"
         code = main([
             "scenario", "fig6-delta-sweep", "--iterations", "4",
-            "--workers", "2", "--json", str(path),
+            "--num-workers", "2", "--json", str(path),
         ])
         assert code == 0
         assert "lssr" in capsys.readouterr().out
@@ -85,7 +88,7 @@ class TestScenarioCommand:
     def test_run_verified_scenario_prints_parity(self, capsys):
         code = main([
             "scenario", "deep-mlp-delta-n64", "--iterations", "4",
-            "--workers", "4",
+            "--num-workers", "4",
         ])
         assert code == 0
         assert "endpoint parity" in capsys.readouterr().out
@@ -110,14 +113,14 @@ class TestScenarioCommand:
         # The stacked sweep executor and the replica pool are gone; their
         # flags must not be accepted and silently ignored.
         with pytest.raises(SystemExit) as exc:
-            main(command + ["--iterations", "2", "--workers", "2"] + flag)
+            main(command + ["--iterations", "2", "--num-workers", "2"] + flag)
         assert exc.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
     def test_invalid_override_exits_cleanly(self, capsys):
         # Analytic throughput scenarios reject training overrides.
-        assert main(["scenario", "fig1a-throughput", "--workers", "8"]) == 2
-        assert "analytic" in capsys.readouterr().err
+        assert main(["scenario", "fig1a-throughput", "--num-workers", "8"]) == 2
+        assert "no ['num_workers'] to override" in capsys.readouterr().err
 
 
 class TestScenarioExitCodes:
@@ -147,7 +150,7 @@ class TestScenarioExitCodes:
         path = tmp_path / "parity.json"
         code = main([
             "scenario", "deep-mlp-delta-n64", "--iterations", "4",
-            "--workers", "4", "--json", str(path),
+            "--num-workers", "4", "--json", str(path),
         ])
         assert code == 3
         assert "endpoint parity verification failed" in capsys.readouterr().err

@@ -5,8 +5,12 @@ import pytest
 
 from repro.algorithms.base import TrainingResult
 from repro.compression import TopKCompressor
+from repro.core.config import SelSyncConfig
+from repro.data.injection import adjusted_batch_size
 from repro.harness.experiment import (
     WORKLOAD_PRESETS,
+    ConfigError,
+    RunConfig,
     build_cluster,
     build_workload,
     make_trainer,
@@ -109,7 +113,7 @@ class TestMakeTrainer:
     def test_compressed_bsp_requires_compressor(self):
         preset = build_workload("resnet101")
         cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="compressor"):
             make_trainer("compressed_bsp", cluster, preset, total_iterations=10)
 
     def test_selsync_accepts_all_config_fields(self):
@@ -153,34 +157,58 @@ class TestMakeTrainer:
     def test_another_trainers_option_is_a_type_error(self, algorithm, foreign):
         preset = build_workload("resnet101")
         cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
-        with pytest.raises(TypeError, match=rf"{algorithm}.*\['{foreign}'\]"):
+        with pytest.raises(TypeError, match=foreign):
             make_trainer(algorithm, cluster, preset, total_iterations=10, **{foreign: 1})
+        with pytest.raises(ConfigError, match=rf"unknown {algorithm} params \['{foreign}'\]"):
+            RunConfig("resnet101", algorithm, {foreign: 1})
 
 
 class TestRunExperiment:
     def test_selsync_end_to_end(self):
-        out = run_experiment("resnet101", "selsync", num_workers=2, iterations=12,
-                             eval_every=6, delta=0.3, seed=0)
+        out = run_experiment(RunConfig("resnet101", "selsync", {"delta": 0.3}, num_workers=2,
+                                       iterations=12, eval_every=6, seed=0))
         assert out.workload == "resnet101"
         assert out.result.iterations == 12
         assert "δ=0.3" in out.algorithm
 
     def test_default_partitioning_flag(self):
-        out = run_experiment("resnet101", "bsp", num_workers=2, iterations=6,
-                             eval_every=6, use_default_partitioning=True)
+        out = run_experiment(RunConfig("resnet101", "bsp", num_workers=2, iterations=6,
+                                       eval_every=6, use_default_partitioning=True))
         assert out.result.lssr == 0.0
 
-    def test_injection_adjusts_batch_size(self):
-        out = run_experiment(
-            "resnet101", "selsync", num_workers=4, iterations=6, eval_every=6,
-            injection={"alpha": 0.5, "beta": 0.5, "delta": 0.3},
-        )
+    def test_injection_adjusts_batch_size(self, monkeypatch):
+        from repro.harness import experiment
+
+        built = []
+        build = experiment.build_cluster
+        monkeypatch.setattr(experiment, "build_cluster",
+                            lambda *a, **k: built.append(k["batch_size"]) or build(*a, **k))
+        params = {"injection_alpha": 0.5, "injection_beta": 0.5, "delta": 0.3}
+        out = run_experiment(RunConfig("resnet101", "selsync", params, num_workers=4,
+                                       iterations=6, eval_every=6))
         assert out.result.extras["delta"] == 0.3
+        assert built == [adjusted_batch_size(32, 0.5, 0.5, 4)] and built[0] != 32
+
+    @pytest.mark.parametrize("algorithm, params, message", [
+        ("ssp", {"staleness": "many"}, "'staleness' must be int"),
+        ("compressed_bsp", {"compressor": {"ratio": 0.1}}, "'compressor' must be Compressor"),
+        ("compressed_bsp", {}, "compressor"),
+        ("selsync", {"delta": 0.3, "config": SelSyncConfig()}, "delta"),
+        ("selsync", {"aggregation": "mean"}, "aggregation"),
+    ])
+    def test_params_are_checked_against_the_constructor(self, algorithm, params, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig("deep_mlp", algorithm, params)
+
+    def test_eval_every_defaults_to_an_eighth_of_the_run(self):
+        assert RunConfig("deep_mlp", iterations=80).resolved_eval_every == 10
+        assert RunConfig("deep_mlp", iterations=4).resolved_eval_every == 1
+        assert RunConfig("deep_mlp", eval_every=3).resolved_eval_every == 3
 
     @pytest.mark.parametrize("knob, value", [("pool_workers", 2), ("pool_start_method", "fork")])
     def test_removed_pool_knobs_fail_instead_of_running_in_process(self, knob, value):
         with pytest.raises(TypeError, match=knob):
-            run_experiment("deep_mlp", "bsp", num_workers=2, iterations=2, eval_every=2,
+            run_experiment(RunConfig("deep_mlp", "bsp", num_workers=2, iterations=2),
                            **{knob: value})
 
 

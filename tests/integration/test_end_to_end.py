@@ -22,7 +22,7 @@ from repro.data.datasets import make_classification_splits
 from repro.data.injection import adjusted_batch_size
 from repro.data.noniid import LabelSkewPartitioner
 from repro.data.partition import DefaultPartitioner, SelSyncPartitioner
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import RunConfig, run_experiment
 from repro.nn.models import MLP
 from repro.optim.sgd import SGD
 
@@ -137,14 +137,14 @@ class TestNonIIDInjection:
 class TestHarnessPresets:
     @pytest.mark.parametrize("workload", ["resnet101", "vgg11", "alexnet", "transformer"])
     def test_every_paper_workload_trains_under_selsync(self, workload):
-        out = run_experiment(workload, "selsync", num_workers=2, iterations=10,
-                             eval_every=5, delta=0.3, seed=0)
+        out = run_experiment(RunConfig(workload, "selsync", {"delta": 0.3}, num_workers=2,
+                                       iterations=10, eval_every=5, seed=0))
         assert out.result.iterations == 10
         assert np.isfinite(out.result.final_metric)
 
     def test_transformer_perplexity_improves(self):
-        short = run_experiment("transformer", "bsp", num_workers=2, iterations=5,
-                               eval_every=5, seed=1)
-        longer = run_experiment("transformer", "bsp", num_workers=2, iterations=60,
-                                eval_every=30, seed=1)
+        short = run_experiment(RunConfig("transformer", "bsp", num_workers=2, iterations=5,
+                                         eval_every=5, seed=1))
+        longer = run_experiment(RunConfig("transformer", "bsp", num_workers=2, iterations=60,
+                                          eval_every=30, seed=1))
         assert longer.result.best_metric < short.result.best_metric

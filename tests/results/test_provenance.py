@@ -56,16 +56,14 @@ class TestProvenance:
 
 class TestApiStamping:
     def test_api_run_stamps_provenance_once(self):
-        out = api_run(kind="throughput", options={"workloads": ["resnet101"],
-                                                  "worker_counts": [1, 2]})
+        out = api_run(kind="throughput", workloads=["resnet101"], worker_counts=[1, 2])
         assert out.run_id and out.config_hash and out.git_sha
         assert out.meta["provenance"]["run_id"] == out.run_id
         payload = out.to_dict()
         assert payload["provenance"]["config_hash"] == out.config_hash
 
     def test_same_request_same_config_hash_distinct_run_ids(self):
-        request = {"kind": "throughput",
-                   "options": {"workloads": ["resnet101"], "worker_counts": [1]}}
+        request = {"kind": "throughput", "workloads": ["resnet101"], "worker_counts": [1]}
         a = api_run(RunRequest.from_dict(dict(request)))
         b = api_run(RunRequest.from_dict(dict(request)))
         assert a.config_hash == b.config_hash
@@ -74,8 +72,7 @@ class TestApiStamping:
     def test_record_to_appends_to_the_store(self):
         store = ResultsStore()
         out = api_run(
-            RunRequest(kind="throughput",
-                       options={"workloads": ["resnet101"], "worker_counts": [1, 2]}),
+            RunRequest(kind="throughput", workloads=["resnet101"], worker_counts=[1, 2]),
             record_to=store,
         )
         run = store.get_run(out.run_id)

@@ -76,8 +76,8 @@ class TestCatalog:
         for name in scenario_names(tag="paper-scale"):
             scenario = get_scenario(name)
             assert scenario.verify_endpoints, name
-            assert scenario.fixed["aggregation"] == "grad"
-            assert scenario.fixed["sync_on_first_step"] is False
+            assert scenario.params["aggregation"] == "grad"
+            assert scenario.params["sync_on_first_step"] is False
 
     def test_example_delta_sweeps_cover_every_workload(self):
         from repro.harness.experiment import WORKLOAD_PRESETS

@@ -82,7 +82,7 @@ class TestSweepRunner:
 class TestEndpointVerification:
     def test_exact_parity_against_existing_trainers(self):
         scenario = tiny_sweep(
-            fixed={"aggregation": "grad", "sync_on_first_step": False},
+            params={"aggregation": "grad", "sync_on_first_step": False},
             verify_endpoints=True,
         )
         report = run_scenario(scenario)
@@ -96,7 +96,7 @@ class TestEndpointVerification:
 
     def test_delta_zero_reproduces_bsp_bit_for_bit(self):
         scenario = tiny_sweep(
-            fixed={"aggregation": "grad", "sync_on_first_step": False},
+            params={"aggregation": "grad", "sync_on_first_step": False},
             verify_endpoints=True,
         )
         report = run_scenario(scenario)
@@ -128,22 +128,17 @@ class TestSweepPointsRunAlone:
         scenario = tiny_sweep(**{"workload": "deep_mlp", "num_workers": 4, "batch_size": 4,
                                  **SWEEPS_RUN_ALONE[case]})
         report = run_scenario(scenario)
-        for record in report.records:
+        for record, (_, config) in zip(report.records, scenario.runs):
             key = "/".join(f"{k}={v}" for k, v in record.params.items())
-            alone = run_experiment(
-                scenario.workload, scenario.algorithm,
-                num_workers=scenario.num_workers, iterations=scenario.iterations,
-                seed=scenario.seed,
-                eval_every=scenario.resolved_eval_every(scenario.iterations),
-                batch_size=scenario.batch_size, dtype=scenario.dtype,
-                **scenario.fixed, **record.params,
-            )
+            assert config.params == {**scenario.params, **record.params}
+            assert config.eval_every == max(scenario.iterations // 4, 1)
+            alone = run_experiment(config)
             assert report.results[key] == alone.result
 
     def test_records_and_meta_carry_wall_seconds(self):
         scenario = tiny_sweep(
             workload="deep_mlp", num_workers=4, batch_size=4,
-            fixed={"aggregation": "grad", "sync_on_first_step": False},
+            params={"aggregation": "grad", "sync_on_first_step": False},
             verify_endpoints=True,
         )
         report = run_scenario(scenario)
@@ -157,7 +152,7 @@ class TestSweepPointsRunAlone:
         report = run_scenario(tiny_sweep())
         assert set(report.meta) == {
             "workload", "algorithm", "num_workers", "iterations", "seed",
-            "eval_every", "grid", "fixed", "dtype", "transport_dtype", "tags",
+            "eval_every", "grid", "params", "dtype", "transport_dtype", "tags",
             "sweep_wall_seconds",
         }
 
@@ -212,5 +207,5 @@ class TestThroughputRunner:
         curve = report.series("workers", "relative_throughput")
         assert curve[1] == 1.0
         assert "workers" in report.table()
-        with pytest.raises(ScenarioError, match="analytic"):
+        with pytest.raises(ScenarioError, match=r"no \['iterations'\] to override"):
             run_scenario(scenario, iterations=10)

@@ -43,24 +43,40 @@ class TestSweepScenario:
             sweep(algorithm="gossip")
 
     def test_empty_grid(self):
-        with pytest.raises(ScenarioError, match="grid must not be empty"):
+        with pytest.raises(ScenarioError, match="at least one parameter"):
             sweep(grid={})
 
     def test_empty_grid_entry(self):
         with pytest.raises(ScenarioError, match="no values"):
             sweep(grid={"delta": ()})
 
-    def test_reserved_grid_key(self):
-        with pytest.raises(ScenarioError, match="reserved"):
+    def test_run_setting_is_not_a_grid_key(self):
+        with pytest.raises(ScenarioError, match=r"unknown selsync params \['num_workers'\]"):
             sweep(grid={"num_workers": (2, 4)})
 
-    def test_reserved_fixed_key(self):
-        with pytest.raises(ScenarioError, match="reserved"):
-            sweep(fixed={"dtype": "float32"})
+    def test_run_setting_is_not_a_param(self):
+        with pytest.raises(ScenarioError, match=r"unknown selsync params \['dtype'\]"):
+            sweep(params={"dtype": "float32"})
 
-    def test_grid_fixed_collision(self):
+    def test_unknown_grid_key(self):
+        with pytest.raises(ScenarioError, match=r"unknown bsp params \['delta'\]"):
+            sweep(algorithm="bsp", grid={"delta": (0.0, 0.5)})
+
+    def test_invalid_param_value(self):
+        with pytest.raises(ScenarioError, match="delta must be non-negative"):
+            sweep(grid={"delta": (0.0, -1.0)})
+
+    def test_grid_params_collision(self):
         with pytest.raises(ScenarioError, match="both"):
-            sweep(grid={"delta": (0.0,)}, fixed={"delta": 0.5})
+            sweep(grid={"delta": (0.0,)}, params={"delta": 0.5})
+
+    def test_runs_expand_the_grid_into_configs(self):
+        scenario = sweep(grid={"delta": (0.0, 0.5)}, params={"aggregation": "grad"},
+                         iterations=40)
+        assert [point for point, _ in scenario.runs] == [{"delta": 0.0}, {"delta": 0.5}]
+        config = scenario.runs[1][1]
+        assert config.params == {"aggregation": "grad", "delta": 0.5}
+        assert (config.workload, config.iterations, config.eval_every) == ("resnet101", 40, 10)
 
     def test_whitespace_name_rejected(self):
         with pytest.raises(ScenarioError, match="whitespace"):
@@ -68,6 +84,7 @@ class TestSweepScenario:
 
     @pytest.mark.parametrize("field,value", [
         ("num_workers", 0), ("iterations", 0), ("seed", -1), ("eval_every", 0),
+        ("batch_size", 0), ("dtype", "float16"),
     ])
     def test_bad_run_settings(self, field, value):
         with pytest.raises(ScenarioError):
@@ -81,13 +98,13 @@ class TestSweepScenario:
     def test_verify_endpoints_requires_delta_only_grid(self):
         with pytest.raises(ScenarioError, match="exactly 'delta'"):
             sweep(grid={"delta": (0.0, 1.0), "ewma_alpha": (0.1, 0.5)},
-                  fixed={"aggregation": "grad", "sync_on_first_step": False},
+                  params={"aggregation": "grad", "sync_on_first_step": False},
                   verify_endpoints=True)
 
     def test_verify_endpoints_requires_zero_delta(self):
         with pytest.raises(ScenarioError, match="BSP endpoint"):
             sweep(grid={"delta": (0.1, 1.0)},
-                  fixed={"aggregation": "grad", "sync_on_first_step": False},
+                  params={"aggregation": "grad", "sync_on_first_step": False},
                   verify_endpoints=True)
 
     def test_verify_endpoints_requires_exact_parity_config(self):
@@ -97,16 +114,16 @@ class TestSweepScenario:
     def test_verify_endpoints_valid(self):
         scenario = sweep(
             grid={"delta": (0.0, 1e9)},
-            fixed={"aggregation": "grad", "sync_on_first_step": False},
+            params={"aggregation": "grad", "sync_on_first_step": False},
             verify_endpoints=True,
         )
         assert scenario.verify_endpoints
 
-    def test_resolved_eval_every_scales_with_override(self):
+    def test_eval_every_scales_with_override(self):
         scenario = sweep(iterations=80)
-        assert scenario.resolved_eval_every() == 20
-        assert scenario.resolved_eval_every(8) == 2
-        assert sweep(eval_every=7).resolved_eval_every(1000) == 7
+        assert scenario.runs[0][1].eval_every == 20
+        assert dataclasses.replace(scenario, iterations=8).runs[0][1].eval_every == 2
+        assert sweep(eval_every=7, iterations=1000).runs[0][1].eval_every == 7
 
     @pytest.mark.parametrize("field,value", [
         ("stacked", True), ("max_stacked_rows", 8),
@@ -144,13 +161,21 @@ class TestComparisonScenario:
         with pytest.raises(ScenarioError, match="unknown algorithm"):
             self.comparison(methods={"x": ("gossip", {})})
 
-    def test_reserved_method_kwarg(self):
-        with pytest.raises(ScenarioError, match="reserved"):
+    def test_run_setting_is_not_a_method_param(self):
+        with pytest.raises(ScenarioError, match=r"unknown bsp params \['seed'\]"):
             self.comparison(methods={"bsp": ("bsp", {"seed": 3})})
+
+    def test_fedavg_seed_is_a_method_param(self):
+        scenario = self.comparison(methods={"bsp": ("bsp", {}), "f": ("fedavg", {"seed": 3})})
+        assert scenario.runs[1][1].params == {"seed": 3}
+
+    def test_baseline_defaults_to_the_first_method(self):
+        scenario = self.comparison(methods={"mine": ("selsync", {}), "bsp": ("bsp", {})})
+        assert scenario.baseline == "mine"
 
     def test_missing_baseline(self):
         with pytest.raises(ScenarioError, match="baseline"):
-            self.comparison(methods={"selsync": ("selsync", {})})
+            self.comparison(methods={"selsync": ("selsync", {})}, baseline="bsp")
 
     def test_unknown_workload(self):
         with pytest.raises(ScenarioError, match="unknown workload"):

@@ -54,8 +54,9 @@ class TestSchemas:
         assert "verify_endpoints" in SCHEMAS["sweep"]["properties"]
         assert "convergence_patience" in SCHEMAS["comparison"]["properties"]
         assert "worker_counts" in SCHEMAS["throughput"]["properties"]
-        # the scenario-side 'fixed' spelling is renamed to the façade's 'params'
+        # one spelling: the dataclasses' own 'params' field
         assert "params" in SCHEMAS["sweep"]["properties"]
+        assert "params" in SCHEMAS["experiment"]["properties"]
         assert "fixed" not in SCHEMAS["sweep"]["properties"]
         # the service names ad-hoc scenarios itself
         assert "name" not in SCHEMAS["sweep"]["properties"]
@@ -105,11 +106,14 @@ class TestSubmission:
                 controller.submit("t1", body)
         assert store.list_jobs()[0] == []  # nothing queued
 
-    def test_deprecated_aliases_accepted_with_canonical_persisted(self):
+    def test_removed_aliases_are_unknown_fields(self):
         controller, store, _ = make_controller()
         body = {"experiment": {"workload": "resnet101", "algo": "bsp", "workers": 2}}
-        with pytest.warns(DeprecationWarning):
-            job = controller.submit("t1", body)["job"]
+        with pytest.raises(BadRequest, match=r"unknown fields \['algo', 'workers'\]"):
+            controller.submit("t1", body)
+        assert store.list_jobs()[0] == []
+        body = {"experiment": {"workload": "resnet101", "algorithm": "bsp", "num_workers": 2}}
+        job = controller.submit("t1", body)["job"]
         assert job["request"]["algorithm"] == "bsp"
         assert job["request"]["num_workers"] == 2
 

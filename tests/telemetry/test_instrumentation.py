@@ -14,7 +14,7 @@ import pytest
 from repro import telemetry
 from repro.api import RunRequest, run
 from repro.harness.cli import main as cli_main
-from repro.harness.experiment import run_experiment
+from repro.harness.experiment import RunConfig, run_experiment
 from repro.scenarios import run_scenario
 from repro.scenarios.runner import ScenarioRecord
 from repro.telemetry import summarize_trace
@@ -25,13 +25,8 @@ class TestTraceCoverage:
         path = str(tmp_path / "run.jsonl")
         start = time.perf_counter()
         run_experiment(
-            "resnet101",
-            "selsync",
-            num_workers=2,
-            iterations=30,
-            eval_every=10,
-            seed=0,
-            delta=0.3,
+            RunConfig("resnet101", "selsync", {"delta": 0.3}, num_workers=2, iterations=30,
+                      eval_every=10, seed=0),
             telemetry_file=path,
         )
         wall = time.perf_counter() - start
@@ -69,8 +64,9 @@ class TestTraceCoverage:
         path = str(tmp_path / "run.jsonl")
         start = time.perf_counter()
         run_experiment(
-            "transformer", "selsync", num_workers=8, iterations=20, eval_every=10,
-            seed=0, delta=0.25, telemetry_file=path,
+            RunConfig("transformer", "selsync", {"delta": 0.25}, num_workers=8,
+                      iterations=20, eval_every=10, seed=0),
+            telemetry_file=path,
         )
         wall = time.perf_counter() - start
         assert threads._pool is not None            # the steps did shard
@@ -100,10 +96,10 @@ class TestTraceCoverage:
 class TestMetricsInstrumentation:
     def test_selsync_counters_advance(self):
         telemetry.configure(metrics=True)
-        run_experiment(
-            "resnet101", "selsync", num_workers=2, iterations=10,
-            eval_every=5, seed=0, delta=0.3,
-        )
+        run_experiment(RunConfig(
+            "resnet101", "selsync", {"delta": 0.3}, num_workers=2, iterations=10,
+            eval_every=5, seed=0,
+        ))
         registry = telemetry.get_metrics()
         decisions = registry.counter("repro_sync_decisions_total")
         # One sync-or-local decision per training step.
@@ -114,9 +110,9 @@ class TestMetricsInstrumentation:
 
     def test_bsp_charges_sync_wire_bytes(self):
         telemetry.configure(metrics=True)
-        run_experiment(
+        run_experiment(RunConfig(
             "resnet101", "bsp", num_workers=2, iterations=4, eval_every=4, seed=0
-        )
+        ))
         wire = telemetry.get_metrics().counter("repro_comm_wire_bytes_total")
         assert wire.value(kind="sync") > 0.0
 

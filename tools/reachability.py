@@ -13,7 +13,7 @@ for every thread started later) drives every real entry point of the repo:
 2. every ``examples/*.py`` with its default arguments;
 3. every ``repro`` CLI subcommand: ``list``, ``run`` (every algorithm, a
    fault run, a float32 / float16-wire run), ``compare``, ``scenario`` for
-   every registered scenario at ``--iterations 4 --workers 2`` (fault and
+   every registered scenario at ``--iterations 4 --num-workers 2`` (fault and
    analytic scenarios at their registered size), ``scenario
    history``, ``bench record`` / ``bench compare`` on the checked-in
    ``BENCH_*.json`` files, ``trace summarize``, and ``serve`` / ``submit``;
@@ -329,14 +329,14 @@ def drive_cli() -> List[str]:
     with tempfile.TemporaryDirectory() as workdir:
         results = os.path.join(workdir, "results.sqlite3")
         runs = [["list"]]
-        runs += [["run", "--workload", "deep_mlp", "--algorithm", algorithm, "--workers", "2",
-                  "--iterations", "4"] for algorithm in ALGORITHMS]
+        runs += [["run", "--workload", "deep_mlp", "--algorithm", algorithm, "--num-workers",
+                  "2", "--iterations", "4"] for algorithm in ALGORITHMS]
         runs += [
-            ["run", "--workload", "deep_mlp", "--workers", "2", "--iterations", "6",
+            ["run", "--workload", "deep_mlp", "--num-workers", "2", "--iterations", "6",
              "--failure-rate", "0.2", "--straggler-fraction", "0.3", "--mttr", "2"],
-            ["run", "--workload", "transformer", "--workers", "2", "--iterations", "4",
-             "--dtype", "float32", "--transport-dtype", "float16"],
-            ["compare", "--workload", "alexnet", "--workers", "2", "--iterations", "4"],
+            ["run", "--workload", "transformer", "--num-workers", "2", "--iterations", "4",
+             "--dtype", "float32", "--transport-dtype", "float16", "--param", "delta=0.3"],
+            ["compare", "--workload", "alexnet", "--num-workers", "2", "--iterations", "4"],
             ["scenario"],
             ["scenario", "--tag", "figure"],
         ]
@@ -348,7 +348,7 @@ def drive_cli() -> List[str]:
         }
         runs += [
             ["scenario", name, "--record", results, "--json", os.path.join(workdir, f"{name}.json")]
-            + ([] if name in as_registered else ["--iterations", "4", "--workers", "2"])
+            + ([] if name in as_registered else ["--iterations", "4", "--num-workers", "2"])
             for name in scenario_names()
         ]
         runs += [
@@ -374,7 +374,7 @@ def drive_cli() -> List[str]:
         trace = os.path.join(workdir, "trace.jsonl")
         telemetry.configure(trace_file=trace)
         try:
-            failures.append(_cli(["run", "--workload", "transformer", "--workers", "2",
+            failures.append(_cli(["run", "--workload", "transformer", "--num-workers", "2",
                                   "--iterations", "4"]))
             telemetry.flush()
         finally:
