@@ -1,35 +1,27 @@
-"""The paper-scale scenario sweep suite (δ-sweeps at N = 64–256).
+"""The paper-scale scenario contract (δ-sweeps at N = 64–256, fault replay).
 
 Runs every ``paper-scale``-tagged scenario from the declarative registry —
 the deep-MLP and transformer δ-sweeps at N ∈ {64, 128, 256} — through the
-single scenario runner, and records the outputs next to
-``BENCH_engine.json``:
+single scenario runner and gates each sweep on the contract that makes it
+trustworthy: LSSR is monotone non-decreasing in δ, spans 0 → 1, and the
+δ=0 / δ=max runs reproduce the existing BSP and (never-syncing) local-SGD
+trainers exactly.
 
-* ``BENCH_scenarios.json`` (repo root) — every scenario's per-run records
-  and endpoint-parity verdicts, the artifact nightly CI uploads so the
-  δ-vs-LSSR/accuracy curves are tracked over time;
-* ``benchmarks/results/scenarios/<name>.{txt,json}`` — human-readable
-  tables and full reports, persisted only under ``--write-results`` like
-  the figure benchmarks.
+It also runs the *fault replay*: every ``faults``-tagged scenario from
+:mod:`repro.faults` (crash / straggler-burst / rejoin schedules), gated on
+deterministic replay and loss continuity.
 
-Each sweep is gated on the contract that makes it trustworthy: LSSR is
-monotone non-decreasing in δ, spans 0 → 1, and the δ=0 / δ=max runs
-reproduce the existing BSP and (never-syncing) local-SGD trainers exactly.
-The suite is heavier than tier-1, so it is gated behind ``--run-scenarios``:
+The suite is heavier than tier-1, so it is gated behind ``--run-scenarios``
+(the nightly workflow runs it):
 
     PYTHONPATH=src python -m pytest benchmarks/scenario_suite.py --run-scenarios -q -s
 
-The suite also runs the *fault-replay smoke*: every ``faults``-tagged
-scenario from :mod:`repro.faults` (crash / straggler-burst / rejoin
-schedules with deterministic-replay and loss-continuity gates), recorded as
-the ``fault_replay`` section of ``BENCH_scenarios.json``.  Those records
-deliberately omit wall-clock, so they are tracked but never feed the
-steps/sec regression gate.
-
-Standalone (also reachable via ``python -m benchmarks.perf_smoke
---run-scenarios``):
-
-    PYTHONPATH=src python -m benchmarks.scenario_suite
+Under ``--write-results`` every scenario's table and full report are
+persisted to ``benchmarks/results/scenarios/<name>.{txt,json}`` like the
+figure benchmarks.  Tier-1 runs the same two checks on real scenario output
+at reduced size (``tests/scenarios/test_suite_contract.py``).  Wall-clock
+is not measured here: the perf ledger (``benchmarks/ledger/``) is the repo's
+one benchmark.
 """
 
 from __future__ import annotations
@@ -42,14 +34,21 @@ import pytest
 
 from benchmarks._helpers import save_report
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 SCENARIO_RESULTS_DIR = Path(__file__).resolve().parent / "results" / "scenarios"
 
 #: Registry tag selecting the suite's scenarios.
 SUITE_TAG = "paper-scale"
 
-#: Registry tag selecting the fault-replay smoke scenarios (repro.faults).
+#: Registry tag selecting the fault-replay scenarios (repro.faults).
 FAULT_TAG = "faults"
+
+
+def _persist(name: str, report, write_results: bool) -> None:
+    save_report(f"scenarios/{name}", report.table(), write=write_results)
+    if write_results:
+        SCENARIO_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        path = SCENARIO_RESULTS_DIR / f"{name}.json"
+        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 def run_suite(names: List[str], write_results: bool = False) -> Dict[str, dict]:
@@ -60,53 +59,26 @@ def run_suite(names: List[str], write_results: bool = False) -> Dict[str, dict]:
     for name in names:
         report = run_scenario(name)
         summaries[name] = report.to_dict()
-        save_report(f"scenarios/{name}", report.table(), write=write_results)
-        if write_results:
-            SCENARIO_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-            path = SCENARIO_RESULTS_DIR / f"{name}.json"
-            path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        _persist(name, report, write_results)
     return summaries
 
 
-def merge_into_result_file(summaries: Dict[str, dict]) -> None:
-    """Merge scenario summaries into ``BENCH_scenarios.json`` (keep others)."""
-    report = {}
-    if RESULT_PATH.exists():
-        try:
-            report = json.loads(RESULT_PATH.read_text())
-        except json.JSONDecodeError:
-            report = {}
-    report.update(summaries)
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+def run_fault_replay(names: List[str], write_results: bool = False) -> dict:
+    """Run the named fault scenarios; return their gate verdicts per name.
 
-
-def run_fault_replay_smoke(write_results: bool = False) -> dict:
-    """Run every ``faults``-tagged scenario; return the ``fault_replay`` section.
-
-    Each fault scenario already runs twice inside the runner and raises on a
-    gate violation (deterministic replay, loss continuity) — this smoke
-    records the verdicts and the replayable metrics in
-    ``BENCH_scenarios.json`` so nightly CI tracks the reliability surface
-    alongside the δ-sweeps.  Records deliberately omit wall-clock, so these
-    rows never feed the steps/sec regression gate.
+    Each fault scenario already runs twice inside the runner (deterministic
+    replay, loss continuity); this collects the verdicts with the fault
+    count and the replayable metrics as ``{"scenarios": {name: row}}``.
     """
-    from repro.scenarios import run_scenario, scenario_names
+    from repro.scenarios import run_scenario
 
     scenarios: Dict[str, dict] = {}
-    for name in scenario_names(tag=FAULT_TAG):
+    for name in names:
         report = run_scenario(name)
+        _persist(name, report, write_results)
         summary = report.to_dict()
-        save_report(f"scenarios/{name}", report.table(), write=write_results)
-        if write_results:
-            SCENARIO_RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-            path = SCENARIO_RESULTS_DIR / f"{name}.json"
-            path.write_text(json.dumps(summary, indent=2) + "\n")
         meta = summary["meta"]
         scenarios[name] = {
-            "workload": meta["workload"],
-            "algorithm": meta["algorithm"],
-            "num_workers": meta["num_workers"],
-            "iterations": meta["iterations"],
             "fault_events": len(meta["fault_events"]),
             "gates": meta["gates"],
             "metrics": summary["records"][0]["metrics"],
@@ -149,7 +121,7 @@ def check_sweep_contract(summary: dict) -> None:
     )
 
 
-@pytest.mark.perf
+
 def test_scenario_sweep_suite(request):
     if not request.config.getoption("--run-scenarios"):
         pytest.skip("scenario sweeps run only with --run-scenarios")
@@ -157,46 +129,18 @@ def test_scenario_sweep_suite(request):
 
     write = request.config.getoption("--write-results")
     summaries = run_suite(scenario_names(tag=SUITE_TAG), write_results=write)
-    merge_into_result_file(summaries)
-    print(f"\n[{len(summaries)} scenario reports merged into {RESULT_PATH}]")
     assert summaries, "no paper-scale scenarios registered"
     for summary in summaries.values():
         check_sweep_contract(summary)
 
 
-@pytest.mark.perf
 @pytest.mark.faults
 def test_fault_replay_smoke(request):
     if not request.config.getoption("--run-scenarios"):
         pytest.skip("scenario sweeps run only with --run-scenarios")
-    write = request.config.getoption("--write-results")
-    section = run_fault_replay_smoke(write_results=write)
-    merge_into_result_file({"fault_replay": section})
-    print(
-        f"\n[{len(section['scenarios'])} fault-replay rows merged into {RESULT_PATH}]"
-    )
-    assert section["scenarios"], "no fault scenarios registered"
-    check_fault_replay(section)
-
-
-def main(write_results: bool = True) -> Dict[str, dict]:
-    """Standalone entry: run every paper-scale sweep and persist everything."""
     from repro.scenarios import scenario_names
 
-    summaries = run_suite(scenario_names(tag=SUITE_TAG), write_results=write_results)
-    merge_into_result_file(summaries)
-    for summary in summaries.values():
-        check_sweep_contract(summary)
-    print(f"[{len(summaries)} scenario reports merged into {RESULT_PATH}]")
-    fault_section = run_fault_replay_smoke(write_results=write_results)
-    merge_into_result_file({"fault_replay": fault_section})
-    check_fault_replay(fault_section)
-    print(
-        f"[{len(fault_section['scenarios'])} fault-replay rows merged into "
-        f"{RESULT_PATH}]"
-    )
-    return summaries
-
-
-if __name__ == "__main__":  # standalone: python -m benchmarks.scenario_suite
-    main()
+    write = request.config.getoption("--write-results")
+    section = run_fault_replay(scenario_names(tag=FAULT_TAG), write_results=write)
+    assert section["scenarios"], "no fault scenarios registered"
+    check_fault_replay(section)

@@ -353,10 +353,8 @@ class SimulatedCluster:
             if self.replica_exec is not None:
                 losses = self.replica_exec.step(batches)
                 if losses is not None:
-                    norms = self.replica_exec.grad_norms()
-                    for worker, loss, norm in zip(self.workers, losses, norms):
+                    for worker, loss in zip(self.workers, losses):
                         worker.last_loss = float(loss)
-                        worker.last_grad_norm = float(norm)
                     return [float(l) for l in losses]
             return [
                 worker.compute_gradients_flat(batch)[0]
@@ -381,13 +379,11 @@ class SimulatedCluster:
                 filled = [b if b is not None else placeholder for b in batches]
                 losses = self.replica_exec.step(filled)
                 if losses is not None:
-                    norms = self.replica_exec.grad_norms()
                     self.matrix.grads[~mask] = 0.0
                     out: List[float] = []
                     for worker_id in active:
                         worker = self.workers[worker_id]
                         worker.last_loss = float(losses[worker_id])
-                        worker.last_grad_norm = float(norms[worker_id])
                         out.append(float(losses[worker_id]))
                     return out
             return [

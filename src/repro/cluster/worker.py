@@ -40,7 +40,6 @@ class Worker:
         self.task = task
         self.steps_taken = 0
         self.last_loss: Optional[float] = None
-        self.last_grad_norm: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # core training ops
@@ -79,10 +78,8 @@ class Worker:
         logits = self.model.forward(inputs)
         loss, dlogits = cross_entropy_with_logits(logits, targets)
         self.model.backward(dlogits)
-        grad_vector = self.model.grad_vector
         self.last_loss = loss
-        self.last_grad_norm = float(np.sqrt(grad_vector @ grad_vector))
-        return loss, grad_vector
+        return loss, self.model.grad_vector
 
     def apply_update(
         self,

@@ -845,8 +845,3 @@ class BatchedReplicaExecutor:
                 matrix.num_workers, k, threads.usable_cores(), threads.pin_blas(),
             )
         return chains
-
-    def grad_norms(self) -> np.ndarray:
-        """Per-replica gradient L2 norms in one pass over the gradient matrix."""
-        g = self._matrix.grads
-        return np.sqrt(np.einsum("ij,ij->i", g, g))

@@ -68,7 +68,6 @@ class ClusterCheckpoint:
     optimizer_step_counts: List[int]
     worker_steps_taken: List[int]
     worker_last_loss: List[Optional[float]]
-    worker_last_grad_norm: List[Optional[float]]
     loader_states: List[Dict[str, Any]]
     ps_state: np.ndarray
     ps_version: int
@@ -103,7 +102,6 @@ def snapshot_cluster(cluster: Any) -> ClusterCheckpoint:
         optimizer_step_counts=[int(w.optimizer.step_count) for w in cluster.workers],
         worker_steps_taken=[int(w.steps_taken) for w in cluster.workers],
         worker_last_loss=[w.last_loss for w in cluster.workers],
-        worker_last_grad_norm=[w.last_grad_norm for w in cluster.workers],
         loader_states=[_loader_state(w.loader) for w in cluster.workers],
         ps_state=cluster.ps.state_vector.copy(),
         ps_version=int(cluster.ps.version),
@@ -176,5 +174,4 @@ def restore_worker(
     worker.optimizer._step_count = ckpt.optimizer_step_counts[worker_id]
     worker.steps_taken = ckpt.worker_steps_taken[worker_id]
     worker.last_loss = ckpt.worker_last_loss[worker_id]
-    worker.last_grad_norm = ckpt.worker_last_grad_norm[worker_id]
     _restore_loader(worker.loader, ckpt.loader_states[worker_id])

@@ -46,13 +46,6 @@ Record runs to the persistent history and inspect their trends (see
     python -m repro.harness.cli scenario history                # list scenarios
     python -m repro.harness.cli scenario history quickstart --metrics lssr
 
-Compare benchmark artifacts — two-point or against the rolling stored
-baseline::
-
-    python -m repro.harness.cli bench compare engine baseline.json current.json
-    python -m repro.harness.cli bench compare engine current.json \
-        --store bench_history.sqlite3
-
 Summarize a telemetry span trace recorded via ``REPRO_TRACE_FILE`` or
 ``ClusterConfig.telemetry`` (see :mod:`repro.telemetry`)::
 
@@ -305,8 +298,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_bench_output(output: str) -> None:
-    """Print the comparison and mirror it to the CI job summary when set."""
+def _print_to_step_summary(output: str) -> None:
+    """Print ``output`` and append it to the CI job summary when one is set."""
     import os
 
     print(output)
@@ -314,82 +307,6 @@ def _emit_bench_output(output: str) -> None:
     if summary_path:
         with open(summary_path, "a") as fh:
             fh.write(output + "\n")
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    """One uniform ``(kind, baseline, current | --store)`` comparison.
-
-    Two files → the classic two-point delta table; ``--store`` → rolling
-    median-of-last-K comparison against stored history (recording the
-    current rows unless ``--no-record``).  Both may run in one invocation;
-    the exit code is 1 if either gate fails.
-    """
-    from pathlib import Path
-
-    from repro.results.compare import BENCH_KINDS, compare, compare_store
-
-    recipe = BENCH_KINDS[args.kind]
-    baseline, current = args.baseline, args.current
-    if current is None:
-        baseline, current = None, baseline
-    if current is None:
-        print("error: a current benchmark file is required", file=sys.stderr)
-        return 2
-    if baseline is None and not args.store:
-        print("error: provide a baseline file, --store, or both", file=sys.stderr)
-        return 2
-    current = Path(current)
-    if not current.exists():
-        print(f"current results missing at {current}; benchmark did not write output")
-        return 1
-
-    sections = []
-    failed = False
-    if baseline is not None:
-        baseline = Path(baseline)
-        if not baseline.exists():
-            print(f"no baseline at {baseline}; nothing to compare against")
-        else:
-            table, two_point_failed = compare(
-                recipe.load(baseline),
-                recipe.load(current),
-                args.max_regression,
-                title=recipe.title,
-                lower_is_better=recipe.lower_is_better,
-            )
-            sections.append(table)
-            failed |= two_point_failed
-    if args.store:
-        table, confirmed = compare_store(
-            args.store,
-            args.kind,
-            current,
-            window=args.window,
-            min_consecutive=args.min_consecutive,
-            record=not args.no_record,
-            tags=tuple(args.tag or ()),
-        )
-        sections.append(table)
-        failed |= confirmed
-    sections.extend(recipe.extras(current))
-    _emit_bench_output("\n\n".join(sections))
-    return 1 if failed else 0
-
-
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    """Append one benchmark artifact's rows to the persistent run store."""
-    from pathlib import Path
-
-    from repro.results.compare import record_bench_file
-
-    current = Path(args.current)
-    if not current.exists():
-        print(f"error: no benchmark file at {current}", file=sys.stderr)
-        return 2
-    run = record_bench_file(args.store, args.kind, current, tags=tuple(args.tag or ()))
-    print(f"recorded {args.kind} rows from {current} as run {run.run_id} "
-          f"(git_sha={run.git_sha})")
-    return 0
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:
@@ -424,7 +341,7 @@ def _cmd_trace_summarize(args: argparse.Namespace) -> int:
         title=f"trace summary — {args.file} "
         f"(wall {summary['wall_seconds']:.3f}s, {summary['span_count']} spans)",
     )
-    _emit_bench_output(output)
+    _print_to_step_summary(output)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2)
@@ -500,7 +417,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``repro`` argument parser: the ``list``, ``run``, ``compare``,
-    ``scenario``, ``serve``, ``bench``, ``trace`` and ``submit`` subcommands."""
+    ``scenario``, ``serve``, ``trace`` and ``submit`` subcommands."""
     from repro.api import SCENARIO_OVERRIDES
     from repro.scenarios import ComparisonScenario
 
@@ -602,65 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable run-history recording and the /v1/history endpoints",
     )
     serve_parser.set_defaults(func=_cmd_serve)
-
-    bench_parser = sub.add_parser(
-        "bench", help="compare or record benchmark artifacts (see repro.results)"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="two-point and/or rolling-store benchmark comparison",
-        description="repro bench compare KIND [BASELINE] CURRENT [--store DB]: "
-        "with two files, the classic two-point delta table; with --store, a "
-        "rolling median-of-last-K comparison that only fails on confirmed "
-        "(consecutive) regressions.",
-    )
-    bench_compare.add_argument("kind", choices=("engine", "scenarios", "service"))
-    bench_compare.add_argument(
-        "baseline", nargs="?", default=None,
-        help="baseline benchmark JSON (omit for store-only comparison)",
-    )
-    bench_compare.add_argument(
-        "current", nargs="?", default=None, help="freshly measured benchmark JSON"
-    )
-    bench_compare.add_argument(
-        "--max-regression", type=float, default=0.25,
-        help="two-point fractional regression limit (default 0.25)",
-    )
-    bench_compare.add_argument(
-        "--store", default=None, metavar="DB",
-        help="results store holding this kind's benchmark history",
-    )
-    bench_compare.add_argument(
-        "--window", type=int, default=5,
-        help="rolling-baseline window: median of the last K stored runs",
-    )
-    bench_compare.add_argument(
-        "--min-consecutive", type=int, default=2,
-        help="consecutive out-of-band runs required to confirm a regression",
-    )
-    bench_compare.add_argument(
-        "--no-record", action="store_true",
-        help="assess against the store without appending the current rows",
-    )
-    bench_compare.add_argument(
-        "--tag", action="append", default=None, help="tag recorded rows (repeatable)"
-    )
-    bench_compare.set_defaults(func=_cmd_bench_compare)
-
-    bench_record = bench_sub.add_parser(
-        "record", help="append one benchmark artifact's rows to the run store"
-    )
-    bench_record.add_argument("kind", choices=("engine", "scenarios", "service"))
-    bench_record.add_argument("current", help="benchmark JSON file to record")
-    bench_record.add_argument(
-        "--store", required=True, metavar="DB", help="results store to append to"
-    )
-    bench_record.add_argument(
-        "--tag", action="append", default=None, help="tag recorded rows (repeatable)"
-    )
-    bench_record.set_defaults(func=_cmd_bench_record)
 
     trace_parser = sub.add_parser(
         "trace", help="inspect telemetry trace files (see repro.telemetry)"

@@ -1,51 +1,35 @@
-"""`repro.results`: the persistent run store and its regression tracking.
+"""`repro.results`: the persistent run store and its query surfaces.
 
-PRs 5–7 left the repo's perf trajectory scattered across write-once JSON
-artifacts and a job queue that forgets finished results.  This subsystem
-turns that into a queryable history:
+This subsystem turns finished runs into a queryable history:
 
 * :class:`~repro.results.store.ResultsStore` — a schema-versioned SQLite
-  store of every :class:`~repro.scenarios.runner.ScenarioRecord` and
-  benchmark row, keyed by ``(scenario, config_hash, git_sha, started_at)``;
+  store of every :class:`~repro.scenarios.runner.ScenarioRecord`, keyed by
+  ``(scenario, config_hash, git_sha, started_at)``;
 * :mod:`~repro.results.provenance` — run identity (``run_id``,
   ``config_hash``, ``git_sha``, ``started_at``) computed once and stamped
-  by :func:`repro.api.run` onto every result;
-* :mod:`~repro.results.regression` — the rolling-baseline detector
-  (median-of-last-K with an IQR noise band; only ≥2 consecutive
-  out-of-band runs confirm a regression);
-* :mod:`~repro.results.compare` — the unified benchmark comparison behind
-  ``repro bench compare`` (two-point diffs and store-backed history).
+  by :func:`repro.api.run` onto every result.
 
 Append paths: ``record_to=`` on :func:`repro.api.run` and
-:func:`repro.scenarios.runner.run_scenario`, the service task manager
-(default on under ``repro serve``), and ``repro bench record`` for the
-benchmark artifacts.  Query surfaces: ``repro scenario history``,
-``GET /v1/history`` on the experiment service, and this module's
+:func:`repro.scenarios.runner.run_scenario`, and the service task manager
+(default on under ``repro serve``).  Query surfaces: ``repro scenario
+history``, ``GET /v1/history`` on the experiment service, and this module's
 :func:`history_payload` — the one builder both of those render, which is
 what makes their trend series identical by construction.
+
+Performance claims are not measured here: the perf ledger under
+``benchmarks/ledger/`` is the repo's one benchmark.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.results.compare import (
-    BENCH_KINDS,
-    compare,
-    compare_store,
-    record_bench_file,
-)
 from repro.results.provenance import (
     Provenance,
     build_provenance,
     config_hash,
     current_git_sha,
     new_run_id,
-)
-from repro.results.regression import (
-    SeriesAssessment,
-    assess_series,
-    assess_trend,
 )
 from repro.results.store import (
     SCHEMA_VERSION,
@@ -55,23 +39,16 @@ from repro.results.store import (
 )
 
 __all__ = [
-    "BENCH_KINDS",
     "Provenance",
     "ResultsStore",
     "SCHEMA_VERSION",
-    "SeriesAssessment",
     "StoredRun",
-    "assess_series",
-    "assess_trend",
     "build_provenance",
-    "compare",
-    "compare_store",
     "config_hash",
     "current_git_sha",
     "history_payload",
     "new_run_id",
     "open_store",
-    "record_bench_file",
     "record_report",
     "record_run_payload",
 ]

@@ -2,11 +2,10 @@
 
 Where :class:`repro.service.store.JobStore` is a *queue* (it pages a job's
 records out and forgets the history), this store is the repo's perf
-*memory*: every :class:`~repro.scenarios.runner.ScenarioRecord` and
-benchmark row ever appended, keyed by
-``(scenario, config_hash, git_sha, started_at)``, queryable as per-metric
-trend series that the rolling-baseline regression detector
-(:mod:`repro.results.regression`) consumes.
+*memory*: every :class:`~repro.scenarios.runner.ScenarioRecord` ever
+appended, keyed by ``(scenario, config_hash, git_sha, started_at)``,
+queryable as per-metric trend series (``repro scenario history``,
+``GET /v1/history``).
 
 Two tables:
 
@@ -25,7 +24,7 @@ discipline as the service's job store.
 Thread-safety: one shared connection guarded by an :class:`threading.RLock`
 (``check_same_thread=False``) with ``BEGIN IMMEDIATE`` around appends, plus
 a generous ``busy_timeout`` so separate processes appending to the same
-file (nightly CI steps) serialize instead of erroring.
+file (a service and a CLI run) serialize instead of erroring.
 """
 
 from __future__ import annotations

@@ -14,12 +14,15 @@ Tag conventions
     Sweeps the SelSync δ threshold.
 ``paper-scale``
     The large-N (64–256) sweeps that only became affordable with the
-    batched engine; the nightly ``--run-scenarios`` job runs and archives
-    these (see ``benchmarks/scenario_suite.py``).
+    batched engine; the nightly ``--run-scenarios`` job runs these at
+    registered size and checks their sweep contract (see
+    ``benchmarks/scenario_suite.py``).  Tier-1 checks the same contract
+    on the N=64 sweeps at reduced size.
 ``faults``
     Fault-injection reliability scenarios (worker crashes, checkpoint
     rejoins, straggler bursts) with deterministic-replay and
-    loss-continuity gates; the nightly fault job runs these.  Deliberately
+    loss-continuity gates; tier-1 and the nightly scenario suite run
+    these.  Deliberately
     **not** tagged ``paper-scale`` — they follow different contracts than
     the δ-sweep suite.
 """
@@ -45,8 +48,7 @@ FIG6_DELTAS = (0.0, 0.05, 0.1, 0.25, 0.5, 1e9)
 DEEP_MLP_DELTAS = (0.0, 0.1, 1.0, 2.0, 1e9)
 TRANSFORMER_DELTAS = (0.0, 0.1, 0.25, 0.5, 1e9)
 
-#: Cluster sizes of the paper-scale δ-sweeps (mirrors the nightly
-#: ``perf_smoke.py --run-scale`` worker grid above N=8).
+#: Cluster sizes of the paper-scale δ-sweeps.
 PAPER_SCALE_WORKERS = (64, 128, 256)
 
 #: Exact-endpoint configuration: gradient aggregation without a forced

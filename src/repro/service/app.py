@@ -25,7 +25,7 @@ with a structured body.
 
 :class:`ExperimentService` bundles store + task manager + controller +
 a threaded :mod:`wsgiref` server into one object with ``start``/``stop``
-(port 0 gives an OS-assigned port, which the tests and the load benchmark
+(port 0 gives an OS-assigned port, which the tests and the perf ledger
 use), and :func:`serve` is the blocking entry point behind ``repro serve``.
 """
 

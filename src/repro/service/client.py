@@ -4,7 +4,8 @@ Mirrors the CRUD split of the container-service-extension client: one
 :class:`ServiceClient` per (server, tenant) with a method per endpoint,
 returning parsed JSON bodies and raising :class:`ServiceClientError`
 (status + structured error payload) on non-2xx responses.  Used by
-``repro submit``, the end-to-end tests, and the load benchmark.
+``repro submit``, the end-to-end tests, and the perf ledger's ``svc-mixed``
+workload.
 """
 
 from __future__ import annotations

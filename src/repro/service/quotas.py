@@ -12,8 +12,7 @@ controller:
   are :class:`~repro.service.exceptions.RateLimited` (429) with a
   ``retry_after`` hint.
 
-The clock is injectable so the tests (and the load benchmark's permissive
-configuration) are deterministic.
+The clock is injectable so the tests are deterministic.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class QuotaManager:
     ----------
     max_active_jobs:
         Per-tenant cap on ``QUEUED + RUNNING`` jobs; ``None`` disables the
-        quota (used by the load benchmark).
+        quota.
     rate / burst:
         Token-bucket parameters applied per tenant; ``rate=None`` disables
         rate limiting.

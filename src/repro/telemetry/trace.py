@@ -206,7 +206,7 @@ class Tracer:
         """Append buffered spans to the JSONL sink; returns spans written.
 
         Without a sink path the buffer is left in place (in-memory mode,
-        used by tests and the overhead benchmark).
+        used by tests).
         """
         if self._sink_path is None:
             return 0

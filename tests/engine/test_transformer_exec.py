@@ -111,7 +111,7 @@ class TestStep:
         exe = BatchedReplicaExecutor.build(matrix, models[0])
         assert exe.step(make_batches()) is not None
         assert matrix.grads.dtype == np.dtype(dtype)
-        assert exe.grad_norms().shape == (N,)
+        assert np.isfinite(matrix.grads).all() and matrix.grads.any()
 
     def test_embedding_rows_rezeroed_between_steps(self):
         # The embedding gradient is scatter-added, not matmul-overwritten;
@@ -200,11 +200,10 @@ class TestClusterIntegration:
     def test_worker_stats_populated(self):
         cluster = self._make_cluster("float64")
         batches = [w.next_batch() for w in cluster.workers]
-        cluster.compute_gradients_all(batches)
-        for worker in cluster.workers:
+        losses = cluster.compute_gradients_all(batches)
+        for worker, loss in zip(cluster.workers, losses):
             assert worker.last_loss is not None and np.isfinite(worker.last_loss)
-            manual = float(np.linalg.norm(worker.grad_vector))
-            assert worker.last_grad_norm == pytest.approx(manual, rel=1e-12)
+            assert worker.last_loss == loss
 
 
 def test_sequence_longer_than_positional_table_raises():

@@ -11,7 +11,14 @@ import threading
 
 import pytest
 
-from repro.results import ResultsStore, SCHEMA_VERSION, build_provenance, open_store
+from repro.results import (
+    Provenance,
+    ResultsStore,
+    SCHEMA_VERSION,
+    build_provenance,
+    history_payload,
+    open_store,
+)
 
 
 def record(value, label="run", **params):
@@ -163,3 +170,166 @@ class TestOpenStore:
         same, owns = open_store(store)
         assert same is store and not owns
         store.close()
+
+
+def provenance(run_id, git_sha="a" * 40, started_at=0.0):
+    return Provenance(
+        run_id=run_id, config_hash="c" * 16, git_sha=git_sha, started_at=started_at
+    )
+
+
+class TestTags:
+    def test_several_tags_round_trip_in_order(self):
+        store = ResultsStore()
+        run = store.append("s", "scenario", [record(1.0)], tags=["pr", "nightly", "x86"])
+        assert store.get_run(run.run_id).tags == ["pr", "nightly", "x86"]
+        assert run.to_dict()["tags"] == ["pr", "nightly", "x86"]
+
+    def test_tag_filter_matches_whole_tags_only(self):
+        store = ResultsStore()
+        store.append("s", "scenario", [record(1.0)], tags=["nightly"])
+        store.append("s", "scenario", [record(2.0)], tags=["night"])
+        nightly, _ = store.runs(tag="nightly")
+        night, _ = store.runs(tag="night")
+        assert [run.tags for run in nightly] == [["nightly"]]
+        assert [run.tags for run in night] == [["night"]]
+
+    def test_untagged_runs_match_no_tag(self):
+        store = ResultsStore()
+        store.append("s", "scenario", [record(1.0)])
+        assert store.runs(tag="nightly") == ([], None)
+        assert len(store.runs()[0]) == 1
+
+
+class TestRunListing:
+    def make_store(self):
+        store = ResultsStore()
+        for i in range(6):
+            store.append(
+                "sweep" if i < 4 else "other",
+                "sweep" if i < 4 else "scenario",
+                [record(float(i))],
+                tags=["nightly" if i % 2 == 0 else "pr"],
+                provenance=provenance(
+                    f"run-{i}", git_sha=("a" if i < 3 else "b") * 40, started_at=10.0 * i
+                ),
+            )
+        return store
+
+    def test_tag_filter_walks_pages_with_a_marker(self):
+        store = self.make_store()
+        seen, marker, pages = [], None, 0
+        while True:
+            page, marker = store.runs(tag="nightly", limit=1, marker=marker)
+            seen.extend(run.run_id for run in page)
+            pages += 1
+            if marker is None:
+                break
+        assert seen == ["run-0", "run-2", "run-4"]
+        assert pages == 3
+
+    def test_exact_final_page_has_no_next_marker(self):
+        store = self.make_store()
+        assert store.runs(limit=6)[1] is None
+        page, marker = store.runs(limit=5)
+        assert marker == page[-1].run_id == "run-4"
+        assert store.runs(limit=5, marker=marker) == ([store.get_run("run-5")], None)
+
+    def test_kind_and_git_sha_filters_compose(self):
+        store = self.make_store()
+        runs, _ = store.runs(kind="sweep", git_sha="b" * 40)
+        assert [run.run_id for run in runs] == ["run-3"]
+        runs, _ = store.runs(kind="scenario")
+        assert [run.run_id for run in runs] == ["run-4", "run-5"]
+
+    def test_since_and_until_bound_started_at_inclusively(self):
+        store = self.make_store()
+        runs, _ = store.runs(since=10.0, until=30.0)
+        assert [run.run_id for run in runs] == ["run-1", "run-2", "run-3"]
+
+    def test_limit_below_one_is_clamped_to_one(self):
+        store = self.make_store()
+        page, marker = store.runs(limit=0)
+        assert [run.run_id for run in page] == ["run-0"]
+        assert marker == "run-0"
+
+    def test_unknown_marker_raises(self):
+        with pytest.raises(KeyError, match="no such run"):
+            self.make_store().runs(marker="run-99")
+
+
+class TestTrendQueries:
+    def make_store(self):
+        store = ResultsStore(clock=iter(range(100)).__next__)
+        for i in range(4):
+            records = [record(10.0 + i, delta=0.0), record(20.0 + i, delta=1.0)]
+            if i == 2:
+                records.append(
+                    {"params": {"delta": 0.5}, "label": "extra", "metrics": {"lssr": 0.5}}
+                )
+            store.append("sweep", "sweep", records, meta={"i": i})
+        return store
+
+    def test_points_carry_the_run_identity(self):
+        store = self.make_store()
+        points = store.trend("sweep", "steps_per_sec")
+        runs, _ = store.runs(scenario="sweep")
+        assert [p["run_id"] for p in points] == [run.run_id for run in runs]
+        for point, run in zip(points, runs):
+            assert point["git_sha"] == run.git_sha
+            assert point["config_hash"] == run.config_hash
+            assert point["started_at"] == run.started_at
+
+    def test_runs_without_the_metric_are_skipped(self):
+        store = self.make_store()
+        points = store.trend("sweep", "lssr")
+        assert [p["value"] for p in points] == [0.5]
+        assert points[0]["run_id"] == store.runs(scenario="sweep")[0][2].run_id
+
+    def test_where_matching_nothing_is_empty(self):
+        store = self.make_store()
+        assert store.trend("sweep", "steps_per_sec", where={"delta": 0.25}) == []
+        assert store.trend("sweep", "steps_per_sec", where={"lr": 0.1}) == []
+
+    def test_where_composes_with_last(self):
+        store = self.make_store()
+        points = store.trend("sweep", "steps_per_sec", where={"delta": 1.0}, last=2)
+        assert [p["value"] for p in points] == [22.0, 23.0]
+
+    def test_last_beyond_history_keeps_everything_and_zero_keeps_one(self):
+        store = self.make_store()
+        assert len(store.trend("sweep", "steps_per_sec", last=50)) == 4
+        assert [p["value"] for p in store.trend("sweep", "steps_per_sec", last=0)] == [18.0]
+
+    def test_unknown_scenario_has_no_points_and_no_metrics(self):
+        store = self.make_store()
+        assert store.trend("nope", "steps_per_sec") == []
+        assert store.metric_names("nope") == []
+
+    def test_metric_names_are_the_union_over_records(self):
+        assert self.make_store().metric_names("sweep") == ["lssr", "steps_per_sec"]
+
+
+class TestHistoryPayload:
+    def test_defaults_to_every_metric_and_drops_empty_series(self):
+        store = TestTrendQueries().make_store()
+        payload = history_payload(store, "sweep", where={"delta": 0.0})
+        assert payload["scenario"] == "sweep"
+        assert payload["metrics"] == ["lssr", "steps_per_sec"]
+        assert list(payload["series"]) == ["steps_per_sec"]
+        assert [p["value"] for p in payload["series"]["steps_per_sec"]] == [
+            10.0, 11.0, 12.0, 13.0
+        ]
+
+    def test_metrics_and_last_select_the_series(self):
+        store = TestTrendQueries().make_store()
+        payload = history_payload(store, "sweep", metrics=["steps_per_sec"], last=1)
+        assert payload["metrics"] == ["steps_per_sec"]
+        assert [p["value"] for p in payload["series"]["steps_per_sec"]] == [18.0]
+
+    def test_path_store_is_opened_and_read_back(self, tmp_path):
+        path = str(tmp_path / "results.sqlite3")
+        with ResultsStore(path) as store:
+            store.append("quickstart", "scenario", [record(3.0)], tags=["nightly"])
+        payload = history_payload(path, "quickstart")
+        assert [p["value"] for p in payload["series"]["steps_per_sec"]] == [3.0]

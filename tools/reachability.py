@@ -15,8 +15,7 @@ for every thread started later) drives every real entry point of the repo:
    fault run, a float32 / float16-wire run), ``compare``, ``scenario`` for
    every registered scenario at ``--iterations 4 --num-workers 2`` (fault and
    analytic scenarios at their registered size), ``scenario
-   history``, ``bench record`` / ``bench compare`` on the checked-in
-   ``BENCH_*.json`` files, ``trace summarize``, and ``serve`` / ``submit``;
+   history``, ``trace summarize``, and ``serve`` / ``submit``;
 4. a live :class:`~repro.service.ExperimentService` driven through every
    :class:`~repro.service.ServiceClient` method;
 5. the ledger's workload bodies (``benchmarks.ledger.passes.WORKLOADS``),
@@ -78,7 +77,6 @@ _TELEMETRY = (
     "telemetry facade that the telemetry tests read; the one-tracer item (repro explain) "
     "builds on it"
 )
-_BENCH = "repro bench / run-history regression: the CI perf job reaches it; ledger v2 (f) retires it"
 
 #: Public names no entry point reaches that stay on purpose, with the reason.
 KEEP: Dict[str, str] = {
@@ -162,8 +160,6 @@ KEEP: Dict[str, str] = {
     "repro.telemetry.trace.Span.set": _TELEMETRY,
     "repro.telemetry.trace.Tracer.drain": _TELEMETRY,
     "repro.telemetry.trace.Tracer.sink_path": _TELEMETRY,
-    "repro.results.regression.assess_trend": _BENCH,
-    "repro.results.regression.SeriesAssessment.to_dict": _BENCH,
     "repro.results.record_report": (
         "run_scenario(record_to=...); api.run and the CLI record through record_run_payload"
     ),
@@ -364,13 +360,6 @@ def drive_cli() -> List[str]:
                  expect=2),
             _cli(["scenario", "no-such-scenario"], expect=2),
         ]
-        store = os.path.join(workdir, "bench.sqlite3")
-        for kind in ("engine", "scenarios", "service"):
-            bench = os.path.join(ROOT, f"BENCH_{kind}.json")
-            failures.append(_cli(["bench", "record", kind, bench, "--store", store,
-                                  "--tag", "baseline"]))
-            failures.append(_cli(["bench", "compare", kind, bench, bench, "--store", store,
-                                  "--tag", "pr"]))
         trace = os.path.join(workdir, "trace.jsonl")
         telemetry.configure(trace_file=trace)
         try:
