@@ -27,10 +27,10 @@ Provenance and persistence: ``run`` is the one place run identity is
 computed — every :class:`RunResult` carries ``run_id`` / ``config_hash`` /
 ``git_sha`` / ``started_at`` (see :mod:`repro.results.provenance`), stamped
 into ``meta["provenance"]`` so store keys, service job records and JSON
-artifacts all agree.  Passing ``record_to=`` (a path or
-:class:`~repro.results.store.ResultsStore`) appends the finished result to
-the persistent run store; the service task manager turns this on by
-default so HTTP jobs and direct runs land in the same history.
+artifacts all agree.  :func:`record_result` files a finished result in the
+persistent run store (:class:`~repro.service.store.Store`): ``run`` calls
+it for ``record_to=``, and the service task manager calls it for every
+finished job, so HTTP jobs and direct runs land in the same history.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "request_fields",
+    "record_result",
     "request_from_action",
     "run",
 ]
@@ -291,17 +292,34 @@ def _from_report(kind: str, report: ScenarioReport) -> RunResult:
     )
 
 
-def _store_scenario_key(request: RunRequest, result: RunResult) -> str:
-    """The run-store scenario name one result is filed under.
+def record_result(
+    store: Any, request: RunRequest, result: RunResult, *, job_id: Optional[str] = None
+) -> Any:
+    """File ``result`` in the run store ``store`` (a path or store instance).
 
-    Registered scenarios keep their registry name; ad-hoc kinds use the
-    report's name (``adhoc-sweep``, …); single experiments get a
-    deterministic ``experiment/<workload>/<algorithm>`` key so repeated runs
-    of the same pair form one trend series.
+    The scenario key: registered scenarios keep their registry name; ad-hoc
+    kinds use the report's name (``adhoc-sweep``, …); single experiments
+    get a deterministic ``experiment/<workload>/<algorithm>`` key so
+    repeated runs of the same pair form one trend series.  ``job_id`` files
+    the run as that service job's result.  The write goes through
+    :func:`repro.results.record_run_payload`, looked up when called.
     """
+    from repro import results
+
     if request.kind == "experiment":
-        return f"experiment/{request.target.workload}/{request.target.algorithm}"
-    return result.label
+        scenario = f"experiment/{request.target.workload}/{request.target.algorithm}"
+    else:
+        scenario = result.label
+    return results.record_run_payload(
+        store,
+        scenario=scenario,
+        kind=result.kind,
+        records=result.records,
+        meta=result.meta,
+        endpoints=result.endpoints,
+        tags=tuple(result.meta.get("tags", ())),
+        job_id=job_id,
+    )
 
 
 def _stamp_provenance(result: RunResult, provenance: Provenance) -> RunResult:
@@ -327,9 +345,9 @@ def run(
     ``cancel_check`` is polled between runs; see
     :class:`~repro.scenarios.runner.RunCancelled`.
 
-    ``record_to`` (a path or :class:`~repro.results.store.ResultsStore`)
-    appends the finished result to the persistent run store under the
-    provenance key stamped on the result, making it queryable via
+    ``record_to`` (a path or :class:`~repro.service.store.Store`) files the
+    finished result in the persistent run store (:func:`record_result`)
+    under the provenance stamped on it, making it queryable via
     ``repro scenario history`` and the service's ``GET /v1/history``.
     """
     if request is None:
@@ -347,15 +365,5 @@ def run(
         result = _from_report(request.kind, report)
     _stamp_provenance(result, provenance)
     if record_to is not None:
-        from repro.results import record_run_payload
-
-        record_run_payload(
-            record_to,
-            scenario=_store_scenario_key(request, result),
-            kind=result.kind,
-            records=result.records,
-            meta=result.meta,
-            tags=tuple(result.meta.get("tags", ())),
-            provenance=provenance,
-        )
+        record_result(record_to, request, result)
     return result

@@ -197,15 +197,15 @@ def _cmd_scenario_history(args: argparse.Namespace) -> int:
     import os
 
     from repro.harness.reporting import trend_table
-    from repro.results import history_payload, open_store
+    from repro.results import history_payload
+    from repro.service.store import Store
 
     # Both forms only read: opening a missing path would create an empty store.
     if not os.path.exists(args.store):
         print(f"error: no results store at {args.store!r} "
               "(record runs with --record or repro serve first)", file=sys.stderr)
         return EXIT_SCENARIO_ERROR
-    handle, owns = open_store(args.store)
-    try:
+    with Store(args.store) as handle:
         if args.extra is None:
             names = handle.scenarios()
             print(format_table(
@@ -238,9 +238,6 @@ def _cmd_scenario_history(args: argparse.Namespace) -> int:
                 json.dump(payload, fh, indent=2)
             print(f"[history written to {args.json}]", file=sys.stderr)
         return 0
-    finally:
-        if owns:
-            handle.close()
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -363,7 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         db_path=args.db,
         workers=args.service_workers,
         quotas=quotas,
-        results_db=None if args.no_results_db else args.results_db,
+        results_db=args.results_db,
     )
     return 0
 
@@ -511,12 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--results-db", default="repro_results.sqlite3", metavar="DB",
-        help="persistent run-history store every finished job is appended to "
+        help="store every finished job's run is filed in "
         "(served back via GET /v1/history)",
-    )
-    serve_parser.add_argument(
-        "--no-results-db", action="store_true",
-        help="disable run-history recording and the /v1/history endpoints",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 

@@ -99,9 +99,9 @@ def table1_headers() -> List[str]:
 def trend_table(metric: str, points: Sequence[Mapping[str, Any]], title: str = "") -> str:
     """Render one stored metric trend (oldest first) as an aligned table.
 
-    ``points`` are :meth:`repro.results.store.ResultsStore.trend` entries;
+    ``points`` are one series of :func:`repro.results.history_payload`;
     ``repro scenario history`` renders one of these per metric so the CLI
-    shows exactly the series :func:`repro.results.history_payload` returns.
+    shows exactly the series that function returns.
     """
     import datetime
 

@@ -1,20 +1,25 @@
-"""`repro.results`: the persistent run store and its query surfaces.
+"""`repro.results`: recording runs and querying their history.
 
 This subsystem turns finished runs into a queryable history:
 
-* :class:`~repro.results.store.ResultsStore` — a schema-versioned SQLite
-  store of every :class:`~repro.scenarios.runner.ScenarioRecord`, keyed by
-  ``(scenario, config_hash, git_sha, started_at)``;
+* :class:`~repro.service.store.Store` — the one schema-versioned SQLite
+  store, holding every recorded run and its records, keyed by
+  ``(scenario, config_hash, git_sha, started_at)`` (it also holds the
+  service's jobs; a job's records live only in the run it produced);
 * :mod:`~repro.results.provenance` — run identity (``run_id``,
   ``config_hash``, ``git_sha``, ``started_at``) computed once and stamped
   by :func:`repro.api.run` onto every result.
 
 Append paths: ``record_to=`` on :func:`repro.api.run` and
-:func:`repro.scenarios.runner.run_scenario`, and the service task manager
-(default on under ``repro serve``).  Query surfaces: ``repro scenario
+:func:`repro.scenarios.runner.run_scenario`, and the service task manager,
+which files every finished job's run.  Query surfaces: ``repro scenario
 history``, ``GET /v1/history`` on the experiment service, and this module's
 :func:`history_payload` — the one builder both of those render, which is
 what makes their trend series identical by construction.
+
+:mod:`repro.api` imports this package when it loads and
+:mod:`repro.service` imports :mod:`repro.api`, so the functions here import
+the store when they are called, never at load.
 
 Performance claims are not measured here: the perf ledger under
 ``benchmarks/ledger/`` is the repo's one benchmark.
@@ -22,7 +27,7 @@ Performance claims are not measured here: the perf ledger under
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.results.provenance import (
     Provenance,
@@ -31,24 +36,17 @@ from repro.results.provenance import (
     current_git_sha,
     new_run_id,
 )
-from repro.results.store import (
-    SCHEMA_VERSION,
-    ResultsStore,
-    StoredRun,
-    open_store,
-)
+
+if TYPE_CHECKING:
+    from repro.service.store import Store, StoredRun
 
 __all__ = [
     "Provenance",
-    "ResultsStore",
-    "SCHEMA_VERSION",
-    "StoredRun",
     "build_provenance",
     "config_hash",
     "current_git_sha",
     "history_payload",
     "new_run_id",
-    "open_store",
     "record_report",
     "record_run_payload",
 ]
@@ -59,27 +57,36 @@ _VOLATILE_META_KEYS = frozenset({"sweep_wall_seconds", "provenance"})
 
 
 def record_run_payload(
-    store: Union[str, ResultsStore],
+    store: Union[str, Store],
     *,
     scenario: str,
     kind: str,
     records: Sequence[Mapping[str, Any]],
     meta: Optional[Mapping[str, Any]] = None,
+    endpoints: Optional[Mapping[str, Any]] = None,
     tags: Sequence[str] = (),
     provenance: Optional[Provenance] = None,
+    job_id: Optional[str] = None,
 ) -> StoredRun:
-    """Append one run's JSON-ready records to ``store`` (path or instance)."""
+    """Append one run's JSON-ready records to ``store`` (path or instance).
+
+    ``job_id`` files the run as that service job's result (see
+    :meth:`~repro.service.store.Store.append`).
+    """
+    from repro.service.store import open_store
+
     handle, owns = open_store(store)
     try:
         return handle.append(
-            scenario, kind, records, meta=meta, tags=tags, provenance=provenance
+            scenario, kind, records, meta=meta, endpoints=endpoints, tags=tags,
+            provenance=provenance, job_id=job_id,
         )
     finally:
         if owns:
             handle.close()
 
 
-def record_report(store: Union[str, ResultsStore], report) -> StoredRun:
+def record_report(store: Union[str, Store], report) -> StoredRun:
     """Append a :class:`~repro.scenarios.runner.ScenarioReport` to the store.
 
     The direct-library append path: ``run_scenario(..., record_to=...)``
@@ -105,7 +112,7 @@ def record_report(store: Union[str, ResultsStore], report) -> StoredRun:
 
 
 def history_payload(
-    store: Union[str, ResultsStore],
+    store: Union[str, Store],
     scenario: str,
     *,
     metrics: Optional[Sequence[str]] = None,
@@ -118,24 +125,39 @@ def history_payload(
     service's ``GET /v1/history/<scenario>`` endpoint, so the two surfaces
     return the same series for the same store by construction.  ``metrics``
     defaults to every metric observed; ``where`` restricts sweep records to
-    one grid point; ``last`` keeps the most recent K runs per series.
+    one grid point (records whose params contain that subset); ``last``
+    keeps the most recent K runs per series.  Each point is one run's
+    identity plus ``value``, the mean over its matching records.  One read
+    of the store builds every series.
     """
+    from repro.service.store import open_store
+
     handle, owns = open_store(store)
     try:
-        names: List[str] = (
-            list(metrics) if metrics else handle.metric_names(scenario)
-        )
-        series = {
-            name: handle.trend(
-                scenario, name, where=dict(where) if where else None, last=last
-            )
-            for name in names
-        }
-        return {
-            "scenario": scenario,
-            "metrics": names,
-            "series": {name: points for name, points in series.items() if points},
-        }
+        rows = handle.scenario_records(scenario)
     finally:
         if owns:
             handle.close()
+    observed = set()
+    # run_id -> (identity, {metric: values of the matching records}), run order
+    runs: Dict[str, Any] = {}
+    for identity, record in rows:
+        observed.update(record["metrics"])
+        _, values = runs.setdefault(identity["run_id"], (identity, {}))
+        if where and any(record["params"].get(k) != v for k, v in where.items()):
+            continue
+        for name, value in record["metrics"].items():
+            values.setdefault(name, []).append(value)
+    names: List[str] = list(metrics) if metrics else sorted(observed)
+    series = {}
+    for name in names:
+        points = [
+            {**identity, "value": sum(float(v) for v in values[name]) / len(values[name])}
+            for identity, values in runs.values()
+            if name in values
+        ]
+        if last is not None:
+            points = points[-max(1, int(last)):]
+        if points:
+            series[name] = points
+    return {"scenario": scenario, "metrics": names, "series": series}

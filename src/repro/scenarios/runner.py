@@ -505,7 +505,7 @@ def run_scenario(
     returns ``True`` the execution stops by raising :class:`RunCancelled`.
     The experiment service uses this for cooperative job cancellation.
 
-    ``record_to`` (a path or :class:`~repro.results.store.ResultsStore`)
+    ``record_to`` (a path or :class:`~repro.service.store.Store`)
     appends the finished report to the persistent run store (see
     :func:`repro.results.record_report`), making it queryable via
     ``repro scenario history``.  Cancelled or failed runs append nothing.

@@ -13,7 +13,8 @@ survives service restarts.
 Layers (each its own module, composable in tests):
 
 * :mod:`~repro.service.jobs` — the lifecycle state machine;
-* :mod:`~repro.service.store` — schema-versioned SQLite persistence;
+* :mod:`~repro.service.store` — the one schema-versioned SQLite store of
+  jobs and their runs;
 * :mod:`~repro.service.quotas` — per-tenant admission control;
 * :mod:`~repro.service.schemas` — per-action schemas from the dataclasses;
 * :mod:`~repro.service.taskmanager` — the execution worker pool;
@@ -53,7 +54,7 @@ from repro.service.jobs import (
 )
 from repro.service.quotas import QuotaManager, TokenBucket
 from repro.service.schemas import SCHEMAS, get_action, validate_payload
-from repro.service.store import JobStore, SCHEMA_VERSION
+from repro.service.store import SCHEMA_VERSION, Store
 from repro.service.taskmanager import TaskManager
 
 __all__ = [
@@ -66,7 +67,6 @@ __all__ = [
     "IllegalTransition",
     "JOB_STATES",
     "Job",
-    "JobStore",
     "NotFound",
     "QUEUED",
     "QuotaExceeded",
@@ -79,6 +79,7 @@ __all__ = [
     "ServiceClientError",
     "ServiceController",
     "ServiceError",
+    "Store",
     "TRANSITIONS",
     "TaskManager",
     "TokenBucket",

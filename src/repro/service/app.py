@@ -40,11 +40,10 @@ from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
 from repro import telemetry
 from repro.api import run as api_run
-from repro.results.store import ResultsStore
 from repro.service.controller import ServiceController
 from repro.service.exceptions import BadRequest, NotFound, ServiceError
 from repro.service.quotas import QuotaManager
-from repro.service.store import JobStore
+from repro.service.store import Store
 from repro.service.taskmanager import Runner, TaskManager
 
 __all__ = ["ExperimentService", "make_wsgi_app", "serve"]
@@ -233,16 +232,12 @@ class ExperimentService:
         # registry costs nothing on the training hot loop, which is guarded
         # by the separate tracing flag.
         telemetry.configure(metrics=True)
-        self.store = JobStore(db_path)
-        # The persistent run history every finished job is appended to, and
-        # the /v1/history endpoints read from.  None disables both.
-        self.results = ResultsStore(results_db) if results_db is not None else None
-        self.taskmanager = TaskManager(
-            self.store, workers=workers, runner=runner, results_store=self.results
-        )
-        self.controller = ServiceController(
-            self.store, self.taskmanager, quotas=quotas, results=self.results
-        )
+        self.store = Store(db_path)
+        # Where every finished job's run is filed and /v1/history reads:
+        # the job file itself, unless the deployment names a separate one.
+        self.runs = self.store if results_db is None else Store(results_db)
+        self.taskmanager = TaskManager(self.store, workers=workers, runner=runner, runs=self.runs)
+        self.controller = ServiceController(self.store, self.taskmanager, quotas=quotas)
         self.app = make_wsgi_app(self.controller)
         self._host = host
         self._port = port
@@ -273,7 +268,7 @@ class ExperimentService:
         return self
 
     def stop(self) -> None:
-        """Stop the HTTP server, the workers, and close the store."""
+        """Stop the HTTP server, the workers, and close the stores."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -283,8 +278,8 @@ class ExperimentService:
             self._thread = None
         self.taskmanager.stop()
         self.store.close()
-        if self.results is not None:
-            self.results.close()
+        if self.runs is not self.store:
+            self.runs.close()
 
     def __enter__(self) -> "ExperimentService":
         return self.start()
@@ -304,9 +299,8 @@ def serve(
 ) -> None:
     """Blocking entry point behind ``repro serve`` (Ctrl-C to stop).
 
-    ``results_db`` defaults ON: every finished job is appended to the
-    persistent run history and served back via ``GET /v1/history``.  Pass
-    ``None`` (CLI: ``--no-results-db``) to disable recording.
+    Every finished job's run is filed in ``results_db`` and served back via
+    ``GET /v1/history``; ``None`` files runs in ``db_path`` with the jobs.
     """
     service = ExperimentService(
         db_path=db_path,

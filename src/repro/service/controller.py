@@ -36,7 +36,7 @@ from repro.service.exceptions import BadRequest, NotFound
 from repro.service.jobs import JOB_STATES
 from repro.service.quotas import QuotaManager
 from repro.service.schemas import SCHEMAS, get_action, validate_payload
-from repro.service.store import JobStore
+from repro.service.store import Store
 from repro.service.taskmanager import TaskManager
 
 __all__ = ["MAX_WAIT_S", "ServiceController"]
@@ -77,16 +77,16 @@ class ServiceController:
 
     def __init__(
         self,
-        store: JobStore,
+        store: Store,
         taskmanager: TaskManager,
         *,
         quotas: Optional[QuotaManager] = None,
-        results: Optional[Any] = None,
     ):
         self.store = store
         self.taskmanager = taskmanager
         self.quotas = quotas if quotas is not None else QuotaManager()
-        self.results = results
+        # Runs are read where the task manager files them.
+        self.runs = taskmanager.runs
 
     # -- submissions --------------------------------------------------------- #
     def submit(self, tenant: str, body: Mapping[str, Any]) -> Dict[str, Any]:
@@ -146,18 +146,17 @@ class ServiceController:
         offset: Optional[Any] = None,
         limit: Optional[Any] = None,
     ) -> Dict[str, Any]:
-        """Offset-paginated result records of one (finished) job."""
+        """Offset-paginated result records of one job: its run's records."""
         try:
             offset_value = int(offset) if offset is not None else 0
         except (TypeError, ValueError):
             raise BadRequest(f"offset must be an integer, got {offset!r}") from None
         if offset_value < 0:
             raise BadRequest(f"offset must be >= 0, got {offset_value}")
-        records, total = self.store.get_records(
-            job_id,
-            tenant=tenant,
-            offset=offset_value,
-            limit=_clamp_limit(limit, default=50),
+        limit_value = _clamp_limit(limit, default=50)
+        run = self.runs.job_run(self.store.get(job_id, tenant=tenant).id)
+        records, total = ([], 0) if run is None else self.runs.get_records(
+            run.run_id, offset=offset_value, limit=limit_value
         )
         return {
             "records": records,
@@ -167,17 +166,9 @@ class ServiceController:
         }
 
     # -- run history ---------------------------------------------------------- #
-    def _results_store(self) -> Any:
-        if self.results is None:
-            raise NotFound(
-                "run history is not enabled on this service "
-                "(start it with a results store, e.g. repro serve --results-db)"
-            )
-        return self.results
-
     def history_index(self, _tenant: str) -> Dict[str, Any]:
         """Every scenario with recorded history (global, not tenant-scoped)."""
-        return {"scenarios": self._results_store().scenarios()}
+        return {"scenarios": self.runs.scenarios()}
 
     def history_show(
         self,
@@ -193,7 +184,6 @@ class ServiceController:
         ``repro scenario history --json``; the two surfaces therefore return
         identical series for the same store by construction.
         """
-        store = self._results_store()
         names = [m.strip() for m in metrics.split(",") if m.strip()] if metrics else None
         last_value: Optional[int] = None
         if last is not None:
@@ -205,7 +195,7 @@ class ServiceController:
                 raise BadRequest(f"last must be >= 1, got {last_value}")
         from repro.results import history_payload
 
-        payload = history_payload(store, scenario, metrics=names, last=last_value)
+        payload = history_payload(self.runs, scenario, metrics=names, last=last_value)
         if not payload["series"]:
             raise NotFound(f"no recorded history for scenario {scenario!r}")
         return payload
@@ -219,7 +209,7 @@ class ServiceController:
         limit: Optional[Any] = None,
     ) -> Dict[str, Any]:
         """Marker-paginated stored runs of one scenario, oldest first."""
-        runs, next_marker = self._results_store().runs(
+        runs, next_marker = self.runs.runs(
             scenario=scenario,
             marker=marker,
             limit=_clamp_limit(limit, default=20),
@@ -261,7 +251,6 @@ class ServiceController:
                 "burst": self.quotas.burst,
             },
             "taskmanager": self.taskmanager.describe(),
-            "history_enabled": self.results is not None,
         }
 
     def health(self) -> Dict[str, Any]:

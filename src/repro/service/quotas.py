@@ -103,7 +103,7 @@ class QuotaManager:
         """Admit or reject one submission for ``tenant``.
 
         ``active_jobs`` is the tenant's current QUEUED+RUNNING count (the
-        store's :meth:`~repro.service.store.JobStore.count_active`).  Raises
+        store's :meth:`~repro.service.store.Store.count_active`).  Raises
         :class:`QuotaExceeded` or :class:`RateLimited`; returns silently on
         admission (the rate token is spent).
         """

@@ -4,15 +4,21 @@ The controller (:mod:`repro.service.controller`) only ever *writes intent*
 to the store — new ``QUEUED`` jobs, ``cancel_requested`` flags.  The
 :class:`TaskManager` owns all execution: a small pool of daemon worker
 threads claim queued jobs atomically
-(:meth:`~repro.service.store.JobStore.claim_next`), execute them through
+(:meth:`~repro.service.store.Store.claim_next`), execute them through
 the one façade (:func:`repro.api.run`) with a ``cancel_check`` bound to the
 job's flag, and drive the remaining lifecycle transitions:
 
-* normal completion → persist records, ``RUNNING → DONE``;
+* normal completion → file the job's run (:func:`repro.api.record_result`,
+  the job's records and summary), then ``RUNNING → DONE``;
 * :class:`~repro.scenarios.runner.RunCancelled` → ``RUNNING → CANCELLED``;
-* any other exception, from the run or from persisting its result →
+* any other exception, from the run or from filing its run →
   ``RUNNING → FAILED`` with the traceback's final line stored as the job
   ``error``; the worker lives on to claim the next job.
+
+``FAILED`` and ``CANCELLED`` jobs get no run.  A crash between filing the
+run and the ``DONE`` commit leaves a ``RUNNING`` job with a run, which
+:meth:`~repro.service.store.Store.recover` finishes at the next start, so
+every job ends with exactly one run or none.
 
 Workers park on a :class:`threading.Condition` when the queue is empty and
 are woken by :meth:`notify` on each submission, so an idle service costs
@@ -27,15 +33,15 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro import telemetry
-from repro.api import RunRequest, RunResult
+from repro.api import RunRequest, RunResult, record_result
 from repro.api import run as api_run
 from repro.scenarios.runner import RunCancelled
 from repro.service.exceptions import IllegalTransition
 from repro.service.jobs import CANCELLED, DONE, FAILED, RUNNING, Job
-from repro.service.store import JobStore
+from repro.service.store import Store
 
 __all__ = ["TaskManager"]
 
@@ -43,7 +49,7 @@ Runner = Callable[..., RunResult]
 
 
 class TaskManager:
-    """Worker pool executing queued jobs from a :class:`JobStore`.
+    """Worker pool executing queued jobs from a :class:`Store`.
 
     Parameters
     ----------
@@ -55,28 +61,25 @@ class TaskManager:
         The execution callable, ``runner(request, cancel_check=...) ->
         RunResult``.  Defaults to :func:`repro.api.run`; tests substitute a
         scripted fake.
-    results_store:
-        Optional persistent run store (path or
-        :class:`~repro.results.store.ResultsStore`).  When set, every
-        completed job is also appended there via the runner's ``record_to``
-        hook, so service-submitted runs land in the same history as direct
-        ``repro.api.run`` calls.  The kwarg is only forwarded when set, so
-        fake runners without a ``record_to`` parameter keep working.
+    runs:
+        The store every finished job's run is filed in (default: ``store``
+        itself), the same history direct ``repro.api.run(record_to=...)``
+        calls land in.
     """
 
     def __init__(
         self,
-        store: JobStore,
+        store: Store,
         *,
         workers: int = 2,
         runner: Runner = api_run,
-        results_store: Any = None,
+        runs: Optional[Store] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.store = store
         self.runner = runner
-        self.results_store = results_store
+        self.runs = store if runs is None else runs
         self.num_workers = workers
         self._threads: list[threading.Thread] = []
         self._wakeup = threading.Condition()
@@ -88,7 +91,7 @@ class TaskManager:
         """Recover stranded jobs, then start the worker threads."""
         if self._started:
             return
-        self.store.recover()
+        self.store.recover(self.runs)
         self._stopping = False
         self._started = True
         for i in range(self.num_workers):
@@ -151,24 +154,15 @@ class TaskManager:
                 max(job.started_at - job.created_at, 0.0),
             )
         cancel_check = lambda: self.store.cancel_requested(job.id)  # noqa: E731
-        extra: dict[str, Any] = {}
-        if self.results_store is not None:
-            extra["record_to"] = self.results_store
         run_t0 = time.perf_counter()
         try:
             request = RunRequest.from_dict(job.request)
             with telemetry.span("taskmanager.job") as job_span:
                 job_span.set("action", job.action)
-                result = self.runner(request, cancel_check=cancel_check, **extra)
+                result = self.runner(request, cancel_check=cancel_check)
             # Inside the try: a result that fails to serialize or persist
             # must fail the job, not kill the worker and strand it RUNNING.
-            payload = result.to_dict()
-            self.store.save_result(
-                job.id,
-                records=payload["records"],
-                meta=payload["meta"],
-                endpoints=payload.get("endpoints"),
-            )
+            run = record_result(self.runs, request, result, job_id=job.id)
         except RunCancelled:
             return self._finish(job, CANCELLED, run_t0)
         except IllegalTransition:
@@ -181,14 +175,14 @@ class TaskManager:
         # DONE wins any cancel race: only this worker moves the job out of
         # RUNNING, so a cancel_requested flag set after the last poll is a
         # no-op on state.
-        return self._finish(job, DONE, run_t0)
+        return self._finish(job, DONE, run_t0, run=run)
 
-    def _finish(
-        self, job: Job, state: str, run_t0: float, *, error: "str | None" = None
-    ) -> Job:
-        """Transition ``job`` out of RUNNING and record its lifecycle metrics."""
-        kwargs = {"error": error} if error is not None else {}
-        finished = self.store.transition(job.id, RUNNING, state, **kwargs)
+    def _finish(self, job: Job, state: str, run_t0: float, **outcome: Any) -> Job:
+        """Transition ``job`` out of RUNNING and record its lifecycle metrics.
+
+        ``outcome`` is the transition's ``error`` or ``run``.
+        """
+        finished = self.store.transition(job.id, RUNNING, state, **outcome)
         telemetry.count("repro_jobs_total", state=state)
         telemetry.observe("repro_job_run_seconds", time.perf_counter() - run_t0)
         cancel_time = self.store.pop_cancel_time(job.id)
@@ -209,5 +203,4 @@ class TaskManager:
             "workers": self.num_workers,
             "running": self.running,
             "runner": getattr(self.runner, "__name__", repr(self.runner)),
-            "records_results": self.results_store is not None,
         }

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import RunRequest, run as api_run
 from repro.harness.cli import main as cli_main
-from repro.results import ResultsStore, history_payload
+from repro.results import history_payload
 from repro.service import ExperimentService, QuotaManager, ServiceClient, ServiceClientError
 
 
@@ -43,7 +43,7 @@ class TestDirectAndServiceLandInOneStore:
         # run once directly (same record_to sink the task manager uses) ...
         api_run(
             RunRequest(kind="scenario", scenario="quickstart", iterations=20),
-            record_to=service.results,
+            record_to=service.runs,
         )
         # ... and once through the service
         client = ServiceClient(service.url, tenant="history")
@@ -64,7 +64,7 @@ class TestDirectAndServiceLandInOneStore:
         cli_payload = json.loads(json_path.read_text())
         assert canonical(cli_payload) == canonical(http)
 
-        direct = history_payload(service.results, "quickstart")
+        direct = history_payload(service.runs, "quickstart")
         assert canonical(direct) == canonical(http)
 
     def test_history_runs_pagination_and_scenario_index(self, service):
@@ -103,17 +103,19 @@ class TestHistoryErrors:
             client.history("quickstart", last="zero")
         assert err.value.status == 400
 
-    def test_disabled_history_is_404(self):
-        svc = ExperimentService(port=0, workers=1)
-        svc.start()
-        try:
+    def test_runs_live_with_the_jobs_without_a_results_db(self, tmp_path):
+        db = str(tmp_path / "jobs.sqlite3")
+        with ExperimentService(port=0, workers=1, db_path=db) as svc:
+            assert svc.runs is svc.store
             client = ServiceClient(svc.url)
-            assert svc.controller.describe()["history_enabled"] is False
-            with pytest.raises(ServiceClientError) as err:
-                client.history_scenarios()
-            assert err.value.status == 404
-        finally:
-            svc.stop()
+            assert client.history_scenarios() == {"scenarios": []}
+            job = client.submit("scenario", {"name": "quickstart", "iterations": 20})
+            assert client.wait(job["id"], timeout=180)["state"] == "DONE"
+            assert client.history_scenarios()["scenarios"] == ["quickstart"]
+            http = client.history("quickstart")
+            (run,) = client.history_runs("quickstart")["runs"]
+        assert [point["run_id"] for point in http["series"]["lssr"]] == [run["run_id"]]
+        assert canonical(history_payload(db, "quickstart")) == canonical(http)
 
     def test_cli_history_missing_store_exits_2(self, tmp_path, capsys):
         rc = cli_main(["scenario", "history",

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.api import RunRequest, run as api_run
-from repro.results import ResultsStore, build_provenance, config_hash
+from repro.results import build_provenance, config_hash
 from repro.results import provenance as provenance_module
 from repro.results.provenance import Provenance, current_git_sha, new_run_id
+from repro.service.store import Store
 
 
 @pytest.fixture()
@@ -70,7 +71,7 @@ class TestApiStamping:
         assert a.run_id != b.run_id
 
     def test_record_to_appends_to_the_store(self):
-        store = ResultsStore()
+        store = Store()
         out = api_run(
             RunRequest(kind="throughput", workloads=["resnet101"], worker_counts=[1, 2]),
             record_to=store,

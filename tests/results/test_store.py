@@ -1,9 +1,11 @@
-"""ResultsStore: schema versioning, appends, pagination, trends.
+"""The run side of the store: schema versioning, appends, pagination, trends.
 
-The store is the repo's perf memory, so these tests pin the durability
-contracts: loud failure on a schema-version mismatch, transactional appends
-that stay consistent under task-manager-style thread concurrency, and the
-Trove-style pagination semantics shared with the job store.
+Recorded runs are the repo's memory of what its runs computed, so these
+tests pin the durability contracts: loud failure on a schema-version
+mismatch (v1 files of either former kind included), transactional appends
+that stay consistent under task-manager-style thread concurrency, the
+Trove-style pagination shared with the job listing, and one read per
+history request.
 """
 
 import sqlite3
@@ -11,40 +13,69 @@ import threading
 
 import pytest
 
-from repro.results import (
-    Provenance,
-    ResultsStore,
-    SCHEMA_VERSION,
-    build_provenance,
-    history_payload,
-    open_store,
-)
+from repro.results import Provenance, build_provenance, history_payload
+from repro.service.exceptions import NotFound
+from repro.service.store import SCHEMA_VERSION, Store, open_store
 
 
 def record(value, label="run", **params):
     return {"params": params, "label": label, "metrics": {"steps_per_sec": value}}
 
 
+#: Tables of a version-1 file of each former kind (a job file, a results file).
+V1_TABLES = {
+    "jobs": ["jobs (seq INTEGER PRIMARY KEY, id TEXT, meta TEXT, num_records INTEGER)"],
+    "results": ["runs (seq INTEGER PRIMARY KEY, run_id TEXT)",
+                "records (run_id TEXT, idx INTEGER, label TEXT, params TEXT, metrics TEXT)"],
+}
+
+
+def schema_sql(path):
+    conn = sqlite3.connect(path)
+    try:
+        return sorted(row[0] for row in conn.execute("SELECT sql FROM sqlite_master"))
+    finally:
+        conn.close()
+
+
 class TestSchemaVersion:
     def test_round_trips_on_disk(self, tmp_path):
         path = str(tmp_path / "results.sqlite3")
-        with ResultsStore(path) as store:
+        with Store(path) as store:
             store.append("quickstart", "scenario", [record(10.0)])
-        with ResultsStore(path) as store:
+        with Store(path) as store:
             assert store.scenarios() == ["quickstart"]
 
     def test_mismatched_version_fails_loudly(self, tmp_path):
         path = str(tmp_path / "results.sqlite3")
-        ResultsStore(path).close()
+        Store(path).close()
         conn = sqlite3.connect(path)
         conn.execute("UPDATE schema_version SET version = ?", (SCHEMA_VERSION + 1,))
         conn.commit()
         conn.close()
         with pytest.raises(RuntimeError, match="schema version"):
-            ResultsStore(path)
+            Store(path)
+
+    @pytest.mark.parametrize("kind", sorted(V1_TABLES))
+    def test_a_version_1_file_is_refused_untouched(self, tmp_path, kind):
+        path = str(tmp_path / f"{kind}.sqlite3")
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE schema_version (version INTEGER NOT NULL);"
+            "INSERT INTO schema_version VALUES (1);"
+            + "".join(f"CREATE TABLE {table};" for table in V1_TABLES[kind])
+        )
+        conn.close()
+        before = schema_sql(path)
+        with pytest.raises(RuntimeError) as excinfo:
+            Store(path)
+        assert str(excinfo.value) == (
+            f"store {path!r} has schema version 1, this build supports {SCHEMA_VERSION}"
+        )
+        assert schema_sql(path) == before
 
     def test_uses_wal_journal_mode(self, tmp_path):
-        store = ResultsStore(str(tmp_path / "results.sqlite3"))
+        store = Store(str(tmp_path / "results.sqlite3"))
         mode = store._conn.execute("PRAGMA journal_mode").fetchone()[0]
         store.close()
         assert mode == "wal"
@@ -52,7 +83,7 @@ class TestSchemaVersion:
 
 class TestAppend:
     def test_append_stores_provenance_and_records(self):
-        store = ResultsStore()
+        store = Store()
         prov = build_provenance({"iterations": 8})
         run = store.append(
             "quickstart", "scenario", [record(10.0), record(11.0)],
@@ -62,12 +93,13 @@ class TestAppend:
         assert run.config_hash == prov.config_hash
         assert run.num_records == 2
         assert run.tags == ["nightly"]
+        assert run.job_id is None
         records, total = store.get_records(run.run_id)
         assert total == 2
         assert records[0]["metrics"]["steps_per_sec"] == 10.0
 
     def test_append_builds_provenance_from_meta_when_absent(self):
-        store = ResultsStore(clock=lambda: 123.0)
+        store = Store(clock=lambda: 123.0)
         a = store.append("s", "scenario", [record(1.0)], meta={"iterations": 8})
         b = store.append("s", "scenario", [record(2.0)], meta={"iterations": 8})
         c = store.append("s", "scenario", [record(3.0)], meta={"iterations": 9})
@@ -75,9 +107,24 @@ class TestAppend:
         assert a.run_id != b.run_id
         assert a.started_at == 123.0
 
+    def test_records_keep_every_key(self):
+        traced = {**record(1.0), "phases": {"engine.forward": {"seconds": 0.5}}}
+        store = Store()
+        run = store.append("s", "scenario", [traced, record(2.0)])
+        assert store.get_records(run.run_id) == ([traced, record(2.0)], 2)
+
+    def test_a_job_has_at_most_one_run(self):
+        store = Store()
+        store.append("s", "scenario", [record(1.0)], job_id="job-1")
+        with pytest.raises(sqlite3.IntegrityError):
+            store.append("s", "scenario", [record(2.0)], job_id="job-1")
+        (run,), _ = store.runs()
+        assert store.job_run("job-1") == run and store.job_run("job-2") is None
+        assert store.get_records(run.run_id)[1] == 1
+
     def test_concurrent_appends_from_worker_threads(self, tmp_path):
         """Task-manager-style concurrency: every append lands exactly once."""
-        store = ResultsStore(str(tmp_path / "results.sqlite3"))
+        store = Store(str(tmp_path / "results.sqlite3"))
         per_thread, threads = 10, 8
         errors = []
 
@@ -108,7 +155,7 @@ class TestAppend:
 
 class TestQueries:
     def make_store(self):
-        store = ResultsStore(clock=iter(range(100)).__next__)
+        store = Store(clock=iter(range(100)).__next__)
         for i in range(5):
             store.append(
                 "sweep", "sweep",
@@ -128,26 +175,17 @@ class TestQueries:
                 break
         assert len(seen) == len(set(seen)) == 5
 
-    def test_tag_filter_composes_with_pagination(self):
-        store = self.make_store()
-        runs, next_marker = store.runs(scenario="sweep", tag="nightly", limit=10)
-        assert next_marker is None
-        assert len(runs) == 3
-        assert all("nightly" in run.tags for run in runs)
-
     def test_scenarios_and_metric_names(self):
         store = self.make_store()
         assert store.scenarios() == ["other", "sweep"]
-        assert store.metric_names("sweep") == ["steps_per_sec"]
+        assert history_payload(store, "sweep")["metrics"] == ["steps_per_sec"]
 
     def test_trend_means_over_records_and_where_restricts(self):
         store = self.make_store()
-        points = store.trend("sweep", "steps_per_sec")
-        assert [p["value"] for p in points] == [15.0, 16.0, 17.0, 18.0, 19.0]
-        at_zero = store.trend("sweep", "steps_per_sec", where={"delta": 0.0})
-        assert [p["value"] for p in at_zero] == [10.0, 11.0, 12.0, 13.0, 14.0]
-        last_two = store.trend("sweep", "steps_per_sec", last=2)
-        assert [p["value"] for p in last_two] == [18.0, 19.0]
+        assert values(store, "steps_per_sec") == [15.0, 16.0, 17.0, 18.0, 19.0]
+        at_zero = values(store, "steps_per_sec", where={"delta": 0.0})
+        assert at_zero == [10.0, 11.0, 12.0, 13.0, 14.0]
+        assert values(store, "steps_per_sec", last=2) == [18.0, 19.0]
 
     def test_get_records_offset_limit(self):
         store = self.make_store()
@@ -157,8 +195,8 @@ class TestQueries:
         assert page[0]["params"]["delta"] == 1.0
 
     def test_get_run_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            ResultsStore().get_run("nope")
+        with pytest.raises(NotFound):
+            Store().get_run("nope")
 
 
 class TestOpenStore:
@@ -166,7 +204,7 @@ class TestOpenStore:
         handle, owns = open_store(str(tmp_path / "r.sqlite3"))
         assert owns
         handle.close()
-        store = ResultsStore()
+        store = Store()
         same, owns = open_store(store)
         assert same is store and not owns
         store.close()
@@ -180,30 +218,15 @@ def provenance(run_id, git_sha="a" * 40, started_at=0.0):
 
 class TestTags:
     def test_several_tags_round_trip_in_order(self):
-        store = ResultsStore()
+        store = Store()
         run = store.append("s", "scenario", [record(1.0)], tags=["pr", "nightly", "x86"])
         assert store.get_run(run.run_id).tags == ["pr", "nightly", "x86"]
         assert run.to_dict()["tags"] == ["pr", "nightly", "x86"]
 
-    def test_tag_filter_matches_whole_tags_only(self):
-        store = ResultsStore()
-        store.append("s", "scenario", [record(1.0)], tags=["nightly"])
-        store.append("s", "scenario", [record(2.0)], tags=["night"])
-        nightly, _ = store.runs(tag="nightly")
-        night, _ = store.runs(tag="night")
-        assert [run.tags for run in nightly] == [["nightly"]]
-        assert [run.tags for run in night] == [["night"]]
-
-    def test_untagged_runs_match_no_tag(self):
-        store = ResultsStore()
-        store.append("s", "scenario", [record(1.0)])
-        assert store.runs(tag="nightly") == ([], None)
-        assert len(store.runs()[0]) == 1
-
 
 class TestRunListing:
     def make_store(self):
-        store = ResultsStore()
+        store = Store()
         for i in range(6):
             store.append(
                 "sweep" if i < 4 else "other",
@@ -216,36 +239,12 @@ class TestRunListing:
             )
         return store
 
-    def test_tag_filter_walks_pages_with_a_marker(self):
-        store = self.make_store()
-        seen, marker, pages = [], None, 0
-        while True:
-            page, marker = store.runs(tag="nightly", limit=1, marker=marker)
-            seen.extend(run.run_id for run in page)
-            pages += 1
-            if marker is None:
-                break
-        assert seen == ["run-0", "run-2", "run-4"]
-        assert pages == 3
-
     def test_exact_final_page_has_no_next_marker(self):
         store = self.make_store()
         assert store.runs(limit=6)[1] is None
         page, marker = store.runs(limit=5)
         assert marker == page[-1].run_id == "run-4"
         assert store.runs(limit=5, marker=marker) == ([store.get_run("run-5")], None)
-
-    def test_kind_and_git_sha_filters_compose(self):
-        store = self.make_store()
-        runs, _ = store.runs(kind="sweep", git_sha="b" * 40)
-        assert [run.run_id for run in runs] == ["run-3"]
-        runs, _ = store.runs(kind="scenario")
-        assert [run.run_id for run in runs] == ["run-4", "run-5"]
-
-    def test_since_and_until_bound_started_at_inclusively(self):
-        store = self.make_store()
-        runs, _ = store.runs(since=10.0, until=30.0)
-        assert [run.run_id for run in runs] == ["run-1", "run-2", "run-3"]
 
     def test_limit_below_one_is_clamped_to_one(self):
         store = self.make_store()
@@ -254,13 +253,27 @@ class TestRunListing:
         assert marker == "run-0"
 
     def test_unknown_marker_raises(self):
-        with pytest.raises(KeyError, match="no such run"):
+        with pytest.raises(NotFound, match="unknown marker 'run-99'"):
             self.make_store().runs(marker="run-99")
+
+    def test_a_marker_from_another_scenario_is_unknown(self):
+        with pytest.raises(NotFound, match="unknown marker 'run-4'"):
+            self.make_store().runs(scenario="sweep", marker="run-4")
+
+
+def trend(store, metric, scenario="sweep", **kwargs):
+    """One metric's series of :func:`history_payload` (``[]`` when absent)."""
+    payload = history_payload(store, scenario, metrics=[metric], **kwargs)
+    return payload["series"].get(metric, [])
+
+
+def values(store, metric, **kwargs):
+    return [point["value"] for point in trend(store, metric, **kwargs)]
 
 
 class TestTrendQueries:
     def make_store(self):
-        store = ResultsStore(clock=iter(range(100)).__next__)
+        store = Store(clock=iter(range(100)).__next__)
         for i in range(4):
             records = [record(10.0 + i, delta=0.0), record(20.0 + i, delta=1.0)]
             if i == 2:
@@ -272,7 +285,7 @@ class TestTrendQueries:
 
     def test_points_carry_the_run_identity(self):
         store = self.make_store()
-        points = store.trend("sweep", "steps_per_sec")
+        points = trend(store, "steps_per_sec")
         runs, _ = store.runs(scenario="sweep")
         assert [p["run_id"] for p in points] == [run.run_id for run in runs]
         for point, run in zip(points, runs):
@@ -282,32 +295,33 @@ class TestTrendQueries:
 
     def test_runs_without_the_metric_are_skipped(self):
         store = self.make_store()
-        points = store.trend("sweep", "lssr")
+        points = trend(store, "lssr")
         assert [p["value"] for p in points] == [0.5]
         assert points[0]["run_id"] == store.runs(scenario="sweep")[0][2].run_id
 
     def test_where_matching_nothing_is_empty(self):
         store = self.make_store()
-        assert store.trend("sweep", "steps_per_sec", where={"delta": 0.25}) == []
-        assert store.trend("sweep", "steps_per_sec", where={"lr": 0.1}) == []
+        assert trend(store, "steps_per_sec", where={"delta": 0.25}) == []
+        assert trend(store, "steps_per_sec", where={"lr": 0.1}) == []
 
     def test_where_composes_with_last(self):
         store = self.make_store()
-        points = store.trend("sweep", "steps_per_sec", where={"delta": 1.0}, last=2)
-        assert [p["value"] for p in points] == [22.0, 23.0]
+        assert values(store, "steps_per_sec", where={"delta": 1.0}, last=2) == [22.0, 23.0]
 
     def test_last_beyond_history_keeps_everything_and_zero_keeps_one(self):
         store = self.make_store()
-        assert len(store.trend("sweep", "steps_per_sec", last=50)) == 4
-        assert [p["value"] for p in store.trend("sweep", "steps_per_sec", last=0)] == [18.0]
+        assert len(trend(store, "steps_per_sec", last=50)) == 4
+        assert values(store, "steps_per_sec", last=0) == [18.0]
 
     def test_unknown_scenario_has_no_points_and_no_metrics(self):
         store = self.make_store()
-        assert store.trend("nope", "steps_per_sec") == []
-        assert store.metric_names("nope") == []
+        assert trend(store, "steps_per_sec", scenario="nope") == []
+        assert history_payload(store, "nope") == {"scenario": "nope", "metrics": [], "series": {}}
 
     def test_metric_names_are_the_union_over_records(self):
-        assert self.make_store().metric_names("sweep") == ["lssr", "steps_per_sec"]
+        assert history_payload(self.make_store(), "sweep")["metrics"] == [
+            "lssr", "steps_per_sec"
+        ]
 
 
 class TestHistoryPayload:
@@ -329,7 +343,27 @@ class TestHistoryPayload:
 
     def test_path_store_is_opened_and_read_back(self, tmp_path):
         path = str(tmp_path / "results.sqlite3")
-        with ResultsStore(path) as store:
+        with Store(path) as store:
             store.append("quickstart", "scenario", [record(3.0)], tags=["nightly"])
         payload = history_payload(path, "quickstart")
         assert [p["value"] for p in payload["series"]["steps_per_sec"]] == [3.0]
+
+    def test_one_statement_whatever_the_runs_and_metrics(self):
+        def statements(num_runs, num_metrics):
+            store = Store()
+            for i in range(num_runs):
+                metrics = {f"m{k}": float(i + k) for k in range(num_metrics)}
+                store.append("s", "sweep", [
+                    {"params": {"delta": d}, "label": "r", "metrics": metrics}
+                    for d in (0.0, 1.0)
+                ])
+            executed = []
+            store._conn.set_trace_callback(executed.append)
+            payload = history_payload(store, "s")
+            store._conn.set_trace_callback(None)
+            assert len(payload["series"]) == num_metrics
+            assert all(len(points) == num_runs for points in payload["series"].values())
+            return executed
+
+        assert len(statements(1, 1)) == 1
+        assert statements(5, 3) == statements(1, 1)

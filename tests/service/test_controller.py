@@ -7,10 +7,10 @@ import pytest
 from repro.api import RunResult
 from repro.service import (
     DONE,
-    JobStore,
     QuotaManager,
     SCHEMAS,
     ServiceController,
+    Store,
     TaskManager,
     TokenBucket,
     get_action,
@@ -34,7 +34,7 @@ def fake_runner(request, cancel_check=None):
 
 
 def make_controller(*, quotas=None, runner=fake_runner):
-    store = JobStore()
+    store = Store()
     tm = TaskManager(store, runner=runner)
     return ServiceController(store, tm, quotas=quotas or QuotaManager(rate=None)), store, tm
 

@@ -72,6 +72,26 @@ class TestEndToEnd:
         workers = [r["params"]["workers"] for r in page["records"] + rest["records"]]
         assert workers == [1, 2, 4]
 
+    def test_records_keep_every_key(self):
+        """A traced record's ``phases`` survive the run store and the HTTP page."""
+        record = {
+            "params": {"delta": 0.3}, "label": "selsync",
+            "metrics": {"final_loss": 0.25},
+            "phases": {"engine.forward": {"seconds": 0.5, "calls": 3}},
+        }
+
+        def runner(request, cancel_check=None):
+            return RunResult(kind=request.kind, label="traced", records=[record])
+
+        with ExperimentService(port=0, workers=1, runner=runner) as svc:
+            client = ServiceClient(svc.url)
+            job = client.submit("scenario", {"name": "quickstart"})
+            assert client.wait(job["id"], timeout=30)["state"] == "DONE"
+            over_http = client.records(job["id"])["records"]
+            run = svc.runs.job_run(job["id"])
+            stored, total = svc.runs.get_records(run.run_id)
+        assert over_http == stored == [record] and total == 1
+
     def test_cancel_running_job_over_http(self):
         started, proceed = threading.Event(), threading.Event()
 
@@ -174,7 +194,7 @@ class TestServe:
         assert not service.taskmanager.running
         with pytest.raises(RuntimeError, match="not started"):
             service.url
-        for store in (service.store, service.results):
+        for store in (service.store, service.runs):
             with pytest.raises(sqlite3.ProgrammingError):
                 store._conn.execute("SELECT 1")
 
@@ -241,6 +261,22 @@ class TestHttpErrors:
             call(client)
         assert excinfo.value.status == 404
         assert excinfo.value.__cause__.fp.closed
+
+    def test_unknown_marker_is_404_on_both_listings(self, service):
+        client = ServiceClient(service.url, tenant="markers")
+        job = client.submit("throughput", {"workloads": ["resnet101"], "worker_counts": [1]})
+        assert client.wait(job["id"], timeout=30)["state"] == "DONE"
+        assert client.jobs(marker=job["id"])["jobs"] == []
+        scenario = client.history_scenarios()["scenarios"][0]
+        for call in (
+            lambda: client.jobs(marker="bogus"),
+            lambda: client.history_runs(scenario, marker="bogus"),
+        ):
+            with pytest.raises(ServiceClientError) as excinfo:
+                call()
+            assert excinfo.value.status == 404
+            assert excinfo.value.code == "not_found"
+            assert "bogus" in str(excinfo.value)
 
     def test_unknown_route_is_404_and_bad_method_405(self, service):
         import urllib.error

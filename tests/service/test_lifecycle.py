@@ -13,10 +13,10 @@ from repro.service import (
     DONE,
     FAILED,
     JOB_STATES,
-    JobStore,
     QUEUED,
     RUNNING,
     TRANSITIONS,
+    Store,
     TaskManager,
     validate_transition,
 )
@@ -27,7 +27,7 @@ REQUEST = {"kind": "scenario", "scenario": "quickstart"}
 
 
 def make_store(path=":memory:"):
-    return JobStore(path)
+    return Store(path)
 
 
 def ok_runner(request, cancel_check=None):
@@ -236,20 +236,20 @@ class TestFailureCapture:
         job = store.list_jobs()[0][0]
         assert job.state == FAILED and "unknown request kind" in job.error
 
-    def test_failed_save_fails_the_job_and_keeps_the_worker(self):
-        class FlakyStore(JobStore):
+    def test_failed_run_write_fails_the_job_and_keeps_the_worker(self):
+        class FlakyStore(Store):
             broken = True
 
-            def save_result(self, job_id, **kwargs):
+            def append(self, *args, **kwargs):
                 if self.broken:
                     self.broken = False
                     raise sqlite3.OperationalError("disk I/O error")
-                super().save_result(job_id, **kwargs)
+                return super().append(*args, **kwargs)
 
-        store = FlakyStore()
+        store, runs = make_store(), FlakyStore()
         first = store.create("t", "scenario", REQUEST)
         second = store.create("t", "scenario", REQUEST)
-        tm = TaskManager(store, runner=ok_runner, workers=1)
+        tm = TaskManager(store, runner=ok_runner, workers=1, runs=runs)
         tm.start()
         try:
             final = store.wait_terminal(second.id, timeout=5)
@@ -260,17 +260,38 @@ class TestFailureCapture:
         failed = store.get(first.id)
         assert failed.state == FAILED
         assert failed.error == "sqlite3.OperationalError: disk I/O error"
-        assert store.get_records(first.id) == ([], 0)
+        assert runs.job_run(first.id) is None
+        assert [run.job_id for run in runs.runs()[0]] == [second.id]
 
-    def test_successful_job_persists_records_then_completes(self):
+    def test_successful_job_files_its_run_then_completes(self):
         store = make_store()
         tm = TaskManager(store, runner=ok_runner)
         job = store.create("t", "scenario", REQUEST)
         assert tm.run_pending_once() == 1
         final = store.get(job.id)
-        assert final.state == DONE and final.meta == {"fake": True}
-        records, total = store.get_records(job.id)
+        run = store.job_run(job.id)
+        assert final.state == DONE and final.meta == run.meta
+        assert final.meta["fake"] is True and run.scenario == "fake"
+        records, total = store.get_records(run.run_id)
         assert total == 1 and records[0]["metrics"] == {"final_loss": 0.5}
+
+    def test_failed_and_cancelled_jobs_file_no_run(self):
+        def runner(request, cancel_check=None):
+            if cancel_check():
+                raise RunCancelled("cancelled")
+            raise RuntimeError("boom")
+
+        store = make_store()
+        tm = TaskManager(store, runner=runner)
+        failed = store.create("t", "scenario", REQUEST)
+        tm.execute(store.claim_next())
+        cancelled = store.create("t", "scenario", REQUEST)
+        claimed = store.claim_next()
+        store.request_cancel(cancelled.id)
+        tm.execute(claimed)
+        assert store.get(failed.id).state == FAILED
+        assert store.get(cancelled.id).state == CANCELLED
+        assert store.runs() == ([], None)
 
 
 class TestRestartPersistence:
@@ -287,7 +308,7 @@ class TestRestartPersistence:
 
         reopened = make_store(db)
         assert reopened.get(done_job.id).state == DONE
-        records, total = reopened.get_records(done_job.id)
+        records, total = reopened.get_records(reopened.job_run(done_job.id).run_id)
         assert total == 1 and records[0]["label"] == "fake"
         assert reopened.get(stranded_job.id).state == RUNNING
         assert reopened.recover() == 1
@@ -317,6 +338,28 @@ class TestRestartPersistence:
             assert client_view.state == DONE
         finally:
             tm.stop()
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one-file", "two-files"])
+    def test_recover_finishes_a_running_job_that_has_its_run(self, tmp_path, split):
+        store = make_store(str(tmp_path / "jobs.sqlite3"))
+        runs = make_store(str(tmp_path / "runs.sqlite3")) if split else store
+        job = store.create("t", "scenario", REQUEST)
+        stranded = store.create("t", "scenario", REQUEST)
+        claimed = store.claim_next()
+        store.claim_next()
+        # The crash window: the run is filed, the DONE commit never happened.
+        run = runs.append(
+            "fake", "scenario", [{"label": "a"}, {"label": "b"}],
+            meta={"fake": True}, job_id=claimed.id,
+        )
+        assert store.get(job.id).state == RUNNING
+        assert store.recover(runs) == 1
+        done = store.get(job.id)
+        assert done.state == DONE and done.finished_at is not None
+        assert done.meta == run.meta and done.meta["fake"] is True
+        assert done.num_records == 2
+        assert store.get(stranded.id).state == QUEUED
+        assert [r.run_id for r in runs.runs()[0]] == [run.run_id]
 
     def test_schema_version_mismatch_fails_loudly(self, tmp_path):
         db = str(tmp_path / "jobs.sqlite3")

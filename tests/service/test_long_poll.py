@@ -19,11 +19,11 @@ from repro.service import (
     QUEUED,
     RUNNING,
     ExperimentService,
-    JobStore,
     QuotaManager,
     ServiceClient,
     ServiceClientError,
     ServiceController,
+    Store,
     TaskManager,
 )
 from repro.service.controller import MAX_WAIT_S
@@ -186,7 +186,7 @@ class TestWaitParameter:
         assert excinfo.value.code == "bad_request"
 
     def test_huge_wait_is_capped(self, monkeypatch):
-        store = JobStore()
+        store = Store()
         controller = ServiceController(store, TaskManager(store))
         job = store.create("t", "scenario", REQUEST)
         timeouts = []

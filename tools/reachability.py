@@ -163,8 +163,9 @@ KEEP: Dict[str, str] = {
     "repro.results.record_report": (
         "run_scenario(record_to=...); api.run and the CLI record through record_run_payload"
     ),
-    "repro.results.provenance.Provenance.from_dict": (
-        "reads stored provenance back; the one-tracer item (repro explain) renders it"
+    "repro.api.RunResult.to_dict": (
+        "the library's JSON view of a result; the service files a job's records and "
+        "meta straight into its run, so only tests read it"
     ),
     "repro.harness.sweep.SweepResult.best": "grid_sweep's result API; tests read it",
     "repro.harness.sweep.SweepResult.outputs": "grid_sweep's result API; tests read it",
