@@ -10,7 +10,7 @@ used for Table I, and assembles a :class:`TrainingResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -91,6 +91,16 @@ class BaseTrainer:
     # ------------------------------------------------------------------ #
     # hooks for subclasses
     # ------------------------------------------------------------------ #
+    @classmethod
+    def check_params(cls, **params: Any) -> None:
+        """Raise ``ValueError`` for an algorithm param outside its range.
+
+        ``params`` are the constructor's keywords with defaults applied.
+        :class:`~repro.harness.experiment.RunConfig` calls this when a run
+        is configured and the constructor calls it again, so each range is
+        stated once, here in the subclass.
+        """
+
     def train_step(self) -> Dict[str, float]:
         """Advance the cluster by one global iteration; returns step info."""
         raise NotImplementedError

@@ -10,7 +10,7 @@ or half of the workers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -35,10 +35,7 @@ class FedAvgTrainer(BaseTrainer):
         seed: Optional[int] = None,
     ) -> None:
         super().__init__(cluster, lr_schedule=lr_schedule, eval_every=eval_every)
-        if not 0.0 < participation <= 1.0:
-            raise ValueError(f"participation C must be in (0, 1], got {participation}")
-        if not 0.0 < sync_factor <= 1.0:
-            raise ValueError(f"sync_factor E must be in (0, 1], got {sync_factor}")
+        self.check_params(participation=participation, sync_factor=sync_factor)
         self.participation = float(participation)
         self.sync_factor = float(sync_factor)
         # E is a fraction of an epoch: synchronize every E * steps_per_epoch
@@ -47,6 +44,14 @@ class FedAvgTrainer(BaseTrainer):
         self.sync_interval = max(int(round(self.sync_factor * steps_per_epoch)), 1)
         self._rng = new_rng(seed if seed is not None else cluster.config.seed + 101)
         self.aggregation_rounds = 0
+
+    @classmethod
+    def check_params(cls, *, participation: float, sync_factor: float, **_: Any) -> None:
+        """C and E are fractions in (0, 1]."""
+        if not 0.0 < participation <= 1.0:
+            raise ValueError(f"participation C must be in (0, 1], got {participation}")
+        if not 0.0 < sync_factor <= 1.0:
+            raise ValueError(f"sync_factor E must be in (0, 1], got {sync_factor}")
 
     def describe(self) -> str:
         """Label including participation and sync factor."""

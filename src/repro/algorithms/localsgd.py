@@ -7,7 +7,7 @@ BSP (H = 1) and pure local training (H = ∞); used by the δ-sweep bench.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -29,9 +29,14 @@ class LocalSGDTrainer(BaseTrainer):
         eval_every: int = 50,
     ) -> None:
         super().__init__(cluster, lr_schedule=lr_schedule, eval_every=eval_every)
+        self.check_params(sync_period=sync_period)
+        self.sync_period = int(sync_period)
+
+    @classmethod
+    def check_params(cls, *, sync_period: int, **_: Any) -> None:
+        """Workers average at least every step: H >= 1."""
         if sync_period < 1:
             raise ValueError(f"sync_period must be >= 1, got {sync_period}")
-        self.sync_period = int(sync_period)
 
     def describe(self) -> str:
         """Label including the sync period, e.g. ``local_sgd(H=10)``."""

@@ -17,7 +17,7 @@ enforced against the per-worker iteration counters maintained by the PS.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class SSPTrainer(BaseTrainer):
         eval_every: int = 50,
     ) -> None:
         super().__init__(cluster, lr_schedule=lr_schedule, eval_every=eval_every)
-        if staleness < 0:
-            raise ValueError(f"staleness must be non-negative, got {staleness}")
+        self.check_params(staleness=staleness)
         self.staleness = int(staleness)
         self.blocked_steps = 0
         # Each worker starts from the PS state (pullFromPS).  Pulled states
@@ -49,6 +48,12 @@ class SSPTrainer(BaseTrainer):
         initial = cluster.ps.pull_vector()
         cluster.broadcast_state(initial)
         self._last_pulled = [initial for _ in range(cluster.num_workers)]
+
+    @classmethod
+    def check_params(cls, *, staleness: int, **_: Any) -> None:
+        """The staleness bound is a non-negative step count."""
+        if staleness < 0:
+            raise ValueError(f"staleness must be non-negative, got {staleness}")
 
     def describe(self) -> str:
         """Label including the staleness bound, e.g. ``ssp(s=100)``."""

@@ -298,7 +298,8 @@ class RunConfig:
 
     ``params`` are the algorithm's own keywords (see :func:`algorithm_params`);
     they are checked against the trainer's constructor here, so an unknown
-    name or an invalid SelSync value fails before any cluster is built.
+    name, a wrong type or a value outside the trainer's ``check_params``
+    ranges (SelSync: its config's) fails before any cluster is built.
     ``eval_every=None`` evaluates every ``max(iterations // 8, 1)`` steps.
     ``dtype`` is the engine compute dtype, ``transport_dtype`` the simulated
     wire format (``None`` = float32 wire).  A positive ``failure_rate`` or
@@ -361,7 +362,7 @@ class RunConfig:
             resolve_dtype(self.dtype)
             resolve_transport_dtype(self.transport_dtype)
             kwargs = _trainer_kwargs(self.algorithm, self.params)
-            signature.bind(None, **kwargs)
+            bound = signature.bind(None, **kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         for name, value in kwargs.items():
@@ -372,6 +373,11 @@ class RunConfig:
                     f"{self.algorithm} param {name!r} must be "
                     f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}"
                 )
+        bound.apply_defaults()
+        try:
+            TRAINERS[self.algorithm].check_params(**bound.arguments)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def resolved_eval_every(self) -> int:

@@ -38,6 +38,26 @@ INVALID = {
         {"workload": "deep_mlp", "algorithm": "selsync", "params": {"delta": -1}},
         "delta",
     ),
+    "fedavg-participation-above-one": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "fedavg", "params": {"participation": 2.0}},
+        "participation",
+    ),
+    "fedavg-zero-sync-factor": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "fedavg", "params": {"sync_factor": 0.0}},
+        "sync_factor",
+    ),
+    "ssp-negative-staleness": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "ssp", "params": {"staleness": -1}},
+        "staleness",
+    ),
+    "local-sgd-zero-sync-period": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "local_sgd", "params": {"sync_period": 0}},
+        "sync_period",
+    ),
     "zero-eval-every": (
         "experiment",
         {"workload": "deep_mlp", "algorithm": "bsp", "eval_every": 0},

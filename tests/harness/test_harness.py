@@ -162,6 +162,33 @@ class TestMakeTrainer:
         with pytest.raises(ConfigError, match=rf"unknown {algorithm} params \['{foreign}'\]"):
             RunConfig("resnet101", algorithm, {foreign: 1})
 
+    @pytest.mark.parametrize(
+        "algorithm, params, message",
+        [
+            ("fedavg", {"participation": 2.0}, r"participation C must be in \(0, 1\]"),
+            ("fedavg", {"sync_factor": 0.0}, r"sync_factor E must be in \(0, 1\]"),
+            ("ssp", {"staleness": -1}, "staleness must be non-negative"),
+            ("local_sgd", {"sync_period": 0}, "sync_period must be >= 1"),
+        ],
+    )
+    def test_an_out_of_range_param_fails_at_config_and_constructor_alike(
+        self, algorithm, params, message
+    ):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig("deep_mlp", algorithm, params)
+        preset = build_workload("deep_mlp")
+        cluster = build_cluster(preset, num_workers=2, seed=0, batch_size=8)
+        with pytest.raises(ValueError, match=message):
+            make_trainer(algorithm, cluster, preset, total_iterations=10, **params)
+
+    @pytest.mark.parametrize(
+        "algorithm, params",
+        [("fedavg", {"participation": 1.0, "sync_factor": 0.125}), ("ssp", {"staleness": 0}),
+         ("local_sgd", {"sync_period": 1})],
+    )
+    def test_range_endpoints_are_accepted(self, algorithm, params):
+        assert RunConfig("deep_mlp", algorithm, params).params == params
+
 
 class TestRunExperiment:
     def test_selsync_end_to_end(self):

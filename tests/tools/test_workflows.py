@@ -10,16 +10,22 @@ step of ``.github/workflows/ci.yml`` and ``nightly.yml`` this checks that
 * every ``python -m`` module resolves;
 * every ``python -m repro.harness.cli`` invocation parses under the real
   ``repro`` argument parser;
-* every ``--run-*`` option and ``-m`` marker given to pytest is registered.
+* every ``--run-*`` option and ``-m`` marker given to pytest is registered;
+* every job that runs pytest over ``tests/`` installs an extra listing each
+  third-party module ``tests/`` imports at module level (collection aborts
+  on the first missing one).
 """
 
 from __future__ import annotations
 
+import ast
+import importlib.metadata
 import importlib.util
 import re
 import shlex
+import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 import pytest
 import yaml
@@ -143,6 +149,83 @@ def load(name: str) -> dict:
     return yaml.safe_load((WORKFLOW_DIR / name).read_text())
 
 
+def module_level_imports(path: Path) -> Set[str]:
+    """Top-level package names a file imports in its module body."""
+    names: Set[str] = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def third_party_test_imports() -> Set[str]:
+    """Modules outside the stdlib and this repo that collecting ``tests/`` imports."""
+    local = TOP_LEVEL | {path.name for path in (ROOT / "src").iterdir()}
+    imported = set().union(*map(module_level_imports, (ROOT / "tests").rglob("*.py")))
+    return imported - set(sys.stdlib_module_names) - local - {"__future__"}
+
+
+def normalize(requirement: str) -> str:
+    """Distribution name of a requirement string, PEP 503-normalized."""
+    name = re.match(r"[A-Za-z0-9._-]+", requirement.strip()).group(0)
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def project_requirements() -> Dict[str, Set[str]]:
+    """``{extra: distributions}`` from pyproject.toml; ``""`` is the base list."""
+    text = (ROOT / "pyproject.toml").read_text()
+    lists = {"": re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)}
+    section = text.split("[project.optional-dependencies]", 1)[1].split("\n[", 1)[0]
+    lists.update(re.findall(r"^(\w+) = \[(.*?)\]", section, re.M | re.S))
+    return {
+        extra: {normalize(req) for req in re.findall(r'"([^"]+)"', body)}
+        for extra, body in lists.items()
+    }
+
+
+def distributions_of(module: str) -> Set[str]:
+    """Distributions that provide ``module`` (its own name when not installed)."""
+    found = importlib.metadata.packages_distributions().get(module, [module])
+    return {normalize(name) for name in found}
+
+
+def installed_extras(job: dict) -> Set[str]:
+    """Extras a job installs with ``pip install -e .[a,b]``."""
+    return {
+        extra.strip()
+        for step in job.get("steps", [])
+        for group in re.findall(r"pip install -e \.\[([^\]]*)\]", step.get("run", ""))
+        for extra in group.split(",")
+    }
+
+
+def runs_pytest_over_tests(job: dict) -> bool:
+    """A ``python -m pytest`` whose paths include ``tests/`` (no path: the rootdir)."""
+    for step in job.get("steps", []):
+        for argv in commands(step.get("run", "")):
+            argv = unwrap(argv)
+            if argv[:3] != ["python", "-m", "pytest"]:
+                continue
+            roots = [arg.split("/")[0] for arg in argv[3:] if not arg.startswith("-")]
+            roots = [root for root in roots if root in TOP_LEVEL]
+            if not roots or "tests" in roots:
+                return True
+    return False
+
+
+def missing_test_dependencies(job: dict) -> Set[str]:
+    """Third-party modules ``tests/`` imports that the job's extras do not list."""
+    requirements = project_requirements()
+    provided = set(requirements[""])
+    for extra in installed_extras(job):
+        provided |= requirements.get(extra, set())
+    return {
+        module for module in third_party_test_imports() if not distributions_of(module) & provided
+    }
+
+
 def test_the_workflow_files_are_the_checked_ones():
     assert sorted(path.name for path in WORKFLOW_DIR.glob("*.yml")) == sorted(WORKFLOWS)
 
@@ -199,6 +282,48 @@ def test_a_stale_step_is_caught(script, expected, pytestconfig):
 )
 def test_a_live_step_passes(script, pytestconfig):
     assert script_problems(script, pytestconfig) == []
+
+
+@pytest.mark.parametrize("name", WORKFLOWS)
+def test_jobs_running_the_tests_install_what_collection_imports(name):
+    missing = {
+        job_id: missing_test_dependencies(job)
+        for job_id, job in load(name)["jobs"].items()
+        if runs_pytest_over_tests(job)
+    }
+    assert missing
+    assert missing == dict.fromkeys(missing, set())
+
+
+def test_test_imports_are_found_and_mapped_to_distributions():
+    modules = third_party_test_imports()
+    assert {"numpy", "pytest", "yaml", "hypothesis"} <= modules
+    assert not modules & {"repro", "tests", "benchmarks", "os", "__future__"}
+    assert "pyyaml" in distributions_of("yaml")
+
+
+def test_a_job_installing_too_little_is_caught():
+    job = {
+        "steps": [
+            {"run": "python -m pip install -e .[lint]"},
+            {"run": "PYTHONPATH=src python -m pytest tests -m faults -q"},
+        ]
+    }
+    assert runs_pytest_over_tests(job)
+    assert {"pytest", "yaml", "hypothesis"} <= missing_test_dependencies(job)
+
+
+@pytest.mark.parametrize(
+    "script, over_tests",
+    [
+        ("python -m pytest -x -q --strict-markers", True),
+        ("taskset -c 0 python -m pytest -q tests/engine", True),
+        ("python -m pytest benchmarks -q --write-results", False),
+        ("python -m benchmarks.ledger --smoke", False),
+    ],
+)
+def test_which_steps_run_pytest_over_tests(script, over_tests):
+    assert runs_pytest_over_tests({"steps": [{"run": script}]}) is over_tests
 
 
 def test_the_nightly_runs_the_ledger_and_uploads_its_outputs():
