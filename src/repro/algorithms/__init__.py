@@ -1,5 +1,10 @@
 """Distributed training algorithms sharing one trainer interface.
 
+The lockstep trainers run one step, :meth:`BaseTrainer.train_step`, and
+differ only in its hooks (when to sync, what a sync averages, which
+replicas push, how gradients are reduced); SSP keeps its own
+asynchronous step.
+
 * :class:`BSPTrainer` — bulk-synchronous parallel (aggregate every step),
 * :class:`FedAvgTrainer` — federated averaging with participation fraction C
   and per-epoch synchronization factor E,

@@ -1,16 +1,23 @@
-"""Shared trainer interface, evaluation loop and result records.
+"""Shared trainer interface, the lockstep step, evaluation loop and result records.
 
-Every algorithm (BSP, FedAvg, SSP, local SGD, SelSync, compressed BSP)
-implements :meth:`BaseTrainer.train_step`, which advances the whole cluster
-by one global iteration and charges the simulated clock.  :meth:`run` drives
-the step loop, evaluates periodically, applies the convergence stopping rule
-used for Table I, and assembles a :class:`TrainingResult`.
+:meth:`BaseTrainer.train_step` advances the whole cluster by one global
+iteration and charges the simulated clock.  The lockstep algorithms (BSP,
+local SGD, FedAvg, SelSync, compressed BSP) share its one implementation and
+differ only in hooks — when to sync (:meth:`~BaseTrainer.should_sync`), what
+a sync averages (:attr:`~BaseTrainer.aggregation`), which replicas push
+(:meth:`~BaseTrainer.sync_rows`), how gradients are reduced
+(:meth:`~BaseTrainer.reduce_gradients`) and how batches are drawn
+(:meth:`~BaseTrainer.next_batches`); asynchronous SSP overrides the step.
+:meth:`run` drives the step loop, evaluates periodically, applies the
+convergence stopping rule used for Table I, and assembles a
+:class:`TrainingResult`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,6 +77,15 @@ class BaseTrainer:
     """Common run loop for all distributed training algorithms."""
 
     name = "base"
+    #: What a lockstep sync round averages: ``"param"`` pushes the updated
+    #: replicas to the parameter server and broadcasts their mean back,
+    #: ``"grad"`` applies one reduced gradient on every replica.
+    aggregation = "grad"
+    #: Attributes a checkpoint deep-copies: the run counters here, plus
+    #: whatever mutable state a trainer's own steps read.
+    checkpointed: Tuple[str, ...] = (
+        "global_step", "history", "lssr_tracker", "last_synced", "_last_eval"
+    )
 
     def __init__(
         self,
@@ -83,6 +99,8 @@ class BaseTrainer:
         self.lr_schedule = lr_schedule
         self.eval_every = int(eval_every)
         self.lssr_tracker = LSSRTracker()
+        #: Whether the most recent step synchronized.
+        self.last_synced = False
         self.global_step = 0
         self.history: List[EvalPoint] = []
         self._last_eval: Optional[EvalResult] = None
@@ -101,9 +119,70 @@ class BaseTrainer:
         stated once, here in the subclass.
         """
 
+    def next_batches(self) -> List:
+        """One mini-batch per worker, ``None`` at crashed slots."""
+        return self.cluster.next_batches()
+
+    def should_sync(self) -> bool:
+        """Whether this step synchronizes; called once per step, after the
+        gradients are computed and before any update (default: always)."""
+        return True
+
+    def sync_rows(self) -> np.ndarray:
+        """The parameter rows a ``"param"`` round pushes (the active replicas)."""
+        return self.cluster.active_params
+
+    def reduce_gradients(self) -> np.ndarray:
+        """A ``"grad"`` round's averaged gradient, its transfer charged.
+
+        Default: every active worker pushes its gradient to the parameter
+        server and pulls the mean back.
+        """
+        averaged = self.cluster.ps.push_matrix_gradients(self.cluster.active_grads)
+        self.cluster.charge_sync()
+        return averaged
+
     def train_step(self) -> Dict[str, float]:
-        """Advance the cluster by one global iteration; returns step info."""
-        raise NotImplementedError
+        """Advance the cluster by one lockstep global iteration.
+
+        Every active worker computes its gradients on its own batch.  A local
+        step then applies each worker's own update; a sync round either
+        averages the updated replicas through the parameter server
+        (``"param"``) or applies one reduced gradient everywhere (``"grad"``,
+        after which the parameter server mirrors the primary replica).
+        """
+        cluster = self.cluster
+        lr = self.current_lr()
+        batches = self.next_batches()
+        losses = cluster.compute_gradients_all(batches)
+        ref_batch = next(b for b in batches if b is not None)
+        cluster.charge_compute_step(ref_batch[1].shape[0])
+        synchronize = self.should_sync()
+        if not synchronize:
+            cluster.apply_local_updates(lr=lr)
+        elif self.aggregation == "param":
+            cluster.apply_local_updates(lr=lr)
+            with telemetry.span("trainer.sync"):
+                new_global = cluster.ps.push_matrix_parameters(
+                    self.sync_rows(), receivers=cluster.num_active
+                )
+                cluster.broadcast_state(new_global)
+                cluster.charge_sync()
+        else:
+            with telemetry.span("trainer.sync"):
+                averaged = self.reduce_gradients()
+            cluster.apply_local_updates(lr=lr, grads=averaged)
+            cluster.ps.set_state(cluster.primary_worker.param_vector)
+        if synchronize:
+            self.lssr_tracker.record_sync()
+        else:
+            self.lssr_tracker.record_local()
+        self.last_synced = synchronize
+        if telemetry.metrics_enabled():
+            telemetry.count(
+                "repro_sync_decisions_total", decision="sync" if synchronize else "local"
+            )
+        return {"loss": float(np.mean(losses)), "synchronized": float(synchronize)}
 
     def global_state(self) -> Dict[str, np.ndarray]:
         """Model state evaluated at checkpoints (default: replica average)."""
@@ -125,22 +204,13 @@ class BaseTrainer:
     # checkpoint / restore
     # ------------------------------------------------------------------ #
     def trainer_state(self) -> Dict:
-        """Algorithm-level state for :meth:`checkpoint`; subclasses extend."""
-        return {
-            "global_step": self.global_step,
-            "history": list(self.history),
-            "lssr_local": self.lssr_tracker.local_steps,
-            "lssr_sync": self.lssr_tracker.sync_steps,
-            "last_eval": self._last_eval,
-        }
+        """Deep copies of the :attr:`checkpointed` attributes, for :meth:`checkpoint`."""
+        return copy.deepcopy({name: getattr(self, name) for name in self.checkpointed})
 
     def load_trainer_state(self, state: Dict) -> None:
         """Restore the state captured by :meth:`trainer_state`."""
-        self.global_step = state["global_step"]
-        self.history = list(state["history"])
-        self.lssr_tracker.local_steps = state["lssr_local"]
-        self.lssr_tracker.sync_steps = state["lssr_sync"]
-        self._last_eval = state["last_eval"]
+        for name in self.checkpointed:
+            setattr(self, name, copy.deepcopy(state[name]))
 
     def checkpoint(self) -> Dict:
         """Snapshot the cluster plus this trainer's algorithm state."""

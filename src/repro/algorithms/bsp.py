@@ -8,13 +8,9 @@ BSP is the accuracy reference and the speedup baseline for Table I.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 
 from repro.algorithms.base import BaseTrainer
-from repro.cluster.cluster import SimulatedCluster
-from repro.optim.schedules import LRSchedule
 
 
 class BSPTrainer(BaseTrainer):
@@ -22,32 +18,13 @@ class BSPTrainer(BaseTrainer):
 
     name = "bsp"
 
-    def __init__(
-        self,
-        cluster: SimulatedCluster,
-        lr_schedule: Optional[LRSchedule] = None,
-        eval_every: int = 50,
-    ) -> None:
-        super().__init__(cluster, lr_schedule=lr_schedule, eval_every=eval_every)
-
-    def train_step(self) -> Dict[str, float]:
-        cluster = self.cluster
-        lr = self.current_lr()
-        batches = cluster.next_batches()
-        losses = cluster.compute_gradients_all(batches)
-        cluster.charge_compute_step()
-
+    def reduce_gradients(self) -> np.ndarray:
         # Gradients already live as rows of the (N, D) worker matrix, so the
         # all-reduce is one fused mean over it (the active rows only, under
         # an elastic fault mask).
-        averaged = cluster.backend.allreduce_matrix(cluster.active_grads, op="mean")
-        cluster.charge_sync()
-        cluster.apply_local_updates(lr=lr, grads=averaged)
-        # Keep the PS state in line with the (identical) replicas so the
-        # global checkpoint matches what a PS deployment would serve.
-        cluster.ps.set_state(cluster.primary_worker.param_vector)
-        self.lssr_tracker.record_sync()
-        return {"loss": float(np.mean(losses)), "synchronized": 1.0}
+        averaged = self.cluster.backend.allreduce_matrix(self.cluster.active_grads, op="mean")
+        self.cluster.charge_sync()
+        return averaged
 
     def global_state(self):
         return self.cluster.primary_worker.get_state()

@@ -24,6 +24,8 @@ class FedAvgTrainer(BaseTrainer):
     """FedAvg with participation fraction C and synchronization factor E."""
 
     name = "fedavg"
+    aggregation = "param"
+    checkpointed = BaseTrainer.checkpointed + ("_rng",)
 
     def __init__(
         self,
@@ -43,7 +45,6 @@ class FedAvgTrainer(BaseTrainer):
         steps_per_epoch = max(cluster.workers[0].loader.steps_per_epoch, 1)
         self.sync_interval = max(int(round(self.sync_factor * steps_per_epoch)), 1)
         self._rng = new_rng(seed if seed is not None else cluster.config.seed + 101)
-        self.aggregation_rounds = 0
 
     @classmethod
     def check_params(cls, *, participation: float, sync_factor: float, **_: Any) -> None:
@@ -65,40 +66,29 @@ class FedAvgTrainer(BaseTrainer):
             "aggregation_rounds": float(self.aggregation_rounds),
         }
 
+    def should_sync(self) -> bool:
+        return (self.global_step + 1) % self.sync_interval == 0
+
     def _select_participants(self) -> List[int]:
         n = self.cluster.num_workers
         k = max(int(round(self.participation * n)), 1)
         chosen = self._rng.choice(n, size=k, replace=False)
         return sorted(int(c) for c in chosen)
 
-    def train_step(self) -> Dict[str, float]:
-        cluster = self.cluster
-        lr = self.current_lr()
-        batches = [worker.next_batch() for worker in cluster.workers]
-        losses = cluster.compute_gradients_all(batches)
-        cluster.apply_local_updates(lr=lr)
-        cluster.charge_compute_step()
+    def sync_rows(self) -> np.ndarray:
+        """The participants' rows (the matrix itself, uncopied, at C = 1)."""
+        participants = self._select_participants()
+        if len(participants) == self.cluster.num_workers:
+            return self.cluster.matrix.params
+        return self.cluster.matrix.params[participants]
 
-        synchronize = (self.global_step + 1) % self.sync_interval == 0
-        if synchronize:
-            participants = self._select_participants()
-            # Row-select the participating replicas from the worker matrix;
-            # full participation pushes the matrix itself (no copy).
-            if len(participants) == cluster.num_workers:
-                rows = cluster.matrix.params
-            else:
-                rows = cluster.matrix.params[participants]
-            new_global = cluster.ps.push_matrix_parameters(rows)
-            cluster.broadcast_state(new_global)
-            cluster.charge_sync()
-            self.aggregation_rounds += 1
-            self.lssr_tracker.record_sync()
-        else:
-            self.lssr_tracker.record_local()
-        return {"loss": float(np.mean(losses)), "synchronized": float(synchronize)}
+    @property
+    def aggregation_rounds(self) -> int:
+        """Rounds aggregated so far (every sync step is one round)."""
+        return self.lssr_tracker.sync_steps
 
     def global_state(self):
         """Evaluate the PS global model (what FedAvg serves between rounds)."""
         if self.aggregation_rounds > 0:
-            return self.cluster.ps.pull()
+            return self.cluster.ps.state_dict()
         return self.cluster.average_worker_states()

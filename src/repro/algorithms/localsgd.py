@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.algorithms.base import BaseTrainer
 from repro.cluster.cluster import SimulatedCluster
 from repro.optim.schedules import LRSchedule
@@ -20,6 +18,7 @@ class LocalSGDTrainer(BaseTrainer):
     """Workers train locally and average parameters every ``sync_period`` steps."""
 
     name = "local_sgd"
+    aggregation = "param"
 
     def __init__(
         self,
@@ -42,23 +41,8 @@ class LocalSGDTrainer(BaseTrainer):
         """Label including the sync period, e.g. ``local_sgd(H=10)``."""
         return f"local_sgd(H={self.sync_period})"
 
-    def train_step(self) -> Dict[str, float]:
-        cluster = self.cluster
-        lr = self.current_lr()
-        batches = cluster.next_batches()
-        losses = cluster.compute_gradients_all(batches)
-        cluster.apply_local_updates(lr=lr)
-        cluster.charge_compute_step()
-
-        synchronize = (self.global_step + 1) % self.sync_period == 0
-        if synchronize:
-            new_global = cluster.ps.push_matrix_parameters(cluster.active_params)
-            cluster.broadcast_state(new_global)
-            cluster.charge_sync()
-            self.lssr_tracker.record_sync()
-        else:
-            self.lssr_tracker.record_local()
-        return {"loss": float(np.mean(losses)), "synchronized": float(synchronize)}
+    def should_sync(self) -> bool:
+        return (self.global_step + 1) % self.sync_period == 0
 
     def result_extras(self) -> Dict[str, float]:
         return {"sync_period": float(self.sync_period)}

@@ -30,6 +30,7 @@ class SSPTrainer(BaseTrainer):
     """Asynchronous PS training with a bounded staleness window."""
 
     name = "ssp"
+    checkpointed = BaseTrainer.checkpointed + ("_last_pulled", "blocked_steps")
 
     def __init__(
         self,
@@ -61,17 +62,6 @@ class SSPTrainer(BaseTrainer):
 
     def result_extras(self) -> Dict[str, float]:
         return {"staleness": float(self.staleness), "blocked_steps": float(self.blocked_steps)}
-
-    def trainer_state(self) -> Dict:
-        state = super().trainer_state()
-        state["last_pulled"] = [vec.copy() for vec in self._last_pulled]
-        state["blocked_steps"] = self.blocked_steps
-        return state
-
-    def load_trainer_state(self, state: Dict) -> None:
-        super().load_trainer_state(state)
-        self._last_pulled = [vec.copy() for vec in state["last_pulled"]]
-        self.blocked_steps = state["blocked_steps"]
 
     def train_step(self) -> Dict[str, float]:
         cluster = self.cluster

@@ -78,6 +78,13 @@ class ParameterServer:
         self.total_pulled_bytes += self.state_bytes()
         return self._buffer.copy_vector() if copy else self._buffer.vector
 
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """A named copy of the global state without transfer accounting.
+
+        What evaluation reads: looking at the served model moves no bytes.
+        """
+        return self._buffer.as_dict(copy=True)
+
     @property
     def state_vector(self) -> np.ndarray:
         """Live flat view of the global state (no transfer accounting)."""
@@ -105,23 +112,28 @@ class ParameterServer:
         )
         self._buffer.load_vector(stacked.mean(axis=0))
         self.total_pushed_bytes += self.state_bytes() * len(worker_states)
+        self.total_pulled_bytes += self.state_bytes() * len(worker_states)
         self.version += 1
         self.aggregations += 1
-        return self.pull()
+        return self.state_dict()
 
-    def push_matrix_parameters(self, params_matrix: np.ndarray) -> np.ndarray:
-        """PA push of the whole ``(N, D)`` worker matrix in one fused mean.
+    def push_matrix_parameters(
+        self, params_matrix: np.ndarray, receivers: Optional[int] = None
+    ) -> np.ndarray:
+        """PA push of a ``(K, D)`` worker matrix in one fused mean.
 
-        Mirrors :meth:`aggregate_parameters` + one pull in accounting
-        (each worker pushes its replica, the averaged state goes back out),
-        and returns the new global flat state.
+        Accounts like :meth:`aggregate_parameters`: each row is one pushed
+        replica, and the averaged state goes back out as one pull per
+        replica it reaches — ``receivers`` of them, by default the ``K``
+        that pushed.  Returns the new global flat state.
         """
         matrix = self._check_matrix(params_matrix)
         self._buffer.load_vector(matrix.mean(axis=0))
         self.total_pushed_bytes += self.state_bytes() * matrix.shape[0]
+        self.total_pulled_bytes += self.state_bytes() * (receivers or matrix.shape[0])
         self.version += 1
         self.aggregations += 1
-        return self.pull_vector()
+        return self._buffer.copy_vector()
 
     def aggregate_gradients(
         self, worker_grads: Mapping[int, Mapping[str, np.ndarray]]

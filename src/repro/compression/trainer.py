@@ -24,6 +24,8 @@ class CompressedBSPTrainer(BaseTrainer):
     """Per-step gradient aggregation with a pluggable compressor and error feedback."""
 
     name = "compressed_bsp"
+    #: The compressor carries state too (PowerSGD's warm start and RNG).
+    checkpointed = BaseTrainer.checkpointed + ("_residuals", "_ratio_history", "compressor")
 
     def __init__(
         self,
@@ -46,11 +48,10 @@ class CompressedBSPTrainer(BaseTrainer):
         mean_ratio = float(np.mean(self._ratio_history)) if self._ratio_history else 1.0
         return {"mean_compression_ratio": mean_ratio}
 
-    def train_step(self) -> Dict[str, float]:
+    def reduce_gradients(self) -> np.ndarray:
+        """Compress every worker's gradient (plus its residual), average the
+        reconstructions and charge the compressed transfer."""
         cluster = self.cluster
-        lr = self.current_lr()
-        batches = [worker.next_batch() for worker in cluster.workers]
-        losses = cluster.compute_gradients_all(batches)
         compressed_vectors = []
         total_ratio = 0.0
         for worker in cluster.workers:
@@ -65,11 +66,8 @@ class CompressedBSPTrainer(BaseTrainer):
                 self._residuals[worker.worker_id] = flat - reconstructed
             compressed_vectors.append(reconstructed)
             total_ratio += payload.compression_ratio
-        cluster.charge_compute_step()
-
         mean_ratio = total_ratio / cluster.num_workers
         self._ratio_history.append(mean_ratio)
-        averaged = np.mean(compressed_vectors, axis=0)
 
         # Charge a full sync scaled down by the achieved compression ratio.
         # The compressor's payload bytes already reflect the true wire
@@ -87,11 +85,7 @@ class CompressedBSPTrainer(BaseTrainer):
             2.0 * cluster.workers[0].model.parameter_bytes() / max(mean_ratio, 1.0)
             * cluster.num_workers,
         )
-
-        cluster.apply_local_updates(lr=lr, grads=averaged)
-        cluster.ps.set_state(cluster.workers[0].param_vector)
-        self.lssr_tracker.record_sync()
-        return {"loss": float(np.mean(losses)), "compression_ratio": mean_ratio}
+        return np.mean(compressed_vectors, axis=0)
 
     def global_state(self):
-        return self.cluster.workers[0].get_state()
+        return self.cluster.primary_worker.get_state()

@@ -67,19 +67,23 @@ class DataInjection:
         self.total_bytes = 0.0
         self.rounds = 0
 
-    def num_selected(self) -> int:
-        """Number of workers selected to share, ceil(alpha * N)."""
-        return int(np.ceil(self.alpha * self.num_workers))
+    def num_selected(self, num_live: Optional[int] = None) -> int:
+        """Number of workers selected to share, ceil(alpha * N) of the
+        ``num_live`` workers (default: all of them)."""
+        return int(np.ceil(self.alpha * (self.num_workers if num_live is None else num_live)))
 
     def inject(
         self,
-        batches: Sequence[Tuple[np.ndarray, np.ndarray]],
-    ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], InjectionReport]:
-        """Mix a shared pool into every worker's batch.
+        batches: Sequence[Optional[Tuple[np.ndarray, np.ndarray]]],
+    ) -> Tuple[List[Optional[Tuple[np.ndarray, np.ndarray]]], InjectionReport]:
+        """Mix a shared pool into every live worker's batch.
 
         ``batches`` holds one (inputs, targets) pair per worker, each of local
-        size b'.  Returns new per-worker batches of size roughly
-        b' + alpha*beta*N*b' = b, plus an :class:`InjectionReport`.
+        size b', and ``None`` at a crashed worker's slot: a crashed worker
+        neither contributes to the pool nor receives it, and the transfer is
+        counted for live receivers only.  Returns new per-worker batches of
+        size roughly b' + alpha*beta*N*b' = b (``None`` where the input was),
+        plus an :class:`InjectionReport`.
         """
         if len(batches) != self.num_workers:
             raise ValueError(
@@ -90,10 +94,9 @@ class DataInjection:
             self.rounds += 1
             return list(batches), report
 
-        k = self.num_selected()
-        selected = sorted(
-            int(w) for w in self._rng.choice(self.num_workers, size=k, replace=False)
-        )
+        live = np.flatnonzero([batch is not None for batch in batches])
+        k = self.num_selected(live.size)
+        selected = sorted(int(w) for w in self._rng.choice(live, size=k, replace=False))
         pooled_x: List[np.ndarray] = []
         pooled_y: List[np.ndarray] = []
         for worker in selected:
@@ -104,26 +107,19 @@ class DataInjection:
             take = self._rng.choice(x.shape[0], size=share, replace=False)
             pooled_x.append(x[take])
             pooled_y.append(y[take])
-        if pooled_x:
-            pool_x = np.concatenate(pooled_x)
-            pool_y = np.concatenate(pooled_y)
-        else:
-            pool_x = batches[0][0][:0]
-            pool_y = batches[0][1][:0]
-
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for worker, (x, y) in enumerate(batches):
-            if pool_x.shape[0] == 0:
-                out.append((x, y))
-            else:
-                out.append((np.concatenate([x, pool_x]), np.concatenate([y, pool_y])))
-
-        bytes_transferred = float(pool_x.shape[0]) * self.sample_bytes * self.num_workers
+        pool = (np.concatenate(pooled_x), np.concatenate(pooled_y)) if pooled_x else None
+        out = [
+            batch if batch is None or pool is None
+            else (np.concatenate([batch[0], pool[0]]), np.concatenate([batch[1], pool[1]]))
+            for batch in batches
+        ]
+        shared = 0 if pool is None else int(pool[0].shape[0])
+        bytes_transferred = float(shared) * self.sample_bytes * live.size
         self.total_bytes += bytes_transferred
         self.rounds += 1
         report = InjectionReport(
             selected_workers=selected,
-            shared_samples=int(pool_x.shape[0]),
+            shared_samples=shared,
             bytes_transferred=bytes_transferred,
         )
         return out, report

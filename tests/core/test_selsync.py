@@ -119,7 +119,7 @@ class TestGlobalStateCheckpoint:
         assert trainer.local_steps > 0
         trainer.config.delta = 0.0  # force the next step to synchronize
         trainer.run(1)
-        assert trainer._last_step_synced and trainer.local_steps > 0
+        assert trainer.last_synced and trainer.local_steps > 0
         # Perturb one replica after the final sync (simulating external
         # drift): the checkpoint must still be the PS state, not the now
         # perturbed replica average.
@@ -136,7 +136,7 @@ class TestGlobalStateCheckpoint:
         )
         trainer.run(10)  # forced first-step sync, then all-local
         assert trainer.sync_steps == 1 and trainer.local_steps == 9
-        assert not trainer._last_step_synced
+        assert not trainer.last_synced
         state = trainer.global_state()
         expected = cluster.average_worker_states()
         for name in expected:
@@ -165,7 +165,10 @@ class TestMechanics:
     def test_step_max_delta_and_extremum(self):
         cluster = make_small_cluster()
         trainer = SelSyncTrainer(cluster, SelSyncConfig(delta=0.3), eval_every=100)
-        step_maxima = [trainer.train_step()["max_delta"] for _ in range(8)]
+        step_maxima = []
+        for _ in range(8):
+            trainer.train_step()
+            step_maxima.append(float(trainer.bank.max_delta.max()))
         assert step_maxima[0] == 0.0
         assert max(step_maxima) == trainer.result_extras()["max_delta_observed"] > 0.0
 
@@ -192,6 +195,31 @@ class TestMechanics:
         trainer = SelSyncTrainer(cluster, SelSyncConfig(delta=0.1), eval_every=20)
         result = trainer.run(80)
         assert result.final_metric > 0.5
+
+    def test_injection_skips_a_crashed_worker(self):
+        """A crashed worker's loader stands still and its slot takes no pool."""
+        from repro.faults import FaultController, FaultSchedule, crash
+
+        cluster = make_small_cluster(num_workers=3)
+        config = SelSyncConfig(delta=0.3, injection_alpha=1.0, injection_beta=0.5)
+        trainer = SelSyncTrainer(cluster, config, eval_every=100)
+        trainer.attach_fault_controller(FaultController(cluster, FaultSchedule([crash(1, 1)])))
+        injected = []
+        inject = trainer.injection.inject
+
+        def recording_inject(batches):
+            mixed, report = inject(batches)
+            injected.append((mixed, report))
+            return mixed, report
+
+        trainer.injection.inject = recording_inject
+        trainer.run(1)
+        cursor = cluster.workers[1].loader._cursor
+        trainer.run(2)
+        assert cluster.workers[1].loader._cursor == cursor
+        for mixed, report in injected[1:]:
+            assert mixed[1] is None and 1 not in report.selected_workers
+            assert report.selected_workers == [0, 2]
 
     def test_injection_config_builds_injection(self):
         cluster = make_small_cluster()

@@ -75,6 +75,18 @@ class TestDataInjection:
         _, report = inj.inject(batches)
         assert len(report.selected_workers) == 3
 
+    def test_crashed_slot_neither_gives_nor_takes(self):
+        inj = DataInjection(1.0, 0.5, num_workers=4, sample_bytes=10, seed=0)
+        batches = _make_batches(4, 8)
+        batches[2] = None
+        mixed, report = inj.inject(batches)
+        assert mixed[2] is None
+        assert report.selected_workers == [0, 1, 3]
+        assert report.shared_samples == 12
+        assert report.bytes_transferred == 12 * 10 * 3
+        for worker in (0, 1, 3):
+            assert mixed[worker][0].shape[0] == 8 + 12
+
     def test_zero_alpha_is_identity(self):
         inj = DataInjection(0.0, 0.5, num_workers=4, seed=0)
         batches = _make_batches(4, 8)

@@ -107,7 +107,7 @@ class TestSelSyncTrackerState:
                 make_small_cluster(), SelSyncConfig(delta=0.3), eval_every=1000
             )
             trainer.run(steps)
-            sizes.append(len(pickle.dumps(trainer.trainer_state()["tracker"])))
+            sizes.append(len(pickle.dumps(trainer.trainer_state()["bank"])))
         assert sizes[0] == sizes[1]
 
     @pytest.mark.parametrize("aggregation", ["param", "grad"])

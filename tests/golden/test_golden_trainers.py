@@ -14,26 +14,13 @@ from tests.golden import trainer_slice as ts
 from tests.golden.generate import DeltaTooClose, check_delta_margin, observed_deltas
 
 PINS = ts.load_pins()
-#: Restore cases whose ``trainer_state`` misses part of what the replay needs.
-RESTORE_GAPS = {
-    "selsync_inject": "the data-injection RNG is not in trainer_state",
-    "fedavg_c05": "the participant RNG is not in trainer_state",
-    "compressed_topk": "residuals, ratio history and compressor state are not in trainer_state",
-}
-CASES = [
-    pytest.param(case, id=case.key, marks=pytest.mark.xfail(
-        strict=True, reason=RESTORE_GAPS[case.config]))
-    if case.mode == "restore" and case.config in RESTORE_GAPS
-    else pytest.param(case, id=case.key)
-    for case in ts.CASES
-]
 
 
 def test_pins_cover_exactly_the_pinned_cases():
     assert sorted(PINS) == sorted(case.key for case in ts.PINNED_CASES)
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", ts.CASES, ids=lambda case: case.key)
 def test_case_matches_its_pin(case):
     pin = PINS[case.pin_key]
     assert ts.mismatches(ts.run_case(case), pin, case.dtype) == []

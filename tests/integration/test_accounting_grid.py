@@ -55,11 +55,7 @@ TELEMETRY_GAPS = {
 }
 #: Algorithms whose backend / PS records count other payloads than the cost model.
 RECORD_GAPS = {
-    "selsync": "a PS sync round records K pushes and one pull; the cost model prices 2K",
-    "local_sgd": "a PS sync round records K pushes and one pull; the cost model prices 2K",
-    "fedavg": "a PS round records K pushes and one pull, evaluation one more pull; "
-    "the cost model prices 2K per round",
-    "ssp": "the records add one initial pull per worker that the cost model never prices",
+    "ssp": "the records add the initial pull that the cost model never prices",
 }
 
 

@@ -96,10 +96,6 @@ KEEP: Dict[str, str] = {
     "repro.algorithms.base.BaseTrainer.restore": _CHECKPOINT,
     "repro.algorithms.base.BaseTrainer.trainer_state": _CHECKPOINT,
     "repro.algorithms.base.BaseTrainer.load_trainer_state": _CHECKPOINT,
-    "repro.algorithms.ssp.SSPTrainer.trainer_state": _CHECKPOINT,
-    "repro.algorithms.ssp.SSPTrainer.load_trainer_state": _CHECKPOINT,
-    "repro.core.selsync.SelSyncTrainer.trainer_state": _CHECKPOINT,
-    "repro.core.selsync.SelSyncTrainer.load_trainer_state": _CHECKPOINT,
     "repro.cluster.cluster.SimulatedCluster.checkpoint": _CHECKPOINT,
     "repro.cluster.cluster.SimulatedCluster.restore": _CHECKPOINT,
     "repro.faults.checkpoint.restore_cluster": _CHECKPOINT,
