@@ -70,13 +70,14 @@ class FedAvgTrainer(BaseTrainer):
         return (self.global_step + 1) % self.sync_interval == 0
 
     def _select_participants(self) -> List[int]:
-        n = self.cluster.num_workers
-        k = max(int(round(self.participation * n)), 1)
-        chosen = self._rng.choice(n, size=k, replace=False)
+        active = self.cluster.active_indices
+        k = max(int(round(self.participation * active.size)), 1)
+        chosen = self._rng.choice(active, size=k, replace=False)
         return sorted(int(c) for c in chosen)
 
     def sync_rows(self) -> np.ndarray:
-        """The participants' rows (the matrix itself, uncopied, at C = 1)."""
+        """The participants' rows, drawn from the active workers (the matrix
+        itself, uncopied, at C = 1 with everyone alive)."""
         participants = self._select_participants()
         if len(participants) == self.cluster.num_workers:
             return self.cluster.matrix.params

@@ -102,4 +102,4 @@ class SSPTrainer(BaseTrainer):
         return {"loss": float(np.mean(losses)), "synchronized": 0.0}
 
     def global_state(self):
-        return self.cluster.ps.pull()
+        return self.cluster.ps.state_dict()

@@ -54,19 +54,19 @@ class CompressedBSPTrainer(BaseTrainer):
         cluster = self.cluster
         compressed_vectors = []
         total_ratio = 0.0
-        for worker in cluster.workers:
+        for worker_id in cluster.active_indices:
             # Gradients arrive as the worker's flat buffer row — compressors
             # operate on flat vectors, so no per-step re-flattening happens.
-            flat = worker.grad_vector
-            if self.error_feedback and self._residuals[worker.worker_id] is not None:
-                flat = flat + self._residuals[worker.worker_id]
+            flat = cluster.workers[worker_id].grad_vector
+            if self.error_feedback and self._residuals[worker_id] is not None:
+                flat = flat + self._residuals[worker_id]
             payload = self.compressor.compress(flat)
             reconstructed = self.compressor.decompress(payload)
             if self.error_feedback:
-                self._residuals[worker.worker_id] = flat - reconstructed
+                self._residuals[worker_id] = flat - reconstructed
             compressed_vectors.append(reconstructed)
             total_ratio += payload.compression_ratio
-        mean_ratio = total_ratio / cluster.num_workers
+        mean_ratio = total_ratio / cluster.num_active
         self._ratio_history.append(mean_ratio)
 
         # Charge a full sync scaled down by the achieved compression ratio.
@@ -76,14 +76,14 @@ class CompressedBSPTrainer(BaseTrainer):
         # discount them again.
         seconds = cluster.comm_model.sync_seconds(
             cluster.workload_spec.model_bytes / max(mean_ratio, 1.0),
-            cluster.num_workers,
+            cluster.num_active,
             scale_transport=False,
         )
         cluster.clock.barrier_and_add(seconds, bucket="communication")
         cluster.backend.record.record(
             "compressed_allreduce",
             2.0 * cluster.workers[0].model.parameter_bytes() / max(mean_ratio, 1.0)
-            * cluster.num_workers,
+            * cluster.num_active,
         )
         return np.mean(compressed_vectors, axis=0)
 

@@ -92,6 +92,29 @@ class TestFedAvg:
         assert len(participants) == 4
         assert len(set(participants)) == 4
 
+    @pytest.mark.parametrize("participation", [1.0, 0.5])
+    def test_crashed_worker_never_joins_a_round(self, participation):
+        from repro.faults import FaultController, FaultSchedule, crash
+
+        cluster = make_small_cluster(num_workers=4)
+        trainer = FedAvgTrainer(cluster, participation=participation, sync_factor=1e-4,
+                                eval_every=100)
+        trainer.attach_fault_controller(FaultController(cluster, FaultSchedule([crash(1, 0)])))
+        rows = []
+        push = cluster.ps.push_matrix_parameters
+
+        def recording_push(matrix, receivers=None):
+            rows.append(matrix.copy())
+            return push(matrix, receivers=receivers)
+
+        cluster.ps.push_matrix_parameters = recording_push
+        trainer.run(3)
+        frozen = cluster.matrix.params[1]
+        assert len(rows) == 3
+        for pushed in rows:
+            assert len(pushed) == (3 if participation == 1.0 else 2)
+            assert not any(np.array_equal(row, frozen) for row in pushed)
+
     def test_high_lssr(self):
         cluster = make_small_cluster()
         trainer = FedAvgTrainer(cluster, participation=1.0, sync_factor=1.0, eval_every=100)

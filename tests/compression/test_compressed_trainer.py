@@ -22,6 +22,16 @@ class TestCompressedBSP:
         trainer.run(6)
         assert cluster.replica_divergence() == pytest.approx(0.0, abs=1e-12)
 
+    def test_crashed_worker_is_left_out_of_the_reduction(self):
+        from repro.faults import FaultController, FaultSchedule, crash
+
+        cluster = make_small_cluster(num_workers=3)
+        trainer = CompressedBSPTrainer(cluster, TopKCompressor(ratio=0.1), eval_every=100)
+        trainer.attach_fault_controller(FaultController(cluster, FaultSchedule([crash(1, 0)])))
+        trainer.run(2)
+        assert trainer._residuals[1] is None
+        assert all(trainer._residuals[w] is not None for w in (0, 2))
+
     def test_cheaper_communication_than_plain_bsp(self):
         plain = make_small_cluster(seed=1)
         compressed = make_small_cluster(seed=1)

@@ -58,8 +58,8 @@ PACKAGE = os.path.join(SRC, "repro")
 _CALIBRATION = "the known-optimum item calibrates the transformer's warm-up / LR schedule"
 _INIT = "the known-optimum item calibrates the transformer's init scale"
 _CHECKPOINT = (
-    "checkpoint / restore API: no entry point resumes a run yet; the golden-corpus item "
-    "adds checkpoint -> restore cases"
+    "checkpoint / restore API: no entry point resumes a run yet; tests/golden/ replays "
+    "checkpoint -> restore for every lockstep trainer"
 )
 _ORACLE = "reference form that tests compare the fused / matrix / flat path against"
 _TWIN = (
@@ -111,6 +111,7 @@ KEEP: Dict[str, str] = {
     "repro.comm.parameter_server.ParameterServer.aggregate_parameters": _ORACLE,
     "repro.comm.parameter_server.ParameterServer.aggregate_gradients": _ORACLE,
     "repro.comm.parameter_server.ParameterServer.async_apply_delta": _ORACLE,
+    "repro.comm.parameter_server.ParameterServer.pull": _ORACLE,
     "repro.comm.backend.InProcessBackend.allreduce": _ORACLE,
     "repro.comm.backend.InProcessBackend.broadcast": _ORACLE,
     "repro.comm.backend.InProcessBackend.gather": _ORACLE,
