@@ -158,21 +158,20 @@ class BaseTrainer:
         ref_batch = next(b for b in batches if b is not None)
         cluster.charge_compute_step(ref_batch[1].shape[0])
         synchronize = self.should_sync()
-        if not synchronize:
-            cluster.apply_local_updates(lr=lr)
-        elif self.aggregation == "param":
-            cluster.apply_local_updates(lr=lr)
-            with telemetry.span("trainer.sync"):
-                new_global = cluster.ps.push_matrix_parameters(
-                    self.sync_rows(), receivers=cluster.num_active
-                )
-                cluster.broadcast_state(new_global)
-                cluster.charge_sync()
-        else:
+        if synchronize and self.aggregation == "grad":
             with telemetry.span("trainer.sync"):
                 averaged = self.reduce_gradients()
             cluster.apply_local_updates(lr=lr, grads=averaged)
             cluster.ps.set_state(cluster.primary_worker.param_vector)
+        else:
+            cluster.apply_local_updates(lr=lr)
+            if synchronize:
+                with telemetry.span("trainer.sync"):
+                    new_global = cluster.ps.push_matrix_parameters(
+                        self.sync_rows(), receivers=cluster.num_active
+                    )
+                    cluster.broadcast_state(new_global)
+                    cluster.charge_sync()
         if synchronize:
             self.lssr_tracker.record_sync()
         else:

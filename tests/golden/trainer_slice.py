@@ -195,14 +195,12 @@ def run_case(case: Case, delta: Optional[float] = None) -> Dict[str, Any]:
     trainer = build_trainer(case, delta)
     cluster = trainer.cluster
     steps: List[Tuple[float, bool]] = []
-    recording = [True]
     train_step = trainer.train_step
 
     def recorded_step():
         before = trainer.lssr_tracker.sync_steps
         info = train_step()
-        if recording[0]:
-            steps.append((float(info["loss"]), trainer.lssr_tracker.sync_steps > before))
+        steps.append((float(info["loss"]), trainer.lssr_tracker.sync_steps > before))
         return info
 
     trainer.train_step = recorded_step
@@ -212,13 +210,11 @@ def run_case(case: Case, delta: Optional[float] = None) -> Dict[str, Any]:
             for _ in range(CHECKPOINT_AT):
                 next(stepper)
             ckpt = trainer.checkpoint()
-            recording[0] = False
-            for _ in range(DETOUR):
-                trainer.train_step()
+            for _ in range(DETOUR):  # unrecorded steps the restore must undo
+                train_step()
                 trainer.global_step += 1
                 cluster.global_step = trainer.global_step
             trainer.restore(ckpt)
-            recording[0] = True
         while True:
             next(stepper)
     except StopIteration:
