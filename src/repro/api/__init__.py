@@ -41,7 +41,6 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro import telemetry
 from repro.algorithms.base import TrainingResult
 from repro.harness.experiment import ConfigError, RunConfig
 from repro.results.provenance import Provenance, build_provenance
@@ -49,8 +48,9 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import (
     RunCancelled,
     ScenarioReport,
-    result_metrics,
+    _check_cancelled,
     run_scenario,
+    train_run,
 )
 from repro.scenarios.spec import (
     ComparisonScenario,
@@ -246,32 +246,20 @@ def request_from_action(action: str, payload: Mapping[str, Any]) -> RunRequest:
 def _run_experiment_kind(
     config: RunConfig, cancel_check: Optional[Callable[[], bool]]
 ) -> RunResult:
-    from repro.harness.experiment import run_experiment
-    from repro.scenarios.runner import _check_cancelled
-
     _check_cancelled(cancel_check)
-    phase_start = telemetry.phase_snapshot()
-    out = run_experiment(config)
-    record = {
-        "params": dict(config.params),
-        "label": out.algorithm,
-        "metrics": result_metrics(out.result),
-    }
-    # Opt-in per-phase breakdown: present only when telemetry tracing was
-    # active during the run, so default artifacts stay byte-identical.
-    phases = telemetry.phase_delta(phase_start)
-    if phases:
-        record["phases"] = phases
+    record, result = train_run(config, config.params)
     meta = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     meta.update(params=dict(config.params), eval_every=config.resolved_eval_every)
-    if phases:
-        meta["phases"] = phases
+    # Opt-in per-phase breakdown: present only when telemetry tracing was
+    # active during the run, so default artifacts stay byte-identical.
+    if record.phases:
+        meta["phases"] = record.phases
     return RunResult(
         kind="experiment",
-        label=out.algorithm,
-        records=[record],
+        label=record.label,
+        records=[record.to_dict()],
         meta=meta,
-        results={"run": out.result},
+        results={"run": result},
     )
 
 

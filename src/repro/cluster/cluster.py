@@ -469,9 +469,10 @@ class SimulatedCluster:
         return seconds
 
     def charge_p2p(self, num_bytes: float) -> float:
-        """Charge a point-to-point transfer (data injection, SSP pushes)."""
+        """Charge and record (op ``"p2p"``) one transfer of SelSync's data injection."""
         seconds = self.comm_model.p2p_seconds(num_bytes)
         self.clock.barrier_and_add(seconds, bucket="communication")
+        self.backend.record.record("p2p", float(num_bytes))
         if telemetry.metrics_enabled():
             telemetry.count("repro_comm_wire_bytes_total", float(num_bytes), kind="p2p")
         return seconds

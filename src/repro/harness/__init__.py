@@ -1,11 +1,10 @@
-"""Experiment harness: workload presets, runners, sweeps and report formatting.
+"""Experiment harness: workload presets, the experiment runner and report formatting.
 
-The benchmarks under ``benchmarks/`` and the scripts under ``examples/`` are
-thin wrappers around this package: a workload preset names one of the paper's
-four (model, dataset, optimizer, schedule) combinations scaled to CPU size,
-the runner builds the simulated cluster and executes any of the training
-algorithms on it, and the reporting helpers print the rows/series that the
-paper's tables and figures contain.
+A workload preset names one of the paper's four (model, dataset, optimizer,
+schedule) combinations scaled to CPU size; :func:`run_experiment` builds the
+simulated cluster for one :class:`RunConfig` and runs its trainer on it; the
+reporting helpers print the rows/series that the paper's tables and figures
+contain.  Sweeps are scenarios (:mod:`repro.scenarios`).
 """
 
 from repro.harness.experiment import (
@@ -19,9 +18,7 @@ from repro.harness.experiment import (
     build_cluster,
     make_trainer,
     run_experiment,
-    ExperimentResult,
 )
-from repro.harness.sweep import grid_sweep, SweepResult
 from repro.harness.reporting import format_table, results_to_rows
 
 __all__ = [
@@ -35,9 +32,6 @@ __all__ = [
     "build_cluster",
     "make_trainer",
     "run_experiment",
-    "ExperimentResult",
-    "grid_sweep",
-    "SweepResult",
     "format_table",
     "results_to_rows",
 ]

@@ -61,10 +61,8 @@ import sys
 import typing
 from typing import Dict, Optional, Sequence
 
-from repro.harness.experiment import WORKLOAD_PRESETS, ConfigError, RunConfig
+from repro.harness.experiment import TRAINERS, WORKLOAD_PRESETS, ConfigError, RunConfig
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
-
-ALGORITHMS = ("bsp", "selsync", "fedavg", "ssp", "local_sgd")
 
 #: ``repro compare``'s methods; ``--param`` pairs update the SelSync entry.
 COMPARE_METHODS = {
@@ -108,7 +106,7 @@ RUN_FLAGS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "pa
 
 def _cmd_list(_: argparse.Namespace) -> int:
     print("workloads :", ", ".join(sorted(WORKLOAD_PRESETS)))
-    print("algorithms:", ", ".join(ALGORITHMS))
+    print("algorithms:", ", ".join(sorted(TRAINERS)))
     return 0
 
 

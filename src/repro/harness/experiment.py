@@ -224,9 +224,11 @@ TRAINERS: Dict[str, type] = {
     "compressed_bsp": CompressedBSPTrainer,
 }
 
-#: Algorithms that support fault injection (elastic worker masks): lockstep
-#: trainers whose aggregation paths honor ``cluster.active_mask``.
-FAULT_ALGORITHMS = ("bsp", "selsync", "local_sgd")
+#: Algorithms that support fault injection (elastic worker masks): every trainer
+#: on the lockstep ``BaseTrainer.train_step``, which honors ``cluster.active_mask``.
+FAULT_ALGORITHMS = tuple(
+    name for name, trainer in TRAINERS.items() if trainer.train_step is BaseTrainer.train_step
+)
 
 #: Trainer constructor arguments the harness supplies itself.
 _HARNESS_ARGS = frozenset({"self", "cluster", "lr_schedule", "eval_every"})
@@ -407,23 +409,16 @@ class RunConfig:
         )
 
 
-@dataclass
-class ExperimentResult:
-    """A training result annotated with its workload and algorithm labels."""
-
-    workload: str
-    algorithm: str
-    result: TrainingResult
-
-
 def run_experiment(
     config: RunConfig,
     *,
     convergence=None,
     fault_schedule=None,
     telemetry_file: Optional[str] = None,
-) -> ExperimentResult:
+) -> TrainingResult:
     """Build a cluster and run one configured training run end to end.
+
+    The result's ``algorithm`` is the trainer's label (``describe()``).
 
     Runtime objects stay out of the config: ``convergence`` is a stopping
     rule (:class:`~repro.metrics.convergence.ConvergenceDetector`),
@@ -483,4 +478,4 @@ def run_experiment(
         result.extras["fault_crashes"] = float(controller.crash_count)
         result.extras["fault_rejoins"] = float(controller.rejoin_count)
         result.extras["fault_stragglers"] = float(controller.straggler_count)
-    return ExperimentResult(workload=preset.name, algorithm=trainer.describe(), result=result)
+    return result

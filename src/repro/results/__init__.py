@@ -10,12 +10,14 @@ This subsystem turns finished runs into a queryable history:
   ``config_hash``, ``git_sha``, ``started_at``) computed once and stamped
   by :func:`repro.api.run` onto every result.
 
-Append paths: ``record_to=`` on :func:`repro.api.run` and
-:func:`repro.scenarios.runner.run_scenario`, and the service task manager,
-which files every finished job's run.  Query surfaces: ``repro scenario
-history``, ``GET /v1/history`` on the experiment service, and this module's
-:func:`history_payload` — the one builder both of those render, which is
-what makes their trend series identical by construction.
+Append paths: ``record_to=`` on :func:`repro.api.run` (the CLI's
+``--record``) and the service task manager, which files every finished
+job's run.  Both go through :func:`repro.api.record_result` to
+:func:`record_run_payload`, under the provenance ``api.run`` stamped.
+Query surfaces: ``repro scenario history``, ``GET /v1/history`` on the
+experiment service, and this module's :func:`history_payload` — the one
+builder both of those render, which is what makes their trend series
+identical by construction.
 
 :mod:`repro.api` imports this package when it loads and
 :mod:`repro.service` imports :mod:`repro.api`, so the functions here import
@@ -47,13 +49,8 @@ __all__ = [
     "current_git_sha",
     "history_payload",
     "new_run_id",
-    "record_report",
     "record_run_payload",
 ]
-
-#: Meta keys excluded from a report's config hash: they vary run to run even
-#: when the configuration is identical.
-_VOLATILE_META_KEYS = frozenset({"sweep_wall_seconds", "provenance"})
 
 
 def record_run_payload(
@@ -65,12 +62,12 @@ def record_run_payload(
     meta: Optional[Mapping[str, Any]] = None,
     endpoints: Optional[Mapping[str, Any]] = None,
     tags: Sequence[str] = (),
-    provenance: Optional[Provenance] = None,
     job_id: Optional[str] = None,
 ) -> StoredRun:
     """Append one run's JSON-ready records to ``store`` (path or instance).
 
-    ``job_id`` files the run as that service job's result (see
+    The run is filed under ``meta["provenance"]``, which :func:`repro.api.run`
+    stamps; ``job_id`` files it as that service job's result (see
     :meth:`~repro.service.store.Store.append`).
     """
     from repro.service.store import open_store
@@ -78,37 +75,11 @@ def record_run_payload(
     handle, owns = open_store(store)
     try:
         return handle.append(
-            scenario, kind, records, meta=meta, endpoints=endpoints, tags=tags,
-            provenance=provenance, job_id=job_id,
+            scenario, kind, records, meta=meta, endpoints=endpoints, tags=tags, job_id=job_id
         )
     finally:
         if owns:
             handle.close()
-
-
-def record_report(store: Union[str, Store], report) -> StoredRun:
-    """Append a :class:`~repro.scenarios.runner.ScenarioReport` to the store.
-
-    The direct-library append path: ``run_scenario(..., record_to=...)``
-    routes here.  Provenance is built from the report's *configuration*
-    meta (volatile wall-clock keys excluded), so re-running the same
-    scenario hashes identically.
-    """
-    stable_meta = {
-        "name": report.name,
-        "kind": report.kind,
-        **{k: v for k, v in report.meta.items() if k not in _VOLATILE_META_KEYS},
-    }
-    provenance = build_provenance(stable_meta)
-    return record_run_payload(
-        store,
-        scenario=report.name,
-        kind=report.kind,
-        records=[record.to_dict() for record in report.records],
-        meta={**dict(report.meta), "title": report.title},
-        tags=tuple(report.meta.get("tags", ())),
-        provenance=provenance,
-    )
 
 
 def history_payload(

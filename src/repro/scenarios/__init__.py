@@ -3,11 +3,11 @@
 A *scenario* is an immutable description of one experiment — workload
 preset, cluster size, trainer family, the parameter grid and the engine
 knobs — validated at construction and registered under a stable name.
-:func:`run_scenario` is the single executor: it drives
-:func:`repro.harness.experiment.run_experiment` (or the analytic cost model)
-and returns a :class:`~repro.scenarios.runner.ScenarioReport` with
-JSON-ready per-run records, the raw training results, and
-:mod:`repro.harness.reporting` tables.
+:func:`run_scenario` is the single executor: it makes one
+:func:`~repro.scenarios.runner.train_run` per expanded run (or asks the
+analytic cost model) and returns a
+:class:`~repro.scenarios.runner.ScenarioReport` with JSON-ready per-run
+records, the raw training results, and :mod:`repro.harness.reporting` tables.
 
 >>> from repro.scenarios import get_scenario, run_scenario, scenario_names
 >>> scenario_names(tag="paper-scale")  # doctest: +SKIP
@@ -42,8 +42,8 @@ from repro.scenarios.runner import (
     RunCancelled,
     ScenarioRecord,
     ScenarioReport,
-    result_metrics,
     run_scenario,
+    train_run,
 )
 
 # Populate the global REGISTRY with the built-in scenarios eagerly, so
@@ -66,8 +66,8 @@ __all__ = [
     "ThroughputScenario",
     "get_scenario",
     "register_scenario",
-    "result_metrics",
     "run_scenario",
     "scenario_names",
+    "train_run",
     "with_overrides",
 ]

@@ -1,11 +1,13 @@
 """The single executor for registered scenarios.
 
 :func:`run_scenario` takes a scenario (or a registry name), executes it
-through :func:`repro.harness.experiment.run_experiment` (training kinds) or
-the analytic cost model (throughput kind), and returns a
+through the analytic cost model (throughput kind) or one
+:func:`train_run` per expanded run (training kinds), and returns a
 :class:`ScenarioReport`: structured per-run records that serialize to JSON
 for artifact tracking, the raw :class:`~repro.algorithms.base.TrainingResult`
 objects for assertions, and ready-made :mod:`repro.harness.reporting` tables.
+:func:`train_run` is the one place a training record is made; the
+``experiment`` kind of :func:`repro.api.run` calls it too.
 
 δ-sweep scenarios with ``verify_endpoints=True`` additionally run the
 existing :class:`~repro.algorithms.bsp.BSPTrainer` and a never-syncing
@@ -20,10 +22,12 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry
 from repro.algorithms.base import TrainingResult
+from repro.harness import experiment
+from repro.harness.experiment import RunConfig
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
 from repro.metrics.convergence import ConvergenceDetector
 from repro.scenarios.registry import Scenario, get_scenario
@@ -40,8 +44,8 @@ __all__ = [
     "RunCancelled",
     "ScenarioRecord",
     "ScenarioReport",
-    "result_metrics",
     "run_scenario",
+    "train_run",
 ]
 
 
@@ -194,12 +198,31 @@ class ScenarioReport:
 # --------------------------------------------------------------------------- #
 # execution
 # --------------------------------------------------------------------------- #
-def result_metrics(result: TrainingResult) -> Dict[str, float]:
-    """The serializable per-run summary shared by every training record.
+def train_run(
+    config: RunConfig,
+    params: Dict[str, Any],
+    *,
+    timed: bool = False,
+    convergence=None,
+    fault_schedule=None,
+) -> Tuple[ScenarioRecord, TrainingResult]:
+    """Run one :class:`RunConfig` and return its record and raw result.
 
-    Public because the :mod:`repro.api` façade builds single-run records in
-    exactly this shape, so local and service-submitted runs serialize
-    identically."""
+    Every training record comes from here: the ``experiment`` kind of
+    :func:`repro.api.run`, sweep points, endpoint anchors, comparison
+    methods and fault attempts.  ``params`` is the record's ``params``;
+    ``timed`` adds the run's ``wall_seconds`` to its metrics;
+    ``convergence`` and ``fault_schedule`` go to
+    :func:`~repro.harness.experiment.run_experiment`, which is looked up
+    when called.  The metrics are the result's summary numbers plus its
+    ``extras``; the record carries ``phases`` when telemetry tracing is on.
+    """
+    start = time.perf_counter()
+    phase_start = telemetry.phase_snapshot()
+    result = experiment.run_experiment(
+        config, convergence=convergence, fault_schedule=fault_schedule
+    )
+    phases = telemetry.phase_delta(phase_start) or None
     metrics = {
         "iterations": float(result.iterations),
         "lssr": result.lssr,
@@ -211,7 +234,12 @@ def result_metrics(result: TrainingResult) -> Dict[str, float]:
     }
     for key, value in result.extras.items():
         metrics.setdefault(key, float(value))
-    return metrics
+    if timed:
+        metrics["wall_seconds"] = time.perf_counter() - start
+    record = ScenarioRecord(
+        params=dict(params), label=result.algorithm, metrics=metrics, phases=phases
+    )
+    return record, result
 
 
 def _exact_match(result: TrainingResult, anchor: TrainingResult) -> bool:
@@ -233,43 +261,52 @@ def _exact_match(result: TrainingResult, anchor: TrainingResult) -> bool:
     )
 
 
-def _run_sweep(scenario: SweepScenario, cancel_check=None) -> ScenarioReport:
-    from repro.harness.experiment import run_experiment
+def _train_report(
+    scenario: Scenario,
+    meta: Dict[str, Any],
+    result_key: Callable[[Dict[str, Any]], str],
+    cancel_check=None,
+    *,
+    timed: bool = False,
+    options: Callable[[RunConfig], Dict[str, Any]] = lambda config: {},
+) -> ScenarioReport:
+    """Run every ``(params, config)`` of ``scenario.runs`` through :func:`train_run`.
 
-    first = scenario.runs[0][1]
+    ``meta`` is the report's run description; ``result_key`` names each
+    raw result; ``options`` gives each run's ``train_run`` keywords.
+    """
     report = ScenarioReport(
-        name=scenario.name,
-        title=scenario.title,
-        kind=scenario.kind,
-        meta={
-            "workload": scenario.workload,
-            "algorithm": scenario.algorithm,
-            "num_workers": scenario.num_workers,
-            "iterations": scenario.iterations,
-            "seed": scenario.seed,
-            "eval_every": first.eval_every,
-            "grid": {key: list(values) for key, values in scenario.grid.items()},
-            "params": dict(scenario.params),
-            "dtype": scenario.dtype,
-            "transport_dtype": scenario.transport_dtype,
-            "tags": list(scenario.tags),
-        },
+        name=scenario.name, title=scenario.title, kind=scenario.kind,
+        meta={**meta, "tags": list(scenario.tags)},
     )
-    sweep_phase_start = telemetry.phase_snapshot()
-    sweep_start = time.perf_counter()
     for params, config in scenario.runs:
         _check_cancelled(cancel_check)
-        start = time.perf_counter()
-        phase_start = telemetry.phase_snapshot()
-        out = run_experiment(config)
-        phases = telemetry.phase_delta(phase_start) or None
-        metrics = result_metrics(out.result)
-        metrics["wall_seconds"] = time.perf_counter() - start
-        report.results["/".join(f"{k}={v}" for k, v in params.items())] = out.result
-        report.records.append(
-            ScenarioRecord(params=dict(params), label=out.algorithm, metrics=metrics,
-                           phases=phases)
-        )
+        record, result = train_run(config, params, timed=timed, **options(config))
+        report.results[result_key(params)] = result
+        report.records.append(record)
+    return report
+
+
+def _run_sweep(scenario: SweepScenario, cancel_check=None) -> ScenarioReport:
+    first = scenario.runs[0][1]
+    meta = {
+        "workload": scenario.workload,
+        "algorithm": scenario.algorithm,
+        "num_workers": scenario.num_workers,
+        "iterations": scenario.iterations,
+        "seed": scenario.seed,
+        "eval_every": first.eval_every,
+        "grid": {key: list(values) for key, values in scenario.grid.items()},
+        "params": dict(scenario.params),
+        "dtype": scenario.dtype,
+        "transport_dtype": scenario.transport_dtype,
+    }
+    sweep_phase_start = telemetry.phase_snapshot()
+    sweep_start = time.perf_counter()
+    report = _train_report(
+        scenario, meta, lambda params: "/".join(f"{k}={v}" for k, v in params.items()),
+        cancel_check, timed=True,
+    )
     report.meta["sweep_wall_seconds"] = time.perf_counter() - sweep_start
     sweep_phases = telemetry.phase_delta(sweep_phase_start)
     if sweep_phases:
@@ -283,12 +320,10 @@ def _run_sweep(scenario: SweepScenario, cancel_check=None) -> ScenarioReport:
 def _verify_delta_endpoints(
     scenario: SweepScenario,
     report: ScenarioReport,
-    config,
+    config: RunConfig,
     cancel_check=None,
 ) -> Dict[str, Any]:
     """Anchor the δ-sweep's extremes on the existing BSP / local-SGD trainers."""
-    from repro.harness.experiment import run_experiment
-
     deltas = list(scenario.grid["delta"])
     lo, hi = min(deltas), max(deltas)
     endpoints: Dict[str, Any] = {}
@@ -297,62 +332,44 @@ def _verify_delta_endpoints(
         ("local_sgd", hi, {"sync_period": config.iterations + 1}),
     ):
         _check_cancelled(cancel_check)
-        start = time.perf_counter()
-        out = run_experiment(dataclasses.replace(config, algorithm=anchor, params=params))
-        metrics = result_metrics(out.result)
-        metrics["wall_seconds"] = time.perf_counter() - start
+        record, result = train_run(
+            dataclasses.replace(config, algorithm=anchor, params=params),
+            {"anchor": anchor}, timed=True,
+        )
         endpoints[anchor] = {
             "delta": delta,
-            "record": ScenarioRecord(
-                params={"anchor": anchor}, label=out.algorithm, metrics=metrics,
-            ).to_dict(),
-            "matches_sweep_endpoint": _exact_match(
-                report.results[f"delta={delta}"], out.result
-            ),
+            "record": record.to_dict(),
+            "matches_sweep_endpoint": _exact_match(report.results[f"delta={delta}"], result),
         }
-        report.results[f"anchor/{anchor}"] = out.result
+        report.results[f"anchor/{anchor}"] = result
     return endpoints
 
 
 def _run_comparison(scenario: ComparisonScenario, cancel_check=None) -> ScenarioReport:
-    from repro.harness.experiment import build_workload, run_experiment
+    meta = {
+        "workloads": list(scenario.workloads),
+        "methods": list(scenario.methods),
+        "baseline": scenario.baseline,
+        "num_workers": scenario.num_workers,
+        "iterations": scenario.iterations,
+        "seed": scenario.seed,
+        "eval_every": scenario.runs[0][1].eval_every,
+    }
 
-    report = ScenarioReport(
-        name=scenario.name,
-        title=scenario.title,
-        kind=scenario.kind,
-        meta={
-            "workloads": list(scenario.workloads),
-            "methods": list(scenario.methods),
-            "baseline": scenario.baseline,
-            "num_workers": scenario.num_workers,
-            "iterations": scenario.iterations,
-            "seed": scenario.seed,
-            "eval_every": scenario.runs[0][1].eval_every,
-            "tags": list(scenario.tags),
-        },
+    def options(config: RunConfig) -> Dict[str, Any]:
+        if not scenario.use_convergence:
+            return {}
+        return {"convergence": ConvergenceDetector(
+            higher_is_better=experiment.build_workload(config.workload).task
+            != "language_modeling",
+            patience=scenario.convergence_patience,
+            min_delta=scenario.convergence_min_delta,
+        )}
+
+    return _train_report(
+        scenario, meta, lambda params: f"{params['workload']}/{params['method']}",
+        cancel_check, options=options,
     )
-    for params, config in scenario.runs:
-        _check_cancelled(cancel_check)
-        convergence = None
-        if scenario.use_convergence:
-            convergence = ConvergenceDetector(
-                higher_is_better=build_workload(config.workload).task != "language_modeling",
-                patience=scenario.convergence_patience,
-                min_delta=scenario.convergence_min_delta,
-            )
-        phase_start = telemetry.phase_snapshot()
-        out = run_experiment(config, convergence=convergence)
-        report.results[f"{params['workload']}/{params['method']}"] = out.result
-        report.records.append(
-            ScenarioRecord(
-                params=dict(params),
-                label=out.algorithm,
-                metrics=result_metrics(out.result),
-                phases=telemetry.phase_delta(phase_start) or None,
-            )
-        )
-    return report
 
 
 def _run_fault(scenario: FaultScenario, cancel_check=None) -> ScenarioReport:
@@ -363,46 +380,28 @@ def _run_fault(scenario: FaultScenario, cancel_check=None) -> ScenarioReport:
     seeded quantities (losses, metrics, simulated seconds, byte counts) are
     replayable.
     """
-    from repro.harness.experiment import run_experiment
-
     schedule = scenario.schedule
-    report = ScenarioReport(
-        name=scenario.name,
-        title=scenario.title,
-        kind=scenario.kind,
-        meta={
-            "workload": scenario.workload,
-            "algorithm": scenario.algorithm,
-            "num_workers": scenario.num_workers,
-            "iterations": scenario.iterations,
-            "seed": scenario.seed,
-            "eval_every": scenario.runs[0][1].resolved_eval_every,
-            "fault_seed": scenario.fault_seed,
-            "failure_rate": scenario.failure_rate,
-            "straggler_fraction": scenario.straggler_fraction,
-            "mttr": scenario.mttr,
-            "checkpoint_every": scenario.checkpoint_every,
-            "continuity_factor": scenario.continuity_factor,
-            "fault_events": schedule.to_dicts(),
-            "tags": list(scenario.tags),
-        },
+    meta = {
+        "workload": scenario.workload,
+        "algorithm": scenario.algorithm,
+        "num_workers": scenario.num_workers,
+        "iterations": scenario.iterations,
+        "seed": scenario.seed,
+        "eval_every": scenario.runs[0][1].resolved_eval_every,
+        "fault_seed": scenario.fault_seed,
+        "failure_rate": scenario.failure_rate,
+        "straggler_fraction": scenario.straggler_fraction,
+        "mttr": scenario.mttr,
+        "checkpoint_every": scenario.checkpoint_every,
+        "continuity_factor": scenario.continuity_factor,
+        "fault_events": schedule.to_dicts(),
+    }
+    report = _train_report(
+        scenario, meta, lambda params: params["attempt"], cancel_check,
+        options=lambda config: {"fault_schedule": schedule},
     )
 
-    for params, config in scenario.runs:
-        _check_cancelled(cancel_check)
-        out = run_experiment(config, fault_schedule=schedule)
-        report.results[params["attempt"]] = out.result
-        report.records.append(
-            ScenarioRecord(
-                params=dict(params),
-                label=out.algorithm,
-                metrics=result_metrics(out.result),
-            )
-        )
-
-    deterministic = report.records[0].to_dict()["metrics"] == (
-        report.records[1].to_dict()["metrics"]
-    )
+    deterministic = report.records[0].metrics == report.records[1].metrics
     continuity, continuity_detail = _check_loss_continuity(
         report.results["run"], schedule, scenario.continuity_factor
     )
@@ -488,7 +487,6 @@ def run_scenario(
     seed: Optional[int] = None,
     fault_seed: Optional[int] = None,
     cancel_check=None,
-    record_to=None,
 ) -> ScenarioReport:
     """Execute a scenario (by object or registry name) and return its report.
 
@@ -504,11 +502,7 @@ def run_scenario(
     runs (each grid point, comparison method and endpoint anchor); when it
     returns ``True`` the execution stops by raising :class:`RunCancelled`.
     The experiment service uses this for cooperative job cancellation.
-
-    ``record_to`` (a path or :class:`~repro.service.store.Store`)
-    appends the finished report to the persistent run store (see
-    :func:`repro.results.record_report`), making it queryable via
-    ``repro scenario history``.  Cancelled or failed runs append nothing.
+    Recording a report is :func:`repro.api.run`'s ``record_to=``.
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -518,17 +512,11 @@ def run_scenario(
         scenario, **{k: v for k, v in overrides.items() if v is not None}
     )
     if isinstance(scenario, ThroughputScenario):
-        report = _run_throughput(scenario)
-    elif isinstance(scenario, SweepScenario):
-        report = _run_sweep(scenario, cancel_check)
-    elif isinstance(scenario, ComparisonScenario):
-        report = _run_comparison(scenario, cancel_check)
-    elif isinstance(scenario, FaultScenario):
-        report = _run_fault(scenario, cancel_check)
-    else:
-        raise ScenarioError(f"unsupported scenario type {type(scenario).__name__}")
-    if record_to is not None:
-        from repro.results import record_report
-
-        record_report(record_to, report)
-    return report
+        return _run_throughput(scenario)
+    if isinstance(scenario, SweepScenario):
+        return _run_sweep(scenario, cancel_check)
+    if isinstance(scenario, ComparisonScenario):
+        return _run_comparison(scenario, cancel_check)
+    if isinstance(scenario, FaultScenario):
+        return _run_fault(scenario, cancel_check)
+    raise ScenarioError(f"unsupported scenario type {type(scenario).__name__}")

@@ -28,11 +28,11 @@ definition fails at registration time, not hours into a nightly sweep.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.harness.experiment import FAULT_ALGORITHMS, ConfigError, RunConfig
-from repro.harness.sweep import grid_sweep
 
 __all__ = [
     "ScenarioError",
@@ -95,9 +95,10 @@ class SweepScenario:
         A :data:`repro.harness.experiment.WORKLOAD_PRESETS` key and a
         :data:`repro.harness.experiment.TRAINERS` name.
     grid:
-        ``{param: sequence of values}``; the Cartesian product (through
-        :func:`repro.harness.sweep.grid_sweep`) gives one run per point.
-        Keys are algorithm params (``delta``, ``staleness``, …).
+        ``{param: sequence of values}``; the Cartesian product gives one
+        run per point, the rightmost key varying fastest.  Keys are
+        algorithm params (``delta``, ``staleness``, …), none of them also
+        in ``params``, and every entry needs a value.
     params:
         Algorithm params passed unchanged to every run (e.g.
         ``{"aggregation": "grad"}``).
@@ -144,6 +145,16 @@ class SweepScenario:
         object.__setattr__(self, "grid", {k: tuple(v) for k, v in dict(self.grid).items()})
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "tags", tuple(self.tags))
+        if not self.grid:
+            raise ScenarioError(f"scenario {self.name!r}: grid must contain at least one parameter")
+        for key, values in self.grid.items():
+            if not values:
+                raise ScenarioError(f"scenario {self.name!r}: grid entry {key!r} has no values")
+        collisions = sorted(set(self.grid) & set(self.params))
+        if collisions:
+            raise ScenarioError(
+                f"scenario {self.name!r}: parameters {collisions} appear in both grid and params"
+            )
         if self.verify_endpoints:
             if self.algorithm != "selsync" or set(self.grid) != {"delta"}:
                 raise ScenarioError(
@@ -166,16 +177,14 @@ class SweepScenario:
                 )
         eval_every = max(self.iterations // 4, 1) if self.eval_every is None else self.eval_every
 
-        def config(**params: Any) -> RunConfig:
-            return RunConfig(
-                self.workload, self.algorithm, params, self.num_workers, self.iterations,
-                self.seed, eval_every, self.batch_size, dtype=self.dtype,
-                transport_dtype=self.transport_dtype,
-            )
-
+        points = [dict(zip(self.grid, values)) for values in itertools.product(*self.grid.values())]
         _expand(self, lambda: (
-            (run["params"], run["output"])
-            for run in grid_sweep(config, self.grid, self.params).runs
+            (point, RunConfig(
+                self.workload, self.algorithm, {**self.params, **point}, self.num_workers,
+                self.iterations, self.seed, eval_every, self.batch_size, dtype=self.dtype,
+                transport_dtype=self.transport_dtype,
+            ))
+            for point in points
         ))
 
     @property

@@ -609,7 +609,7 @@ def open_store(store: Union[str, Store]) -> Tuple[Store, bool]:
     """Normalize a path-or-store argument; returns ``(store, owns_it)``.
 
     ``owns_it`` tells the caller whether it opened (and should close) the
-    connection — the ``record_to=`` sinks accept either form.
+    connection — ``repro.api.run(record_to=...)`` accepts either form.
     """
     if isinstance(store, Store):
         return store, False

@@ -139,10 +139,10 @@ class TestRunExecution:
         assert len(out.records) == 1
         record = out.records[0]
         assert record["params"] == {"delta": 0.3}
-        assert record["metrics"]["final_loss"] == direct.result.final_loss
-        assert record["metrics"]["best_metric"] == direct.result.best_metric
-        assert record["metrics"]["communication_bytes"] == direct.result.communication_bytes
-        assert out.results["run"].final_loss == direct.result.final_loss
+        assert record["metrics"]["final_loss"] == direct.final_loss
+        assert record["metrics"]["best_metric"] == direct.best_metric
+        assert record["metrics"]["communication_bytes"] == direct.communication_bytes
+        assert out.results["run"].final_loss == direct.final_loss
         assert out.meta["eval_every"] == 2 and out.meta["seed"] == 3
 
     def test_experiment_kind_accepts_ewma_alpha(self):
@@ -152,8 +152,8 @@ class TestRunExecution:
         direct = run_experiment(RunConfig("deep_mlp", "selsync", {"ewma_alpha": 0.5}, **settings))
         default = run_experiment(RunConfig("deep_mlp", "selsync", **settings))
         metrics = out.records[0]["metrics"]
-        assert metrics["max_delta_observed"] == direct.result.extras["max_delta_observed"]
-        assert metrics["max_delta_observed"] != default.result.extras["max_delta_observed"]
+        assert metrics["max_delta_observed"] == direct.extras["max_delta_observed"]
+        assert metrics["max_delta_observed"] != default.extras["max_delta_observed"]
 
     def test_sweep_grid_over_ewma_alpha(self):
         out = run(kind="sweep", workload="deep_mlp", algorithm="selsync",

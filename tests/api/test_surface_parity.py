@@ -68,9 +68,7 @@ def reached(monkeypatch):
 @pytest.mark.parametrize("name", FIELDS)
 def test_run_experiment(name):
     config = _expected(name)
-    out = run_experiment(config)
-    assert out.workload == config.workload
-    assert out.result.iterations == config.iterations
+    assert run_experiment(config).iterations == config.iterations
 
 
 @pytest.mark.parametrize("name", FIELDS)

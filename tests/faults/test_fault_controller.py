@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression import TopKCompressor
 from repro.faults import FaultController, FaultSchedule
 from repro.faults.schedule import crash, rejoin, straggler_burst
 from repro.harness.experiment import ConfigError, RunConfig, run_experiment
@@ -95,16 +96,32 @@ class TestRunExperimentFaults:
             run_experiment(RunConfig("deep_mlp", "ssp", iterations=4),
                            fault_schedule=FaultSchedule([crash(1, 2)]))
 
+    def test_every_lockstep_trainer_takes_faults(self):
+        from repro.harness.experiment import FAULT_ALGORITHMS, TRAINERS
+
+        assert sorted(FAULT_ALGORITHMS) == sorted(set(TRAINERS) - {"ssp"})
+
+    @pytest.mark.parametrize("algorithm, params", [
+        ("fedavg", {"participation": 0.5}),
+        ("compressed_bsp", {"compressor": TopKCompressor(ratio=0.1)}),
+    ])
+    def test_fedavg_and_compressed_bsp_replay_a_seeded_fault_run(self, algorithm, params):
+        config = RunConfig("deep_mlp", algorithm, params, iterations=40, fault_seed=1,
+                           failure_rate=0.05, fault_checkpoint_every=8)
+        first = run_experiment(config)
+        assert first.extras["fault_crashes"] > 0
+        assert run_experiment(config) == first
+
     def test_explicit_schedule_counts_land_in_extras(self):
         schedule = FaultSchedule(
             [crash(1, 2), straggler_burst(0, 3, duration=2), rejoin(1, 6)]
         )
-        out = run_experiment(RunConfig("deep_mlp", "selsync", iterations=10),
-                             fault_schedule=schedule)
-        assert out.result.extras["fault_crashes"] == 1.0
-        assert out.result.extras["fault_rejoins"] == 1.0
-        assert out.result.extras["fault_stragglers"] == 1.0
-        assert np.isfinite(out.result.final_loss)
+        result = run_experiment(RunConfig("deep_mlp", "selsync", iterations=10),
+                                fault_schedule=schedule)
+        assert result.extras["fault_crashes"] == 1.0
+        assert result.extras["fault_rejoins"] == 1.0
+        assert result.extras["fault_stragglers"] == 1.0
+        assert np.isfinite(result.final_loss)
 
     def test_generated_faults_replay_deterministically(self):
         kwargs = dict(
@@ -115,18 +132,18 @@ class TestRunExperimentFaults:
             mttr=4,
             fault_checkpoint_every=4,
         )
-        a = run_experiment(RunConfig("deep_mlp", "bsp", **kwargs)).result
-        b = run_experiment(RunConfig("deep_mlp", "bsp", **kwargs)).result
+        a = run_experiment(RunConfig("deep_mlp", "bsp", **kwargs))
+        b = run_experiment(RunConfig("deep_mlp", "bsp", **kwargs))
         assert a.final_metric == b.final_metric
         assert a.final_loss == b.final_loss
         assert a.sim_time_seconds == b.sim_time_seconds
         assert a.communication_bytes == b.communication_bytes
 
     def test_unarmed_run_untouched_by_fault_defaults(self):
-        plain = run_experiment(RunConfig("deep_mlp", "bsp", iterations=8)).result
+        plain = run_experiment(RunConfig("deep_mlp", "bsp", iterations=8))
         explicit = run_experiment(RunConfig(
             "deep_mlp", "bsp", iterations=8, failure_rate=0.0, straggler_fraction=0.0
-        )).result
+        ))
         assert "fault_crashes" not in plain.extras
         assert "fault_crashes" not in explicit.extras
         assert plain.final_loss == explicit.final_loss

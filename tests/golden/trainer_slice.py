@@ -73,7 +73,10 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
 DELTAS = {"deep_mlp": 0.0248, "resnet101": 0.05, "transformer": 0.027, "alexnet": 0.009}
 FEDAVG_INTERVAL = 4
 WORKLOADS = ("deep_mlp", "resnet101", "transformer", "alexnet")
-FAULT_CONFIGS = ("bsp", "selsync_pa", "selsync_ga", "local_sgd", "selsync_inject")
+FAULT_CONFIGS = (
+    "bsp", "selsync_pa", "selsync_ga", "local_sgd", "selsync_inject", "fedavg_c05",
+    "compressed_topk",
+)
 #: Worker 0 goes down too, so the primary replica moves while it is out.
 FAULTS = FaultSchedule([crash(1, 3), crash(0, 5), rejoin(1, 8), rejoin(0, 10)])
 #: Relative tolerance of float fields on a build other than the pinning one.

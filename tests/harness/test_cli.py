@@ -11,6 +11,14 @@ class TestParser:
         out = capsys.readouterr().out
         assert "resnet101" in out and "selsync" in out
 
+    def test_list_names_every_trainer(self, capsys):
+        from repro.harness.experiment import TRAINERS
+
+        assert main(["list"]) == 0
+        algorithms = next(line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("algorithms:"))
+        assert algorithms.split(":", 1)[1].strip().split(", ") == sorted(TRAINERS)
+
     def test_run_requires_known_algorithm(self, capsys):
         assert main(["run", "--workload", "deep_mlp", "--algorithm", "gossip"]) == 2
         assert "error: experiment request: unknown algorithm 'gossip'" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for workload presets, the experiment runner, sweeps and reporting."""
+"""Tests for workload presets, the experiment runner and reporting."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from repro.harness.reporting import (
     results_to_rows,
     table1_headers,
 )
-from repro.harness.sweep import grid_sweep
 
 
 class TestPresets:
@@ -192,16 +191,15 @@ class TestMakeTrainer:
 
 class TestRunExperiment:
     def test_selsync_end_to_end(self):
-        out = run_experiment(RunConfig("resnet101", "selsync", {"delta": 0.3}, num_workers=2,
-                                       iterations=12, eval_every=6, seed=0))
-        assert out.workload == "resnet101"
-        assert out.result.iterations == 12
-        assert "δ=0.3" in out.algorithm
+        result = run_experiment(RunConfig("resnet101", "selsync", {"delta": 0.3}, num_workers=2,
+                                          iterations=12, eval_every=6, seed=0))
+        assert result.iterations == 12
+        assert "δ=0.3" in result.algorithm
 
     def test_default_partitioning_flag(self):
-        out = run_experiment(RunConfig("resnet101", "bsp", num_workers=2, iterations=6,
-                                       eval_every=6, use_default_partitioning=True))
-        assert out.result.lssr == 0.0
+        result = run_experiment(RunConfig("resnet101", "bsp", num_workers=2, iterations=6,
+                                          eval_every=6, use_default_partitioning=True))
+        assert result.lssr == 0.0
 
     def test_injection_adjusts_batch_size(self, monkeypatch):
         from repro.harness import experiment
@@ -211,9 +209,9 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "build_cluster",
                             lambda *a, **k: built.append(k["batch_size"]) or build(*a, **k))
         params = {"injection_alpha": 0.5, "injection_beta": 0.5, "delta": 0.3}
-        out = run_experiment(RunConfig("resnet101", "selsync", params, num_workers=4,
-                                       iterations=6, eval_every=6))
-        assert out.result.extras["delta"] == 0.3
+        result = run_experiment(RunConfig("resnet101", "selsync", params, num_workers=4,
+                                          iterations=6, eval_every=6))
+        assert result.extras["delta"] == 0.3
         assert built == [adjusted_batch_size(32, 0.5, 0.5, 4)] and built[0] != 32
 
     @pytest.mark.parametrize("algorithm, params, message", [
@@ -237,52 +235,6 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match=knob):
             run_experiment(RunConfig("deep_mlp", "bsp", num_workers=2, iterations=2),
                            **{knob: value})
-
-
-class TestSweep:
-    def test_grid_covers_cartesian_product(self):
-        result = grid_sweep(lambda a, b: a * b, {"a": [1, 2, 3], "b": [10, 20]})
-        assert len(result) == 6
-        assert sorted(result.outputs()) == [10, 20, 20, 30, 40, 60]
-
-    def test_fixed_arguments_passed(self):
-        result = grid_sweep(lambda a, scale: a * scale, {"a": [1, 2]}, fixed={"scale": 5})
-        assert result.outputs() == [5, 10]
-
-    def test_best_selection(self):
-        result = grid_sweep(lambda a: -(a - 2) ** 2, {"a": [0, 1, 2, 3]})
-        assert result.best(key=lambda out: out)["params"]["a"] == 2
-
-    def test_best_minimize_selects_smallest(self):
-        result = grid_sweep(lambda a: (a - 2) ** 2, {"a": [0, 1, 2, 3]})
-        best = result.best(key=lambda out: out, maximize=False)
-        assert best["params"]["a"] == 2
-        assert best["output"] == 0
-
-    def test_best_on_empty_result_rejected(self):
-        from repro.harness.sweep import SweepResult
-
-        with pytest.raises(ValueError, match="no runs"):
-            SweepResult().best(key=lambda out: out)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            grid_sweep(lambda: None, {})
-
-    def test_empty_grid_entry_rejected(self):
-        with pytest.raises(ValueError, match="no values"):
-            grid_sweep(lambda a: a, {"a": []})
-
-    def test_fixed_grid_collision_rejected(self):
-        # Without the up-front check this would surface as a confusing
-        # TypeError("multiple values for 'a'") from the swept function.
-        with pytest.raises(ValueError, match="both grid and fixed"):
-            grid_sweep(lambda a: a, {"a": [1, 2]}, fixed={"a": 3})
-
-    def test_iterator_grid_values_run_fully(self):
-        # The emptiness guard must not consume single-pass grid values.
-        result = grid_sweep(lambda a: a * 2, {"a": iter([1, 2, 3])})
-        assert result.outputs() == [2, 4, 6]
 
 
 class TestReporting:

@@ -137,14 +137,14 @@ class TestNonIIDInjection:
 class TestHarnessPresets:
     @pytest.mark.parametrize("workload", ["resnet101", "vgg11", "alexnet", "transformer"])
     def test_every_paper_workload_trains_under_selsync(self, workload):
-        out = run_experiment(RunConfig(workload, "selsync", {"delta": 0.3}, num_workers=2,
-                                       iterations=10, eval_every=5, seed=0))
-        assert out.result.iterations == 10
-        assert np.isfinite(out.result.final_metric)
+        result = run_experiment(RunConfig(workload, "selsync", {"delta": 0.3}, num_workers=2,
+                                          iterations=10, eval_every=5, seed=0))
+        assert result.iterations == 10
+        assert np.isfinite(result.final_metric)
 
     def test_transformer_perplexity_improves(self):
         short = run_experiment(RunConfig("transformer", "bsp", num_workers=2, iterations=5,
                                          eval_every=5, seed=1))
         longer = run_experiment(RunConfig("transformer", "bsp", num_workers=2, iterations=60,
                                           eval_every=30, seed=1))
-        assert longer.result.best_metric < short.result.best_metric
+        assert longer.best_metric < short.best_metric

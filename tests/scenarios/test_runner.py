@@ -132,8 +132,7 @@ class TestSweepPointsRunAlone:
             key = "/".join(f"{k}={v}" for k, v in record.params.items())
             assert config.params == {**scenario.params, **record.params}
             assert config.eval_every == max(scenario.iterations // 4, 1)
-            alone = run_experiment(config)
-            assert report.results[key] == alone.result
+            assert report.results[key] == run_experiment(config)
 
     def test_records_and_meta_carry_wall_seconds(self):
         scenario = tiny_sweep(
@@ -160,6 +159,31 @@ class TestSweepPointsRunAlone:
     def test_removed_stacked_overrides_are_type_errors(self, knob, value):
         with pytest.raises(TypeError, match=knob):
             run_scenario(tiny_sweep(), **{knob: value})
+
+
+class TestOneRecordPath:
+    def test_experiment_sweep_point_and_comparison_method_records_are_equal(self):
+        from repro.api import run
+        from repro.harness.experiment import RunConfig
+
+        sizing = dict(num_workers=2, iterations=6, eval_every=3)
+        config = RunConfig("deep_mlp", "selsync", {"delta": 0.3}, **sizing)
+        sweep = SweepScenario(name="one-point", title="t", workload="deep_mlp",
+                              grid={"delta": (0.3,)}, **sizing)
+        comparison = ComparisonScenario(
+            name="one-method", title="t", methods={"selsync": ("selsync", {"delta": 0.3})},
+            workloads=("deep_mlp",), use_convergence=False, **sizing,
+        )
+        assert sweep.runs[0][1] == config == comparison.runs[0][1]
+
+        experiment = run(kind="experiment", workload="deep_mlp", algorithm="selsync",
+                         params={"delta": 0.3}, **sizing).records[0]
+        point = run_scenario(sweep).records[0].to_dict()
+        assert point["metrics"].pop("wall_seconds") > 0
+        method = run_scenario(comparison).records[0].to_dict()
+        assert method.pop("params") == {"workload": "deep_mlp", "method": "selsync"}
+        assert point == experiment
+        assert method == {k: v for k, v in experiment.items() if k != "params"}
 
 
 class TestComparisonRunner:

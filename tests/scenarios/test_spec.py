@@ -67,8 +67,22 @@ class TestSweepScenario:
             sweep(grid={"delta": (0.0, -1.0)})
 
     def test_grid_params_collision(self):
-        with pytest.raises(ScenarioError, match="both"):
+        with pytest.raises(ScenarioError, match=r"\['delta'\] appear in both grid and params"):
             sweep(grid={"delta": (0.0,)}, params={"delta": 0.5})
+
+    def test_two_key_grid_varies_the_rightmost_key_fastest(self):
+        scenario = sweep(grid={"delta": (0.1, 0.5), "ewma_alpha": (0.2, 0.4, 0.8)})
+        assert [point for point, _ in scenario.runs] == [
+            {"delta": d, "ewma_alpha": a} for d in (0.1, 0.5) for a in (0.2, 0.4, 0.8)
+        ]
+        assert [config.params for _, config in scenario.runs] == [
+            point for point, _ in scenario.runs
+        ]
+
+    def test_iterator_grid_values_expand_fully(self):
+        scenario = sweep(grid={"delta": iter([0.0, 0.1, 0.5])})
+        assert scenario.grid == {"delta": (0.0, 0.1, 0.5)}
+        assert [point["delta"] for point, _ in scenario.runs] == [0.0, 0.1, 0.5]
 
     def test_runs_expand_the_grid_into_configs(self):
         scenario = sweep(grid={"delta": (0.0, 0.5)}, params={"aggregation": "grad"},

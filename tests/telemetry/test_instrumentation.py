@@ -108,6 +108,33 @@ class TestMetricsInstrumentation:
         # The flags all-gather is charged on every step regardless of δ.
         assert wire.value(kind="flags") > 0.0
 
+    def test_injection_bytes_are_recorded_as_counted(self, monkeypatch):
+        from repro.data.injection import DataInjection
+        from repro.harness.experiment import build_cluster, build_workload, make_trainer
+
+        reports = []
+        inject = DataInjection.inject
+
+        def recording_inject(self, batches):
+            mixed, report = inject(self, batches)
+            reports.append(report)
+            return mixed, report
+
+        monkeypatch.setattr(DataInjection, "inject", recording_inject)
+        telemetry.configure(metrics=True)
+        preset = build_workload("deep_mlp")
+        cluster = build_cluster(preset, num_workers=3, seed=0)
+        trainer = make_trainer("selsync", cluster, preset, total_iterations=6, eval_every=6,
+                               delta=0.3, injection_alpha=0.5, injection_beta=0.5)
+        result = trainer.run(6)
+        record = cluster.backend.record
+        sent = sum(report.bytes_transferred for report in reports)
+        assert sent > 0
+        assert record.bytes_by_op["p2p"] == sent
+        wire = telemetry.get_metrics().counter("repro_comm_wire_bytes_total")
+        assert wire.value(kind="p2p") == sent
+        assert result.communication_bytes == record.total_bytes + cluster.ps.total_pushed_bytes
+
     def test_bsp_charges_sync_wire_bytes(self):
         telemetry.configure(metrics=True)
         run_experiment(RunConfig(
@@ -154,6 +181,18 @@ class TestPhasesInRecords:
         assert out.meta["phases"]["trainer.step"] > 0.0
         for record in out.records:
             assert record["phases"]["trainer.step"] > 0.0
+
+    def test_fault_records_carry_phases(self):
+        from repro.faults.schedule import crash, rejoin
+        from repro.scenarios import FaultScenario
+
+        telemetry.configure(tracing=True)
+        report = run_scenario(FaultScenario(
+            name="tiny-fault", title="t", workload="deep_mlp", events=(crash(1, 2), rejoin(1, 4)),
+            checkpoint_every=2, num_workers=2, iterations=6, batch_size=4,
+        ))
+        assert [record.params["attempt"] for record in report.records] == ["run", "replay"]
+        assert all(record.phases["trainer.step"] > 0.0 for record in report.records)
 
     def test_comparison_records_carry_phases(self):
         telemetry.configure(tracing=True)

@@ -157,15 +157,10 @@ KEEP: Dict[str, str] = {
     "repro.telemetry.trace.Span.set": _TELEMETRY,
     "repro.telemetry.trace.Tracer.drain": _TELEMETRY,
     "repro.telemetry.trace.Tracer.sink_path": _TELEMETRY,
-    "repro.results.record_report": (
-        "run_scenario(record_to=...); api.run and the CLI record through record_run_payload"
-    ),
     "repro.api.RunResult.to_dict": (
         "the library's JSON view of a result; the service files a job's records and "
         "meta straight into its run, so only tests read it"
     ),
-    "repro.harness.sweep.SweepResult.best": "grid_sweep's result API; tests read it",
-    "repro.harness.sweep.SweepResult.outputs": "grid_sweep's result API; tests read it",
     "repro.metrics.evaluation.EvalResult.higher_is_better": (
         "metric direction for ConvergenceDetector callers; tests read it"
     ),
@@ -316,15 +311,17 @@ def _serve_and_submit(workdir: str) -> List[str]:
 
 
 def drive_cli() -> List[str]:
-    from repro.harness.cli import ALGORITHMS
+    from repro.harness.experiment import TRAINERS
     from repro.scenarios import get_scenario, scenario_names
     from repro import telemetry
 
     with tempfile.TemporaryDirectory() as workdir:
         results = os.path.join(workdir, "results.sqlite3")
         runs = [["list"]]
+        # compressed_bsp needs a Compressor object, which no --param can carry.
         runs += [["run", "--workload", "deep_mlp", "--algorithm", algorithm, "--num-workers",
-                  "2", "--iterations", "4"] for algorithm in ALGORITHMS]
+                  "2", "--iterations", "4"]
+                 for algorithm in sorted(TRAINERS) if algorithm != "compressed_bsp"]
         runs += [
             ["run", "--workload", "deep_mlp", "--num-workers", "2", "--iterations", "6",
              "--failure-rate", "0.2", "--straggler-fraction", "0.3", "--mttr", "2"],
