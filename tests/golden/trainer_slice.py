@@ -67,6 +67,7 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "fedavg_c1": ("fedavg", {"participation": 1.0}),
     "fedavg_c05": ("fedavg", {"participation": 0.5}),
     "compressed_topk": ("compressed_bsp", {}),
+    "ssp": ("ssp", {"staleness": 3}),
 }
 #: SelSync's threshold per workload: a mix of sync and local steps, clear of
 #: every observed Δ(g) (the generator checks the margin).
