@@ -7,12 +7,15 @@ contain other workers' updates (this is where staleness enters).  A worker
 that runs more than ``staleness`` iterations ahead of the slowest worker is
 blocked until the slow worker catches up.
 
-In the lockstep simulator asynchrony is modelled by processing workers in a
-round-robin order inside each global step: a worker computes its gradient
-against the state it last pulled, applies it, pushes the delta and pulls the
-newer global state.  Per-worker simulated clocks advance independently
-(compute plus a small non-blocking transfer cost) and the staleness bound is
-enforced against the per-worker iteration counters maintained by the PS.
+In the lockstep simulator asynchrony is modelled by a round-robin order
+inside each global step: every worker computes its gradient against the
+state it last pulled and applies it (one batched pass over the worker
+matrix), then the workers push their deltas in worker order, each pulling
+the global state right after its own push.  Per-worker simulated clocks
+advance independently (compute plus a small non-blocking transfer cost).
+Every worker pushes exactly once per global step, so no worker is ever
+ahead of another and the staleness bound never binds here: it is kept as
+the algorithm's parameter and label.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class SSPTrainer(BaseTrainer):
     """Asynchronous PS training with a bounded staleness window."""
 
     name = "ssp"
-    checkpointed = BaseTrainer.checkpointed + ("_last_pulled", "blocked_steps")
 
     def __init__(
         self,
@@ -42,13 +44,8 @@ class SSPTrainer(BaseTrainer):
         super().__init__(cluster, lr_schedule=lr_schedule, eval_every=eval_every)
         self.check_params(staleness=staleness)
         self.staleness = int(staleness)
-        self.blocked_steps = 0
-        # Each worker starts from the PS state (pullFromPS).  Pulled states
-        # are kept as flat vectors so the per-step delta push is one fused
-        # subtraction on the worker's parameter row.
-        initial = cluster.ps.pull_vector()
-        cluster.broadcast_state(initial)
-        self._last_pulled = [initial for _ in range(cluster.num_workers)]
+        # Each worker starts from the PS state, unpriced like every trainer's start.
+        cluster.broadcast_state(cluster.ps.state_vector)
 
     @classmethod
     def check_params(cls, *, staleness: int, **_: Any) -> None:
@@ -61,42 +58,16 @@ class SSPTrainer(BaseTrainer):
         return f"ssp(s={self.staleness})"
 
     def result_extras(self) -> Dict[str, float]:
-        return {"staleness": float(self.staleness), "blocked_steps": float(self.blocked_steps)}
+        return {"staleness": float(self.staleness)}
 
     def train_step(self) -> Dict[str, float]:
         cluster = self.cluster
-        lr = self.current_lr()
-        speeds = cluster.speed_model.speed_factors(cluster.num_workers, self.global_step)
-        losses = []
-        for worker, speed in zip(cluster.workers, speeds):
-            # Staleness bound: a worker too far ahead waits for the slowest
-            # worker; waiting is charged as a barrier against its clock.
-            if cluster.ps.staleness(worker.worker_id) > self.staleness:
-                self.blocked_steps += 1
-                slowest = float(cluster.clock.worker_time.max())
-                wait = max(slowest - cluster.clock.worker_elapsed(worker.worker_id), 0.0)
-                if wait > 0:
-                    cluster.clock.advance_worker(worker.worker_id, wait, bucket="other")
-
-            reference = self._last_pulled[worker.worker_id]
-            # Routed through the cluster so the shared dropout stream
-            # advances one tick per gradient computation.
-            loss = cluster.compute_gradients_worker(worker)
-            worker.apply_update(lr=lr)
-            delta = worker.state_delta_vector(reference)
-            new_global = cluster.ps.async_apply_delta_vector(worker.worker_id, delta)
-            worker.set_state(new_global)
-            self._last_pulled[worker.worker_id] = new_global
-            losses.append(loss)
-
-            compute_s = cluster.compute_model.step_seconds(cluster.batch_size, speed)
-            push_pull_s = cluster.comm_model.ssp_push_pull_seconds(
-                cluster.workload_spec.model_bytes
-            )
-            cluster.clock.advance_worker(worker.worker_id, compute_s, bucket="compute")
-            cluster.clock.advance_worker(
-                worker.worker_id, push_pull_s, bucket="communication"
-            )
+        losses = cluster.compute_gradients_all(cluster.next_batches())
+        cluster.charge_compute_step()
+        pulled = cluster.matrix.params.copy()
+        cluster.apply_local_updates(lr=self.current_lr())
+        cluster.matrix.params[:] = cluster.ps.push_deltas(cluster.matrix.params - pulled)
+        cluster.charge_push_pulls()
         # SSP has no explicit averaging, so LSSR is undefined; every step is
         # counted as asynchronous progress (reported as LSSR "n/a" upstream).
         return {"loss": float(np.mean(losses)), "synchronized": 0.0}

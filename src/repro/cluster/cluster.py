@@ -391,13 +391,6 @@ class SimulatedCluster:
                 for worker_id in active
             ]
 
-    def compute_gradients_worker(self, worker: Worker, batch=None) -> float:
-        """Forward + backward for a single worker (SSP's round-robin path)."""
-        if batch is None:
-            batch = worker.next_batch()
-        self._next_dropout_tick()
-        return worker.compute_gradients_flat(batch)[0]
-
     def apply_local_updates(
         self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None
     ) -> None:
@@ -436,24 +429,51 @@ class SimulatedCluster:
         self.clock.advance_all(durations, bucket="compute")
         return durations
 
-    def charge_sync(self) -> float:
-        """Charge one full-model aggregation round (barrier + transfer)."""
+    def charge_sync(
+        self, payload_bytes: Optional[float] = None, scale_transport: bool = True
+    ) -> float:
+        """Charge one aggregation round (barrier + transfer).
+
+        ``payload_bytes`` defaults to the full model.  A compressed round
+        passes its own payload with ``scale_transport=False``: its bytes
+        already are the wire format, so the transport dtype must not scale
+        them a second time.
+        """
+        if payload_bytes is None:
+            payload_bytes = self.workload_spec.model_bytes
         seconds = self.comm_model.sync_seconds(
-            self.workload_spec.model_bytes, self.num_active
+            payload_bytes, self.num_active, scale_transport=scale_transport
         )
         self.clock.barrier_and_add(seconds, bucket="communication")
         if telemetry.metrics_enabled():
             # Modeled aggregate wire volume: every active worker pushes its
             # update and pulls the averaged state, in the wire format.
+            scale = self.comm_model.wire_scale if scale_transport else 1.0
             telemetry.count(
                 "repro_comm_wire_bytes_total",
-                2.0
-                * self.workload_spec.model_bytes
-                * self.comm_model.wire_scale
-                * self.num_active,
+                2.0 * payload_bytes * scale * self.num_active,
                 kind="sync",
             )
         return seconds
+
+    def charge_push_pulls(self) -> np.ndarray:
+        """Charge every worker its own asynchronous push/pull (SSP), no barrier.
+
+        Each worker's transfer is priced on its own and added to its own
+        clock; returns the per-worker durations.
+        """
+        model_bytes = self.workload_spec.model_bytes
+        durations = np.array(
+            [self.comm_model.ssp_push_pull_seconds(model_bytes) for _ in self.workers]
+        )
+        self.clock.advance_all(durations, bucket="communication")
+        if telemetry.metrics_enabled():
+            telemetry.count(
+                "repro_comm_wire_bytes_total",
+                2.0 * model_bytes * self.comm_model.wire_scale * self.num_workers,
+                kind="sync",
+            )
+        return durations
 
     def charge_flags_allgather(self) -> float:
         """Charge the SelSync synchronization-status all-gather."""

@@ -125,11 +125,6 @@ class Worker:
         else:
             self.model.load_state_dict(state)
 
-    def state_delta_vector(self, reference: np.ndarray) -> np.ndarray:
-        """Flat difference between the local replica and a reference vector."""
-        params = self.model.param_vector
-        return params - np.asarray(reference, dtype=params.dtype).ravel()
-
     @property
     def epoch_progress(self) -> float:
         return self.loader.epoch_progress

@@ -8,9 +8,9 @@ Implements the ``pullFromPS`` / ``pushToPS`` interface of Alg. 1:
 * **Gradient aggregation (GA)** — workers push *gradients*; the server
   averages those and workers apply the averaged gradient locally through
   their own optimizer (the mode compared against PA in Fig. 10).
-* **Asynchronous updates (SSP)** — a worker can apply its own update to the
-  global state without waiting for others; the server tracks per-worker
-  clocks so the stale-synchronous bound can be enforced.
+* **Asynchronous updates (SSP)** — a worker adds its own update to the
+  global state without waiting for others and pulls the result
+  (:meth:`push_deltas`).
 
 The global state lives in one contiguous flat buffer
 (:class:`repro.engine.FlatBuffer`); the named-dict API is preserved through
@@ -30,7 +30,7 @@ from repro.engine.flat_buffer import FlatBuffer, ParamSpec
 
 
 class ParameterServer:
-    """Central state holder plus aggregation and staleness bookkeeping.
+    """Central state holder plus aggregation and transfer bookkeeping.
 
     ``dtype`` selects the compute dtype of the global flat state (the
     engine's float64 default when omitted); wire-byte accounting follows the
@@ -56,7 +56,6 @@ class ParameterServer:
         self._state: Dict[str, np.ndarray] = self._buffer.as_dict(copy=False)
         self.num_workers = int(num_workers)
         self.version = 0
-        self.worker_clocks = np.zeros(num_workers, dtype=np.int64)
         self.total_pushed_bytes = 0.0
         self.total_pulled_bytes = 0.0
         self.aggregations = 0
@@ -187,46 +186,24 @@ class ParameterServer:
     # ------------------------------------------------------------------ #
     # asynchronous path (SSP)
     # ------------------------------------------------------------------ #
-    def async_apply_delta(
-        self, worker_id: int, delta: Union[Mapping[str, np.ndarray], np.ndarray]
-    ) -> Dict[str, np.ndarray]:
-        """Apply one worker's parameter delta to the global state without a barrier.
+    def push_deltas(self, deltas: np.ndarray) -> np.ndarray:
+        """Asynchronous pushes of a ``(N, D)`` delta matrix, one row at a time.
 
-        Returns the post-update global state (the worker pulls it immediately,
-        as SSP workers do on every step).
+        Row ``i``'s delta is added to the global state without a barrier,
+        and the state right after that add is row ``i`` of the result: what
+        worker ``i`` pulls straight after its push, with the deltas of rows
+        ``0..i-1`` already in it.  Each row counts as one push and one pull.
         """
-        self._apply_delta(worker_id, delta)
-        return self.pull(worker_id)
-
-    def async_apply_delta_vector(
-        self, worker_id: int, delta: Union[Mapping[str, np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """Flat-vector variant of :meth:`async_apply_delta` (engine hot path)."""
-        self._apply_delta(worker_id, delta)
-        return self.pull_vector(worker_id)
-
-    def _apply_delta(self, worker_id: int, delta) -> None:
-        if not 0 <= worker_id < self.num_workers:
-            raise ValueError(f"worker_id {worker_id} out of range")
-        if isinstance(delta, np.ndarray):
-            flat = np.asarray(delta, dtype=self._buffer.dtype).ravel()
-            if flat.size != self._buffer.size:
-                raise ValueError(
-                    f"delta has length {flat.size}, expected {self._buffer.size}"
-                )
-        else:
-            self._validate_tree_shapes({worker_id: delta})
-            flat = self.spec.flatten_tree(delta)
-        self._buffer.vector += flat
-        self.worker_clocks[worker_id] += 1
-        self.total_pushed_bytes += self.state_bytes()
-        self.version += 1
-
-    def staleness(self, worker_id: int) -> int:
-        """How many iterations this worker is ahead of the slowest worker."""
-        if not 0 <= worker_id < self.num_workers:
-            raise ValueError(f"worker_id {worker_id} out of range")
-        return int(self.worker_clocks[worker_id] - self.worker_clocks.min())
+        matrix = self._check_matrix(deltas)
+        vector = self._buffer.vector
+        pulled = np.empty_like(matrix)
+        for row, delta in enumerate(matrix):
+            vector += delta
+            pulled[row] = vector
+        self.total_pushed_bytes += self.state_bytes() * matrix.shape[0]
+        self.total_pulled_bytes += self.state_bytes() * matrix.shape[0]
+        self.version += matrix.shape[0]
+        return pulled
 
     # ------------------------------------------------------------------ #
     # helpers

@@ -74,12 +74,9 @@ class CompressedBSPTrainer(BaseTrainer):
         # format (sign bits ship 1/8 byte per element, top-k its values and
         # indices, ...), so the cost model's transport-dtype scale must not
         # discount them again.
-        seconds = cluster.comm_model.sync_seconds(
-            cluster.workload_spec.model_bytes / max(mean_ratio, 1.0),
-            cluster.num_active,
-            scale_transport=False,
+        cluster.charge_sync(
+            cluster.workload_spec.model_bytes / max(mean_ratio, 1.0), scale_transport=False
         )
-        cluster.clock.barrier_and_add(seconds, bucket="communication")
         cluster.backend.record.record(
             "compressed_allreduce",
             2.0 * cluster.workers[0].model.parameter_bytes() / max(mean_ratio, 1.0)

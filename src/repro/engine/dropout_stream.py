@@ -8,7 +8,7 @@ private state: every replica-row mask is a pure function of ``(stream seed,
 step tick, layer id, worker row)``, so the batched executor stacks the rows
 it covers (all of them, or one row shard's ``[lo, hi)`` range) while
 per-worker layers draw exactly their own row — bit-identical paths, and a
-per-worker consumer (SSP's round-robin stepping) never pays for the whole
+per-worker consumer (the per-worker gradient loop) never pays for the whole
 cluster's masks.
 
 The cluster advances the stream once per gradient computation
@@ -52,8 +52,8 @@ class SharedDropoutStream:
         """Inverted-dropout mask of ``local_shape`` for one replica.
 
         Masks are derived **per row** — a pure function of ``(seed, step,
-        layer_id, worker_slot)`` — so a per-worker consumer (e.g. SSP's
-        round-robin stepping) draws exactly one replica's mask, never the
+        layer_id, worker_slot)`` — so a per-worker consumer (e.g. the
+        per-worker gradient loop) draws exactly one replica's mask, never the
         whole cluster block, while :meth:`mask_block` stacks the identical
         rows for the batched executor.  Draws are cached until the next
         :meth:`set_step`.

@@ -38,7 +38,7 @@ workload runs it, so a rewrite there could not be measured.
 
 Per-worker optimizers stay fully functional — their state is *re-bound*
 onto the fused rows, so mixing fused steps (the trainers' hot path) with
-individual ``optimizer.step()`` calls (SSP's sequential path, tests) keeps
+individual ``optimizer.step()`` calls (the elastic-mask loop, tests) keeps
 one consistent state.
 """
 

@@ -71,7 +71,6 @@ class ClusterCheckpoint:
     loader_states: List[Dict[str, Any]]
     ps_state: np.ndarray
     ps_version: int
-    ps_worker_clocks: np.ndarray
     ps_pushed_bytes: float
     ps_pulled_bytes: float
     ps_aggregations: int
@@ -105,7 +104,6 @@ def snapshot_cluster(cluster: Any) -> ClusterCheckpoint:
         loader_states=[_loader_state(w.loader) for w in cluster.workers],
         ps_state=cluster.ps.state_vector.copy(),
         ps_version=int(cluster.ps.version),
-        ps_worker_clocks=cluster.ps.worker_clocks.copy(),
         ps_pushed_bytes=float(cluster.ps.total_pushed_bytes),
         ps_pulled_bytes=float(cluster.ps.total_pulled_bytes),
         ps_aggregations=int(cluster.ps.aggregations),
@@ -141,7 +139,6 @@ def restore_cluster(cluster: Any, ckpt: ClusterCheckpoint) -> None:
     ps = cluster.ps
     ps.state_vector[:] = ckpt.ps_state
     ps.version = ckpt.ps_version
-    ps.worker_clocks[:] = ckpt.ps_worker_clocks
     ps.total_pushed_bytes = ckpt.ps_pushed_bytes
     ps.total_pulled_bytes = ckpt.ps_pulled_bytes
     ps.aggregations = ckpt.ps_aggregations

@@ -286,7 +286,8 @@ class ConfigError(ValueError):
     """A :class:`RunConfig` (or a request or scenario built from one) is invalid."""
 
 
-def _check_fault_algorithm(algorithm: str) -> None:
+def check_fault_algorithm(algorithm: str) -> None:
+    """Raise :class:`ConfigError` unless ``algorithm`` takes fault injection."""
     if algorithm not in FAULT_ALGORITHMS:
         raise ConfigError(
             "fault injection (failure_rate / straggler_fraction / fault_schedule) supports "
@@ -352,7 +353,7 @@ class RunConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.faults_armed:
-            _check_fault_algorithm(self.algorithm)
+            check_fault_algorithm(self.algorithm)
         names = algorithm_params(self.algorithm)
         unknown = sorted(set(self.params) - set(names))
         if unknown:
@@ -430,7 +431,7 @@ def run_experiment(
     if fault_schedule is None:
         fault_schedule = config.fault_schedule()
     else:
-        _check_fault_algorithm(config.algorithm)
+        check_fault_algorithm(config.algorithm)
     batch_size = config.batch_size or preset.batch_size
     alpha = config.params.get("injection_alpha")
     beta = config.params.get("injection_beta")

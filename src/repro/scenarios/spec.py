@@ -32,7 +32,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.experiment import FAULT_ALGORITHMS, ConfigError, RunConfig
+from repro.harness.experiment import (
+    FAULT_ALGORITHMS,
+    ConfigError,
+    RunConfig,
+    check_fault_algorithm,
+)
 
 __all__ = [
     "ScenarioError",
@@ -321,11 +326,10 @@ class FaultScenario:
         from repro.faults.schedule import FaultError, FaultEvent, FaultSchedule
 
         _check_name(self.name)
-        if self.algorithm not in FAULT_ALGORITHMS:
-            raise ScenarioError(
-                f"scenario {self.name!r}: fault injection supports "
-                f"{sorted(FAULT_ALGORITHMS)}, got {self.algorithm!r}"
-            )
+        try:
+            check_fault_algorithm(self.algorithm)
+        except ConfigError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {exc}") from None
         if self.continuity_factor <= 0.0:
             raise ScenarioError(
                 f"scenario {self.name!r}: continuity_factor must be > 0, "

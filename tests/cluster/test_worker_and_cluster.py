@@ -74,13 +74,6 @@ class TestWorker:
             last = worker.train_step()
         assert last < first
 
-    def test_state_delta_vector(self, dataset):
-        worker = _make_worker(dataset)
-        reference = worker.param_vector.copy()
-        worker.train_step()
-        delta = worker.state_delta_vector(reference)
-        np.testing.assert_allclose(reference + delta, worker.param_vector)
-
     def test_steps_taken_counter(self, dataset):
         worker = _make_worker(dataset)
         worker.train_step()

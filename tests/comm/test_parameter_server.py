@@ -70,31 +70,37 @@ class TestGradientAggregation:
         np.testing.assert_allclose(ps.pull()["w"], 7.0)
 
 
-class TestAsyncSSPPath:
-    def test_delta_applied_immediately(self, ps):
-        delta = {"w": np.full((2, 2), 0.5), "b": np.zeros(3)}
-        new_state = ps.async_apply_delta(0, delta)
-        np.testing.assert_allclose(new_state["w"], 0.5)
+class TestPushDeltas:
+    def test_row_i_is_the_sequential_prefix(self, ps):
+        deltas = np.arange(4 * 7, dtype=np.float64).reshape(4, 7)
+        pulled = ps.push_deltas(deltas)
+        np.testing.assert_array_equal(pulled, np.cumsum(deltas, axis=0))
+        np.testing.assert_array_equal(ps.state_vector, deltas.sum(axis=0))
 
-    def test_clock_and_staleness_tracking(self, ps):
-        delta = {"w": np.zeros((2, 2)), "b": np.zeros(3)}
-        for _ in range(3):
-            ps.async_apply_delta(0, delta)
-        assert ps.staleness(0) == 3
-        assert ps.staleness(1) == 0
-        assert int(ps.worker_clocks.min()) == 0
+    def test_adds_onto_the_current_state(self, ps):
+        ps.set_state({"w": np.full((2, 2), 1.0), "b": np.full(3, 1.0)})
+        pulled = ps.push_deltas(np.full((2, 7), 0.5))
+        np.testing.assert_array_equal(pulled, [[1.5] * 7, [2.0] * 7])
 
-    def test_updates_compose_across_workers(self, ps):
-        delta = {"w": np.ones((2, 2)), "b": np.zeros(3)}
-        ps.async_apply_delta(0, delta)
-        ps.async_apply_delta(1, delta)
-        np.testing.assert_allclose(ps.pull()["w"], 2.0)
+    def test_counts_one_push_and_one_pull_per_row(self, ps):
+        version = ps.version
+        ps.push_deltas(np.zeros((3, 7)))
+        assert ps.total_pushed_bytes == 3 * ps.state_bytes()
+        assert ps.total_pulled_bytes == 3 * ps.state_bytes()
+        assert ps.version == version + 3
+        assert ps.aggregations == 0
 
-    def test_invalid_worker_rejected(self, ps):
+    def test_returns_a_copy(self, ps):
+        pulled = ps.push_deltas(np.ones((1, 7)))
+        pulled[0] = 9.0
+        np.testing.assert_array_equal(ps.state_vector, 1.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (0, 7), (2, 6), (2, 7, 1)])
+    def test_bad_shape_rejected(self, ps, shape):
         with pytest.raises(ValueError):
-            ps.async_apply_delta(7, {"w": np.zeros((2, 2)), "b": np.zeros(3)})
-        with pytest.raises(ValueError):
-            ps.staleness(7)
+            ps.push_deltas(np.zeros(shape))
+        np.testing.assert_array_equal(ps.state_vector, 0.0)
+        assert ps.total_pushed_bytes == 0
 
 
 class TestConstruction:

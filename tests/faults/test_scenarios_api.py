@@ -35,7 +35,11 @@ class TestFaultScenarioSpec:
         assert tiny_fault_scenario(iterations=40).runs[0][1].resolved_eval_every == 5
 
     def test_unsupported_algorithm_rejected(self):
-        with pytest.raises(ScenarioError, match="fault injection supports"):
+        with pytest.raises(
+            ScenarioError,
+            match=r"scenario 'tiny-fault': fault injection \(.*\) supports lockstep "
+            r"algorithms .*, got 'ssp'",
+        ):
             tiny_fault_scenario(algorithm="ssp")
 
     def test_some_fault_source_required(self):

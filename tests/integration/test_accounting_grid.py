@@ -9,14 +9,13 @@ run.  What is counted where:
   participating worker (push + pull), an SSP step ``2 × model bytes × wire
   scale`` per worker;
 * the **telemetry** counter ``repro_comm_wire_bytes_total{kind="sync"}``,
-  incremented by ``SimulatedCluster.charge_sync``;
+  incremented by ``SimulatedCluster.charge_sync`` and ``charge_push_pulls``;
 * the **backend and parameter-server records**, which the ledger's
   ``comm.bytes_total`` and ``TrainingResult.communication_bytes`` sum.  They
   count the analog model's bytes, the cost model the paper model's, so the
   two are compared in model payloads (bytes ÷ one model's bytes).
 
-Where two of them disagree the case is a strict ``xfail`` naming the gap:
-fixing the accounting turns it into a failure that asks for the marker to go.
+All three agree on every case.
 """
 
 from __future__ import annotations
@@ -47,16 +46,6 @@ ALGORITHMS = {
 }
 PRESETS = sorted(WORKLOAD_PRESETS)
 DTYPES = ["float64", "float32"]
-
-#: Algorithms whose telemetry wire counter misses bytes the cost model priced.
-TELEMETRY_GAPS = {
-    "compressed_bsp": "compressed syncs are priced but never reach repro_comm_wire_bytes_total",
-    "ssp": "SSP push/pulls are priced but never reach repro_comm_wire_bytes_total",
-}
-#: Algorithms whose backend / PS records count other payloads than the cost model.
-RECORD_GAPS = {
-    "ssp": "the records add the initial pull that the cost model never prices",
-}
 
 
 @dataclass(frozen=True)
@@ -142,15 +131,6 @@ def _run(algorithm: str, workload: str, dtype: str) -> Run:
         telemetry.reset()
 
 
-def _marked(gaps):
-    return [
-        pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=gaps[case[0]]))
-        if case[0] in gaps
-        else case
-        for case in CASES
-    ]
-
-
 @pytest.mark.parametrize("algorithm,workload,dtype", CASES)
 def test_loss_is_finite_and_lssr_is_local_over_total(algorithm, workload, dtype):
     run = _run(algorithm, workload, dtype)
@@ -173,14 +153,14 @@ def test_state_stays_finite_in_the_compute_dtype(algorithm, workload, dtype):
     assert run.finite
 
 
-@pytest.mark.parametrize("algorithm,workload,dtype", _marked(TELEMETRY_GAPS))
+@pytest.mark.parametrize("algorithm,workload,dtype", CASES)
 def test_telemetry_wire_bytes_equal_what_the_cost_model_priced(algorithm, workload, dtype):
     run = _run(algorithm, workload, dtype)
     assert run.priced_payloads > 0
     assert run.wire_sync_payloads == pytest.approx(run.priced_payloads, rel=1e-12)
 
 
-@pytest.mark.parametrize("algorithm,workload,dtype", _marked(RECORD_GAPS))
+@pytest.mark.parametrize("algorithm,workload,dtype", CASES)
 def test_backend_records_equal_what_the_cost_model_priced(algorithm, workload, dtype):
     run = _run(algorithm, workload, dtype)
     assert run.priced_payloads > 0

@@ -70,6 +70,10 @@ _MODULE_API = (
     "repro.nn Module API that tests use to build models by hand; the ResNet-executor item "
     "shrinks Module to ParamSpec + initialiser"
 )
+_LM_TWIN = (
+    "per-worker TransformerLM backward: every TransformerLM cluster runs the batched "
+    "executor, and tests/engine/test_transformer_exec.py holds it to this path"
+)
 _DROPOUT = "shared-stream dropout: reached by TransformerLM(dropout > 0), which no preset builds"
 _TANH = "MLP(activation='tanh'), the per-worker twin of _BatchedTanh; no preset uses tanh"
 _DATASET = "dataset protocol member (subset, shape metadata) that tests use to build fixtures"
@@ -110,7 +114,6 @@ KEEP: Dict[str, str] = {
     "repro.core.aggregation.aggregate_gradients": _ORACLE,
     "repro.comm.parameter_server.ParameterServer.aggregate_parameters": _ORACLE,
     "repro.comm.parameter_server.ParameterServer.aggregate_gradients": _ORACLE,
-    "repro.comm.parameter_server.ParameterServer.async_apply_delta": _ORACLE,
     "repro.comm.parameter_server.ParameterServer.pull": _ORACLE,
     "repro.comm.backend.InProcessBackend.allreduce": _ORACLE,
     "repro.comm.backend.InProcessBackend.broadcast": _ORACLE,
@@ -119,6 +122,11 @@ KEEP: Dict[str, str] = {
     "repro.compression.base.compression_error": _ORACLE,
     "repro.cluster.worker.Worker.compute_gradients": _TWIN,
     "repro.cluster.worker.Worker.train_step": _TWIN,
+    "repro.nn.attention.MultiHeadSelfAttention.backward": _LM_TWIN,
+    "repro.nn.attention.PositionalEncoding.backward": _LM_TWIN,
+    "repro.nn.attention.TransformerEncoderLayer.backward": _LM_TWIN,
+    "repro.nn.layers.Embedding.backward": _LM_TWIN,
+    "repro.nn.models.transformer.TransformerLM.backward": _LM_TWIN,
     "repro.engine.flat_buffer.FlatBuffer.rebind": _MODULE_API,
     "repro.nn.module.Module.dtype": _MODULE_API,
     "repro.nn.module.Module.parameters": _MODULE_API,
