@@ -456,11 +456,10 @@ class SimulatedCluster:
             )
         return seconds
 
-    def charge_push_pulls(self) -> np.ndarray:
+    def charge_push_pulls(self) -> None:
         """Charge every worker its own asynchronous push/pull (SSP), no barrier.
 
-        Each worker's transfer is priced on its own and added to its own
-        clock; returns the per-worker durations.
+        Each worker's transfer is priced on its own and added to its own clock.
         """
         model_bytes = self.workload_spec.model_bytes
         durations = np.array(
@@ -473,7 +472,6 @@ class SimulatedCluster:
                 2.0 * model_bytes * self.comm_model.wire_scale * self.num_workers,
                 kind="sync",
             )
-        return durations
 
     def charge_flags_allgather(self) -> float:
         """Charge the SelSync synchronization-status all-gather."""
