@@ -23,6 +23,8 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.nn.layers import Dropout
+
 
 def _rng_state(rng: np.random.Generator) -> Dict[str, Any]:
     return copy.deepcopy(rng.bit_generator.state)
@@ -41,6 +43,11 @@ def _loader_state(loader: Any) -> Dict[str, Any]:
     }
 
 
+def _dropout_rngs(model: Any) -> List[np.random.Generator]:
+    """The private mask generators of a replica's dropout layers."""
+    return [m._rng for _, m in model.named_modules() if isinstance(m, Dropout)]
+
+
 def _restore_loader(loader: Any, state: Dict[str, Any]) -> None:
     loader.indices[:] = state["indices"]
     loader._cursor = state["cursor"]
@@ -56,8 +63,8 @@ class ClusterCheckpoint:
     and gradient matrices, per-worker optimizer state (velocity / Adam
     moments, learning rate, step counts), the parameter-server vector and
     its accounting, the simulated clock, backend byte counters, per-worker
-    data-loader positions and RNG streams, the evaluation RNG, and the
-    elastic worker mask.
+    data-loader positions and RNG streams, the private dropout-mask streams of
+    every replica, the evaluation RNG, and the elastic worker mask.
     """
 
     step: int
@@ -69,6 +76,7 @@ class ClusterCheckpoint:
     worker_steps_taken: List[int]
     worker_last_loss: List[Optional[float]]
     loader_states: List[Dict[str, Any]]
+    dropout_rng_states: List[List[Dict[str, Any]]]
     ps_state: np.ndarray
     ps_version: int
     ps_pushed_bytes: float
@@ -102,6 +110,9 @@ def snapshot_cluster(cluster: Any) -> ClusterCheckpoint:
         worker_steps_taken=[int(w.steps_taken) for w in cluster.workers],
         worker_last_loss=[w.last_loss for w in cluster.workers],
         loader_states=[_loader_state(w.loader) for w in cluster.workers],
+        dropout_rng_states=[
+            [_rng_state(rng) for rng in _dropout_rngs(w.model)] for w in cluster.workers
+        ],
         ps_state=cluster.ps.state_vector.copy(),
         ps_version=int(cluster.ps.version),
         ps_pushed_bytes=float(cluster.ps.total_pushed_bytes),
@@ -136,6 +147,9 @@ def restore_cluster(cluster: Any, ckpt: ClusterCheckpoint) -> None:
     cluster.matrix.grads[:] = ckpt.grads
     for worker_id in range(ckpt.num_workers):
         restore_worker(cluster, ckpt, worker_id, sync_params=False)
+        rngs = _dropout_rngs(cluster.workers[worker_id].model)
+        for rng, state in zip(rngs, ckpt.dropout_rng_states[worker_id]):
+            _set_rng_state(rng, state)
     ps = cluster.ps
     ps.state_vector[:] = ckpt.ps_state
     ps.version = ckpt.ps_version
@@ -161,7 +175,8 @@ def restore_worker(
 
     ``sync_params=False`` skips the parameter row (the full-cluster restore
     assigns the whole matrix in one copy; a rejoin typically follows up with
-    a fresh parameter-server pull anyway).
+    a fresh parameter-server pull anyway).  A rejoining worker keeps drawing
+    dropout masks from its live stream; only the full restore rewinds it.
     """
     worker = cluster.workers[worker_id]
     if sync_params:

@@ -3,8 +3,8 @@
 The contract the rejoin path rests on: ``trainer.checkpoint()`` →
 mutate everything → ``trainer.restore()`` → continue on the *same*
 ``run_stepwise`` generator must yield exactly the trajectory of an
-uninterrupted run, for every lockstep trainer family on both model
-families (MLP and transformer analogs).
+uninterrupted run, for every lockstep trainer family on the MLP,
+transformer and AlexNet (Adam, private dropout streams) analogs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.core.selsync import SelSyncTrainer
 from repro.faults import FaultController, FaultSchedule, crash, rejoin
 from repro.faults.checkpoint import restore_cluster, snapshot_cluster
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
+from repro.nn.layers import Dropout
 from tests.conftest import make_small_cluster
 
 pytestmark = pytest.mark.faults
@@ -69,10 +70,13 @@ def scramble(trainer):
     for worker in cluster.workers:
         worker.optimizer.lr = 99.0
         worker.steps_taken += 100
+        for _, module in worker.model.named_modules():
+            if isinstance(module, Dropout):
+                module._rng.random(5)
     trainer.global_step += 50
 
 
-@pytest.mark.parametrize("workload", ["deep_mlp", "transformer"])
+@pytest.mark.parametrize("workload", ["deep_mlp", "transformer", "alexnet"])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_KWARGS))
 def test_roundtrip_matches_uninterrupted_run(algorithm, workload):
     baseline_trainer = build_trainer(algorithm, workload)

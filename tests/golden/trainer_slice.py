@@ -17,8 +17,9 @@ Three kinds of case:
   (Adam) at float64, and on deep_mlp at float32;
 * ``fault`` — one fixed crash / rejoin schedule on deep_mlp and alexnet (Adam)
   for the trainers that take faults;
-* ``restore`` — checkpoint at step 5, train on out of band, restore, replay:
-  the replay must equal the plain pin of the same config.
+* ``restore`` — checkpoint at step 5, train on out of band, restore, replay
+  (deep_mlp and alexnet): the replay must equal the plain pin of the same
+  config.
 
 ``trainers.json`` holds the pins and ``python -m tests.golden.generate``
 writes it.  On the build that wrote a pin the case must match it exactly.  On
@@ -74,7 +75,7 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
 DELTAS = {"deep_mlp": 0.0248, "resnet101": 0.05, "transformer": 0.027, "alexnet": 0.009}
 FEDAVG_INTERVAL = 4
 WORKLOADS = ("deep_mlp", "resnet101", "transformer", "alexnet")
-#: Workloads of the fault cases: one SGD and one Adam preset.
+#: Workloads of the fault and restore cases: one SGD and one Adam preset.
 FAULT_WORKLOADS = ("deep_mlp", "alexnet")
 FAULT_CONFIGS = (
     "bsp", "selsync_pa", "selsync_ga", "local_sgd", "selsync_inject", "fedavg_c05",
@@ -108,7 +109,7 @@ CASES: List[Case] = (
     [Case(c, w, "float64", "plain") for c in CONFIGS for w in WORKLOADS]
     + [Case(c, "deep_mlp", "float32", "plain") for c in CONFIGS]
     + [Case(c, w, "float64", "fault") for c in FAULT_CONFIGS for w in FAULT_WORKLOADS]
-    + [Case(c, "deep_mlp", "float64", "restore") for c in CONFIGS]
+    + [Case(c, w, "float64", "restore") for c in CONFIGS for w in FAULT_WORKLOADS]
 )
 PINNED_CASES = [case for case in CASES if case.mode != "restore"]
 
