@@ -3,7 +3,10 @@
 ``SimulatedCluster`` wires together everything a training algorithm needs:
 
 * ``num_workers`` :class:`~repro.cluster.worker.Worker` replicas built from a
-  model factory, each with its own optimizer, RNG stream and data partition,
+  model factory, each with its own RNG stream and data partition,
+* one fused optimizer update over all replicas
+  (:func:`~repro.engine.fused_optim.build_fused_update`), which owns every
+  worker's optimizer state,
 * a :class:`~repro.comm.parameter_server.ParameterServer` initialized from a
   broadcast of worker 0's parameters (so every replica starts identical, as
   in BSP),
@@ -60,12 +63,6 @@ class ClusterConfig:
     (halving every sync round on the simulated clock), ``"float64"`` a
     double-precision wire.  Only byte accounting changes — the replicas
     still train in the compute dtype.
-
-    ``telemetry`` names a JSONL trace-sink path: building the cluster turns
-    span tracing on (:mod:`repro.telemetry`) with finished spans appended
-    to that file, and ``close()`` flushes it.  ``None`` (the default) keeps
-    the allocation-free no-op fast path; the ``REPRO_TRACE_FILE``
-    environment variable is the process-wide equivalent.
     """
 
     num_workers: int = 4
@@ -80,13 +77,8 @@ class ClusterConfig:
     eval_max_batches: Optional[int] = 8
     top_k: Optional[int] = None
     speed_model: WorkerSpeedModel = field(default_factory=HomogeneousSpeed)
-    telemetry: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.telemetry is not None and not isinstance(self.telemetry, str):
-            raise ValueError(
-                f"telemetry must be a trace-file path or None, got {self.telemetry!r}"
-            )
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
         if self.batch_size < 1:
@@ -117,8 +109,6 @@ class SimulatedCluster:
         worker_batch_size: Optional[int] = None,
     ) -> None:
         self.config = config
-        if config.telemetry is not None:
-            telemetry.configure(tracing=True, trace_file=config.telemetry)
         self.train_dataset = train_dataset
         self.test_dataset = test_dataset
         self.partitioner = partitioner or DefaultPartitioner(seed=config.seed)
@@ -148,7 +138,6 @@ class SimulatedCluster:
             model = model_factory(rngs[worker_id])
             self.matrix.adopt(worker_id, model)
             model.load_param_vector(reference_model.param_vector)
-            optimizer = optimizer_factory(model)
             loader = DataLoader(
                 train_dataset,
                 indices=partition.worker_indices[worker_id],
@@ -157,7 +146,7 @@ class SimulatedCluster:
                 seed=config.seed * 1000 + worker_id,
             )
             self.workers.append(
-                Worker(worker_id, model, optimizer, loader, task=config.task)
+                Worker(worker_id, model, loader, task=config.task)
             )
 
         self.ps = ParameterServer(
@@ -182,8 +171,9 @@ class SimulatedCluster:
         if type(model0) is TransformerLM and module_has_active_dropout(model0):
             self.dropout_stream = SharedDropoutStream(config.seed, n)
             # Arm the stream at tick 0 so direct training-mode forwards
-            # (e.g. Worker.train_step outside a trainer) work immediately;
-            # every cluster gradient computation advances to a fresh tick.
+            # (e.g. Worker.compute_gradients outside a trainer) work
+            # immediately; every cluster gradient computation advances to a
+            # fresh tick.
             self.dropout_stream.set_step(self._dropout_tick)
             for worker_id, worker in enumerate(self.workers):
                 attach_shared_dropout(worker.model, self.dropout_stream, worker_slot=worker_id)
@@ -194,10 +184,18 @@ class SimulatedCluster:
         self.replica_exec = BatchedReplicaExecutor.build(
             self.matrix, self.workers[0].model
         )
-        # Fused all-worker optimizer stepping when every worker runs the
-        # same SGD or Adam configuration (None otherwise; apply_local_updates
-        # then loops over the per-worker optimizers).
-        self.fused_update = build_fused_update(self.workers, self.matrix)
+        # Elasticity state (repro.faults): crashed workers leave the active
+        # mask, dropping their rows from the fused engine, the optimizer step
+        # and every aggregation; straggler bursts scale per-worker compute
+        # speed.  All-True / all-ones is the fast path.
+        self.active_mask = np.ones(n, dtype=bool)
+        self.fault_speed_scale = np.ones(n, dtype=np.float64)
+        # Every worker's optimizer step, as one update over the worker
+        # matrix; the factory's optimizer only names the family and its
+        # hyperparameters.
+        self.fused_update = build_fused_update(
+            optimizer_factory(reference_model), self.matrix, self.active_mask
+        )
         self.backend = InProcessBackend(
             world_size=n, transport_dtype=config.transport_dtype
         )
@@ -210,13 +208,6 @@ class SimulatedCluster:
         self.speed_model = config.speed_model
         self._eval_rng = rngs[n]
         self.global_step = 0
-        # Elasticity state (repro.faults): crashed workers leave the active
-        # mask, dropping their rows from the fused engine and every
-        # aggregation; straggler bursts scale per-worker compute speed.
-        # All-True / all-ones is the fast path — every masked branch below
-        # is a strict no-op then.
-        self.active_mask = np.ones(n, dtype=bool)
-        self.fault_speed_scale = np.ones(n, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # properties
@@ -339,52 +330,32 @@ class SimulatedCluster:
             self.dropout_stream.set_step(self._dropout_tick)
 
     def compute_gradients_all(self, batches) -> List[float]:
-        """Forward + backward for every worker; returns per-worker losses.
+        """Forward + backward for every active worker; returns their losses.
 
-        Uses the engine's fused batched-replica executor when available (one
-        set of batched matmuls for the whole cluster, gradients written
-        straight into the matrix rows), otherwise the per-worker loop.
-        ``batches`` holds one ``(inputs, targets)`` pair per worker.
+        ``batches`` holds one ``(inputs, targets)`` pair per worker, ``None``
+        at crashed slots (see :meth:`next_batches`).  The engine's fused
+        batched-replica executor runs when available (one set of batched
+        matmuls for the whole cluster, gradients written straight into the
+        matrix rows), otherwise the per-worker loop.  The executor still runs
+        all N rows — a crashed slot computes against a placeholder batch so
+        the batched shapes stay fixed — but its gradient row is zeroed
+        afterwards and its loss dropped, so nothing from a crashed row ever
+        reaches an aggregation.
         """
         self._next_dropout_tick()
-        if not self.active_mask.all():
-            return self._compute_gradients_masked(batches)
-        with telemetry.span("cluster.gradients"):
-            if self.replica_exec is not None:
-                losses = self.replica_exec.step(batches)
-                if losses is not None:
-                    for worker, loss in zip(self.workers, losses):
-                        worker.last_loss = float(loss)
-                    return [float(l) for l in losses]
-            return [
-                worker.compute_gradients_flat(batch)[0]
-                for worker, batch in zip(self.workers, batches)
-            ]
-
-    def _compute_gradients_masked(self, batches) -> List[float]:
-        """Gradients for the active workers only; returns their losses.
-
-        ``batches`` is full-length with ``None`` at crashed slots (see
-        :meth:`next_batches`).  The fused executor still runs all N rows —
-        crashed slots compute against a placeholder batch so the batched
-        matmul shapes stay fixed — but their gradient rows are zeroed
-        afterwards and their losses dropped, so nothing from a crashed row
-        ever reaches an aggregation.
-        """
         mask = self.active_mask
         active = np.flatnonzero(mask)
         with telemetry.span("cluster.gradients"):
             if self.replica_exec is not None:
                 placeholder = batches[int(active[0])]
-                filled = [b if b is not None else placeholder for b in batches]
-                losses = self.replica_exec.step(filled)
+                losses = self.replica_exec.step(
+                    [placeholder if batch is None else batch for batch in batches]
+                )
                 if losses is not None:
                     self.matrix.grads[~mask] = 0.0
-                    out: List[float] = []
-                    for worker_id in active:
-                        worker = self.workers[worker_id]
-                        worker.last_loss = float(losses[worker_id])
-                        out.append(float(losses[worker_id]))
+                    out = [float(losses[worker_id]) for worker_id in active]
+                    for worker_id, loss in zip(active, out):
+                        self.workers[worker_id].last_loss = loss
                     return out
             return [
                 self.workers[worker_id].compute_gradients_flat(batches[worker_id])[0]
@@ -394,23 +365,14 @@ class SimulatedCluster:
     def apply_local_updates(
         self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None
     ) -> None:
-        """One optimizer step on every worker (fused matrix form when possible).
+        """One optimizer step on every active worker, as one fused matrix update.
 
         ``grads=None`` applies each worker's own gradients; a flat ``(D,)``
         vector applies the same aggregated gradient to every replica.
+        Crashed workers keep their parameters and optimizer state.
         """
         with telemetry.span("cluster.update"):
-            if (
-                self.active_mask.all()
-                and self.fused_update is not None
-                and self.fused_update.apply(lr=lr, grads=grads)
-            ):
-                return
-            # Per-worker optimizers alias the fused state rows, so the loop
-            # (also the elastic-mask path: crashed rows stay frozen) keeps
-            # one consistent state with the fused step.
-            for worker_id in np.flatnonzero(self.active_mask):
-                self.workers[worker_id].apply_update(grads=grads, lr=lr)
+            self.fused_update.apply(lr=lr, grads=grads)
 
     # ------------------------------------------------------------------ #
     # simulated-time charging
@@ -563,10 +525,9 @@ class SimulatedCluster:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Flush the cluster's telemetry trace sink, if it configured one.
+        """Flush the process's trace sink (``REPRO_TRACE_FILE``), if one is set.
 
         Idempotent and safe to skip; the harness closes every cluster it
         builds.
         """
-        if self.config.telemetry is not None:
-            telemetry.flush()
+        telemetry.flush()

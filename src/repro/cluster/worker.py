@@ -1,31 +1,28 @@
-"""A simulated training worker: model replica + optimizer + local data view.
+"""A simulated training worker: model replica + local data view.
 
-Workers do real numerical work (forward, backward, optimizer updates on the
-NumPy models); only *time* is simulated.  The training algorithms in
-:mod:`repro.algorithms` and :mod:`repro.core` orchestrate workers through
-this interface, which mirrors the per-worker body of Alg. 1.
+Workers do real numerical work (forward and backward on the NumPy models);
+only *time* is simulated.  Their optimizer state lives in the cluster's
+fused update (:mod:`repro.engine.fused_optim`), one row per worker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.data.loader import DataLoader
 from repro.nn.losses import cross_entropy_with_logits
 from repro.nn.module import Module
-from repro.optim.optimizer import Optimizer
 
 
 class Worker:
-    """One simulated worker with its own replica, optimizer and data stream."""
+    """One simulated worker with its own replica and data stream."""
 
     def __init__(
         self,
         worker_id: int,
         model: Module,
-        optimizer: Optimizer,
         loader: DataLoader,
         task: str = "classification",
     ) -> None:
@@ -35,10 +32,8 @@ class Worker:
             raise ValueError(f"unknown task {task!r}")
         self.worker_id = int(worker_id)
         self.model = model
-        self.optimizer = optimizer
         self.loader = loader
         self.task = task
-        self.steps_taken = 0
         self.last_loss: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -80,27 +75,6 @@ class Worker:
         self.model.backward(dlogits)
         self.last_loss = loss
         return loss, self.model.grad_vector
-
-    def apply_update(
-        self,
-        grads: Optional[Mapping[str, np.ndarray]] = None,
-        lr: Optional[float] = None,
-    ) -> None:
-        """Apply one optimizer step (Alg. 1, line 9).
-
-        ``grads`` defaults to the gradients already on the module; passing an
-        explicit dict applies aggregated gradients instead (GA mode).
-        """
-        if lr is not None:
-            self.optimizer.set_lr(lr)
-        self.optimizer.step(grads)
-        self.steps_taken += 1
-
-    def train_step(self, lr: Optional[float] = None) -> float:
-        """Convenience: compute local gradients and apply them immediately."""
-        loss, _ = self.compute_gradients()
-        self.apply_update(lr=lr)
-        return loss
 
     # ------------------------------------------------------------------ #
     # state exchange

@@ -1,10 +1,16 @@
-"""Fused whole-cluster optimizer updates.
+"""The cluster's optimizer step: one fused update over the worker matrix.
 
-When every worker runs the same optimizer family with identical
-hyperparameters (the lockstep simulator's normal configuration), the N
-per-worker flat updates collapse further into a handful of ``(N, D)``
-matrix operations: the velocity buffers of all workers are rows of one
-matrix, exactly like the parameter and gradient buffers.
+Every worker runs the same optimizer, so the N per-worker flat updates
+collapse into a handful of ``(N, D)`` matrix operations, and the updater owns
+the optimizer state of the whole cluster: one learning rate and the state
+matrices whose rows are the workers' (SGD's velocity, Adam's ``m`` / ``v``
+and a per-row Adam step count ``t``).  :func:`build_fused_update` builds it
+from one optimizer object, whose family and hyperparameters it copies.
+
+A crashed worker (a False entry of the cluster's ``active_mask``) keeps its
+parameters and optimizer state: the step runs over every row, unchanged, and
+the crashed rows are written back afterwards.  Adam rows that sat out steps
+carry their own ``t``, so bias correction is per row.
 
 The SGD step is cache-blocked.  Its five or six elementwise passes (decay
 product, decayed gradient, velocity scale and add, ``lr`` product, parameter
@@ -34,17 +40,14 @@ own-gradient step with momentum stayed level (157.5 → 156.3 µs median inside
 construction instead of sliced on every step.
 
 The Adam updater keeps the plain whole-matrix expressions: no ledger
-workload runs it, so a rewrite there could not be measured.
-
-Per-worker optimizers stay fully functional — their state is *re-bound*
-onto the fused rows, so mixing fused steps (the trainers' hot path) with
-individual ``optimizer.step()`` calls (the elastic-mask loop, tests) keeps
-one consistent state.
+workload runs it, so a rewrite there could not be measured.  Both updaters
+match the standalone :class:`~repro.optim.sgd.SGD` / :class:`~repro.optim.adam.Adam`
+step row for row, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,23 +57,63 @@ from repro.engine.worker_matrix import WorkerMatrix
 SEGMENT = 32768
 
 
-class FusedSGDUpdate:
+class _FusedUpdate:
+    """What both updaters share: the learning rate, the active mask and its frozen rows."""
+
+    def __init__(self, optimizer: Any, matrix: WorkerMatrix, active_mask: np.ndarray) -> None:
+        self._matrix = matrix
+        self._active = active_mask
+        self.lr = float(optimizer.lr)
+
+    @property
+    def state(self) -> Dict[str, np.ndarray]:
+        """The live optimizer-state arrays, one row (or entry) per worker."""
+        raise NotImplementedError
+
+    def apply(self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None) -> None:
+        """One optimizer step for every active worker.
+
+        ``lr`` replaces the learning rate from this step on.  ``grads=None``
+        uses each worker's own gradient row; a flat ``(D,)`` vector applies
+        the same (aggregated) gradient to every replica.  Crashed rows keep
+        their parameters and state.
+        """
+        if lr is not None:
+            if lr <= 0:
+                raise ValueError(f"learning rate must be positive, got {lr}")
+            self.lr = float(lr)
+        if grads is not None:
+            grads = np.asarray(grads, dtype=self._matrix.dtype).reshape(-1)
+            if grads.size != self._matrix.spec.total_size:
+                raise ValueError(
+                    f"flat gradient has length {grads.size}, "
+                    f"expected {self._matrix.spec.total_size}"
+                )
+        active = self._active
+        if active.all():
+            self._step(grads)
+            return
+        frozen = ~active
+        rows = [self._matrix.params, *self.state.values()]
+        kept = [array[frozen] for array in rows]
+        self._step(grads)
+        for array, saved in zip(rows, kept):
+            array[frozen] = saved
+
+    def _step(self, grads: Optional[np.ndarray]) -> None:
+        """The step over every row; ``grads`` is None or a checked ``(D,)`` vector."""
+        raise NotImplementedError
+
+
+class FusedSGDUpdate(_FusedUpdate):
     """All workers' SGD steps, walked over the worker matrix segment by segment."""
 
-    def __init__(self, workers: Sequence[object], matrix: WorkerMatrix) -> None:
-        self._workers = list(workers)
-        self._optimizers = [w.optimizer for w in workers]
-        self._matrix = matrix
-        ref = self._optimizers[0]
-        self.momentum = ref.momentum
-        self.weight_decay = ref.weight_decay
-        self.nesterov = ref.nesterov
-        if self.momentum:
-            self.velocity = np.zeros_like(matrix.params)
-            for row, opt in zip(self.velocity, self._optimizers):
-                opt.rebind_velocity(row)
-        else:
-            self.velocity = None
+    def __init__(self, optimizer: Any, matrix: WorkerMatrix, active_mask: np.ndarray) -> None:
+        super().__init__(optimizer, matrix, active_mask)
+        self.momentum = optimizer.momentum
+        self.weight_decay = optimizer.weight_decay
+        self.nesterov = optimizer.nesterov
+        self.velocity = np.zeros_like(matrix.params) if self.momentum else None
         self._scratch = np.empty(min(SEGMENT, matrix.params.size), dtype=matrix.dtype)
         # The blocks' views are built once: slicing them on every step cost
         # as much as blocking saved at the small ledger shapes.  Own
@@ -83,68 +126,18 @@ class FusedSGDUpdate:
         )
         self._shared_blocks = self._blocks(params, None, velocity)
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def build(
-        cls, workers: Sequence[object], matrix: WorkerMatrix
-    ) -> Optional["FusedSGDUpdate"]:
-        """Build a fused updater, or None when workers aren't uniform SGD."""
-        from repro.optim.sgd import SGD
+    @property
+    def state(self) -> Dict[str, np.ndarray]:
+        return {} if self.velocity is None else {"velocity": self.velocity}
 
-        optimizers = [getattr(w, "optimizer", None) for w in workers]
-        if not optimizers or any(type(o) is not SGD for o in optimizers):
-            return None
-        ref = optimizers[0]
-        for opt in optimizers[1:]:
-            if (
-                opt.momentum != ref.momentum
-                or opt.weight_decay != ref.weight_decay
-                or opt.nesterov != ref.nesterov
-            ):
-                return None
-        if any(o._trainable_mask is not None for o in optimizers):
-            return None
-        return cls(workers, matrix)
-
-    # ------------------------------------------------------------------ #
-    def apply(
-        self,
-        lr: Optional[float] = None,
-        grads: Optional[np.ndarray] = None,
-    ) -> bool:
-        """One optimizer step for every worker.
-
-        ``grads=None`` uses each worker's own gradient row; a flat ``(D,)``
-        vector applies the same (aggregated) gradient to every replica.
-        Returns False when the fused step cannot run (diverged per-worker
-        learning rates) and the caller must fall back to the loop.
-        """
-        optimizers = self._optimizers
-        if lr is not None:
-            for opt in optimizers:
-                opt.set_lr(lr)
-        lr_value = optimizers[0].lr
-        if any(opt.lr != lr_value for opt in optimizers[1:]):
-            return False
-
+    def _step(self, grads: Optional[np.ndarray]) -> None:
+        lr = self.lr
         if grads is None:
             for params, grad, velocity, scratch in self._own_blocks:
-                self._block_step(lr_value, params, grad, velocity, scratch)
+                self._block_step(lr, params, grad, velocity, scratch)
         else:
-            shared = np.asarray(grads, dtype=self._matrix.dtype).reshape(-1)
-            if shared.size != self._matrix.spec.total_size:
-                raise ValueError(
-                    f"flat gradient has length {shared.size}, "
-                    f"expected {self._matrix.spec.total_size}"
-                )
             for params, cols, velocity, scratch in self._shared_blocks:
-                self._block_step(lr_value, params, shared[cols], velocity, scratch)
-
-        for opt in optimizers:
-            opt._step_count += 1
-        for worker in self._workers:
-            worker.steps_taken += 1
-        return True
+                self._block_step(lr, params, grads[cols], velocity, scratch)
 
     def _blocks(
         self,
@@ -220,87 +213,33 @@ class FusedSGDUpdate:
         params -= np.multiply(lr, step_dir, out=scratch)
 
 
-class FusedAdamUpdate:
+class FusedAdamUpdate(_FusedUpdate):
     """All workers' Adam steps as a few fused ``(N, D)`` matrix operations.
 
-    The first/second moment buffers of every worker are rows of two ``(N, D)``
-    matrices (the exact analog of :class:`FusedSGDUpdate`'s velocity matrix);
-    each per-worker :class:`~repro.optim.adam.Adam` is re-bound onto its rows,
-    so fused steps and individual ``optimizer.step()`` calls (SSP's sequential
-    path, tests) share one consistent state.  The arithmetic mirrors
-    ``Adam._update_flat`` operation for operation, so a fused step is
-    bit-identical to the per-worker loop.
+    The first / second moments of every worker are rows of two ``(N, D)``
+    matrices (the analog of :class:`FusedSGDUpdate`'s velocity matrix), and
+    ``t`` holds each row's step count.  The arithmetic mirrors
+    ``Adam._update_flat`` operation for operation.
     """
 
-    def __init__(self, workers: Sequence[object], matrix: WorkerMatrix) -> None:
-        self._workers = list(workers)
-        self._optimizers = [w.optimizer for w in workers]
-        self._matrix = matrix
-        ref = self._optimizers[0]
-        self.beta1 = ref.beta1
-        self.beta2 = ref.beta2
-        self.eps = ref.eps
-        self.weight_decay = ref.weight_decay
+    def __init__(self, optimizer: Any, matrix: WorkerMatrix, active_mask: np.ndarray) -> None:
+        super().__init__(optimizer, matrix, active_mask)
+        self.beta1 = optimizer.beta1
+        self.beta2 = optimizer.beta2
+        self.eps = optimizer.eps
+        self.weight_decay = optimizer.weight_decay
         self.m = np.zeros_like(matrix.params)
         self.v = np.zeros_like(matrix.params)
-        for m_row, v_row, opt in zip(self.m, self.v, self._optimizers):
-            opt.rebind_moments(m_row, v_row)
+        self.t = np.zeros(matrix.num_workers, dtype=np.int64)
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def build(
-        cls, workers: Sequence[object], matrix: WorkerMatrix
-    ) -> Optional["FusedAdamUpdate"]:
-        """Build a fused updater, or None when workers aren't uniform Adam."""
-        from repro.optim.adam import Adam
+    @property
+    def state(self) -> Dict[str, np.ndarray]:
+        return {"m": self.m, "v": self.v, "t": self.t}
 
-        optimizers = [getattr(w, "optimizer", None) for w in workers]
-        if not optimizers or any(type(o) is not Adam for o in optimizers):
-            return None
-        ref = optimizers[0]
-        for opt in optimizers[1:]:
-            if (
-                opt.beta1 != ref.beta1
-                or opt.beta2 != ref.beta2
-                or opt.eps != ref.eps
-                or opt.weight_decay != ref.weight_decay
-            ):
-                return None
-        if any(o._trainable_mask is not None for o in optimizers):
-            return None
-        return cls(workers, matrix)
-
-    # ------------------------------------------------------------------ #
-    def apply(
-        self,
-        lr: Optional[float] = None,
-        grads: Optional[np.ndarray] = None,
-    ) -> bool:
-        """One Adam step for every worker (see :meth:`FusedSGDUpdate.apply`).
-
-        Returns False when the fused step cannot run (diverged per-worker
-        learning rates or bias-correction timesteps, e.g. after SSP stepped
-        workers individually) and the caller must fall back to the loop.
-        """
-        optimizers = self._optimizers
-        if lr is not None:
-            for opt in optimizers:
-                opt.set_lr(lr)
-        lr_value = optimizers[0].lr
-        if any(opt.lr != lr_value for opt in optimizers[1:]):
-            return False
-        t_value = optimizers[0]._t
-        if any(opt._t != t_value for opt in optimizers[1:]):
-            return False
-
+    def _step(self, grads: Optional[np.ndarray]) -> None:
         params = self._matrix.params
-        if grads is None:
-            grad_rows: np.ndarray = self._matrix.grads
-        else:
-            grad_rows = np.asarray(grads, dtype=self._matrix.dtype).reshape(1, -1)
-        t = t_value + 1
-        for opt in optimizers:
-            opt._t = t
+        grad_rows = self._matrix.grads if grads is None else grads.reshape(1, -1)
+        self.t += 1
         if self.weight_decay:
             grad_rows = grad_rows + self.weight_decay * params
         m, v = self.m, self.v
@@ -308,24 +247,36 @@ class FusedAdamUpdate:
         m += (1.0 - self.beta1) * grad_rows
         v *= self.beta2
         v += (1.0 - self.beta2) * grad_rows**2
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        params -= lr_value * m_hat / (np.sqrt(v_hat) + self.eps)
+        m_hat = m / self._bias_correction(self.beta1)
+        v_hat = v / self._bias_correction(self.beta2)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-        for opt in optimizers:
-            opt._step_count += 1
-        for worker in self._workers:
-            worker.steps_taken += 1
-        return True
+    def _bias_correction(self, beta: float) -> np.ndarray:
+        """``1 - beta**t`` of every row as an ``(N, 1)`` column of the matrix dtype.
+
+        Each distinct ``t`` takes one Python-scalar power, as the per-worker
+        Adam does: NumPy's vectorised power can differ from it in the last bit.
+        """
+        steps = self.t.tolist()
+        by_step = {t: 1.0 - beta**t for t in set(steps)}
+        column = np.array([by_step[t] for t in steps], dtype=self._matrix.dtype)
+        return column.reshape(-1, 1)
 
 
-def build_fused_update(workers: Sequence[object], matrix: WorkerMatrix):
-    """Fused whole-cluster updater for a uniform worker set, or None.
+def build_fused_update(
+    optimizer: Any, matrix: WorkerMatrix, active_mask: np.ndarray
+) -> _FusedUpdate:
+    """The cluster's updater: ``optimizer``'s family and hyperparameters over ``matrix``.
 
-    Tries each fused optimizer family in turn; trainers treat the result
-    uniformly through its ``apply(lr=..., grads=...) -> bool`` interface.
+    ``active_mask`` is the cluster's live worker mask.  Raises ``TypeError``
+    for anything but an :class:`~repro.optim.sgd.SGD` or
+    :class:`~repro.optim.adam.Adam`.
     """
-    fused = FusedSGDUpdate.build(workers, matrix)
-    if fused is None:
-        fused = FusedAdamUpdate.build(workers, matrix)
-    return fused
+    from repro.optim.adam import Adam
+    from repro.optim.sgd import SGD
+
+    if type(optimizer) is SGD:
+        return FusedSGDUpdate(optimizer, matrix, active_mask)
+    if type(optimizer) is Adam:
+        return FusedAdamUpdate(optimizer, matrix, active_mask)
+    raise TypeError(f"the fused update runs SGD or Adam, got {type(optimizer).__name__}")

@@ -1,8 +1,8 @@
 """Full-cluster checkpoint/restore as a handful of contiguous copies.
 
 The flat-buffer engine keeps every replica's parameters and gradients as
-rows of one ``(N, D)`` matrix, every optimizer's state as flat vectors
-aliasing those rows, and the parameter server's state as one more flat
+rows of one ``(N, D)`` matrix, the optimizer state as rows of the fused
+update's matrices, and the parameter server's state as one more flat
 vector — so a :class:`ClusterCheckpoint` is nothing more than a few
 ``ndarray.copy()`` calls plus small scalar state (clocks, RNG streams,
 loader cursors, byte counters).  Restoring writes the copies back in place:
@@ -60,8 +60,9 @@ class ClusterCheckpoint:
     """A point-in-time snapshot of the complete simulated-cluster state.
 
     Everything a bit-identical continuation needs: the ``(N, D)`` parameter
-    and gradient matrices, per-worker optimizer state (velocity / Adam
-    moments, learning rate, step counts), the parameter-server vector and
+    and gradient matrices, the fused update's state arrays (velocity, or
+    Adam's moments and per-row step counts) and its learning rate, the
+    parameter-server vector and
     its accounting, the simulated clock, backend byte counters, per-worker
     data-loader positions and RNG streams, the private dropout-mask streams of
     every replica, the evaluation RNG, and the elastic worker mask.
@@ -70,10 +71,8 @@ class ClusterCheckpoint:
     step: int
     params: np.ndarray
     grads: np.ndarray
-    optimizer_states: List[Dict[str, Any]]
-    optimizer_lrs: List[float]
-    optimizer_step_counts: List[int]
-    worker_steps_taken: List[int]
+    update_state: Dict[str, np.ndarray]
+    update_lr: float
     worker_last_loss: List[Optional[float]]
     loader_states: List[Dict[str, Any]]
     dropout_rng_states: List[List[Dict[str, Any]]]
@@ -104,10 +103,8 @@ def snapshot_cluster(cluster: Any) -> ClusterCheckpoint:
         step=int(cluster.global_step),
         params=cluster.matrix.params.copy(),
         grads=cluster.matrix.grads.copy(),
-        optimizer_states=[w.optimizer.state_dict() for w in cluster.workers],
-        optimizer_lrs=[float(w.optimizer.lr) for w in cluster.workers],
-        optimizer_step_counts=[int(w.optimizer.step_count) for w in cluster.workers],
-        worker_steps_taken=[int(w.steps_taken) for w in cluster.workers],
+        update_state={k: a.copy() for k, a in cluster.fused_update.state.items()},
+        update_lr=float(cluster.fused_update.lr),
         worker_last_loss=[w.last_loss for w in cluster.workers],
         loader_states=[_loader_state(w.loader) for w in cluster.workers],
         dropout_rng_states=[
@@ -143,6 +140,7 @@ def restore_cluster(cluster: Any, ckpt: ClusterCheckpoint) -> None:
             f"but the cluster has {cluster.num_workers}"
         )
     cluster.global_step = ckpt.step
+    cluster.fused_update.lr = ckpt.update_lr
     cluster.matrix.params[:] = ckpt.params
     cluster.matrix.grads[:] = ckpt.grads
     for worker_id in range(ckpt.num_workers):
@@ -175,15 +173,14 @@ def restore_worker(
 
     ``sync_params=False`` skips the parameter row (the full-cluster restore
     assigns the whole matrix in one copy; a rejoin typically follows up with
-    a fresh parameter-server pull anyway).  A rejoining worker keeps drawing
-    dropout masks from its live stream; only the full restore rewinds it.
+    a fresh parameter-server pull anyway).  The shared learning rate stays
+    as it is, and a rejoining worker keeps drawing dropout masks from its
+    live stream; only the full restore rewinds both.
     """
     worker = cluster.workers[worker_id]
     if sync_params:
         cluster.matrix.params[worker_id] = ckpt.params[worker_id]
-    worker.optimizer.load_state_dict(ckpt.optimizer_states[worker_id])
-    worker.optimizer.lr = ckpt.optimizer_lrs[worker_id]
-    worker.optimizer._step_count = ckpt.optimizer_step_counts[worker_id]
-    worker.steps_taken = ckpt.worker_steps_taken[worker_id]
+    for name, array in cluster.fused_update.state.items():
+        array[worker_id] = ckpt.update_state[name][worker_id]
     worker.last_loss = ckpt.worker_last_loss[worker_id]
     _restore_loader(worker.loader, ckpt.loader_states[worker_id])

@@ -7,8 +7,8 @@ It applies the step's events in order:
 * **crash** — snapshot the cluster (the rejoin's restore point), then drop
   the worker from the active set; the engine's fused forward/backward and
   every aggregation mask skip the row from this step on.
-* **rejoin** — reactivate the worker, restore its optimizer moments, data
-  stream and counters from the latest checkpoint, fast-forward its simulated
+* **rejoin** — reactivate the worker, restore its optimizer-state rows, data
+  stream and last loss from the latest checkpoint, fast-forward its simulated
   clock to the cluster barrier, charge the full-model re-sync transfer
   through the :class:`~repro.comm.cost_model.CommunicationCostModel`, and
   pull the current global state from the parameter server onto its row.

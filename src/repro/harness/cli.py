@@ -46,8 +46,8 @@ Record runs to the persistent history and inspect their trends (see
     python -m repro.harness.cli scenario history                # list scenarios
     python -m repro.harness.cli scenario history quickstart --metrics lssr
 
-Summarize a telemetry span trace recorded via ``REPRO_TRACE_FILE`` or
-``ClusterConfig.telemetry`` (see :mod:`repro.telemetry`)::
+Summarize a telemetry span trace recorded via ``REPRO_TRACE_FILE`` (see
+:mod:`repro.telemetry`)::
 
     python -m repro.harness.cli trace summarize /tmp/trace.jsonl
 """
@@ -519,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize",
         help="per-phase time-share summary of a JSONL trace file",
         description="repro trace summarize FILE: aggregate a JSONL span trace "
-        "(REPRO_TRACE_FILE / ClusterConfig.telemetry) into a per-phase "
+        "(written by a run under REPRO_TRACE_FILE) into a per-phase "
         "count/total/share table.",
     )
     trace_summarize.add_argument("file", help="JSONL trace file to summarize")

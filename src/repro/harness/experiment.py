@@ -180,13 +180,8 @@ def build_cluster(
     dtype: str = "float64",
     transport_dtype: Optional[str] = None,
     eval_max_batches: Optional[int] = 4,
-    telemetry: Optional[str] = None,
 ) -> SimulatedCluster:
-    """Construct the simulated cluster for a workload preset.
-
-    ``telemetry`` names a JSONL trace-sink path: span tracing turns on for
-    the process and the cluster flushes the file on ``close()``.
-    """
+    """Construct the simulated cluster for a workload preset."""
     bundle = bundle or build_dataset(preset.dataset_name, seed=seed, **preset.dataset_kwargs)
     config = ClusterConfig(
         num_workers=num_workers,
@@ -199,7 +194,6 @@ def build_cluster(
         transport_dtype=transport_dtype,
         top_k=preset.top_k,
         eval_max_batches=eval_max_batches,
-        telemetry=telemetry,
     )
     return SimulatedCluster(
         model_factory=preset.model_factory,
@@ -415,7 +409,6 @@ def run_experiment(
     *,
     convergence=None,
     fault_schedule=None,
-    telemetry_file: Optional[str] = None,
 ) -> TrainingResult:
     """Build a cluster and run one configured training run end to end.
 
@@ -423,9 +416,9 @@ def run_experiment(
 
     Runtime objects stay out of the config: ``convergence`` is a stopping
     rule (:class:`~repro.metrics.convergence.ConvergenceDetector`),
-    ``fault_schedule`` an explicit :class:`~repro.faults.schedule.FaultSchedule`
-    that replaces the config's seeded fault process, and ``telemetry_file``
-    a JSONL span-trace sink path (see :mod:`repro.telemetry`).
+    and ``fault_schedule`` an explicit
+    :class:`~repro.faults.schedule.FaultSchedule` that replaces the config's
+    seeded fault process.
     """
     preset = build_workload(config.workload)
     if fault_schedule is None:
@@ -438,10 +431,6 @@ def run_experiment(
     if alpha is not None and beta is not None:
         batch_size = adjusted_batch_size(batch_size, alpha, beta, config.num_workers)
 
-    if telemetry_file is not None:
-        # Turn tracing on before the setup span so cluster construction is
-        # itself covered by the trace.
-        telemetry.configure(tracing=True, trace_file=telemetry_file)
     with telemetry.span("run.setup"):
         cluster = build_cluster(
             preset,
@@ -453,7 +442,6 @@ def run_experiment(
             batch_size=batch_size,
             dtype=config.dtype,
             transport_dtype=config.transport_dtype,
-            telemetry=telemetry_file,
         )
         controller = None
         try:

@@ -25,11 +25,10 @@ from repro.utils.flatten import WIRE_DTYPE_BYTES
 class Parameter:
     """A trainable tensor with an associated gradient accumulator."""
 
-    def __init__(self, data: np.ndarray, name: str = "", requires_grad: bool = True) -> None:
+    def __init__(self, data: np.ndarray, name: str = "") -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
         self.name = name
-        self.requires_grad = bool(requires_grad)
 
     @property
     def shape(self) -> Tuple[int, ...]:

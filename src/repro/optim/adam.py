@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
-
 import numpy as np
 
 from repro.nn.module import Module
@@ -13,8 +11,7 @@ from repro.optim.optimizer import Optimizer
 class Adam(Optimizer):
     """Adam with bias-corrected first/second moments and optional weight decay.
 
-    Both moment buffers are flat vectors aliased by named views, so one step
-    is a constant number of fused NumPy operations over the whole model.
+    Both moment buffers are flat vectors, so one step is a constant number of fused NumPy operations over the whole model.
     """
 
     def __init__(
@@ -37,23 +34,7 @@ class Adam(Optimizer):
         self.weight_decay = float(weight_decay)
         self._m_vector = np.zeros(self._spec.total_size, dtype=self._spec.dtype)
         self._v_vector = np.zeros(self._spec.total_size, dtype=self._spec.dtype)
-        # Named views into the flat moments, for state exchange and tests.
-        self._m: Dict[str, np.ndarray] = dict(self._spec.views(self._m_vector))
-        self._v: Dict[str, np.ndarray] = dict(self._spec.views(self._v_vector))
         self._t = 0
-
-    def rebind_moments(self, m_vector: np.ndarray, v_vector: np.ndarray) -> None:
-        """Move both moment buffers onto donated storage (fused-update rows).
-
-        The current contents are preserved; the named views are regenerated,
-        so per-parameter state exchange keeps working after the move.
-        """
-        m_vector[:] = self._m_vector
-        v_vector[:] = self._v_vector
-        self._m_vector = m_vector
-        self._v_vector = v_vector
-        self._m = dict(self._spec.views(m_vector))
-        self._v = dict(self._spec.views(v_vector))
 
     def _update_flat(self, grad_vector: np.ndarray) -> np.ndarray:
         # Advance the shared timestep once per optimizer step (not per
@@ -70,20 +51,3 @@ class Adam(Optimizer):
         m_hat = m / (1.0 - self.beta1**self._t)
         v_hat = v / (1.0 - self.beta2**self._t)
         return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
-            "t": {"value": np.array([self._t])},
-        }
-
-    def load_state_dict(self, state: Mapping[str, Mapping[str, np.ndarray]]) -> None:
-        for name, value in state.get("m", {}).items():
-            if name in self._m:
-                self._m[name][...] = value
-        for name, value in state.get("v", {}).items():
-            if name in self._v:
-                self._v[name][...] = value
-        if "t" in state:
-            self._t = int(np.asarray(state["t"]["value"]).ravel()[0])

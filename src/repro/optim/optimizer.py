@@ -10,7 +10,7 @@ layout before the fused update.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.nn.module import Module
 
 
 class Optimizer:
-    """Base class: holds the flat parameter buffer, learning rate and state.
+    """Base class: holds the flat parameter buffer and the learning rate.
 
     Subclasses implement :meth:`_update_flat`, which transforms the flat
     gradient vector into a flat parameter delta.  The split lets the SelSync
@@ -33,26 +33,13 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.module = module
         module.flatten_parameters()
-        self._params = module.named_parameters()
         self._spec = module.flat_spec
-        # Mask of trainable entries; None when every parameter trains (the
-        # common case), so the fused update touches the whole vector.
-        frozen = [n for n, p in self._params.items() if not p.requires_grad]
-        if frozen:
-            mask = np.zeros(self._spec.total_size, dtype=bool)
-            for name, param in self._params.items():
-                if param.requires_grad:
-                    mask[self._spec.slice_of(name)] = True
-            self._trainable_mask: Optional[np.ndarray] = mask
-        else:
-            self._trainable_mask = None
         # Cache the FlatBuffer objects, not their vectors: a later re-bind
         # of the module's storage (WorkerMatrix adoption) swaps the vector
         # *inside* these same buffer objects, so reads stay current.
         self._param_buffer = module._flat_params
         self._grad_buffer = module._flat_grads
         self.lr = float(lr)
-        self._step_count = 0
 
     @property
     def _param_vector(self) -> np.ndarray:
@@ -61,10 +48,6 @@ class Optimizer:
     @property
     def _grad_vector(self) -> np.ndarray:
         return self._grad_buffer.vector
-
-    @property
-    def step_count(self) -> int:
-        return self._step_count
 
     def set_lr(self, lr: float) -> None:
         if lr <= 0:
@@ -101,22 +84,8 @@ class Optimizer:
         back from the parameter server).
         """
         grad_vector = self._coerce_grad_vector(grads)
-        delta = self._update_flat(grad_vector)
-        if self._trainable_mask is None:
-            self._param_buffer.vector[...] -= delta
-        else:
-            self._param_buffer.vector[...] -= np.where(self._trainable_mask, delta, 0.0)
-        self._step_count += 1
+        self._param_buffer.vector[...] -= self._update_flat(grad_vector)
 
     def _update_flat(self, grad_vector: np.ndarray) -> np.ndarray:
         """Map the flat gradient to the flat parameter delta (fused math)."""
         raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # optimizer state exchange (needed when replicas are reset to the PS state)
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {}
-
-    def load_state_dict(self, state: Mapping[str, Mapping[str, np.ndarray]]) -> None:
-        pass

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
-
 import numpy as np
 
 from repro.nn.module import Module
@@ -15,8 +13,8 @@ class SGD(Optimizer):
 
     Matches the paper's ResNet101 / VGG11 / Transformer training recipes
     (momentum 0.9 and per-model weight decay).  The velocity buffer is one
-    flat vector aliased by named views, so a step is 2-3 fused NumPy
-    operations regardless of how many tensors the model has.
+    flat vector, so a step is 2-3 fused NumPy operations regardless of how
+    many tensors the model has.
     """
 
     def __init__(
@@ -38,20 +36,6 @@ class SGD(Optimizer):
         self.weight_decay = float(weight_decay)
         self.nesterov = bool(nesterov)
         self._velocity_vector = np.zeros(self._spec.total_size, dtype=self._spec.dtype)
-        # Named views into the flat velocity, for state exchange and tests.
-        self._velocity: Dict[str, np.ndarray] = dict(
-            self._spec.views(self._velocity_vector)
-        )
-
-    def rebind_velocity(self, vector: np.ndarray) -> None:
-        """Move the velocity buffer onto donated storage (a fused-update row).
-
-        The current contents are preserved; the named views are regenerated,
-        so per-parameter state exchange keeps working after the move.
-        """
-        vector[:] = self._velocity_vector
-        self._velocity_vector = vector
-        self._velocity = dict(self._spec.views(vector))
 
     def _update_flat(self, grad_vector: np.ndarray) -> np.ndarray:
         if self.weight_decay:
@@ -67,12 +51,3 @@ class SGD(Optimizer):
         else:
             step_dir = grad_vector
         return self.lr * step_dir
-
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {"velocity": {k: v.copy() for k, v in self._velocity.items()}}
-
-    def load_state_dict(self, state: Mapping[str, Mapping[str, np.ndarray]]) -> None:
-        velocity = state.get("velocity", {})
-        for name, value in velocity.items():
-            if name in self._velocity:
-                self._velocity[name][...] = value

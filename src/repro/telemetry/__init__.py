@@ -15,10 +15,9 @@ Activation:
 
 * ``REPRO_TRACE_FILE=/path/trace.jsonl`` in the environment enables
   tracing at import and appends finished spans to that JSONL sink
-  (flushed at interpreter exit, on :func:`flush`, and when the buffer
-  grows past the flush threshold).
-* ``ClusterConfig(telemetry="/path/trace.jsonl")`` does the same per
-  cluster (see :mod:`repro.cluster.cluster`), flushing on ``close()``.
+  (flushed at interpreter exit, on :func:`flush` — which every cluster's
+  ``close()`` calls — and when the buffer grows past the flush threshold).
+  In-process, ``configure(trace_file="/path/trace.jsonl")`` does the same.
 * ``REPRO_METRICS=1`` enables the metrics registry at import; the
   experiment service enables it at construction so ``GET /v1/metrics``
   advances without turning on hot-loop tracing.

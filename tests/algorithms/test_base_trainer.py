@@ -36,7 +36,7 @@ class TestRunLoop:
         schedule = MultiStepDecay(0.1, milestones=[5], gamma=0.1)
         trainer = BSPTrainer(cluster, lr_schedule=schedule, eval_every=100)
         trainer.run(10)
-        assert cluster.workers[0].optimizer.lr == pytest.approx(0.01)
+        assert cluster.fused_update.lr == pytest.approx(0.01)
 
     def test_convergence_detector_stops_early(self):
         cluster = make_small_cluster()

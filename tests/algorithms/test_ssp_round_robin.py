@@ -2,7 +2,7 @@
 
 The reference below is SSP written one worker at a time: worker ``i``
 computes its gradient against the state it last pulled, steps its own
-optimizer, adds its delta to the parameter server's state and pulls the
+standalone optimizer (built by the preset's factory), adds its delta to the parameter server's state and pulls the
 result before worker ``i + 1`` starts.  :class:`SSPTrainer` computes every
 gradient in one batched pass and pushes the deltas in worker order; both
 must leave the same bits behind.
@@ -24,17 +24,17 @@ def _cluster(workload: str):
     return preset, build_cluster(preset, num_workers=WORKERS, seed=3, dtype="float64")
 
 
-def _round_robin_step(cluster, lr, step):
+def _round_robin_step(cluster, optimizers, lr, step):
     """One global SSP step, one worker after another; returns the mean loss."""
     ps = cluster.ps
     model_bytes = cluster.workload_spec.model_bytes
     speeds = cluster.speed_model.speed_factors(cluster.num_workers, step)
     losses = []
-    for worker, speed in zip(cluster.workers, speeds):
+    for worker, optimizer, speed in zip(cluster.workers, optimizers, speeds):
         pulled = worker.param_vector.copy()
         losses.append(worker.compute_gradients_flat(worker.next_batch())[0])
-        worker.optimizer.set_lr(lr)
-        worker.optimizer.step()
+        optimizer.set_lr(lr)
+        optimizer.step()
         ps.state_vector[:] += worker.param_vector - pulled
         worker.set_state(ps.state_vector.copy())
         ps.total_pushed_bytes += ps.state_bytes()
@@ -54,11 +54,12 @@ def test_matrix_ssp_equals_the_round_robin_loop(workload):
         "ssp", cluster, preset, total_iterations=STEPS, eval_every=STEPS, staleness=3
     )
     schedule = preset.lr_schedule_factory(STEPS)
+    optimizers = [preset.optimizer_factory(w.model) for w in reference.workers]
     try:
         for step in range(STEPS):
             loss = trainer.train_step()["loss"]
             trainer.global_step = cluster.global_step = step + 1
-            assert loss == _round_robin_step(reference, schedule(step), step)
+            assert loss == _round_robin_step(reference, optimizers, schedule(step), step)
         np.testing.assert_array_equal(cluster.matrix.params, reference.matrix.params)
         np.testing.assert_array_equal(cluster.ps.state_vector, reference.ps.state_vector)
         np.testing.assert_array_equal(cluster.clock.worker_time, reference.clock.worker_time)

@@ -24,9 +24,8 @@ def test_dataset():
 
 def _make_worker(dataset, worker_id=0, batch_size=16, seed=0):
     model = MLP((16, 24, 4), rng=np.random.default_rng(seed))
-    optimizer = SGD(model, lr=0.1)
     loader = DataLoader(dataset, batch_size=batch_size, seed=seed)
-    return Worker(worker_id, model, optimizer, loader)
+    return Worker(worker_id, model, loader)
 
 
 def _make_cluster(dataset, test_dataset, num_workers=4, partitioner=None, **config_kwargs):
@@ -41,6 +40,12 @@ def _make_cluster(dataset, test_dataset, num_workers=4, partitioner=None, **conf
     )
 
 
+def _local_step(cluster):
+    """Every worker computes its gradients and applies its own update."""
+    cluster.compute_gradients_all(cluster.next_batches())
+    cluster.apply_local_updates()
+
+
 class TestWorker:
     def test_compute_gradients_returns_loss_and_grads(self, dataset):
         worker = _make_worker(dataset)
@@ -53,43 +58,44 @@ class TestWorker:
         worker.compute_gradients()
         assert any(np.abs(p.grad).sum() > 0 for p in worker.model.parameters())
 
-    def test_apply_update_changes_parameters(self, dataset):
+    def test_gradients_train_a_standalone_sgd(self, dataset):
         worker = _make_worker(dataset)
-        before = worker.get_state()
-        worker.compute_gradients()
-        worker.apply_update()
-        after = worker.get_state()
-        assert any(not np.allclose(before[k], after[k]) for k in before)
-
-    def test_apply_update_with_explicit_lr(self, dataset):
-        worker = _make_worker(dataset)
-        worker.compute_gradients()
-        worker.apply_update(lr=0.5)
-        assert worker.optimizer.lr == 0.5
-
-    def test_train_step_reduces_loss_over_time(self, dataset):
-        worker = _make_worker(dataset)
-        first = worker.train_step()
+        optimizer = SGD(worker.model, lr=0.1)
+        first, _ = worker.compute_gradients_flat()
         for _ in range(40):
-            last = worker.train_step()
+            last, _ = worker.compute_gradients_flat()
+            optimizer.step()
         assert last < first
-
-    def test_steps_taken_counter(self, dataset):
-        worker = _make_worker(dataset)
-        worker.train_step()
-        worker.train_step()
-        assert worker.steps_taken == 2
 
     def test_invalid_args(self, dataset):
         with pytest.raises(ValueError):
             _make_worker(dataset, worker_id=-1)
         model = MLP((16, 8, 4), rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
-            Worker(0, model, SGD(model, lr=0.1),
-                   DataLoader(dataset, batch_size=8), task="segmentation")
+            Worker(0, model, DataLoader(dataset, batch_size=8), task="segmentation")
 
 
 class TestClusterConstruction:
+    def test_one_optimizer_is_built_for_the_whole_cluster(self, dataset, test_dataset):
+        built = []
+
+        def factory(module):
+            built.append(module)
+            return SGD(module, lr=0.3, momentum=0.5)
+
+        cluster = SimulatedCluster(
+            model_factory=lambda rng: MLP((16, 24, 4), rng=rng),
+            optimizer_factory=factory,
+            train_dataset=dataset,
+            test_dataset=test_dataset,
+            config=ClusterConfig(num_workers=3, batch_size=16, seed=0),
+        )
+        assert len(built) == 1
+        assert all(w.model is not built[0] for w in cluster.workers)
+        update = cluster.fused_update
+        assert (update.lr, update.momentum) == (0.3, 0.5)
+        assert update.velocity.shape == cluster.matrix.params.shape
+
     def test_all_replicas_start_identical(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset)
         reference = cluster.workers[0].get_state()
@@ -173,8 +179,7 @@ class TestClusterEvaluation:
 
     def test_average_worker_states(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset)
-        for worker in cluster.workers:
-            worker.train_step()
+        _local_step(cluster)
         avg = cluster.average_worker_states()
         name = next(iter(avg))
         manual = np.mean([w.get_state()[name] for w in cluster.workers], axis=0)
@@ -186,14 +191,12 @@ class TestClusterEvaluation:
 
     def test_replica_divergence_positive_after_local_steps(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset)
-        for worker in cluster.workers:
-            worker.train_step()
+        _local_step(cluster)
         assert cluster.replica_divergence() > 0.0
 
     def test_broadcast_state_makes_replicas_identical(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset)
-        for worker in cluster.workers:
-            worker.train_step()
+        _local_step(cluster)
         cluster.broadcast_state(cluster.average_worker_states())
         assert cluster.replica_divergence() == pytest.approx(0.0, abs=1e-12)
 

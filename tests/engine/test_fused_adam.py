@@ -1,4 +1,4 @@
-"""FusedAdamUpdate: (N, D) moment matrices vs per-worker Adam steps."""
+"""FusedAdamUpdate: (N, D) moment matrices vs standalone per-module Adam steps."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import pytest
 
 from repro.engine import FusedAdamUpdate, FusedSGDUpdate, build_fused_update
 from repro.nn.models import MLP
+from repro.optim.adam import Adam
+from repro.optim.optimizer import Optimizer
 
 DTYPES = ["float32", "float64"]
 
@@ -40,55 +42,108 @@ class TestBuild:
         cluster = small_cluster_builder(momentum=0.9)
         assert isinstance(cluster.fused_update, FusedSGDUpdate)
 
-    def test_non_uniform_hyperparams_fall_back(self):
-        cluster = make_adam_cluster()
-        cluster.workers[1].optimizer.beta1 = 0.5
-        assert FusedAdamUpdate.build(cluster.workers, cluster.matrix) is None
-        assert build_fused_update(cluster.workers, cluster.matrix) is None
-
-    def test_moments_rebound_onto_matrix_rows(self):
-        cluster = make_adam_cluster()
+    def test_hyperparameters_and_lr_come_from_the_factory_optimizer(self):
+        cluster = make_adam_cluster(lr=2e-3, weight_decay=0.01)
         fused = cluster.fused_update
-        for row, opt in zip(fused.m, [w.optimizer for w in cluster.workers]):
-            assert opt._m_vector.base is fused.m or opt._m_vector is row
-            # mutating the fused matrix must be visible through the optimizer
-            row[0] = 3.25
-            assert opt._m_vector[0] == 3.25
-            row[0] = 0.0
+        assert (fused.lr, fused.beta1, fused.beta2, fused.eps, fused.weight_decay) == (
+            2e-3, 0.9, 0.999, 1e-8, 0.01
+        )
+        assert fused.m.shape == fused.v.shape == cluster.matrix.params.shape
+        assert fused.t.tolist() == [0] * cluster.num_workers
+
+    def test_unsupported_optimizer_raises_type_error(self):
+        class Plain(Optimizer):
+            def _update_flat(self, grad_vector):
+                return self.lr * grad_vector
+
+        class SubclassedAdam(Adam):
+            pass
+
+        cluster = make_adam_cluster()
+        model = cluster.workers[0].model
+        for optimizer in (Plain(model, lr=0.1), SubclassedAdam(model)):
+            with pytest.raises(TypeError, match="runs SGD or Adam, got"):
+                build_fused_update(optimizer, cluster.matrix, cluster.active_mask)
+
+
+def _oracles(cluster, weight_decay=0.0):
+    """One standalone ``Adam`` per worker, stepping that worker's matrix row."""
+    return [Adam(w.model, lr=1e-3, weight_decay=weight_decay) for w in cluster.workers]
+
+
+def _oracle_step(oracles, lr, rows):
+    for worker_id, optimizer in enumerate(oracles):
+        if rows[worker_id]:
+            optimizer.set_lr(lr)
+            optimizer.step()
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_fused_step_matches_per_worker_loop(self, dtype, weight_decay):
+    def test_fused_step_matches_per_module_adam(self, dtype, weight_decay):
         fused_cluster = make_adam_cluster(dtype=dtype, weight_decay=weight_decay)
-        loop_cluster = make_adam_cluster(dtype=dtype, weight_decay=weight_decay)
-        # Disabling the fused updater forces apply_local_updates through the
-        # sequential per-worker optimizer.step() path.
-        loop_cluster.fused_update = None
+        oracle_cluster = make_adam_cluster(dtype=dtype, weight_decay=weight_decay)
+        oracles = _oracles(oracle_cluster, weight_decay)
+        everyone = np.ones(fused_cluster.num_workers, dtype=bool)
 
         for _ in range(5):
-            batches = [w.next_batch() for w in fused_cluster.workers]
-            fused_cluster.compute_gradients_all(batches)
-            loop_batches = [w.next_batch() for w in loop_cluster.workers]
-            loop_cluster.compute_gradients_all(loop_batches)
+            fused_cluster.compute_gradients_all(fused_cluster.next_batches())
+            oracle_cluster.compute_gradients_all(oracle_cluster.next_batches())
             fused_cluster.apply_local_updates(lr=2e-3)
-            loop_cluster.apply_local_updates(lr=2e-3)
+            _oracle_step(oracles, 2e-3, everyone)
 
         # The fused (N, D) arithmetic mirrors Adam._update_flat operation for
         # operation, so the trajectories agree bit for bit.
-        np.testing.assert_array_equal(
-            fused_cluster.matrix.params, loop_cluster.matrix.params
-        )
-        for fw, lw in zip(fused_cluster.workers, loop_cluster.workers):
+        fused = fused_cluster.fused_update
+        np.testing.assert_array_equal(fused_cluster.matrix.params, oracle_cluster.matrix.params)
+        np.testing.assert_array_equal(fused.m, np.stack([o._m_vector for o in oracles]))
+        np.testing.assert_array_equal(fused.v, np.stack([o._v_vector for o in oracles]))
+        assert fused.t.tolist() == [o._t for o in oracles] == [5] * 4
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_masked_steps_with_diverged_timesteps_match_per_module_adam(self, dtype):
+        """Crashed rows keep params, moments and ``t``; each active row's own ``t``
+        drives its bias correction, as a standalone Adam's does."""
+        fused_cluster = make_adam_cluster(dtype=dtype)
+        oracle_cluster = make_adam_cluster(dtype=dtype)
+        oracles = _oracles(oracle_cluster)
+        fused = fused_cluster.fused_update
+        # Worker 1 sits out steps 2-9, worker 3 steps 4-6 and 10-13 (as a
+        # crash / rejoin schedule would), so up to three distinct t coexist.
+        for step in range(14):
+            down = {1} if 2 <= step < 10 else set()
+            if 4 <= step < 7 or 10 <= step < 14:
+                down.add(3)
+            mask = np.array([w not in down for w in range(4)])
+            fused_cluster.active_mask[:] = mask
+            oracle_cluster.active_mask[:] = mask
+            fused_cluster.compute_gradients_all(fused_cluster.next_batches())
+            oracle_cluster.compute_gradients_all(oracle_cluster.next_batches())
+            frozen = [a[~mask].copy() for a in (fused_cluster.matrix.params, fused.m, fused.v, fused.t)]
+            fused_cluster.apply_local_updates(lr=1e-3 * (1 + step % 3))
+            _oracle_step(oracles, 1e-3 * (1 + step % 3), mask)
+            for array, before in zip(
+                (fused_cluster.matrix.params, fused.m, fused.v, fused.t), frozen
+            ):
+                np.testing.assert_array_equal(array[~mask], before)
             np.testing.assert_array_equal(
-                fw.optimizer._m_vector, lw.optimizer._m_vector
+                fused_cluster.matrix.params, oracle_cluster.matrix.params
             )
-            np.testing.assert_array_equal(
-                fw.optimizer._v_vector, lw.optimizer._v_vector
-            )
-            assert fw.optimizer._t == lw.optimizer._t
-            assert fw.steps_taken == lw.steps_taken
+        assert fused.t.tolist() == [o._t for o in oracles] == [14, 6, 14, 7]
+        np.testing.assert_array_equal(fused.m, np.stack([o._m_vector for o in oracles]))
+        np.testing.assert_array_equal(fused.v, np.stack([o._v_vector for o in oracles]))
+
+    def test_bias_correction_takes_python_scalar_powers(self):
+        # At t = 7 and 23, NumPy's vectorised 0.999**t differs from Python's
+        # pow in the last bit; the column must hold Python's.
+        fused = make_adam_cluster().fused_update
+        steps = [7, 23, 23, 1]
+        fused.t[:] = steps
+        assert (np.float64(0.999) ** fused.t != [0.999**t for t in steps]).any()
+        column = fused._bias_correction(0.999)
+        assert column.shape == (4, 1)
+        assert column.ravel().tolist() == [1.0 - 0.999**t for t in steps]
 
     def test_aggregated_gradient_broadcast(self):
         """A flat (D,) gradient applies one identical Adam step everywhere."""
@@ -97,22 +152,9 @@ class TestEquivalence:
             cluster.matrix.spec.total_size
         )
         cluster.broadcast_state(cluster.ps.pull_vector())
-        assert cluster.fused_update.apply(lr=1e-3, grads=grads)
+        cluster.fused_update.apply(lr=1e-3, grads=grads)
         # all replicas started identical and saw the same gradient
         assert np.ptp(cluster.matrix.params, axis=0).max() == 0.0
-
-    def test_diverged_timesteps_force_fallback(self):
-        cluster = make_adam_cluster()
-        batches = [w.next_batch() for w in cluster.workers]
-        cluster.compute_gradients_all(batches)
-        # SSP-style individual stepping desynchronizes bias correction.
-        cluster.workers[0].optimizer.step()
-        assert cluster.fused_update.apply(lr=1e-3) is False
-
-    def test_diverged_lrs_force_fallback(self):
-        cluster = make_adam_cluster()
-        cluster.workers[2].optimizer.set_lr(5e-2)
-        assert cluster.fused_update.apply() is False
 
 
 class TestTraining:

@@ -1,23 +1,23 @@
-"""The cache-blocked fused SGD step against the per-worker ``SGD.step`` loop.
+"""The cache-blocked fused SGD step against standalone per-module ``SGD.step``.
 
 ``FusedSGDUpdate.apply`` walks the worker matrix in blocks of at most
 ``SEGMENT`` elements through one segment-sized scratch vector.  Every block
 runs the ufuncs of ``SGD._update_flat`` in the same order, so parameters and
-velocity must equal the loop's bit for bit at every size — including the
-lengths just around a segment boundary — and one step allocates at most one
-segment (Nesterov's temporary) plus a few Python objects.
+velocity must equal one ``SGD`` per replica bit for bit at every size —
+including the lengths just around a segment boundary — and one step
+allocates at most one segment (Nesterov's temporary) plus a few Python
+objects.  Rows the active mask drops keep their parameters and velocity.
 """
 
 from __future__ import annotations
 
 import gc
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.engine import FusedSGDUpdate, WorkerMatrix
+from repro.engine import FusedSGDUpdate, WorkerMatrix, build_fused_update
 from repro.engine.fused_optim import SEGMENT
 from repro.faults.checkpoint import restore_cluster, snapshot_cluster
 from repro.nn.module import Module, Parameter
@@ -45,24 +45,29 @@ class _Vector(Module):
         self.w = Parameter(rng.standard_normal(size))
 
 
-def _replicas(num_workers, size, dtype, weight_decay, momentum, nesterov):
-    """``(workers, matrix)``: seeded replicas adopted into one worker matrix."""
-    rng = np.random.default_rng(size + 1000 * num_workers)
-    models = [_Vector(size, rng) for _ in range(num_workers)]
-    models[0].flatten_parameters(dtype=dtype)
-    matrix = WorkerMatrix(num_workers, models[0].flat_spec)
-    for worker_id, model in enumerate(models):
-        matrix.adopt(worker_id, model)
-    workers = [
-        SimpleNamespace(
-            optimizer=SGD(
-                model, lr=0.05, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov
-            ),
-            steps_taken=0,
-        )
-        for model in models
-    ]
-    return workers, matrix
+def _replicas(num_workers, size, dtype, weight_decay, momentum, nesterov, mask=None):
+    """``(fused, matrix, oracles)``: two copies of the same seeded replicas.
+
+    ``fused`` steps the first copy's ``matrix`` under ``mask`` (all True by
+    default); ``oracles`` holds one standalone ``SGD`` per replica of the
+    second copy, each stepping its own row of the second matrix.
+    """
+    hyper = dict(lr=0.05, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)
+    copies = []
+    for _ in range(2):
+        rng = np.random.default_rng(size + 1000 * num_workers)
+        models = [_Vector(size, rng) for _ in range(num_workers)]
+        models[0].flatten_parameters(dtype=dtype)
+        matrix = WorkerMatrix(num_workers, models[0].flat_spec)
+        for worker_id, model in enumerate(models):
+            matrix.adopt(worker_id, model)
+        copies.append((matrix, models))
+    (matrix, models), (oracle_matrix, oracle_models) = copies
+    if mask is None:
+        mask = np.ones(num_workers, dtype=bool)
+    fused = build_fused_update(SGD(models[0], **hyper), matrix, mask)
+    oracles = [SGD(model, **hyper) for model in oracle_models]
+    return fused, matrix, (oracle_matrix, oracles)
 
 
 def _gradients(matrix, step, shared):
@@ -75,25 +80,23 @@ def _gradients(matrix, step, shared):
     return None
 
 
-def _loop_step(workers, lr, grads):
-    for worker in workers:
-        worker.optimizer.set_lr(lr)
-        worker.optimizer.step(grads)
-        worker.steps_taken += 1
+def _oracle_step(oracles, lr, grads, rows=None):
+    """Per-module ``SGD.step`` on ``rows`` (every replica by default)."""
+    for worker_id, optimizer in enumerate(oracles):
+        if rows is None or rows[worker_id]:
+            optimizer.set_lr(lr)
+            optimizer.step(grads)
 
 
-def _velocity(workers):
-    return np.stack([w.optimizer._velocity_vector for w in workers])
+def _velocity(oracles):
+    return np.stack([opt._velocity_vector for opt in oracles])
 
 
-def _assert_same_state(fused_workers, fused_matrix, loop_workers, loop_matrix, momentum):
-    np.testing.assert_array_equal(fused_matrix.params, loop_matrix.params)
+def _assert_same_state(fused, matrix, oracle, momentum):
+    oracle_matrix, oracles = oracle
+    np.testing.assert_array_equal(matrix.params, oracle_matrix.params)
     if momentum:
-        np.testing.assert_array_equal(_velocity(fused_workers), _velocity(loop_workers))
-    assert [w.steps_taken for w in fused_workers] == [w.steps_taken for w in loop_workers]
-    assert [w.optimizer.step_count for w in fused_workers] == [
-        w.optimizer.step_count for w in loop_workers
-    ]
+        np.testing.assert_array_equal(fused.velocity, _velocity(oracles))
 
 
 @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
@@ -101,63 +104,72 @@ def _assert_same_state(fused_workers, fused_matrix, loop_workers, loop_matrix, m
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
 @pytest.mark.parametrize("weight_decay, momentum, nesterov", CONFIGS)
-def test_fused_step_is_bit_equal_to_the_per_worker_loop(
+def test_fused_step_is_bit_equal_to_per_module_sgd(
     weight_decay, momentum, nesterov, shared, dtype, size, num_workers
 ):
     hyper = (weight_decay, momentum, nesterov)
-    fused_workers, fused_matrix = _replicas(num_workers, size, dtype, *hyper)
-    loop_workers, loop_matrix = _replicas(num_workers, size, dtype, *hyper)
-    fused = FusedSGDUpdate.build(fused_workers, fused_matrix)
-    assert fused is not None
+    fused, matrix, oracle = _replicas(num_workers, size, dtype, *hyper)
+    assert isinstance(fused, FusedSGDUpdate)
     for step in range(3):
         lr = 0.05 * (step + 1)
-        fused_grads = _gradients(fused_matrix, step, shared)
-        loop_grads = _gradients(loop_matrix, step, shared)
-        assert fused.apply(lr=lr, grads=fused_grads)
-        _loop_step(loop_workers, lr, loop_grads)
-    _assert_same_state(fused_workers, fused_matrix, loop_workers, loop_matrix, momentum)
+        fused_grads = _gradients(matrix, step, shared)
+        oracle_grads = _gradients(oracle[0], step, shared)
+        fused.apply(lr=lr, grads=fused_grads)
+        _oracle_step(oracle[1], lr, oracle_grads)
+    _assert_same_state(fused, matrix, oracle, momentum)
+
+
+@pytest.mark.parametrize("num_workers", WORKER_COUNTS)
+@pytest.mark.parametrize("size", [7, SEGMENT + 1])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+@pytest.mark.parametrize("weight_decay, momentum, nesterov", CONFIGS)
+def test_masked_step_freezes_crashed_rows_and_steps_the_rest(
+    weight_decay, momentum, nesterov, shared, dtype, size, num_workers
+):
+    """Each step drops every third row (a different third each time; N=1 sits one out)."""
+    hyper = (weight_decay, momentum, nesterov)
+    mask = np.ones(num_workers, dtype=bool)
+    fused, matrix, oracle = _replicas(num_workers, size, dtype, *hyper, mask=mask)
+    for step in range(4):
+        mask[:] = (np.arange(num_workers) + step) % 3 != 0
+        lr = 0.05 * (step + 1)
+        fused_grads = _gradients(matrix, step, shared)
+        oracle_grads = _gradients(oracle[0], step, shared)
+        frozen_params = matrix.params[~mask].copy()
+        frozen_velocity = None if fused.velocity is None else fused.velocity[~mask].copy()
+        fused.apply(lr=lr, grads=fused_grads)
+        _oracle_step(oracle[1], lr, oracle_grads, rows=mask)
+        np.testing.assert_array_equal(matrix.params[~mask], frozen_params)
+        if frozen_velocity is not None:
+            np.testing.assert_array_equal(fused.velocity[~mask], frozen_velocity)
+        _assert_same_state(fused, matrix, oracle, momentum)
 
 
 @pytest.mark.parametrize("length", [SEGMENT, SEGMENT + 2])
 def test_a_shared_gradient_of_the_wrong_length_is_refused(length):
-    workers, matrix = _replicas(2, SEGMENT + 1, "float64", 0.0, 0.9, False)
-    fused = FusedSGDUpdate.build(workers, matrix)
+    fused, matrix, _ = _replicas(2, SEGMENT + 1, "float64", 0.0, 0.9, False)
     before = matrix.params.copy()
     with pytest.raises(ValueError, match=f"flat gradient has length {length}"):
         fused.apply(lr=0.1, grads=np.ones(length))
     np.testing.assert_array_equal(matrix.params, before)
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
-@pytest.mark.parametrize("weight_decay, momentum, nesterov", CONFIGS)
-def test_fused_and_per_worker_steps_interleave_on_one_state(
-    weight_decay, momentum, nesterov, shared
-):
-    """SSP steps workers one by one between fused steps; the state stays one."""
-    hyper = (weight_decay, momentum, nesterov)
-    size, num_workers = 2 * SEGMENT + 5, 3
-    mixed_workers, mixed_matrix = _replicas(num_workers, size, "float64", *hyper)
-    loop_workers, loop_matrix = _replicas(num_workers, size, "float64", *hyper)
-    fused = FusedSGDUpdate.build(mixed_workers, mixed_matrix)
-    for step in range(6):
-        lr = 0.01 * (step + 1)
-        mixed_grads = _gradients(mixed_matrix, step, shared)
-        loop_grads = _gradients(loop_matrix, step, shared)
-        if step % 2:
-            _loop_step(mixed_workers, lr, mixed_grads)
-        else:
-            assert fused.apply(lr=lr, grads=mixed_grads)
-        _loop_step(loop_workers, lr, loop_grads)
-    _assert_same_state(mixed_workers, mixed_matrix, loop_workers, loop_matrix, momentum)
+def _cluster_steps(cluster, steps, oracles=None):
+    """Steps ``steps`` of one schedule: even steps own, odd steps averaged gradients.
 
-
-def _cluster_steps(cluster, steps):
-    """Steps ``steps`` of one schedule: even steps own, odd steps averaged gradients."""
+    With ``oracles`` (one standalone ``SGD`` per worker) they step in place of
+    the cluster's fused update.  Returns the params and velocity after.
+    """
     for step in steps:
         cluster.compute_gradients_all([w.next_batch() for w in cluster.workers])
         grads = cluster.matrix.grads.mean(axis=0) if step % 2 else None
-        cluster.apply_local_updates(lr=0.05, grads=grads)
-    return cluster.matrix.params.copy(), _velocity(cluster.workers)
+        if oracles is None:
+            cluster.apply_local_updates(lr=0.05, grads=grads)
+        else:
+            _oracle_step(oracles, 0.05, grads)
+    velocity = cluster.fused_update.velocity if oracles is None else _velocity(oracles)
+    return cluster.matrix.params.copy(), velocity.copy()
 
 
 def test_checkpoint_restore_mid_run_replays_bit_identically():
@@ -173,27 +185,26 @@ def test_checkpoint_restore_mid_run_replays_bit_identically():
     np.testing.assert_array_equal(replayed[0], params)
     np.testing.assert_array_equal(replayed[1], velocity)
 
-    loop = make_small_cluster(num_workers=3, momentum=0.9, width=2100)
-    loop.fused_update = None
-    loop_params, loop_velocity = _cluster_steps(loop, range(7))
-    np.testing.assert_array_equal(loop_params, params)
-    np.testing.assert_array_equal(loop_velocity, velocity)
+    reference = make_small_cluster(num_workers=3, momentum=0.9, width=2100)
+    oracles = [SGD(w.model, lr=0.05, momentum=0.9) for w in reference.workers]
+    reference_params, reference_velocity = _cluster_steps(reference, range(7), oracles)
+    np.testing.assert_array_equal(reference_params, params)
+    np.testing.assert_array_equal(reference_velocity, velocity)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
 @pytest.mark.parametrize("weight_decay, momentum, nesterov", CONFIGS)
 def test_one_step_allocates_at_most_one_segment(weight_decay, momentum, nesterov, shared):
     num_workers, size = 3, 3 * SEGMENT + 7
-    workers, matrix = _replicas(num_workers, size, "float64", weight_decay, momentum, nesterov)
-    fused = FusedSGDUpdate.build(workers, matrix)
+    fused, matrix, _ = _replicas(num_workers, size, "float64", weight_decay, momentum, nesterov)
     grads = _gradients(matrix, 0, shared)
-    assert fused.apply(lr=0.05, grads=grads)  # warm-up
+    fused.apply(lr=0.05, grads=grads)  # warm-up
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        assert fused.apply(lr=0.05, grads=grads)
+        fused.apply(lr=0.05, grads=grads)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -205,8 +216,7 @@ def test_one_step_allocates_at_most_one_segment(weight_decay, momentum, nesterov
 
 @pytest.mark.parametrize("weight_decay, momentum, nesterov", CONFIGS)
 def test_owns_no_worker_matrix_sized_array_but_velocity(weight_decay, momentum, nesterov):
-    workers, matrix = _replicas(3, 3 * SEGMENT + 7, "float64", weight_decay, momentum, nesterov)
-    fused = FusedSGDUpdate.build(workers, matrix)
+    fused, matrix, _ = _replicas(3, 3 * SEGMENT + 7, "float64", weight_decay, momentum, nesterov)
     large = {
         name
         for name, value in vars(fused).items()

@@ -1,6 +1,7 @@
 """Equivalence tests for the fused batched-replica executor and fused SGD."""
 
 import numpy as np
+import pytest
 
 from tests.conftest import make_small_cluster
 
@@ -9,13 +10,11 @@ from repro.core.selsync import SelSyncTrainer
 
 
 def _paired_clusters(**kwargs):
-    """Two identically seeded clusters: one fused, one forced to the loop path."""
+    """Two identically seeded clusters: one batched, one on the per-worker nn loop."""
     fused = make_small_cluster(**kwargs)
     loop = make_small_cluster(**kwargs)
     assert fused.replica_exec is not None
-    assert fused.fused_update is not None
     loop.replica_exec = None
-    loop.fused_update = None
     return fused, loop
 
 
@@ -92,45 +91,33 @@ class TestBatchedExecutorEquivalence:
 
 
 class TestFusedSGDEquivalence:
-    def test_local_updates_match_per_worker_loop(self):
-        fused, loop = _paired_clusters(momentum=0.9)
-        for cluster in (fused, loop):
-            batches = [w.next_batch() for w in cluster.workers]
-            cluster.compute_gradients_all(batches)
-            cluster.apply_local_updates(lr=0.05)
-        np.testing.assert_allclose(fused.matrix.params, loop.matrix.params, atol=1e-12)
-        for worker in fused.workers:
-            assert worker.steps_taken == 1
-            assert worker.optimizer.step_count == 1
+    """The cluster's fused update against one standalone ``SGD`` per worker."""
 
-    def test_aggregated_gradient_broadcast(self):
-        fused, loop = _paired_clusters(momentum=0.9)
-        for cluster in (fused, loop):
-            batches = [w.next_batch() for w in cluster.workers]
-            cluster.compute_gradients_all(batches)
-            averaged = cluster.matrix.grads.mean(axis=0)
-            cluster.apply_local_updates(lr=0.1, grads=averaged)
-        np.testing.assert_allclose(fused.matrix.params, loop.matrix.params, atol=1e-12)
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    def test_local_updates_match_per_module_sgd(self, shared):
+        from repro.optim.sgd import SGD
 
-    def test_velocity_rebinding_keeps_state_exchange(self):
-        fused, _ = _paired_clusters(momentum=0.9)
-        opt = fused.workers[0].optimizer
-        batches = [w.next_batch() for w in fused.workers]
-        fused.compute_gradients_all(batches)
-        fused.apply_local_updates(lr=0.05)
-        state = opt.state_dict()
-        # Named velocity views must reflect the fused matrix rows.
-        assert any(np.any(v != 0) for v in state["velocity"].values())
+        fused, loop = _paired_clusters(momentum=0.9)
+        oracles = [SGD(w.model, lr=0.05, momentum=0.9) for w in loop.workers]
+        for _ in range(3):
+            grads = []
+            for cluster in (fused, loop):
+                cluster.compute_gradients_all(cluster.next_batches())
+                grads.append(cluster.matrix.grads.mean(axis=0) if shared else None)
+            fused.apply_local_updates(lr=0.05, grads=grads[0])
+            for optimizer in oracles:
+                optimizer.step(grads[1])
+        np.testing.assert_array_equal(fused.matrix.params, loop.matrix.params)
         np.testing.assert_array_equal(
-            np.concatenate([state["velocity"][k].ravel() for k in state["velocity"]]),
-            fused.fused_update.velocity[0],
+            fused.fused_update.velocity, np.stack([o._velocity_vector for o in oracles])
         )
 
-    def test_diverged_lrs_fall_back(self):
-        fused, _ = _paired_clusters(momentum=0.9)
-        fused.workers[0].optimizer.set_lr(0.9)
-        batches = [w.next_batch() for w in fused.workers]
-        fused.compute_gradients_all(batches)
-        # Mixed per-worker lrs: the fused step must refuse and the loop run.
-        fused.apply_local_updates(lr=None)
-        assert all(w.steps_taken == 1 for w in fused.workers)
+    def test_lr_is_one_shared_scalar(self):
+        cluster = make_small_cluster(momentum=0.9, lr=0.1)
+        update = cluster.fused_update
+        assert update.lr == 0.1
+        update.apply(lr=0.25)
+        update.apply(lr=None)  # keeps the last lr
+        assert update.lr == 0.25
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            update.apply(lr=0.0)

@@ -17,7 +17,7 @@ import pytest
 from repro.core.config import SelSyncConfig
 from repro.core.selsync import SelSyncTrainer
 from repro.faults import FaultController, FaultSchedule, crash, rejoin
-from repro.faults.checkpoint import restore_cluster, snapshot_cluster
+from repro.faults.checkpoint import restore_cluster, restore_worker, snapshot_cluster
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
 from repro.nn.layers import Dropout
 from tests.conftest import make_small_cluster
@@ -67,9 +67,10 @@ def scramble(trainer):
     cluster.matrix.grads[:] = 7.0
     cluster.ps.state_vector[:] += 0.5
     cluster.clock.worker_time += 11.0
+    for array in cluster.fused_update.state.values():
+        array += 3
+    cluster.fused_update.lr = 99.0
     for worker in cluster.workers:
-        worker.optimizer.lr = 99.0
-        worker.steps_taken += 100
         for _, module in worker.model.named_modules():
             if isinstance(module, Dropout):
                 module._rng.random(5)
@@ -190,3 +191,39 @@ class TestCheckpointMechanics:
         for a, b in zip(expected, resumed):
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
+
+    def test_optimizer_state_is_a_copy_of_the_fused_update(self):
+        cluster = build_cluster(build_workload("alexnet"), num_workers=3, batch_size=4)
+        update = cluster.fused_update
+        for _ in range(2):
+            cluster.compute_gradients_all(cluster.next_batches())
+            cluster.apply_local_updates(lr=2e-3)
+        ckpt = snapshot_cluster(cluster)
+        assert sorted(ckpt.update_state) == ["m", "t", "v"]
+        assert ckpt.update_lr == 2e-3
+        for name, array in update.state.items():
+            np.testing.assert_array_equal(ckpt.update_state[name], array)
+            assert not np.shares_memory(ckpt.update_state[name], array)
+        assert ckpt.update_state["t"].tolist() == [2, 2, 2]
+
+    def test_rejoin_restores_one_row_and_leaves_the_shared_lr(self):
+        cluster = build_cluster(build_workload("alexnet"), num_workers=3, batch_size=4)
+        update = cluster.fused_update
+        cluster.compute_gradients_all(cluster.next_batches())
+        cluster.apply_local_updates(lr=2e-3)
+        ckpt = snapshot_cluster(cluster)
+        for _ in range(2):
+            cluster.compute_gradients_all(cluster.next_batches())
+            cluster.apply_local_updates(lr=5e-3)
+        later = {name: array.copy() for name, array in update.state.items()}
+
+        restore_worker(cluster, ckpt, 1)
+        assert update.lr == 5e-3
+        assert update.t.tolist() == [3, 1, 3]
+        for name, array in update.state.items():
+            np.testing.assert_array_equal(array[1], ckpt.update_state[name][1])
+            np.testing.assert_array_equal(array[[0, 2]], later[name][[0, 2]])
+
+        restore_cluster(cluster, ckpt)
+        assert update.lr == 2e-3
+        assert update.t.tolist() == [1, 1, 1]

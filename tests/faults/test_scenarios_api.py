@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ApiError, RunRequest, run as api_run
-from repro.faults.schedule import crash, rejoin, straggler_burst
+from repro.faults.schedule import crash, rejoin
 from repro.scenarios import FaultScenario, ScenarioError, run_scenario
 
 pytestmark = pytest.mark.faults

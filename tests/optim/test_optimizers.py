@@ -83,16 +83,6 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD(model, lr=0.1, weight_decay=-1.0)
 
-    def test_state_dict_roundtrip(self):
-        model = _Scalar(0.0)
-        opt = SGD(model, lr=1.0, momentum=0.9)
-        _set_grad(model, 1.0)
-        opt.step()
-        state = opt.state_dict()
-        other = SGD(_Scalar(0.0), lr=1.0, momentum=0.9)
-        other.load_state_dict(state)
-        np.testing.assert_allclose(other._velocity["w"], opt._velocity["w"])
-
     def test_set_lr(self):
         model = _Scalar(0.0)
         opt = SGD(model, lr=1.0)
@@ -135,18 +125,6 @@ class TestAdam:
         opt.step()
         assert abs(model.w.data[0]) < 1.0
 
-    def test_state_dict_roundtrip_preserves_timestep(self):
-        model = _Scalar(0.0)
-        opt = Adam(model, lr=0.1)
-        for _ in range(3):
-            _set_grad(model, 1.0)
-            opt.step()
-        state = opt.state_dict()
-        other = Adam(_Scalar(0.0), lr=0.1)
-        other.load_state_dict(state)
-        assert other._t == 3
-        np.testing.assert_allclose(other._m["w"], opt._m["w"])
-
     def test_reduces_loss_on_real_model(self):
         rng = np.random.default_rng(0)
         model = MLP((8, 16, 3), rng=rng)
@@ -168,14 +146,6 @@ class TestAdam:
 
 
 class TestOptimizerBase:
-    def test_step_count_increments(self):
-        model = _Scalar()
-        opt = SGD(model, lr=0.1)
-        _set_grad(model, 1.0)
-        opt.step()
-        opt.step()
-        assert opt.step_count == 2
-
     def test_zero_grad_clears_module(self):
         model = MLP((4, 4, 2), rng=np.random.default_rng(0))
         opt = SGD(model, lr=0.1)

@@ -104,8 +104,10 @@ KEEP: Dict[str, str] = {
     "repro.cluster.cluster.SimulatedCluster.restore": _CHECKPOINT,
     "repro.faults.checkpoint.restore_cluster": _CHECKPOINT,
     "repro.faults.checkpoint.ClusterCheckpoint.num_workers": _CHECKPOINT,
-    "repro.optim.adam.Adam.state_dict": _CHECKPOINT,
-    "repro.optim.adam.Adam.load_state_dict": _CHECKPOINT,
+    "repro.engine.fused_optim.FusedAdamUpdate.state": (
+        "checkpoint rows of an Adam cluster: no entry point runs faults or a restore on "
+        "alexnet; the golden alexnet fault and restore cases do"
+    ),
     "repro.engine.flat_buffer.FlatBuffer.load_tree": _CHECKPOINT,
     "repro.cluster.cluster.SimulatedCluster.replica_divergence": _ORACLE,
     "repro.engine.worker_matrix.WorkerMatrix.divergence": _ORACLE,
@@ -121,7 +123,6 @@ KEEP: Dict[str, str] = {
     "repro.compression.base.Compressor.roundtrip": _ORACLE,
     "repro.compression.base.compression_error": _ORACLE,
     "repro.cluster.worker.Worker.compute_gradients": _TWIN,
-    "repro.cluster.worker.Worker.train_step": _TWIN,
     "repro.nn.attention.MultiHeadSelfAttention.backward": _LM_TWIN,
     "repro.nn.attention.PositionalEncoding.backward": _LM_TWIN,
     "repro.nn.attention.TransformerEncoderLayer.backward": _LM_TWIN,
@@ -134,6 +135,10 @@ KEEP: Dict[str, str] = {
     "repro.nn.module.Parameter.zero_grad": _MODULE_API,
     "repro.nn.module.Sequential.append": _MODULE_API,
     "repro.optim.optimizer.Optimizer.zero_grad": _MODULE_API,
+    "repro.optim.optimizer.Optimizer.set_lr": (
+        "standalone SGD / Adam are the oracles the fused-update tests step under an lr "
+        "schedule; the cluster's optimizer step is the fused update"
+    ),
     "repro.nn.layers.Tanh": _TANH,
     "repro.nn.layers.Tanh.forward": _TANH,
     "repro.nn.layers.Tanh.backward": _TANH,
@@ -173,8 +178,8 @@ KEEP: Dict[str, str] = {
         "metric direction for ConvergenceDetector callers; tests read it"
     ),
     "repro.cluster.clock.SimulatedClock.worker_elapsed": (
-        "SSP's staleness wait: runs once a worker is more than s steps ahead, which no "
-        "preset run reaches (s = 100)"
+        "one worker's simulated time, read by the clock, fault and elasticity tests; no "
+        "trainer reads it since SSP's staleness wait was deleted"
     ),
     "repro.service.quotas.TokenBucket.retry_after": (
         "a rate-limited submission's Retry-After; no entry point exceeds a tenant's rate"
