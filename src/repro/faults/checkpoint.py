@@ -62,10 +62,10 @@ class ClusterCheckpoint:
     Everything a bit-identical continuation needs: the ``(N, D)`` parameter
     and gradient matrices, the fused update's state arrays (velocity, or
     Adam's moments and per-row step counts) and its learning rate, the
-    parameter-server vector and
-    its accounting, the simulated clock, backend byte counters, per-worker
-    data-loader positions and RNG streams, the private dropout-mask streams of
-    every replica, the evaluation RNG, and the elastic worker mask.
+    parameter-server vector and its accounting, the simulated clock, backend
+    byte counters, per-worker data-loader positions and RNG streams, the
+    private dropout-mask streams of every replica, the evaluation RNG, and
+    the elastic worker mask.
     """
 
     step: int

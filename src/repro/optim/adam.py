@@ -11,7 +11,8 @@ from repro.optim.optimizer import Optimizer
 class Adam(Optimizer):
     """Adam with bias-corrected first/second moments and optional weight decay.
 
-    Both moment buffers are flat vectors, so one step is a constant number of fused NumPy operations over the whole model.
+    Both moment buffers are flat vectors, so one step is a constant number of
+    fused NumPy operations over the whole model.
     """
 
     def __init__(

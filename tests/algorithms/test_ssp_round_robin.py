@@ -2,8 +2,9 @@
 
 The reference below is SSP written one worker at a time: worker ``i``
 computes its gradient against the state it last pulled, steps its own
-standalone optimizer (built by the preset's factory), adds its delta to the parameter server's state and pulls the
-result before worker ``i + 1`` starts.  :class:`SSPTrainer` computes every
+standalone optimizer (built by the preset's factory), adds its delta to the
+parameter server's state and pulls the result before worker ``i + 1``
+starts.  :class:`SSPTrainer` computes every
 gradient in one batched pass and pushes the deltas in worker order; both
 must leave the same bits behind.
 """

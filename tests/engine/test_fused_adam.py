@@ -109,6 +109,7 @@ class TestEquivalence:
         oracle_cluster = make_adam_cluster(dtype=dtype)
         oracles = _oracles(oracle_cluster)
         fused = fused_cluster.fused_update
+        rows = (fused_cluster.matrix.params, fused.m, fused.v, fused.t)
         # Worker 1 sits out steps 2-9, worker 3 steps 4-6 and 10-13 (as a
         # crash / rejoin schedule would), so up to three distinct t coexist.
         for step in range(14):
@@ -120,12 +121,10 @@ class TestEquivalence:
             oracle_cluster.active_mask[:] = mask
             fused_cluster.compute_gradients_all(fused_cluster.next_batches())
             oracle_cluster.compute_gradients_all(oracle_cluster.next_batches())
-            frozen = [a[~mask].copy() for a in (fused_cluster.matrix.params, fused.m, fused.v, fused.t)]
+            frozen = [array[~mask].copy() for array in rows]
             fused_cluster.apply_local_updates(lr=1e-3 * (1 + step % 3))
             _oracle_step(oracles, 1e-3 * (1 + step % 3), mask)
-            for array, before in zip(
-                (fused_cluster.matrix.params, fused.m, fused.v, fused.t), frozen
-            ):
+            for array, before in zip(rows, frozen):
                 np.testing.assert_array_equal(array[~mask], before)
             np.testing.assert_array_equal(
                 fused_cluster.matrix.params, oracle_cluster.matrix.params
