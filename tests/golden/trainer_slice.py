@@ -13,8 +13,8 @@ Each case runs one lockstep trainer config on one workload preset with
 
 Three kinds of case:
 
-* ``plain`` — every config on deep_mlp, resnet101, transformer and alexnet
-  (Adam) at float64, and on deep_mlp at float32;
+* ``plain`` — every config on deep_mlp, resnet101, vgg11, transformer and
+  alexnet (Adam) at float64, and on deep_mlp at float32;
 * ``fault`` — one fixed crash / rejoin schedule on deep_mlp and alexnet (Adam)
   for the trainers that take faults;
 * ``restore`` — checkpoint at step 5, train on out of band, restore, replay
@@ -72,9 +72,12 @@ CONFIGS: Dict[str, Tuple[str, Dict[str, Any]]] = {
 }
 #: SelSync's threshold per workload: a mix of sync and local steps, clear of
 #: every observed Δ(g) (the generator checks the margin).
-DELTAS = {"deep_mlp": 0.0248, "resnet101": 0.05, "transformer": 0.027, "alexnet": 0.009}
+DELTAS = {
+    "deep_mlp": 0.0248, "resnet101": 0.05, "vgg11": 0.023, "transformer": 0.027,
+    "alexnet": 0.009,
+}
 FEDAVG_INTERVAL = 4
-WORKLOADS = ("deep_mlp", "resnet101", "transformer", "alexnet")
+WORKLOADS = ("deep_mlp", "resnet101", "vgg11", "transformer", "alexnet")
 #: Workloads of the fault and restore cases: one SGD and one Adam preset.
 FAULT_WORKLOADS = ("deep_mlp", "alexnet")
 FAULT_CONFIGS = (
