@@ -145,9 +145,7 @@ class SimulatedCluster:
                 shuffle_each_epoch=self.partitioner.shuffle_each_epoch,
                 seed=config.seed * 1000 + worker_id,
             )
-            self.workers.append(
-                Worker(worker_id, model, loader, task=config.task)
-            )
+            self.workers.append(Worker(worker_id, model, loader))
 
         self.ps = ParameterServer(
             initial_state,
@@ -171,16 +169,16 @@ class SimulatedCluster:
         if type(model0) is TransformerLM and module_has_active_dropout(model0):
             self.dropout_stream = SharedDropoutStream(config.seed, n)
             # Arm the stream at tick 0 so direct training-mode forwards
-            # (e.g. Worker.compute_gradients outside a trainer) work
-            # immediately; every cluster gradient computation advances to a
-            # fresh tick.
+            # outside a trainer work immediately; every cluster gradient
+            # computation advances to a fresh tick.
             self.dropout_stream.set_step(self._dropout_tick)
             for worker_id, worker in enumerate(self.workers):
                 attach_shared_dropout(worker.model, self.dropout_stream, worker_slot=worker_id)
-        # Fused all-replica forward/backward when the model family supports
-        # it (None otherwise; compute_gradients_all falls back to the loop).
-        # Both tasks share the cross-entropy arithmetic, so classification
-        # (MLP/conv) and language modeling (transformer) batch the same way.
+        # Fused all-replica forward/backward when the executor's table covers
+        # the model (None otherwise: compute_gradients_all runs the per-worker
+        # loop for the cluster's lifetime).  Both tasks share the
+        # cross-entropy arithmetic, so classification and language modeling
+        # batch the same way.
         self.replica_exec = BatchedReplicaExecutor.build(
             self.matrix, self.workers[0].model
         )
@@ -346,21 +344,20 @@ class SimulatedCluster:
         mask = self.active_mask
         active = np.flatnonzero(mask)
         with telemetry.span("cluster.gradients"):
-            if self.replica_exec is not None:
-                placeholder = batches[int(active[0])]
-                losses = self.replica_exec.step(
-                    [placeholder if batch is None else batch for batch in batches]
-                )
-                if losses is not None:
-                    self.matrix.grads[~mask] = 0.0
-                    out = [float(losses[worker_id]) for worker_id in active]
-                    for worker_id, loss in zip(active, out):
-                        self.workers[worker_id].last_loss = loss
-                    return out
-            return [
-                self.workers[worker_id].compute_gradients_flat(batches[worker_id])[0]
-                for worker_id in active
-            ]
+            if self.replica_exec is None:
+                return [
+                    self.workers[worker_id].compute_gradients_flat(batches[worker_id])[0]
+                    for worker_id in active
+                ]
+            placeholder = batches[int(active[0])]
+            losses = self.replica_exec.step(
+                [placeholder if batch is None else batch for batch in batches]
+            )
+            self.matrix.grads[~mask] = 0.0
+            out = [float(losses[worker_id]) for worker_id in active]
+            for worker_id, loss in zip(active, out):
+                self.workers[worker_id].last_loss = loss
+            return out
 
     def apply_local_updates(
         self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None

@@ -19,21 +19,12 @@ from repro.nn.module import Module
 class Worker:
     """One simulated worker with its own replica and data stream."""
 
-    def __init__(
-        self,
-        worker_id: int,
-        model: Module,
-        loader: DataLoader,
-        task: str = "classification",
-    ) -> None:
+    def __init__(self, worker_id: int, model: Module, loader: DataLoader) -> None:
         if worker_id < 0:
             raise ValueError(f"worker_id must be non-negative, got {worker_id}")
-        if task not in ("classification", "language_modeling"):
-            raise ValueError(f"unknown task {task!r}")
         self.worker_id = int(worker_id)
         self.model = model
         self.loader = loader
-        self.task = task
         self.last_loss: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -42,20 +33,6 @@ class Worker:
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sample the next local mini-batch (Alg. 1, line 6)."""
         return self.loader.next_batch()
-
-    def compute_gradients(
-        self, batch: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    ) -> Tuple[float, Dict[str, np.ndarray]]:
-        """Forward + backward on one mini-batch; returns (loss, gradient dict).
-
-        Gradients are left on the module (``Parameter.grad``) *and* returned
-        as a copy, because the SelSync trainer needs them both to apply the
-        local update and to measure Δ(gᵢ).  Internal callers on the hot path
-        use :meth:`compute_gradients_flat` instead, which skips the dict
-        snapshot entirely.
-        """
-        loss, _ = self.compute_gradients_flat(batch)
-        return loss, self.model.gradient_dict()
 
     def compute_gradients_flat(
         self, batch: Optional[Tuple[np.ndarray, np.ndarray]] = None

@@ -10,14 +10,44 @@ wall-clock against SelSync.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.algorithms.base import BaseTrainer
 from repro.cluster.cluster import SimulatedCluster
 from repro.compression.base import Compressor
+from repro.compression.powersgd import PowerSGDCompressor
+from repro.compression.signsgd import SignSGDCompressor
+from repro.compression.topk import TopKCompressor
 from repro.optim.schedules import LRSchedule
+
+#: A compressor spec's ``kind`` -> its class; the spec's other keys are the
+#: class's keywords.
+COMPRESSORS = {
+    "topk": TopKCompressor,
+    "signsgd": SignSGDCompressor,
+    "powersgd": PowerSGDCompressor,
+}
+
+
+def build_compressor(spec: Union[Compressor, Mapping[str, Any]]) -> Compressor:
+    """The compressor a ``compressor`` param names.
+
+    Either a built :class:`Compressor` or a JSON spec such as
+    ``{"kind": "topk", "ratio": 0.1}``, ``{"kind": "signsgd"}`` or
+    ``{"kind": "powersgd", "rank": 2}``.  A bad spec is a ``ValueError``.
+    """
+    if isinstance(spec, Compressor):
+        return spec
+    spec = dict(spec)
+    kind = spec.pop("kind", None)
+    if kind not in COMPRESSORS:
+        raise ValueError(f"compressor kind must be one of {sorted(COMPRESSORS)}, got {kind!r}")
+    try:
+        return COMPRESSORS[kind](**spec)
+    except TypeError as exc:
+        raise ValueError(f"bad {kind} compressor spec {spec}: {exc}") from None
 
 
 class CompressedBSPTrainer(BaseTrainer):
@@ -30,16 +60,20 @@ class CompressedBSPTrainer(BaseTrainer):
     def __init__(
         self,
         cluster: SimulatedCluster,
-        compressor: Compressor,
+        compressor: Union[Compressor, dict],
         lr_schedule: Optional[LRSchedule] = None,
         eval_every: int = 50,
         error_feedback: bool = True,
     ) -> None:
         super().__init__(cluster, lr_schedule=lr_schedule, eval_every=eval_every)
-        self.compressor = compressor
+        self.compressor = build_compressor(compressor)
         self.error_feedback = bool(error_feedback)
         self._residuals: List[Optional[np.ndarray]] = [None] * cluster.num_workers
         self._ratio_history: List[float] = []
+
+    @classmethod
+    def check_params(cls, *, compressor: Union[Compressor, dict], **_: Any) -> None:
+        build_compressor(compressor)
 
     def describe(self) -> str:
         return f"bsp+{self.compressor.name}"

@@ -8,29 +8,30 @@ cluster as batched NumPy calls — one fused call per layer instead of one
 Python call per layer *per worker* — writing gradients straight into the
 gradient matrix rows.
 
-Two model families are supported:
+One table decides what batches: it maps each exact ``repro.nn`` type —
+``MLP``, ``Linear``, ``ReLU``, ``Tanh``, ``LayerNorm``, ``Dropout``,
+``Embedding``, ``PositionalEncoding``, ``MultiHeadSelfAttention``,
+``TransformerEncoderLayer``, ``TransformerLM`` — to the ``_Batched*`` layers
+that run it, and one recursive walk over the model builds the chain.  That
+covers the **MLP family** (Linear / ReLU / Tanh on a classification head) and
+the **transformer family** (:class:`~repro.nn.models.transformer.TransformerLM`:
+token batches flow as ``(N, batch, seq)`` integer blocks and every contraction
+runs once for all replicas via ``(N, ...)`` GEMM calls over the weight views).
 
-* the **MLP family** (chains of Linear / ReLU / Tanh on a classification
-  head), which covers the simulator's hot benchmarks, and
-* the **transformer family**
-  (:class:`~repro.nn.models.transformer.TransformerLM`: embedding +
-  positional encoding, pre-norm encoder blocks with multi-head causal
-  self-attention and a ReLU feed-forward, final norm and LM head).  Token
-  batches flow as ``(N, batch, seq)`` integer blocks; every contraction —
-  projections, attention scores, softmax backward — runs once for all
-  replicas via ``(N, ...)`` einsum/GEMM calls over the weight views.
-
-All arithmetic runs in the worker matrix's compute dtype (float64 default,
-float32 in the reduced-precision mode).  Clusters with unsupported models
-fall back to the per-worker loop transparently.  Transformers with active
-dropout batch when their layers draw from a
+A model with a module outside the table (the ResNet / VGG / AlexNet analogs,
+subclasses) or with active dropout on private per-layer RNG streams gets no
+executor, and its cluster runs the per-worker loop; active dropout batches
+when its layers draw from a
 :class:`~repro.engine.dropout_stream.SharedDropoutStream` (one deterministic
-``(N, ...)`` mask block per step and layer); dropout on private per-layer
-RNG streams still falls back.
+``(N, ...)`` mask block per step and layer).  All arithmetic runs in the
+worker matrix's compute dtype (float64 default, float32 in the
+reduced-precision mode).  Each row shard's chain is the same walk over row
+views ``params[lo:hi]`` / ``grads[lo:hi]`` of the one matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -365,10 +366,8 @@ class _BatchedEncoderLayer:
     """Pre-norm encoder block (attention + FFN, both residual), batched.
 
     Mirrors :class:`~repro.nn.attention.TransformerEncoderLayer` exactly.
-    Dropout layers are omitted when inactive (p == 0); active dropout is
-    supported through :class:`_BatchedDropout` when the module's layers are
-    attached to a shared dropout stream (models with private per-layer
-    dropout RNGs still fall back to the per-worker loop).
+    Dropout layers are omitted when inactive (p == 0); active ones are
+    :class:`_BatchedDropout` layers on the shared dropout stream.
     """
 
     def __init__(
@@ -486,6 +485,136 @@ def _backward_shard(shard: Tuple[List[object], np.ndarray, np.ndarray]) -> np.nd
     return losses
 
 
+class _Unsupported(Exception):
+    """The walk met a module it has no batched kernel for."""
+
+
+class _RowViews:
+    """``(N, *shape)`` parameter and gradient views of matrix rows, by name.
+
+    ``params`` / ``grads`` are the rows a chain runs on — the whole matrix,
+    or one row shard's ``[lo:hi]`` slice of it, ``lo`` being its first row's
+    global replica index (shared-stream dropout masks span the cluster).
+    Every entry handed out is counted, so the walk can tell whether its chain
+    covers the whole layout.
+    """
+
+    def __init__(self, spec, params: np.ndarray, grads: np.ndarray, lo: int) -> None:
+        self.spec = spec
+        self.params = params
+        self.grads = grads
+        self.lo = lo
+        self.covered = 0
+
+    def __call__(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        if name not in self.spec:
+            raise _Unsupported(f"{name} is not in the layout")
+        sl = self.spec.slice_of(name)
+        shape = (self.params.shape[0],) + self.spec.shape_of(name)
+        self.covered += sl.stop - sl.start
+        return self.params[:, sl].reshape(shape), self.grads[:, sl].reshape(shape)
+
+
+def _children(module, prefix: str, views: _RowViews) -> List[object]:
+    """A container whose forward runs its children in registration order."""
+    return [
+        layer
+        for name, child in module._modules.items()
+        for layer in _walk(child, f"{prefix}{name}.", views)
+    ]
+
+
+def _linear(layer, prefix: str, views: _RowViews) -> List[object]:
+    bias = views(prefix + "bias") if layer.use_bias else (None, None)
+    return [_BatchedLinear(*views(prefix + "weight"), *bias)]
+
+
+def _dropout(layer, prefix: str, views: _RowViews) -> List[object]:
+    if layer.p == 0.0:
+        return []
+    # Active dropout batches only when its masks come from a shared per-step
+    # stream; private per-layer RNG streams cannot be replayed batched.
+    if layer._shared_stream is None:
+        raise _Unsupported("dropout on a private RNG stream")
+    return [_BatchedDropout(layer._shared_stream, layer._stream_layer_id, layer.p, views.lo)]
+
+
+def _self_attention(attn, prefix: str, views: _RowViews) -> List[object]:
+    (q,), (k,), (v,), (o,) = (
+        _walk(getattr(attn, name), f"{prefix}{name}.", views)
+        for name in ("q_proj", "k_proj", "v_proj", "out_proj")
+    )
+    return [_BatchedSelfAttention(q, k, v, o, attn.num_heads, attn.d_head, attn.causal)]
+
+
+def _encoder_layer(enc, prefix: str, views: _RowViews) -> List[object]:
+    def one(name: str) -> List[object]:
+        return _walk(getattr(enc, name), f"{prefix}{name}.", views)
+
+    (norm1,), (attn,), (norm2,), (ff1,), (act,), (ff2,) = map(
+        one, ("norm1", "attn", "norm2", "ff1", "act", "ff2")
+    )
+    drop1, drop2 = ((one(name) or [None])[0] for name in ("drop1", "drop2"))
+    return [_BatchedEncoderLayer(norm1, attn, norm2, ff1, act, ff2, drop1, drop2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _table() -> Dict[type, object]:
+    """Exact nn type -> ``entry(module, prefix, views)`` returning its batched layers.
+
+    Exact types: a subclass may override forward (skip connections, extra
+    parameters), which a batched chain would silently ignore.
+    """
+    # Imported here: the engine stays importable without the nn layer stack,
+    # and nn itself only lazily imports the engine.
+    from repro.nn.attention import (
+        MultiHeadSelfAttention,
+        PositionalEncoding,
+        TransformerEncoderLayer,
+    )
+    from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh
+    from repro.nn.models.mlp import MLP
+    from repro.nn.models.transformer import TransformerLM
+
+    return {
+        MLP: lambda mlp, prefix, views: _children(mlp.net, f"{prefix}net.", views),
+        TransformerLM: _children,
+        TransformerEncoderLayer: _encoder_layer,
+        MultiHeadSelfAttention: _self_attention,
+        Embedding: lambda layer, prefix, views: [_BatchedEmbedding(*views(prefix + "weight"))],
+        PositionalEncoding: lambda layer, prefix, views: [_BatchedPositionalEncoding(layer.pe)],
+        Linear: _linear,
+        LayerNorm: lambda layer, prefix, views: [
+            _BatchedLayerNorm(*views(prefix + "gamma"), *views(prefix + "beta"), eps=layer.eps)
+        ],
+        ReLU: lambda layer, prefix, views: [_BatchedReLU()],
+        Tanh: lambda layer, prefix, views: [_BatchedTanh()],
+        Dropout: _dropout,
+    }
+
+
+def _walk(module, prefix: str, views: _RowViews) -> List[object]:
+    entry = _table().get(type(module))
+    if entry is None:
+        raise _Unsupported(f"no batched kernel for {type(module).__name__}")
+    return entry(module, prefix, views)
+
+
+def _build_chain(module, spec, params: np.ndarray, grads: np.ndarray, lo: int) -> List[object]:
+    """``module``'s batched layer chain over the rows ``params`` / ``grads``."""
+    views = _RowViews(spec, params, grads, lo)
+    chain = _walk(module, "", views)
+    # The loss works in the last layer's output block, so that block must be
+    # a fresh array no layer caches: a Linear head, not an activation.
+    if not chain or type(chain[-1]) is not _BatchedLinear:
+        raise _Unsupported("the chain does not end in a Linear head")
+    # Every parameter in the layout must belong to the chain we walk;
+    # anything left over would silently never receive gradients.
+    if views.covered != spec.total_size:
+        raise _Unsupported("parameters outside the chain")
+    return chain
+
+
 class BatchedReplicaExecutor:
     """Fused forward/backward for every replica of a worker matrix at once.
 
@@ -497,276 +626,44 @@ class BatchedReplicaExecutor:
     (:meth:`_shard_count`); K = 1 is the same loop over a one-element list.
     """
 
-    def __init__(
-        self,
-        layers: Sequence[object],
-        matrix: WorkerMatrix,
-        token_input: bool = False,
-    ) -> None:
-        self._layers = list(layers)
+    def __init__(self, module, matrix: WorkerMatrix, chain: List[object]) -> None:
+        self._module = module
         self._matrix = matrix
-        # Shard chains by shard count; more than one shard needs the model to
-        # build sub-matrix chains from, which :meth:`build` records.
+        # Shard chains by shard count: (lo, hi, chain over rows [lo, hi)).
         self._chains: Dict[int, List[Tuple[int, int, List[object]]]] = {
-            1: [(0, matrix.num_workers, self._layers)]
+            1: [(0, matrix.num_workers, chain)]
         }
-        self._shard_source: Optional[Tuple[object, int]] = None
         # Token inputs stay integer (embedding lookup) instead of being cast
         # to the compute dtype.
-        self._token_input = bool(token_input)
+        self._token_input = type(chain[0]) is _BatchedEmbedding
+        self._head_width = chain[-1].weight.shape[2]
 
-    # ------------------------------------------------------------------ #
     @classmethod
-    def build(
-        cls, matrix: WorkerMatrix, module, row_offset: int = 0
-    ) -> Optional["BatchedReplicaExecutor"]:
-        """Build an executor for ``module`` or return None if unsupported.
+    def build(cls, matrix: WorkerMatrix, module) -> Optional["BatchedReplicaExecutor"]:
+        """An executor for ``module``, or None when the table cannot batch it.
 
         ``module`` must be the already-adopted replica of the matrix's first
-        row; its architecture (shared by all workers) defines the layer
-        chain.  Exact-type checks: a subclass may override forward (skip
-        connections, extra parameters), which the batched chains below would
-        silently ignore — such models must use the fallback loop.
-
-        ``row_offset`` is the matrix's first row's *global* replica index —
-        nonzero when ``matrix`` is one row shard's sub-matrix — and only
-        affects shared-stream dropout, whose mask blocks span the full
-        cluster.
+        row; its architecture (shared by all workers) defines the layer chain.
         """
-        # Imported here: the engine stays importable without the nn layer
-        # stack, and nn itself only lazily imports the engine.
-        from repro.nn.models.mlp import MLP
-        from repro.nn.models.transformer import TransformerLM
-
-        executor = None
-        if type(module) is MLP:
-            executor = cls._build_mlp(matrix, module)
-        elif type(module) is TransformerLM:
-            executor = cls._build_transformer(matrix, module, row_offset)
-        # Donated rows are already a shard of another executor: only an
-        # executor over a matrix that owns its storage splits further.
-        if executor is not None and matrix.owns_storage:
-            executor._shard_source = (module, row_offset)
-        return executor
+        try:
+            chain = _build_chain(module, matrix.spec, matrix.params, matrix.grads, 0)
+        except _Unsupported:
+            return None
+        return cls(module, matrix, chain)
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def _batched_linear(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
-        """(layer, covered_entries) for one Linear, or None if layout-mismatched."""
-        n = matrix.num_workers
-        w_name = prefix + "weight"
-        if w_name not in spec:
-            return None
-        w_shape = spec.shape_of(w_name)
-        w_sl = spec.slice_of(w_name)
-        weight = matrix.params[:, w_sl].reshape((n,) + w_shape)
-        weight_grad = matrix.grads[:, w_sl].reshape((n,) + w_shape)
-        covered = w_sl.stop - w_sl.start
-        bias = bias_grad = None
-        if layer.use_bias:
-            b_name = prefix + "bias"
-            if b_name not in spec:
-                return None
-            b_sl = spec.slice_of(b_name)
-            bias = matrix.params[:, b_sl]
-            bias_grad = matrix.grads[:, b_sl]
-            covered += b_sl.stop - b_sl.start
-        return _BatchedLinear(weight, weight_grad, bias, bias_grad), covered
-
-    @classmethod
-    def _build_mlp(cls, matrix: WorkerMatrix, module) -> Optional["BatchedReplicaExecutor"]:
-        from repro.nn.layers import Linear, ReLU, Tanh
-
-        spec = matrix.spec
-        covered = 0
-        layers: List[object] = []
-        for idx, layer in enumerate(module.net):
-            prefix = f"net.{idx}."
-            if isinstance(layer, Linear):
-                built = cls._batched_linear(matrix, spec, prefix, layer)
-                if built is None:
-                    return None
-                layers.append(built[0])
-                covered += built[1]
-            elif isinstance(layer, ReLU):
-                layers.append(_BatchedReLU())
-            elif isinstance(layer, Tanh):
-                layers.append(_BatchedTanh())
-            else:
-                return None
-        # The loss works in the last layer's output block, so that block must
-        # be a fresh array no layer caches: a Linear head, not an activation.
-        if not layers or not isinstance(layers[-1], _BatchedLinear):
-            return None
-        # Every parameter in the layout must belong to the chain we walk;
-        # anything left over would silently never receive gradients.
-        if covered != spec.total_size:
-            return None
-        return cls(layers, matrix)
-
-    @classmethod
-    def _batched_layernorm(cls, matrix: WorkerMatrix, spec, prefix: str, layer):
-        """(layer, covered_entries) for one LayerNorm, or None if layout-mismatched."""
-        g_name, b_name = prefix + "gamma", prefix + "beta"
-        if g_name not in spec or b_name not in spec:
-            return None
-        g_sl = spec.slice_of(g_name)
-        b_sl = spec.slice_of(b_name)
-        batched = _BatchedLayerNorm(
-            matrix.params[:, g_sl],
-            matrix.grads[:, g_sl],
-            matrix.params[:, b_sl],
-            matrix.grads[:, b_sl],
-            eps=layer.eps,
-        )
-        covered = (g_sl.stop - g_sl.start) + (b_sl.stop - b_sl.start)
-        return batched, covered
-
-    @classmethod
-    def _build_transformer(
-        cls, matrix: WorkerMatrix, module, row_offset: int = 0
-    ) -> Optional["BatchedReplicaExecutor"]:
-        from repro.nn.attention import (
-            MultiHeadSelfAttention,
-            PositionalEncoding,
-            TransformerEncoderLayer,
-        )
-        from repro.nn.layers import Embedding, LayerNorm, Linear, ReLU
-
-        spec = matrix.spec
-        n = matrix.num_workers
-        covered = 0
-        layers: List[object] = []
-
-        if type(module.embedding) is not Embedding or "embedding.weight" not in spec:
-            return None
-        e_shape = spec.shape_of("embedding.weight")
-        e_sl = spec.slice_of("embedding.weight")
-        layers.append(
-            _BatchedEmbedding(
-                matrix.params[:, e_sl].reshape((n,) + e_shape),
-                matrix.grads[:, e_sl].reshape((n,) + e_shape),
-            )
-        )
-        covered += e_sl.stop - e_sl.start
-
-        if type(module.pos_encoding) is not PositionalEncoding:
-            return None
-        layers.append(_BatchedPositionalEncoding(module.pos_encoding.pe))
-
-        def seq_linear(prefix: str, layer):
-            nonlocal covered
-            if not isinstance(layer, Linear):
-                return None
-            built = cls._batched_linear(matrix, spec, prefix, layer)
-            if built is None:
-                return None
-            covered += built[1]
-            return built[0]
-
-        def layer_norm(prefix: str, layer):
-            nonlocal covered
-            if type(layer) is not LayerNorm:
-                return None
-            built = cls._batched_layernorm(matrix, spec, prefix, layer)
-            if built is None:
-                return None
-            covered += built[1]
-            return built[0]
-
-        for i, enc in enumerate(module._layers):
-            if type(enc) is not TransformerEncoderLayer:
-                return None
-            attn = enc.attn
-            if type(attn) is not MultiHeadSelfAttention:
-                return None
-            if not isinstance(enc.act, ReLU):
-                return None
-            # Active dropout batches only when its masks come from a shared
-            # per-step stream; private per-layer RNG streams cannot be
-            # replayed batched, so such models use the fallback loop.
-            def batched_dropout(layer) -> Optional[_BatchedDropout]:
-                if layer.p == 0.0:
-                    return None
-                return _BatchedDropout(
-                    layer._shared_stream, layer._stream_layer_id, layer.p, row_offset
-                )
-
-            for drop in (enc.drop1, enc.drop2):
-                if drop.p != 0.0 and drop._shared_stream is None:
-                    return None
-            prefix = f"layer{i}."
-            norm1 = layer_norm(prefix + "norm1.", enc.norm1)
-            q = seq_linear(prefix + "attn.q_proj.", attn.q_proj)
-            k = seq_linear(prefix + "attn.k_proj.", attn.k_proj)
-            v = seq_linear(prefix + "attn.v_proj.", attn.v_proj)
-            o = seq_linear(prefix + "attn.out_proj.", attn.out_proj)
-            norm2 = layer_norm(prefix + "norm2.", enc.norm2)
-            ff1 = seq_linear(prefix + "ff1.", enc.ff1)
-            ff2 = seq_linear(prefix + "ff2.", enc.ff2)
-            if any(x is None for x in (norm1, q, k, v, o, norm2, ff1, ff2)):
-                return None
-            batched_attn = _BatchedSelfAttention(
-                q,
-                k,
-                v,
-                o,
-                num_heads=attn.num_heads,
-                d_head=attn.d_head,
-                causal=attn.causal,
-            )
-            layers.append(
-                _BatchedEncoderLayer(
-                    norm1,
-                    batched_attn,
-                    norm2,
-                    ff1,
-                    _BatchedReLU(),
-                    ff2,
-                    drop1=batched_dropout(enc.drop1),
-                    drop2=batched_dropout(enc.drop2),
-                )
-            )
-
-        final_norm = layer_norm("final_norm.", module.final_norm)
-        head = seq_linear("lm_head.", module.lm_head)
-        if final_norm is None or head is None:
-            return None
-        layers.append(final_norm)
-        layers.append(head)
-        if covered != spec.total_size:
-            return None
-        return cls(layers, matrix, token_input=True)
-
-    # ------------------------------------------------------------------ #
-    def step(
-        self, batches: Sequence[Tuple[np.ndarray, np.ndarray]]
-    ) -> Optional[np.ndarray]:
+    def step(self, batches: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """One fused gradient computation for all replicas.
 
-        ``batches`` holds one ``(inputs, targets)`` pair per worker; all
-        batches must share one shape (the lockstep cluster guarantees this —
-        if not, the caller falls back to the per-worker loop).  Inputs are
-        cast to the matrix's compute dtype (token inputs stay integer);
-        gradients are written directly into the matrix gradient rows
-        (replacing the previous step's contents, i.e. zero-then-accumulate
-        semantics) and the per-replica mean losses are returned.
+        ``batches`` holds one ``(inputs, targets)`` pair per worker, all of
+        one shape (the lockstep cluster guarantees this).  Inputs are cast to
+        the matrix's compute dtype (token inputs stay integer); gradients are
+        written directly into the matrix gradient rows (replacing the
+        previous step's contents, i.e. zero-then-accumulate semantics) and
+        the per-replica mean losses are returned.  A batch the chain cannot
+        take raises ``ValueError`` before any layer runs.
         """
-        if len(batches) != self._matrix.num_workers:
-            return None
-        first_x, first_y = batches[0]
-        if any(b[0].shape != first_x.shape or b[1].shape != first_y.shape for b in batches):
-            return None
-        if self._token_input:
-            x = np.stack([np.asarray(b[0]) for b in batches])
-            if not np.issubdtype(x.dtype, np.integer):
-                return None
-        else:
-            x = np.stack([np.asarray(b[0], dtype=self._matrix.dtype) for b in batches])
-        targets = np.stack([b[1] for b in batches])
-        # Both families feed 3-D blocks: (N, B, F) features or (N, B, T) tokens.
-        if x.ndim != 3 or not np.issubdtype(targets.dtype, np.integer):
-            return None
+        x, targets = self._stack(batches)
         shards = self._shards(x)
         losses = None
         try:
@@ -774,22 +671,38 @@ class BatchedReplicaExecutor:
                 logits = threads.run_shards(
                     _forward_shard, [(chain, x[lo:hi]) for lo, hi, chain in shards]
                 )
-            if targets.shape == x.shape[:1] + logits[0].shape[1:-1]:
-                with telemetry.span("engine.backward"):
-                    losses = threads.run_shards(
-                        _backward_shard,
-                        [
-                            (chain, out, targets[lo:hi])
-                            for (lo, hi, chain), out in zip(shards, logits)
-                        ],
-                    )
+            with telemetry.span("engine.backward"):
+                losses = threads.run_shards(
+                    _backward_shard,
+                    [(chain, out, targets[lo:hi]) for (lo, hi, chain), out in zip(shards, logits)],
+                )
         finally:
             if losses is None:
-                # Rejected targets, or a shard raised: backward never took
-                # these caches, so drop them here.
+                # A shard raised: backward never took these caches.
                 for _, _, chain in shards:
                     _drop_caches(chain)
-        return None if losses is None else np.concatenate(losses)
+        return np.concatenate(losses)
+
+    def _stack(self, batches) -> Tuple[np.ndarray, np.ndarray]:
+        """The step's ``(N, B, F)`` feature or ``(N, B, T)`` token block, and targets."""
+        n = self._matrix.num_workers
+        if len(batches) != n:
+            raise ValueError(f"expected {n} batches, one per replica, got {len(batches)}")
+        shapes = {(np.shape(b[0]), np.shape(b[1])) for b in batches}
+        if len(shapes) != 1:
+            raise ValueError(f"the replicas' batches differ in shape: {sorted(shapes)}")
+        dtype = None if self._token_input else self._matrix.dtype
+        x = np.stack([np.asarray(b[0], dtype=dtype) for b in batches])
+        targets = np.stack([np.asarray(b[1]) for b in batches])
+        if self._token_input and not np.issubdtype(x.dtype, np.integer):
+            raise ValueError(f"token inputs must be integers, got {x.dtype}")
+        # One integer target per sample, or per token.
+        want = x.shape if self._token_input else x.shape[:2]
+        if x.ndim != 3 or targets.shape != want or not np.issubdtype(targets.dtype, np.integer):
+            raise ValueError(
+                f"cannot batch inputs {x.shape} with {targets.dtype} targets {targets.shape}"
+            )
+        return x, targets
 
     # ------------------------------------------------------------------ #
     # row shards
@@ -811,11 +724,9 @@ class BatchedReplicaExecutor:
         # feature axis of an (N, B, F) block; a token block (N, B, T) is all
         # positions.
         positions = x.size if self._token_input else x.size // x.shape[2]
-        elements = positions * self._layers[-1].weight.shape[2]
+        elements = positions * self._head_width
         if elements * self._matrix.dtype.itemsize >= threads.MMAP_THRESHOLD_DEFAULT:
             threads.hold_malloc_thresholds()
-        if self._shard_source is None:
-            return 1
         k = min(self._matrix.num_workers, elements // MIN_SHARD_ELEMENTS)
         if k < 2:
             return 1
@@ -830,15 +741,14 @@ class BatchedReplicaExecutor:
         chains = self._chains.get(k)
         if chains is None:
             # Built on the first step that qualifies, so clusters that never
-            # shard (small models, one core) never pay for sub-matrix chains.
-            module, row_offset = self._shard_source
+            # shard (small models, one core) never pay for shard chains.
             matrix = self._matrix
-            chains = []
-            for lo, hi in group_bounds(matrix.num_workers, k):
-                sub = WorkerMatrix(
-                    hi - lo, matrix.spec, params=matrix.params[lo:hi], grads=matrix.grads[lo:hi]
-                )
-                chains.append((lo, hi, type(self).build(sub, module, row_offset + lo)._layers))
+            chains = [
+                (lo, hi, _build_chain(
+                    self._module, matrix.spec, matrix.params[lo:hi], matrix.grads[lo:hi], lo
+                ))
+                for lo, hi in group_bounds(matrix.num_workers, k)
+            ]
             self._chains[k] = chains
             _log.info(
                 "replica shards: %d rows in %d shards on %d cores, BLAS threads %d -> 1",

@@ -17,7 +17,7 @@ row in place.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,45 +47,15 @@ class WorkerMatrix:
 
     Storage dtype follows the spec's compute dtype (float64 default, float32
     in the reduced-precision engine mode).
-
-    ``params`` / ``grads`` may donate the backing arrays — row slices of a
-    larger matrix, which is how the batched executor builds one row shard's
-    sub-matrix.  Donated storage must be C-contiguous ``(num_workers, D)``
-    arrays of the spec's dtype; the matrix never copies or frees it.
     """
 
-    def __init__(
-        self,
-        num_workers: int,
-        spec: ParamSpec,
-        params: Optional[np.ndarray] = None,
-        grads: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, num_workers: int, spec: ParamSpec) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(num_workers)
         self.spec = spec
-        # Donated storage (a row shard of another matrix) is owned by
-        # someone else and is never split again.
-        self.owns_storage = params is None and grads is None
-        self.params = self._check_storage(params, "params")
-        self.grads = self._check_storage(grads, "grads")
-
-    def _check_storage(self, array, label: str) -> np.ndarray:
-        if array is None:
-            return np.zeros((self.num_workers, self.spec.total_size), dtype=self.spec.dtype)
-        if array.shape != (self.num_workers, self.spec.total_size):
-            raise ValueError(
-                f"donated {label} storage has shape {array.shape}, expected "
-                f"{(self.num_workers, self.spec.total_size)}"
-            )
-        if array.dtype != self.spec.dtype:
-            raise TypeError(
-                f"donated {label} storage must be {self.spec.dtype.name}, got {array.dtype}"
-            )
-        if not array.flags["C_CONTIGUOUS"]:
-            raise ValueError(f"donated {label} storage must be C-contiguous")
-        return array
+        self.params = np.zeros((self.num_workers, spec.total_size), dtype=spec.dtype)
+        self.grads = np.zeros((self.num_workers, spec.total_size), dtype=spec.dtype)
 
     @property
     def dtype(self) -> np.dtype:

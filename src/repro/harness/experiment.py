@@ -264,7 +264,7 @@ def make_trainer(
 
     Keyword arguments are the algorithm's params (e.g. ``delta=0.3``,
     ``participation=0.5``, ``staleness=100``, ``sync_period=8``,
-    ``compressor=TopKCompressor()``); SelSync takes every
+    ``compressor={"kind": "topk", "ratio": 0.1}``); SelSync takes every
     :class:`~repro.core.config.SelSyncConfig` field or a built ``config=``.
     A keyword the trainer does not take is a ``TypeError``.
     """

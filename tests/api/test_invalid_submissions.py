@@ -58,6 +58,18 @@ INVALID = {
         {"workload": "deep_mlp", "algorithm": "local_sgd", "params": {"sync_period": 0}},
         "sync_period",
     ),
+    "compressed-bsp-topk-ratio-above-one": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "compressed_bsp",
+         "params": {"compressor": {"kind": "topk", "ratio": 2.0}}},
+        "ratio",
+    ),
+    "compressed-bsp-unknown-compressor-kind": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "compressed_bsp",
+         "params": {"compressor": {"kind": "zip"}}},
+        "compressor kind",
+    ),
     "zero-eval-every": (
         "experiment",
         {"workload": "deep_mlp", "algorithm": "bsp", "eval_every": 0},

@@ -49,13 +49,14 @@ def _local_step(cluster):
 class TestWorker:
     def test_compute_gradients_returns_loss_and_grads(self, dataset):
         worker = _make_worker(dataset)
-        loss, grads = worker.compute_gradients()
+        loss, _ = worker.compute_gradients_flat()
+        grads = worker.model.gradient_dict()
         assert np.isfinite(loss)
         assert set(grads) == set(worker.model.named_parameters())
 
     def test_gradients_left_on_module(self, dataset):
         worker = _make_worker(dataset)
-        worker.compute_gradients()
+        worker.compute_gradients_flat()
         assert any(np.abs(p.grad).sum() > 0 for p in worker.model.parameters())
 
     def test_gradients_train_a_standalone_sgd(self, dataset):
@@ -70,9 +71,8 @@ class TestWorker:
     def test_invalid_args(self, dataset):
         with pytest.raises(ValueError):
             _make_worker(dataset, worker_id=-1)
-        model = MLP((16, 8, 4), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            Worker(0, model, DataLoader(dataset, batch_size=8), task="segmentation")
+        with pytest.raises(ValueError, match="unknown task 'segmentation'"):
+            ClusterConfig(num_workers=1, batch_size=8, task="segmentation")
 
 
 class TestClusterConstruction:

@@ -152,9 +152,12 @@ class TestAFailedStepLeavesNothingBehind:
         np.testing.assert_array_equal(cluster.matrix.grads, grads)
 
     def test_rejected_targets_leave_no_cache(self, sharded):
-        exe, cluster, batches, _ = sharded
-        assert exe.step([(x, y[:, :-1]) for x, y in batches]) is None
+        exe, cluster, batches, (losses, grads) = sharded
+        with pytest.raises(ValueError, match="targets"):
+            exe.step([(x, y[:, :-1]) for x, y in batches])
         _assert_holds_no_activation(exe, cluster.matrix)
+        np.testing.assert_array_equal(exe.step(batches), losses)
+        np.testing.assert_array_equal(cluster.matrix.grads, grads)
 
 
 class TestEvaluationPeak:

@@ -175,24 +175,23 @@ class TestBatchedDropoutParity:
             fallback_losses.append(loss)
         np.testing.assert_array_equal(losses, np.asarray(fallback_losses))
 
-    def test_group_slice_matches_full_matrix(self):
-        # A pool child's executor covers rows [lo, hi) but must apply rows
-        # [lo, hi) of the full-cluster mask block, not a fresh block.
+    def test_shard_chain_matches_full_matrix(self, monkeypatch):
+        # The second of K = 2 shard chains covers rows [2, 3) but must apply
+        # row 2 of the full-cluster mask block, not a fresh block.
         matrix, models, stream = make_streamed_matrix()
-        full = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = BatchedReplicaExecutor.build(matrix, models[0])
         batches = make_batches()
         stream.set_step(2)
-        full.step(batches)
-        full_grads = matrix.grads.copy()
+        losses = exe.step(batches)
+        grads = matrix.grads.copy()
 
+        monkeypatch.setattr(exe, "_shard_count", lambda x: 2)
         matrix.grads.fill(0.0)
-        sub = WorkerMatrix(
-            2, matrix.spec, params=matrix.params[1:3], grads=matrix.grads[1:3]
-        )
-        group_exec = BatchedReplicaExecutor.build(sub, models[1], row_offset=1)
         stream.set_step(2)
-        group_exec.step(batches[1:3])
-        np.testing.assert_array_equal(full_grads[1:3], matrix.grads[1:3])
+        np.testing.assert_array_equal(exe.step(batches), losses)
+        np.testing.assert_array_equal(matrix.grads, grads)
+        _, (lo, hi, second) = exe._chains[2]
+        assert (lo, hi) == (2, 3) and second[2].drop1.row_offset == 2
 
     def test_eval_mode_ignores_stream(self):
         _, models, stream = make_streamed_matrix()

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_small_cluster
+from tests.engine.test_activation_lifetime import _assert_holds_no_activation
 
 from repro.core.config import SelSyncConfig
 from repro.core.selsync import SelSyncTrainer
+from repro.engine import BatchedReplicaExecutor, WorkerMatrix
+from repro.harness.experiment import build_cluster, build_workload
+from repro.nn.layers import ReLU
+from repro.nn.models import MLP, TransformerLM
+from repro.nn.module import Parameter
 
 
 def _paired_clusters(**kwargs):
@@ -16,6 +22,85 @@ def _paired_clusters(**kwargs):
     assert fused.replica_exec is not None
     loop.replica_exec = None
     return fused, loop
+
+
+class ResidualMLP(MLP):
+    def forward(self, x):
+        return super().forward(x) + 0.0  # overridden forward
+
+
+def _adopted(model):
+    """A one-row matrix over a hand-built model."""
+    model.flatten_parameters()
+    matrix = WorkerMatrix(1, model.flat_spec)
+    matrix.adopt(0, model)
+    return matrix, model
+
+
+#: Model -> whether the executor's table batches it.
+EXECUTOR_CASES = {
+    "deep_mlp": True,
+    "transformer": True,
+    "resnet101": False,
+    "vgg11": False,
+    "alexnet": False,
+    "mlp_subclass": False,
+    "private_rng_dropout": False,
+    # The two checks on a chain the table did build.
+    "parameter_outside_the_chain": False,
+    "activation_head": False,
+}
+
+
+def _executor_case(name):
+    rng = np.random.default_rng(0)
+    if name == "mlp_subclass":
+        return _adopted(ResidualMLP((16, 8, 4), rng=rng))
+    if name == "parameter_outside_the_chain":
+        model = MLP((16, 8, 4), rng=rng)
+        model.temperature = Parameter(np.ones(1))
+        return _adopted(model)
+    if name == "activation_head":
+        model = MLP((16, 8, 4), rng=rng)
+        model.net.append(ReLU())
+        return _adopted(model)
+    if name == "private_rng_dropout":
+        return _adopted(TransformerLM(
+            vocab_size=20, d_model=16, num_heads=2, num_layers=1, dim_feedforward=24,
+            dropout=0.2, rng=rng,
+        ))
+    cluster = build_cluster(build_workload(name), num_workers=2, seed=0)
+    cluster.close()
+    return cluster.matrix, cluster.workers[0].model
+
+
+@pytest.mark.parametrize("name", sorted(EXECUTOR_CASES))
+def test_which_models_get_an_executor(name):
+    matrix, model = _executor_case(name)
+    built = BatchedReplicaExecutor.build(matrix, model)
+    assert (built is not None) == EXECUTOR_CASES[name]
+
+
+#: Ways a step's batches can miss the chain -> the error they raise.
+BAD_BATCHES = {
+    "count": "one per replica",
+    "shapes": "differ in shape",
+    "rank": "cannot batch",
+    "float_targets": "cannot batch",
+    "target_shape": "cannot batch",
+}
+
+
+def _bad(kind, batches):
+    if kind == "count":
+        return batches[1:]
+    if kind == "shapes":
+        return [(batches[0][0][:-1], batches[0][1][:-1])] + batches[1:]
+    if kind == "rank":
+        return [(x[..., None], y) for x, y in batches]
+    if kind == "float_targets":
+        return [(x, y.astype(np.float64)) for x, y in batches]
+    return [(x, y[:-1]) for x, y in batches]
 
 
 class TestBatchedExecutorEquivalence:
@@ -45,26 +130,7 @@ class TestBatchedExecutorEquivalence:
         assert t_fused.sync_steps == t_loop.sync_steps
         np.testing.assert_allclose(fused.matrix.params, loop.matrix.params, atol=1e-10)
 
-    def test_mlp_subclass_is_refused(self):
-        from repro.engine import BatchedReplicaExecutor
-        from repro.nn.models import MLP
-
-        class ResidualMLP(MLP):
-            def forward(self, x):
-                return super().forward(x) + 0.0  # overridden forward
-
-        cluster = make_small_cluster()
-        model = ResidualMLP((16, 8, 4), rng=np.random.default_rng(0))
-        model.flatten_parameters()
-        from repro.engine import WorkerMatrix
-
-        matrix = WorkerMatrix(1, model.flat_spec)
-        matrix.adopt(0, model)
-        assert BatchedReplicaExecutor.build(matrix, model) is None
-
     def test_optimizer_survives_adoption_after_construction(self):
-        from repro.engine import WorkerMatrix
-        from repro.nn.models import MLP
         from repro.optim.sgd import SGD
 
         model = MLP((4, 6, 2), rng=np.random.default_rng(0))
@@ -83,11 +149,14 @@ class TestBatchedExecutorEquivalence:
         losses = cluster.compute_gradients_all(batches)
         assert len(losses) == cluster.num_workers
 
-    def test_mismatched_batch_shapes_fall_back(self):
+    @pytest.mark.parametrize("kind,match", sorted(BAD_BATCHES.items()))
+    def test_a_batch_the_chain_cannot_take_raises(self, kind, match):
         fused, _ = _paired_clusters()
         batches = [w.next_batch() for w in fused.workers]
-        short = (batches[0][0][:-1], batches[0][1][:-1])
-        assert fused.replica_exec.step([short] + batches[1:]) is None
+        with pytest.raises(ValueError, match=match):
+            fused.replica_exec.step(_bad(kind, batches))
+        _assert_holds_no_activation(fused.replica_exec, fused.matrix)
+        assert fused.replica_exec.step(batches).shape == (fused.num_workers,)
 
 
 class TestFusedSGDEquivalence:

@@ -265,19 +265,6 @@ class TestTheSizeRule:
         finally:
             cluster.close()
 
-    def test_donated_rows_keep_one_shard(self, monkeypatch):
-        # A shard's own sub-matrix is a unit of a wider plan already.
-        monkeypatch.setattr(threads, "usable_cores", lambda: 2)
-        self_owned = _deep_mlp_cluster(4, "float64")
-        try:
-            matrix = self_owned.matrix
-            donated = rx.WorkerMatrix(4, matrix.spec, params=matrix.params, grads=matrix.grads)
-            exe = rx.BatchedReplicaExecutor.build(donated, self_owned.workers[0].model)
-            assert exe._shard_source is None
-            assert exe._shard_count(np.zeros((4, 64, 32))) == 1
-        finally:
-            self_owned.close()
-
 
 def test_one_usable_core_never_pins_blas_or_starts_the_pool():
     code = (

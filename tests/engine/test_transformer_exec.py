@@ -9,6 +9,7 @@ from repro.engine import BatchedReplicaExecutor, WorkerMatrix
 from repro.nn.losses import cross_entropy_with_logits
 from repro.nn.models import TransformerLM
 from repro.utils.rng import spawn_rngs
+from tests.engine.test_activation_lifetime import _assert_holds_no_activation
 
 DTYPES = ["float32", "float64"]
 N, B, T, V = 3, 4, 8, 20
@@ -124,7 +125,7 @@ class TestStep:
         exe.step(batches)
         np.testing.assert_array_equal(matrix.grads, first)
 
-    def test_mismatched_batch_shapes_fall_back(self):
+    def test_mismatched_batch_shapes_raise(self):
         matrix, models = make_matrix("float64")
         exe = BatchedReplicaExecutor.build(matrix, models[0])
         batches = make_batches()
@@ -133,9 +134,11 @@ class TestStep:
             rng.integers(0, V, size=(B + 1, T)),
             rng.integers(0, V, size=(B + 1, T)),
         )
-        assert exe.step(batches) is None
+        with pytest.raises(ValueError, match="differ in shape"):
+            exe.step(batches)
+        _assert_holds_no_activation(exe, matrix)
 
-    def test_float_inputs_fall_back(self):
+    def test_float_inputs_raise(self):
         matrix, models = make_matrix("float64")
         exe = BatchedReplicaExecutor.build(matrix, models[0])
         rng = np.random.default_rng(2)
@@ -143,7 +146,9 @@ class TestStep:
             (rng.standard_normal((B, T)), rng.integers(0, V, size=(B, T)))
             for _ in range(N)
         ]
-        assert exe.step(float_batches) is None
+        with pytest.raises(ValueError, match="token inputs must be integers"):
+            exe.step(float_batches)
+        _assert_holds_no_activation(exe, matrix)
 
 
 class TestClusterIntegration:

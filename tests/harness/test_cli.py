@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.harness.cli import build_parser, main
@@ -54,6 +56,20 @@ class TestRunCommand:
         ])
         assert code == 0
         assert "bsp" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec, method", [
+        ({"kind": "topk", "ratio": 0.1}, "bsp+topk"),
+        ({"kind": "signsgd"}, "bsp+signsgd"),
+        ({"kind": "powersgd", "rank": 2}, "bsp+powersgd"),
+    ])
+    def test_run_compressed_bsp_from_a_json_spec(self, capsys, spec, method):
+        code = main([
+            "run", "--workload", "deep_mlp", "--algorithm", "compressed_bsp",
+            "--num-workers", "2", "--iterations", "4",
+            "--param", f"compressor={json.dumps(spec)}",
+        ])
+        assert code == 0
+        assert method in capsys.readouterr().out
 
     def test_compare_outputs_table1_columns(self, capsys):
         code = main([

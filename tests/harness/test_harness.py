@@ -216,7 +216,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("algorithm, params, message", [
         ("ssp", {"staleness": "many"}, "'staleness' must be int"),
-        ("compressed_bsp", {"compressor": {"ratio": 0.1}}, "'compressor' must be Compressor"),
+        ("compressed_bsp", {"compressor": {"ratio": 0.1}}, "compressor kind must be one of"),
+        ("compressed_bsp", {"compressor": "topk"}, "'compressor' must be Compressor or dict"),
+        ("compressed_bsp", {"compressor": {"kind": "powersgd", "rank": 0}}, "rank"),
         ("compressed_bsp", {}, "compressor"),
         ("selsync", {"delta": 0.3, "config": SelSyncConfig()}, "delta"),
         ("selsync", {"aggregation": "mean"}, "aggregation"),

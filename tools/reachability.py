@@ -62,10 +62,6 @@ _CHECKPOINT = (
     "checkpoint -> restore for every lockstep trainer"
 )
 _ORACLE = "reference form that tests compare the fused / matrix / flat path against"
-_TWIN = (
-    "per-worker nn path, run where the batched executor falls back; the ResNet-executor "
-    "item deletes the twin"
-)
 _MODULE_API = (
     "repro.nn Module API that tests use to build models by hand; the ResNet-executor item "
     "shrinks Module to ParamSpec + initialiser"
@@ -122,7 +118,6 @@ KEEP: Dict[str, str] = {
     "repro.comm.backend.InProcessBackend.gather": _ORACLE,
     "repro.compression.base.Compressor.roundtrip": _ORACLE,
     "repro.compression.base.compression_error": _ORACLE,
-    "repro.cluster.worker.Worker.compute_gradients": _TWIN,
     "repro.nn.attention.MultiHeadSelfAttention.backward": _LM_TWIN,
     "repro.nn.attention.PositionalEncoding.backward": _LM_TWIN,
     "repro.nn.attention.TransformerEncoderLayer.backward": _LM_TWIN,
@@ -331,10 +326,11 @@ def drive_cli() -> List[str]:
     with tempfile.TemporaryDirectory() as workdir:
         results = os.path.join(workdir, "results.sqlite3")
         runs = [["list"]]
-        # compressed_bsp needs a Compressor object, which no --param can carry.
+        # compressed_bsp's one required param: its compressor, as a JSON spec.
+        required = {"compressed_bsp": ["--param", 'compressor={"kind": "topk", "ratio": 0.1}']}
         runs += [["run", "--workload", "deep_mlp", "--algorithm", algorithm, "--num-workers",
-                  "2", "--iterations", "4"]
-                 for algorithm in sorted(TRAINERS) if algorithm != "compressed_bsp"]
+                  "2", "--iterations", "4"] + required.get(algorithm, [])
+                 for algorithm in sorted(TRAINERS)]
         runs += [
             ["run", "--workload", "deep_mlp", "--num-workers", "2", "--iterations", "6",
              "--failure-rate", "0.2", "--straggler-fraction", "0.3", "--mttr", "2"],
