@@ -22,13 +22,9 @@ from repro.compression.signsgd import SignSGDCompressor
 from repro.compression.topk import TopKCompressor
 from repro.optim.schedules import LRSchedule
 
-#: A compressor spec's ``kind`` -> its class; the spec's other keys are the
-#: class's keywords.
-COMPRESSORS = {
-    "topk": TopKCompressor,
-    "signsgd": SignSGDCompressor,
-    "powersgd": PowerSGDCompressor,
-}
+#: A compressor spec's ``kind`` (the compressor's name) -> its class; the
+#: spec's other keys are the class's keywords.
+COMPRESSORS = {cls.name: cls for cls in (TopKCompressor, SignSGDCompressor, PowerSGDCompressor)}
 
 
 def build_compressor(spec: Union[Compressor, Mapping[str, Any]]) -> Compressor:
