@@ -119,8 +119,8 @@ class BaseTrainer:
         stated once, here in the subclass.
         """
 
-    def next_batches(self) -> List:
-        """One mini-batch per worker, ``None`` at crashed slots."""
+    def next_batches(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This step's ``(inputs, targets)`` block, one leading row per worker."""
         return self.cluster.next_batches()
 
     def should_sync(self) -> bool:
@@ -155,8 +155,7 @@ class BaseTrainer:
         lr = self.current_lr()
         batches = self.next_batches()
         losses = cluster.compute_gradients_all(batches)
-        ref_batch = next(b for b in batches if b is not None)
-        cluster.charge_compute_step(ref_batch[1].shape[0])
+        cluster.charge_compute_step(batches[1].shape[1])
         synchronize = self.should_sync()
         if synchronize and self.aggregation == "grad":
             with telemetry.span("trainer.sync"):

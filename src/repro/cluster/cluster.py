@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -288,16 +288,20 @@ class SimulatedCluster:
                 f"worker_id must be in [0, {self.num_workers}), got {worker_id}"
             )
 
-    def next_batches(self) -> List:
-        """One local mini-batch per worker; ``None`` at crashed slots.
+    def next_batches(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This step's ``(inputs, targets)`` block, leading axis one row per worker.
 
-        Crashed workers' loaders do not advance, so their data stream
-        resumes exactly where it stopped when they rejoin.
+        Every worker's loader hands out its next index row; the rows are
+        stacked and the dataset is indexed once.  A crashed worker's loader
+        does not advance, so its data stream resumes exactly where it
+        stopped when it rejoins; its row holds the first live worker's data
+        (a placeholder that keeps the block's shape, never aggregated).
         """
-        return [
-            worker.next_batch() if self.active_mask[worker.worker_id] else None
-            for worker in self.workers
-        ]
+        live = self.active_mask.tolist()
+        rows = [w.loader.next_indices() if up else None for w, up in zip(self.workers, live)]
+        first = rows[live.index(True)]
+        index = np.concatenate([first if row is None else row for row in rows])
+        return self.train_dataset[index.reshape(len(rows), -1)]
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore (repro.faults)
@@ -327,32 +331,30 @@ class SimulatedCluster:
         if self.dropout_stream is not None:
             self.dropout_stream.set_step(self._dropout_tick)
 
-    def compute_gradients_all(self, batches) -> List[float]:
+    def compute_gradients_all(self, batches: Tuple[np.ndarray, np.ndarray]) -> List[float]:
         """Forward + backward for every active worker; returns their losses.
 
-        ``batches`` holds one ``(inputs, targets)`` pair per worker, ``None``
-        at crashed slots (see :meth:`next_batches`).  The engine's fused
+        ``batches`` is one ``(inputs, targets)`` block with one leading row
+        per worker (see :meth:`next_batches`).  The engine's fused
         batched-replica executor runs when available (one set of batched
         matmuls for the whole cluster, gradients written straight into the
-        matrix rows), otherwise the per-worker loop.  The executor still runs
-        all N rows — a crashed slot computes against a placeholder batch so
-        the batched shapes stay fixed — but its gradient row is zeroed
-        afterwards and its loss dropped, so nothing from a crashed row ever
-        reaches an aggregation.
+        matrix rows), otherwise the per-worker loop over the active rows.
+        The executor still runs all N rows — a crashed row computes on its
+        placeholder data so the batched shapes stay fixed — but its gradient
+        row is zeroed afterwards and its loss dropped, so nothing from a
+        crashed row ever reaches an aggregation.
         """
         self._next_dropout_tick()
         mask = self.active_mask
         active = np.flatnonzero(mask)
         with telemetry.span("cluster.gradients"):
             if self.replica_exec is None:
+                inputs, targets = batches
                 return [
-                    self.workers[worker_id].compute_gradients_flat(batches[worker_id])[0]
-                    for worker_id in active
+                    self.workers[w].compute_gradients_flat((inputs[w], targets[w]))[0]
+                    for w in active
                 ]
-            placeholder = batches[int(active[0])]
-            losses = self.replica_exec.step(
-                [placeholder if batch is None else batch for batch in batches]
-            )
+            losses = self.replica_exec.step(batches)
             self.matrix.grads[~mask] = 0.0
             out = [float(losses[worker_id]) for worker_id in active]
             for worker_id, loss in zip(active, out):

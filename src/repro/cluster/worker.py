@@ -2,7 +2,9 @@
 
 Workers do real numerical work (forward and backward on the NumPy models);
 only *time* is simulated.  Their optimizer state lives in the cluster's
-fused update (:mod:`repro.engine.fused_optim`), one row per worker.
+fused update (:mod:`repro.engine.fused_optim`), one row per worker, and their
+batches in the cluster's per-step block: a worker's loader hands out index
+rows, and the cluster gathers every worker's batch with one index.
 """
 
 from __future__ import annotations
@@ -30,21 +32,15 @@ class Worker:
     # ------------------------------------------------------------------ #
     # core training ops
     # ------------------------------------------------------------------ #
-    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sample the next local mini-batch (Alg. 1, line 6)."""
-        return self.loader.next_batch()
-
     def compute_gradients_flat(
-        self, batch: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self, batch: Tuple[np.ndarray, np.ndarray]
     ) -> Tuple[float, np.ndarray]:
-        """Forward + backward; returns (loss, live flat gradient view).
+        """Forward + backward on ``(inputs, targets)``; returns (loss, live flat gradient view).
 
         The returned vector aliases the worker's gradient buffer (a row of
         the cluster's WorkerMatrix): it is valid until the next
         ``zero_grad``/backward and must be copied if kept longer.
         """
-        if batch is None:
-            batch = self.next_batch()
         inputs, targets = batch
         self.model.zero_grad()
         logits = self.model.forward(inputs)

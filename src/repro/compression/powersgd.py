@@ -8,6 +8,7 @@ reconstruction is P Q'ᵀ.  Only P and Q' travel on the wire, so the cost is
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +37,8 @@ class PowerSGDCompressor(Compressor):
     name = "powersgd"
 
     def __init__(self, rank: int = 2, seed: Optional[int] = 0) -> None:
+        if isinstance(rank, bool) or not isinstance(rank, numbers.Integral):
+            raise ValueError(f"rank must be an integer, got {rank!r}")
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self.rank = int(rank)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.engine.dtypes import WIRE_DTYPE_BYTES
@@ -14,6 +16,8 @@ class TopKCompressor(Compressor):
     name = "topk"
 
     def __init__(self, ratio: float = 0.01) -> None:
+        if isinstance(ratio, bool) or not isinstance(ratio, numbers.Real):
+            raise ValueError(f"ratio must be a real number, got {ratio!r}")
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {ratio}")
         self.ratio = float(ratio)

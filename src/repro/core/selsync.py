@@ -96,12 +96,12 @@ class SelSyncTrainer(BaseTrainer):
         }
 
     # ------------------------------------------------------------------ #
-    def next_batches(self) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-        """One local batch per worker, mixed by data injection if enabled."""
+    def next_batches(self) -> Tuple[np.ndarray, np.ndarray]:
+        """This step's batch block, mixed by data injection if enabled."""
         batches = self.cluster.next_batches()
         if self.injection is None:
             return batches
-        mixed, report = self.injection.inject(batches)
+        mixed, report = self.injection.inject(batches, self.cluster.active_mask)
         if report.bytes_transferred > 0:
             self.cluster.charge_p2p(report.bytes_transferred)
         return mixed

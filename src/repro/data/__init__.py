@@ -8,6 +8,12 @@ for the language-model workload).
 The partitioning schemes — DefDP (default disjoint chunks) and SelDP (the
 paper's circular-queue rotation, Fig. 7) — and the randomized data-injection
 mechanism for non-IID data (§III-E) live here as well.
+
+A step's data is one block: each worker's :class:`DataLoader` hands out an
+index row, the cluster indexes the dataset once for all N rows, and injection
+appends its pool along the block's batch axis.  :func:`build_dataset` builds
+each (name, seed, kwargs) spec once and shares the bundle, whose arrays are
+read-only.
 """
 
 from repro.data.datasets import (

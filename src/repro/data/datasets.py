@@ -13,13 +13,27 @@ Transformer to learn and perplexity decreases smoothly during training.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.utils.rng import new_rng
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (the caller's own array stays writable).
+
+    Dataset arrays never change after construction: batches are fancy-index
+    copies, and one built dataset is shared by every run that asks for its
+    spec (:func:`build_dataset`).
+    """
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class ClassificationDataset:
@@ -40,8 +54,8 @@ class ClassificationDataset:
             raise TypeError("targets must be integer class ids")
         if targets.size and (targets.min() < 0 or targets.max() >= num_classes):
             raise ValueError("target labels out of range for num_classes")
-        self.inputs = inputs
-        self.targets = targets.astype(np.int64)
+        self.inputs = _read_only(inputs)
+        self.targets = _read_only(targets.astype(np.int64))
         self.num_classes = int(num_classes)
         self.name = name
 
@@ -81,13 +95,13 @@ class SequenceDataset:
             raise ValueError(f"bptt must be >= 1, got {bptt}")
         if token_stream.size < bptt + 1:
             raise ValueError("token stream shorter than one bptt window")
-        self.tokens = token_stream.astype(np.int64)
+        self.tokens = _read_only(token_stream.astype(np.int64))
         self.bptt = int(bptt)
         self.vocab_size = int(vocab_size)
         self.name = name
         # Non-overlapping windows, like sequential bptt batching in the paper.
-        self._starts = np.arange((self.tokens.size - 1) // self.bptt) * self.bptt
-        self._span = np.arange(self.bptt + 1)
+        self._starts = _read_only(np.arange((self.tokens.size - 1) // self.bptt) * self.bptt)
+        self._span = _read_only(np.arange(self.bptt + 1))
 
     def __len__(self) -> int:
         return self._starts.size
@@ -296,12 +310,38 @@ def register_dataset(name: str, factory: DatasetFactory) -> None:
     DATASET_REGISTRY[key] = factory
 
 
-def build_dataset(name: str, seed: int = 0, **kwargs) -> DatasetBundle:
-    """Build a registered dataset analog (scaled down unless overridden)."""
+#: Built bundles by (name, seed, kwargs), least recently used first.  Two fit
+#: the service's two job threads; a sweep's points all ask for one spec.
+_BUILT: "OrderedDict[tuple, DatasetBundle]" = OrderedDict()
+_BUILT_MAX = 2
+_BUILT_LOCK = threading.Lock()
+
+
+def build_dataset(name: str, seed: Optional[int] = 0, **kwargs) -> DatasetBundle:
+    """Build a registered dataset analog (scaled down unless overridden).
+
+    A seeded build is made once per (name, seed, kwargs) and shared: every
+    later call with that spec returns the same bundle, whose arrays are
+    read-only.  The last two specs are kept.  ``seed=None`` draws fresh data
+    on every call, so it is never shared.
+    """
     key = name.lower()
     if key not in DATASET_REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_REGISTRY)}")
-    return DATASET_REGISTRY[key](seed=seed, **kwargs)
+    if seed is None:
+        return DATASET_REGISTRY[key](seed=None, **kwargs)
+    spec = (key, seed, tuple(sorted(kwargs.items())))
+    # Built under the lock, so two threads asking for one spec get one object.
+    with _BUILT_LOCK:
+        bundle = _BUILT.get(spec)
+        if bundle is None:
+            bundle = DATASET_REGISTRY[key](seed=seed, **kwargs)
+            _BUILT[spec] = bundle
+            if len(_BUILT) > _BUILT_MAX:
+                _BUILT.popitem(last=False)
+        else:
+            _BUILT.move_to_end(spec)
+    return bundle
 
 
 def _classification_bundle(

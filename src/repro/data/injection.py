@@ -14,7 +14,7 @@ iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,46 +74,47 @@ class DataInjection:
 
     def inject(
         self,
-        batches: Sequence[Optional[Tuple[np.ndarray, np.ndarray]]],
-    ) -> Tuple[List[Optional[Tuple[np.ndarray, np.ndarray]]], InjectionReport]:
+        batches: Tuple[np.ndarray, np.ndarray],
+        active: Optional[np.ndarray] = None,
+    ) -> Tuple[Tuple[np.ndarray, np.ndarray], InjectionReport]:
         """Mix a shared pool into every live worker's batch.
 
-        ``batches`` holds one (inputs, targets) pair per worker, each of local
-        size b', and ``None`` at a crashed worker's slot: a crashed worker
-        neither contributes to the pool nor receives it, and the transfer is
-        counted for live receivers only.  Returns new per-worker batches of
-        size roughly b' + alpha*beta*N*b' = b (``None`` where the input was),
-        plus an :class:`InjectionReport`.
+        ``batches`` is the step's ``(inputs, targets)`` block, one leading row
+        per worker, each of local size b'; ``active`` marks the live rows
+        (default: all).  A crashed row neither contributes to the pool nor
+        counts as a receiver of the transfer.  Returns the block with the pool
+        appended along the batch axis, b' + alpha*beta*N*b' ≈ b samples per
+        row, plus an :class:`InjectionReport`.  A crashed row holds the first
+        live row's data, so it holds the first live row's mixed batch after.
         """
-        if len(batches) != self.num_workers:
+        inputs, targets = batches
+        if inputs.shape[0] != self.num_workers:
             raise ValueError(
-                f"expected {self.num_workers} worker batches, got {len(batches)}"
+                f"expected {self.num_workers} worker batches, got {inputs.shape[0]}"
             )
         if self.alpha == 0.0 or self.beta == 0.0:
             report = InjectionReport(selected_workers=[], shared_samples=0, bytes_transferred=0.0)
             self.rounds += 1
-            return list(batches), report
+            return batches, report
 
-        live = np.flatnonzero([batch is not None for batch in batches])
+        live = np.arange(self.num_workers) if active is None else np.flatnonzero(active)
         k = self.num_selected(live.size)
         selected = sorted(int(w) for w in self._rng.choice(live, size=k, replace=False))
-        pooled_x: List[np.ndarray] = []
-        pooled_y: List[np.ndarray] = []
-        for worker in selected:
-            x, y = batches[worker]
-            share = int(np.floor(self.beta * x.shape[0]))
-            if share == 0:
-                continue
-            take = self._rng.choice(x.shape[0], size=share, replace=False)
-            pooled_x.append(x[take])
-            pooled_y.append(y[take])
-        pool = (np.concatenate(pooled_x), np.concatenate(pooled_y)) if pooled_x else None
-        out = [
-            batch if batch is None or pool is None
-            else (np.concatenate([batch[0], pool[0]]), np.concatenate([batch[1], pool[1]]))
-            for batch in batches
-        ]
-        shared = 0 if pool is None else int(pool[0].shape[0])
+        local = inputs.shape[1]
+        share = int(np.floor(self.beta * local))
+        shared = share * len(selected)
+        if shared:
+            # Each contributor's samples, in contributor order (one draw each).
+            rows = np.repeat(selected, share)
+            cols = np.concatenate(
+                [self._rng.choice(local, size=share, replace=False) for _ in selected]
+            )
+            batches = tuple(
+                np.concatenate(
+                    [block, np.broadcast_to(pool, block.shape[:1] + pool.shape)], axis=1
+                )
+                for block, pool in ((inputs, inputs[rows, cols]), (targets, targets[rows, cols]))
+            )
         bytes_transferred = float(shared) * self.sample_bytes * live.size
         self.total_bytes += bytes_transferred
         self.rounds += 1
@@ -122,4 +123,4 @@ class DataInjection:
             shared_samples=shared,
             bytes_transferred=bytes_transferred,
         )
-        return out, report
+        return batches, report

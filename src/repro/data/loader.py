@@ -2,15 +2,17 @@
 
 A :class:`DataLoader` owns an *index order* into a dataset — for DefDP that is
 the worker's own chunk, for SelDP the full rotated circular-queue order — and
-yields mini-batches of a fixed size, reshuffling (optionally) at each epoch
-boundary.  The loader is an infinite iterator by design: distributed training
-in the paper is driven by a global iteration count, not by epoch boundaries
-on any single worker.
+hands out the index rows of fixed-size mini-batches, reshuffling (optionally)
+at each epoch boundary.  The loader never runs out by design: distributed
+training in the paper is driven by a global iteration count, not by epoch
+boundaries on any single worker.  The cluster gathers one step's batches for
+all workers with one index into the dataset
+(:meth:`~repro.cluster.cluster.SimulatedCluster.next_batches`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -18,12 +20,13 @@ from repro.utils.rng import new_rng
 
 
 class DataLoader:
-    """Infinite mini-batch source over an index order into a dataset.
+    """Endless mini-batch index rows over an index order into a dataset.
 
     Parameters
     ----------
     dataset:
-        Any object supporting ``__len__`` and fancy-index ``__getitem__``.
+        The dataset the indices point into (its length is the default index
+        range); the cluster, not the loader, indexes it.
     indices:
         Index order this loader walks (a data partition).  Defaults to the
         whole dataset in natural order.
@@ -47,7 +50,6 @@ class DataLoader:
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.dataset = dataset
         if indices is None:
             indices = np.arange(len(dataset), dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64).copy()
@@ -72,20 +74,21 @@ class DataLoader:
         """Fractional epochs completed (used for FedAvg's per-epoch sync factor E)."""
         return self._epoch + self._cursor / self.indices.size
 
-    def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the next (inputs, targets) mini-batch, wrapping at epoch end."""
+    def next_indices(self) -> np.ndarray:
+        """The next mini-batch's dataset indices, wrapping at epoch end.
+
+        A view of the index order: valid until the next call (an epoch
+        boundary reshuffles the order in place).  The cluster stacks every
+        worker's row and gathers the whole step's batch block in one index.
+        """
         if self._cursor + self.batch_size > self.indices.size:
             self._advance_epoch()
-        batch_idx = self.indices[self._cursor : self._cursor + self.batch_size]
+        rows = self.indices[self._cursor : self._cursor + self.batch_size]
         self._cursor += self.batch_size
-        return self.dataset[batch_idx]
+        return rows
 
     def _advance_epoch(self) -> None:
         self._epoch += 1
         self._cursor = 0
         if self.shuffle_each_epoch:
             self._rng.shuffle(self.indices)
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        while True:
-            yield self.next_batch()

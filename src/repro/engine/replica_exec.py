@@ -27,12 +27,18 @@ when its layers draw from a
 worker matrix's compute dtype (float64 default, float32 in the
 reduced-precision mode).  Each row shard's chain is the same walk over row
 views ``params[lo:hi]`` / ``grads[lo:hi]`` of the one matrix.
+
+A step takes the cluster's batch block as gathered: one ``(inputs, targets)``
+pair with leading axis N, row shards are slices of it.  Where a kernel has a
+``repro.nn`` twin it runs the same arithmetic (ReLU calls
+:func:`repro.nn.layers.relu` / ``relu_grad`` themselves), so executor and
+per-worker loop agree bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,18 +125,24 @@ class _BatchedLinear:
 
 
 class _BatchedReLU:
-    def __init__(self) -> None:
-        self._cache: Optional[np.ndarray] = None
+    """ReLU over ``(N, ...)`` blocks in the ``repro.nn`` layer's own arithmetic.
+
+    ``relu`` / ``relu_grad`` are :func:`repro.nn.layers.relu` and
+    :func:`~repro.nn.layers.relu_grad`, handed in by the table (the engine
+    imports the nn stack lazily), so the two paths share one ReLU.
+    """
+
+    def __init__(self, relu, relu_grad) -> None:
+        self._relu = relu
+        self._relu_grad = relu_grad
+        self._cache: Optional[np.ndarray] = None   # the bool mask x > 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
-        self._cache = mask
-        # np.where on purpose: fill + copyto measured 2.4x slower, and
-        # ``x * mask`` turns -0.0 into +0.0.
-        return np.where(mask, x, x.dtype.type(0))
+        self._cache = x > 0
+        return self._relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(_take_cache(self), grad_out, grad_out.dtype.type(0))
+        return self._relu_grad(_take_cache(self), grad_out)
 
 
 class _BatchedTanh:
@@ -182,6 +194,10 @@ class _BatchedEmbedding:
     def __init__(self, weight: np.ndarray, weight_grad: np.ndarray) -> None:
         self.weight = weight            # (N, vocab, dim) view into params matrix
         self.weight_grad = weight_grad
+        # Each replica's table as one flat row (a view: the matrix rows are
+        # contiguous), so the backward scatter takes 1-D cell indices.
+        self._flat_grad = weight_grad.reshape(weight_grad.shape[0], -1, copy=False)
+        self._columns = np.arange(weight.shape[2])
         self._rows = np.arange(weight.shape[0])[:, None, None]
         self._cache: Optional[np.ndarray] = None
 
@@ -191,11 +207,17 @@ class _BatchedEmbedding:
 
     def backward(self, grad_out: np.ndarray) -> None:
         ids = _take_cache(self)
-        # Scatter-add per replica; the embedding rows are the only gradient
-        # entries not produced by an overwriting matmul, so zero them first
-        # (accumulate-from-zero semantics, matching Module.zero_grad()).
+        n = ids.shape[0]
+        # Scatter-add per replica onto zero (accumulate-from-zero semantics,
+        # matching Module.zero_grad()).  One 1-D ``add.at`` per replica over
+        # (token, column) cells adds in the order the per-worker Embedding's
+        # row-wise ``add.at`` does, in the gradient's dtype, so the sums are
+        # the same bits; the 1-D form takes NumPy's fast ``at`` loop.
+        cells = (ids[..., None] * self._columns.size + self._columns).reshape(n, -1)
+        values = grad_out.reshape(n, -1)
         self.weight_grad[...] = 0.0
-        np.add.at(self.weight_grad, (self._rows, ids), grad_out)
+        for table, cell, value in zip(self._flat_grad, cells, values):
+            np.add.at(table, cell, value)
         # Token ids carry no gradient.
         return None
 
@@ -279,6 +301,21 @@ class _BatchedLayerNorm:
         return dxhat
 
 
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """``scores.max(axis=-1, keepdims=True)`` as a loop of column maxima.
+
+    A reduce over a short contiguous last axis (16 key positions) costs
+    about 3x this loop.  Maxima are exact in any order; where a row's
+    maximum is a tie of -0.0 and +0.0 the sign may differ from the reduce,
+    and ``score - max`` then differs only in the sign of a zero, which
+    ``exp`` maps to the same 1.0.
+    """
+    out = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(out, scores[..., j], out=out)
+    return out[..., None]
+
+
 class _BatchedSelfAttention:
     """Multi-head causal self-attention for every replica in one einsum chain.
 
@@ -332,7 +369,7 @@ class _BatchedSelfAttention:
             if self._causal_mask is None or self._causal_mask.shape[0] != t:
                 self._causal_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
             np.copyto(attn, -1e30, where=self._causal_mask)
-        attn -= attn.max(axis=-1, keepdims=True)
+        attn -= _row_max(attn)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         context = np.matmul(attn, v)
@@ -572,7 +609,7 @@ def _table() -> Dict[type, object]:
         PositionalEncoding,
         TransformerEncoderLayer,
     )
-    from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh
+    from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh, relu, relu_grad
     from repro.nn.models.mlp import MLP
     from repro.nn.models.transformer import TransformerLM
 
@@ -587,7 +624,7 @@ def _table() -> Dict[type, object]:
         LayerNorm: lambda layer, prefix, views: [
             _BatchedLayerNorm(*views(prefix + "gamma"), *views(prefix + "beta"), eps=layer.eps)
         ],
-        ReLU: lambda layer, prefix, views: [_BatchedReLU()],
+        ReLU: lambda layer, prefix, views: [_BatchedReLU(relu, relu_grad)],
         Tanh: lambda layer, prefix, views: [_BatchedTanh()],
         Dropout: _dropout,
     }
@@ -652,18 +689,19 @@ class BatchedReplicaExecutor:
         return cls(module, matrix, chain)
 
     # ------------------------------------------------------------------ #
-    def step(self, batches: Sequence[Tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    def step(self, batch: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """One fused gradient computation for all replicas.
 
-        ``batches`` holds one ``(inputs, targets)`` pair per worker, all of
-        one shape (the lockstep cluster guarantees this).  Inputs are cast to
-        the matrix's compute dtype (token inputs stay integer); gradients are
+        ``batch`` is one ``(inputs, targets)`` block with one leading row per
+        replica: ``(N, B, F)`` features or ``(N, B, T)`` tokens, and one
+        integer target per sample or per token.  Inputs are cast to the
+        matrix's compute dtype (token inputs stay integer); gradients are
         written directly into the matrix gradient rows (replacing the
         previous step's contents, i.e. zero-then-accumulate semantics) and
-        the per-replica mean losses are returned.  A batch the chain cannot
+        the per-replica mean losses are returned.  A block the chain cannot
         take raises ``ValueError`` before any layer runs.
         """
-        x, targets = self._stack(batches)
+        x, targets = self._check(batch)
         shards = self._shards(x)
         losses = None
         try:
@@ -683,22 +721,20 @@ class BatchedReplicaExecutor:
                     _drop_caches(chain)
         return np.concatenate(losses)
 
-    def _stack(self, batches) -> Tuple[np.ndarray, np.ndarray]:
+    def _check(self, batch) -> Tuple[np.ndarray, np.ndarray]:
         """The step's ``(N, B, F)`` feature or ``(N, B, T)`` token block, and targets."""
+        x, targets = np.asarray(batch[0]), np.asarray(batch[1])
         n = self._matrix.num_workers
-        if len(batches) != n:
-            raise ValueError(f"expected {n} batches, one per replica, got {len(batches)}")
-        shapes = {(np.shape(b[0]), np.shape(b[1])) for b in batches}
-        if len(shapes) != 1:
-            raise ValueError(f"the replicas' batches differ in shape: {sorted(shapes)}")
-        dtype = None if self._token_input else self._matrix.dtype
-        x = np.stack([np.asarray(b[0], dtype=dtype) for b in batches])
-        targets = np.stack([np.asarray(b[1]) for b in batches])
-        if self._token_input and not np.issubdtype(x.dtype, np.integer):
-            raise ValueError(f"token inputs must be integers, got {x.dtype}")
+        if x.ndim != 3 or x.shape[0] != n:
+            raise ValueError(f"expected an ({n}, batch, ...) input block, got {x.shape}")
+        if self._token_input:
+            if not np.issubdtype(x.dtype, np.integer):
+                raise ValueError(f"token inputs must be integers, got {x.dtype}")
+        else:
+            x = x.astype(self._matrix.dtype, copy=False)
         # One integer target per sample, or per token.
         want = x.shape if self._token_input else x.shape[:2]
-        if x.ndim != 3 or targets.shape != want or not np.issubdtype(targets.dtype, np.integer):
+        if targets.shape != want or not np.issubdtype(targets.dtype, np.integer):
             raise ValueError(
                 f"cannot batch inputs {x.shape} with {targets.dtype} targets {targets.shape}"
             )

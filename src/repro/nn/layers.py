@@ -61,20 +61,49 @@ class Linear(Module):
         return grad_input.reshape(x.shape)
 
 
+def relu(x: np.ndarray) -> np.ndarray:
+    """``max(x, 0)``, branch-free, with the bits of the select ``x if x > 0 else 0``.
+
+    ``fmax`` maps NaN to 0 as the ``x > 0`` select does; the ``+ 0`` turns
+    the -0.0 that ``fmax`` may return for ``x = -0.0`` (NumPy's scalar loop
+    does, its SIMD loop does not) into +0.0.  A select on a data-dependent
+    mask mispredicts about one branch per element; this takes no branch.
+    """
+    out = np.fmax(x, 0)
+    out += 0
+    return out
+
+
+def relu_grad(mask: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``grad if mask else 0`` per element, bit for bit, as an AND with an all-ones/zero mask.
+
+    Exact for every float input (±0, ±inf, NaN, subnormals): where ``mask``
+    holds, the gradient's bits pass through; elsewhere they are all zero,
+    which is +0.0.
+    """
+    uint = np.dtype(f"u{grad.dtype.itemsize}")
+    keep = mask.astype(uint)
+    np.negative(keep, out=keep)
+    keep &= grad.view(uint)
+    return keep.view(grad.dtype)
+
+
 class ReLU(Module):
+    """Rectifier; the batched replica executor runs the same :func:`relu` /
+    :func:`relu_grad` arithmetic, and caches the same bool mask."""
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
-        self._mask = None if self._inference else mask
-        return np.where(mask, x, 0.0)
+        self._mask = None if self._inference else x > 0
+        return relu(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("ReLU.backward called before forward")
-        return np.where(self._mask, grad_output, 0.0)
+        return relu_grad(self._mask, np.asarray(grad_output))
 
 
 class Tanh(Module):

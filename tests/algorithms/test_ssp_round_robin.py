@@ -33,7 +33,8 @@ def _round_robin_step(cluster, optimizers, lr, step):
     losses = []
     for worker, optimizer, speed in zip(cluster.workers, optimizers, speeds):
         pulled = worker.param_vector.copy()
-        losses.append(worker.compute_gradients_flat(worker.next_batch())[0])
+        batch = cluster.train_dataset[worker.loader.next_indices()]
+        losses.append(worker.compute_gradients_flat(batch)[0])
         optimizer.set_lr(lr)
         optimizer.step()
         ps.state_vector[:] += worker.param_vector - pulled

@@ -64,6 +64,24 @@ INVALID = {
          "params": {"compressor": {"kind": "topk", "ratio": 2.0}}},
         "ratio",
     ),
+    "compressed-bsp-topk-bool-ratio": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "compressed_bsp",
+         "params": {"compressor": {"kind": "topk", "ratio": True}}},
+        "ratio",
+    ),
+    "compressed-bsp-powersgd-fractional-rank": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "compressed_bsp",
+         "params": {"compressor": {"kind": "powersgd", "rank": 2.5}}},
+        "rank",
+    ),
+    "compressed-bsp-powersgd-bool-rank": (
+        "experiment",
+        {"workload": "deep_mlp", "algorithm": "compressed_bsp",
+         "params": {"compressor": {"kind": "powersgd", "rank": True}}},
+        "rank",
+    ),
     "compressed-bsp-unknown-compressor-kind": (
         "experiment",
         {"workload": "deep_mlp", "algorithm": "compressed_bsp",

@@ -28,6 +28,11 @@ def _make_worker(dataset, worker_id=0, batch_size=16, seed=0):
     return Worker(worker_id, model, loader)
 
 
+def _own_batch(worker, dataset):
+    """The worker's next mini-batch, gathered from its loader's index row."""
+    return dataset[worker.loader.next_indices()]
+
+
 def _make_cluster(dataset, test_dataset, num_workers=4, partitioner=None, **config_kwargs):
     config = ClusterConfig(num_workers=num_workers, batch_size=16, seed=0, **config_kwargs)
     return SimulatedCluster(
@@ -49,22 +54,22 @@ def _local_step(cluster):
 class TestWorker:
     def test_compute_gradients_returns_loss_and_grads(self, dataset):
         worker = _make_worker(dataset)
-        loss, _ = worker.compute_gradients_flat()
+        loss, _ = worker.compute_gradients_flat(_own_batch(worker, dataset))
         grads = worker.model.gradient_dict()
         assert np.isfinite(loss)
         assert set(grads) == set(worker.model.named_parameters())
 
     def test_gradients_left_on_module(self, dataset):
         worker = _make_worker(dataset)
-        worker.compute_gradients_flat()
+        worker.compute_gradients_flat(_own_batch(worker, dataset))
         assert any(np.abs(p.grad).sum() > 0 for p in worker.model.parameters())
 
     def test_gradients_train_a_standalone_sgd(self, dataset):
         worker = _make_worker(dataset)
         optimizer = SGD(worker.model, lr=0.1)
-        first, _ = worker.compute_gradients_flat()
+        first, _ = worker.compute_gradients_flat(_own_batch(worker, dataset))
         for _ in range(40):
-            last, _ = worker.compute_gradients_flat()
+            last, _ = worker.compute_gradients_flat(_own_batch(worker, dataset))
             optimizer.step()
         assert last < first
 
@@ -121,8 +126,8 @@ class TestClusterConstruction:
 
     def test_workers_draw_different_batches(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset)
-        batches = [w.next_batch()[1] for w in cluster.workers]
-        assert any(not np.array_equal(batches[0], b) for b in batches[1:])
+        _, targets = cluster.next_batches()
+        assert any(not np.array_equal(targets[0], row) for row in targets[1:])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -223,8 +228,7 @@ class TestTransportDtypeWiring:
     def test_compute_dtype_unchanged_by_transport(self, dataset, test_dataset):
         cluster = _make_cluster(dataset, test_dataset, transport_dtype="float16")
         assert cluster.matrix.params.dtype == np.float64
-        batches = [w.next_batch() for w in cluster.workers]
-        losses = cluster.compute_gradients_all(batches)
+        losses = cluster.compute_gradients_all(cluster.next_batches())
         assert all(np.isfinite(losses))
 
     def test_invalid_transport_dtype_rejected(self):

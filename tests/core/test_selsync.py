@@ -207,9 +207,9 @@ class TestMechanics:
         injected = []
         inject = trainer.injection.inject
 
-        def recording_inject(batches):
-            mixed, report = inject(batches)
-            injected.append((mixed, report))
+        def recording_inject(batches, active):
+            mixed, report = inject(batches, active)
+            injected.append((mixed, report, active.copy()))
             return mixed, report
 
         trainer.injection.inject = recording_inject
@@ -217,9 +217,12 @@ class TestMechanics:
         cursor = cluster.workers[1].loader._cursor
         trainer.run(2)
         assert cluster.workers[1].loader._cursor == cursor
-        for mixed, report in injected[1:]:
-            assert mixed[1] is None and 1 not in report.selected_workers
+        for (x, y), report, active in injected[1:]:
+            assert active.tolist() == [True, False, True]
             assert report.selected_workers == [0, 2]
+            # The crashed row is the first live row's placeholder, mixed alike.
+            np.testing.assert_array_equal(x[1], x[0])
+            np.testing.assert_array_equal(y[1], y[0])
 
     def test_injection_config_builds_injection(self):
         cluster = make_small_cluster()

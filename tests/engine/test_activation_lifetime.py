@@ -20,6 +20,7 @@ from repro.engine import replica_exec as rx
 from repro.engine import threads
 from repro.engine.dropout_stream import SharedDropoutStream
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
+from repro.nn.layers import relu, relu_grad
 from repro.nn.losses import cross_entropy_with_logits
 from tests.engine.test_replica_shards import make_tanh_cluster
 
@@ -29,6 +30,7 @@ MIB = 2**20
 #: they are not parameter / gradient views: step-independent constants.
 CONSTANTS = {
     ("_BatchedEmbedding", "_rows"),
+    ("_BatchedEmbedding", "_columns"),
     ("_BatchedPositionalEncoding", "pe"),
     ("_BatchedPositionalEncoding", "_pe_cast"),
     ("_BatchedSelfAttention", "_causal_mask"),
@@ -144,7 +146,7 @@ class TestAFailedStepLeavesNothingBehind:
 
     def test_every_shard_raising(self, sharded):
         exe, cluster, batches, (losses, grads) = sharded
-        too_long = [(np.tile(x, (1, 40)), np.tile(y, (1, 40))) for x, y in batches]
+        too_long = tuple(np.tile(block, (1, 1, 40)) for block in batches)
         with pytest.raises(ValueError, match="exceeds positional table"):
             exe.step(too_long)                      # after each shard's embedding cached its ids
         _assert_holds_no_activation(exe, cluster.matrix)
@@ -154,7 +156,7 @@ class TestAFailedStepLeavesNothingBehind:
     def test_rejected_targets_leave_no_cache(self, sharded):
         exe, cluster, batches, (losses, grads) = sharded
         with pytest.raises(ValueError, match="targets"):
-            exe.step([(x, y[:, :-1]) for x, y in batches])
+            exe.step((batches[0], batches[1][:, :, :-1]))
         _assert_holds_no_activation(exe, cluster.matrix)
         np.testing.assert_array_equal(exe.step(batches), losses)
         np.testing.assert_array_equal(cluster.matrix.grads, grads)
@@ -227,12 +229,12 @@ def _layer_cases():
         # Delegates to its sub-layers, so its error names the inner layer.
         return rx._BatchedEncoderLayer(
             norm(), _attention(rng, n, d), norm(),
-            _linear(rng, n, 8, d), rx._BatchedReLU(), _linear(rng, n, d, 8),
+            _linear(rng, n, 8, d), rx._BatchedReLU(relu, relu_grad), _linear(rng, n, d, 8),
         )
 
     return {
         "Linear": (lambda: _linear(rng, n, 5, d), seq),
-        "ReLU": (rx._BatchedReLU, seq),
+        "ReLU": (lambda: rx._BatchedReLU(relu, relu_grad), seq),
         "Tanh": (rx._BatchedTanh, seq),
         "Dropout": (lambda: rx._BatchedDropout(stream, 0, 0.5, 0), seq),
         "Embedding": (lambda: rx._BatchedEmbedding(*_views(rng, n, 9, d)), ids),

@@ -137,10 +137,11 @@ def make_streamed_matrix(dropout=0.3, seed=0):
 
 def make_batches(seed=1):
     rng = np.random.default_rng(seed)
-    return [
+    rows = [
         (rng.integers(0, V, size=(B, T)), rng.integers(0, V, size=(B, T)))
         for _ in range(N)
     ]
+    return np.stack([x for x, _ in rows]), np.stack([y for _, y in rows])
 
 
 class TestBatchedDropoutParity:
@@ -161,7 +162,7 @@ class TestBatchedDropoutParity:
         batched_grads = matrix.grads.copy()
 
         stream.set_step(1)  # same step -> same masks for the fallback pass
-        for model, (x, y) in zip(models, batches):
+        for model, x, y in zip(models, *batches):
             model.zero_grad()
             logits = model.forward(x)
             loss, dlogits = cross_entropy_with_logits(logits, y)
@@ -169,7 +170,7 @@ class TestBatchedDropoutParity:
         np.testing.assert_array_equal(batched_grads, matrix.grads)
         fallback_losses = []
         stream.set_step(1)
-        for model, (x, y) in zip(models, batches):
+        for model, x, y in zip(models, *batches):
             logits = model.forward(x)
             loss, _ = cross_entropy_with_logits(logits, y)
             fallback_losses.append(loss)

@@ -228,8 +228,7 @@ class TestClusterDtypeConsistency:
         for worker in cluster.workers:
             assert worker.param_vector.dtype == expected
         # one step keeps everything in-dtype
-        batches = [w.next_batch() for w in cluster.workers]
-        cluster.compute_gradients_all(batches)
+        cluster.compute_gradients_all(cluster.next_batches())
         cluster.apply_local_updates(lr=0.05)
         assert cluster.matrix.grads.dtype == expected
         assert cluster.matrix.mean_params().dtype == expected

@@ -162,7 +162,7 @@ def _cluster_steps(cluster, steps, oracles=None):
     the cluster's fused update.  Returns the params and velocity after.
     """
     for step in steps:
-        cluster.compute_gradients_all([w.next_batch() for w in cluster.workers])
+        cluster.compute_gradients_all(cluster.next_batches())
         grads = cluster.matrix.grads.mean(axis=0) if step % 2 else None
         if oracles is None:
             cluster.apply_local_updates(lr=0.05, grads=grads)

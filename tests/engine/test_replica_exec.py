@@ -81,42 +81,40 @@ def test_which_models_get_an_executor(name):
     assert (built is not None) == EXECUTOR_CASES[name]
 
 
-#: Ways a step's batches can miss the chain -> the error they raise.
+#: Ways a step's batch block can miss the chain -> the error it raises.
 BAD_BATCHES = {
-    "count": "one per replica",
-    "shapes": "differ in shape",
-    "rank": "cannot batch",
+    "count": "expected an",
+    "rank": "expected an",
     "float_targets": "cannot batch",
     "target_shape": "cannot batch",
+    "target_rows": "cannot batch",
 }
 
 
 def _bad(kind, batches):
+    x, y = batches
     if kind == "count":
-        return batches[1:]
-    if kind == "shapes":
-        return [(batches[0][0][:-1], batches[0][1][:-1])] + batches[1:]
+        return x[1:], y[1:]
     if kind == "rank":
-        return [(x[..., None], y) for x, y in batches]
+        return x[..., None], y
     if kind == "float_targets":
-        return [(x, y.astype(np.float64)) for x, y in batches]
-    return [(x, y[:-1]) for x, y in batches]
+        return x, y.astype(np.float64)
+    if kind == "target_shape":
+        return x, y[:, :-1]
+    return x, y[1:]
 
 
 class TestBatchedExecutorEquivalence:
     def test_gradients_match_per_worker_loop(self):
         fused, loop = _paired_clusters()
-        batches = [w.next_batch() for w in fused.workers]
-        loop_batches = [w.next_batch() for w in loop.workers]
-        losses_fused = fused.compute_gradients_all(batches)
-        losses_loop = loop.compute_gradients_all(loop_batches)
+        losses_fused = fused.compute_gradients_all(fused.next_batches())
+        losses_loop = loop.compute_gradients_all(loop.next_batches())
         np.testing.assert_allclose(losses_fused, losses_loop, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(fused.matrix.grads, loop.matrix.grads, atol=1e-12)
 
     def test_worker_stats_populated(self):
         fused, _ = _paired_clusters()
-        batches = [w.next_batch() for w in fused.workers]
-        losses = fused.compute_gradients_all(batches)
+        losses = fused.compute_gradients_all(fused.next_batches())
         for worker, loss in zip(fused.workers, losses):
             assert worker.last_loss is not None and np.isfinite(worker.last_loss)
             assert worker.last_loss == loss
@@ -145,14 +143,13 @@ class TestBatchedExecutorEquivalence:
     def test_fallback_path_works_without_executor(self):
         cluster = make_small_cluster()
         cluster.replica_exec = None
-        batches = [w.next_batch() for w in cluster.workers]
-        losses = cluster.compute_gradients_all(batches)
+        losses = cluster.compute_gradients_all(cluster.next_batches())
         assert len(losses) == cluster.num_workers
 
     @pytest.mark.parametrize("kind,match", sorted(BAD_BATCHES.items()))
     def test_a_batch_the_chain_cannot_take_raises(self, kind, match):
         fused, _ = _paired_clusters()
-        batches = [w.next_batch() for w in fused.workers]
+        batches = fused.next_batches()
         with pytest.raises(ValueError, match=match):
             fused.replica_exec.step(_bad(kind, batches))
         _assert_holds_no_activation(fused.replica_exec, fused.matrix)

@@ -33,11 +33,13 @@ def make_matrix(dtype, dropout: float = 0.0):
 
 
 def make_batches(seed=1):
+    """One ``(N, B, T)`` token block and its ``(N, B, T)`` targets."""
     rng = np.random.default_rng(seed)
-    return [
+    rows = [
         (rng.integers(0, V, size=(B, T)), rng.integers(0, V, size=(B, T)))
         for _ in range(N)
     ]
+    return np.stack([x for x, _ in rows]), np.stack([y for _, y in rows])
 
 
 class TestBuild:
@@ -74,7 +76,7 @@ class TestStep:
         batches = make_batches()
         losses = exe.step(batches)
         assert losses is not None and losses.shape == (N,)
-        for i, (x, y) in enumerate(batches):
+        for i, (x, y) in enumerate(zip(*batches)):
             ref = make_model(np.random.default_rng(0))
             ref.flatten_parameters()
             ref.load_param_vector(matrix.params[i])
@@ -93,7 +95,7 @@ class TestStep:
         batches = make_batches()
         losses = exe.step(batches)
         assert losses is not None
-        for i, (x, y) in enumerate(batches):
+        for i, (x, y) in enumerate(zip(*batches)):
             ref = make_model(np.random.default_rng(0))
             ref.flatten_parameters(dtype="float32")
             ref.load_param_vector(matrix.params[i])
@@ -125,27 +127,27 @@ class TestStep:
         exe.step(batches)
         np.testing.assert_array_equal(matrix.grads, first)
 
-    def test_mismatched_batch_shapes_raise(self):
+    @pytest.mark.parametrize(
+        "kind", ["count", "target_shape", "target_rows"]
+    )
+    def test_mismatched_blocks_raise(self, kind):
         matrix, models = make_matrix("float64")
         exe = BatchedReplicaExecutor.build(matrix, models[0])
-        batches = make_batches()
-        rng = np.random.default_rng(9)
-        batches[1] = (
-            rng.integers(0, V, size=(B + 1, T)),
-            rng.integers(0, V, size=(B + 1, T)),
-        )
-        with pytest.raises(ValueError, match="differ in shape"):
-            exe.step(batches)
+        x, y = make_batches()
+        bad = {
+            "count": (x[1:], y[1:]),
+            "target_shape": (x, y[:, :, :-1]),
+            "target_rows": (x, y[1:]),
+        }[kind]
+        with pytest.raises(ValueError, match="expected an|cannot batch"):
+            exe.step(bad)
         _assert_holds_no_activation(exe, matrix)
 
     def test_float_inputs_raise(self):
         matrix, models = make_matrix("float64")
         exe = BatchedReplicaExecutor.build(matrix, models[0])
         rng = np.random.default_rng(2)
-        float_batches = [
-            (rng.standard_normal((B, T)), rng.integers(0, V, size=(B, T)))
-            for _ in range(N)
-        ]
+        float_batches = (rng.standard_normal((N, B, T)), rng.integers(0, V, size=(N, B, T)))
         with pytest.raises(ValueError, match="token inputs must be integers"):
             exe.step(float_batches)
         _assert_holds_no_activation(exe, matrix)
@@ -204,8 +206,7 @@ class TestClusterIntegration:
 
     def test_worker_stats_populated(self):
         cluster = self._make_cluster("float64")
-        batches = [w.next_batch() for w in cluster.workers]
-        losses = cluster.compute_gradients_all(batches)
+        losses = cluster.compute_gradients_all(cluster.next_batches())
         for worker, loss in zip(cluster.workers, losses):
             assert worker.last_loss is not None and np.isfinite(worker.last_loss)
             assert worker.last_loss == loss

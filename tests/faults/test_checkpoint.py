@@ -188,9 +188,8 @@ class TestCheckpointMechanics:
         cluster.next_batches()  # advance further before restoring
         cluster.restore(ckpt)
         resumed = cluster.next_batches()
-        for a, b in zip(expected, resumed):
-            np.testing.assert_array_equal(a[0], b[0])
-            np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(resumed[0], expected[0])
+        np.testing.assert_array_equal(resumed[1], expected[1])
 
     def test_optimizer_state_is_a_copy_of_the_fused_update(self):
         cluster = build_cluster(build_workload("alexnet"), num_workers=3, batch_size=4)

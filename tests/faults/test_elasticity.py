@@ -46,13 +46,24 @@ class TestActiveSet:
         assert cluster.primary_worker.worker_id == 1
 
 
+def _with_placeholder(batches, crashed):
+    """``batches`` as the cluster hands them over with worker ``crashed`` down:
+    its row holds the first live row's data."""
+    x, y = (block.copy() for block in batches)
+    first = 1 if crashed == 0 else 0
+    x[crashed], y[crashed] = x[first], y[first]
+    return x, y
+
+
 class TestMaskedBatchesAndCompute:
-    def test_next_batches_returns_none_at_crashed_slots(self, small_cluster_builder):
+    def test_a_crashed_row_holds_the_first_live_rows_data(self, small_cluster_builder):
         cluster = small_cluster_builder(num_workers=3)
-        cluster.deactivate_worker(1)
-        batches = cluster.next_batches()
-        assert batches[1] is None
-        assert batches[0] is not None and batches[2] is not None
+        cluster.deactivate_worker(0)
+        x, y = cluster.next_batches()
+        assert x.shape[0] == y.shape[0] == 3
+        np.testing.assert_array_equal(x[0], x[1])
+        np.testing.assert_array_equal(y[0], y[1])
+        assert not np.array_equal(x[1], x[2])
 
     def test_crashed_loader_does_not_advance(self, small_cluster_builder):
         cluster = small_cluster_builder(num_workers=2)
@@ -62,10 +73,23 @@ class TestMaskedBatchesAndCompute:
         cluster.reactivate_worker(1)
         # The crashed worker's stream resumes exactly where it stopped: its
         # first post-rejoin batch is the reference worker's *first* batch.
-        resumed = cluster.workers[1].next_batch()
-        expected = reference.workers[1].next_batch()
-        np.testing.assert_array_equal(resumed[0], expected[0])
-        np.testing.assert_array_equal(resumed[1], expected[1])
+        resumed, expected = cluster.next_batches(), reference.next_batches()
+        np.testing.assert_array_equal(resumed[0][1], expected[0][1])
+        np.testing.assert_array_equal(resumed[1][1], expected[1][1])
+
+    def test_a_crashed_row_keeps_its_loader_position_and_a_zero_gradient(
+        self, small_cluster_builder
+    ):
+        cluster = small_cluster_builder(num_workers=3, seed=2)
+        cluster.compute_gradients_all(cluster.next_batches())
+        loader = cluster.workers[2].loader
+        position = (loader._cursor, loader._epoch, loader.indices.copy())
+        cluster.deactivate_worker(2)
+        for _ in range(3):
+            cluster.compute_gradients_all(cluster.next_batches())
+            assert not cluster.matrix.grads[2].any()
+        assert (loader._cursor, loader._epoch) == position[:2]
+        np.testing.assert_array_equal(loader.indices, position[2])
 
     def test_masked_compute_matches_unmasked_active_rows(self, small_cluster_builder):
         cluster = small_cluster_builder(num_workers=4, seed=3)
@@ -74,9 +98,7 @@ class TestMaskedBatchesAndCompute:
         ref_losses = reference.compute_gradients_all(ref_batches)
 
         cluster.deactivate_worker(1)
-        batches = list(ref_batches)
-        batches[1] = None
-        losses = cluster.compute_gradients_all(batches)
+        losses = cluster.compute_gradients_all(_with_placeholder(ref_batches, 1))
 
         # Only active losses come back, bit-equal to the unmasked run's rows.
         assert losses == [ref_losses[0], ref_losses[2], ref_losses[3]]
@@ -173,9 +195,7 @@ class TestMaskedBatchedFamilies:
         ref_batches = reference.next_batches()
         ref_losses = reference.compute_gradients_all(ref_batches)
         cluster.deactivate_worker(2)
-        batches = list(ref_batches)
-        batches[2] = None
-        losses = cluster.compute_gradients_all(batches)
+        losses = cluster.compute_gradients_all(_with_placeholder(ref_batches, 2))
         assert losses == [ref_losses[0], ref_losses[1], ref_losses[3]]
         for row in (0, 1, 3):
             np.testing.assert_array_equal(cluster.matrix.grads[row], reference.matrix.grads[row])

@@ -110,8 +110,8 @@ class TestMetricsInstrumentation:
         reports = []
         inject = DataInjection.inject
 
-        def recording_inject(self, batches):
-            mixed, report = inject(self, batches)
+        def recording_inject(self, batches, active=None):
+            mixed, report = inject(self, batches, active)
             reports.append(report)
             return mixed, report
 
