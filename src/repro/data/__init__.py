@@ -11,9 +11,8 @@ mechanism for non-IID data (§III-E) live here as well.
 
 A step's data is one block: each worker's :class:`DataLoader` hands out an
 index row, the cluster indexes the dataset once for all N rows, and injection
-appends its pool along the block's batch axis.  :func:`build_dataset` builds
-each (name, seed, kwargs) spec once and shares the bundle, whose arrays are
-read-only.
+appends its pool along the block's batch axis.  Dataset arrays are
+read-only, so the runs of one scenario share one built bundle.
 """
 
 from repro.data.datasets import (

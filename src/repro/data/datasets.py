@@ -13,9 +13,7 @@ Transformer to learn and perplexity decreases smoothly during training.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -28,8 +26,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array`` (the caller's own array stays writable).
 
     Dataset arrays never change after construction: batches are fancy-index
-    copies, and one built dataset is shared by every run that asks for its
-    spec (:func:`build_dataset`).
+    copies, and the runs of one scenario share one built dataset
+    (:func:`repro.scenarios.runner.run_scenario`).
     """
     view = array.view()
     view.flags.writeable = False
@@ -310,38 +308,12 @@ def register_dataset(name: str, factory: DatasetFactory) -> None:
     DATASET_REGISTRY[key] = factory
 
 
-#: Built bundles by (name, seed, kwargs), least recently used first.  Two fit
-#: the service's two job threads; a sweep's points all ask for one spec.
-_BUILT: "OrderedDict[tuple, DatasetBundle]" = OrderedDict()
-_BUILT_MAX = 2
-_BUILT_LOCK = threading.Lock()
-
-
-def build_dataset(name: str, seed: Optional[int] = 0, **kwargs) -> DatasetBundle:
-    """Build a registered dataset analog (scaled down unless overridden).
-
-    A seeded build is made once per (name, seed, kwargs) and shared: every
-    later call with that spec returns the same bundle, whose arrays are
-    read-only.  The last two specs are kept.  ``seed=None`` draws fresh data
-    on every call, so it is never shared.
-    """
+def build_dataset(name: str, seed: int = 0, **kwargs) -> DatasetBundle:
+    """Build a registered dataset analog (scaled down unless overridden)."""
     key = name.lower()
     if key not in DATASET_REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {sorted(DATASET_REGISTRY)}")
-    if seed is None:
-        return DATASET_REGISTRY[key](seed=None, **kwargs)
-    spec = (key, seed, tuple(sorted(kwargs.items())))
-    # Built under the lock, so two threads asking for one spec get one object.
-    with _BUILT_LOCK:
-        bundle = _BUILT.get(spec)
-        if bundle is None:
-            bundle = DATASET_REGISTRY[key](seed=seed, **kwargs)
-            _BUILT[spec] = bundle
-            if len(_BUILT) > _BUILT_MAX:
-                _BUILT.popitem(last=False)
-        else:
-            _BUILT.move_to_end(spec)
-    return bundle
+    return DATASET_REGISTRY[key](seed=seed, **kwargs)
 
 
 def _classification_bundle(

@@ -75,16 +75,16 @@ class DataInjection:
     def inject(
         self,
         batches: Tuple[np.ndarray, np.ndarray],
-        active: Optional[np.ndarray] = None,
+        active: np.ndarray,
     ) -> Tuple[Tuple[np.ndarray, np.ndarray], InjectionReport]:
         """Mix a shared pool into every live worker's batch.
 
         ``batches`` is the step's ``(inputs, targets)`` block, one leading row
-        per worker, each of local size b'; ``active`` marks the live rows
-        (default: all).  A crashed row neither contributes to the pool nor
-        counts as a receiver of the transfer.  Returns the block with the pool
-        appended along the batch axis, b' + alpha*beta*N*b' ≈ b samples per
-        row, plus an :class:`InjectionReport`.  A crashed row holds the first
+        per worker, each of local size b'; ``active`` marks the live rows.  A
+        crashed row neither contributes to the pool nor counts as a receiver
+        of the transfer.  Returns the block with the pool appended along the
+        batch axis, b' + alpha*beta*N*b' ≈ b samples per row, plus an
+        :class:`InjectionReport`.  A crashed row holds the first
         live row's data, so it holds the first live row's mixed batch after.
         """
         inputs, targets = batches
@@ -97,7 +97,7 @@ class DataInjection:
             self.rounds += 1
             return batches, report
 
-        live = np.arange(self.num_workers) if active is None else np.flatnonzero(active)
+        live = np.flatnonzero(active)
         k = self.num_selected(live.size)
         selected = sorted(int(w) for w in self._rng.choice(live, size=k, replace=False))
         local = inputs.shape[1]

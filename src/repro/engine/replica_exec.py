@@ -127,22 +127,24 @@ class _BatchedLinear:
 class _BatchedReLU:
     """ReLU over ``(N, ...)`` blocks in the ``repro.nn`` layer's own arithmetic.
 
-    ``relu`` / ``relu_grad`` are :func:`repro.nn.layers.relu` and
-    :func:`~repro.nn.layers.relu_grad`, handed in by the table (the engine
-    imports the nn stack lazily), so the two paths share one ReLU.
+    It calls :func:`repro.nn.layers.relu` / :func:`~repro.nn.layers.relu_grad`
+    (imported on use, like :func:`_table`'s nn types), so the executor and
+    the per-worker loop share one ReLU.
     """
 
-    def __init__(self, relu, relu_grad) -> None:
-        self._relu = relu
-        self._relu_grad = relu_grad
+    def __init__(self) -> None:
         self._cache: Optional[np.ndarray] = None   # the bool mask x > 0
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        from repro.nn.layers import relu
+
         self._cache = x > 0
-        return self._relu(x)
+        return relu(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self._relu_grad(_take_cache(self), grad_out)
+        from repro.nn.layers import relu_grad
+
+        return relu_grad(_take_cache(self), grad_out)
 
 
 class _BatchedTanh:
@@ -194,10 +196,6 @@ class _BatchedEmbedding:
     def __init__(self, weight: np.ndarray, weight_grad: np.ndarray) -> None:
         self.weight = weight            # (N, vocab, dim) view into params matrix
         self.weight_grad = weight_grad
-        # Each replica's table as one flat row (a view: the matrix rows are
-        # contiguous), so the backward scatter takes 1-D cell indices.
-        self._flat_grad = weight_grad.reshape(weight_grad.shape[0], -1, copy=False)
-        self._columns = np.arange(weight.shape[2])
         self._rows = np.arange(weight.shape[0])[:, None, None]
         self._cache: Optional[np.ndarray] = None
 
@@ -207,17 +205,11 @@ class _BatchedEmbedding:
 
     def backward(self, grad_out: np.ndarray) -> None:
         ids = _take_cache(self)
-        n = ids.shape[0]
-        # Scatter-add per replica onto zero (accumulate-from-zero semantics,
-        # matching Module.zero_grad()).  One 1-D ``add.at`` per replica over
-        # (token, column) cells adds in the order the per-worker Embedding's
-        # row-wise ``add.at`` does, in the gradient's dtype, so the sums are
-        # the same bits; the 1-D form takes NumPy's fast ``at`` loop.
-        cells = (ids[..., None] * self._columns.size + self._columns).reshape(n, -1)
-        values = grad_out.reshape(n, -1)
+        # Scatter-add per replica; the embedding rows are the only gradient
+        # entries not produced by an overwriting matmul, so zero them first
+        # (accumulate-from-zero semantics, matching Module.zero_grad()).
         self.weight_grad[...] = 0.0
-        for table, cell, value in zip(self._flat_grad, cells, values):
-            np.add.at(table, cell, value)
+        np.add.at(self.weight_grad, (self._rows, ids), grad_out)
         # Token ids carry no gradient.
         return None
 
@@ -301,21 +293,6 @@ class _BatchedLayerNorm:
         return dxhat
 
 
-def _row_max(scores: np.ndarray) -> np.ndarray:
-    """``scores.max(axis=-1, keepdims=True)`` as a loop of column maxima.
-
-    A reduce over a short contiguous last axis (16 key positions) costs
-    about 3x this loop.  Maxima are exact in any order; where a row's
-    maximum is a tie of -0.0 and +0.0 the sign may differ from the reduce,
-    and ``score - max`` then differs only in the sign of a zero, which
-    ``exp`` maps to the same 1.0.
-    """
-    out = scores[..., 0].copy()
-    for j in range(1, scores.shape[-1]):
-        np.maximum(out, scores[..., j], out=out)
-    return out[..., None]
-
-
 class _BatchedSelfAttention:
     """Multi-head causal self-attention for every replica in one einsum chain.
 
@@ -369,7 +346,7 @@ class _BatchedSelfAttention:
             if self._causal_mask is None or self._causal_mask.shape[0] != t:
                 self._causal_mask = np.triu(np.ones((t, t), dtype=bool), k=1)
             np.copyto(attn, -1e30, where=self._causal_mask)
-        attn -= _row_max(attn)
+        attn -= attn.max(axis=-1, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         context = np.matmul(attn, v)
@@ -609,7 +586,7 @@ def _table() -> Dict[type, object]:
         PositionalEncoding,
         TransformerEncoderLayer,
     )
-    from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh, relu, relu_grad
+    from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh
     from repro.nn.models.mlp import MLP
     from repro.nn.models.transformer import TransformerLM
 
@@ -624,7 +601,7 @@ def _table() -> Dict[type, object]:
         LayerNorm: lambda layer, prefix, views: [
             _BatchedLayerNorm(*views(prefix + "gamma"), *views(prefix + "beta"), eps=layer.eps)
         ],
-        ReLU: lambda layer, prefix, views: [_BatchedReLU(relu, relu_grad)],
+        ReLU: lambda layer, prefix, views: [_BatchedReLU()],
         Tanh: lambda layer, prefix, views: [_BatchedTanh()],
         Dropout: _dropout,
     }

@@ -409,6 +409,7 @@ def run_experiment(
     *,
     convergence=None,
     fault_schedule=None,
+    bundle: Optional[DatasetBundle] = None,
 ) -> TrainingResult:
     """Build a cluster and run one configured training run end to end.
 
@@ -416,9 +417,10 @@ def run_experiment(
 
     Runtime objects stay out of the config: ``convergence`` is a stopping
     rule (:class:`~repro.metrics.convergence.ConvergenceDetector`),
-    and ``fault_schedule`` an explicit
+    ``fault_schedule`` an explicit
     :class:`~repro.faults.schedule.FaultSchedule` that replaces the config's
-    seeded fault process.
+    seeded fault process, and ``bundle`` the workload's dataset at the
+    config's seed, already built (see :func:`build_cluster`).
     """
     preset = build_workload(config.workload)
     if fault_schedule is None:
@@ -439,6 +441,7 @@ def run_experiment(
             partitioner=(
                 DefaultPartitioner(seed=config.seed) if config.use_default_partitioning else None
             ),
+            bundle=bundle,
             batch_size=batch_size,
             dtype=config.dtype,
             transport_dtype=config.transport_dtype,

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry
 from repro.algorithms.base import TrainingResult
+from repro.data.datasets import DatasetBundle
 from repro.harness import experiment
 from repro.harness.experiment import RunConfig
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
@@ -205,6 +206,7 @@ def train_run(
     timed: bool = False,
     convergence=None,
     fault_schedule=None,
+    bundle: Optional[DatasetBundle] = None,
 ) -> Tuple[ScenarioRecord, TrainingResult]:
     """Run one :class:`RunConfig` and return its record and raw result.
 
@@ -212,7 +214,7 @@ def train_run(
     :func:`repro.api.run`, sweep points, endpoint anchors, comparison
     methods and fault attempts.  ``params`` is the record's ``params``;
     ``timed`` adds the run's ``wall_seconds`` to its metrics;
-    ``convergence`` and ``fault_schedule`` go to
+    ``convergence``, ``fault_schedule`` and ``bundle`` go to
     :func:`~repro.harness.experiment.run_experiment`, which is looked up
     when called.  The metrics are the result's summary numbers plus its
     ``extras``; the record carries ``phases`` when telemetry tracing is on.
@@ -220,7 +222,7 @@ def train_run(
     start = time.perf_counter()
     phase_start = telemetry.phase_snapshot()
     result = experiment.run_experiment(
-        config, convergence=convergence, fault_schedule=fault_schedule
+        config, convergence=convergence, fault_schedule=fault_schedule, bundle=bundle
     )
     phases = telemetry.phase_delta(phase_start) or None
     metrics = {
@@ -261,6 +263,22 @@ def _exact_match(result: TrainingResult, anchor: TrainingResult) -> bool:
     )
 
 
+class _Datasets(dict):
+    """``(workload, seed)`` -> that workload's dataset, built on first use.
+
+    One scenario run's runs share each bundle: dataset arrays are read-only
+    and every batch is a copy, so a run cannot change what the next one reads.
+    """
+
+    def __missing__(self, key: Tuple[str, int]) -> DatasetBundle:
+        workload, seed = key
+        preset = experiment.build_workload(workload)
+        bundle = self[key] = experiment.build_dataset(
+            preset.dataset_name, seed=seed, **preset.dataset_kwargs
+        )
+        return bundle
+
+
 def _train_report(
     scenario: Scenario,
     meta: Dict[str, Any],
@@ -269,19 +287,25 @@ def _train_report(
     *,
     timed: bool = False,
     options: Callable[[RunConfig], Dict[str, Any]] = lambda config: {},
+    datasets: Optional[_Datasets] = None,
 ) -> ScenarioReport:
     """Run every ``(params, config)`` of ``scenario.runs`` through :func:`train_run`.
 
     ``meta`` is the report's run description; ``result_key`` names each
-    raw result; ``options`` gives each run's ``train_run`` keywords.
+    raw result; ``options`` gives each run's ``train_run`` keywords;
+    ``datasets`` holds the bundles the runs share (a new one by default).
     """
     report = ScenarioReport(
         name=scenario.name, title=scenario.title, kind=scenario.kind,
         meta={**meta, "tags": list(scenario.tags)},
     )
+    datasets = _Datasets() if datasets is None else datasets
     for params, config in scenario.runs:
         _check_cancelled(cancel_check)
-        record, result = train_run(config, params, timed=timed, **options(config))
+        record, result = train_run(
+            config, params, timed=timed, bundle=datasets[config.workload, config.seed],
+            **options(config),
+        )
         report.results[result_key(params)] = result
         report.records.append(record)
     return report
@@ -303,9 +327,10 @@ def _run_sweep(scenario: SweepScenario, cancel_check=None) -> ScenarioReport:
     }
     sweep_phase_start = telemetry.phase_snapshot()
     sweep_start = time.perf_counter()
+    datasets = _Datasets()
     report = _train_report(
         scenario, meta, lambda params: "/".join(f"{k}={v}" for k, v in params.items()),
-        cancel_check, timed=True,
+        cancel_check, timed=True, datasets=datasets,
     )
     report.meta["sweep_wall_seconds"] = time.perf_counter() - sweep_start
     sweep_phases = telemetry.phase_delta(sweep_phase_start)
@@ -313,7 +338,9 @@ def _run_sweep(scenario: SweepScenario, cancel_check=None) -> ScenarioReport:
         report.meta["phases"] = sweep_phases
 
     if scenario.verify_endpoints:
-        report.endpoints = _verify_delta_endpoints(scenario, report, first, cancel_check)
+        report.endpoints = _verify_delta_endpoints(
+            scenario, report, first, datasets[first.workload, first.seed], cancel_check
+        )
     return report
 
 
@@ -321,9 +348,11 @@ def _verify_delta_endpoints(
     scenario: SweepScenario,
     report: ScenarioReport,
     config: RunConfig,
+    bundle: DatasetBundle,
     cancel_check=None,
 ) -> Dict[str, Any]:
-    """Anchor the δ-sweep's extremes on the existing BSP / local-SGD trainers."""
+    """Anchor the δ-sweep's extremes on the existing BSP / local-SGD trainers,
+    trained on the sweep's own ``bundle``."""
     deltas = list(scenario.grid["delta"])
     lo, hi = min(deltas), max(deltas)
     endpoints: Dict[str, Any] = {}
@@ -334,7 +363,7 @@ def _verify_delta_endpoints(
         _check_cancelled(cancel_check)
         record, result = train_run(
             dataclasses.replace(config, algorithm=anchor, params=params),
-            {"anchor": anchor}, timed=True,
+            {"anchor": anchor}, timed=True, bundle=bundle,
         )
         endpoints[anchor] = {
             "delta": delta,

@@ -62,16 +62,7 @@ def batch_gradient_statistic(matrix: np.ndarray, statistic: str) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError(f"expected an (N, D) matrix, got shape {matrix.shape}")
     if statistic == "variance":
-        # ``matrix.var(axis=1)``'s own steps, bit for bit, without its Python
-        # wrapper: sum, / D, centre, square in place, sum, / D.
-        d = matrix.shape[1]
-        mean = np.add.reduce(matrix, axis=1, keepdims=True)
-        mean /= d
-        centred = matrix - mean
-        np.multiply(centred, centred, out=centred)
-        out = np.add.reduce(centred, axis=1)
-        out /= d
-        return out
+        return matrix.var(axis=1)
     if statistic == "second_moment":
         return np.mean(matrix**2, axis=1)
     if statistic == "norm":

@@ -8,6 +8,9 @@ from repro.data.injection import (
     adjusted_batch_size,
 )
 
+#: Every row of a four-worker block is live.
+LIVE = np.ones(4, bool)
+
 
 def _make_batches(num_workers, batch, dim=4, seed=0):
     """One (inputs, targets) block; row ``w`` is worker ``w``'s batch."""
@@ -76,7 +79,7 @@ class TestDataInjection:
     def test_augments_every_worker_batch(self):
         inj = DataInjection(0.5, 0.5, num_workers=4, sample_bytes=100, seed=0)
         batches = _make_batches(4, 8)
-        (x, y), report = inj.inject(batches)
+        (x, y), report = inj.inject(batches, LIVE)
         assert report.shared_samples > 0
         assert x.shape == (4, 8 + report.shared_samples, 4)
         assert y.shape == (4, 8 + report.shared_samples)
@@ -84,7 +87,7 @@ class TestDataInjection:
 
     def test_shared_pool_identical_across_workers(self):
         inj = DataInjection(0.5, 0.5, num_workers=4, seed=0)
-        (x, _), report = inj.inject(_make_batches(4, 8))
+        (x, _), report = inj.inject(_make_batches(4, 8), LIVE)
         assert report.shared_samples
         np.testing.assert_array_equal(x[0, 8:], x[3, 8:])
 
@@ -92,7 +95,7 @@ class TestDataInjection:
         inj = DataInjection(0.5, 0.5, num_workers=5, seed=0)
         assert inj.num_selected() == 3
         batches = _make_batches(5, 8)
-        _, report = inj.inject(batches)
+        _, report = inj.inject(batches, np.ones(5, bool))
         assert len(report.selected_workers) == 3
 
     def test_crashed_row_neither_gives_nor_is_counted(self):
@@ -130,7 +133,7 @@ class TestDataInjection:
     def test_zero_alpha_is_identity(self):
         inj = DataInjection(0.0, 0.5, num_workers=4, seed=0)
         batches = _make_batches(4, 8)
-        mixed, report = inj.inject(batches)
+        mixed, report = inj.inject(batches, LIVE)
         assert report.shared_samples == 0
         np.testing.assert_array_equal(mixed[0], batches[0])
         np.testing.assert_array_equal(mixed[1], batches[1])
@@ -138,21 +141,21 @@ class TestDataInjection:
     def test_bytes_accounting_accumulates(self):
         inj = DataInjection(0.5, 0.5, num_workers=4, sample_bytes=10, seed=0)
         batches = _make_batches(4, 8)
-        inj.inject(batches)
-        inj.inject(batches)
+        inj.inject(batches, LIVE)
+        inj.inject(batches, LIVE)
         assert inj.rounds == 2
         assert inj.total_bytes > 0
 
     def test_improves_label_coverage_for_skewed_workers(self):
         """Injection should expose a single-label worker to other labels."""
         inj = DataInjection(1.0, 0.5, num_workers=4, seed=0)
-        (_, y), _ = inj.inject(_make_batches(4, 8))
+        (_, y), _ = inj.inject(_make_batches(4, 8), LIVE)
         assert len(np.unique(y[0])) > 1
 
     def test_wrong_batch_count_rejected(self):
         inj = DataInjection(0.5, 0.5, num_workers=4)
         with pytest.raises(ValueError):
-            inj.inject(_make_batches(3, 8))
+            inj.inject(_make_batches(3, 8), np.ones(3, bool))
 
     def test_invalid_fractions(self):
         with pytest.raises(ValueError):

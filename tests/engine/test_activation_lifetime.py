@@ -20,7 +20,6 @@ from repro.engine import replica_exec as rx
 from repro.engine import threads
 from repro.engine.dropout_stream import SharedDropoutStream
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
-from repro.nn.layers import relu, relu_grad
 from repro.nn.losses import cross_entropy_with_logits
 from tests.engine.test_replica_shards import make_tanh_cluster
 
@@ -30,7 +29,6 @@ MIB = 2**20
 #: they are not parameter / gradient views: step-independent constants.
 CONSTANTS = {
     ("_BatchedEmbedding", "_rows"),
-    ("_BatchedEmbedding", "_columns"),
     ("_BatchedPositionalEncoding", "pe"),
     ("_BatchedPositionalEncoding", "_pe_cast"),
     ("_BatchedSelfAttention", "_causal_mask"),
@@ -229,12 +227,12 @@ def _layer_cases():
         # Delegates to its sub-layers, so its error names the inner layer.
         return rx._BatchedEncoderLayer(
             norm(), _attention(rng, n, d), norm(),
-            _linear(rng, n, 8, d), rx._BatchedReLU(relu, relu_grad), _linear(rng, n, d, 8),
+            _linear(rng, n, 8, d), rx._BatchedReLU(), _linear(rng, n, d, 8),
         )
 
     return {
         "Linear": (lambda: _linear(rng, n, 5, d), seq),
-        "ReLU": (lambda: rx._BatchedReLU(relu, relu_grad), seq),
+        "ReLU": (rx._BatchedReLU, seq),
         "Tanh": (rx._BatchedTanh, seq),
         "Dropout": (lambda: rx._BatchedDropout(stream, 0, 0.5, 0), seq),
         "Embedding": (lambda: rx._BatchedEmbedding(*_views(rng, n, 9, d)), ids),

@@ -110,7 +110,7 @@ class TestMetricsInstrumentation:
         reports = []
         inject = DataInjection.inject
 
-        def recording_inject(self, batches, active=None):
+        def recording_inject(self, batches, active):
             mixed, report = inject(self, batches, active)
             reports.append(report)
             return mixed, report
