@@ -153,41 +153,20 @@ class SimulatedCluster:
             dtype=self.dtype,
             transport_dtype=config.transport_dtype,
         )
-        # Shared per-step dropout stream: batches TransformerLM with p > 0.
-        # Private per-layer dropout RNGs stay the default for every other
-        # model family, preserving their seed trajectories.
-        from repro.engine import (
-            SharedDropoutStream,
-            attach_shared_dropout,
-            module_has_active_dropout,
-        )
-        from repro.nn.models.transformer import TransformerLM
-
-        self.dropout_stream = None
-        self._dropout_tick = 0
-        model0 = self.workers[0].model
-        if type(model0) is TransformerLM and module_has_active_dropout(model0):
-            self.dropout_stream = SharedDropoutStream(config.seed, n)
-            # Arm the stream at tick 0 so direct training-mode forwards
-            # outside a trainer work immediately; every cluster gradient
-            # computation advances to a fresh tick.
-            self.dropout_stream.set_step(self._dropout_tick)
-            for worker_id, worker in enumerate(self.workers):
-                attach_shared_dropout(worker.model, self.dropout_stream, worker_slot=worker_id)
-        # Fused all-replica forward/backward when the executor's table covers
-        # the model (None otherwise: compute_gradients_all runs the per-worker
-        # loop for the cluster's lifetime).  Both tasks share the
-        # cross-entropy arithmetic, so classification and language modeling
-        # batch the same way.
-        self.replica_exec = BatchedReplicaExecutor.build(
-            self.matrix, self.workers[0].model
-        )
         # Elasticity state (repro.faults): crashed workers leave the active
         # mask, dropping their rows from the fused engine, the optimizer step
         # and every aggregation; straggler bursts scale per-worker compute
         # speed.  All-True / all-ones is the fast path.
         self.active_mask = np.ones(n, dtype=bool)
         self.fault_speed_scale = np.ones(n, dtype=np.float64)
+        # Fused all-replica forward/backward when the executor's table covers
+        # the model (None otherwise: compute_gradients_all runs the per-worker
+        # loop for the cluster's lifetime).  Both tasks share the
+        # cross-entropy arithmetic, so classification and language modeling
+        # batch the same way.
+        self.replica_exec = BatchedReplicaExecutor.build(
+            self.matrix, [w.model for w in self.workers], self.active_mask
+        )
         # Every worker's optimizer step, as one update over the worker
         # matrix; the factory's optimizer only names the family and its
         # hyperparameters.
@@ -325,12 +304,6 @@ class SimulatedCluster:
     # ------------------------------------------------------------------ #
     # gradient computation
     # ------------------------------------------------------------------ #
-    def _next_dropout_tick(self) -> None:
-        """Advance the shared dropout stream by one gradient computation."""
-        self._dropout_tick += 1
-        if self.dropout_stream is not None:
-            self.dropout_stream.set_step(self._dropout_tick)
-
     def compute_gradients_all(self, batches: Tuple[np.ndarray, np.ndarray]) -> List[float]:
         """Forward + backward for every active worker; returns their losses.
 
@@ -344,7 +317,6 @@ class SimulatedCluster:
         row is zeroed afterwards and its loss dropped, so nothing from a
         crashed row ever reaches an aggregation.
         """
-        self._next_dropout_tick()
         mask = self.active_mask
         active = np.flatnonzero(mask)
         with telemetry.span("cluster.gradients"):

@@ -21,11 +21,6 @@ from repro.engine.dtypes import (
     transport_scale,
     wire_dtype_bytes,
 )
-from repro.engine.dropout_stream import (
-    SharedDropoutStream,
-    attach_shared_dropout,
-    module_has_active_dropout,
-)
 from repro.engine.flat_buffer import FlatBuffer, ParamSpec
 from repro.engine.fused_optim import FusedAdamUpdate, FusedSGDUpdate, build_fused_update
 from repro.engine.replica_exec import BatchedReplicaExecutor
@@ -40,13 +35,10 @@ __all__ = [
     "FusedSGDUpdate",
     "ParamSpec",
     "SUPPORTED_DTYPES",
-    "SharedDropoutStream",
     "TRANSPORT_DTYPES",
     "WIRE_DTYPE_BYTES",
     "WorkerMatrix",
-    "attach_shared_dropout",
     "build_fused_update",
-    "module_has_active_dropout",
     "resolve_dtype",
     "resolve_transport_dtype",
     "transport_dtype_bytes",

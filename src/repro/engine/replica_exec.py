@@ -9,24 +9,26 @@ Python call per layer *per worker* — writing gradients straight into the
 gradient matrix rows.
 
 One table decides what batches: it maps each exact ``repro.nn`` type —
-``MLP``, ``Linear``, ``ReLU``, ``Tanh``, ``LayerNorm``, ``Dropout``,
-``Embedding``, ``PositionalEncoding``, ``MultiHeadSelfAttention``,
-``TransformerEncoderLayer``, ``TransformerLM`` — to the ``_Batched*`` layers
-that run it, and one recursive walk over the model builds the chain.  That
-covers the **MLP family** (Linear / ReLU / Tanh on a classification head) and
-the **transformer family** (:class:`~repro.nn.models.transformer.TransformerLM`:
-token batches flow as ``(N, batch, seq)`` integer blocks and every contraction
-runs once for all replicas via ``(N, ...)`` GEMM calls over the weight views).
+``Sequential``, ``MLP``, ``VGGLike``, ``AlexNetLike``, ``Linear``, ``ReLU``,
+``Tanh``, ``LayerNorm``, ``Dropout``, ``Embedding``, ``PositionalEncoding``,
+``MultiHeadSelfAttention``, ``TransformerEncoderLayer``, ``TransformerLM`` —
+to the ``_Batched*`` layers that run it, and one recursive walk over the
+model builds the chain.  That covers the **feed-forward family** (MLP, VGG
+and AlexNet analogs: Linear / ReLU / Tanh / Dropout stacks on a
+classification head) and the **transformer family**
+(:class:`~repro.nn.models.transformer.TransformerLM`: token batches flow as
+``(N, batch, seq)`` integer blocks and every contraction runs once for all
+replicas via ``(N, ...)`` GEMM calls over the weight views).
 
-A model with a module outside the table (the ResNet / VGG / AlexNet analogs,
-subclasses) or with active dropout on private per-layer RNG streams gets no
-executor, and its cluster runs the per-worker loop; active dropout batches
-when its layers draw from a
-:class:`~repro.engine.dropout_stream.SharedDropoutStream` (one deterministic
-``(N, ...)`` mask block per step and layer).  All arithmetic runs in the
-worker matrix's compute dtype (float64 default, float32 in the
-reduced-precision mode).  Each row shard's chain is the same walk over row
-views ``params[lo:hi]`` / ``grads[lo:hi]`` of the one matrix.
+A model with a module outside the table (the ResNet analog, a subclass that
+overrides ``forward``) gets no executor, and its cluster runs the per-worker
+loop.  Active dropout draws row *r*'s mask from the private generator of the
+matching ``Dropout`` in replica *r*, skipping the rows the cluster's live
+mask marks as crashed, so every generator advances exactly as in the
+per-worker loop.  All arithmetic runs in the worker matrix's compute dtype
+(float64 default, float32 in the reduced-precision mode).  Each row shard's
+chain is the same walk over row views ``params[lo:hi]`` / ``grads[lo:hi]``
+of the one matrix and over the replicas of those rows.
 
 A step takes the cluster's batch block as gathered: one ``(inputs, targets)``
 pair with leading axis N, row shards are slices of it.  Where a kernel has a
@@ -161,28 +163,29 @@ class _BatchedTanh:
 
 
 class _BatchedDropout:
-    """All replicas' masks of one Dropout layer, drawn from the shared stream.
+    """All replicas' masks of one Dropout layer, each from its replica's generator.
 
-    The stream derives one deterministic mask per (step, layer, replica row);
-    this class stacks rows ``[row_offset, row_offset + N)``, so a full-matrix
-    executor and each of its row shards (and the per-worker fallback, which
-    draws single rows) all see the exact same masks.
+    ``rngs`` are the private generators of the matching ``Dropout`` in the
+    chain's replicas, one per row; ``live`` is the view of the cluster's live
+    worker mask over the same rows.  A crashed row draws nothing (its output
+    is never aggregated), so its generator stands still as in the per-worker
+    loop.  The mask arithmetic is :func:`repro.nn.layers.dropout_mask`'s.
     """
 
-    def __init__(self, stream, layer_id: int, p: float, row_offset: int) -> None:
-        self.stream = stream
-        self.layer_id = int(layer_id)
-        self.p = float(p)
-        self.row_offset = int(row_offset)
+    def __init__(self, rngs: List[np.random.Generator], live: np.ndarray, p: float) -> None:
+        self.rngs = rngs
+        self.live = live
+        self.p = p
         self._cache: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = self.stream.mask_block(
-            self.layer_id, x.shape[1:], self.p,
-            lo=self.row_offset, hi=self.row_offset + x.shape[0],
-        )
-        if mask.dtype != x.dtype:
-            mask = mask.astype(x.dtype)
+        from repro.nn.layers import dropout_mask
+
+        uniform = np.zeros(x.shape)
+        for row, (rng, up) in enumerate(zip(self.rngs, self.live.tolist())):
+            if up:
+                rng.random(out=uniform[row])
+        mask = dropout_mask(uniform, self.p, x.dtype)
         self._cache = mask
         return x * mask
 
@@ -380,8 +383,7 @@ class _BatchedEncoderLayer:
     """Pre-norm encoder block (attention + FFN, both residual), batched.
 
     Mirrors :class:`~repro.nn.attention.TransformerEncoderLayer` exactly.
-    Dropout layers are omitted when inactive (p == 0); active ones are
-    :class:`_BatchedDropout` layers on the shared dropout stream.
+    Dropout layers are omitted when inactive (p == 0).
     """
 
     def __init__(
@@ -507,17 +509,20 @@ class _RowViews:
     """``(N, *shape)`` parameter and gradient views of matrix rows, by name.
 
     ``params`` / ``grads`` are the rows a chain runs on — the whole matrix,
-    or one row shard's ``[lo:hi]`` slice of it, ``lo`` being its first row's
-    global replica index (shared-stream dropout masks span the cluster).
-    Every entry handed out is counted, so the walk can tell whether its chain
-    covers the whole layout.
+    or one row shard's ``[lo:hi]`` slice of it — ``replicas`` the modules
+    adopted into those rows, and ``live`` the view of the cluster's live
+    worker mask over them.  Every entry handed out is counted, so the walk
+    can tell whether its chain covers the whole layout.
     """
 
-    def __init__(self, spec, params: np.ndarray, grads: np.ndarray, lo: int) -> None:
+    def __init__(
+        self, spec, params: np.ndarray, grads: np.ndarray, replicas, live: np.ndarray
+    ) -> None:
         self.spec = spec
         self.params = params
         self.grads = grads
-        self.lo = lo
+        self.replicas = replicas
+        self.live = live
         self.covered = 0
 
     def __call__(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -546,11 +551,9 @@ def _linear(layer, prefix: str, views: _RowViews) -> List[object]:
 def _dropout(layer, prefix: str, views: _RowViews) -> List[object]:
     if layer.p == 0.0:
         return []
-    # Active dropout batches only when its masks come from a shared per-step
-    # stream; private per-layer RNG streams cannot be replayed batched.
-    if layer._shared_stream is None:
-        raise _Unsupported("dropout on a private RNG stream")
-    return [_BatchedDropout(layer._shared_stream, layer._stream_layer_id, layer.p, views.lo)]
+    path = prefix.rstrip(".")
+    rngs = [dict(replica.named_modules())[path]._rng for replica in views.replicas]
+    return [_BatchedDropout(rngs, views.live, layer.p)]
 
 
 def _self_attention(attn, prefix: str, views: _RowViews) -> List[object]:
@@ -587,11 +590,17 @@ def _table() -> Dict[type, object]:
         TransformerEncoderLayer,
     )
     from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Tanh
+    from repro.nn.models.alexnet import AlexNetLike
     from repro.nn.models.mlp import MLP
     from repro.nn.models.transformer import TransformerLM
+    from repro.nn.models.vgg import VGGLike
+    from repro.nn.module import Sequential
 
     return {
-        MLP: lambda mlp, prefix, views: _children(mlp.net, f"{prefix}net.", views),
+        Sequential: _children,
+        MLP: _children,
+        VGGLike: _children,
+        AlexNetLike: _children,
         TransformerLM: _children,
         TransformerEncoderLayer: _encoder_layer,
         MultiHeadSelfAttention: _self_attention,
@@ -614,17 +623,21 @@ def _walk(module, prefix: str, views: _RowViews) -> List[object]:
     return entry(module, prefix, views)
 
 
-def _build_chain(module, spec, params: np.ndarray, grads: np.ndarray, lo: int) -> List[object]:
-    """``module``'s batched layer chain over the rows ``params`` / ``grads``."""
-    views = _RowViews(spec, params, grads, lo)
-    chain = _walk(module, "", views)
+def _build_chain(
+    matrix: WorkerMatrix, replicas, active: np.ndarray, lo: int, hi: int
+) -> List[object]:
+    """The batched layer chain of matrix rows ``[lo, hi)`` and their ``replicas``."""
+    views = _RowViews(
+        matrix.spec, matrix.params[lo:hi], matrix.grads[lo:hi], replicas[lo:hi], active[lo:hi]
+    )
+    chain = _walk(views.replicas[0], "", views)
     # The loss works in the last layer's output block, so that block must be
     # a fresh array no layer caches: a Linear head, not an activation.
     if not chain or type(chain[-1]) is not _BatchedLinear:
         raise _Unsupported("the chain does not end in a Linear head")
     # Every parameter in the layout must belong to the chain we walk;
     # anything left over would silently never receive gradients.
-    if views.covered != spec.total_size:
+    if views.covered != matrix.spec.total_size:
         raise _Unsupported("parameters outside the chain")
     return chain
 
@@ -635,14 +648,18 @@ class BatchedReplicaExecutor:
     The layer chain runs as K contiguous **row shards** of the matrix, one
     thread each (:func:`repro.engine.threads.run_shards`).  No arithmetic
     crosses the replica axis — batched ``matmul`` is one GEMM per replica,
-    every reduction is over non-replica axes, dropout masks are functions of
-    the global row — so any K gives the same bits.  K is worked out per step
-    (:meth:`_shard_count`); K = 1 is the same loop over a one-element list.
+    every reduction is over non-replica axes, each row's dropout masks come
+    from its own replica's generator — so any K gives the same bits.  K is
+    worked out per step (:meth:`_shard_count`); K = 1 is the same loop over a
+    one-element list.
     """
 
-    def __init__(self, module, matrix: WorkerMatrix, chain: List[object]) -> None:
-        self._module = module
+    def __init__(
+        self, matrix: WorkerMatrix, replicas, active_mask: np.ndarray, chain: List[object]
+    ) -> None:
         self._matrix = matrix
+        self._replicas = replicas
+        self._active = active_mask
         # Shard chains by shard count: (lo, hi, chain over rows [lo, hi)).
         self._chains: Dict[int, List[Tuple[int, int, List[object]]]] = {
             1: [(0, matrix.num_workers, chain)]
@@ -653,17 +670,21 @@ class BatchedReplicaExecutor:
         self._head_width = chain[-1].weight.shape[2]
 
     @classmethod
-    def build(cls, matrix: WorkerMatrix, module) -> Optional["BatchedReplicaExecutor"]:
-        """An executor for ``module``, or None when the table cannot batch it.
+    def build(
+        cls, matrix: WorkerMatrix, replicas, active_mask: np.ndarray
+    ) -> Optional["BatchedReplicaExecutor"]:
+        """An executor for ``replicas``, or None when the table cannot batch them.
 
-        ``module`` must be the already-adopted replica of the matrix's first
-        row; its architecture (shared by all workers) defines the layer chain.
+        ``replicas`` are the modules adopted into the matrix rows, in row
+        order; their architecture (shared by all workers) defines the layer
+        chain.  ``active_mask`` is the cluster's live worker mask: a crashed
+        row draws no dropout mask.
         """
         try:
-            chain = _build_chain(module, matrix.spec, matrix.params, matrix.grads, 0)
+            chain = _build_chain(matrix, replicas, active_mask, 0, matrix.num_workers)
         except _Unsupported:
             return None
-        return cls(module, matrix, chain)
+        return cls(matrix, replicas, active_mask, chain)
 
     # ------------------------------------------------------------------ #
     def step(self, batch: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -757,9 +778,7 @@ class BatchedReplicaExecutor:
             # shard (small models, one core) never pay for shard chains.
             matrix = self._matrix
             chains = [
-                (lo, hi, _build_chain(
-                    self._module, matrix.spec, matrix.params[lo:hi], matrix.grads[lo:hi], lo
-                ))
+                (lo, hi, _build_chain(matrix, self._replicas, self._active, lo, hi))
                 for lo, hi in group_bounds(matrix.num_workers, k)
             ]
             self._chains[k] = chains

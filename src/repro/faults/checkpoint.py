@@ -44,7 +44,11 @@ def _loader_state(loader: Any) -> Dict[str, Any]:
 
 
 def _dropout_rngs(model: Any) -> List[np.random.Generator]:
-    """The private mask generators of a replica's dropout layers."""
+    """The mask generators of a replica's dropout layers.
+
+    They are the only dropout state: the per-worker loop and the batched
+    executor both draw each replica's masks from them.
+    """
     return [m._rng for _, m in model.named_modules() if isinstance(m, Dropout)]
 
 
@@ -64,8 +68,8 @@ class ClusterCheckpoint:
     Adam's moments and per-row step counts) and its learning rate, the
     parameter-server vector and its accounting, the simulated clock, backend
     byte counters, per-worker data-loader positions and RNG streams, the
-    private dropout-mask streams of every replica, the evaluation RNG, and
-    the elastic worker mask.
+    dropout-mask generators of every replica, the evaluation RNG, and the
+    elastic worker mask.
     """
 
     step: int
@@ -87,7 +91,6 @@ class ClusterCheckpoint:
     backend_calls: Dict[str, int]
     backend_bytes_by_op: Dict[str, float]
     eval_rng_state: Dict[str, Any]
-    dropout_tick: int
     active_mask: np.ndarray
     fault_speed_scale: np.ndarray
     extras: Dict[str, Any] = field(default_factory=dict)
@@ -121,7 +124,6 @@ def snapshot_cluster(cluster: Any) -> ClusterCheckpoint:
         backend_calls=dict(cluster.backend.record.calls),
         backend_bytes_by_op=dict(cluster.backend.record.bytes_by_op),
         eval_rng_state=_rng_state(cluster._eval_rng),
-        dropout_tick=int(cluster._dropout_tick),
         active_mask=cluster.active_mask.copy(),
         fault_speed_scale=cluster.fault_speed_scale.copy(),
     )
@@ -161,7 +163,6 @@ def restore_cluster(cluster: Any, ckpt: ClusterCheckpoint) -> None:
     record.calls = dict(ckpt.backend_calls)
     record.bytes_by_op = dict(ckpt.backend_bytes_by_op)
     _set_rng_state(cluster._eval_rng, ckpt.eval_rng_state)
-    cluster._dropout_tick = ckpt.dropout_tick
     cluster.active_mask[:] = ckpt.active_mask
     cluster.fault_speed_scale[:] = ckpt.fault_speed_scale
 
@@ -175,7 +176,8 @@ def restore_worker(
     assigns the whole matrix in one copy; a rejoin typically follows up with
     a fresh parameter-server pull anyway).  The shared learning rate stays
     as it is, and a rejoining worker keeps drawing dropout masks from its
-    live stream; only the full restore rewinds both.
+    live generators (a crashed row draws none); only the full restore
+    rewinds both.
     """
     worker = cluster.workers[worker_id]
     if sync_params:

@@ -122,15 +122,22 @@ class Tanh(Module):
         return grad_output * (1.0 - self._out**2)
 
 
+def dropout_mask(uniform: np.ndarray, p: float, dtype) -> np.ndarray:
+    """Inverted-dropout mask from uniform draws: ``1/(1-p)`` where kept, else 0.
+
+    Computed in float64 and rounded once to ``dtype`` (the activation
+    dtype), so float64 masks are exact and float32 activations stay float32.
+    """
+    keep = 1.0 - p
+    return ((uniform < keep) / keep).astype(dtype, copy=False)
+
+
 class Dropout(Module):
     """Inverted dropout; identity in eval mode.
 
-    Masks come from a private per-layer generator by default.  When a
-    :class:`~repro.engine.dropout_stream.SharedDropoutStream` is attached
-    (:meth:`use_shared_stream`), the layer instead takes its worker's row of
-    the stream's deterministic per-(step, layer) mask block — the mode the
-    batched replica executor and its row shards rely on for exact parity
-    with the per-worker path.
+    Masks come from the layer's private generator, on both paths: the
+    batched replica executor draws each replica's row from that replica's
+    layer generator, with the same :func:`dropout_mask` arithmetic.
     """
 
     def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
@@ -143,32 +150,13 @@ class Dropout(Module):
         # A None mask means identity here, so "forward kept nothing" (an
         # inference forward) needs its own flag for backward to refuse.
         self._no_backward = False
-        self._shared_stream = None
-        self._stream_layer_id = 0
-        self._stream_slot = 0
-
-    def use_shared_stream(self, stream, layer_id: int, worker_slot: int) -> None:
-        """Draw future masks from ``stream`` (row ``worker_slot`` of layer blocks)."""
-        self._shared_stream = stream
-        self._stream_layer_id = int(layer_id)
-        self._stream_slot = int(worker_slot)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._no_backward = self._inference
         if not self.training or self.p == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.p
-        if self._shared_stream is not None:
-            mask = self._shared_stream.worker_mask(
-                self._stream_layer_id, x.shape, self.p, self._stream_slot
-            )
-            # Stay in the activation dtype (float32 mode); float64 masks keep
-            # the default path's arithmetic bit-identical.
-            if mask.dtype != x.dtype and np.issubdtype(x.dtype, np.floating):
-                mask = mask.astype(x.dtype)
-        else:
-            mask = (self._rng.random(x.shape) < keep) / keep
+        mask = dropout_mask(self._rng.random(x.shape), self.p, x.dtype)
         self._mask = None if self._inference else mask
         return x * mask
 

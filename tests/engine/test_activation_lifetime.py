@@ -18,7 +18,6 @@ import pytest
 from repro.engine import BatchedReplicaExecutor, WorkerMatrix
 from repro.engine import replica_exec as rx
 from repro.engine import threads
-from repro.engine.dropout_stream import SharedDropoutStream
 from repro.harness.experiment import build_cluster, build_workload, make_trainer
 from repro.nn.losses import cross_entropy_with_logits
 from tests.engine.test_replica_shards import make_tanh_cluster
@@ -26,8 +25,10 @@ from tests.engine.test_replica_shards import make_tanh_cluster
 MIB = 2**20
 
 #: ndarray attributes a ``_Batched*`` layer may hold between steps although
-#: they are not parameter / gradient views: step-independent constants.
+#: they are not parameter / gradient views: step-independent constants, and
+#: the cluster's live worker mask.
 CONSTANTS = {
+    ("_BatchedDropout", "live"),
     ("_BatchedEmbedding", "_rows"),
     ("_BatchedPositionalEncoding", "pe"),
     ("_BatchedPositionalEncoding", "_pe_cast"),
@@ -81,7 +82,9 @@ def _retained_by_one_step(exe: BatchedReplicaExecutor, batches) -> int:
 
 
 class TestNothingSurvivesAStep:
-    @pytest.mark.parametrize("workload,num_workers", [("transformer", 8), ("deep_mlp", 16)])
+    @pytest.mark.parametrize(
+        "workload,num_workers", [("transformer", 8), ("deep_mlp", 16), ("alexnet", 4)]
+    )
     def test_preset_step_retains_no_activation(self, workload, num_workers):
         cluster = build_cluster(build_workload(workload), num_workers=num_workers, seed=7)
         exe = cluster.replica_exec
@@ -217,8 +220,6 @@ def _layer_cases():
     n, b, t, d = 2, 3, 4, 6
     seq = rng.standard_normal((n, b, t, d))
     ids = rng.integers(0, 9, size=(n, b, t))
-    stream = SharedDropoutStream(seed=0, num_workers=n)
-    stream.set_step(0)
 
     def norm():
         return rx._BatchedLayerNorm(*_views(rng, n, d), *_views(rng, n, d), eps=1e-5)
@@ -234,7 +235,12 @@ def _layer_cases():
         "Linear": (lambda: _linear(rng, n, 5, d), seq),
         "ReLU": (rx._BatchedReLU, seq),
         "Tanh": (rx._BatchedTanh, seq),
-        "Dropout": (lambda: rx._BatchedDropout(stream, 0, 0.5, 0), seq),
+        "Dropout": (
+            lambda: rx._BatchedDropout(
+                [np.random.default_rng(row) for row in range(n)], np.ones(n, bool), 0.5
+            ),
+            seq,
+        ),
         "Embedding": (lambda: rx._BatchedEmbedding(*_views(rng, n, 9, d)), ids),
         "LayerNorm": (norm, seq),
         "SelfAttention": (lambda: _attention(rng, n, d), seq),

@@ -30,11 +30,11 @@ class ResidualMLP(MLP):
 
 
 def _adopted(model):
-    """A one-row matrix over a hand-built model."""
+    """A one-row matrix over a hand-built model, and its one replica."""
     model.flatten_parameters()
     matrix = WorkerMatrix(1, model.flat_spec)
     matrix.adopt(0, model)
-    return matrix, model
+    return matrix, [model]
 
 
 #: Model -> whether the executor's table batches it.
@@ -42,10 +42,10 @@ EXECUTOR_CASES = {
     "deep_mlp": True,
     "transformer": True,
     "resnet101": False,
-    "vgg11": False,
-    "alexnet": False,
+    "vgg11": True,
+    "alexnet": True,
     "mlp_subclass": False,
-    "private_rng_dropout": False,
+    "private_rng_dropout": True,
     # The two checks on a chain the table did build.
     "parameter_outside_the_chain": False,
     "activation_head": False,
@@ -71,13 +71,15 @@ def _executor_case(name):
         ))
     cluster = build_cluster(build_workload(name), num_workers=2, seed=0)
     cluster.close()
-    return cluster.matrix, cluster.workers[0].model
+    assert (cluster.replica_exec is not None) == EXECUTOR_CASES[name]
+    return cluster.matrix, [w.model for w in cluster.workers]
 
 
 @pytest.mark.parametrize("name", sorted(EXECUTOR_CASES))
 def test_which_models_get_an_executor(name):
-    matrix, model = _executor_case(name)
-    built = BatchedReplicaExecutor.build(matrix, model)
+    matrix, replicas = _executor_case(name)
+    active = np.ones(matrix.num_workers, dtype=bool)
+    built = BatchedReplicaExecutor.build(matrix, replicas, active)
     assert (built is not None) == EXECUTOR_CASES[name]
 
 

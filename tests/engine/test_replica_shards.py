@@ -75,9 +75,12 @@ def _deep_mlp_cluster(num_workers, dtype):
 
 
 FAMILIES = {
-    # Shared-stream dropout: the masks of a shard are rows [lo, hi) of the
-    # cluster-wide block, so a wrong row offset shows up here.
+    # Active dropout: a shard draws rows [lo, hi)'s masks from those replicas'
+    # generators, so a shard holding the wrong rows' generators shows up here.
     "transformer": lambda n, dtype: make_lm_cluster(num_workers=n, dropout=0.1, dtype=dtype),
+    "alexnet": lambda n, dtype: build_cluster(
+        build_workload("alexnet"), num_workers=n, seed=3, dtype=dtype
+    ),
     "deep_mlp": _deep_mlp_cluster,
     "tanh_mlp": lambda n, dtype: make_tanh_cluster(num_workers=n, dtype=dtype),
 }
@@ -157,7 +160,10 @@ class TestShardCountNeverChangesTheBits:
             assert head.weight.shape[0] == 2
             assert np.shares_memory(head.weight, cluster.matrix.params[3:5])
             assert np.shares_memory(head.weight_grad, cluster.matrix.grads[3:5])
-            assert second[2].drop1.row_offset == 3
+            # The second shard's dropout draws from replicas 3 and 4 alone.
+            drop1 = second[2].drop1
+            assert drop1.rngs == [w.model._layers[0].drop1._rng for w in cluster.workers[3:5]]
+            assert np.shares_memory(drop1.live, cluster.active_mask[3:5])
         finally:
             cluster.close()
 

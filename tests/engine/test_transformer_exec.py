@@ -18,6 +18,11 @@ MODEL_KW = dict(
 )
 
 
+def build(matrix, models):
+    """The executor over ``models`` with every row live (or None)."""
+    return BatchedReplicaExecutor.build(matrix, models, np.ones(len(models), dtype=bool))
+
+
 def make_model(rng, dropout: float = 0.0):
     return TransformerLM(dropout=dropout, rng=rng, **MODEL_KW)
 
@@ -46,7 +51,7 @@ class TestBuild:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_builds_for_transformer_lm(self, dtype):
         matrix, models = make_matrix(dtype)
-        assert BatchedReplicaExecutor.build(matrix, models[0]) is not None
+        assert build(matrix, models) is not None
 
     def test_subclass_falls_back(self):
         class CustomLM(TransformerLM):
@@ -56,23 +61,19 @@ class TestBuild:
         model.flatten_parameters()
         matrix = WorkerMatrix(1, model.flat_spec)
         matrix.adopt(0, model)
-        assert BatchedReplicaExecutor.build(matrix, model) is None
+        assert build(matrix, [model]) is None
 
-    def test_active_dropout_without_shared_stream_falls_back(self):
-        # Private per-layer dropout RNG streams cannot be replayed batched;
-        # p > 0 only builds once a SharedDropoutStream is attached (see
-        # tests/engine/test_dropout_stream.py).
-        model = make_model(np.random.default_rng(0), dropout=0.2)
-        model.flatten_parameters()
-        matrix = WorkerMatrix(1, model.flat_spec)
-        matrix.adopt(0, model)
-        assert BatchedReplicaExecutor.build(matrix, model) is None
+    def test_active_dropout_builds(self):
+        # Active dropout batches on the layers' own generators (parity in
+        # tests/engine/test_batched_dropout.py).
+        matrix, models = make_matrix("float64", dropout=0.2)
+        assert build(matrix, models) is not None
 
 
 class TestStep:
     def test_bit_identical_to_per_worker_loop_in_float64(self):
         matrix, models = make_matrix("float64")
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = build(matrix, models)
         batches = make_batches()
         losses = exe.step(batches)
         assert losses is not None and losses.shape == (N,)
@@ -91,7 +92,7 @@ class TestStep:
 
     def test_matches_per_worker_loop_in_float32(self):
         matrix, models = make_matrix("float32")
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = build(matrix, models)
         batches = make_batches()
         losses = exe.step(batches)
         assert losses is not None
@@ -111,7 +112,7 @@ class TestStep:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_gradients_written_in_matrix_dtype(self, dtype):
         matrix, models = make_matrix(dtype)
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = build(matrix, models)
         assert exe.step(make_batches()) is not None
         assert matrix.grads.dtype == np.dtype(dtype)
         assert np.isfinite(matrix.grads).all() and matrix.grads.any()
@@ -120,7 +121,7 @@ class TestStep:
         # The embedding gradient is scatter-added, not matmul-overwritten;
         # a second step must not accumulate on top of the first.
         matrix, models = make_matrix("float64")
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = build(matrix, models)
         batches = make_batches()
         exe.step(batches)
         first = matrix.grads.copy()
@@ -132,7 +133,7 @@ class TestStep:
     )
     def test_mismatched_blocks_raise(self, kind):
         matrix, models = make_matrix("float64")
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = build(matrix, models)
         x, y = make_batches()
         bad = {
             "count": (x[1:], y[1:]),
@@ -145,7 +146,7 @@ class TestStep:
 
     def test_float_inputs_raise(self):
         matrix, models = make_matrix("float64")
-        exe = BatchedReplicaExecutor.build(matrix, models[0])
+        exe = build(matrix, models)
         rng = np.random.default_rng(2)
         float_batches = (rng.standard_normal((N, B, T)), rng.integers(0, V, size=(N, B, T)))
         with pytest.raises(ValueError, match="token inputs must be integers"):
@@ -221,6 +222,6 @@ def test_sequence_longer_than_positional_table_raises():
     matrix = WorkerMatrix(N, models[0].flat_spec)
     for i, model in enumerate(models):
         matrix.adopt(i, model)
-    exe = BatchedReplicaExecutor.build(matrix, models[0])
+    exe = build(matrix, models)
     with pytest.raises(ValueError, match="exceeds positional table"):
         exe.step(make_batches())

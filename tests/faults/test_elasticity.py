@@ -149,8 +149,8 @@ def _tanh_cluster(num_workers=4, seed=3):
 
 
 def _dropout_lm_cluster(num_workers=4, seed=3):
-    # Active dropout drawn from the shared stream: the batched path, with
-    # masks that depend on the global row.
+    # Active dropout on the batched path: row r's masks come from replica r's
+    # own generators, which a crashed row leaves untouched.
     from repro.cluster.cluster import ClusterConfig, SimulatedCluster
     from repro.data.datasets import make_sequence_splits
     from repro.data.partition import SelSyncPartitioner

@@ -100,6 +100,17 @@ class TestDropout:
         grad = drop.backward(np.ones_like(x))
         np.testing.assert_array_equal(grad, out)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_stays_in_the_input_dtype(self, dtype):
+        drop = Dropout(0.1, rng=np.random.default_rng(0))
+        out = drop.forward(np.ones((2, 3), dtype))
+        assert out.dtype == dtype
+        assert drop.backward(np.ones((2, 3), dtype)).dtype == dtype
+        # The float64 mask is the plain inverted-dropout arithmetic.
+        u = np.random.default_rng(0).random((2, 3))
+        expected = (u < 0.9) / 0.9
+        np.testing.assert_array_equal(out, expected.astype(dtype))
+
 
 class TestLayerNorm:
     def test_normalizes_last_dim(self):

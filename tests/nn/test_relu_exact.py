@@ -56,7 +56,7 @@ def _batched_relu(width):
     model.flatten_parameters()
     matrix = WorkerMatrix(1, model.flat_spec)
     matrix.adopt(0, model)
-    chain = BatchedReplicaExecutor.build(matrix, model)._chains[1][0][2]
+    chain = BatchedReplicaExecutor.build(matrix, [model], np.ones(1, bool))._chains[1][0][2]
     (relu,) = [layer for layer in chain if type(layer).__name__ == "_BatchedReLU"]
     return relu
 

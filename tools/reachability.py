@@ -70,7 +70,11 @@ _LM_TWIN = (
     "per-worker TransformerLM backward: every TransformerLM cluster runs the batched "
     "executor, and tests/engine/test_transformer_exec.py holds it to this path"
 )
-_DROPOUT = "shared-stream dropout: reached by TransformerLM(dropout > 0), which no preset builds"
+_FF_TWIN = (
+    "per-worker backward of VGGLike / AlexNetLike and their Dropout: every vgg11 / alexnet "
+    "cluster runs the batched executor, and tests/engine/test_batched_dropout.py holds it to "
+    "this path"
+)
 _TANH = "MLP(activation='tanh'), the per-worker twin of _BatchedTanh; no preset uses tanh"
 _DATASET = "dataset protocol member (subset, shape metadata) that tests use to build fixtures"
 _TELEMETRY = (
@@ -123,6 +127,9 @@ KEEP: Dict[str, str] = {
     "repro.nn.attention.TransformerEncoderLayer.backward": _LM_TWIN,
     "repro.nn.layers.Embedding.backward": _LM_TWIN,
     "repro.nn.models.transformer.TransformerLM.backward": _LM_TWIN,
+    "repro.nn.layers.Dropout.backward": _FF_TWIN,
+    "repro.nn.models.alexnet.AlexNetLike.backward": _FF_TWIN,
+    "repro.nn.models.vgg.VGGLike.backward": _FF_TWIN,
     "repro.engine.flat_buffer.FlatBuffer.rebind": _MODULE_API,
     "repro.nn.module.Module.dtype": _MODULE_API,
     "repro.nn.module.Module.parameters": _MODULE_API,
@@ -137,13 +144,6 @@ KEEP: Dict[str, str] = {
     "repro.nn.layers.Tanh": _TANH,
     "repro.nn.layers.Tanh.forward": _TANH,
     "repro.nn.layers.Tanh.backward": _TANH,
-    "repro.engine.dropout_stream.SharedDropoutStream": _DROPOUT,
-    "repro.engine.dropout_stream.SharedDropoutStream.mask_block": _DROPOUT,
-    "repro.engine.dropout_stream.SharedDropoutStream.set_step": _DROPOUT,
-    "repro.engine.dropout_stream.SharedDropoutStream.step": _DROPOUT,
-    "repro.engine.dropout_stream.SharedDropoutStream.worker_mask": _DROPOUT,
-    "repro.engine.dropout_stream.attach_shared_dropout": _DROPOUT,
-    "repro.nn.layers.Dropout.use_shared_stream": _DROPOUT,
     "repro.data.datasets.ClassificationDataset.input_dim": _DATASET,
     "repro.data.datasets.ClassificationDataset.subset": _DATASET,
     "repro.data.datasets.SequenceDataset.input_dim": _DATASET,
