@@ -55,6 +55,7 @@ def _experiment():
 
 
 @pytest.mark.benchmark(group="ablation_stragglers")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ablation_straggler_sensitivity(benchmark):
     runs = benchmark.pedantic(_experiment, rounds=1, iterations=1)
 

@@ -25,6 +25,7 @@ def _experiment():
 
 
 @pytest.mark.benchmark(group="table1")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_table1_method_comparison(benchmark):
     report = benchmark.pedantic(_experiment, rounds=1, iterations=1)
     save_report("table1_comparison", report.table())

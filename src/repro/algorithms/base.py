@@ -26,7 +26,7 @@ from repro.cluster.cluster import SimulatedCluster
 from repro.metrics.convergence import ConvergenceDetector
 from repro.metrics.evaluation import EvalResult
 from repro.metrics.lssr import LSSRTracker
-from repro.optim.schedules import LRSchedule
+from repro.optim.schedules import ConstantLR, LRSchedule
 
 
 @dataclass
@@ -96,7 +96,7 @@ class BaseTrainer:
         if eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
         self.cluster = cluster
-        self.lr_schedule = lr_schedule
+        self.lr_schedule = ConstantLR() if lr_schedule is None else lr_schedule
         self.eval_every = int(eval_every)
         self.lssr_tracker = LSSRTracker()
         #: Whether the most recent step synchronized.
@@ -152,7 +152,7 @@ class BaseTrainer:
         after which the parameter server mirrors the primary replica).
         """
         cluster = self.cluster
-        lr = self.current_lr()
+        lr_factor = self.lr_schedule(self.global_step)
         batches = self.next_batches()
         losses = cluster.compute_gradients_all(batches)
         cluster.charge_compute_step(batches[1].shape[1])
@@ -160,10 +160,10 @@ class BaseTrainer:
         if synchronize and self.aggregation == "grad":
             with telemetry.span("trainer.sync"):
                 averaged = self.reduce_gradients()
-            cluster.apply_local_updates(lr=lr, grads=averaged)
+            cluster.apply_local_updates(lr_factor, grads=averaged)
             cluster.ps.set_state(cluster.primary_worker.param_vector)
         else:
-            cluster.apply_local_updates(lr=lr)
+            cluster.apply_local_updates(lr_factor)
             if synchronize:
                 with telemetry.span("trainer.sync"):
                     new_global = cluster.ps.push_matrix_parameters(
@@ -222,12 +222,6 @@ class BaseTrainer:
     # ------------------------------------------------------------------ #
     # shared helpers
     # ------------------------------------------------------------------ #
-    def current_lr(self) -> Optional[float]:
-        """Learning rate at the current step (``None`` = optimizer default)."""
-        if self.lr_schedule is None:
-            return None
-        return self.lr_schedule(self.global_step)
-
     def mean_epoch_progress(self) -> float:
         """Average fraction of the training set seen across workers."""
         return float(np.mean([w.epoch_progress for w in self.cluster.workers]))

@@ -11,8 +11,12 @@ In the lockstep simulator asynchrony is modelled by a round-robin order
 inside each global step: every worker computes its gradient against the
 state it last pulled and applies it (one batched pass over the worker
 matrix), then the workers push their deltas in worker order, each pulling
-the global state right after its own push.  Per-worker simulated clocks
-advance independently (compute plus a small non-blocking transfer cost).
+the global state right after its own push.  Each pushed delta is scaled by
+``1/N``: the N pushes of one global step then move the PS state by the mean
+of the N local steps, as one BSP step does.  Unscaled, one global step moves
+it by N local steps at the synchronous lr, and the resnet101 preset diverges
+at N = 4.  Per-worker simulated clocks advance independently (compute plus a
+small non-blocking transfer cost).
 Every worker pushes exactly once per global step, so no worker is ever
 ahead of another and the staleness bound never binds here: it is kept as
 the algorithm's parameter and label.
@@ -65,8 +69,9 @@ class SSPTrainer(BaseTrainer):
         losses = cluster.compute_gradients_all(cluster.next_batches())
         cluster.charge_compute_step()
         pulled = cluster.matrix.params.copy()
-        cluster.apply_local_updates(lr=self.current_lr())
-        cluster.matrix.params[:] = cluster.ps.push_deltas(cluster.matrix.params - pulled)
+        cluster.apply_local_updates(self.lr_schedule(self.global_step))
+        deltas = (cluster.matrix.params - pulled) / cluster.num_workers
+        cluster.matrix.params[:] = cluster.ps.push_deltas(deltas)
         cluster.charge_push_pulls()
         # SSP has no explicit averaging, so LSSR is undefined; every step is
         # counted as asynchronous progress (reported as LSSR "n/a" upstream).

@@ -334,16 +334,18 @@ class SimulatedCluster:
             return out
 
     def apply_local_updates(
-        self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None
+        self, lr_factor: float = 1.0, grads: Optional[np.ndarray] = None
     ) -> None:
         """One optimizer step on every active worker, as one fused matrix update.
 
-        ``grads=None`` applies each worker's own gradients; a flat ``(D,)``
-        vector applies the same aggregated gradient to every replica.
-        Crashed workers keep their parameters and optimizer state.
+        The step runs at the optimizer's lr times ``lr_factor`` (the lr
+        schedule's shape at this step).  ``grads=None`` applies each worker's
+        own gradients; a flat ``(D,)`` vector applies the same aggregated
+        gradient to every replica.  Crashed workers keep their parameters and
+        optimizer state.
         """
         with telemetry.span("cluster.update"):
-            self.fused_update.apply(lr=lr, grads=grads)
+            self.fused_update.apply(lr_factor, grads)
 
     # ------------------------------------------------------------------ #
     # simulated-time charging

@@ -2,10 +2,12 @@
 
 Every worker runs the same optimizer, so the N per-worker flat updates
 collapse into a handful of ``(N, D)`` matrix operations, and the updater owns
-the optimizer state of the whole cluster: one learning rate and the state
-matrices whose rows are the workers' (SGD's velocity, Adam's ``m`` / ``v``
-and a per-row Adam step count ``t``).  :func:`build_fused_update` builds it
-from one optimizer object, whose family and hyperparameters it copies.
+the optimizer state of the whole cluster: the state matrices whose rows are
+the workers' (SGD's velocity, Adam's ``m`` / ``v`` and a per-row Adam step
+count ``t``).  :func:`build_fused_update` builds it from one optimizer
+object, whose family and hyperparameters it copies; the optimizer's lr is
+one of them, a constant, and each step runs at that lr times the lr
+schedule's factor for the step.
 
 A crashed worker (a False entry of the cluster's ``active_mask``) keeps its
 parameters and optimizer state: the step runs over every row, unchanged, and
@@ -63,6 +65,7 @@ class _FusedUpdate:
     def __init__(self, optimizer: Any, matrix: WorkerMatrix, active_mask: np.ndarray) -> None:
         self._matrix = matrix
         self._active = active_mask
+        #: The optimizer's lr, constant for the run; a step scales it by its factor.
         self.lr = float(optimizer.lr)
 
     @property
@@ -70,18 +73,15 @@ class _FusedUpdate:
         """The live optimizer-state arrays, one row (or entry) per worker."""
         raise NotImplementedError
 
-    def apply(self, lr: Optional[float] = None, grads: Optional[np.ndarray] = None) -> None:
-        """One optimizer step for every active worker.
+    def apply(self, lr_factor: float = 1.0, grads: Optional[np.ndarray] = None) -> None:
+        """One optimizer step at ``lr * lr_factor`` for every active worker.
 
-        ``lr`` replaces the learning rate from this step on.  ``grads=None``
+        ``lr_factor`` is the lr schedule's shape at this step.  ``grads=None``
         uses each worker's own gradient row; a flat ``(D,)`` vector applies
         the same (aggregated) gradient to every replica.  Crashed rows keep
         their parameters and state.
         """
-        if lr is not None:
-            if lr <= 0:
-                raise ValueError(f"learning rate must be positive, got {lr}")
-            self.lr = float(lr)
+        lr = self.lr * lr_factor
         if grads is not None:
             grads = np.asarray(grads, dtype=self._matrix.dtype).reshape(-1)
             if grads.size != self._matrix.spec.total_size:
@@ -91,17 +91,17 @@ class _FusedUpdate:
                 )
         active = self._active
         if active.all():
-            self._step(grads)
+            self._step(lr, grads)
             return
         frozen = ~active
         rows = [self._matrix.params, *self.state.values()]
         kept = [array[frozen] for array in rows]
-        self._step(grads)
+        self._step(lr, grads)
         for array, saved in zip(rows, kept):
             array[frozen] = saved
 
-    def _step(self, grads: Optional[np.ndarray]) -> None:
-        """The step over every row; ``grads`` is None or a checked ``(D,)`` vector."""
+    def _step(self, lr: float, grads: Optional[np.ndarray]) -> None:
+        """The step at ``lr`` over every row; ``grads`` is None or a checked ``(D,)`` vector."""
         raise NotImplementedError
 
 
@@ -130,8 +130,7 @@ class FusedSGDUpdate(_FusedUpdate):
     def state(self) -> Dict[str, np.ndarray]:
         return {} if self.velocity is None else {"velocity": self.velocity}
 
-    def _step(self, grads: Optional[np.ndarray]) -> None:
-        lr = self.lr
+    def _step(self, lr: float, grads: Optional[np.ndarray]) -> None:
         if grads is None:
             for params, grad, velocity, scratch in self._own_blocks:
                 self._block_step(lr, params, grad, velocity, scratch)
@@ -236,7 +235,7 @@ class FusedAdamUpdate(_FusedUpdate):
     def state(self) -> Dict[str, np.ndarray]:
         return {"m": self.m, "v": self.v, "t": self.t}
 
-    def _step(self, grads: Optional[np.ndarray]) -> None:
+    def _step(self, lr: float, grads: Optional[np.ndarray]) -> None:
         params = self._matrix.params
         grad_rows = self._matrix.grads if grads is None else grads.reshape(1, -1)
         self.t += 1
@@ -249,7 +248,7 @@ class FusedAdamUpdate(_FusedUpdate):
         v += (1.0 - self.beta2) * grad_rows**2
         m_hat = m / self._bias_correction(self.beta1)
         v_hat = v / self._bias_correction(self.beta2)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def _bias_correction(self, beta: float) -> np.ndarray:
         """``1 - beta**t`` of every row as an ``(N, 1)`` column of the matrix dtype.

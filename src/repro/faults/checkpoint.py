@@ -65,18 +65,18 @@ class ClusterCheckpoint:
 
     Everything a bit-identical continuation needs: the ``(N, D)`` parameter
     and gradient matrices, the fused update's state arrays (velocity, or
-    Adam's moments and per-row step counts) and its learning rate, the
-    parameter-server vector and its accounting, the simulated clock, backend
-    byte counters, per-worker data-loader positions and RNG streams, the
-    dropout-mask generators of every replica, the evaluation RNG, and the
-    elastic worker mask.
+    Adam's moments and per-row step counts), the parameter-server vector and
+    its accounting, the simulated clock, backend byte counters, per-worker
+    data-loader positions and RNG streams, the dropout-mask generators of
+    every replica, the evaluation RNG, and the elastic worker mask.  The lr
+    is not state: a step's lr is the optimizer's times the schedule's factor
+    for the restored step.
     """
 
     step: int
     params: np.ndarray
     grads: np.ndarray
     update_state: Dict[str, np.ndarray]
-    update_lr: float
     worker_last_loss: List[Optional[float]]
     loader_states: List[Dict[str, Any]]
     dropout_rng_states: List[List[Dict[str, Any]]]
@@ -107,7 +107,6 @@ def snapshot_cluster(cluster: Any) -> ClusterCheckpoint:
         params=cluster.matrix.params.copy(),
         grads=cluster.matrix.grads.copy(),
         update_state={k: a.copy() for k, a in cluster.fused_update.state.items()},
-        update_lr=float(cluster.fused_update.lr),
         worker_last_loss=[w.last_loss for w in cluster.workers],
         loader_states=[_loader_state(w.loader) for w in cluster.workers],
         dropout_rng_states=[
@@ -142,7 +141,6 @@ def restore_cluster(cluster: Any, ckpt: ClusterCheckpoint) -> None:
             f"but the cluster has {cluster.num_workers}"
         )
     cluster.global_step = ckpt.step
-    cluster.fused_update.lr = ckpt.update_lr
     cluster.matrix.params[:] = ckpt.params
     cluster.matrix.grads[:] = ckpt.grads
     for worker_id in range(ckpt.num_workers):
@@ -174,10 +172,9 @@ def restore_worker(
 
     ``sync_params=False`` skips the parameter row (the full-cluster restore
     assigns the whole matrix in one copy; a rejoin typically follows up with
-    a fresh parameter-server pull anyway).  The shared learning rate stays
-    as it is, and a rejoining worker keeps drawing dropout masks from its
-    live generators (a crashed row draws none); only the full restore
-    rewinds both.
+    a fresh parameter-server pull anyway).  A rejoining worker keeps
+    drawing dropout masks from its live generators (a crashed row draws
+    none); only the full restore rewinds them.
     """
     worker = cluster.workers[worker_id]
     if sync_params:

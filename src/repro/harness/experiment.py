@@ -49,7 +49,9 @@ class WorkloadPreset:
     dataset_name: str
     task: str
     model_factory: Callable[[np.random.Generator], Module]
+    #: The one place a preset states its lr: on the optimizer it builds.
     optimizer_factory: Callable[[Module], Optimizer]
+    #: The lr's shape over a run of ``total`` steps (a factor per step).
     lr_schedule_factory: Callable[[int], LRSchedule]
     batch_size: int
     top_k: Optional[int] = None
@@ -69,7 +71,7 @@ def _resnet_preset() -> WorkloadPreset:
         # Paper: decay by 10x after epochs 110 and 150 (of 165); scaled to the
         # run length as 2/3 and 10/11 of the iteration budget.
         lr_schedule_factory=lambda total: MultiStepDecay(
-            0.05, milestones=[int(total * 0.66), int(total * 0.9)], gamma=0.1
+            milestones=[int(total * 0.66), int(total * 0.9)], gamma=0.1
         ),
         batch_size=32,
         workload_spec="resnet101",
@@ -86,7 +88,7 @@ def _vgg_preset() -> WorkloadPreset:
         ),
         optimizer_factory=lambda m: SGD(m, lr=0.04, momentum=0.9, weight_decay=5e-4),
         lr_schedule_factory=lambda total: MultiStepDecay(
-            0.04, milestones=[int(total * 0.55), int(total * 0.8)], gamma=0.1
+            milestones=[int(total * 0.55), int(total * 0.8)], gamma=0.1
         ),
         batch_size=32,
         workload_spec="vgg11",
@@ -102,7 +104,7 @@ def _alexnet_preset() -> WorkloadPreset:
             input_dim=96, num_classes=200, hidden_dim=192, dropout=0.1, rng=rng
         ),
         optimizer_factory=lambda m: Adam(m, lr=1e-3),
-        lr_schedule_factory=lambda total: ConstantLR(1e-3),
+        lr_schedule_factory=lambda total: ConstantLR(),
         batch_size=64,
         top_k=5,
         workload_spec="alexnet",
@@ -121,7 +123,7 @@ def _transformer_preset() -> WorkloadPreset:
         ),
         optimizer_factory=lambda m: SGD(m, lr=0.5, momentum=0.0),
         lr_schedule_factory=lambda total: IntervalDecay(
-            0.5, interval=max(total // 10, 1), gamma=0.8
+            interval=max(total // 10, 1), gamma=0.8
         ),
         batch_size=16,
         workload_spec="transformer",
@@ -144,7 +146,7 @@ def _deep_mlp_preset() -> WorkloadPreset:
         model_factory=lambda rng: MLP((32, 48, 48, 48, 48, 10), rng=rng),
         optimizer_factory=lambda m: SGD(m, lr=0.05, momentum=0.9),
         lr_schedule_factory=lambda total: MultiStepDecay(
-            0.05, milestones=[int(total * 0.66), int(total * 0.9)], gamma=0.1
+            milestones=[int(total * 0.66), int(total * 0.9)], gamma=0.1
         ),
         batch_size=4,
         workload_spec="resnet101",

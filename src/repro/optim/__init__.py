@@ -3,7 +3,8 @@
 Matches the hyperparameter setups in §IV-A of the paper: SGD with momentum
 and weight decay (ResNet/VGG/Transformer workloads) and Adam with a fixed
 learning rate (AlexNet workload), plus the step-decay schedules the paper
-uses ("decay lr by 10x after epoch 110 and 150", etc.).
+uses ("decay lr by 10x after epoch 110 and 150", etc.).  The lr is stated
+once, on the optimizer; a schedule is its shape, a factor per step.
 """
 
 from repro.optim.optimizer import Optimizer
@@ -12,7 +13,6 @@ from repro.optim.adam import Adam
 from repro.optim.schedules import (
     LRSchedule,
     ConstantLR,
-    StepDecay,
     MultiStepDecay,
     ExponentialDecay,
     WarmupCosine,
@@ -25,7 +25,6 @@ __all__ = [
     "Adam",
     "LRSchedule",
     "ConstantLR",
-    "StepDecay",
     "MultiStepDecay",
     "ExponentialDecay",
     "WarmupCosine",

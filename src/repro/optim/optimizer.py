@@ -49,11 +49,6 @@ class Optimizer:
     def _grad_vector(self) -> np.ndarray:
         return self._grad_buffer.vector
 
-    def set_lr(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
     def zero_grad(self) -> None:
         self.module.zero_grad()
 

@@ -1,4 +1,10 @@
-"""Learning-rate schedules.
+"""Learning-rate schedules as shapes: a factor on the optimizer's lr per step.
+
+A run's lr is stated once, on the optimizer; a schedule only shapes it.
+``schedule(step)`` returns the factor the optimizer's lr is multiplied by at
+that global step (``1.0`` at step 0 for every decay), and the cluster's fused
+update steps at ``lr * schedule(step)``.  No schedule means the identity
+shape, :class:`ConstantLR`.
 
 The paper's recipes use multi-step decay by epoch (ResNet101: x0.1 after
 epochs 110 and 150; VGG11: after 50 and 75), a fixed LR (AlexNet) and an
@@ -14,43 +20,22 @@ from typing import Sequence
 
 
 class LRSchedule:
-    """Base class: maps a global step index to a learning rate."""
+    """Base class: maps a global step index to a factor on the optimizer's lr."""
 
-    def __init__(self, base_lr: float) -> None:
-        if base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {base_lr}")
-        self.base_lr = float(base_lr)
-
-    def lr_at(self, step: int) -> float:
+    def factor_at(self, step: int) -> float:
         raise NotImplementedError
 
     def __call__(self, step: int) -> float:
         if step < 0:
             raise ValueError(f"step must be non-negative, got {step}")
-        return self.lr_at(step)
+        return self.factor_at(step)
 
 
 class ConstantLR(LRSchedule):
-    """Fixed learning rate (AlexNet workload)."""
+    """The identity shape: the optimizer's lr at every step (AlexNet workload)."""
 
-    def lr_at(self, step: int) -> float:
-        return self.base_lr
-
-
-class StepDecay(LRSchedule):
-    """Multiply the LR by ``gamma`` every ``step_size`` iterations."""
-
-    def __init__(self, base_lr: float, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(base_lr)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        if not 0 < gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def lr_at(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.step_size)
+    def factor_at(self, step: int) -> float:
+        return 1.0
 
 
 class MultiStepDecay(LRSchedule):
@@ -61,12 +46,10 @@ class MultiStepDecay(LRSchedule):
 
     def __init__(
         self,
-        base_lr: float,
         milestones: Sequence[int],
         gamma: float = 0.1,
         steps_per_epoch: int = 1,
     ) -> None:
-        super().__init__(base_lr)
         if not 0 < gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {gamma}")
         if steps_per_epoch <= 0:
@@ -77,16 +60,15 @@ class MultiStepDecay(LRSchedule):
         self.milestones = converted
         self.gamma = float(gamma)
 
-    def lr_at(self, step: int) -> float:
+    def factor_at(self, step: int) -> float:
         passed = sum(1 for m in self.milestones if step >= m)
-        return self.base_lr * self.gamma**passed
+        return self.gamma**passed
 
 
 class IntervalDecay(LRSchedule):
     """Decay by ``gamma`` every ``interval`` steps (Transformer recipe: 0.8 / 2000)."""
 
-    def __init__(self, base_lr: float, interval: int, gamma: float) -> None:
-        super().__init__(base_lr)
+    def __init__(self, interval: int, gamma: float) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         if not 0 < gamma <= 1:
@@ -94,15 +76,14 @@ class IntervalDecay(LRSchedule):
         self.interval = int(interval)
         self.gamma = float(gamma)
 
-    def lr_at(self, step: int) -> float:
-        return self.base_lr * self.gamma ** (step // self.interval)
+    def factor_at(self, step: int) -> float:
+        return self.gamma ** (step // self.interval)
 
 
 class ExponentialDecay(LRSchedule):
-    """Smooth exponential decay ``lr = base * decay_rate ** (step / decay_steps)``."""
+    """Smooth exponential decay, ``decay_rate ** (step / decay_steps)``."""
 
-    def __init__(self, base_lr: float, decay_rate: float, decay_steps: int) -> None:
-        super().__init__(base_lr)
+    def __init__(self, decay_rate: float, decay_steps: int) -> None:
         if not 0 < decay_rate <= 1:
             raise ValueError(f"decay_rate must be in (0, 1], got {decay_rate}")
         if decay_steps <= 0:
@@ -110,31 +91,28 @@ class ExponentialDecay(LRSchedule):
         self.decay_rate = float(decay_rate)
         self.decay_steps = int(decay_steps)
 
-    def lr_at(self, step: int) -> float:
-        return self.base_lr * self.decay_rate ** (step / self.decay_steps)
+    def factor_at(self, step: int) -> float:
+        return self.decay_rate ** (step / self.decay_steps)
 
 
 class WarmupCosine(LRSchedule):
-    """Linear warmup followed by cosine decay to ``min_lr`` over ``total_steps``."""
+    """Linear warmup followed by cosine decay to ``min_factor`` over ``total_steps``."""
 
-    def __init__(
-        self, base_lr: float, warmup_steps: int, total_steps: int, min_lr: float = 0.0
-    ) -> None:
-        super().__init__(base_lr)
+    def __init__(self, warmup_steps: int, total_steps: int, min_factor: float = 0.0) -> None:
         if warmup_steps < 0:
             raise ValueError(f"warmup_steps must be non-negative, got {warmup_steps}")
         if total_steps <= warmup_steps:
             raise ValueError("total_steps must exceed warmup_steps")
-        if min_lr < 0:
-            raise ValueError(f"min_lr must be non-negative, got {min_lr}")
+        if not 0 <= min_factor <= 1:
+            raise ValueError(f"min_factor must be in [0, 1], got {min_factor}")
         self.warmup_steps = int(warmup_steps)
         self.total_steps = int(total_steps)
-        self.min_lr = float(min_lr)
+        self.min_factor = float(min_factor)
 
-    def lr_at(self, step: int) -> float:
+    def factor_at(self, step: int) -> float:
         if self.warmup_steps > 0 and step < self.warmup_steps:
-            return self.base_lr * (step + 1) / self.warmup_steps
+            return (step + 1) / self.warmup_steps
         progress = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
         progress = min(max(progress, 0.0), 1.0)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.min_lr + (self.base_lr - self.min_lr) * cosine
+        return self.min_factor + (1.0 - self.min_factor) * cosine

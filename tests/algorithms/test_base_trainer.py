@@ -32,11 +32,16 @@ class TestRunLoop:
         assert all(b >= a for a, b in zip(times, times[1:]))
 
     def test_lr_schedule_applied(self):
-        cluster = make_small_cluster()
-        schedule = MultiStepDecay(0.1, milestones=[5], gamma=0.1)
+        cluster = make_small_cluster(lr=0.1)
+        update = cluster.fused_update
+        applied = []
+        step = update._step
+        update._step = lambda lr, grads: (applied.append(lr), step(lr, grads))
+        schedule = MultiStepDecay(milestones=[5], gamma=0.1)
         trainer = BSPTrainer(cluster, lr_schedule=schedule, eval_every=100)
         trainer.run(10)
-        assert cluster.fused_update.lr == pytest.approx(0.01)
+        assert applied == [0.1] * 5 + [0.1 * 0.1] * 5
+        assert update.lr == 0.1
 
     def test_convergence_detector_stops_early(self):
         cluster = make_small_cluster()

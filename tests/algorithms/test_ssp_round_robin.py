@@ -2,9 +2,9 @@
 
 The reference below is SSP written one worker at a time: worker ``i``
 computes its gradient against the state it last pulled, steps its own
-standalone optimizer (built by the preset's factory), adds its delta to the
-parameter server's state and pulls the result before worker ``i + 1``
-starts.  :class:`SSPTrainer` computes every
+standalone optimizer (built by the preset's factory), adds ``1/N`` of its
+delta to the parameter server's state and pulls the result before worker
+``i + 1`` starts.  :class:`SSPTrainer` computes every
 gradient in one batched pass and pushes the deltas in worker order; both
 must leave the same bits behind.
 """
@@ -35,9 +35,9 @@ def _round_robin_step(cluster, optimizers, lr, step):
         pulled = worker.param_vector.copy()
         batch = cluster.train_dataset[worker.loader.next_indices()]
         losses.append(worker.compute_gradients_flat(batch)[0])
-        optimizer.set_lr(lr)
+        optimizer.lr = lr
         optimizer.step()
-        ps.state_vector[:] += worker.param_vector - pulled
+        ps.state_vector[:] += (worker.param_vector - pulled) / cluster.num_workers
         worker.set_state(ps.state_vector.copy())
         ps.total_pushed_bytes += ps.state_bytes()
         ps.total_pulled_bytes += ps.state_bytes()
@@ -57,11 +57,13 @@ def test_matrix_ssp_equals_the_round_robin_loop(workload):
     )
     schedule = preset.lr_schedule_factory(STEPS)
     optimizers = [preset.optimizer_factory(w.model) for w in reference.workers]
+    preset_lr = optimizers[0].lr
     try:
         for step in range(STEPS):
             loss = trainer.train_step()["loss"]
             trainer.global_step = cluster.global_step = step + 1
-            assert loss == _round_robin_step(reference, optimizers, schedule(step), step)
+            lr = preset_lr * schedule(step)
+            assert loss == _round_robin_step(reference, optimizers, lr, step)
         np.testing.assert_array_equal(cluster.matrix.params, reference.matrix.params)
         np.testing.assert_array_equal(cluster.ps.state_vector, reference.ps.state_vector)
         np.testing.assert_array_equal(cluster.clock.worker_time, reference.clock.worker_time)

@@ -229,7 +229,7 @@ class TestClusterDtypeConsistency:
             assert worker.param_vector.dtype == expected
         # one step keeps everything in-dtype
         cluster.compute_gradients_all(cluster.next_batches())
-        cluster.apply_local_updates(lr=0.05)
+        cluster.apply_local_updates()
         assert cluster.matrix.grads.dtype == expected
         assert cluster.matrix.mean_params().dtype == expected
 

@@ -74,7 +74,7 @@ def _oracles(cluster, weight_decay=0.0):
 def _oracle_step(oracles, lr, rows):
     for worker_id, optimizer in enumerate(oracles):
         if rows[worker_id]:
-            optimizer.set_lr(lr)
+            optimizer.lr = lr
             optimizer.step()
 
 
@@ -90,8 +90,8 @@ class TestEquivalence:
         for _ in range(5):
             fused_cluster.compute_gradients_all(fused_cluster.next_batches())
             oracle_cluster.compute_gradients_all(oracle_cluster.next_batches())
-            fused_cluster.apply_local_updates(lr=2e-3)
-            _oracle_step(oracles, 2e-3, everyone)
+            fused_cluster.apply_local_updates(2.0)
+            _oracle_step(oracles, 1e-3 * 2.0, everyone)
 
         # The fused (N, D) arithmetic mirrors Adam._update_flat operation for
         # operation, so the trajectories agree bit for bit.
@@ -122,8 +122,9 @@ class TestEquivalence:
             fused_cluster.compute_gradients_all(fused_cluster.next_batches())
             oracle_cluster.compute_gradients_all(oracle_cluster.next_batches())
             frozen = [array[~mask].copy() for array in rows]
-            fused_cluster.apply_local_updates(lr=1e-3 * (1 + step % 3))
-            _oracle_step(oracles, 1e-3 * (1 + step % 3), mask)
+            factor = float(1 + step % 3)
+            fused_cluster.apply_local_updates(factor)
+            _oracle_step(oracles, 1e-3 * factor, mask)
             for array, before in zip(rows, frozen):
                 np.testing.assert_array_equal(array[~mask], before)
             np.testing.assert_array_equal(
@@ -151,7 +152,7 @@ class TestEquivalence:
             cluster.matrix.spec.total_size
         )
         cluster.broadcast_state(cluster.ps.pull_vector())
-        cluster.fused_update.apply(lr=1e-3, grads=grads)
+        cluster.fused_update.apply(grads=grads)
         # all replicas started identical and saw the same gradient
         assert np.ptp(cluster.matrix.params, axis=0).max() == 0.0
 

@@ -81,10 +81,10 @@ def _gradients(matrix, step, shared):
 
 
 def _oracle_step(oracles, lr, grads, rows=None):
-    """Per-module ``SGD.step`` on ``rows`` (every replica by default)."""
+    """Per-module ``SGD.step`` at ``lr`` on ``rows`` (every replica by default)."""
     for worker_id, optimizer in enumerate(oracles):
         if rows is None or rows[worker_id]:
-            optimizer.set_lr(lr)
+            optimizer.lr = lr
             optimizer.step(grads)
 
 
@@ -111,11 +111,11 @@ def test_fused_step_is_bit_equal_to_per_module_sgd(
     fused, matrix, oracle = _replicas(num_workers, size, dtype, *hyper)
     assert isinstance(fused, FusedSGDUpdate)
     for step in range(3):
-        lr = 0.05 * (step + 1)
+        factor = float(step + 1)
         fused_grads = _gradients(matrix, step, shared)
         oracle_grads = _gradients(oracle[0], step, shared)
-        fused.apply(lr=lr, grads=fused_grads)
-        _oracle_step(oracle[1], lr, oracle_grads)
+        fused.apply(factor, grads=fused_grads)
+        _oracle_step(oracle[1], 0.05 * factor, oracle_grads)
     _assert_same_state(fused, matrix, oracle, momentum)
 
 
@@ -133,13 +133,13 @@ def test_masked_step_freezes_crashed_rows_and_steps_the_rest(
     fused, matrix, oracle = _replicas(num_workers, size, dtype, *hyper, mask=mask)
     for step in range(4):
         mask[:] = (np.arange(num_workers) + step) % 3 != 0
-        lr = 0.05 * (step + 1)
+        factor = float(step + 1)
         fused_grads = _gradients(matrix, step, shared)
         oracle_grads = _gradients(oracle[0], step, shared)
         frozen_params = matrix.params[~mask].copy()
         frozen_velocity = None if fused.velocity is None else fused.velocity[~mask].copy()
-        fused.apply(lr=lr, grads=fused_grads)
-        _oracle_step(oracle[1], lr, oracle_grads, rows=mask)
+        fused.apply(factor, grads=fused_grads)
+        _oracle_step(oracle[1], 0.05 * factor, oracle_grads, rows=mask)
         np.testing.assert_array_equal(matrix.params[~mask], frozen_params)
         if frozen_velocity is not None:
             np.testing.assert_array_equal(fused.velocity[~mask], frozen_velocity)
@@ -151,7 +151,7 @@ def test_a_shared_gradient_of_the_wrong_length_is_refused(length):
     fused, matrix, _ = _replicas(2, SEGMENT + 1, "float64", 0.0, 0.9, False)
     before = matrix.params.copy()
     with pytest.raises(ValueError, match=f"flat gradient has length {length}"):
-        fused.apply(lr=0.1, grads=np.ones(length))
+        fused.apply(grads=np.ones(length))
     np.testing.assert_array_equal(matrix.params, before)
 
 
@@ -165,7 +165,7 @@ def _cluster_steps(cluster, steps, oracles=None):
         cluster.compute_gradients_all(cluster.next_batches())
         grads = cluster.matrix.grads.mean(axis=0) if step % 2 else None
         if oracles is None:
-            cluster.apply_local_updates(lr=0.05, grads=grads)
+            cluster.apply_local_updates(grads=grads)
         else:
             _oracle_step(oracles, 0.05, grads)
     velocity = cluster.fused_update.velocity if oracles is None else _velocity(oracles)
@@ -175,7 +175,7 @@ def _cluster_steps(cluster, steps, oracles=None):
 def test_checkpoint_restore_mid_run_replays_bit_identically():
     # width 2100 makes D ≈ 44k: the own-gradient walk and each shared-gradient
     # row both cross a segment boundary.
-    cluster = make_small_cluster(num_workers=3, momentum=0.9, width=2100)
+    cluster = make_small_cluster(num_workers=3, momentum=0.9, lr=0.05, width=2100)
     assert cluster.matrix.spec.total_size > SEGMENT
     _cluster_steps(cluster, range(3))
     checkpoint = snapshot_cluster(cluster)
@@ -198,13 +198,13 @@ def test_one_step_allocates_at_most_one_segment(weight_decay, momentum, nesterov
     num_workers, size = 3, 3 * SEGMENT + 7
     fused, matrix, _ = _replicas(num_workers, size, "float64", weight_decay, momentum, nesterov)
     grads = _gradients(matrix, 0, shared)
-    fused.apply(lr=0.05, grads=grads)  # warm-up
+    fused.apply(grads=grads)  # warm-up
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fused.apply(lr=0.05, grads=grads)
+        fused.apply(grads=grads)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -165,14 +165,14 @@ class TestFusedSGDEquivalence:
     def test_local_updates_match_per_module_sgd(self, shared):
         from repro.optim.sgd import SGD
 
-        fused, loop = _paired_clusters(momentum=0.9)
+        fused, loop = _paired_clusters(momentum=0.9, lr=0.05)
         oracles = [SGD(w.model, lr=0.05, momentum=0.9) for w in loop.workers]
         for _ in range(3):
             grads = []
             for cluster in (fused, loop):
                 cluster.compute_gradients_all(cluster.next_batches())
                 grads.append(cluster.matrix.grads.mean(axis=0) if shared else None)
-            fused.apply_local_updates(lr=0.05, grads=grads[0])
+            fused.apply_local_updates(grads=grads[0])
             for optimizer in oracles:
                 optimizer.step(grads[1])
         np.testing.assert_array_equal(fused.matrix.params, loop.matrix.params)
@@ -180,12 +180,11 @@ class TestFusedSGDEquivalence:
             fused.fused_update.velocity, np.stack([o._velocity_vector for o in oracles])
         )
 
-    def test_lr_is_one_shared_scalar(self):
-        cluster = make_small_cluster(momentum=0.9, lr=0.1)
+    def test_a_step_runs_at_the_constant_lr_times_its_factor(self):
+        cluster = make_small_cluster(lr=0.1)
         update = cluster.fused_update
+        grads = np.ones(cluster.matrix.spec.total_size)
+        before = cluster.matrix.params.copy()
+        update.apply(2.5, grads=grads)
+        np.testing.assert_array_equal(cluster.matrix.params, before - (0.1 * 2.5) * grads)
         assert update.lr == 0.1
-        update.apply(lr=0.25)
-        update.apply(lr=None)  # keeps the last lr
-        assert update.lr == 0.25
-        with pytest.raises(ValueError, match="learning rate must be positive"):
-            update.apply(lr=0.0)

@@ -69,7 +69,6 @@ def scramble(trainer):
     cluster.clock.worker_time += 11.0
     for array in cluster.fused_update.state.values():
         array += 3
-    cluster.fused_update.lr = 99.0
     for worker in cluster.workers:
         for _, module in worker.model.named_modules():
             if isinstance(module, Dropout):
@@ -102,6 +101,31 @@ def test_roundtrip_matches_uninterrupted_run(algorithm, workload):
     np.testing.assert_array_equal(
         trainer.cluster.matrix.params, baseline_trainer.cluster.matrix.params
     )
+
+
+@pytest.mark.parametrize("workload", ["deep_mlp", "transformer"])
+def test_restore_back_across_a_milestone_continues_bit_identically(workload):
+    """The lr is a function of the step, not checkpoint state.
+
+    The run goes on past a decay (deep_mlp's first milestone is step 7 of 12;
+    the transformer decays every step), is restored to step 5, and finishes:
+    its trajectory is the uninterrupted run's.
+    """
+    baseline = build_trainer("bsp", workload)
+    baseline.run(ITERATIONS, eval_every=4)
+
+    trainer = build_trainer("bsp", workload)
+    trainer.run(CHECKPOINT_AT, eval_every=4)
+    ckpt = trainer.checkpoint()
+    trainer.run(4, eval_every=4)
+    trainer.restore(ckpt)
+    trainer.run(ITERATIONS - CHECKPOINT_AT, eval_every=4)
+
+    assert trainer.global_step == ITERATIONS
+    cluster, expected = trainer.cluster, baseline.cluster
+    assert cluster.matrix.params.tobytes() == expected.matrix.params.tobytes()
+    for name, array in cluster.fused_update.state.items():
+        assert array.tobytes() == expected.fused_update.state[name].tobytes()
 
 
 class TestSelSyncTrackerState:
@@ -196,33 +220,30 @@ class TestCheckpointMechanics:
         update = cluster.fused_update
         for _ in range(2):
             cluster.compute_gradients_all(cluster.next_batches())
-            cluster.apply_local_updates(lr=2e-3)
+            cluster.apply_local_updates()
         ckpt = snapshot_cluster(cluster)
         assert sorted(ckpt.update_state) == ["m", "t", "v"]
-        assert ckpt.update_lr == 2e-3
         for name, array in update.state.items():
             np.testing.assert_array_equal(ckpt.update_state[name], array)
             assert not np.shares_memory(ckpt.update_state[name], array)
         assert ckpt.update_state["t"].tolist() == [2, 2, 2]
 
-    def test_rejoin_restores_one_row_and_leaves_the_shared_lr(self):
+    def test_rejoin_restores_one_row(self):
         cluster = build_cluster(build_workload("alexnet"), num_workers=3, batch_size=4)
         update = cluster.fused_update
         cluster.compute_gradients_all(cluster.next_batches())
-        cluster.apply_local_updates(lr=2e-3)
+        cluster.apply_local_updates()
         ckpt = snapshot_cluster(cluster)
         for _ in range(2):
             cluster.compute_gradients_all(cluster.next_batches())
-            cluster.apply_local_updates(lr=5e-3)
+            cluster.apply_local_updates()
         later = {name: array.copy() for name, array in update.state.items()}
 
         restore_worker(cluster, ckpt, 1)
-        assert update.lr == 5e-3
         assert update.t.tolist() == [3, 1, 3]
         for name, array in update.state.items():
             np.testing.assert_array_equal(array[1], ckpt.update_state[name][1])
             np.testing.assert_array_equal(array[[0, 2]], later[name][[0, 2]])
 
         restore_cluster(cluster, ckpt)
-        assert update.lr == 2e-3
         assert update.t.tolist() == [1, 1, 1]

@@ -83,16 +83,6 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD(model, lr=0.1, weight_decay=-1.0)
 
-    def test_set_lr(self):
-        model = _Scalar(0.0)
-        opt = SGD(model, lr=1.0)
-        opt.set_lr(0.5)
-        _set_grad(model, 1.0)
-        opt.step()
-        np.testing.assert_allclose(model.w.data, -0.5)
-        with pytest.raises(ValueError):
-            opt.set_lr(-1.0)
-
 
 class TestAdam:
     def test_first_step_size_close_to_lr(self):

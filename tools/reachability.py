@@ -55,7 +55,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
 
-_CALIBRATION = "the known-optimum item calibrates the transformer's warm-up / LR schedule"
+_CALIBRATION = (
+    "lr shape (a factor on the optimizer's lr) that the known-optimum item may give the "
+    "transformer: warm-up or smooth decay"
+)
 _INIT = "the known-optimum item calibrates the transformer's init scale"
 _CHECKPOINT = (
     "checkpoint / restore API: no entry point resumes a run yet; tests/golden/ replays "
@@ -84,12 +87,10 @@ _TELEMETRY = (
 
 #: Public names no entry point reaches that stay on purpose, with the reason.
 KEEP: Dict[str, str] = {
-    "repro.optim.schedules.StepDecay": _CALIBRATION,
-    "repro.optim.schedules.StepDecay.lr_at": _CALIBRATION,
     "repro.optim.schedules.ExponentialDecay": _CALIBRATION,
-    "repro.optim.schedules.ExponentialDecay.lr_at": _CALIBRATION,
+    "repro.optim.schedules.ExponentialDecay.factor_at": _CALIBRATION,
     "repro.optim.schedules.WarmupCosine": _CALIBRATION,
-    "repro.optim.schedules.WarmupCosine.lr_at": _CALIBRATION,
+    "repro.optim.schedules.WarmupCosine.factor_at": _CALIBRATION,
     "repro.nn.init.xavier_uniform": _INIT,
     "repro.nn.init.xavier_normal": _INIT,
     "repro.nn.init.kaiming_normal": _INIT,
@@ -137,10 +138,6 @@ KEEP: Dict[str, str] = {
     "repro.nn.module.Parameter.zero_grad": _MODULE_API,
     "repro.nn.module.Sequential.append": _MODULE_API,
     "repro.optim.optimizer.Optimizer.zero_grad": _MODULE_API,
-    "repro.optim.optimizer.Optimizer.set_lr": (
-        "standalone SGD / Adam are the oracles the fused-update tests step under an lr "
-        "schedule; the cluster's optimizer step is the fused update"
-    ),
     "repro.nn.layers.Tanh": _TANH,
     "repro.nn.layers.Tanh.forward": _TANH,
     "repro.nn.layers.Tanh.backward": _TANH,
