@@ -36,6 +36,7 @@ from repro.engine import (
     build_fused_update,
     resolve_dtype,
     resolve_transport_dtype,
+    threads,
 )
 from repro.data.loader import DataLoader
 from repro.data.partition import DefaultPartitioner, Partitioner
@@ -108,6 +109,11 @@ class SimulatedCluster:
         partitioner: Optional[Partitioner] = None,
         worker_batch_size: Optional[int] = None,
     ) -> None:
+        # Unpinned, OpenBLAS's idle worker thread spin-waits on the core a
+        # shard thread or a forked run needs (a one-thread run kept both cores
+        # busy); on one core there is nothing to take from it.
+        if threads.usable_cores() >= 2:
+            threads.pin_blas()
         self.config = config
         self.train_dataset = train_dataset
         self.test_dataset = test_dataset

@@ -1,16 +1,20 @@
-"""The engine's threads: usable cores, one shard pool, one BLAS thread.
+"""The engine's threads and processes: usable cores, one shard pool, forked
+shares, one BLAS thread.
 
 :class:`~repro.engine.replica_exec.BatchedReplicaExecutor` splits the replica
 axis into row shards and runs them through :func:`run_shards` — one Python
-thread per usable core.  That only pays while NumPy's BLAS stays out of the
-way: OpenBLAS's own worker threads spin-wait on the very core a shard thread
-needs, so :func:`pin_blas` sets every OpenBLAS mapped into the process to one
-thread, and sharding stays off unless that worked.  The pin goes through the
-library's C API because an environment variable is read when NumPy is
-imported, which is usually before anything here runs.  The same goes for the
-two glibc allocator settings made here through ``mallopt``: one shared arena
-for the shard threads (:func:`_share_malloc_arena`) and mmap / trim
-thresholds held from the first large step (:func:`hold_malloc_thresholds`).
+thread per usable core.  The scenario runner deals a scenario's independent
+runs into shares and runs them through :func:`run_forked` — one forked child
+per extra share.  Both only pay while NumPy's BLAS stays out of the way:
+OpenBLAS's own worker threads spin-wait on the very core a shard thread or a
+child needs, so :func:`pin_blas` sets every OpenBLAS mapped into the process
+to one thread (a cluster built on two or more usable cores calls it), and
+neither fans out unless that worked.  The pin goes through the library's C
+API because an environment variable is read when NumPy is imported, which is
+usually before anything here runs.  The same goes for the two glibc
+allocator settings made here through ``mallopt``: one shared arena for the
+shard threads (:func:`_share_malloc_arena`) and mmap / trim thresholds held
+from the first large step (:func:`hold_malloc_thresholds`).
 
 Everything is created on first use; importing this module starts nothing.
 """
@@ -18,8 +22,12 @@ Everything is created on first use; importing this module starts nothing.
 from __future__ import annotations
 
 import ctypes
+import gc
 import os
+import pickle
 import threading
+import traceback
+import warnings
 from typing import Any, Callable, List, Optional, Sequence
 
 _lock = threading.Lock()
@@ -77,8 +85,8 @@ def pin_blas() -> Optional[int]:
     """Set every loaded OpenBLAS to one thread.
 
     Returns the thread count found before the pin, or None when no OpenBLAS
-    could be brought to one thread.  Looks once per process (and once more in
-    a forked child); later calls return the remembered answer.
+    could be brought to one thread.  Looks once per process (a forked child
+    keeps its parent's answer); later calls return the remembered answer.
     """
     global _blas_before
     if _blas_before is _UNKNOWN:
@@ -173,16 +181,117 @@ def run_shards(fn: Callable[[Any], Any], shards: Sequence[Any]) -> List[Any]:
     return [head] + [future.result() for future in futures]
 
 
+class ChildTraceback(Exception):
+    """The formatted traceback of an exception raised in a forked share.
+
+    :func:`run_forked` sets it as the ``__cause__`` of the re-raised
+    exception, so the child's frames show under the parent's.
+    """
+
+
+def run_forked(fn: Callable[[Any], Any], shares: Sequence[Any]) -> List[Any]:
+    """``[fn(share) for share in shares]``, one process per share.
+
+    The first share runs in the calling process; every other one in an
+    ``os.fork()``ed child that pickles its result (or its exception) into a
+    pipe and leaves through ``os._exit``, whatever ``fn`` raises — no
+    ``SystemExit`` or atexit hook of the caller runs twice.  Every child is
+    read and reaped before this returns or raises; a child's exception is
+    re-raised here with its type and message.  A one-element list forks
+    nothing.  Forking is only safe from a process with one thread: the
+    caller checks that.
+    """
+    children = []  # (pid, read end of the child's pipe)
+    if len(shares) > 1:
+        # While children live, no collection on either side walks the
+        # objects they share: a full one would write to, and so copy, every
+        # page holding them.
+        gc.freeze()
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(fn, share))
+        head = fn(shares[0])
+    finally:
+        # Reap every child, even when the caller's share or a fork failed.
+        outcomes = [_reap_share(pid, fd) for pid, fd in children]
+        if len(shares) > 1:
+            gc.unfreeze()
+    results = [head]
+    for ok, value, child_tb in outcomes:
+        if not ok:
+            if child_tb:
+                value.__cause__ = ChildTraceback(child_tb)
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork_share(fn: Callable[[Any], Any], share: Any) -> tuple:
+    """Fork one child that runs ``fn(share)``; ``(pid, read end of its pipe)``."""
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns in the parent, after the child exists, when
+        # any other OS thread is alive.  The only one a one-thread caller can
+        # have is OpenBLAS's worker, and OpenBLAS's own at-fork handler stops
+        # it before the fork.
+        warnings.filterwarnings(
+            "ignore", message="This process .* is multi-threaded", category=DeprecationWarning
+        )
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome = (True, fn(share), "")
+        except BaseException as exc:  # noqa: BLE001 - sent to the parent, never re-raised here
+            outcome = (False, exc, traceback.format_exc())
+        try:
+            payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - an unpicklable result or exception
+            what = type(outcome[1]).__name__
+            error = RuntimeError(f"forked share could not send its {what}: {exc}")
+            payload = pickle.dumps((False, error, traceback.format_exc()))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap_share(pid: int, read_end: int) -> tuple:
+    """``(ok, result or exception, child traceback)`` of one forked share."""
+    with os.fdopen(read_end, "rb") as pipe:
+        payload = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        error = ChildProcessError(f"forked share {pid} sent no result (wait status {status})")
+        return False, error, ""
+    try:
+        return pickle.loads(payload)
+    except Exception as exc:  # noqa: BLE001 - e.g. an exception class that cannot be rebuilt
+        error = RuntimeError(f"forked share {pid} sent a result that cannot be read: {exc}")
+        return False, error, ""
+
+
 def _forget_threads_after_fork() -> None:
     # Only the forking thread exists in the child: the pool's workers are
-    # gone (a submit would never be picked up) and OpenBLAS re-initialises
-    # its own threads, so the child looks again before it shards.  The held
-    # malloc thresholds are process memory the child inherits, so that flag
-    # stays.
-    global _lock, _pool, _blas_before
+    # gone, so a submit would never be picked up.  The BLAS pin and the held
+    # malloc thresholds are process memory the child inherits, so both answers
+    # stay.  Pinning again would do harm: OpenBLAS's own at-fork handler
+    # stopped its worker thread, and ``openblas_set_num_threads`` in the child
+    # starts a new one, which spin-waits (4-5 ms stalls every few deep_mlp
+    # steps of the child's first run).
+    global _lock, _pool
     _lock = threading.Lock()
     _pool = None
-    _blas_before = _UNKNOWN
 
 
 if hasattr(os, "register_at_fork"):

@@ -20,13 +20,15 @@ large-N sweeps to the trainers the unit suite already trusts.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.algorithms.base import TrainingResult
 from repro.data.datasets import DatasetBundle
+from repro.engine import threads
 from repro.harness import experiment
 from repro.harness.experiment import RunConfig
 from repro.harness.reporting import format_table, results_to_rows, table1_headers
@@ -35,6 +37,7 @@ from repro.scenarios.registry import Scenario, get_scenario
 from repro.scenarios.spec import (
     ComparisonScenario,
     FaultScenario,
+    Run,
     ScenarioError,
     SweepScenario,
     ThroughputScenario,
@@ -279,6 +282,36 @@ class _Datasets(dict):
         return bundle
 
 
+#: Fewest worker-steps (Σ workers × iterations) one share of a scenario's runs
+#: must hold before the runs fan out (ARCHITECTURE.md, "Run fan-out").  A fork
+#: costs more the larger the forking process: measured on ``deep_mlp``, the
+#: workload with the cheapest step, smaller shares lost to the in-process loop
+#: in the tier-1 test process.
+MIN_CHILD_WORKER_STEPS = 384
+
+
+def _share_count(runs: Sequence[Run]) -> int:
+    """How many processes a scenario's runs spread over — computed, never set.
+
+    As many as there are usable cores and runs, but no more than leave every
+    share :data:`MIN_CHILD_WORKER_STEPS` worker-steps, and one unless forking
+    is safe and hides nothing: the calling process runs one Python thread
+    (no service task thread, no live shard pool), repro telemetry is off
+    (spans and counters must land in this process) and the BLAS is pinned
+    to one thread (an unpinned OpenBLAS worker spins on the core a child
+    needs).
+    """
+    worker_steps = sum(config.num_workers * config.iterations for _, config in runs)
+    k = min(threads.usable_cores(), len(runs), worker_steps // MIN_CHILD_WORKER_STEPS)
+    if k < 2 or threading.active_count() > 1:
+        return 1
+    if telemetry.tracing_enabled() or telemetry.metrics_enabled():
+        return 1
+    if threads.pin_blas() is None:
+        return 1
+    return k
+
+
 def _train_report(
     scenario: Scenario,
     meta: Dict[str, Any],
@@ -294,18 +327,34 @@ def _train_report(
     ``meta`` is the report's run description; ``result_key`` names each
     raw result; ``options`` gives each run's ``train_run`` keywords;
     ``datasets`` holds the bundles the runs share (a new one by default).
+    The runs are dealt round-robin into :func:`_share_count` shares, run
+    through :func:`~repro.engine.threads.run_forked` and put back in run
+    order, so the report is the sequential loop's whatever the share count.
     """
     report = ScenarioReport(
         name=scenario.name, title=scenario.title, kind=scenario.kind,
         meta={**meta, "tags": list(scenario.tags)},
     )
     datasets = _Datasets() if datasets is None else datasets
-    for params, config in scenario.runs:
-        _check_cancelled(cancel_check)
-        record, result = train_run(
-            config, params, timed=timed, bundle=datasets[config.workload, config.seed],
-            **options(config),
-        )
+    runs = scenario.runs
+    # Every bundle before any fork, so the children read them copy-on-write.
+    bundles = [datasets[config.workload, config.seed] for _, config in runs]
+
+    def run_share(indices: range) -> List[Tuple[ScenarioRecord, TrainingResult]]:
+        pairs = []
+        for index in indices:
+            _check_cancelled(cancel_check)
+            params, config = runs[index]
+            pairs.append(train_run(
+                config, params, timed=timed, bundle=bundles[index], **options(config)
+            ))
+        return pairs
+
+    k = _share_count(runs)
+    done = threads.run_forked(run_share, [range(first, len(runs), k) for first in range(k)])
+    for index, (params, _) in enumerate(runs):
+        # Share s holds runs s, s + k, s + 2k, …
+        record, result = done[index % k][index // k]
         report.results[result_key(params)] = result
         report.records.append(record)
     return report

@@ -307,11 +307,17 @@ class TestForkAfterShards:
         finally:
             cluster.close()
         assert threads._pool is not None and threads._blas_before is not threads._UNKNOWN
+        answer = threads.pin_blas()
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:   # child: report and leave without running pytest's teardown
-            fresh = threads._pool is None and threads._blas_before is threads._UNKNOWN
-            os.write(write_end, b"1" if fresh else b"0")
+            # The pin is inherited: asking again touches no OpenBLAS, which
+            # would start a spin-waiting worker after its at-fork shutdown.
+            fresh = threads._pool is None and threads.pin_blas() == answer
+            np.ones((64, 64)) @ np.ones((64, 64))
+            with open("/proc/self/status", encoding="ascii") as status:
+                alone = "Threads:\t1\n" in status.read()
+            os.write(write_end, b"1" if fresh and alone else b"0")
             os._exit(0)
         os.close(write_end)
         try:
